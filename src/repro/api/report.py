@@ -1,0 +1,81 @@
+"""What ``Service`` and ``ServingSession`` share: a rooted report facade.
+
+Both own a root directory, train through the ordinary sweep
+orchestrator (artifacts under ``<root>/<sub>``, replay traces under
+``<root>/traces``, shared with any other sweep against that root) and
+persist one report through :func:`repro.store.load_or_run`.
+``root=None`` keeps everything in memory.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from pathlib import Path
+
+from repro.errors import ConfigurationError
+from repro.sweep.grid import SweepPoint
+from repro.sweep.orchestrator import run_sweep
+
+
+@dataclass
+class ReportOutcome:
+    """What a report facade's ``run`` returns: the report + how much ran.
+
+    ``ran`` is how many records were actually simulated this call — zero
+    when the run resumed from a persisted report. It lives outside the
+    report document so resumed and fresh outcomes stay byte-equal on
+    disk. Subclasses name the renderer as ``_format``.
+    """
+
+    data: dict  # the (persisted) report document
+    ran: int
+    path: Path | None = None  # where the report lives, if rooted
+
+    @property
+    def metrics(self) -> dict:
+        return self.data["metrics"]
+
+    def report(self) -> str:
+        """The rendered report table + scorecard."""
+        return self._format(self.data)
+
+
+class ReportFacade:
+    """Root + sweep policy; subclasses add the workload and ``run``.
+
+    ``_config_param`` names the constructor keyword ``from_config``
+    passes the declarative config as.
+    """
+
+    def __init__(self, root, *, jobs: int, substrate: str, resume: bool, progress) -> None:
+        if substrate not in ("auto", "exact"):
+            raise ConfigurationError(
+                f"{type(self).__name__} substrate must be 'auto' or 'exact', "
+                f"not {substrate!r}"
+            )
+        self.root = None if root is None else Path(root)
+        self.jobs = jobs
+        self.substrate = substrate
+        self.resume = resume and root is not None
+        self.progress = progress
+
+    @classmethod
+    def from_config(cls, config, root: str | os.PathLike | None = None, **kwargs):
+        """The CLI entry point: the whole run from one declarative config."""
+        return cls(root, **{cls._config_param: config}, **kwargs)
+
+    def _dir(self, name: str) -> Path | None:
+        return None if self.root is None else self.root / name
+
+    def _train(self, points: list[SweepPoint], sub: str) -> list[dict]:
+        """Train ``points`` under ``<root>/<sub>``; their artifacts, in order."""
+        return run_sweep(
+            points,
+            out_dir=self._dir(sub),
+            jobs=self.jobs,
+            resume=self.resume,
+            substrate=self.substrate,
+            traces_dir=self._dir("traces"),
+            progress=self.progress,
+        ).artifacts

@@ -23,52 +23,41 @@ under ``<root>/traces``), shared with any other sweep against that root.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from pathlib import Path
 
+from repro import store
 from repro.config import DEFAULT_SEED
 from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError
+from repro.api.report import ReportFacade, ReportOutcome
 from repro.api.scenario import Scenario
 from repro.service.arrivals import JobRequest, build_requests
 from repro.service.config import ServiceConfig, service_fingerprint
 from repro.service.metrics import (
+    SERVICE_REPORT,
     build_report,
     format_service_report,
-    validate_report,
 )
 from repro.service.runtime import BaselineProvider, ServiceRuntime
 from repro.service.schedulers import make_scheduler
+from repro.substrate.traces import scan_traces
+from repro.sweep.artifacts import scan_artifacts
+from repro.sweep.grid import config_hash
 from repro.utils.hashing import fingerprint_hash
 
 
-@dataclass
-class ServiceOutcome:
-    """What ``Service.run`` returns: the report + orchestration counters.
+class ServiceOutcome(ReportOutcome):
+    """What ``Service.run`` returns (per-job table + service scorecard)."""
 
-    ``ran_jobs`` is how many jobs were actually simulated this call —
-    zero when the run resumed from a persisted report. It lives outside
-    the report document so resumed and fresh outcomes stay byte-equal
-    on disk.
-    """
-
-    data: dict  # the (persisted) service report document
-    ran_jobs: int
-    path: Path | None = None  # where the report lives, if rooted
+    _format = staticmethod(format_service_report)
 
     @property
-    def metrics(self) -> dict:
-        return self.data["metrics"]
+    def ran_jobs(self) -> int:
+        return self.ran
 
     @property
     def tenants(self) -> list[dict]:
         return self.data["tenants"]
-
-    def report(self) -> str:
-        """The rendered per-job table + service scorecard."""
-        return format_service_report(self.data)
 
 
 def _workload_fingerprint(
@@ -97,8 +86,10 @@ def _workload_fingerprint(
     }
 
 
-class Service:
+class Service(ReportFacade):
     """Report root + scheduler + arrivals + the submit/run verbs."""
+
+    _config_param = "arrivals"
 
     def __init__(
         self,
@@ -113,11 +104,9 @@ class Service:
         seed: int | None = None,
         progress=None,
     ) -> None:
-        if substrate not in ("auto", "exact"):
-            raise ConfigurationError(
-                f"service substrate must be 'auto' or 'exact', not {substrate!r}"
-            )
-        self.root = None if root is None else Path(root)
+        super().__init__(
+            root, jobs=jobs, substrate=substrate, resume=resume, progress=progress
+        )
         self.config = arrivals
         # Explicit arguments win; an arrivals config fills the gaps.
         self.scheduler = scheduler or (arrivals.scheduler if arrivals else "fifo")
@@ -131,21 +120,7 @@ class Service:
             if seed is not None
             else (arrivals.seed if arrivals else DEFAULT_SEED)
         )
-        self.jobs = jobs
-        self.substrate = substrate
-        self.resume = resume and root is not None
-        self.progress = progress
         self._submitted: list[JobRequest] = []
-
-    @classmethod
-    def from_config(
-        cls,
-        config: ServiceConfig,
-        root: str | os.PathLike | None = None,
-        **kwargs,
-    ) -> Service:
-        """The CLI entry point: the whole service from one declarative config."""
-        return cls(root, arrivals=config, **kwargs)
 
     # -- workload assembly -------------------------------------------------
     def submit(
@@ -189,11 +164,6 @@ class Service:
         return requests
 
     # -- internals ---------------------------------------------------------
-    def _report_path(self, workload_hash: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / "service" / f"{workload_hash}.json"
-
     def _baselines(self, requests: list[JobRequest]) -> BaselineProvider:
         """An isolated-run provider, primed from disk when rooted.
 
@@ -203,33 +173,21 @@ class Service:
         are computed lazily inside the service run.
         """
         provider = BaselineProvider(
-            policy=self.substrate,
-            artifacts_dir=None if self.root is None else self.root / "baselines",
+            policy=self.substrate, artifacts_dir=self._dir("baselines")
         )
-        from repro.sweep.grid import config_hash
-
-        configs = {}
-        for request in requests:
-            config = TrainingConfig(**request.config_kwargs)
-            configs.setdefault(config_hash(config), config)
         if self.root is not None:
-            from repro.substrate.traces import scan_traces
-            from repro.sweep.artifacts import scan_artifacts
-            from repro.sweep.orchestrator import run_sweep
-
-            run_sweep(
+            configs = {}
+            for request in requests:
+                config = TrainingConfig(**request.config_kwargs)
+                configs.setdefault(config_hash(config), config)
+            self._train(
                 [BaselineProvider.baseline_point(c) for c in configs.values()],
-                out_dir=self.root / "baselines",
-                jobs=self.jobs,
-                resume=self.resume,
-                substrate=self.substrate,
-                traces_dir=self.root / "traces",
-                progress=self.progress,
+                "baselines",
             )
-            artifacts, _ = scan_artifacts(self.root / "baselines")
-            provider.prime(artifacts)
-            traces, _ = scan_traces(self.root / "traces")
-            provider.prime_traces(traces)
+            # A scan, not _train's return: earlier runs' providers also
+            # left scheduler-shrunk variants here.
+            provider.prime(scan_artifacts(self._dir("baselines"))[0])
+            provider.prime_traces(scan_traces(self._dir("traces"))[0])
         return provider
 
     # -- the verb ----------------------------------------------------------
@@ -242,29 +200,18 @@ class Service:
         if self.config is not None:
             fingerprint["service"] = service_fingerprint(self.config)
         workload_hash = fingerprint_hash(fingerprint)
-        path = self._report_path(workload_hash)
 
-        if self.resume and path is not None and path.exists():
-            with path.open(encoding="utf-8") as fh:
-                report = json.load(fh)
-            validate_report(report, expected_hash=workload_hash)
-            return ServiceOutcome(data=report, ran_jobs=0, path=path)
-
-        runtime = ServiceRuntime(
-            requests,
-            make_scheduler(self.scheduler),
-            self.max_concurrent,
-            self._baselines(requests),
-        )
-        records = runtime.run()
-        report = build_report(workload_hash, fingerprint, records)
-        validate_report(report, expected_hash=workload_hash)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(report, sort_keys=True, indent=1) + "\n",
-                encoding="utf-8",
+        def simulate() -> dict:
+            runtime = ServiceRuntime(
+                requests,
+                make_scheduler(self.scheduler),
+                self.max_concurrent,
+                self._baselines(requests),
             )
-            os.replace(tmp, path)
-        return ServiceOutcome(data=report, ran_jobs=len(records), path=path)
+            return build_report(workload_hash, fingerprint, runtime.run())
+
+        report, path, reused = store.load_or_run(
+            SERVICE_REPORT, self._dir("service"), workload_hash, simulate,
+            self.resume, self.progress,
+        )
+        return ServiceOutcome(report, 0 if reused else len(report["tenants"]), path)

@@ -19,53 +19,40 @@ nothing. ``repro.cli infer`` is a thin wrapper over this class.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from pathlib import Path
 
+from repro import store
+from repro.api.report import ReportFacade, ReportOutcome
 from repro.core.config import TrainingConfig
-from repro.errors import ConfigurationError
 from repro.serving.config import ServingConfig, serving_fingerprint, serving_hash
 from repro.serving.metrics import (
+    SERVING_REPORT,
     build_serving_report,
     format_serving_report,
-    validate_serving_report,
 )
 from repro.serving.registry import ModelRegistry
 from repro.serving.runtime import ServingRuntime
-from repro.sweep.grid import SweepPoint, config_hash
+from repro.sweep.grid import SweepPoint
 
 
-@dataclass
-class ServingOutcome:
-    """What ``ServingSession.run`` returns: report + orchestration counters.
+class ServingOutcome(ReportOutcome):
+    """What ``ServingSession.run`` returns (scorecard + end-to-end summary)."""
 
-    ``ran_requests`` is how many requests were actually simulated this
-    call — zero when the run resumed from a persisted report. It lives
-    outside the report document so resumed and fresh outcomes stay
-    byte-equal on disk.
-    """
-
-    data: dict  # the (persisted) serving report document
-    ran_requests: int
-    path: Path | None = None  # where the report lives, if rooted
+    _format = staticmethod(format_serving_report)
 
     @property
-    def metrics(self) -> dict:
-        return self.data["metrics"]
+    def ran_requests(self) -> int:
+        return self.ran
 
     @property
     def end_to_end_dollars(self) -> float:
         return self.data["end_to_end_dollars"]
 
-    def report(self) -> str:
-        """The rendered serving scorecard + end-to-end summary."""
-        return format_serving_report(self.data)
 
-
-class ServingSession:
+class ServingSession(ReportFacade):
     """Report root + one declarative train-then-serve pipeline."""
+
+    _config_param = "config"
 
     def __init__(
         self,
@@ -77,88 +64,40 @@ class ServingSession:
         resume: bool = True,
         progress=None,
     ) -> None:
-        if substrate not in ("auto", "exact"):
-            raise ConfigurationError(
-                f"serving substrate must be 'auto' or 'exact', not {substrate!r}"
-            )
-        self.root = None if root is None else Path(root)
+        super().__init__(
+            root, jobs=jobs, substrate=substrate, resume=resume, progress=progress
+        )
         self.config = config
-        self.jobs = jobs
-        self.substrate = substrate
-        self.resume = resume and root is not None
-        self.progress = progress
 
-    @classmethod
-    def from_config(
-        cls,
-        config: ServingConfig,
-        root: str | os.PathLike | None = None,
-        **kwargs,
-    ) -> ServingSession:
-        """The CLI entry point: the whole pipeline from one config."""
-        return cls(root, config=config, **kwargs)
-
-    # -- internals ---------------------------------------------------------
-    def _report_path(self, pipeline_hash: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / "serving" / f"{pipeline_hash}.json"
-
-    def _train(self) -> dict:
+    def _model_artifact(self) -> dict:
         """The training leg, as a persisted (or in-memory) artifact."""
-        training = TrainingConfig(**self.config.train_kwargs())
+        kwargs = self.config.train_kwargs()
+        training = TrainingConfig(**kwargs)
         point = SweepPoint(
             "serving",
             f"model {training.model}/{training.dataset},W={training.workers}",
-            config_kwargs=self.config.train_kwargs(),
+            config_kwargs=kwargs,
             tags={"series": "serving"},
         )
-        if self.root is None:
-            from repro.core.driver import train
-            from repro.sweep.artifacts import artifact_from_result
-
-            return artifact_from_result(point, train(training))
-        from repro.sweep.artifacts import scan_artifacts
-        from repro.sweep.orchestrator import run_sweep
-
-        run_sweep(
-            [point],
-            out_dir=self.root / "models",
-            jobs=self.jobs,
-            resume=self.resume,
-            substrate=self.substrate,
-            traces_dir=self.root / "traces",
-            progress=self.progress,
-        )
-        artifacts, _ = scan_artifacts(self.root / "models")
-        return artifacts[config_hash(training)]
+        return self._train([point], "models")[0]
 
     # -- the verb ----------------------------------------------------------
     def run(self) -> ServingOutcome:
         """Train, register, serve (or load the persisted report)."""
         fingerprint = serving_fingerprint(self.config)
         pipeline_hash = serving_hash(self.config)
-        path = self._report_path(pipeline_hash)
 
-        if self.resume and path is not None and path.exists():
-            with path.open(encoding="utf-8") as fh:
-                report = json.load(fh)
-            validate_serving_report(report, expected_hash=pipeline_hash)
-            return ServingOutcome(data=report, ran_requests=0, path=path)
-
-        registry = ModelRegistry()
-        entry = registry.register_artifact("pipeline", self._train())
-        records, pool = ServingRuntime(self.config, entry).run()
-        report = build_serving_report(
-            pipeline_hash, fingerprint, entry.as_dict(), records, pool
-        )
-        validate_serving_report(report, expected_hash=pipeline_hash)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(report, sort_keys=True, indent=1) + "\n",
-                encoding="utf-8",
+        def simulate() -> dict:
+            entry = ModelRegistry().register_artifact(
+                "pipeline", self._model_artifact()
             )
-            os.replace(tmp, path)
-        return ServingOutcome(data=report, ran_requests=len(records), path=path)
+            records, pool = ServingRuntime(self.config, entry).run()
+            return build_serving_report(
+                pipeline_hash, fingerprint, entry.as_dict(), records, pool
+            )
+
+        report, path, reused = store.load_or_run(
+            SERVING_REPORT, self._dir("serving"), pipeline_hash, simulate,
+            self.resume, self.progress,
+        )
+        return ServingOutcome(report, 0 if reused else len(report["requests"]), path)

@@ -40,8 +40,10 @@ for _var in BLAS_THREAD_VARS:
 
 import argparse
 import dataclasses
+import importlib
 import json
 import sys
+from typing import NamedTuple
 
 from repro.analytics.estimator import SamplingEstimator
 from repro.core.config import TrainingConfig
@@ -91,6 +93,11 @@ def add_config_flags(
         else:
             kwargs["default"] = f.default
         parser.add_argument(flag, **kwargs)
+
+
+def _say(message: str) -> None:
+    """The progress stream of every verb: stderr, flushed per line."""
+    print(message, file=sys.stderr, flush=True)
 
 
 def config_from_args(args: argparse.Namespace, cls: type = TrainingConfig):
@@ -329,7 +336,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             resume=args.resume,
             substrate=args.substrate,
             traces_dir=args.traces,
-            progress=lambda message: print(message, file=sys.stderr, flush=True),
+            progress=_say,
         )
 
     if args.profile:
@@ -414,7 +421,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         workers=args.workers,
         corpus_dir=args.corpus or DEFAULT_CORPUS_DIR,
         shrink_failures=not args.no_shrink,
-        progress=lambda message: print(message, file=sys.stderr, flush=True),
+        progress=_say,
     )
     print(result.summary())
     if result.findings:
@@ -427,112 +434,88 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_serve_parser(subparsers) -> None:
-    from repro.service.config import ServiceConfig
+class _ReportVerb(NamedTuple):
+    """One row per report-producing verb.
 
-    p = subparsers.add_parser(
-        "serve",
-        help="run a multi-tenant training service workload "
-        "(flags mirror ServiceConfig)",
-    )
-    add_config_flags(p, cls=ServiceConfig)
-    # Orchestration flags (not part of the workload's identity).
-    p.add_argument("--out", default=None,
-                   help="service root: report under <out>/service, isolated "
-                   "baselines under <out>/baselines (default: in-memory)")
+    `serve` and `infer` are the same program — flags derived from a
+    declarative config, a repro.api facade run against --out, a report,
+    a status line — so one parser-builder and one runner read what
+    differs from here. Classes are "module:Class", imported on use so
+    the facades stay off every other verb's import path.
+    """
+
+    config: str  # the dataclass the flags are derived from
+    facade: str  # the repro.api facade that runs it
+    noun: str  # status-line prefix and the report's <noun>_hash key
+    unit: str  # what the outcome's ``ran`` counts
+    redone: str  # status wording when nothing was
+    help: str
+    out_help: str
+
+
+_REPORT_VERBS = {
+    "serve": _ReportVerb(
+        "repro.service.config:ServiceConfig", "repro.api.service:Service",
+        "service", "job", "re-run",
+        "run a multi-tenant training service workload (flags mirror ServiceConfig)",
+        "service root: report under <out>/service, isolated baselines "
+        "under <out>/baselines (default: in-memory)",
+    ),
+    "infer": _ReportVerb(
+        "repro.serving.config:ServingConfig", "repro.api.serving:ServingSession",
+        "serving", "request", "re-simulated",
+        "run a train-then-serve inference pipeline (flags mirror ServingConfig)",
+        "pipeline root: serving report under <out>/serving, the trained "
+        "model under <out>/models (default: in-memory)",
+    ),
+}
+
+
+def _load(spec: str):
+    module, _, name = spec.partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
+def _add_report_parser(subparsers, command: str) -> None:
+    verb = _REPORT_VERBS[command]
+    p = subparsers.add_parser(command, help=verb.help)
+    add_config_flags(p, cls=_load(verb.config))
+    # Orchestration flags (not part of the run's identity).
+    p.add_argument("--out", default=None, help=verb.out_help)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the isolated-baseline sweep")
+                   help="worker processes for the training sweep")
     p.add_argument("--resume", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="load the persisted report for an identical workload "
-                   "instead of re-running it (needs --out)")
+                   help=f"load the persisted report for an identical {verb.noun} "
+                   "run instead of re-simulating it (needs --out)")
     p.add_argument("--substrate", default="auto", choices=["auto", "exact"],
-                   help="baseline policy: 'auto' replays recorded statistics "
-                   "for eligible jobs; 'exact' trains every job with real numpy")
+                   help="training policy: 'auto' replays recorded statistics "
+                   "when eligible; 'exact' always trains with real numpy")
     p.add_argument("--json", action="store_true",
                    help="print the raw report document instead of the table")
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    from repro.api.service import Service
-    from repro.service.config import ServiceConfig
-
-    config = config_from_args(args, cls=ServiceConfig)
-    service = Service.from_config(
-        config,
+def _run_report(args: argparse.Namespace) -> int:
+    verb = _REPORT_VERBS[args.command]
+    outcome = _load(verb.facade).from_config(
+        config_from_args(args, cls=_load(verb.config)),
         root=args.out,
         jobs=args.jobs,
         substrate=args.substrate,
         resume=args.resume,
-        progress=lambda message: print(message, file=sys.stderr, flush=True),
-    )
-    outcome = service.run()
+        progress=_say,
+    ).run()
     if args.json:
         print(json.dumps(outcome.data, sort_keys=True, indent=1))
     else:
         print(outcome.report())
     status = (
-        "report resumed, 0 job(s) re-run"
-        if outcome.ran_jobs == 0
-        else f"{outcome.ran_jobs} job(s) simulated"
+        f"report resumed, 0 {verb.unit}(s) {verb.redone}"
+        if outcome.ran == 0
+        else f"{outcome.ran} {verb.unit}(s) simulated"
     )
     where = f"; report at {outcome.path}" if outcome.path is not None else ""
-    print(f"service {outcome.data['service_hash']}: {status}{where}")
-    return 0
-
-
-def _add_infer_parser(subparsers) -> None:
-    from repro.serving.config import ServingConfig
-
-    p = subparsers.add_parser(
-        "infer",
-        help="run a train-then-serve inference pipeline "
-        "(flags mirror ServingConfig)",
-    )
-    add_config_flags(p, cls=ServingConfig)
-    # Orchestration flags (not part of the pipeline's identity).
-    p.add_argument("--out", default=None,
-                   help="pipeline root: serving report under <out>/serving, "
-                   "the trained model under <out>/models (default: in-memory)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the training leg")
-    p.add_argument("--resume", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="load the persisted report for an identical pipeline "
-                   "instead of re-simulating it (needs --out)")
-    p.add_argument("--substrate", default="auto", choices=["auto", "exact"],
-                   help="training-leg policy: 'auto' replays recorded "
-                   "statistics when eligible; 'exact' always trains with "
-                   "real numpy")
-    p.add_argument("--json", action="store_true",
-                   help="print the raw serving report instead of the table")
-
-
-def _run_infer(args: argparse.Namespace) -> int:
-    from repro.api.serving import ServingSession
-    from repro.serving.config import ServingConfig
-
-    config = config_from_args(args, cls=ServingConfig)
-    session = ServingSession.from_config(
-        config,
-        root=args.out,
-        jobs=args.jobs,
-        substrate=args.substrate,
-        resume=args.resume,
-        progress=lambda message: print(message, file=sys.stderr, flush=True),
-    )
-    outcome = session.run()
-    if args.json:
-        print(json.dumps(outcome.data, sort_keys=True, indent=1))
-    else:
-        print(outcome.report())
-    status = (
-        "report resumed, 0 request(s) re-simulated"
-        if outcome.ran_requests == 0
-        else f"{outcome.ran_requests} request(s) simulated"
-    )
-    where = f"; report at {outcome.path}" if outcome.path is not None else ""
-    print(f"serving {outcome.data['serving_hash']}: {status}{where}")
+    print(f"{verb.noun} {outcome.data[f'{verb.noun}_hash']}: {status}{where}")
     return 0
 
 
@@ -546,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("workloads", help="list tuned Table-4 workloads")
     _add_estimate_parser(subparsers)
     _add_sweep_parser(subparsers)
-    _add_serve_parser(subparsers)
-    _add_infer_parser(subparsers)
+    for command in _REPORT_VERBS:
+        _add_report_parser(subparsers, command)
     _add_fuzz_parser(subparsers)
     return parser
 
@@ -559,8 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": _run_workloads,
         "estimate": _run_estimate,
         "sweep": _run_sweep,
-        "serve": _run_serve,
-        "infer": _run_infer,
+        **dict.fromkeys(_REPORT_VERBS, _run_report),
         "fuzz": _run_fuzz,
     }
     return handlers[args.command](args)

@@ -10,14 +10,14 @@ HybridPS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
 from repro.errors import ConfigurationError
 from repro.faas.limits import LambdaLimits
 from repro.models.zoo import get_model_info
-from repro.utils.hashing import fingerprint_hash
+from repro.utils.hashing import fingerprint_hash, init_fingerprint
 
 SYSTEMS = ("lambdaml", "pytorch", "angel", "hybridps")
 PLATFORM_OF_SYSTEM = {
@@ -391,13 +391,7 @@ class TrainingConfig:
         )
 
 
-def config_fingerprint(config: TrainingConfig) -> dict:
-    """All init fields of a config (defaults included), JSON-ready."""
-    return {
-        f.name: getattr(config, f.name)
-        for f in fields(TrainingConfig)
-        if f.init
-    }
+config_fingerprint = init_fingerprint
 
 
 def faas_memory_error(config: TrainingConfig) -> str | None:

@@ -19,11 +19,11 @@ byte of the original failure.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro import store
 from repro.errors import FuzzError
 from repro.fuzz.invariants import INVARIANTS
 
@@ -51,47 +51,46 @@ class CorpusEntry:
         return f"{self.invariant}-{self.scenario_id.replace(':', '-')}"
 
 
+CORPUS_ENTRY = store.Kind(
+    name="corpus entry",
+    error=FuzzError,
+    schemas=(CORPUS_SCHEMA_VERSION,),
+    shape={
+        "invariant": str, "config_kwargs": dict,
+        "scenario_id": str, "message": str,
+    },
+)
+
+
 def save_entry(corpus_dir: str | os.PathLike, entry: CorpusEntry) -> Path:
     """Write ``entry`` atomically as ``<invariant>-<seed>-<index>.json``."""
-    directory = Path(corpus_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{entry.name}.json"
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(asdict(entry), indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
+    return store.put(CORPUS_ENTRY, corpus_dir, asdict(entry), key=entry.name)
+
+
+def _entry(raw: dict) -> CorpusEntry:
+    return CorpusEntry(
+        invariant=raw["invariant"],
+        config_kwargs=dict(raw["config_kwargs"]),
+        scenario_id=raw["scenario_id"],
+        message=raw["message"],
+        shrunk_fields=list(raw.get("shrunk_fields", [])),
+    )
 
 
 def load_entry(path: str | os.PathLike) -> CorpusEntry:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FuzzError(f"unreadable corpus entry {path}: {exc}") from exc
-    schema = raw.get("schema")
-    if schema != CORPUS_SCHEMA_VERSION:
-        raise FuzzError(
-            f"corpus entry {path.name} has schema {schema!r} "
-            f"(this engine reads schema {CORPUS_SCHEMA_VERSION})"
-        )
-    try:
-        return CorpusEntry(
-            invariant=raw["invariant"],
-            config_kwargs=dict(raw["config_kwargs"]),
-            scenario_id=raw["scenario_id"],
-            message=raw["message"],
-            shrunk_fields=list(raw.get("shrunk_fields", [])),
-        )
-    except KeyError as exc:
-        raise FuzzError(f"corpus entry {path.name} is missing field {exc}") from exc
+    return _entry(store.get(CORPUS_ENTRY, path))
 
 
 def load_corpus(corpus_dir: str | os.PathLike = DEFAULT_CORPUS_DIR) -> list[CorpusEntry]:
-    """All entries of a corpus directory, sorted by filename."""
-    directory = Path(corpus_dir)
-    if not directory.is_dir():
-        return []
-    return [load_entry(path) for path in sorted(directory.glob("*.json"))]
+    """All entries of a corpus directory, sorted by filename.
+
+    Unlike a sweep, a corpus never skips an unusable file: a regression
+    entry that no longer loads raises its :class:`FuzzError`.
+    """
+    documents, corrupt = store.scan(CORPUS_ENTRY, corpus_dir)
+    if corrupt:
+        load_entry(corrupt[0])
+    return [_entry(raw) for raw in documents.values()]
 
 
 def replay_entry(entry: CorpusEntry) -> str | None:

@@ -59,9 +59,17 @@ def poisson_arrivals(seed: int, rate_per_hour: float, count: int) -> list[float]
 
 
 def load_trace(path: str) -> list[dict]:
-    """Parse and shape-check a JSON workload trace."""
-    with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+    """Parse and shape-check a JSON workload trace.
+
+    The trace is the one user-authored JSON file the program reads, so
+    every way it can be wrong is a :class:`ConfigurationError` naming
+    the file (and entry). It has no key or schema: not a store kind.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ConfigurationError(f"workload trace {path}: unreadable ({exc})") from exc
     if not isinstance(entries, list) or not entries:
         raise ConfigurationError(f"workload trace {path}: expected a non-empty list")
     for i, entry in enumerate(entries):
@@ -69,6 +77,18 @@ def load_trace(path: str) -> list[dict]:
             raise ConfigurationError(
                 f"workload trace {path}: entry {i} needs an 'arrival_s' field"
             )
+        if not isinstance(entry.get("config", {}), dict):
+            raise ConfigurationError(
+                f"workload trace {path}: entry {i} 'config' must be an object"
+            )
+        for name in ("arrival_s", "priority"):
+            try:
+                float(entry.get(name, 0.0))
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"workload trace {path}: entry {i} {name!r} must be a "
+                    f"number, got {entry[name]!r}"
+                ) from None
     return entries
 
 

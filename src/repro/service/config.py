@@ -15,12 +15,12 @@ service reports resumable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
 from repro.core.config import _cli
 from repro.errors import ConfigurationError
-from repro.utils.hashing import fingerprint_hash
+from repro.utils.hashing import fingerprint_hash, init_fingerprint
 
 ARRIVAL_KINDS = ("poisson", "trace")
 SCHEDULER_NAMES = ("fifo", "fair_share", "cost_aware", "adaptive")
@@ -119,9 +119,7 @@ class ServiceConfig:
         return kwargs
 
 
-def service_fingerprint(config: ServiceConfig) -> dict:
-    """Every init field, for content addressing (mirrors config_fingerprint)."""
-    return {f.name: getattr(config, f.name) for f in fields(config) if f.init}
+service_fingerprint = init_fingerprint
 
 
 def service_hash(config: ServiceConfig) -> str:

@@ -7,6 +7,9 @@ byte-identical across hosts and across serial/pooled baseline runs.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro import store
 from repro.errors import SimulationError
 
 REPORT_SCHEMA_VERSION = 1
@@ -86,25 +89,31 @@ def build_report(
     }
 
 
-def validate_report(report: dict, expected_hash: str | None = None) -> dict:
-    """Shape-check a loaded report (resume path); raises on mismatch."""
-    required = {"schema", "kind", "service_hash", "service", "tenants", "metrics"}
-    if not isinstance(report, dict) or not required <= set(report):
-        missing = required - set(report) if isinstance(report, dict) else required
-        raise SimulationError(f"service report missing sections: {sorted(missing)}")
-    if report["schema"] != REPORT_SCHEMA_VERSION:
-        raise SimulationError(
-            f"service report schema {report['schema']} != {REPORT_SCHEMA_VERSION}"
-        )
-    if report["kind"] != "service_report":
-        raise SimulationError(f"not a service report: kind={report['kind']!r}")
-    if expected_hash is not None and report["service_hash"] != expected_hash:
-        raise SimulationError(
-            f"service report hash {report['service_hash']} != {expected_hash}"
-        )
-    if not isinstance(report["tenants"], list) or not report["tenants"]:
-        raise SimulationError("service report has no tenant records")
-    return report
+def report_check(tag: str, records: str):
+    """The extra check of a report kind: its ``kind`` tag, some records."""
+
+    def check(report: dict) -> str | None:
+        if report["kind"] != tag:
+            return f"not a {tag}: kind={report['kind']!r}"
+        if not report[records]:
+            return f"{tag} has no {records[:-1]} records"
+        return None
+
+    return check
+
+
+# Not re-hashed: the key covers the resolved workload, which a report
+# built under any other key (tests, tools) need not reproduce.
+SERVICE_REPORT = store.Kind(
+    name="service report",
+    error=SimulationError,
+    schemas=(REPORT_SCHEMA_VERSION,),
+    shape={"kind": str, "service_hash": str, "service": dict,
+           "tenants": list, "metrics": dict},
+    key="service_hash",
+    check=report_check("service_report", "tenants"),
+)
+validate_report = partial(store.validate, SERVICE_REPORT)  # (report, expected_hash=None)
 
 
 def format_service_report(report: dict) -> str:

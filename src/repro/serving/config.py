@@ -16,14 +16,14 @@ resumable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
 from repro.core.config import _cli
 from repro.errors import ConfigurationError
 from repro.faas.limits import MAX_MEMORY_GB
 from repro.pricing.platforms import SERVING_PLATFORMS
-from repro.utils.hashing import fingerprint_hash
+from repro.utils.hashing import fingerprint_hash, init_fingerprint
 
 PLATFORM_NAMES = tuple(sorted(SERVING_PLATFORMS))  # faas | gpu_iaas | iaas
 TRAFFIC_SHAPES = ("poisson", "diurnal", "bursty")
@@ -215,9 +215,7 @@ class ServingConfig:
         return kwargs
 
 
-def serving_fingerprint(config: ServingConfig) -> dict:
-    """Every init field, for content addressing (mirrors config_fingerprint)."""
-    return {f.name: getattr(config, f.name) for f in fields(config) if f.init}
+serving_fingerprint = init_fingerprint
 
 
 def serving_hash(config: ServingConfig) -> str:

@@ -7,8 +7,11 @@ report is byte-identical across hosts and across serial/pooled runs.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro import store
 from repro.errors import SimulationError
-from repro.service.metrics import percentile
+from repro.service.metrics import percentile, report_check
 
 SERVING_SCHEMA_VERSION = 1
 
@@ -61,28 +64,17 @@ def build_serving_report(
     }
 
 
-def validate_serving_report(report: dict, expected_hash: str | None = None) -> dict:
-    """Shape-check a loaded serving report (resume path); raises on mismatch."""
-    required = {
-        "schema", "kind", "serving_hash", "serving", "model",
-        "requests", "pool", "metrics", "end_to_end_dollars",
-    }
-    if not isinstance(report, dict) or not required <= set(report):
-        missing = required - set(report) if isinstance(report, dict) else required
-        raise SimulationError(f"serving report missing sections: {sorted(missing)}")
-    if report["schema"] != SERVING_SCHEMA_VERSION:
-        raise SimulationError(
-            f"serving report schema {report['schema']} != {SERVING_SCHEMA_VERSION}"
-        )
-    if report["kind"] != "serving_report":
-        raise SimulationError(f"not a serving report: kind={report['kind']!r}")
-    if expected_hash is not None and report["serving_hash"] != expected_hash:
-        raise SimulationError(
-            f"serving report hash {report['serving_hash']} != {expected_hash}"
-        )
-    if not isinstance(report["requests"], list) or not report["requests"]:
-        raise SimulationError("serving report has no request records")
-    return report
+SERVING_REPORT = store.Kind(
+    name="serving report",
+    error=SimulationError,
+    schemas=(SERVING_SCHEMA_VERSION,),
+    shape={"kind": str, "serving_hash": str, "serving": dict, "model": dict,
+           "requests": list, "pool": dict, "metrics": dict,
+           "end_to_end_dollars": float},
+    key="serving_hash",
+    check=report_check("serving_report", "requests"),
+)
+validate_serving_report = partial(store.validate, SERVING_REPORT)  # (report, expected_hash=None)
 
 
 def format_serving_report(report: dict) -> str:

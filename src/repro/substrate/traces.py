@@ -32,19 +32,17 @@ fingerprint: any config sharing the fingerprint must record the same
 trace bit for bit (the substrate tests assert exactly that), which is
 why one trace can be replayed across a whole systems grid.
 
-Writes are atomic (tmp file + ``os.replace``), mirroring the sweep
-artifact store: an interrupted phase-0 recording never leaves a
-half-written ``traces/<stat_hash>.json``.
+Writing, reading, validation and the corrupt-file policy live in
+:mod:`repro.store`; this module declares the :data:`TRACE` kind and
+binds the store's verbs to it.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
+from functools import partial
 
+from repro import store
 from repro.errors import SubstrateError
-from repro.utils.hashing import fingerprint_hash
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -58,76 +56,30 @@ class TraceError(SubstrateError):
     """A convergence trace is corrupt, partial, or from another schema."""
 
 
-def trace_path(traces_dir: str | os.PathLike, stat_hash: str) -> Path:
-    return Path(traces_dir) / f"{stat_hash}.json"
-
-
-def write_trace(traces_dir: str | os.PathLike, trace: dict) -> Path:
-    """Atomically persist a trace as ``<stat_hash>.json``."""
-    out = Path(traces_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = trace_path(out, trace["stat_hash"])
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(trace, sort_keys=True, indent=1) + "\n")
-    os.replace(tmp, path)
-    return path
-
-
-def validate_trace(trace: dict, expected_hash: str | None = None) -> dict:
-    """Check schema, shape, and hash integrity; raise TraceError."""
-    if not isinstance(trace, dict):
-        raise TraceError(f"trace is {type(trace).__name__}, not an object")
-    if trace.get("schema") != TRACE_SCHEMA_VERSION:
-        raise TraceError(f"schema {trace.get('schema')!r} != {TRACE_SCHEMA_VERSION}")
-    shape = {
-        "stat_hash": str, "stat_fingerprint": dict, "reduce": str,
-        "ranks": list, "meta": dict,
-    }
-    missing = shape.keys() - trace.keys()
-    if missing:
-        raise TraceError(f"missing keys: {sorted(missing)}")
-    for key, expected_type in shape.items():
-        if not isinstance(trace[key], expected_type):
-            raise TraceError(
-                f"{key!r} is {type(trace[key]).__name__}, not {expected_type.__name__}"
-            )
+def _check_ranks(trace: dict) -> str | None:
     if not trace["ranks"]:
-        raise TraceError("trace has no per-rank records")
+        return "trace has no per-rank records"
     for rank, record in enumerate(trace["ranks"]):
         if not isinstance(record, dict) or not _RANK_KEYS <= record.keys():
-            raise TraceError(f"rank {rank} record is missing keys")
-    recomputed = fingerprint_hash(trace["stat_fingerprint"])
-    if recomputed != trace["stat_hash"]:
-        raise TraceError(
-            f"stat hash mismatch: recorded {trace['stat_hash']}, fingerprint "
-            f"hashes to {recomputed} (stale or tampered trace)"
-        )
-    if expected_hash is not None and trace["stat_hash"] != expected_hash:
-        raise TraceError(f"trace {trace['stat_hash']} filed under {expected_hash}")
-    return trace
+            return f"rank {rank} record is missing keys"
+    return None
 
 
-def load_trace(path: str | os.PathLike, expected_hash: str | None = None) -> dict:
-    """Load + validate one trace file; TraceError when unusable."""
-    path = Path(path)
-    try:
-        trace = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TraceError(f"{path.name}: unreadable/partial JSON ({exc})") from exc
-    return validate_trace(trace, expected_hash=expected_hash)
+TRACE = store.Kind(
+    name="trace",
+    error=TraceError,
+    schemas=(TRACE_SCHEMA_VERSION,),
+    shape={
+        "stat_hash": str, "stat_fingerprint": dict, "reduce": str,
+        "ranks": list, "meta": dict,
+    },
+    key="stat_hash",
+    fingerprint="stat_fingerprint",
+    check=_check_ranks,
+)
 
-
-def scan_traces(traces_dir: str | os.PathLike) -> tuple[dict[str, dict], list[Path]]:
-    """Index a trace directory: ``(stat_hash -> trace, corrupt paths)``."""
-    out = Path(traces_dir)
-    completed: dict[str, dict] = {}
-    corrupt: list[Path] = []
-    if not out.is_dir():
-        return completed, corrupt
-    for path in sorted(out.glob("*.json")):
-        expected = path.stem
-        try:
-            completed[expected] = load_trace(path, expected_hash=expected)
-        except TraceError:
-            corrupt.append(path)
-    return completed, corrupt
+trace_path = store.document_path
+write_trace = partial(store.put, TRACE)  # (traces_dir, trace) -> Path
+validate_trace = partial(store.validate, TRACE)  # (trace, expected_hash=None)
+load_trace = partial(store.get, TRACE)  # (path, expected_hash=None)
+scan_traces = partial(store.scan, TRACE)  # (traces_dir) -> (stat_hash -> trace, corrupt)

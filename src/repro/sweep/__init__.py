@@ -10,8 +10,9 @@ Layout:
 
 * :mod:`repro.sweep.grid` — declarative grid specs, ``SweepPoint``,
   config fingerprinting/hashing.
-* :mod:`repro.sweep.artifacts` — the per-point JSON schema, atomic
-  writes, validation, and corrupt-artifact detection.
+* :mod:`repro.sweep.artifacts` — the per-point JSON schema, declared
+  as a :mod:`repro.store` document kind (atomic writes, validation and
+  corrupt-artifact detection live in the store).
 * :mod:`repro.sweep.orchestrator` — the pool fan-out / resume loop,
   including the two-phase record/replay sweep (``substrate="auto"``):
   one exact training per unique statistical fingerprint, replays for
@@ -20,8 +21,7 @@ Layout:
   ``aggregate`` / ``format_report``), the ``@study`` registration
   decorator and auto-discovery over :mod:`repro.experiments`; every
   figure/table/extension is a registered study the CLI and
-  :mod:`repro.api` run by name (:mod:`repro.sweep.registry` is the
-  back-compat view).
+  :mod:`repro.api` run by name.
 """
 
 from repro.sweep.artifacts import (

@@ -48,18 +48,17 @@ deterministic and part of the result, not the meta). Both still load
 (resume reuses them with a warning); everything written now is
 version 3.
 
-Writes are atomic (tmp file + ``os.replace``) so an interrupted sweep
-never leaves a half-written ``<hash>.json``; a partial/corrupt file is
-reported by :func:`scan_artifacts` and simply re-run.
+Writing, reading, validation and the corrupt-file policy live in
+:mod:`repro.store`; this module declares the artifact :data:`ARTIFACT`
+kind and binds the store's verbs to it.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
+from functools import partial
 
 from repro import __version__ as repro_version
+from repro import store
 from repro.core.config import TrainingConfig
 from repro.core.results import LossPoint, RunResult
 from repro.simulation.tracing import TimeBreakdown
@@ -72,6 +71,19 @@ COMPATIBLE_SCHEMA_VERSIONS = (1, 2, ARTIFACT_SCHEMA_VERSION)
 
 class ArtifactError(ValueError):
     """A sweep artifact is corrupt, partial, or from another schema."""
+
+
+ARTIFACT = store.Kind(
+    name="artifact",
+    error=ArtifactError,
+    schemas=COMPATIBLE_SCHEMA_VERSIONS,
+    shape={
+        "experiment": str, "label": str, "config_hash": str,
+        "tags": dict, "config": dict, "result": dict, "meta": dict,
+    },
+    key="config_hash",
+    fingerprint="config",
+)
 
 
 def artifact_from_result(
@@ -153,82 +165,10 @@ def result_from_artifact(artifact: dict) -> RunResult:
     )
 
 
-def artifact_path(out_dir: str | os.PathLike, config_hash: str) -> Path:
-    return Path(out_dir) / f"{config_hash}.json"
-
-
-def write_artifact(out_dir: str | os.PathLike, artifact: dict) -> Path:
-    """Atomically persist an artifact as ``<config_hash>.json``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = artifact_path(out, artifact["config_hash"])
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(artifact, sort_keys=True, indent=1) + "\n")
-    os.replace(tmp, path)
-    return path
-
-
-def validate_artifact(artifact: dict, expected_hash: str | None = None) -> dict:
-    """Check schema version and hash integrity; raise ArtifactError."""
-    if not isinstance(artifact, dict):
-        raise ArtifactError(f"artifact is {type(artifact).__name__}, not an object")
-    if artifact.get("schema") not in COMPATIBLE_SCHEMA_VERSIONS:
-        raise ArtifactError(
-            f"schema {artifact.get('schema')!r} not in {COMPATIBLE_SCHEMA_VERSIONS}"
-        )
-    shape = {
-        "experiment": str, "label": str, "config_hash": str,
-        "tags": dict, "config": dict, "result": dict, "meta": dict,
-    }
-    missing = shape.keys() - artifact.keys()
-    if missing:
-        raise ArtifactError(f"missing keys: {sorted(missing)}")
-    for key, expected_type in shape.items():
-        if not isinstance(artifact[key], expected_type):
-            raise ArtifactError(
-                f"{key!r} is {type(artifact[key]).__name__}, "
-                f"not {expected_type.__name__}"
-            )
-    recomputed = fingerprint_hash(artifact["config"])
-    if recomputed != artifact["config_hash"]:
-        raise ArtifactError(
-            f"config hash mismatch: recorded {artifact['config_hash']}, "
-            f"config hashes to {recomputed} (stale or tampered artifact)"
-        )
-    if expected_hash is not None and artifact["config_hash"] != expected_hash:
-        raise ArtifactError(
-            f"artifact {artifact['config_hash']} filed under {expected_hash}"
-        )
-    return artifact
-
-
-def load_artifact(path: str | os.PathLike, expected_hash: str | None = None) -> dict:
-    """Load + validate one artifact file; ArtifactError when unusable."""
-    path = Path(path)
-    try:
-        artifact = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"{path.name}: unreadable/partial JSON ({exc})") from exc
-    return validate_artifact(artifact, expected_hash=expected_hash)
-
-
-def scan_artifacts(out_dir: str | os.PathLike) -> tuple[dict[str, dict], list[Path]]:
-    """Index a sweep directory: ``(hash -> artifact, corrupt paths)``.
-
-    Only ``<hash>.json`` files are considered (tmp files and foreign
-    files are ignored). Corrupt or schema-mismatched files land in the
-    second element so the orchestrator can re-run — and overwrite —
-    those points.
-    """
-    out = Path(out_dir)
-    completed: dict[str, dict] = {}
-    corrupt: list[Path] = []
-    if not out.is_dir():
-        return completed, corrupt
-    for path in sorted(out.glob("*.json")):
-        expected = path.stem
-        try:
-            completed[expected] = load_artifact(path, expected_hash=expected)
-        except ArtifactError:
-            corrupt.append(path)
-    return completed, corrupt
+artifact_path = store.document_path
+write_artifact = partial(store.put, ARTIFACT)  # (out_dir, artifact) -> Path
+validate_artifact = partial(store.validate, ARTIFACT)  # (artifact, expected_hash=None)
+load_artifact = partial(store.get, ARTIFACT)  # (path, expected_hash=None)
+#: ``(hash -> artifact, corrupt paths)``; the orchestrator re-runs — and
+#: overwrites — the corrupt ones that shadow a point of its grid.
+scan_artifacts = partial(store.scan, ARTIFACT)  # (out_dir)

@@ -9,10 +9,10 @@ Design constraints:
   simulator state crosses the process boundary, so serial and
   ``--jobs N`` sweeps produce byte-identical artifacts.
 * **The parent owns the disk.** Artifacts and traces are written by
-  the orchestrator as results stream back (atomic tmp+rename), never
-  by pool workers, so a sweep directory sees one writer and an
-  interrupt (Ctrl-C, OOM-killed child, dead CI box) leaves only whole
-  files.
+  the orchestrator as results stream back (through :mod:`repro.store`,
+  atomically), never by pool workers, so a sweep directory sees one
+  writer and an interrupt (Ctrl-C, OOM-killed child, dead CI box)
+  leaves only whole files.
 * **Worker death is a result, not a hang.** Each parallel task runs in
   its own child process with a dedicated result pipe; a worker that is
   OOM-killed or segfaults mid-task closes its pipe without a message,
@@ -248,11 +248,9 @@ def plan_sweep(
     only count as done when the real run would reuse them too.
     """
     points, hashes, configs = dedupe_with_hashes(list(points))
-    completed, corrupt = scan_artifacts(out_dir) if out_dir is not None else ({}, [])
+    completed, corrupt = scan_artifacts(out_dir)
     traces_dir = _resolve_traces_dir(out_dir, traces_dir)
-    traces, corrupt_traces = (
-        scan_traces(traces_dir) if traces_dir is not None else ({}, [])
-    )
+    traces, corrupt_traces = scan_traces(traces_dir)
 
     stat_hashes: set[str] = set()
     replayable_hashes: set[str] = set()

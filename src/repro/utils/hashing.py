@@ -14,8 +14,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 
 HASH_CHARS = 16  # 64 bits of sha256: ample for any practical grid
+
+
+def init_fingerprint(config) -> dict:
+    """Every init field of a config dataclass (defaults included), JSON-ready.
+
+    Bound as ``config_fingerprint``, ``service_fingerprint`` and
+    ``serving_fingerprint`` next to the three config classes.
+    """
+    return {f.name: getattr(config, f.name) for f in fields(config) if f.init}
 
 
 def canonical_value(value):

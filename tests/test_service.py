@@ -94,6 +94,32 @@ class TestArrivals:
         with pytest.raises(ConfigurationError, match="arrival_s"):
             build_requests(fast_service(arrivals="trace", trace=str(bad)))
 
+    @pytest.mark.parametrize(
+        "content, complaint",
+        [
+            (None, "unreadable"),  # no such file
+            ("[{\"arrival_s\": 0.0", "unreadable"),  # not JSON
+            (json.dumps([{"arrival_s": "soon"}]), "entry 0 'arrival_s'"),
+            (json.dumps([{"arrival_s": 0.0},
+                         {"arrival_s": 1.0, "priority": [1]}]),
+             "entry 1 'priority'"),
+            (json.dumps([{"arrival_s": 0.0, "config": ["workers", 4]}]),
+             "entry 0 'config'"),
+        ],
+    )
+    def test_malformed_trace_is_a_configuration_error(
+        self, tmp_path, content, complaint
+    ):
+        # The --trace file is user-authored: every defect must surface
+        # as a ConfigurationError naming the file and the entry, never a
+        # raw FileNotFoundError / JSONDecodeError / ValueError / TypeError.
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        with pytest.raises(ConfigurationError, match="bad.json") as caught:
+            build_requests(fast_service(arrivals="trace", trace=str(bad)))
+        assert complaint in str(caught.value)
+
     def test_duplicate_job_ids_rejected(self, tmp_path):
         trace = tmp_path / "dup.json"
         trace.write_text(json.dumps([
@@ -225,6 +251,27 @@ class TestServiceDeterminism:
         assert second.ran_jobs == 0
         assert second.data == first.data
         assert second.path == first.path
+
+    @pytest.mark.parametrize("damage", ["misfiled_hash", "truncated"])
+    def test_corrupt_report_repaired(self, tmp_path, damage):
+        config = fast_service()
+        fresh = Service(tmp_path, arrivals=config).run()
+        pristine = fresh.path.read_bytes()
+        if damage == "truncated":
+            fresh.path.write_bytes(pristine[:64])
+        else:
+            fresh.path.write_text(
+                json.dumps(dict(fresh.data, service_hash="0" * 16))
+            )
+        messages = []
+        healed = Service(
+            tmp_path, arrivals=config, progress=messages.append
+        ).run()
+        assert healed.ran_jobs == config.tenants
+        assert healed.path.read_bytes() == pristine
+        (notice,) = [m for m in messages if "corrupt service report" in m]
+        assert fresh.path.name in notice
+        assert ("partial" if damage == "truncated" else "filed under") in notice
 
     def test_schedulers_rekey_the_report(self, tmp_path):
         fifo = Service(tmp_path, arrivals=fast_service()).run()

@@ -350,17 +350,30 @@ class TestServingSession:
         assert "end-to-end" in outcome.report()
         assert outcome.end_to_end_dollars > 0
 
-    def test_corrupt_report_rejected(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["misfiled_hash", "truncated"])
+    def test_corrupt_report_repaired(self, tmp_path, damage):
+        # One trust policy (repro.store): an unusable report under the
+        # expected key is announced, re-simulated and overwritten.
         from repro.api import ServingSession
 
         config = small_config(requests=30)
-        session = ServingSession(tmp_path, config=config)
-        outcome = session.run()
-        bad = dict(outcome.data)
-        bad["serving_hash"] = "0" * 16
-        outcome.path.write_text(json.dumps(bad))
-        with pytest.raises(SimulationError):
-            ServingSession(tmp_path, config=config).run()
+        fresh = ServingSession(tmp_path, config=config).run()
+        pristine = fresh.path.read_bytes()
+        if damage == "truncated":
+            fresh.path.write_bytes(pristine[:64])
+        else:
+            fresh.path.write_text(
+                json.dumps(dict(fresh.data, serving_hash="0" * 16))
+            )
+        messages = []
+        healed = ServingSession(
+            tmp_path, config=config, progress=messages.append
+        ).run()
+        assert healed.ran_requests == config.requests
+        assert healed.path.read_bytes() == pristine
+        (notice,) = [m for m in messages if "corrupt serving report" in m]
+        assert fresh.path.name in notice
+        assert ("partial" if damage == "truncated" else "filed under") in notice
 
 
 class TestInferCli:

@@ -36,9 +36,9 @@ from repro.sweep.artifacts import (
 )
 from repro.sweep.grid import SweepPoint, config_hash, dedupe_points, expand_grid
 from repro.sweep.orchestrator import run_point, run_sweep
-from repro.sweep.registry import get_experiment
+from repro.sweep.study import get_study
 
-SMOKE_POINTS = get_experiment("smoke").points
+SMOKE_POINTS = get_study("smoke").points
 
 
 def strip_meta(artifact: dict) -> dict:
@@ -95,6 +95,10 @@ class TestConfigHash:
 
 
 class TestArtifacts:
+    # What every document kind shares — no tmp file left behind, scan
+    # ignoring foreign files, misfiled documents — is asserted once for
+    # all kinds in tests/test_store.py; these pin the artifact bindings
+    # and their messages.
     @pytest.fixture(scope="class")
     def artifact(self):
         return run_point(SMOKE_POINTS()[0])
@@ -109,12 +113,6 @@ class TestArtifacts:
         assert result.config.workers == artifact["config"]["workers"]
         assert result.loss_curve()  # history survives the roundtrip
         assert result.breakdown.get("compute") > 0
-
-    def test_no_tmp_file_left_behind(self, artifact, tmp_path):
-        write_artifact(tmp_path, artifact)
-        assert [p.name for p in tmp_path.iterdir()] == [
-            f"{artifact['config_hash']}.json"
-        ]
 
     def test_partial_json_is_corrupt(self, artifact, tmp_path):
         path = write_artifact(tmp_path, artifact)
@@ -131,13 +129,6 @@ class TestArtifacts:
         path.write_text(json.dumps(tampered))
         with pytest.raises(ArtifactError, match="hash mismatch"):
             load_artifact(path)
-
-    def test_misfiled_artifact_is_corrupt(self, artifact, tmp_path):
-        write_artifact(tmp_path, artifact)
-        misfiled = artifact_path(tmp_path, "0" * 16)
-        artifact_path(tmp_path, artifact["config_hash"]).rename(misfiled)
-        completed, corrupt = scan_artifacts(tmp_path)
-        assert completed == {} and corrupt == [misfiled]
 
     def test_foreign_schema_is_corrupt(self, artifact, tmp_path):
         path = write_artifact(tmp_path, dict(artifact, schema=999))
@@ -160,13 +151,6 @@ class TestArtifacts:
             path = write_artifact(tmp_path, dict(artifact, **{key: bad}))
             with pytest.raises(ArtifactError, match=key):
                 load_artifact(path)
-
-    def test_scan_ignores_foreign_files(self, artifact, tmp_path):
-        write_artifact(tmp_path, artifact)
-        (tmp_path / "notes.txt").write_text("not an artifact")
-        (tmp_path / "deadbeef.json.tmp").write_text("{")
-        completed, corrupt = scan_artifacts(tmp_path)
-        assert list(completed) == [artifact["config_hash"]] and corrupt == []
 
 
 class TestOrchestrator:
@@ -438,7 +422,7 @@ class TestSweepCli:
 
     def test_registry_grids_are_well_formed(self):
         for name in ("fig8", "fig9", "fig11", "fig12", "smoke"):
-            points = get_experiment(name).points(max_epochs=1.0)
+            points = get_study(name).points(max_epochs=1.0)
             assert points, name
             for point in points:
                 assert point.experiment == name
@@ -446,7 +430,7 @@ class TestSweepCli:
         # the headline grid: fig11 crosses the paper's ~300-worker ceiling
         fig11_faas = [
             p.config_kwargs["workers"]
-            for p in get_experiment("fig11").points()
+            for p in get_study("fig11").points()
             if p.tags == {"series": "lr/higgs", "system": "faas"}
         ]
         assert max(fig11_faas) >= 512
@@ -464,7 +448,7 @@ class TestSweepCli:
 
     def test_grid_hashes_are_unique(self):
         for name in ("fig8", "fig9", "fig11", "fig12", "smoke"):
-            points = get_experiment(name).points()
+            points = get_study(name).points()
             hashes = [p.hash() for p in points]
             assert len(set(hashes)) == len(hashes), name
 
