@@ -10,6 +10,7 @@ HybridPS).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
@@ -276,6 +277,10 @@ class TrainingConfig:
             raise ConfigurationError(f"unknown batch_scope {self.batch_scope!r}")
         if self.max_epochs <= 0:
             raise ConfigurationError(f"max_epochs must be > 0, got {self.max_epochs}")
+        if not 0.0 < self.poll_interval_s < math.inf:
+            raise ConfigurationError(
+                f"poll_interval_s must be > 0 and finite, got {self.poll_interval_s}"
+            )
         if self.straggler_jitter < 0:
             raise ConfigurationError("straggler_jitter must be >= 0")
         if self.crash_rate < 0:

@@ -20,6 +20,55 @@ from repro.pricing.catalog import (
 )
 
 
+_INF = math.inf
+_GRID_TOP = 2**53  # a binade holds the multiples k*ulp for k < 2**53
+
+
+def repeated_add(total: float, d: float, n: int) -> float:
+    """`total` after `n` sequential IEEE-754 ``total += d``, bit for bit.
+
+    Runs in O(binades crossed), not O(n). Requires ``total >= 0`` and
+    ``d >= 0`` (charges only accumulate).
+
+    While a value stays on one grid of spacing ``u = ulp(x)``,
+    ``fl(x + d)`` is ``x`` plus `d` rounded to that grid, so the step
+    is a constant integer number of ulps and any number of steps is
+    one exact integer multiply-add. The rounding of `d` depends on
+    ``x`` only when `d` lies half-way between grid points (ties go to
+    the even neighbour); one on-grid add leaves an even value, and the
+    tie then resolves the same way from there on. Hence the step is
+    measured from a value that is itself the result of an on-grid add
+    — never from the result of an add that crossed onto a new grid,
+    whose parity is arbitrary. Grid crossings themselves are always
+    taken by a real add.
+    """
+    if not (total >= 0.0 and d >= 0.0):
+        raise ValueError(f"repeated_add needs total >= 0 and d >= 0, got {total!r}, {d!r}")
+    ulp = math.ulp
+    while n > 0:
+        y = total + d
+        if y == total:  # absorbed: every further add is absorbed too
+            return total
+        n -= 1
+        u = ulp(y)
+        if n == 0 or u != ulp(total):
+            total = y
+            continue
+        z = y + d
+        if z == y:  # a half-ulp `d` moved an odd `total`, not the even `y`
+            return y
+        n -= 1
+        if ulp(z) != u:
+            total = z
+            continue
+        k = int(z / u)
+        step = int((z - y) / u)
+        jump = min(n, (_GRID_TOP - 1 - k) // step)
+        total = (k + jump * step) * u
+        n -= jump
+    return total
+
+
 class CostMeter:
     """Accumulates dollars per component for one simulated run."""
 
@@ -30,25 +79,29 @@ class CostMeter:
 
     # -- generic ----------------------------------------------------------
     def add(self, component: str, dollars: float) -> None:
-        if dollars < 0:
-            raise ValueError(f"negative charge {dollars} for {component}")
-        self.dollars[component] += dollars
+        self._add_repeated(component, dollars, 1)
 
     def _add_repeated(self, component: str, dollars: float, count: int) -> None:
         """Charge `dollars` exactly `count` times in one call.
 
         Keeps the accumulator bit-identical to `count` separate
         :meth:`add` calls (repeated float addition is not the same as
-        one fused ``count * dollars`` add) while doing the price lookup
-        and dict access once — this is the batched poll-billing path,
-        where `count` can be thousands per satisfied wait.
+        one fused ``count * dollars`` add). A single charge — every
+        put/get/delete — is one ``+=``; a batch — the poll-billing
+        path, where `count` is thousands per satisfied wait — goes
+        through :func:`repeated_add`, whose cost does not grow with
+        `count`.
         """
-        if dollars < 0:
-            raise ValueError(f"negative charge {dollars} for {component}")
-        total = self.dollars[component]
-        for _ in range(count):
-            total += dollars
-        self.dollars[component] = total
+        if not 0.0 <= dollars < _INF:  # also rejects NaN
+            raise ValueError(f"invalid charge {dollars!r} for {component}")
+        if count == 1:
+            self.dollars[component] += dollars
+        elif count > 1:
+            self.dollars[component] = repeated_add(
+                self.dollars[component], dollars, count
+            )
+        elif count < 0:
+            raise ValueError(f"negative charge count {count} for {component}")
 
     @property
     def total(self) -> float:

@@ -27,8 +27,10 @@ bench_engine_microbench.py``):
   dedicated sequence counter), matching what the historical linear
   scan produced, so traces are reproducible across engine versions.
 * Poll billing for a satisfied waiter is one batched
-  ``record_polls(count)`` call, not one billing call per simulated
-  poll.
+  ``record_polls(count)`` call whose cost is O(log count) — the meter
+  adds the price `count` times in closed form
+  (:func:`repro.pricing.meter.repeated_add`) — so host time does not
+  depend on the simulated poll interval.
 * Service slot booking is O(log slots) via
   :class:`repro.simulation.resources.ServiceQueue`'s heap.
 * Event dispatch is batched per timestamp: the run loop advances the
@@ -545,17 +547,30 @@ class Engine:
         self._schedule(end, apply)
 
     # -- waiting on storage state ----------------------------------------
-    def _dispatch_wait_key(self, proc: Process, cmd: WaitKey) -> None:
-        issued = self.now
+    def _waker(
+        self, proc: Process, cmd: WaitKey | WaitKeyCount, issued: float
+    ) -> Callable[[float], None]:
+        """The callback that ends `cmd`'s wait once its condition is visible.
+
+        Called directly (from the dispatcher or ``_notify_put``), never
+        scheduled, so it is not an event of its own.
+        """
+        interval = cmd.poll_interval
+        if not 0.0 < interval < math.inf:
+            raise SimulationError(f"{proc.name}: invalid poll_interval {interval!r}")
 
         def wake(visible_at: float) -> None:
-            wake_at = max(visible_at, issued) + cmd.poll_interval
+            wake_at = max(visible_at, issued) + interval
             waited = wake_at - issued
-            polls = max(1, math.ceil(waited / cmd.poll_interval))
-            cmd.store.record_polls(polls)
+            cmd.store.record_polls(max(1, math.ceil(waited / interval)))
             proc.trace.add(cmd.category, waited)
             self._resume_later(proc, wake_at)
 
+        return wake
+
+    def _dispatch_wait_key(self, proc: Process, cmd: WaitKey) -> None:
+        issued = self.now
+        wake = self._waker(proc, cmd, issued)
         if cmd.store._exists(cmd.key):
             wake(issued)
         else:
@@ -563,15 +578,7 @@ class Engine:
 
     def _dispatch_wait_count(self, proc: Process, cmd: WaitKeyCount) -> None:
         issued = self.now
-
-        def wake(visible_at: float) -> None:
-            wake_at = max(visible_at, issued) + cmd.poll_interval
-            waited = wake_at - issued
-            polls = max(1, math.ceil(waited / cmd.poll_interval))
-            cmd.store.record_polls(polls)
-            proc.trace.add(cmd.category, waited)
-            self._resume_later(proc, wake_at)
-
+        wake = self._waker(proc, cmd, issued)
         if cmd.store._count_prefix(cmd.prefix) >= cmd.count:
             wake(issued)
         else:

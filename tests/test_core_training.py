@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import TrainingConfig
-from repro.core.driver import train
+from repro.core.context import JobContext
+from repro.core.driver import finalize_job, launch_job, train
 from repro.errors import ConfigurationError, OutOfMemoryError
 
 
@@ -45,6 +46,11 @@ class TestConfigValidation:
     def test_unknown_system(self):
         with pytest.raises(ConfigurationError):
             _config(system="spark")
+
+    @pytest.mark.parametrize("interval", [0, -1, float("inf"), float("nan")])
+    def test_poll_interval_must_be_positive_and_finite(self, interval):
+        with pytest.raises(ConfigurationError, match="poll_interval_s"):
+            _config(poll_interval_s=interval)
 
     def test_platform_derived(self):
         assert _config().platform == "faas"
@@ -113,6 +119,61 @@ class TestFaaSTraining:
     def test_admm_rounds_counted(self):
         result = train(_config(algorithm="admm", max_epochs=20))
         assert result.comm_rounds <= 3  # ten epochs per round + loss rounds
+
+
+def _fanin_config(**overrides) -> TrainingConfig:
+    """W=64 AllReduce: 63 followers poll through the leader's fan-in,
+    so every round bills four-digit poll batches (the W <= 10 goldens
+    never do)."""
+    base = dict(
+        model="lr", dataset="higgs", algorithm="ga_sgd", system="lambdaml",
+        channel="s3", pattern="allreduce", workers=64, data_scale=500,
+        batch_size=10_000, lr=0.05, loss_threshold=None, max_epochs=0.05,
+        seed=20210620,
+    )
+    base.update(overrides)
+    return TrainingConfig(**base)
+
+
+class TestPollBilling:
+    # Recorded at commit 8149d95, where every poll was one `+=` in a loop.
+    @pytest.mark.parametrize(
+        "channel,duration,cost,component",
+        [
+            ("s3", "0x1.9c11bfae3986bp+6", "0x1.c0261e6eff3d4p-1", "0x1.175c9b0b88382p-1"),
+            ("dynamodb", "0x1.4dbaf7b5bd717p+6", "0x1.283c8afeb8417p-2", "0x1.6e9680e06657ap-6"),
+        ],
+    )
+    def test_large_poll_batches_bill_the_per_poll_dollars(
+        self, channel, duration, cost, component
+    ):
+        result = train(_fanin_config(channel=channel))
+        assert result.duration_s.hex() == duration
+        assert result.cost_total.hex() == cost
+        assert result.cost_breakdown[channel].hex() == component
+
+    def test_host_time_independent_of_the_simulated_poll_interval(self):
+        # ~10^7 polls per wait: minutes if each one is a Python-level
+        # add, so the per-test timeout is the assertion on host time.
+        def run(interval):
+            ctx = JobContext(_fanin_config(poll_interval_s=interval))
+            launch_job(ctx)
+            ctx.engine.run()
+            return finalize_job(ctx, 0.0, ctx.engine.now), ctx.meter
+
+        coarse, _ = run(0.05)
+        fine, meter = run(1e-6)
+        assert meter.counters["s3_list"] > 10**8
+        # What the per-poll loop billed for these 5,243,195,004 polls
+        # at commit 8149d95 (151 s of host time there).
+        assert fine.cost_total.hex() == "0x1.99a13bfe8be0fp+14"
+        assert fine.cost_total > coarse.cost_total
+        assert fine.comm_rounds == coarse.comm_rounds
+
+        def losses(result):
+            return sorted((p.worker, p.epoch, p.loss) for p in result.history)
+
+        assert losses(fine) == losses(coarse)
 
 
 class TestIaaSTraining:

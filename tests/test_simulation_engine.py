@@ -278,6 +278,21 @@ def test_negative_sleep_rejected(engine):
         engine.run()
 
 
+@pytest.mark.parametrize("interval", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("wait", ["key", "count"])
+def test_invalid_poll_interval_rejected(engine, s3, wait, interval):
+    def proc():
+        if wait == "key":
+            yield WaitKey(s3, "k", poll_interval=interval)
+        else:
+            yield WaitKeyCount(s3, "k", 1, poll_interval=interval)
+
+    engine.spawn(proc(), "bad")
+    with pytest.raises(SimulationError, match="bad: invalid poll_interval"):
+        engine.run()
+    assert s3.meter.total == 0.0
+
+
 def test_list_keys(engine, s3):
     def proc():
         yield Put(s3, "a/1", 1)

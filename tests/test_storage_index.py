@@ -23,7 +23,7 @@ from repro.simulation.engine import Engine
 from repro.simulation.resources import ServiceQueue
 from repro.storage.base import ObjectStore, StorageProfile, _prefix_upper_bound
 from repro.storage.ordered_index import OrderedKeyIndex
-from repro.storage.services import S3Store
+from repro.storage.services import DynamoDBStore, S3Store
 from repro.utils.serialization import SizedPayload, payload_nbytes
 
 
@@ -349,6 +349,43 @@ class TestBatchedPollBilling:
             reference.bill_dynamodb_request("get", 0)
         assert meter.dollars["dynamodb"] == reference.dollars["dynamodb"]
         assert meter.counters["dynamodb_get"] == 10
+
+    def test_hundred_thousand_polls_on_each_billed_store(self):
+        polls = 100_000
+        for store_cls, component, counter in (
+            (S3Store, "s3", "s3_list"),
+            (DynamoDBStore, "dynamodb", "dynamodb_list"),
+        ):
+            batched, looped = CostMeter(), CostMeter()
+            store_cls(meter=batched).record_polls(polls)
+            per_poll = store_cls(meter=looped)
+            for _ in range(polls):
+                per_poll.record_polls(1)
+            assert batched.dollars[component].hex() == looped.dollars[component].hex()
+            assert batched.counters[counter] == looped.counters[counter] == polls
+
+    @pytest.mark.parametrize("op,nbytes", [("get", 0), ("get", 100_000), ("put", 3_000)])
+    def test_dynamodb_batches_of_multi_unit_items(self, op, nbytes):
+        batched, looped = CostMeter(), CostMeter()
+        batched.bill_dynamodb_request("put", 1)  # not starting from 0.0
+        looped.bill_dynamodb_request("put", 1)
+        batched.bill_dynamodb_request(op, nbytes, count=100_000)
+        for _ in range(100_000):
+            looped.bill_dynamodb_request(op, nbytes)
+        assert batched.dollars["dynamodb"].hex() == looped.dollars["dynamodb"].hex()
+        assert batched.counters == looped.counters
+
+    def test_interleaved_put_and_get_price_batches_on_one_meter(self):
+        rng = random.Random(13)
+        batched, looped = CostMeter(), CostMeter()
+        for _ in range(40):
+            op = rng.choice(("list", "put", "get", "delete"))
+            count = rng.choice((1, 2, 3, rng.randint(4, 5000)))
+            batched.bill_s3_request(op, count)
+            for _ in range(count):
+                looped.bill_s3_request(op)
+            assert batched.dollars["s3"].hex() == looped.dollars["s3"].hex()
+        assert batched.counters == looped.counters
 
 
 class TestPayloadFastPath:
