@@ -1,12 +1,15 @@
 """The discrete-event engine.
 
 Processes are Python generators yielding :mod:`repro.simulation.commands`.
-The engine keeps a single priority queue of `(time, seq, closure)`
-events; data effects (storage writes, collective reductions) are applied
-at the simulated *completion* time of their operation, so reads that
-complete earlier never observe later writes. All scheduling is
-deterministic: ties are broken by a monotonically increasing sequence
-number.
+The engine keeps a single priority queue of `(time, seq, fn, args)`
+events — bound methods and their arguments, no per-operation closures —
+plus a same-instant FIFO of `(fn, args)` for events scheduled at the
+current instant, which never touch the heap. Data effects (storage
+writes, collective reductions) are applied at the simulated
+*completion* time of their operation, so reads that complete earlier
+never observe later writes. All scheduling is deterministic: ties are
+broken by a monotonically increasing sequence number, and the FIFO
+preserves exactly that order (see :meth:`Engine.run`).
 
 Complexity guarantees (the engine must scale to runs with hundreds of
 workers, so these are load-bearing — see ``benchmarks/
@@ -16,9 +19,10 @@ bench_engine_microbench.py``):
   registered in dict-keyed registries (``key -> waiters`` for
   :class:`WaitKey`, ``prefix -> waiters`` for :class:`WaitKeyCount`),
   so a completed put wakes exactly the affected waiters: O(1) lookup
-  for the exact key plus O(len(key)) dict probes to find registered
-  prefixes the key falls under, plus O(waiters on that prefix) integer
-  comparisons. No put ever rescans unrelated waiters or stored keys.
+  for the exact key plus O(distinct registered prefix lengths) dict
+  probes to find registered prefixes the key falls under, plus
+  O(waiters on that prefix) integer comparisons. No put ever rescans
+  unrelated waiters or stored keys.
 * Prefix counts come from the store's live counters (O(1) for a
   registered prefix, O(log n) bisect otherwise) and key listings from
   its sorted index (O(log n + matches)) — see
@@ -38,12 +42,12 @@ bench_engine_microbench.py``):
   stamped with that instant in a tight inner loop (synchronized
   phases — a W-worker barrier release, W² same-instant chunk
   completions — pay one clock advance, not W²). Dispatch order within
-  a batch is still exactly heap order (seq tie-breaking), so batching
-  is invisible to traces.
+  a batch is still exactly seq order (the heap's events stamped with
+  the instant, then the FIFO), so batching is invisible to traces.
 
 Profiling: :meth:`Engine.enable_stats` attaches an
 :class:`EngineStats` that counts dispatched events per callsite
-(closure ``__qualname__``), batches and peak heap size — the
+(the dispatched method's ``__qualname__``), batches and peak queue size — the
 event-count profile ``repro.cli train --profile`` dumps next to the
 cProfile table. Disabled (the default) it costs one identity check
 per event. :func:`capture_stats` auto-enables it on every engine
@@ -67,6 +71,7 @@ import heapq
 import itertools
 import math
 import re
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Generator, Iterable
 
@@ -116,7 +121,7 @@ class ProcessState(enum.Enum):
 
 
 # States in which a process can still run. Hot paths (_step, the get
-# completion closure) test membership directly instead of going through
+# completion event) test membership directly instead of going through
 # the Process.alive property descriptor — same predicate, no call.
 _ALIVE_STATES = (ProcessState.READY, ProcessState.RUNNING, ProcessState.BLOCKED)
 
@@ -124,10 +129,12 @@ _ALIVE_STATES = (ProcessState.READY, ProcessState.RUNNING, ProcessState.BLOCKED)
 class EngineStats:
     """Optional per-run event counters (attach via Engine.enable_stats).
 
-    ``by_callsite`` keys are the dispatched closures' ``__qualname__``
-    (e.g. ``Engine._dispatch_put.<locals>.apply``), which names the
-    engine seam that scheduled the event — enough to see *which* hot
-    path a regression lives in without a full cProfile run.
+    ``by_callsite`` keys are the dispatched methods' ``__qualname__``
+    (``Engine._fire``, ``Engine._apply_put``, ``Engine._apply_get``,
+    ``Engine._first_step``, ...), which names the engine seam the event
+    runs — enough to see *which* hot path a regression lives in
+    without a full cProfile run. ``peak_heap`` counts every pending
+    event at a batch start, heap and same-instant FIFO together.
     """
 
     __slots__ = ("events", "batches", "peak_heap", "by_callsite")
@@ -138,7 +145,7 @@ class EngineStats:
         self.peak_heap = 0
         self.by_callsite: dict[str, int] = {}
 
-    def record(self, fn: Callable[[], None]) -> None:
+    def record(self, fn: Callable[..., None]) -> None:
         self.events += 1
         name = getattr(fn, "__qualname__", None) or repr(fn)
         self.by_callsite[name] = self.by_callsite.get(name, 0) + 1
@@ -222,7 +229,10 @@ class Engine:
         self.clock = SimClock()
         self.on_error = on_error
         self.processes: list[Process] = []
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        # Events scheduled at the current instant, in scheduling (= seq)
+        # order; run() drains them after the heap's events stamped now.
+        self._fifo: deque[tuple[Callable[..., None], tuple]] = deque()
         self._seq = itertools.count()
         # Pre-bound hot callables: _schedule runs once per event for the
         # whole simulation, so the attribute/global lookups it would
@@ -270,13 +280,14 @@ class Engine:
         daemon: bool = False,
     ) -> Process:
         """Register a new process; its first step runs `delay` s from now."""
+        if delay < 0 or not math.isfinite(delay):
+            raise SimulationError(f"{name}: invalid delay {delay!r}")
         proc = Process(generator, name, daemon=daemon)
         self.processes.append(proc)
         if not daemon:
             self._nondaemon_spawned += 1
             self._nondaemon_alive += 1
-        start_at = self.now + delay
-        self._schedule(start_at, lambda: self._first_step(proc))
+        self._schedule(self.now + delay, self._first_step, proc)
         return proc
 
     def enable_stats(self) -> EngineStats:
@@ -291,51 +302,55 @@ class Engine:
         Raises :class:`DeadlockError` if non-daemon processes remain
         blocked with no event that could ever wake them.
 
-        Dispatch is batched per simulated instant: one heap pop decides
-        the batch timestamp t and advances the clock; a tight inner
-        loop then drains every event stamped exactly t — including
-        events the batch itself schedules at t (zero-delay resumes,
-        same-instant completions) — without touching the clock again.
-        Pops still come off the heap one at a time, so dispatch order
-        (and all seq tie-breaking) is identical to the historical
-        one-pop-one-advance loop; only the per-event clock/`until`
-        bookkeeping is hoisted out.
+        Dispatch is batched per simulated instant: the earliest pending
+        timestamp t decides the batch and advances the clock; the
+        heap's events stamped exactly t are drained first, then the
+        same-instant FIFO — the events the batch itself schedules at t
+        (zero-delay resumes, same-instant lookups), which never reach
+        the heap. That is seq order: an event scheduled at `now` during
+        the batch would draw a seq above everything already in the
+        heap, nothing can be pushed onto the heap at exactly t from
+        inside the batch (`_schedule` sends it to the FIFO), and FIFO
+        order among zero-delay events is their scheduling order. Every
+        event is removed from its queue before it runs, so an exception
+        leaving run() leaves no dispatched event behind.
         """
         # Bind the hot callables once instead of per event.
         heap = self._heap
+        fifo = self._fifo
         heappop = heapq.heappop
+        popleft = fifo.popleft
         clock = self.clock
-        advance_to = clock.advance_to
         stats = self.stats
-        while heap:
+        while heap or fifo:
             if self._nondaemon_spawned and not self._nondaemon_alive:
                 # Only daemon events remain; the job itself is over.
                 break
-            t, _, fn = heappop(heap)
+            # A non-empty FIFO here (spawns made outside run(), a run()
+            # resumed after an exception) is a batch at the current time.
+            t = clock.now if fifo else heap[0][0]
             if until is not None and t > until:
-                # Put it back for a later resumed run() call.
-                self._schedule(t, fn)
-                advance_to(until)
+                # The event stays queued, seq and all, for a resumed run().
+                clock.advance_to(until)
                 return
-            advance_to(t)
+            clock.advance_to(t)
             if stats is not None:
                 stats.batches += 1
-                if len(heap) >= stats.peak_heap:
-                    stats.peak_heap = len(heap) + 1
-                stats.record(fn)
-            fn()
-            # Same-instant drain. Events pushed at exactly t while the
-            # batch runs land at the heap top and are consumed here; a
-            # float-equality miss just falls back to the outer loop.
-            # (t <= until holds for the whole batch: it was checked
-            # above and the timestamp does not change.)
+                stats.peak_heap = max(stats.peak_heap, len(heap) + len(fifo))
             while heap and heap[0][0] == t:
                 if self._nondaemon_spawned and not self._nondaemon_alive:
                     break
-                fn = heappop(heap)[2]
+                _, _, fn, args = heappop(heap)
                 if stats is not None:
                     stats.record(fn)
-                fn()
+                fn(*args)
+            while fifo:
+                if self._nondaemon_spawned and not self._nondaemon_alive:
+                    break
+                fn, args = popleft()
+                if stats is not None:
+                    stats.record(fn)
+                fn(*args)
         stuck = [p for p in self.processes if p.state == ProcessState.BLOCKED and not p.daemon]
         if stuck:
             names = ", ".join(p.name for p in stuck[:8])
@@ -362,13 +377,14 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling internals
     # ------------------------------------------------------------------
-    def _schedule(self, at: float, fn: Callable[[], None]) -> None:
+    def _schedule(self, at: float, fn: Callable[..., None], *args: Any) -> None:
         now = self.clock.now
         if at <= now:
             if at < now - 1e-12:
                 raise SimulationError(f"cannot schedule event in the past: {at} < {now}")
-            at = now
-        self._heappush(self._heap, (at, self._seq_next(), fn))
+            self._fifo.append((fn, args))
+        else:
+            self._heappush(self._heap, (at, self._seq_next(), fn, args))
 
     def _first_step(self, proc: Process) -> None:
         if proc.state is not ProcessState.READY:
@@ -409,14 +425,18 @@ class Engine:
     def _resume_later(
         self, proc: Process, at: float, value: Any = None, throw: BaseException | None = None
     ) -> None:
-        token = proc._wake_token
+        self._schedule(at, self._fire, proc, proc._wake_token, value, throw)
 
-        def fire() -> None:
-            if proc._wake_token != token or proc.state is not ProcessState.BLOCKED:
-                return
-            self._step(proc, send_value=value, throw=throw)
+    def _resume_now(
+        self, proc: Process, value: Any = None, throw: BaseException | None = None
+    ) -> None:
+        """Resume `proc` at the current instant: straight onto the FIFO."""
+        self._fifo.append((self._fire, (proc, proc._wake_token, value, throw)))
 
-        self._schedule(at, fire)
+    def _fire(self, proc: Process, token: int, value: Any, throw: BaseException | None) -> None:
+        if proc._wake_token != token or proc.state is not ProcessState.BLOCKED:
+            return  # stale wake-up: the process was killed or already resumed
+        self._step(proc, send_value=value, throw=throw)
 
     def _retire(self, proc: Process) -> None:
         """Account one alive->terminal transition (DONE/FAILED/KILLED)."""
@@ -447,11 +467,11 @@ class Engine:
                 f"{proc.name}: invalid duration {command.duration!r}"
             )
         proc.trace.add(command.category, command.duration)
-        self._resume_later(proc, self.now + command.duration)
+        self._resume_later(proc, self.clock.now + command.duration)
 
     def _dispatch_spawn(self, proc: Process, command: Spawn) -> None:
         child = self.spawn(command.generator, command.name, delay=command.delay)
-        self._resume_later(proc, self.now, value=child)
+        self._resume_now(proc, child)
 
     def _dispatch_general(self, proc: Process, command: Command) -> None:
         # Subclass fallback derived from the same table the fast path
@@ -486,65 +506,62 @@ class Engine:
 
     def _dispatch_put(self, proc: Process, cmd: Put) -> None:
         nbytes = payload_nbytes(cmd.value)
-        issued = self.now
+        issued = self.clock.now
         try:
             start, end = cmd.store.schedule_op("put", nbytes, issued)
         except TransientStorageError as exc:
             self._throw_storage_failure(proc, cmd.category, issued, exc)
             return
         self._charge_op(proc, cmd.category, issued, start, end)
+        self._schedule(end, self._apply_put, proc, cmd, nbytes)
 
-        def apply() -> None:
-            cmd.store._do_put(cmd.key, cmd.value)
-            self._notify_put(cmd.store, cmd.key)
-            self._resume_later(proc, self.now, value=nbytes)
-
-        self._schedule(end, apply)
+    def _apply_put(self, proc: Process, cmd: Put, nbytes: int) -> None:
+        cmd.store._do_put(cmd.key, cmd.value)
+        self._notify_put(cmd.store, cmd.key)
+        self._resume_now(proc, nbytes)
 
     def _dispatch_get(self, proc: Process, cmd: Get) -> None:
-        issued = self.now
         # Size is only known at completion; we first charge the latency,
-        # then the transfer of the actual object found at completion.
-        def apply_lookup() -> None:
-            if proc.state not in _ALIVE_STATES:
-                return  # killed while the request was in flight
-            try:
-                value = cmd.store._do_get(cmd.key)
-            except KeyNotFoundError as exc:
-                self._resume_later(proc, self.now, throw=exc)
-                return
-            nbytes = payload_nbytes(value)
-            try:
-                start, end = cmd.store.schedule_op("get", nbytes, issued)
-            except TransientStorageError as exc:
-                self._throw_storage_failure(proc, cmd.category, issued, exc)
-                return
-            self._charge_op(proc, cmd.category, issued, start, end)
-            self._resume_later(proc, max(end, self.now), value=value)
+        # then the transfer of the actual object found at completion. The
+        # lookup is a same-instant event of its own: it sees every write
+        # already queued for this instant.
+        self._fifo.append((self._apply_get, (proc, cmd, self.clock.now)))
 
-        self._schedule(issued, apply_lookup)
+    def _apply_get(self, proc: Process, cmd: Get, issued: float) -> None:
+        if proc.state not in _ALIVE_STATES:
+            return  # killed while the request was in flight
+        try:
+            value = cmd.store._do_get(cmd.key)
+        except KeyNotFoundError as exc:
+            self._resume_now(proc, throw=exc)
+            return
+        nbytes = payload_nbytes(value)
+        try:
+            start, end = cmd.store.schedule_op("get", nbytes, issued)
+        except TransientStorageError as exc:
+            self._throw_storage_failure(proc, cmd.category, issued, exc)
+            return
+        self._charge_op(proc, cmd.category, issued, start, end)
+        self._resume_later(proc, max(end, self.clock.now), value=value)
 
     def _dispatch_delete(self, proc: Process, cmd: Delete) -> None:
         issued = self.now
         start, end = cmd.store.schedule_op("delete", 0, issued)
         self._charge_op(proc, cmd.category, issued, start, end)
+        self._schedule(end, self._apply_delete, proc, cmd)
 
-        def apply() -> None:
-            cmd.store._do_delete(cmd.key)
-            self._resume_later(proc, self.now)
-
-        self._schedule(end, apply)
+    def _apply_delete(self, proc: Process, cmd: Delete) -> None:
+        cmd.store._do_delete(cmd.key)
+        self._resume_now(proc)
 
     def _dispatch_list(self, proc: Process, cmd: ListKeys) -> None:
         issued = self.now
         start, end = cmd.store.schedule_op("list", 0, issued)
         self._charge_op(proc, cmd.category, issued, start, end)
+        self._schedule(end, self._apply_list, proc, cmd)
 
-        def apply() -> None:
-            keys = cmd.store._do_list(cmd.prefix)
-            self._resume_later(proc, self.now, value=keys)
-
-        self._schedule(end, apply)
+    def _apply_list(self, proc: Process, cmd: ListKeys) -> None:
+        self._resume_now(proc, cmd.store._do_list(cmd.prefix))
 
     # -- waiting on storage state ----------------------------------------
     def _waker(
@@ -656,7 +673,7 @@ class Engine:
         by_prefix = self._count_waiters.get(sid)
         if by_prefix:
             satisfied: list[tuple[int, Callable[[float], None], Process]] = []
-            for prefix in list(store.matching_registered_prefixes(key)):
+            for prefix in store.matching_registered_prefixes(key):
                 waiters = by_prefix.get(prefix)
                 if not waiters:
                     continue
@@ -690,9 +707,9 @@ class Engine:
                 return  # joiner was killed while waiting
             proc.trace.add(cmd.category, self.now - issued)
             if target.state is ProcessState.FAILED and target.exception is not None:
-                self._resume_later(proc, self.now, throw=target.exception)
+                self._resume_now(proc, throw=target.exception)
             else:
-                self._resume_later(proc, self.now, value=target.result)
+                self._resume_now(proc, target.result)
 
         if target.alive:
             target.joiners.append(wake)

@@ -14,8 +14,9 @@ hot-path queries cheap at mega-scale:
   counter), O(log n + n/chunk) otherwise (two endpoint ranks);
 * each mutation — O(log n) bisects plus a memmove bounded by the
   chunk size (never O(n); this is what lifted the old flat sorted
-  list's ~10^5-key ceiling) plus O(len(key)) dict probes to update
-  the registered-prefix counters.
+  list's ~10^5-key ceiling) plus one dict probe per distinct
+  registered prefix *length* (usually one) to update the
+  registered-prefix counters.
 
 The timing plane is a :class:`StorageProfile` — latency, bandwidth,
 concurrency, startup delay and item limit — which is where the
@@ -35,7 +36,7 @@ pre-fault-plane engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import (
     ConfigurationError,
@@ -126,7 +127,11 @@ class ObjectStore:
         # counts for prefixes the engine is actively waiting on.
         self._keys = OrderedKeyIndex()
         self._prefix_counts: dict[str, int] = {}
-        self._max_prefix_len = 0
+        # Registered prefixes per length, and the distinct lengths in
+        # ascending order: a key is probed once per length, not once
+        # per character.
+        self._prefix_len_refs: dict[int, int] = {}
+        self._prefix_lens: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # Timing plane (called by the engine)
@@ -253,15 +258,11 @@ class ObjectStore:
             for prefix in self.matching_registered_prefixes(key):
                 self._prefix_counts[prefix] -= 1
 
-    def matching_registered_prefixes(self, key: str) -> Iterator[str]:
-        """Registered prefixes that `key` falls under (at most len(key)+1)."""
+    def matching_registered_prefixes(self, key: str) -> list[str]:
+        """Registered prefixes that `key` falls under, shortest first."""
         counts = self._prefix_counts
-        if not counts:
-            return
-        for i in range(min(len(key), self._max_prefix_len) + 1):
-            prefix = key[:i]
-            if prefix in counts:
-                yield prefix
+        size = len(key)
+        return [p for n in self._prefix_lens if n <= size and (p := key[:n]) in counts]
 
     def register_prefix(self, prefix: str) -> int:
         """Start tracking `prefix` with a live counter; returns the count.
@@ -273,13 +274,20 @@ class ObjectStore:
         if count is None:
             count = self._keys.count_range(prefix, _prefix_upper_bound(prefix))
             self._prefix_counts[prefix] = count
-            self._max_prefix_len = max(self._max_prefix_len, len(prefix))
+            refs = self._prefix_len_refs
+            refs[len(prefix)] = refs.get(len(prefix), 0) + 1
+            if refs[len(prefix)] == 1:  # a new length
+                self._prefix_lens = tuple(sorted(refs))
         return count
 
     def unregister_prefix(self, prefix: str) -> None:
-        self._prefix_counts.pop(prefix, None)
-        if not self._prefix_counts:
-            self._max_prefix_len = 0
+        # `is not None`: a registered prefix may have a live count of 0.
+        if self._prefix_counts.pop(prefix, None) is not None:
+            refs = self._prefix_len_refs
+            refs[len(prefix)] -= 1
+            if not refs[len(prefix)]:  # the last prefix of its length
+                del refs[len(prefix)]
+                self._prefix_lens = tuple(sorted(refs))
 
     # ------------------------------------------------------------------
     # Data plane (called by the engine at completion time)

@@ -264,6 +264,101 @@ class TestRegisteredPrefixCounters:
         assert store._count_prefix("p/") == 2  # bisect fallback agrees
 
 
+class _CountingStr(str):
+    """A key that counts how many times it is sliced."""
+
+    slices = 0
+
+    def __getitem__(self, item):
+        self.slices += 1
+        return str.__getitem__(self, item)
+
+
+def _scan_matches(registered, key: str) -> list[str]:
+    """Reference: the per-character scan the length index replaced."""
+    return [key[:i] for i in range(len(key) + 1) if key[:i] in registered]
+
+
+class TestRegisteredPrefixLengths:
+    """`matching_registered_prefixes` probes once per registered *length*."""
+
+    def check(self, store: ObjectStore, probes) -> None:
+        live = list(store._objects)
+        registered = store._prefix_counts
+        for prefix, count in registered.items():
+            assert count == sum(k.startswith(prefix) for k in live), prefix
+        assert store._prefix_lens == tuple(sorted({len(p) for p in registered}))
+        assert sum(store._prefix_len_refs.values()) == len(registered)
+        for key in [*live, *probes]:
+            assert store.matching_registered_prefixes(key) == _scan_matches(registered, key)
+        for prefix in [*registered, *probes]:  # live counter and bisect fallback
+            assert store._count_prefix(prefix) == sum(k.startswith(prefix) for k in live)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_randomized_against_per_character_scan(self, seed):
+        rng = random.Random(seed)
+        alphabet = "ab/é日" + chr(0x10FFFF)
+
+        def word(longest):
+            return "".join(rng.choice(alphabet) for _ in range(rng.randrange(longest + 1)))
+
+        store = make_store()
+        for _ in range(400):
+            op = rng.randrange(5)
+            if op == 0:
+                store.register_prefix(word(3))  # "" included; often already there
+            elif op == 1 and store._prefix_counts:
+                store.unregister_prefix(rng.choice(sorted(store._prefix_counts)))
+            elif op == 2:
+                store.unregister_prefix(word(3))  # mostly not registered: a no-op
+            elif op == 3 and store._objects:
+                store.discard(rng.choice(sorted(store._objects)))
+            else:
+                store._do_put(word(5), 0)
+            self.check(store, [word(5) for _ in range(4)])
+
+    def test_named_cases(self):
+        store = make_store()
+        for key in ("a/b/1", "a/b", "a", "日本/x"):
+            store._do_put(key, 0)
+        for prefix in ("", "a/", "a/b", "a/b/", "x/", "日本/", "a/b/1/longer"):
+            store.register_prefix(prefix)
+        assert store._prefix_lens == (0, 2, 3, 4, 12)  # "a/" and "x/" share a length
+        assert store._prefix_len_refs[2] == 2
+        # Nested prefixes of three lengths, plus the empty one; "a/b" equals a key.
+        assert store.matching_registered_prefixes("a/b/1") == ["", "a/", "a/b", "a/b/"]
+        assert store.matching_registered_prefixes("a/b") == ["", "a/", "a/b"]
+        # A registered prefix longer than the key never matches it.
+        assert store.matching_registered_prefixes("a") == [""]
+        assert store.matching_registered_prefixes("日本/x") == ["", "日本/"]
+        self.check(store, ["a/b/1/longer", "a/b/1/longer/still", "x/", "x"])
+        store.unregister_prefix("a/")
+        assert store._prefix_lens == (0, 2, 3, 4, 12)  # "x/" still holds length 2
+        # "x/" counts zero live keys: popping it must still release its length.
+        assert store._prefix_counts["x/"] == 0
+        store.unregister_prefix("x/")
+        assert store._prefix_lens == (0, 3, 4, 12)
+        assert store.matching_registered_prefixes("a/b/1") == ["", "a/b", "a/b/"]
+        for prefix in list(store._prefix_counts):
+            store.unregister_prefix(prefix)
+        assert store._prefix_lens == () and not store._prefix_len_refs
+        assert store.matching_registered_prefixes("a/b/1") == []
+
+    def test_cost_is_one_probe_per_registered_length(self):
+        store = make_store()
+        store.register_prefix("r/0001/")
+        key = _CountingStr("r/0001/" + "x" * 9993)
+        assert len(key) == 10_000
+        assert store.matching_registered_prefixes(key) == ["r/0001/"]
+        assert key.slices == 1
+        store.register_prefix("r/0002/")  # same length: still one probe
+        store.register_prefix("r/")
+        store.register_prefix("y" * 20_000)  # longer than the key: not probed
+        key.slices = 0
+        assert store.matching_registered_prefixes(key) == ["r/", "r/0001/"]
+        assert key.slices == 2
+
+
 class TestEngineWaitersWithDeletes:
     def test_count_waiter_sees_interleaved_deletes(self):
         """A deleted contribution must keep the waiter blocked."""
