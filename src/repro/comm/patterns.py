@@ -22,8 +22,6 @@ housekeeping so long runs do not accumulate memory.
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
 import numpy as np
 
 from repro.comm.aggregator import reduce_vectors, split_chunks
@@ -41,13 +39,6 @@ POLL_INTERVAL_S = 0.05
 
 def _merge_seconds(total_bytes: float) -> float:
     return total_bytes / MERGE_BYTES_PER_SECOND
-
-
-# Pending reader counts for round files that are consumed by several
-# workers (`ar/.../merged`, `sr/.../merged_{rank}`): the last reader
-# discards the file, so long runs do not accumulate one object per
-# round per pattern. Keyed weakly by store so state dies with the run.
-_PENDING_READS: "WeakKeyDictionary[ObjectStore, dict[str, int]]" = WeakKeyDictionary()
 
 
 def round_index_of_key(key: str) -> int | None:
@@ -71,13 +62,12 @@ def round_index_of_key(key: str) -> int | None:
 class RetentionWindow:
     """Crash-safe GC: retain round files until every checkpoint passes.
 
-    Attached to a store by the job context when crash injection is on
-    (replacing the old blanket ``gc_enabled = False``). Last-reader
-    discards of round files are deferred while their round index is at
-    or above ``floor`` — the oldest round any rank's successor could
-    still re-execute. When the fault injector observes that *every*
-    rank's durable checkpoint has moved past round ``r`` it advances
-    the floor, and all round files below it are deleted in one sweep
+    Attached to a store by the job context when crash injection is on.
+    Last-reader discards of round files are deferred while their round
+    index is at or above ``floor`` — the oldest round any rank's
+    successor could still re-execute. When the fault injector observes
+    that *every* rank's durable checkpoint has moved past round ``r`` it
+    advances the floor, and all round files below it are deleted in one sweep
     (reader counts are useless here: re-executed rounds re-read and
     re-write files in ways a counter armed by the first execution
     cannot track). Keys that are not round files are retained forever,
@@ -111,48 +101,6 @@ class RetentionWindow:
         return removed
 
 
-def _arm_gc(store: ObjectStore, key: str, readers: int) -> None:
-    """Arm the last-reader counter when the shared file is (re)written.
-
-    Producer-initialized on every put, so a retried round that reuses
-    a round id on the same store starts from a fresh count instead of
-    inheriting a stale, partially decremented one from an aborted run.
-    """
-    if not store.gc_enabled:
-        return
-    if store.retention is not None:
-        # Crash-injected run: respawned workers re-read and re-write
-        # round files in ways reader counts cannot track. The retention
-        # window's floor sweep collects dead rounds instead.
-        return
-    counts = _PENDING_READS.get(store)
-    if counts is None:
-        counts = {}
-        _PENDING_READS[store] = counts
-    counts[key] = readers
-
-
-def _discard_after_last_read(store: ObjectStore, key: str) -> None:
-    """Note one completed read of `key`; discard after the last one.
-
-    Safe with respect to simulated time: every reader's lookup happens
-    at its Get's *issue* instant, while the discard happens only once
-    every armed reader's Get has returned, so no reader can miss the
-    object. Zero-time, unbilled housekeeping (see ObjectStore.discard).
-    """
-    counts = _PENDING_READS.get(store)
-    if counts is None:
-        return
-    remaining = counts.get(key)
-    if remaining is None:
-        return
-    if remaining <= 1:
-        del counts[key]
-        store.discard(key)
-    else:
-        counts[key] = remaining - 1
-
-
 def allreduce(
     store: ObjectStore,
     rank: int,
@@ -183,12 +131,12 @@ def allreduce(
             # No followers will ever read (and thus GC) the merged file.
             store.discard(merged_key)
         else:
-            _arm_gc(store, merged_key, workers - 1)
+            store.expect_readers(merged_key, workers - 1)
         return merged
 
     yield WaitKey(store, merged_key, poll_interval)
     obj = yield Get(store, merged_key)
-    _discard_after_last_read(store, merged_key)
+    store.discard_after_read(merged_key)
     return unwrap(obj)
 
 
@@ -243,7 +191,7 @@ def scatter_reduce(
     merged_chunk = reduce_vectors(contributions, reduce)
     yield Compute(_merge_seconds(chunk_bytes * workers), category="merge")
     yield Put(store, f"{base}merged_{me}", SizedPayload(merged_chunk, chunk_bytes))
-    _arm_gc(store, f"{base}merged_{me}", workers - 1)
+    store.expect_readers(f"{base}merged_{me}", workers - 1)
     for peer in range(workers):
         if peer != rank:
             store.discard(f"{my_prefix}from_{ranks[peer]}")
@@ -259,7 +207,7 @@ def scatter_reduce(
         obj = yield Get(store, key)
         # Each merged slice is read by the other w-1 workers; the last
         # of them retires it so rounds don't leak one file per rank.
-        _discard_after_last_read(store, key)
+        store.discard_after_read(key)
         merged_parts.append(unwrap(obj))
     return np.concatenate(merged_parts)
 

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from repro.experiments.report import format_table
 from repro.experiments.workloads import get_workload
 from repro.sweep.grid import SweepPoint, expand_grid
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 # Crashes per worker per simulated hour. An LR/Higgs job at W=10 runs
@@ -203,14 +202,6 @@ def aggregate(artifacts: list[dict]) -> list[ReliabilityCurve]:
             point.overhead_s = point.runtime_s - base.runtime_s
             point.overhead_cost = point.cost - base.cost
     return list(curves.values())
-
-
-def run_reliability(
-    max_epochs: float | None = None, seed: int = 20210620, substrate: str = "auto"
-) -> list[ReliabilityCurve]:
-    """Library entry point: run the grid, aggregate the curves."""
-    points = sweep_points(max_epochs=max_epochs, seed=seed)
-    return aggregate(run_sweep(points, substrate=substrate).artifacts)
 
 
 def format_report(curves: list[ReliabilityCurve]) -> str:

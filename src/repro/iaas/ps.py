@@ -173,16 +173,15 @@ class ParameterServer(ObjectStore):
         return arrival, arrival + self.profile.latency_s
 
     # -- data ----------------------------------------------------------------
-    def _do_put(self, key: str, value) -> None:
+    def _do_put(self, key: str, value) -> list:
         if self.update_mode == "kv" or not key.startswith("grad/"):
-            super()._do_put(key, value)
-            return
+            return super()._do_put(key, value)
         gradient = np.asarray(unwrap(value), dtype=np.float64)
         if gradient.shape != self.params.shape:
-            super()._do_put(key, value)
-            return
+            return super()._do_put(key, value)
         self.params -= self.lr * gradient
         self.push_count += 1
+        return []  # a push stores no key, so it can satisfy no waiter
 
     def _do_get(self, key: str):
         if key == self.MODEL_KEY and self.update_mode == "gradient":

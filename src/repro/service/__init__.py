@@ -14,8 +14,6 @@ from repro.service.config import (
 from repro.service.metrics import (
     build_report,
     format_service_report,
-    jain_fairness,
-    percentile,
     service_metrics,
     validate_report,
 )
@@ -25,6 +23,7 @@ from repro.service.runtime import (
     SharedServices,
 )
 from repro.service.schedulers import SCHEDULERS, Scheduler, make_scheduler
+from repro.utils.stats import jain_fairness, percentile
 
 __all__ = [
     "SCHEDULERS",

@@ -11,33 +11,9 @@ from functools import partial
 
 from repro import store
 from repro.errors import SimulationError
+from repro.utils.stats import jain_fairness, percentile
 
 REPORT_SCHEMA_VERSION = 1
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Deterministic linear-interpolation percentile (q in [0, 100])."""
-    if not values:
-        raise SimulationError("percentile of an empty series")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (q / 100.0) * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = position - lower
-    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
-
-
-def jain_fairness(values: list[float]) -> float:
-    """Jain's fairness index: (Σx)² / (n·Σx²), in (0, 1]; 1 = equal."""
-    if not values:
-        raise SimulationError("fairness of an empty series")
-    square_of_sum = sum(values) ** 2
-    sum_of_squares = sum(v * v for v in values)
-    if sum_of_squares == 0.0:
-        return 1.0  # all-zero allocations are (vacuously) equal
-    return square_of_sum / (len(values) * sum_of_squares)
 
 
 def _tenant_mean_slowdowns(records: list[dict]) -> list[float]:
@@ -89,19 +65,6 @@ def build_report(
     }
 
 
-def report_check(tag: str, records: str):
-    """The extra check of a report kind: its ``kind`` tag, some records."""
-
-    def check(report: dict) -> str | None:
-        if report["kind"] != tag:
-            return f"not a {tag}: kind={report['kind']!r}"
-        if not report[records]:
-            return f"{tag} has no {records[:-1]} records"
-        return None
-
-    return check
-
-
 # Not re-hashed: the key covers the resolved workload, which a report
 # built under any other key (tests, tools) need not reproduce.
 SERVICE_REPORT = store.Kind(
@@ -111,7 +74,7 @@ SERVICE_REPORT = store.Kind(
     shape={"kind": str, "service_hash": str, "service": dict,
            "tenants": list, "metrics": dict},
     key="service_hash",
-    check=report_check("service_report", "tenants"),
+    check=store.report_check("service_report", "tenants"),
 )
 validate_report = partial(store.validate, SERVICE_REPORT)  # (report, expected_hash=None)
 

@@ -11,7 +11,7 @@ from functools import partial
 
 from repro import store
 from repro.errors import SimulationError
-from repro.service.metrics import percentile, report_check
+from repro.utils.stats import percentile
 
 SERVING_SCHEMA_VERSION = 1
 
@@ -72,7 +72,7 @@ SERVING_REPORT = store.Kind(
            "requests": list, "pool": dict, "metrics": dict,
            "end_to_end_dollars": float},
     key="serving_hash",
-    check=report_check("serving_report", "requests"),
+    check=store.report_check("serving_report", "requests"),
 )
 validate_serving_report = partial(store.validate, SERVING_REPORT)  # (report, expected_hash=None)
 

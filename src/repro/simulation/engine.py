@@ -15,21 +15,20 @@ Complexity guarantees (the engine must scale to runs with hundreds of
 workers, so these are load-bearing — see ``benchmarks/
 bench_engine_microbench.py``):
 
-* Storage wake-ups are event-driven, not scan-driven. Waiters are
-  registered in dict-keyed registries (``key -> waiters`` for
-  :class:`WaitKey`, ``prefix -> waiters`` for :class:`WaitKeyCount`),
-  so a completed put wakes exactly the affected waiters: O(1) lookup
-  for the exact key plus O(distinct registered prefix lengths) dict
-  probes to find registered prefixes the key falls under, plus
-  O(waiters on that prefix) integer comparisons. No put ever rescans
-  unrelated waiters or stored keys.
+* Storage wake-ups are event-driven, not scan-driven. Who waits on a
+  store is that store's business (the wait index of
+  :mod:`repro.storage.base`): applying a put stores the object and
+  wakes exactly the waiters the store hands back — O(1) lookup for the
+  exact key plus O(distinct watched prefix lengths) dict probes plus
+  O(waiters on a matched prefix) integer comparisons. No put ever
+  rescans unrelated waiters or stored keys.
 * Prefix counts come from the store's live counters (O(1) for a
-  registered prefix, O(log n) bisect otherwise) and key listings from
-  its sorted index (O(log n + matches)) — see
-  :mod:`repro.storage.base`.
-* Wake-up order is the waiters' registration order (tracked by a
-  dedicated sequence counter), matching what the historical linear
-  scan produced, so traces are reproducible across engine versions.
+  watched prefix, O(log n) bisect otherwise) and key listings from
+  its sorted index (O(log n + matches)).
+* Wake-up order is the waiters' registration order — exact-key waiters
+  first, then count waiters by the store's dedicated sequence counter
+  — matching what the historical linear scan produced, so traces are
+  reproducible across engine versions.
 * Poll billing for a satisfied waiter is one batched
   ``record_polls(count)`` call whose cost is O(log count) — the meter
   adds the price `count` times in closed form
@@ -73,7 +72,7 @@ import math
 import re
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.errors import (
     DeadlockError,
@@ -208,7 +207,7 @@ class Process:
         self._wake_token = 0
         # Storage wait this process is currently registered on, if any:
         # ("key", store, key) or ("count", store, prefix). Lets kill()
-        # deregister the waiter so a later put neither bills polls for
+        # cancel it at the store so a later put neither bills polls for
         # nor wakes a dead process.
         self._pending_wait: tuple | None = None
 
@@ -243,20 +242,6 @@ class Engine:
         self.stats: EngineStats | None = None
         if _STATS_SINK is not None:
             _STATS_SINK.append(self.enable_stats())
-        # store id() -> key -> [(registration seq, callback, process)].
-        self._key_waiters: dict[
-            int, dict[str, list[tuple[int, Callable[[float], None], Process]]]
-        ] = {}
-        # store id() -> prefix -> [(needed, reg seq, callback, process)].
-        self._count_waiters: dict[
-            int, dict[str, list[tuple[int, int, Callable[[float], None], Process]]]
-        ] = {}
-        # Registration order for waiters; separate from the event seq so
-        # registering a waiter never perturbs event tie-breaking.
-        self._waiter_seq = itertools.count()
-        # Live count of processes blocked inside a storage wait; used to
-        # attribute deadlocks to storage vs join/collective rendezvous.
-        self._blocked_on_store = 0
         # Daemons (fault monitors) never keep the simulation alive: the
         # run loop stops once every non-daemon process has finished,
         # even if daemon wake-ups remain queued — otherwise a monitor
@@ -354,9 +339,10 @@ class Engine:
         stuck = [p for p in self.processes if p.state == ProcessState.BLOCKED and not p.daemon]
         if stuck:
             names = ", ".join(p.name for p in stuck[:8])
+            on_store = sum(p._pending_wait is not None for p in self.processes)
             raise DeadlockError(
                 f"{len(stuck)} process(es) blocked with no pending events "
-                f"({self._blocked_on_store} waiting on storage): {names}"
+                f"({on_store} waiting on storage): {names}"
             )
         for proc in self.processes:
             if proc.daemon and proc.alive:
@@ -370,7 +356,10 @@ class Engine:
         proc.state = ProcessState.KILLED
         proc.finished_at = self.now
         self._retire(proc)
-        self._deregister_wait(proc)
+        if proc._pending_wait is not None:
+            kind, store, token = proc._pending_wait
+            proc._pending_wait = None
+            store.cancel_wait(kind, token, proc)
         proc.generator.close()
         self._wake_joiners(proc)
 
@@ -453,13 +442,11 @@ class Engine:
     # ------------------------------------------------------------------
     def _dispatch(self, proc: Process, command: Command) -> None:
         # Exact-type table lookup: one dict probe per yielded command
-        # instead of walking an isinstance chain. Command subclasses
-        # (none in-tree) fall back to the equivalent isinstance walk.
+        # instead of walking an isinstance chain.
         handler = _DISPATCH_TABLE.get(type(command))
-        if handler is not None:
-            handler(self, proc, command)
-        else:
-            self._dispatch_general(proc, command)
+        if handler is None:
+            raise SimulationError(f"{proc.name}: unknown command {command!r}")
+        handler(self, proc, command)
 
     def _dispatch_timed(self, proc: Process, command: Sleep | Compute) -> None:
         if command.duration < 0 or not math.isfinite(command.duration):
@@ -472,15 +459,6 @@ class Engine:
     def _dispatch_spawn(self, proc: Process, command: Spawn) -> None:
         child = self.spawn(command.generator, command.name, delay=command.delay)
         self._resume_now(proc, child)
-
-    def _dispatch_general(self, proc: Process, command: Command) -> None:
-        # Subclass fallback derived from the same table the fast path
-        # uses, so there is one source of truth for command handling.
-        for command_type, handler in _DISPATCH_TABLE.items():
-            if isinstance(command, command_type):
-                handler(self, proc, command)
-                return
-        raise SimulationError(f"{proc.name}: unknown command {command!r}")
 
     # -- storage ---------------------------------------------------------
     def _charge_op(self, proc: Process, category: str, issued: float, start: float, end: float):
@@ -516,8 +494,9 @@ class Engine:
         self._schedule(end, self._apply_put, proc, cmd, nbytes)
 
     def _apply_put(self, proc: Process, cmd: Put, nbytes: int) -> None:
-        cmd.store._do_put(cmd.key, cmd.value)
-        self._notify_put(cmd.store, cmd.key)
+        now = self.clock.now
+        for wake in cmd.store._do_put(cmd.key, cmd.value):
+            wake(now)
         self._resume_now(proc, nbytes)
 
     def _dispatch_get(self, proc: Process, cmd: Get) -> None:
@@ -569,7 +548,7 @@ class Engine:
     ) -> Callable[[float], None]:
         """The callback that ends `cmd`'s wait once its condition is visible.
 
-        Called directly (from the dispatcher or ``_notify_put``), never
+        Called directly (from the dispatcher or ``_apply_put``), never
         scheduled, so it is not an event of its own.
         """
         interval = cmd.poll_interval
@@ -577,6 +556,7 @@ class Engine:
             raise SimulationError(f"{proc.name}: invalid poll_interval {interval!r}")
 
         def wake(visible_at: float) -> None:
+            proc._pending_wait = None
             wake_at = max(visible_at, issued) + interval
             waited = wake_at - issued
             cmd.store.record_polls(max(1, math.ceil(waited / interval)))
@@ -588,114 +568,18 @@ class Engine:
     def _dispatch_wait_key(self, proc: Process, cmd: WaitKey) -> None:
         issued = self.now
         wake = self._waker(proc, cmd, issued)
-        if cmd.store._exists(cmd.key):
-            wake(issued)
+        if cmd.store.wait_for_key(cmd.key, wake, proc):
+            proc._pending_wait = ("key", cmd.store, cmd.key)
         else:
-            self._register_key_waiter(cmd.store, cmd.key, wake, proc)
+            wake(issued)
 
     def _dispatch_wait_count(self, proc: Process, cmd: WaitKeyCount) -> None:
         issued = self.now
         wake = self._waker(proc, cmd, issued)
-        if cmd.store._count_prefix(cmd.prefix) >= cmd.count:
+        if cmd.store.wait_for_count(cmd.prefix, cmd.count, wake, proc):
+            proc._pending_wait = ("count", cmd.store, cmd.prefix)
+        else:
             wake(issued)
-        else:
-            self._register_count_waiter(cmd.store, cmd.prefix, cmd.count, wake, proc)
-
-    def _register_key_waiter(
-        self, store: Any, key: str, wake: Callable[[float], None], proc: Process
-    ) -> None:
-        by_key = self._key_waiters.setdefault(id(store), {})
-        by_key.setdefault(key, []).append((next(self._waiter_seq), wake, proc))
-        proc._pending_wait = ("key", store, key)
-        self._blocked_on_store += 1
-
-    def _register_count_waiter(
-        self,
-        store: Any,
-        prefix: str,
-        count: int,
-        wake: Callable[[float], None],
-        proc: Process,
-    ) -> None:
-        by_prefix = self._count_waiters.setdefault(id(store), {})
-        waiters = by_prefix.setdefault(prefix, [])
-        if not waiters:
-            store.register_prefix(prefix)
-        waiters.append((count, next(self._waiter_seq), wake, proc))
-        proc._pending_wait = ("count", store, prefix)
-        self._blocked_on_store += 1
-
-    def _deregister_wait(self, proc: Process) -> None:
-        """Drop `proc`'s storage-wait registration (kill path).
-
-        Without this, a key becoming visible after the waiter's death
-        would bill polls for — and try to wake — a process that no
-        longer exists.
-        """
-        pending = proc._pending_wait
-        if pending is None:
-            return
-        proc._pending_wait = None
-        kind, store, token = pending
-        registry = self._key_waiters if kind == "key" else self._count_waiters
-        by_token = registry.get(id(store))
-        waiters = by_token.get(token) if by_token else None
-        if not waiters:
-            return
-        remaining = [entry for entry in waiters if entry[-1] is not proc]
-        self._blocked_on_store -= len(waiters) - len(remaining)
-        if remaining:
-            by_token[token] = remaining
-        else:
-            del by_token[token]
-            if kind == "count":
-                store.unregister_prefix(token)
-
-    def _notify_put(self, store: Any, key: str) -> None:
-        """Wake exactly the waiters affected by `key` becoming visible.
-
-        Key waiters are indexed by exact key; count waiters by prefix,
-        located via the store's registered-prefix index. Satisfied
-        waiters fire in registration order (key waiters first, matching
-        the historical scan order), so wake-up sequence numbers — and
-        therefore all downstream tie-breaking — are deterministic.
-        """
-        sid = id(store)
-        by_key = self._key_waiters.get(sid)
-        if by_key:
-            woken = by_key.pop(key, None)
-            if woken:
-                for _, wake, waiter in woken:
-                    self._blocked_on_store -= 1
-                    waiter._pending_wait = None
-                    wake(self.now)
-
-        by_prefix = self._count_waiters.get(sid)
-        if by_prefix:
-            satisfied: list[tuple[int, Callable[[float], None], Process]] = []
-            for prefix in store.matching_registered_prefixes(key):
-                waiters = by_prefix.get(prefix)
-                if not waiters:
-                    continue
-                current = store._count_prefix(prefix)
-                remaining = [w for w in waiters if w[0] > current]
-                if len(remaining) == len(waiters):
-                    continue
-                satisfied.extend(w[1:] for w in waiters if w[0] <= current)
-                if remaining:
-                    by_prefix[prefix] = remaining
-                else:
-                    del by_prefix[prefix]
-                    store.unregister_prefix(prefix)
-            if satisfied:
-                # Registration (seq) order across prefixes, as the old
-                # linear scan woke them; seqs are unique so the wake
-                # callables are never compared.
-                satisfied.sort(key=lambda entry: entry[0])
-                for _, wake, waiter in satisfied:
-                    self._blocked_on_store -= 1
-                    waiter._pending_wait = None
-                    wake(self.now)
 
     # -- join / collectives ------------------------------------------------
     def _dispatch_join(self, proc: Process, cmd: Join) -> None:
@@ -759,14 +643,3 @@ _DISPATCH_TABLE: dict[type, Callable[[Engine, Process, Any], None]] = {
     Join: Engine._dispatch_join,
     Collective: Engine._dispatch_collective,
 }
-
-
-def run_processes(
-    generators: Iterable[tuple[str, ProcessGenerator]],
-    on_error: str = "raise",
-) -> tuple[Engine, list[Process]]:
-    """Convenience: spawn all `(name, generator)` pairs and run to completion."""
-    engine = Engine(on_error=on_error)
-    procs = [engine.spawn(gen, name) for name, gen in generators]
-    engine.run()
-    return engine, procs

@@ -4,19 +4,34 @@ The data plane is a plain dict (the engine applies mutations at the
 simulated completion time of each operation, so visibility is
 chronologically consistent) plus an incremental index: an
 :class:`~repro.storage.ordered_index.OrderedKeyIndex` (a chunked
-sorted list — bounded-memmove mutations), and live counters for every
-prefix the engine has registered a waiter on. The index makes the
+sorted list — bounded-memmove mutations), and the store's *wait index*:
+who is blocked on this store, and on what. The index makes the
 hot-path queries cheap at mega-scale:
 
 * ``_do_list(prefix)`` — O(log n + m) for n stored keys, m matches
   (locate the prefix range, concatenate whole chunks);
-* ``_count_prefix(prefix)`` — O(1) for a registered prefix (live
+* ``_count_prefix(prefix)`` — O(1) for a watched prefix (live
   counter), O(log n + n/chunk) otherwise (two endpoint ranks);
 * each mutation — O(log n) bisects plus a memmove bounded by the
   chunk size (never O(n); this is what lifted the old flat sorted
   list's ~10^5-key ceiling) plus one dict probe per distinct
-  registered prefix *length* (usually one) to update the
-  registered-prefix counters.
+  watched prefix *length* (usually one) to update the live counters.
+
+The wait index is the only place that knows who waits on a store:
+``key -> waiters`` for :class:`~repro.simulation.commands.WaitKey` and
+one record per watched prefix, ``prefix -> [live count, waiters]``, for
+:class:`~repro.simulation.commands.WaitKeyCount` — a prefix is watched
+exactly while it has a waiter, by construction. Indexing a *new* key
+hands back the waiters it satisfies, so a completed put wakes exactly
+the affected waiters: O(1) for the exact key, one probe per watched
+prefix length, O(waiters on a matched prefix) integer comparisons;
+never a scan over unrelated waiters or stored keys. Wake order is
+exact-key waiters in registration order, then satisfied count waiters
+in registration order *across* prefixes (a dedicated sequence
+counter), which is what the historical linear scan produced, so traces
+are reproducible across engine versions. Only a new key can satisfy a
+waiter: an overwrite changes no count, and :meth:`ObjectStore.
+seed_object` (staging, before the run) is counted but wakes nobody.
 
 The timing plane is a :class:`StorageProfile` — latency, bandwidth,
 concurrency, startup delay and item limit — which is where the
@@ -35,6 +50,7 @@ pre-fault-plane engine.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any
 
@@ -115,7 +131,6 @@ class ObjectStore:
         # consumed, so those files outlive their last reader — until
         # every rank's durable checkpoint has moved past their round.
         self.fault_policy = None
-        self.gc_enabled = True
         self.retention = None
         self.fault_events = {
             "storage_errors": 0, "retries": 0, "backoff_s": 0.0, "exhaustions": 0,
@@ -123,15 +138,22 @@ class ObjectStore:
         self._op_index = 0
         self._objects: dict[str, Any] = {}
         # Incremental index: all stored keys in sorted order (chunked,
-        # so mutations never pay an O(n) memmove), plus live match
-        # counts for prefixes the engine is actively waiting on.
+        # so mutations never pay an O(n) memmove).
         self._keys = OrderedKeyIndex()
-        self._prefix_counts: dict[str, int] = {}
-        # Registered prefixes per length, and the distinct lengths in
+        # Wait index. key -> [(wake, process)] in registration order;
+        # prefix -> [live match count, [(needed, reg seq, wake, process)]],
+        # one record per prefix that has a waiter.
+        self._key_waiters: dict[str, list[tuple]] = {}
+        self._watched: dict[str, list] = {}
+        # Registration order of count waiters, across prefixes.
+        self._wait_seq = itertools.count()
+        # Watched prefixes per length, and the distinct lengths in
         # ascending order: a key is probed once per length, not once
         # per character.
         self._prefix_len_refs: dict[int, int] = {}
         self._prefix_lens: tuple[int, ...] = ()
+        # Readers still to come for round files several workers consume.
+        self._pending_reads: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Timing plane (called by the engine)
@@ -244,58 +266,113 @@ class ObjectStore:
         """Default: free (subclasses bill requests or node-hours)."""
 
     # ------------------------------------------------------------------
-    # Index maintenance
+    # Index maintenance and the wait index
     # ------------------------------------------------------------------
-    def _index_add(self, key: str) -> None:
+    def _index_add(self, key: str) -> list:
+        """Index a new key; returns the wake callbacks it satisfies.
+
+        Exact-key waiters first, in registration order, then the count
+        waiters of every watched prefix whose live count reached their
+        target, in registration (seq) order across prefixes — so
+        wake-up sequence numbers, and therefore all downstream
+        tie-breaking, are deterministic.
+        """
         self._keys.add(key)
-        if self._prefix_counts:
-            for prefix in self.matching_registered_prefixes(key):
-                self._prefix_counts[prefix] += 1
+        woken = []
+        if key in self._key_waiters:
+            woken = [wake for wake, _ in self._key_waiters.pop(key)]
+        if self._watched:  # most puts land while nothing is watched
+            satisfied: list[tuple] = []
+            for prefix, record in self._watching(key):
+                record[0] = current = record[0] + 1
+                waiters = record[1]
+                remaining = [w for w in waiters if w[0] > current]
+                if len(remaining) == len(waiters):
+                    continue
+                satisfied.extend(w for w in waiters if w[0] <= current)
+                record[1] = remaining
+                if not remaining:
+                    self._unwatch(prefix)
+            if satisfied:
+                # Seqs are unique, so the wake callables are never compared.
+                satisfied.sort(key=lambda entry: entry[1])
+                woken.extend(entry[2] for entry in satisfied)
+        return woken
 
     def _index_remove(self, key: str) -> None:
         self._keys.remove(key)
-        if self._prefix_counts:
-            for prefix in self.matching_registered_prefixes(key):
-                self._prefix_counts[prefix] -= 1
+        if self._watched:
+            for _, record in self._watching(key):
+                record[0] -= 1
 
-    def matching_registered_prefixes(self, key: str) -> list[str]:
-        """Registered prefixes that `key` falls under, shortest first."""
-        counts = self._prefix_counts
+    def _watching(self, key: str) -> list[tuple[str, list]]:
+        """(prefix, record) of the watched prefixes `key` falls under, shortest first."""
+        watched = self._watched
         size = len(key)
-        return [p for n in self._prefix_lens if n <= size and (p := key[:n]) in counts]
+        return [
+            (p, record)
+            for n in self._prefix_lens
+            if n <= size and (record := watched.get(p := key[:n])) is not None
+        ]
 
-    def register_prefix(self, prefix: str) -> int:
-        """Start tracking `prefix` with a live counter; returns the count.
+    def _unwatch(self, prefix: str) -> None:
+        """Drop the record of a prefix whose last waiter left."""
+        del self._watched[prefix]
+        refs = self._prefix_len_refs
+        refs[len(prefix)] -= 1
+        if not refs[len(prefix)]:  # the last prefix of its length
+            del refs[len(prefix)]
+            self._prefix_lens = tuple(sorted(refs))
 
-        Idempotent. The engine registers a prefix when its first waiter
-        blocks on it and unregisters when the last one is satisfied.
-        """
-        count = self._prefix_counts.get(prefix)
-        if count is None:
-            count = self._keys.count_range(prefix, _prefix_upper_bound(prefix))
-            self._prefix_counts[prefix] = count
+    def wait_for_key(self, key: str, wake, proc) -> bool:
+        """Block `proc` until `key` is put; False if it is already there."""
+        if self._exists(key):
+            return False
+        self._key_waiters.setdefault(key, []).append((wake, proc))
+        return True
+
+    def wait_for_count(self, prefix: str, needed: int, wake, proc) -> bool:
+        """Block `proc` until `needed` keys share `prefix`; False if they do."""
+        count = self._count_prefix(prefix)
+        if count >= needed:
+            return False
+        record = self._watched.get(prefix)
+        if record is None:
+            record = self._watched[prefix] = [count, []]
             refs = self._prefix_len_refs
             refs[len(prefix)] = refs.get(len(prefix), 0) + 1
             if refs[len(prefix)] == 1:  # a new length
                 self._prefix_lens = tuple(sorted(refs))
-        return count
+        record[1].append((needed, next(self._wait_seq), wake, proc))
+        return True
 
-    def unregister_prefix(self, prefix: str) -> None:
-        # `is not None`: a registered prefix may have a live count of 0.
-        if self._prefix_counts.pop(prefix, None) is not None:
-            refs = self._prefix_len_refs
-            refs[len(prefix)] -= 1
-            if not refs[len(prefix)]:  # the last prefix of its length
-                del refs[len(prefix)]
-                self._prefix_lens = tuple(sorted(refs))
+    def cancel_wait(self, kind: str, token: str, proc) -> None:
+        """Forget `proc`'s wait on key (kind "key") or prefix `token`.
+
+        The kill path: without it, a key becoming visible after the
+        waiter's death would bill polls for — and try to wake — a
+        process that no longer exists.
+        """
+        if kind == "key":
+            remaining = [w for w in self._key_waiters[token] if w[-1] is not proc]
+            if remaining:
+                self._key_waiters[token] = remaining
+            else:
+                del self._key_waiters[token]
+        else:
+            record = self._watched[token]
+            record[1] = [w for w in record[1] if w[-1] is not proc]
+            if not record[1]:
+                self._unwatch(token)
 
     # ------------------------------------------------------------------
     # Data plane (called by the engine at completion time)
     # ------------------------------------------------------------------
-    def _do_put(self, key: str, value: Any) -> None:
-        if key not in self._objects:
-            self._index_add(key)
+    def _do_put(self, key: str, value: Any) -> list:
+        """Store the object; returns the wake callbacks to call (new keys only)."""
+        woken = self._index_add(key) if key not in self._objects else []
         self._objects[key] = value
+        return woken
 
     def _do_get(self, key: str) -> Any:
         try:
@@ -315,9 +392,9 @@ class ObjectStore:
         return key in self._objects
 
     def _count_prefix(self, prefix: str) -> int:
-        count = self._prefix_counts.get(prefix)
-        if count is not None:
-            return count
+        record = self._watched.get(prefix)
+        if record is not None:
+            return record[0]
         return self._keys.count_range(prefix, _prefix_upper_bound(prefix))
 
     # Test/diagnostic conveniences (no simulated time involved).
@@ -330,9 +407,13 @@ class ObjectStore:
         A staging API for *before* the engine runs: the key is indexed
         (listings and prefix counts see it) but no waiter is notified —
         during a run, keys only become visible to blocked WaitKey /
-        WaitKeyCount processes through a simulated Put.
+        WaitKeyCount processes through a simulated Put of a new key.
         """
-        self._do_put(key, value)
+        if key not in self._objects:
+            self._keys.add(key)
+            for _, record in self._watching(key):
+                record[0] += 1
+        self._objects[key] = value
 
     def discard(self, key: str) -> None:
         """Zero-time housekeeping removal of a consumed object.
@@ -347,11 +428,43 @@ class ObjectStore:
         live checkpoint — the window's floor. Retained keys are
         collected in bulk when the fault injector advances that floor.
         """
-        if not self.gc_enabled:
-            return
         if self.retention is not None and self.retention.retains(key):
             return
         self._do_delete(key)
+
+    def expect_readers(self, key: str, readers: int) -> None:
+        """Arm the last-reader count when a shared round file is (re)written.
+
+        For files consumed by several workers (`ar/.../merged`,
+        `sr/.../merged_{rank}`): the last reader discards the file, so
+        long runs do not accumulate one object per round per pattern.
+        Producer-initialized on every put, so a retried round that
+        reuses a round id on the same store starts from a fresh count
+        instead of inheriting a stale, partially decremented one from
+        an aborted run. A crash-injected run arms nothing: respawned
+        workers re-read and re-write round files in ways reader counts
+        cannot track, and the retention window's floor sweep collects
+        dead rounds instead.
+        """
+        if self.retention is None:
+            self._pending_reads[key] = readers
+
+    def discard_after_read(self, key: str) -> None:
+        """Note one completed read of `key`; discard after the last one.
+
+        Safe with respect to simulated time: every reader's lookup happens
+        at its Get's *issue* instant, while the discard happens only once
+        every armed reader's Get has returned, so no reader can miss the
+        object. Zero-time, unbilled housekeeping, like :meth:`discard`.
+        """
+        remaining = self._pending_reads.get(key)
+        if remaining is None:
+            return
+        if remaining <= 1:
+            del self._pending_reads[key]
+            self.discard(key)
+        else:
+            self._pending_reads[key] = remaining - 1
 
     def __len__(self) -> int:
         return len(self._objects)

@@ -41,6 +41,19 @@ class Kind:
     check: Callable[[dict], str | None] | None = None
 
 
+def report_check(tag: str, records: str) -> Callable[[dict], str | None]:
+    """The extra check of a report kind: its ``kind`` tag, some records."""
+
+    def check(report: dict) -> str | None:
+        if report["kind"] != tag:
+            return f"not a {tag}: kind={report['kind']!r}"
+        if not report[records]:
+            return f"{tag} has no {records[:-1]} records"
+        return None
+
+    return check
+
+
 def document_path(directory: str | os.PathLike, key: str) -> Path:
     return Path(directory) / f"{key}.json"
 

@@ -1,7 +1,6 @@
-"""Shared helpers: RNG, serialization sizing, running statistics."""
+"""Shared helpers: RNG, serialization sizing, scorecard statistics."""
 
 from repro.utils.rng import make_rng
 from repro.utils.serialization import payload_nbytes
-from repro.utils.stats import RunningMean, Timer
 
-__all__ = ["make_rng", "payload_nbytes", "RunningMean", "Timer"]
+__all__ = ["make_rng", "payload_nbytes"]

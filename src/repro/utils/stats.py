@@ -1,53 +1,30 @@
-"""Small statistics helpers used by the simulator and experiments."""
+"""Small statistics helpers used by the service and serving scorecards."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from repro.errors import SimulationError
 
 
-class RunningMean:
-    """Numerically stable running mean/variance (Welford)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        return self.variance**0.5
+def percentile(values: list[float], q: float) -> float:
+    """Deterministic linear-interpolation percentile (q in [0, 100])."""
+    if not values:
+        raise SimulationError("percentile of an empty series")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    position = (q / 100.0) * (len(ordered) - 1)
+    lower = int(position)
+    upper = min(lower + 1, len(ordered) - 1)
+    fraction = position - lower
+    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
 
 
-@dataclass
-class Timer:
-    """Context manager measuring real wall-clock time (for benchmarks only).
-
-    Simulated experiments never consult the host clock; this exists for
-    pytest-benchmark harness plumbing and progress reporting.
-    """
-
-    elapsed: float = field(default=0.0)
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.elapsed = time.perf_counter() - self._start
+def jain_fairness(values: list[float]) -> float:
+    """Jain's fairness index: (Σx)² / (n·Σx²), in (0, 1]; 1 = equal."""
+    if not values:
+        raise SimulationError("fairness of an empty series")
+    square_of_sum = sum(values) ** 2
+    sum_of_squares = sum(v * v for v in values)
+    if sum_of_squares == 0.0:
+        return 1.0  # all-zero allocations are (vacuously) equal
+    return square_of_sum / (len(values) * sum_of_squares)

@@ -241,9 +241,9 @@ class TestEngineKillSemantics:
         engine.spawn(producer(), "producer")
         engine.run(until=1.0)
         assert blocked.state is ProcessState.BLOCKED
-        assert engine._blocked_on_store == 1
+        assert list(store._key_waiters) == ["late"]
         engine.kill(blocked)
-        assert engine._blocked_on_store == 0
+        assert not store._key_waiters and blocked._pending_wait is None
         counters_at_kill = dict(store.fault_events)
         engine.run()
         # The put completed; nobody polled for it from beyond the grave.
@@ -284,6 +284,6 @@ class TestEngineKillSemantics:
         proc = engine.spawn(waiter(), "w")
         engine.spawn(sleeper(), "s")
         engine.run(until=0.5)
-        assert store._prefix_counts  # live counter registered
+        assert list(store._watched) == ["parts/"]  # live counter watched
         engine.kill(proc)
-        assert not store._prefix_counts  # cleanly unregistered
+        assert not store._watched and not store._prefix_lens  # cleanly released

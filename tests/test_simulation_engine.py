@@ -278,6 +278,15 @@ def test_negative_sleep_rejected(engine):
         engine.run()
 
 
+def test_unknown_command_fails_naming_the_process(engine):
+    def proc():
+        yield "not a command"
+
+    engine.spawn(proc(), "confused")
+    with pytest.raises(SimulationError, match="confused: unknown command 'not a command'"):
+        engine.run()
+
+
 @pytest.mark.parametrize("interval", [0.0, -1.0, float("inf"), float("nan")])
 @pytest.mark.parametrize("wait", ["key", "count"])
 def test_invalid_poll_interval_rejected(engine, s3, wait, interval):

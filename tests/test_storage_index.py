@@ -3,10 +3,12 @@
 Covers the chunked ordered key index (:mod:`repro.storage.
 ordered_index`) directly — randomized cross-checks against a flat
 sorted-list reference model plus adversarial key sequences — and
-through :mod:`repro.storage.base`'s registered-prefix live counters,
-the float-heap slot picker in :mod:`repro.simulation.resources`, the
-batched poll billing, the payload sizing fast path, and the
-communication patterns' round-file garbage collection.
+through :mod:`repro.storage.base`'s wait index (watched-prefix live
+counters and wake order, checked op for op against the two-registry
+logic it replaced, kept here as a test-only oracle), the float-heap
+slot picker in :mod:`repro.simulation.resources`, the batched poll
+billing, the payload sizing fast path, and the communication
+patterns' round-file garbage collection.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.pricing.meter import CostMeter
-from repro.simulation.commands import Put, WaitKeyCount
+from repro.simulation.commands import Put, Sleep, WaitKeyCount
 from repro.simulation.engine import Engine
 from repro.simulation.resources import ServiceQueue
 from repro.storage.base import ObjectStore, StorageProfile, _prefix_upper_bound
@@ -221,11 +223,25 @@ class TestOrderedKeyIndex:
         assert index.count_range("a", "b") == 0
 
 
+def watch(store: ObjectStore, prefix: str, needed: int = 10**9, wake=None):
+    """Block a fresh stand-in process on `prefix`; returns the process."""
+    proc = object()
+    assert store.wait_for_count(prefix, needed, wake or (lambda at: None), proc)
+    return proc
+
+
+def watching(store: ObjectStore, key: str) -> list[str]:
+    return [prefix for prefix, _ in store._watching(key)]
+
+
 class TestRegisteredPrefixCounters:
+    """A watched prefix (one that has a waiter) keeps a live count."""
+
     def test_register_then_put_then_count(self):
         store = make_store()
         store._do_put("r/a", 0)
-        assert store.register_prefix("r/") == 1
+        watch(store, "r/")
+        assert store._watched["r/"][0] == 1
         store._do_put("r/b", 0)
         store._do_put("s/other", 0)
         assert store._count_prefix("r/") == 2
@@ -234,7 +250,7 @@ class TestRegisteredPrefixCounters:
 
     def test_interleaved_deletes_keep_counter_live(self):
         store = make_store()
-        store.register_prefix("x/")
+        watch(store, "x/")
         for i in range(5):
             store._do_put(f"x/{i}", i)
         store._do_delete("x/1")
@@ -245,21 +261,24 @@ class TestRegisteredPrefixCounters:
 
     def test_nested_prefixes_both_counted(self):
         store = make_store()
-        store.register_prefix("a/")
-        store.register_prefix("a/b/")
+        watch(store, "a/")
+        watch(store, "a/b/")
         store._do_put("a/b/1", 0)
         store._do_put("a/c/1", 0)
         assert store._count_prefix("a/") == 2
         assert store._count_prefix("a/b/") == 1
-        assert list(store.matching_registered_prefixes("a/b/1")) == ["a/", "a/b/"]
+        assert watching(store, "a/b/1") == ["a/", "a/b/"]
 
     def test_register_idempotent_and_unregister_falls_back(self):
         store = make_store()
         store._do_put("p/1", 0)
-        assert store.register_prefix("p/") == 1
-        assert store.register_prefix("p/") == 1  # idempotent re-register
-        store.unregister_prefix("p/")
-        store.unregister_prefix("p/")  # idempotent removal
+        first = watch(store, "p/")
+        second = watch(store, "p/")  # a second waiter shares the one record
+        assert store._watched["p/"][0] == 1 and store._prefix_len_refs == {2: 1}
+        store.cancel_wait("count", "p/", first)
+        assert "p/" in store._watched  # still waited on, still watched
+        store.cancel_wait("count", "p/", second)
+        assert not store._watched and not store._prefix_len_refs
         store._do_put("p/2", 0)
         assert store._count_prefix("p/") == 2  # bisect fallback agrees
 
@@ -279,84 +298,307 @@ def _scan_matches(registered, key: str) -> list[str]:
     return [key[:i] for i in range(len(key) + 1) if key[:i] in registered]
 
 
+ALPHABET = "ab/é日" + chr(0x10FFFF)
+
+
+def _word(rng: random.Random, longest: int) -> str:
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(longest + 1)))
+
+
 class TestRegisteredPrefixLengths:
-    """`matching_registered_prefixes` probes once per registered *length*."""
+    """`_watching` probes once per watched prefix *length*."""
 
     def check(self, store: ObjectStore, probes) -> None:
         live = list(store._objects)
-        registered = store._prefix_counts
-        for prefix, count in registered.items():
+        watched = store._watched
+        for prefix, (count, waiters) in watched.items():
+            assert waiters, prefix  # watched iff waited on
             assert count == sum(k.startswith(prefix) for k in live), prefix
-        assert store._prefix_lens == tuple(sorted({len(p) for p in registered}))
-        assert sum(store._prefix_len_refs.values()) == len(registered)
+        assert store._prefix_lens == tuple(sorted({len(p) for p in watched}))
+        assert sum(store._prefix_len_refs.values()) == len(watched)
         for key in [*live, *probes]:
-            assert store.matching_registered_prefixes(key) == _scan_matches(registered, key)
-        for prefix in [*registered, *probes]:  # live counter and bisect fallback
+            assert watching(store, key) == _scan_matches(watched, key)
+        for prefix in [*watched, *probes]:  # live counter and bisect fallback
             assert store._count_prefix(prefix) == sum(k.startswith(prefix) for k in live)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_against_per_character_scan(self, seed):
         rng = random.Random(seed)
-        alphabet = "ab/é日" + chr(0x10FFFF)
-
-        def word(longest):
-            return "".join(rng.choice(alphabet) for _ in range(rng.randrange(longest + 1)))
-
         store = make_store()
+        blocked: list[tuple[str, object]] = []
         for _ in range(400):
             op = rng.randrange(5)
             if op == 0:
-                store.register_prefix(word(3))  # "" included; often already there
-            elif op == 1 and store._prefix_counts:
-                store.unregister_prefix(rng.choice(sorted(store._prefix_counts)))
-            elif op == 2:
-                store.unregister_prefix(word(3))  # mostly not registered: a no-op
+                prefix = _word(rng, 3)  # "" included; often already watched
+                blocked.append((prefix, watch(store, prefix)))
+            elif op == 1 and blocked:
+                prefix, proc = blocked.pop(rng.randrange(len(blocked)))
+                store.cancel_wait("count", prefix, proc)
+            elif op == 2 and store._objects:
+                store._do_put(rng.choice(sorted(store._objects)), 1)  # overwrite: a no-op
             elif op == 3 and store._objects:
                 store.discard(rng.choice(sorted(store._objects)))
             else:
-                store._do_put(word(5), 0)
-            self.check(store, [word(5) for _ in range(4)])
+                store._do_put(_word(rng, 5), 0)
+            self.check(store, [_word(rng, 5) for _ in range(4)])
 
     def test_named_cases(self):
         store = make_store()
         for key in ("a/b/1", "a/b", "a", "日本/x"):
             store._do_put(key, 0)
-        for prefix in ("", "a/", "a/b", "a/b/", "x/", "日本/", "a/b/1/longer"):
-            store.register_prefix(prefix)
+        procs = {
+            prefix: watch(store, prefix)
+            for prefix in ("", "a/", "a/b", "a/b/", "x/", "日本/", "a/b/1/longer")
+        }
         assert store._prefix_lens == (0, 2, 3, 4, 12)  # "a/" and "x/" share a length
         assert store._prefix_len_refs[2] == 2
         # Nested prefixes of three lengths, plus the empty one; "a/b" equals a key.
-        assert store.matching_registered_prefixes("a/b/1") == ["", "a/", "a/b", "a/b/"]
-        assert store.matching_registered_prefixes("a/b") == ["", "a/", "a/b"]
-        # A registered prefix longer than the key never matches it.
-        assert store.matching_registered_prefixes("a") == [""]
-        assert store.matching_registered_prefixes("日本/x") == ["", "日本/"]
+        assert watching(store, "a/b/1") == ["", "a/", "a/b", "a/b/"]
+        assert watching(store, "a/b") == ["", "a/", "a/b"]
+        # A watched prefix longer than the key never matches it.
+        assert watching(store, "a") == [""]
+        assert watching(store, "日本/x") == ["", "日本/"]
         self.check(store, ["a/b/1/longer", "a/b/1/longer/still", "x/", "x"])
-        store.unregister_prefix("a/")
+        store.cancel_wait("count", "a/", procs.pop("a/"))
         assert store._prefix_lens == (0, 2, 3, 4, 12)  # "x/" still holds length 2
-        # "x/" counts zero live keys: popping it must still release its length.
-        assert store._prefix_counts["x/"] == 0
-        store.unregister_prefix("x/")
+        # "x/" counts zero live keys: dropping it must still release its length.
+        assert store._watched["x/"][0] == 0
+        store.cancel_wait("count", "x/", procs.pop("x/"))
         assert store._prefix_lens == (0, 3, 4, 12)
-        assert store.matching_registered_prefixes("a/b/1") == ["", "a/b", "a/b/"]
-        for prefix in list(store._prefix_counts):
-            store.unregister_prefix(prefix)
+        assert watching(store, "a/b/1") == ["", "a/b", "a/b/"]
+        for prefix, proc in procs.items():
+            store.cancel_wait("count", prefix, proc)
         assert store._prefix_lens == () and not store._prefix_len_refs
-        assert store.matching_registered_prefixes("a/b/1") == []
+        assert watching(store, "a/b/1") == []
 
     def test_cost_is_one_probe_per_registered_length(self):
         store = make_store()
-        store.register_prefix("r/0001/")
+        watch(store, "r/0001/")
         key = _CountingStr("r/0001/" + "x" * 9993)
         assert len(key) == 10_000
-        assert store.matching_registered_prefixes(key) == ["r/0001/"]
+        assert watching(store, key) == ["r/0001/"]
         assert key.slices == 1
-        store.register_prefix("r/0002/")  # same length: still one probe
-        store.register_prefix("r/")
-        store.register_prefix("y" * 20_000)  # longer than the key: not probed
+        watch(store, "r/0002/")  # same length: still one probe
+        watch(store, "r/")
+        watch(store, "y" * 20_000)  # longer than the key: not probed
         key.slices = 0
-        assert store.matching_registered_prefixes(key) == ["r/", "r/0001/"]
+        assert watching(store, key) == ["r/", "r/0001/"]
         assert key.slices == 2
+
+
+class TwoRegistryOracle:
+    """The wake logic the wait index replaced, kept as a test-only oracle.
+
+    Two registries the way the engine held them (``key -> waiters``,
+    ``prefix -> waiters``, one sequence counter over both), a put that
+    notifies whether or not the key is new, and counts taken by brute
+    force over the stored keys. Processes are plain tokens.
+    """
+
+    def __init__(self):
+        self.objects: set[str] = set()
+        self.key_waiters: dict[str, list] = {}  # key -> [(seq, proc)]
+        self.count_waiters: dict[str, list] = {}  # prefix -> [(needed, seq, proc)]
+        self.seq = 0
+
+    def count(self, prefix: str) -> int:
+        return sum(k.startswith(prefix) for k in self.objects)
+
+    def wait_for_key(self, key, proc) -> bool:
+        if key in self.objects:
+            return False
+        self.seq += 1
+        self.key_waiters.setdefault(key, []).append((self.seq, proc))
+        return True
+
+    def wait_for_count(self, prefix, needed, proc) -> bool:
+        if self.count(prefix) >= needed:
+            return False
+        self.seq += 1
+        self.count_waiters.setdefault(prefix, []).append((needed, self.seq, proc))
+        return True
+
+    def cancel(self, proc) -> None:
+        for registry in (self.key_waiters, self.count_waiters):
+            for token, waiters in list(registry.items()):
+                remaining = [w for w in waiters if w[-1] is not proc]
+                if remaining:
+                    registry[token] = remaining
+                else:
+                    del registry[token]
+
+    def put(self, key) -> list:
+        """Store `key`; the processes woken, in wake order."""
+        self.objects.add(key)
+        woken = [proc for _, proc in self.key_waiters.pop(key, [])]
+        satisfied = []
+        for prefix in _scan_matches(self.count_waiters, key):
+            waiters = self.count_waiters[prefix]
+            current = self.count(prefix)
+            remaining = [w for w in waiters if w[0] > current]
+            satisfied.extend(w[1:] for w in waiters if w[0] <= current)
+            if remaining:
+                self.count_waiters[prefix] = remaining
+            else:
+                del self.count_waiters[prefix]
+        return woken + [proc for _, proc in sorted(satisfied)]
+
+
+class TestWaitIndexAgainstOracle:
+    """The store's one wait index vs the two-registry oracle, op for op."""
+
+    def agree(self, store: ObjectStore, oracle: TwoRegistryOracle) -> None:
+        assert set(store._objects) == oracle.objects
+        assert {
+            key: [proc for _, proc in waiters] for key, waiters in store._key_waiters.items()
+        } == {key: [proc for _, proc in waiters] for key, waiters in oracle.key_waiters.items()}
+        assert {
+            prefix: (count, [(needed, proc) for needed, _, _, proc in waiters])
+            for prefix, (count, waiters) in store._watched.items()
+        } == {
+            prefix: (oracle.count(prefix), [(needed, proc) for needed, _, proc in waiters])
+            for prefix, waiters in oracle.count_waiters.items()
+        }
+        lengths = [len(prefix) for prefix in oracle.count_waiters]
+        assert store._prefix_lens == tuple(sorted(set(lengths)))
+        assert store._prefix_len_refs == {n: lengths.count(n) for n in set(lengths)}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_random_mixes(self, seed):
+        rng = random.Random(20210620 + seed)
+        store, oracle = make_store(), TwoRegistryOracle()
+        woken: list[int] = []
+        blocked: dict[int, tuple[str, str]] = {}  # proc -> (kind, token)
+        satisfied_some = 0
+        for proc in range(1200):
+            op = rng.randrange(8)
+            if op == 0:
+                key = _word(rng, 4)
+                registered = store.wait_for_key(key, lambda at, p=proc: woken.append(p), proc)
+                assert registered == oracle.wait_for_key(key, proc)
+                if registered:
+                    blocked[proc] = ("key", key)
+            elif op in (1, 2):
+                prefix = _word(rng, 3)  # the empty prefix included
+                needed = store._count_prefix(prefix) + rng.randrange(0, 4)
+                registered = store.wait_for_count(
+                    prefix, needed, lambda at, p=proc: woken.append(p), proc
+                )
+                assert registered == oracle.wait_for_count(prefix, needed, proc)
+                if registered:
+                    blocked[proc] = ("count", prefix)
+            elif op == 3 and blocked:
+                victim = rng.choice(sorted(blocked))
+                store.cancel_wait(*blocked.pop(victim), victim)
+                oracle.cancel(victim)
+            elif op == 4 and store._objects:
+                store.discard(victim_key := rng.choice(sorted(store._objects)))
+                oracle.objects.remove(victim_key)
+            else:
+                # A new key, or (one time in four) an overwrite: the
+                # oracle notifies on both, the store only on the former.
+                overwrite = store._objects and rng.randrange(4) == 0
+                key = rng.choice(sorted(store._objects)) if overwrite else _word(rng, 5)
+                for wake in store._do_put(key, proc):
+                    wake(0.0)
+                expected = oracle.put(key)
+                assert woken == expected  # the same processes, in the same order
+                satisfied_some += bool(woken)
+                for p in woken:
+                    del blocked[p]
+                woken.clear()
+            self.agree(store, oracle)
+        assert satisfied_some > 20  # the mix does exercise wake-ups
+
+    def test_wake_order_is_key_waiters_then_count_waiters_by_registration(self):
+        store = make_store()
+        order: list[str] = []
+        for name, prefix in (("long", "a/b/"), ("short", "a/"), ("long2", "a/b/")):
+            store.wait_for_count(prefix, 1, lambda at, n=name: order.append(n), name)
+        store.wait_for_key("a/b/1", lambda at: order.append("key"), "key")
+        store.wait_for_count("", 2, lambda at: order.append("later"), "later")
+        for wake in store._do_put("a/b/1", 0):
+            wake(0.0)
+        # Exact key first although registered last; then registration
+        # order across prefixes, not prefix-by-prefix.
+        assert order == ["key", "long", "short", "long2"]
+        assert list(store._watched) == [""] and store._prefix_lens == (0,)
+
+
+class TestOnlyANewKeySatisfiesWaiters:
+    """The stated property behind the single notify path."""
+
+    def test_seed_object_is_counted_but_wakes_nobody(self):
+        engine = Engine()
+        store = S3Store()
+        store.available_at = 0.0
+        seen = {}
+
+        def waiter():
+            yield WaitKeyCount(store, "in/", 2, poll_interval=0.01)
+            return engine.now
+
+        def stager():
+            yield Sleep(1.0)
+            store.seed_object("in/0", b"x")
+            store.seed_object("in/1", b"x")
+            seen["count"] = store._watched["in/"][0]  # counted by the watched prefix...
+            yield Sleep(1.0)
+            seen["after_seed"] = proc._pending_wait  # ...but nobody was notified
+            yield Put(store, "in/0", b"y")  # an overwrite releases nobody either
+            seen["after_overwrite"] = proc._pending_wait
+            seen["put_at"] = engine.now
+            yield Put(store, "in/2", b"z")  # the next new key under the prefix does
+
+        proc = engine.spawn(waiter(), "waiter")
+        engine.spawn(stager(), "stager")
+        engine.run()
+        assert seen["count"] == 2
+        assert seen["after_seed"] == seen["after_overwrite"] == ("count", store, "in/")
+        assert proc.result > seen["put_at"] > 2.0
+        assert not store._watched and not store._prefix_lens
+
+    def test_seeded_key_does_not_wake_its_exact_key_waiter(self):
+        from repro.errors import DeadlockError
+        from repro.simulation.commands import WaitKey
+
+        engine = Engine()
+        store = S3Store()
+
+        def waiter():
+            yield WaitKey(store, "late", poll_interval=0.01)
+
+        def stager():
+            yield Sleep(1.0)
+            store.seed_object("late", b"x")
+
+        engine.spawn(waiter(), "waiter")
+        engine.spawn(stager(), "stager")
+        with pytest.raises(DeadlockError, match="1 waiting on storage"):
+            engine.run()
+        assert list(store._key_waiters) == ["late"]
+
+
+def test_no_module_keys_a_table_by_store():
+    """No `id(...)` call and no WeakKeyDictionary in the simulator's core.
+
+    A store owns its waiters and its reader counts; nothing under
+    simulation/, comm/ or storage/ may keep state keyed by an object.
+    """
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    offenders = []
+    for package in ("simulation", "comm", "storage"):
+        for path in sorted((src / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id":
+                    offenders.append(f"{path.name}:{node.lineno} id()")
+                names = [getattr(node, field, None) for field in ("id", "attr", "name")]
+                if "WeakKeyDictionary" in names:  # a Name, an Attribute or an import alias
+                    offenders.append(f"{path.name}:{node.lineno} WeakKeyDictionary")
+    assert offenders == []
 
 
 class TestEngineWaitersWithDeletes:

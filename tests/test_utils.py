@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.utils.rng import make_rng, spawn
 from repro.utils.serialization import SizedPayload, payload_nbytes, unwrap
-from repro.utils.stats import RunningMean, Timer
 
 
 class TestRng:
@@ -74,35 +71,3 @@ class TestPayloadSizing:
         arr = np.zeros(2)
         assert unwrap(SizedPayload(arr, 10)) is arr
         assert unwrap(arr) is arr
-
-
-class TestRunningMean:
-    def test_matches_numpy(self):
-        values = [1.0, 2.0, 4.0, 8.0]
-        rm = RunningMean()
-        for v in values:
-            rm.update(v)
-        assert rm.mean == pytest.approx(np.mean(values))
-        assert rm.variance == pytest.approx(np.var(values, ddof=1))
-
-    def test_single_value(self):
-        rm = RunningMean()
-        rm.update(3.0)
-        assert rm.mean == 3.0
-        assert rm.variance == 0.0
-        assert rm.std == 0.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-def test_property_running_mean_matches_numpy(values):
-    rm = RunningMean()
-    for v in values:
-        rm.update(v)
-    assert rm.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
-
-
-def test_timer_measures_something():
-    with Timer() as t:
-        sum(range(1000))
-    assert t.elapsed >= 0.0
