@@ -16,6 +16,7 @@ resumable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
@@ -23,10 +24,10 @@ from repro.core.config import _cli
 from repro.errors import ConfigurationError
 from repro.faas.limits import MAX_MEMORY_GB
 from repro.pricing.platforms import SERVING_PLATFORMS
+from repro.serving.workload import TRAFFIC_SHAPES, check_traffic
 from repro.utils.hashing import fingerprint_hash, init_fingerprint
 
 PLATFORM_NAMES = tuple(sorted(SERVING_PLATFORMS))  # faas | gpu_iaas | iaas
-TRAFFIC_SHAPES = ("poisson", "diurnal", "bursty")
 AUTOSCALER_NAMES = ("fixed", "concurrency", "queue_depth")
 
 
@@ -147,30 +148,18 @@ class ServingConfig:
             raise ConfigurationError(
                 f"unknown platform {self.platform!r}; expected one of {PLATFORM_NAMES}"
             )
-        if self.traffic not in TRAFFIC_SHAPES:
-            raise ConfigurationError(
-                f"unknown traffic shape {self.traffic!r}; "
-                f"expected one of {TRAFFIC_SHAPES}"
-            )
+        # The traffic knobs are checked where traces are generated, so a
+        # config and a direct `request_arrivals` call refuse the same values.
+        check_traffic(
+            self.traffic, self.rate_rps, self.requests,
+            self.diurnal_period_s, self.diurnal_amplitude,
+            self.burst_every_s, self.burst_len_s, self.burst_factor,
+        )
         if self.autoscaler not in AUTOSCALER_NAMES:
             raise ConfigurationError(
                 f"unknown autoscaler {self.autoscaler!r}; "
                 f"expected one of {AUTOSCALER_NAMES}"
             )
-        if self.rate_rps <= 0:
-            raise ConfigurationError("--rate-rps must be > 0")
-        if self.requests < 1:
-            raise ConfigurationError("--requests must be >= 1")
-        if not 0 <= self.diurnal_amplitude < 1:
-            raise ConfigurationError("--diurnal-amplitude must be in [0, 1)")
-        if self.diurnal_period_s <= 0:
-            raise ConfigurationError("--diurnal-period-s must be > 0")
-        if not 0 < self.burst_len_s <= self.burst_every_s:
-            raise ConfigurationError(
-                "--burst-len-s must be in (0, --burst-every-s]"
-            )
-        if self.burst_factor < 1:
-            raise ConfigurationError("--burst-factor must be >= 1")
         if not 1 <= self.min_replicas <= self.max_replicas:
             raise ConfigurationError(
                 "need 1 <= --min-replicas <= --max-replicas"
@@ -181,16 +170,16 @@ class ServingConfig:
             raise ConfigurationError("--queue-threshold must be >= 1")
         if self.scale_up_cooldown_s < 0 or self.scale_down_cooldown_s < 0:
             raise ConfigurationError("scale cooldowns must be >= 0")
-        if self.idle_expiry_s <= 0:
-            raise ConfigurationError("--idle-expiry-s must be > 0")
+        if not 0 < self.idle_expiry_s < math.inf:
+            raise ConfigurationError("--idle-expiry-s must be > 0 and finite")
         if not 0 < self.memory_gb <= MAX_MEMORY_GB:
             raise ConfigurationError(
                 f"--memory-gb must be in (0, {MAX_MEMORY_GB}]"
             )
         if self.cold_jitter < 0:
             raise ConfigurationError("--cold-jitter must be >= 0")
-        if self.request_overhead_s < 0:
-            raise ConfigurationError("--request-overhead-s must be >= 0")
+        if not 0 <= self.request_overhead_s < math.inf:
+            raise ConfigurationError("--request-overhead-s must be >= 0 and finite")
 
     def train_kwargs(self) -> dict:
         """The ``TrainingConfig`` kwargs of the pipeline's training leg.

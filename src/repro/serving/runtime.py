@@ -24,10 +24,20 @@ Platform economics:
   or not requests arrive. GPU platforms divide the forward-pass time
   by the model's calibrated GPU ratio (see
   :func:`repro.pricing.platforms.inference_speedup`).
+
+Pool accounting invariant: the ``live`` / ``busy`` counters and the idle
+index change only in :meth:`ServingRuntime._transition`, the one place a
+replica's ``state`` is assigned, so reading the pool's aggregate state
+is O(1) and a transition is O(log idle) to place plus a shift of at
+most ``max_replicas`` index slots. ``_replicas`` is append-only with
+``id == index`` and is walked once, in ``_settle``, in id order (the
+float order ``alive_s``, ``busy_s`` and the ``bill_vm`` sequence add in).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -77,7 +87,9 @@ class _Replica:
         self.id = replica_id
         self.provisioned_s = provisioned_s
         self.cold_provisioned = cold
-        self.state = "starting"  # starting | idle | busy | retired
+        # starting | idle | busy | retired; "new" is only what `_provision`'s
+        # first `_transition` counts into `live`, never seen outside it.
+        self.state = "new"
         self.ready_s: float | None = None
         self.retired_s: float | None = None
         self.idle_since = 0.0
@@ -105,8 +117,13 @@ class ServingRuntime:
         self.serve_s = request_service_seconds(config, entry)
         self.arrivals = arrivals_for(config)
         self.engine = Engine()
-        self._queue: list[_Request] = []
+        self._queue: deque[_Request] = deque()
         self._replicas: list[_Replica] = []
+        self._live_count = 0  # replicas starting + idle + busy
+        self._busy_count = 0
+        # Idle replicas as (idle_since, id, replica), ascending: the
+        # longest-idle first, the most-recently-idle last.
+        self._idle_index: list[tuple[float, int, _Replica]] = []
         self._records: dict[int, dict] = {}
         self._autoscaler = make_autoscaler(config)
         self._provisions = 0
@@ -120,19 +137,35 @@ class ServingRuntime:
         )
 
     # -- pool state ----------------------------------------------------
-    def _live(self) -> list[_Replica]:
-        return [r for r in self._replicas if r.state != "retired"]
-
-    def _idle(self) -> list[_Replica]:
-        return [r for r in self._replicas if r.state == "idle"]
+    def _transition(self, replica: _Replica, state: str) -> None:
+        """Move `replica` to `state`, keeping the counters and idle index."""
+        now = self.engine.now
+        old = replica.state
+        if old == "idle":
+            index = self._idle_index
+            del index[bisect_left(index, (replica.idle_since, replica.id))]
+        elif old == "busy":
+            self._busy_count -= 1
+        elif old == "new":
+            self._live_count += 1
+        replica.state = state
+        if state == "idle":
+            replica.idle_since = now
+            # `now` never decreases, so this lands at the tail, or just
+            # short of it among replicas idled at the same instant.
+            insort(self._idle_index, (now, replica.id, replica))
+        elif state == "busy":
+            self._busy_count += 1
+        elif state == "retired":
+            replica.retired_s = now
+            self._live_count -= 1
 
     def _state(self) -> PoolState:
-        live = self._live()
         return PoolState(
             queued=len(self._queue),
-            in_flight=sum(1 for r in live if r.state == "busy"),
-            live=len(live),
-            idle=sum(1 for r in live if r.state == "idle"),
+            in_flight=self._busy_count,
+            live=self._live_count,
+            idle=len(self._idle_index),
         )
 
     # -- provisioning --------------------------------------------------
@@ -140,6 +173,7 @@ class ServingRuntime:
         now = self.engine.now
         replica = _Replica(len(self._replicas), now, cold)
         self._replicas.append(replica)
+        self._transition(replica, "starting")
         self._provisions += 1
         if not cold:
             # Pre-booted base fleet of an always-on platform: warm from
@@ -167,9 +201,8 @@ class ServingRuntime:
 
     def _make_ready(self, replica: _Replica) -> None:
         now = self.engine.now
-        replica.state = "idle"
+        self._transition(replica, "idle")
         replica.ready_s = now
-        replica.idle_since = now
         if self.platform.kind == "faas":
             replica.lifetime = FunctionLifetime(self._warm_limits, started_at=now)
             self._spawn_reaper(replica)
@@ -185,48 +218,38 @@ class ServingRuntime:
                 and replica.idle_token == token
                 and replica.lifetime.remaining(self.engine.now) <= 0
             ):
-                self._retire(replica)
+                self._transition(replica, "retired")
 
         self.engine.spawn(reaper(), f"replica-{replica.id}-reaper", daemon=True)
-
-    def _retire(self, replica: _Replica) -> None:
-        replica.state = "retired"
-        replica.retired_s = self.engine.now
 
     # -- scaling + assignment ------------------------------------------
     def _reconcile(self) -> None:
         now = self.engine.now
         desired = self._autoscaler.desired(self._state(), now)
-        live = self._live()
-        while len(live) < desired:
+        while self._live_count < desired:
             self._provision(cold=True)
-            live = self._live()
         # Scale down by releasing the longest-idle replicas; busy ones
         # finish their request first and are reconsidered on completion.
         # FaaS pools never scale down explicitly: idle warm containers
         # are free, so they are left to the keep-warm expiry instead of
         # being retired into future cold starts.
-        if self.platform.kind == "iaas" and len(live) > desired:
-            idle = sorted(self._idle(), key=lambda r: (r.idle_since, r.id))
-            for replica in idle[: len(live) - desired]:
-                self._retire(replica)
-        self._peak_live = max(self._peak_live, len(self._live()))
+        if self.platform.kind == "iaas" and self._live_count > desired:
+            for _, _, replica in self._idle_index[: self._live_count - desired]:
+                self._transition(replica, "retired")
+        if self._live_count > self._peak_live:
+            self._peak_live = self._live_count
 
     def _pump(self) -> None:
-        while self._queue:
-            idle = self._idle()
-            if not idle:
-                break
+        queue, idle = self._queue, self._idle_index
+        while queue and idle:
             # Most-recently-idle first: keeps the warm set small so the
             # rest of the pool can expire (FaaS) or scale down (IaaS).
-            replica = max(idle, key=lambda r: (r.idle_since, r.id))
-            request = self._queue.pop(0)
-            self._assign(replica, request)
+            self._assign(idle[-1][2], queue.popleft())
         self._reconcile()
 
     def _assign(self, replica: _Replica, request: _Request) -> None:
         now = self.engine.now
-        replica.state = "busy"
+        self._transition(replica, "busy")
         replica.idle_token += 1
         cold = replica.cold_provisioned and replica.served == 0
         self.engine.spawn(
@@ -253,8 +276,7 @@ class ServingRuntime:
             "cold": cold,
         }
         if replica.state == "busy":  # not retired mid-flight
-            replica.state = "idle"
-            replica.idle_since = now
+            self._transition(replica, "idle")
             replica.idle_token += 1
             if replica.lifetime is not None:
                 # The invocation renews the keep-warm lease.
@@ -279,7 +301,7 @@ class ServingRuntime:
             # Always-on base fleet: booted before the traffic window.
             for _ in range(self.config.min_replicas):
                 self._provision(cold=False)
-            self._peak_live = len(self._live())
+            self._peak_live = self._live_count
         self.engine.spawn(self._master(), "serving-master")
         self.engine.run()
         if len(self._records) != len(self.arrivals):

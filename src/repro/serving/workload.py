@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The draw stream every request arrival consumes one index of.
 TRAFFIC_STREAM = "serving/arrival"
+TRAFFIC_SHAPES = ("poisson", "diurnal", "bursty")
 
 
 def _diurnal_advance(
@@ -39,12 +40,14 @@ def _diurnal_advance(
 ) -> float:
     """Next arrival instant after `t` for the sinusoid-modulated rate."""
     two_pi = 2.0 * math.pi
+    # Only what is bit-safe is hoisted: `amplitude * period / two_pi` is
+    # left-associated and constant, while `two_pi * x / period` must stay
+    # spelled as is (`x * (two_pi / period)` rounds differently).
+    scale = amplitude * period / two_pi
 
     def integrated(x: float) -> float:
         # Λ(x) = ∫₀ˣ rate·(1 + A·sin(2πs/P)) ds, increasing since A < 1.
-        return rate * (
-            x + amplitude * period / two_pi * (1.0 - math.cos(two_pi * x / period))
-        )
+        return rate * (x + scale * (1.0 - math.cos(two_pi * x / period)))
 
     target = integrated(t) + increment
     lo = t
@@ -80,8 +83,60 @@ def _bursty_advance(
         capacity = segment_rate * (segment_end - t)
         if remaining <= capacity:
             return t + remaining / segment_rate
+        if not segment_end > t:
+            # The window edge is closer than one float step: `t` could
+            # never advance again.
+            raise ConfigurationError(
+                f"burst windows ({every} s / {length} s) are below float "
+                f"resolution at t={t}"
+            )
         remaining -= capacity
         t = segment_end
+
+
+def check_traffic(
+    traffic: str,
+    rate_rps: float,
+    count: int,
+    diurnal_period_s: float,
+    diurnal_amplitude: float,
+    burst_every_s: float,
+    burst_len_s: float,
+    burst_factor: float,
+) -> None:
+    """Reject traffic parameters no trace can be generated from.
+
+    Non-finite values are refused along with out-of-range ones: a NaN
+    passes every ``<=`` test and then never leaves the inversion loops.
+    The one validator behind `ServingConfig` and `request_arrivals`; it
+    names each knob as the ``infer`` / ``serve`` flag that sets it
+    (`count` is ``--requests``), like the rest of `ServingConfig`'s checks.
+    """
+    if traffic not in TRAFFIC_SHAPES:
+        raise ConfigurationError(
+            f"unknown traffic shape {traffic!r}; expected one of {TRAFFIC_SHAPES}"
+        )
+    if not 0 < rate_rps < math.inf:
+        raise ConfigurationError(f"--rate-rps must be > 0 and finite, got {rate_rps}")
+    if count < 1:
+        raise ConfigurationError(f"--requests must be >= 1, got {count}")
+    if not 0 < diurnal_period_s < math.inf:
+        raise ConfigurationError(
+            f"--diurnal-period-s must be > 0 and finite, got {diurnal_period_s}"
+        )
+    if not 0 <= diurnal_amplitude < 1:
+        raise ConfigurationError(
+            f"--diurnal-amplitude must be in [0, 1), got {diurnal_amplitude}"
+        )
+    if not 0 < burst_len_s <= burst_every_s < math.inf:
+        raise ConfigurationError(
+            "--burst-len-s must be in (0, --burst-every-s] and --burst-every-s "
+            f"finite, got {burst_len_s} / {burst_every_s}"
+        )
+    if not 1 <= burst_factor < math.inf:
+        raise ConfigurationError(
+            f"--burst-factor must be >= 1 and finite, got {burst_factor}"
+        )
 
 
 def request_arrivals(
@@ -97,10 +152,10 @@ def request_arrivals(
     burst_factor: float = 6.0,
 ) -> list[float]:
     """`count` strictly-increasing seeded arrival instants (seconds)."""
-    if rate_rps <= 0:
-        raise ConfigurationError(f"rate_rps must be > 0, got {rate_rps}")
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
+    check_traffic(
+        traffic, rate_rps, count, diurnal_period_s, diurnal_amplitude,
+        burst_every_s, burst_len_s, burst_factor,
+    )
     arrivals: list[float] = []
     t = 0.0
     for index in range(count):
@@ -112,14 +167,9 @@ def request_arrivals(
             t = _diurnal_advance(
                 t, increment, rate_rps, diurnal_period_s, diurnal_amplitude
             )
-        elif traffic == "bursty":
+        else:
             t = _bursty_advance(
                 t, increment, rate_rps, burst_every_s, burst_len_s, burst_factor
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown traffic shape {traffic!r}; "
-                "expected poisson|diurnal|bursty"
             )
         arrivals.append(t)
     return arrivals

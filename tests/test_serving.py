@@ -11,12 +11,15 @@ sweeps.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.fig_serving import SERVE_MIN_REPLICAS
 from repro.serving import (
     ConcurrencyScaler,
     FixedScaler,
@@ -33,9 +36,25 @@ from repro.serving import (
     request_service_seconds,
     serving_hash,
     serving_metrics,
+    traffic_trace,
 )
 
 MB = 1024 * 1024
+
+
+def _digest(document) -> str:
+    """sha256 of a document's canonical JSON (what the pins below hold)."""
+    blob = json.dumps(document, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: sha256 of json.dumps(traffic_trace(config), sort_keys=True) for
+#: ServingConfig(traffic=shape, rate_rps=35.0, requests=700).
+PINNED_TRACE_DIGESTS = {
+    "poisson": "aecba4bf133231b9b679eaa51d4eabcd915e24492cbe5759ddcbe142e60e5a53",
+    "diurnal": "83973665018e185b12ee4a89345376366a16f0172865331ccff6396998c4f3ee",
+    "bursty": "d305a4b5cab02ffee492d0579e319e68e9a3b710766a8026112f2177489a505d",
+}
 
 
 def nn_entry(**overrides) -> ServedModel:
@@ -104,6 +123,43 @@ class TestTraffic:
             diurnal_amplitude=config.diurnal_amplitude,
         )
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(rate_rps=float("nan")),
+        dict(rate_rps=float("inf")),
+        dict(diurnal_period_s=float("inf")),
+        dict(diurnal_period_s=float("nan")),
+        dict(diurnal_period_s=0.0),
+        dict(diurnal_amplitude=1.0),  # was a ZeroDivisionError
+        dict(diurnal_amplitude=float("nan")),
+        dict(burst_every_s=float("inf")),
+        dict(burst_len_s=float("nan")),
+        dict(burst_len_s=2.0, burst_every_s=1.0),
+        dict(burst_factor=float("inf")),
+        dict(burst_factor=float("nan")),
+        dict(traffic="square_wave"),
+    ])
+    @pytest.mark.parametrize("shape", ["poisson", "diurnal", "bursty"])
+    def test_rejects_values_no_trace_exists_for(self, shape, kwargs):
+        # At the generator's own boundary, whatever the shape: a NaN rate
+        # used to bisect forever, an infinite one returned [0.0, 0.0, ...].
+        params = {"traffic": shape, "rate_rps": 5.0, **kwargs}
+        traffic, rate = params.pop("traffic"), params.pop("rate_rps")
+        with pytest.raises(ConfigurationError):
+            request_arrivals(0, traffic, rate, 3, **params)
+
+    def test_burst_windows_below_float_resolution_do_not_hang(self):
+        with pytest.raises(ConfigurationError, match="float resolution"):
+            request_arrivals(
+                1, "bursty", 20.0, 50, burst_every_s=1e-20, burst_len_s=1e-20
+            )
+
+    def test_trace_json_bytes_are_pinned(self):
+        # Pinned on the commit before the hoisted constant in
+        # `_diurnal_advance`: the trace document is byte-identical.
+        for shape, pinned in PINNED_TRACE_DIGESTS.items():
+            config = ServingConfig(traffic=shape, rate_rps=35.0, requests=700)
+            assert _digest(traffic_trace(config)) == pinned, shape
+
 
 class TestServingConfig:
     def test_defaults_are_valid(self):
@@ -140,6 +196,27 @@ class TestServingConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ServingConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", [
+        "rate_rps", "diurnal_period_s", "burst_every_s", "burst_len_s",
+        "burst_factor", "idle_expiry_s", "request_overhead_s",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        # `nan <= 0` is false, so a NaN walked past every range check.
+        with pytest.raises(ConfigurationError):
+            ServingConfig(**{field: value})
+
+    def test_traffic_errors_name_the_cli_flag(self):
+        # One validator behind the config and the generator, worded like
+        # the rest of ServingConfig's checks.
+        with pytest.raises(ConfigurationError, match="--rate-rps must be > 0"):
+            ServingConfig(rate_rps=float("nan"))
+        with pytest.raises(ConfigurationError, match="--requests must be >= 1"):
+            request_arrivals(0, "poisson", 1.0, 0)
+        # An unknown shape is reported before an unknown autoscaler, as before.
+        with pytest.raises(ConfigurationError, match="unknown traffic shape"):
+            ServingConfig(traffic="square_wave", autoscaler="psychic")
 
     def test_hash_is_stable_and_sensitive(self):
         a, b = ServingConfig(), ServingConfig()
@@ -492,3 +569,248 @@ class TestFigVStudy:
         text = format_report(serve_pipeline(artifacts))
         assert "bursty tail" in text
         assert "end-to-end" in text
+
+
+# ---------------------------------------------------------------------------
+# Pool accounting: the maintained counters / idle index against the scans
+# ---------------------------------------------------------------------------
+def _idle_key(replica):
+    return (replica.idle_since, replica.id)
+
+
+class ScanOracle:
+    """The pool queries as whole-pool scans — the pre-index logic, kept
+    only here as the reference the maintained state is held against."""
+
+    def __init__(self, runtime) -> None:
+        self.runtime = runtime
+
+    def live(self):
+        return [r for r in self.runtime._replicas if r.state != "retired"]
+
+    def idle(self):
+        return [r for r in self.runtime._replicas if r.state == "idle"]
+
+    def state(self) -> PoolState:
+        live = self.live()
+        return PoolState(
+            queued=len(self.runtime._queue),
+            in_flight=sum(1 for r in live if r.state == "busy"),
+            live=len(live),
+            idle=sum(1 for r in live if r.state == "idle"),
+        )
+
+    def next_replica(self):
+        return max(self.idle(), key=_idle_key)
+
+    def victims(self, desired: int):
+        live = self.live()
+        if self.runtime.platform.kind != "iaas" or len(live) <= desired:
+            return []
+        return sorted(self.idle(), key=_idle_key)[: len(live) - desired]
+
+
+class CheckedRuntime(ServingRuntime):
+    """A ServingRuntime that checks itself against :class:`ScanOracle` in
+    every ``_pump`` (the replica each request goes to, FIFO order) and
+    around every ``_reconcile``, with which each pump ends (the state the
+    policy is shown, the scale-down victims, the peak, and afterwards the
+    counters and the index order)."""
+
+    def __init__(self, config, entry) -> None:
+        super().__init__(config, entry)
+        self.oracle = ScanOracle(self)
+        self.pool_checks = 0
+        self.assignments = 0
+        self.scale_downs = 0
+        self.widest_tie = 0  # replicas idle since the same instant > 0
+        self._oracle_peak = 0
+        self._expected_victims: list = []
+        self._victims: list | None = None
+        policy = self._autoscaler.desired
+
+        def desired(state, now):
+            assert state == self.oracle.state()
+            want = policy(state, now)
+            self._expected_victims = self.oracle.victims(want)
+            return want
+
+        self._autoscaler.desired = desired
+
+    def _check_pool(self) -> None:
+        self.pool_checks += 1
+        assert self._state() == self.oracle.state()
+        assert [e[:2] for e in self._idle_index] == sorted(
+            map(_idle_key, self.oracle.idle())
+        )
+        assert all(e[2] is self._replicas[e[1]] for e in self._idle_index)
+        ties = Counter(e[0] for e in self._idle_index if e[0] > 0)
+        self.widest_tie = max(self.widest_tie, *ties.values(), 0)
+
+    def _transition(self, replica, state) -> None:
+        if state == "retired" and self._victims is not None:
+            self._victims.append(replica)
+        super()._transition(replica, state)
+
+    def _assign(self, replica, request) -> None:
+        assert replica is self.oracle.next_replica()
+        assert request.index == self.assignments  # FIFO
+        self.assignments += 1
+        super()._assign(replica, request)
+
+    def _reconcile(self) -> None:
+        self._victims = []
+        super()._reconcile()
+        assert self._victims == self._expected_victims
+        self.scale_downs += len(self._victims)
+        self._victims = None
+        self._oracle_peak = max(self._oracle_peak, len(self.oracle.live()))
+        assert self._peak_live == self._oracle_peak
+        self._check_pool()
+
+
+ADVERSARIAL_CELLS = {
+    # Keep-warm leases of 2 s under a rate swinging 20 <-> 3980 r/s: the
+    # pool fills to its cap, most of it expires in the trough and is
+    # provisioned again on the next crest.
+    "faas_churn": dict(
+        platform="faas", traffic="diurnal", autoscaler="concurrency",
+        idle_expiry_s=2.0, max_replicas=256, rate_rps=2000.0, requests=12000,
+        diurnal_period_s=5.0, diurnal_amplitude=0.99, target_concurrency=1.0,
+    ),
+    # Short cooldowns and slow requests: the queue-depth policy steps up
+    # in every burst and back down after it, so the IaaS scale-down
+    # branch retires replicas throughout the run.
+    "iaas_scale_down": dict(
+        platform="iaas", traffic="bursty", autoscaler="queue_depth",
+        scale_up_cooldown_s=0.5, scale_down_cooldown_s=3.0, min_replicas=1,
+        max_replicas=16, rate_rps=6.0, requests=2000, burst_every_s=20.0,
+        burst_len_s=4.0, request_overhead_s=0.2,
+    ),
+    # Eight jitter-free cold starts come up at one instant over a
+    # backlog and then complete in lockstep: `idle_since` ties, broken
+    # by id, once the queue drains.
+    "same_instant": dict(
+        platform="faas", traffic="poisson", autoscaler="fixed", min_replicas=8,
+        max_replicas=8, rate_rps=200.0, requests=1200, cold_jitter=0.0,
+    ),
+}
+
+#: sha256 of json.dumps([records, pool], sort_keys=True), computed on the
+#: commit before the pool index existed (whole-pool scans).
+PINNED_DIGESTS = {
+    "faas_churn": "50f966d89687cf5594c9c051d0a3aff60a3487f77581da12a81e2ae2eec2b720",
+    "iaas_scale_down": "7d3bd36cca0d3a135cce01dd1ad2307b456c396de8277819a8d6ecfb21035856",
+    "same_instant": "bb397c256bccac4e0dc5c3de9d4646ba52d2ae63a59b21e6b46ca7b808aa1ffd",
+    "panel_iaas_bursty_concurrency": "b9f472c93cd4cf6bd70ed5a0516d5f1e05b313dae89e9f8e734f729e848057fb",
+}
+
+
+def panel_config(platform, traffic, autoscaler, seed) -> ServingConfig:
+    return ServingConfig(
+        platform=platform, traffic=traffic, autoscaler=autoscaler, seed=seed,
+        requests=1000, rate_rps=20.0, max_replicas=16,
+        min_replicas=SERVE_MIN_REPLICAS[platform],
+    )
+
+
+def pinned_config(name: str) -> ServingConfig:
+    if name in ADVERSARIAL_CELLS:
+        return ServingConfig(**ADVERSARIAL_CELLS[name])
+    return panel_config("iaas", "bursty", "concurrency", seed=7)
+
+
+class TestPoolIndex:
+    @pytest.mark.parametrize("seed", [7, 20210620])
+    @pytest.mark.parametrize("autoscaler", ["fixed", "concurrency", "queue_depth"])
+    @pytest.mark.parametrize("traffic", ["poisson", "diurnal", "bursty"])
+    @pytest.mark.parametrize("platform", ["faas", "iaas", "gpu_iaas"])
+    def test_panel_matches_scan_oracle(self, platform, traffic, autoscaler, seed):
+        config = panel_config(platform, traffic, autoscaler, seed)
+        runtime = CheckedRuntime(config, nn_entry())
+        records, _ = runtime.run()
+        assert runtime.assignments == len(records) == config.requests
+        assert runtime.pool_checks > 2 * config.requests  # arrival + completion
+
+    def test_churning_faas_pool(self):
+        runtime = CheckedRuntime(pinned_config("faas_churn"), nn_entry())
+        records, pool = runtime.run()
+        retired = sum(1 for r in runtime._replicas if r.state == "retired")
+        # The premise: the cap was hit, replicas expired, and expired
+        # capacity was provisioned again.
+        assert pool["peak_replicas"] == 256
+        assert pool["replicas_provisioned"] > 256 and retired > 100
+        assert _digest([records, pool]) == PINNED_DIGESTS["faas_churn"]
+
+    def test_iaas_scale_down_retires_longest_idle(self):
+        runtime = CheckedRuntime(pinned_config("iaas_scale_down"), nn_entry())
+        records, pool = runtime.run()
+        assert runtime.scale_downs > 20  # the branch really ran
+        assert pool["replicas_provisioned"] > 16
+        assert _digest([records, pool]) == PINNED_DIGESTS["iaas_scale_down"]
+
+    def test_same_instant_completions_tie_on_idle_since(self):
+        runtime = CheckedRuntime(pinned_config("same_instant"), nn_entry())
+        records, pool = runtime.run()
+        completions = [r["completion_s"] for r in records]
+        assert len(completions) - len(set(completions)) > 100
+        assert runtime.widest_tie >= 2  # ties reached the idle index
+        assert _digest([records, pool]) == PINNED_DIGESTS["same_instant"]
+
+    def test_transition_keeps_index_sorted_whatever_the_order(self):
+        # No run idles a higher id before a lower one at one instant, so
+        # drive the transition method directly: the index is ordered by
+        # (idle_since, id), not by arrival.
+        runtime = ServingRuntime(
+            ServingConfig(platform="iaas", autoscaler="fixed", min_replicas=4),
+            nn_entry(),
+        )
+        for _ in range(4):
+            runtime._provision(cold=False)
+        replicas = runtime._replicas
+        for state in ("busy", "idle"):
+            for replica in reversed(replicas):
+                runtime._transition(replica, state)
+        assert [e[2] for e in runtime._idle_index] == replicas
+        assert runtime._state() == PoolState(queued=0, in_flight=0, live=4, idle=4)
+        runtime._transition(replicas[1], "retired")
+        runtime._transition(replicas[3], "busy")
+        assert [e[1] for e in runtime._idle_index] == [0, 2]
+        assert runtime._state() == PoolState(queued=0, in_flight=1, live=3, idle=2)
+
+    def test_pinned_panel_cell(self):
+        records, pool = ServingRuntime(
+            pinned_config("panel_iaas_bursty_concurrency"), nn_entry()
+        ).run()
+        assert _digest([records, pool]) == PINNED_DIGESTS[
+            "panel_iaas_bursty_concurrency"
+        ]
+
+    def test_pool_is_never_rescanned(self):
+        """The complexity guard reads no clock: it counts whole-pool walks."""
+
+        class CountingList(list):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        outputs = []
+        for fleet in (8, 512):
+            runtime = ServingRuntime(
+                ServingConfig(
+                    platform="iaas", autoscaler="fixed", min_replicas=fleet,
+                    max_replicas=fleet, rate_rps=2000.0, requests=5000,
+                ),
+                nn_entry(),
+            )
+            runtime._replicas = CountingList()
+            records, pool = runtime.run()
+            assert len(runtime._replicas) == fleet
+            assert runtime._replicas.walks == 1  # the `_settle` pass
+            outputs.append([r["arrival_s"] for r in records])
+        assert outputs[0] == outputs[1]  # the same 5,000 requests
+        # The scans cannot come back under their old names.
+        for name in ("_live", "_idle"):
+            assert not hasattr(runtime, name)
