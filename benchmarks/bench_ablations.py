@@ -1,15 +1,13 @@
 """Ablations over LambdaML's design choices (beyond the paper's tables).
 
-DESIGN.md calls out several constants the system is sensitive to; these
-benches quantify each one on the LR/Higgs workload:
+The system is sensitive to several constants; these benches quantify
+each one on the LR/Higgs workload:
 
 * ADMM local scans per round (communication/computation tradeoff);
 * Lambda memory size (vCPU share scales with memory);
 * ElastiCache node type (bandwidth tiers);
 * synchronous-protocol poll interval (storage polling overhead).
 """
-
-from conftest import once
 
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
@@ -35,8 +33,8 @@ def _sweep_admm_scans():
     return rows
 
 
-def test_ablation_admm_scans(benchmark, write_report):
-    rows = once(benchmark, _sweep_admm_scans)
+def test_ablation_admm_scans(write_report):
+    rows = _sweep_admm_scans()
     report = format_table(
         "Ablation — ADMM local scans per round (LR, Higgs, W=10)",
         ["scans", "converged", "rounds", "epochs", "time(s)", "cost($)"],
@@ -59,8 +57,8 @@ def _sweep_lambda_memory():
     return rows
 
 
-def test_ablation_lambda_memory(benchmark, write_report):
-    rows = once(benchmark, _sweep_lambda_memory)
+def test_ablation_lambda_memory(write_report):
+    rows = _sweep_lambda_memory()
     report = format_table(
         "Ablation — Lambda memory size (vCPU share), 10 fixed epochs",
         ["memory (GB)", "compute(s)", "time(s)", "cost($)"],
@@ -90,8 +88,8 @@ def _sweep_cache_nodes():
     return rows
 
 
-def test_ablation_cache_node(benchmark, write_report):
-    rows = once(benchmark, _sweep_cache_nodes)
+def test_ablation_cache_node(write_report):
+    rows = _sweep_cache_nodes()
     report = format_table(
         "Ablation — ElastiCache node tier (MobileNet, 1 epoch)",
         ["node", "comm(s)", "time(s)", "cost($)"],
@@ -115,8 +113,8 @@ def _sweep_poll_interval():
     return rows
 
 
-def test_ablation_poll_interval(benchmark, write_report):
-    rows = once(benchmark, _sweep_poll_interval)
+def test_ablation_poll_interval(write_report):
+    rows = _sweep_poll_interval()
     report = format_table(
         "Ablation — synchronous-protocol poll interval (MA-SGD, 5 epochs)",
         ["poll (s)", "wait+merge (s)", "time(s)"],

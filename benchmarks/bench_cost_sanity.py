@@ -1,17 +1,14 @@
 """Section 5.1.1: COST sanity check (1 machine vs 10 workers)."""
 
-from conftest import once
-
 from repro.experiments import cost_sanity
+from repro.sweep.orchestrator import run_sweep
 
 
-def test_cost_sanity(benchmark, write_report):
-    rows = once(
-        benchmark,
-        cost_sanity.run,
-        cases=[("lr", "higgs"), ("svm", "higgs"), ("kmeans", "higgs")],
-        max_epochs=30,
-    )
+def test_cost_sanity(write_report):
+    points = []
+    for model, dataset in [("lr", "higgs"), ("svm", "higgs"), ("kmeans", "higgs")]:
+        points += cost_sanity.case_points(model, dataset, max_epochs=30)
+    rows = cost_sanity.aggregate(run_sweep(points).artifacts)
     report = cost_sanity.format_report(rows)
     write_report("cost_sanity", report)
     # Paper: ~9-10x on the convex Higgs workloads; we require real,

@@ -1,9 +1,9 @@
 """Figure 10: runtime breakdown, LR on Higgs, W=10, 10 epochs."""
 
 import pytest
-from conftest import once
 
 from repro.experiments import fig10_breakdown
+from repro.sweep.orchestrator import run_sweep
 
 # Paper-reported seconds: (startup, load, compute, comm, total).
 PAPER = {
@@ -14,8 +14,9 @@ PAPER = {
 }
 
 
-def test_fig10_breakdown(benchmark, write_report):
-    rows = once(benchmark, fig10_breakdown.run, epochs=10.0, workers=10)
+def test_fig10_breakdown(write_report):
+    points = fig10_breakdown.sweep_points(max_epochs=10.0, workers=10)
+    rows = fig10_breakdown.aggregate(run_sweep(points).artifacts)
     report = fig10_breakdown.format_report(rows)
     write_report("fig10_breakdown", report)
 

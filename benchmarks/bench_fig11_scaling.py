@@ -1,26 +1,20 @@
 """Figure 11: runtime vs cost as worker counts scale."""
 
-from conftest import once
-
 from repro.experiments import fig11_scaling
+from repro.sweep.orchestrator import run_sweep
 
 
-def _run_both():
-    lr = fig11_scaling.run_lr_higgs(
+def test_fig11_scaling(write_report):
+    points = fig11_scaling.lr_higgs_points(
         faas_workers=(10, 30, 50, 100),
         iaas_workers=(1, 2, 5, 10, 20),
         max_epochs=40,
-    )
-    mn = fig11_scaling.run_mobilenet(
+    ) + fig11_scaling.mobilenet_points(
         faas_workers=(5, 10, 20),
         gpu_workers=(1, 2, 5, 10),
         max_epochs=6,
     )
-    return [lr, mn]
-
-
-def test_fig11_scaling(benchmark, write_report):
-    profiles = once(benchmark, _run_both)
+    profiles = fig11_scaling.aggregate(run_sweep(points).artifacts)
     report = fig11_scaling.format_report(profiles)
     write_report("fig11_scaling", report)
 

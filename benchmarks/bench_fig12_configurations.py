@@ -1,14 +1,12 @@
 """Figure 12: runtime/cost scatter across instance types and learning rates."""
 
-from conftest import once
-
 from repro.experiments import fig12_configurations
+from repro.sweep.orchestrator import run_sweep
 
 
-def test_fig12_configurations(benchmark, write_report):
-    scatters = once(
-        benchmark, fig12_configurations.run, workers_cap=50, max_epochs=20
-    )
+def test_fig12_configurations(write_report):
+    points = fig12_configurations.sweep_points(workers_cap=50, max_epochs=20)
+    scatters = fig12_configurations.aggregate(run_sweep(points).artifacts)
     report = fig12_configurations.format_report(scatters)
     write_report("fig12_configurations", report)
 

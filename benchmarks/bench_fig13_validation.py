@@ -1,20 +1,17 @@
 """Figure 13: analytical-model validation + sampling estimator."""
 
-from conftest import once
-
 from repro.experiments import fig13_validation
+from repro.sweep.orchestrator import run_sweep
 
 
-def _run_both():
-    points = fig13_validation.run_fixed_epochs(epoch_grid=(1, 5, 10, 25, 50), workers=10)
-    estimates = fig13_validation.run_estimator(
+def test_fig13_validation(write_report):
+    grid = fig13_validation.fixed_epoch_points(
+        epoch_grid=(1, 5, 10, 25, 50), workers=10
+    ) + fig13_validation.estimator_points(
         cases=(("lr", "higgs"), ("svm", "higgs")), algorithms=("ma_sgd", "admm")
     )
-    return points, estimates
-
-
-def test_fig13_validation(benchmark, write_report):
-    points, estimates = once(benchmark, _run_both)
+    result = fig13_validation.aggregate(run_sweep(grid).artifacts)
+    points, estimates = result.fixed, result.estimator
     report = fig13_validation.format_report(points, estimates)
     write_report("fig13_validation", report)
 

@@ -1,12 +1,10 @@
 """Figure 14 (Q1): 10 Gbps FaaS<->IaaS what-if (analytical)."""
 
-from conftest import once
-
 from repro.experiments import fig14_fast_hybrid
 
 
-def test_fig14_fast_hybrid(benchmark, write_report):
-    rows = once(benchmark, fig14_fast_hybrid.run, workers_lr=100, workers_mn=10)
+def test_fig14_fast_hybrid(write_report):
+    rows = fig14_fast_hybrid.run(workers_lr=100, workers_mn=10)
     report = fig14_fast_hybrid.format_report(rows)
     write_report("fig14_fast_hybrid", report)
 

@@ -1,12 +1,10 @@
 """Figure 15 (Q2): hot data served from a VM (analytical)."""
 
-from conftest import once
-
 from repro.experiments import fig15_hot_data
 
 
-def test_fig15_hot_data(benchmark, write_report):
-    rows = once(benchmark, fig15_hot_data.run, workers_lr=100, workers_mn=10)
+def test_fig15_hot_data(write_report):
+    rows = fig15_hot_data.run(workers_lr=100, workers_mn=10)
     report = fig15_hot_data.format_report(rows)
     write_report("fig15_hot_data", report)
 

@@ -1,12 +1,10 @@
 """Figure 6: dataset inventory (logical specs + physical stand-ins)."""
 
-from conftest import once
-
 from repro.experiments import datasets_table
 
 
-def test_fig6_datasets(benchmark, write_report):
-    rows = once(benchmark, datasets_table.run)
+def test_fig6_datasets(write_report):
+    rows = datasets_table.run()
     report = datasets_table.format_report(rows)
     write_report("fig6_datasets", report)
     assert len(rows) == 5

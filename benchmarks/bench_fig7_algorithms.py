@@ -5,23 +5,21 @@ and the anti-scaling of GA-SGD appear well before 300); GA-SGD epoch
 caps keep the known-slow configurations bounded.
 """
 
-from conftest import once
-
 from repro.experiments import fig7_algorithms
+from repro.sweep.orchestrator import run_sweep
 
 WORKER_COUNTS = (10, 96)
 
 
-def test_fig7a_lr_higgs(benchmark, write_report):
-    comparison = once(
-        benchmark,
-        fig7_algorithms.run,
+def test_fig7a_lr_higgs(write_report):
+    points = fig7_algorithms.workload_points(
         model="lr",
         dataset="higgs",
         worker_counts=WORKER_COUNTS,
         max_epochs=40,
         ga_max_epochs=2,
     )
+    (comparison,) = fig7_algorithms.aggregate(run_sweep(points).artifacts)
     report = fig7_algorithms.format_report(comparison, WORKER_COUNTS)
     write_report("fig7a_lr_higgs", report)
     admm_speedup = comparison.speedup("admm", *WORKER_COUNTS)
@@ -32,16 +30,15 @@ def test_fig7a_lr_higgs(benchmark, write_report):
     assert admm_speedup > ga_speedup
 
 
-def test_fig7b_svm_higgs(benchmark, write_report):
-    comparison = once(
-        benchmark,
-        fig7_algorithms.run,
+def test_fig7b_svm_higgs(write_report):
+    points = fig7_algorithms.workload_points(
         model="svm",
         dataset="higgs",
         worker_counts=WORKER_COUNTS,
         max_epochs=40,
         ga_max_epochs=2,
     )
+    (comparison,) = fig7_algorithms.aggregate(run_sweep(points).artifacts)
     report = fig7_algorithms.format_report(comparison, WORKER_COUNTS)
     write_report("fig7b_svm_higgs", report)
     assert comparison.speedup("admm", *WORKER_COUNTS) > comparison.speedup(
@@ -49,16 +46,15 @@ def test_fig7b_svm_higgs(benchmark, write_report):
     )
 
 
-def test_fig7c_mobilenet_cifar10(benchmark, write_report):
-    comparison = once(
-        benchmark,
-        fig7_algorithms.run,
+def test_fig7c_mobilenet_cifar10(write_report):
+    points = fig7_algorithms.workload_points(
         model="mobilenet",
         dataset="cifar10",
         worker_counts=(10, 50),
         max_epochs=3,
         ga_max_epochs=3,
     )
+    (comparison,) = fig7_algorithms.aggregate(run_sweep(points).artifacts)
     report = fig7_algorithms.format_report(comparison, (10, 50))
     write_report("fig7c_mobilenet_cifar10", report)
     ga = comparison.results[("ga_sgd", 10)]

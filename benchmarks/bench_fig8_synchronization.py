@@ -1,17 +1,15 @@
 """Figure 8: synchronous vs asynchronous protocols."""
 
-from conftest import once
-
 from repro.experiments import fig8_synchronization
+from repro.sweep.orchestrator import run_sweep
 
 
-def test_fig8_synchronization(benchmark, write_report):
-    comparisons = once(
-        benchmark,
-        fig8_synchronization.run,
+def test_fig8_synchronization(write_report):
+    points = fig8_synchronization.sweep_points(
         max_epochs=6,
         cases=[("lr", "higgs", 10), ("lr", "rcv1", 5)],
     )
+    comparisons = fig8_synchronization.aggregate(run_sweep(points).artifacts)
     report = fig8_synchronization.format_report(comparisons)
     write_report("fig8_synchronization", report)
 

@@ -1,8 +1,7 @@
 """Figure 9: end-to-end systems comparison (scaled worker counts)."""
 
-from conftest import once
-
 from repro.experiments import fig9_end_to_end
+from repro.sweep.orchestrator import run_sweep
 
 # The full panel list with worker counts capped at 20 and epoch caps
 # so the sweep finishes in CI time; Criteo and ResNet50 are covered by
@@ -21,10 +20,11 @@ PANELS = [
 ]
 
 
-def test_fig9_end_to_end(benchmark, write_report):
-    panels = once(
-        benchmark, fig9_end_to_end.run, panels=PANELS, workers_cap=50, max_epochs=20
+def test_fig9_end_to_end(write_report):
+    points = fig9_end_to_end.sweep_points(
+        panels=PANELS, workers_cap=50, max_epochs=20
     )
+    panels = fig9_end_to_end.aggregate(run_sweep(points).artifacts)
     report = fig9_end_to_end.format_report(panels)
     write_report("fig9_end_to_end", report)
 

@@ -1,12 +1,12 @@
 """Table 1: communication channels (S3 / Memcached / DynamoDB / VM-PS)."""
 
-from conftest import once
-
 from repro.experiments import table1_channels
+from repro.sweep.orchestrator import run_sweep
 
 
-def test_table1_channels(benchmark, write_report):
-    rows = once(benchmark, table1_channels.run, scaled=True)
+def test_table1_channels(write_report):
+    points = table1_channels.sweep_points(scaled=True)
+    rows = table1_channels.aggregate(run_sweep(points).artifacts)
     report = table1_channels.format_report(rows)
     write_report("table1_channels", report)
 

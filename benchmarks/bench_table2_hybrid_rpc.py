@@ -1,7 +1,6 @@
 """Table 2: Lambda <-> VM parameter-server RPC micro-benchmark."""
 
 import pytest
-from conftest import once
 
 from repro.experiments import table2_hybrid_rpc
 
@@ -16,8 +15,8 @@ PAPER_GRPC_TRANSFER = {
 }
 
 
-def test_table2_hybrid_rpc(benchmark, write_report):
-    rows = once(benchmark, table2_hybrid_rpc.run)
+def test_table2_hybrid_rpc(write_report):
+    rows = table2_hybrid_rpc.run()
     report = table2_hybrid_rpc.format_report(rows)
     write_report("table2_hybrid_rpc", report)
 

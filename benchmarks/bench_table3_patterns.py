@@ -1,12 +1,10 @@
 """Table 3: AllReduce vs ScatterReduce over S3."""
 
-from conftest import once
-
 from repro.experiments import table3_patterns
 
 
-def test_table3_patterns(benchmark, write_report):
-    rows = once(benchmark, table3_patterns.run)
+def test_table3_patterns(write_report):
+    rows = table3_patterns.run()
     report = table3_patterns.format_report(rows)
     write_report("table3_patterns", report)
 

@@ -1,17 +1,17 @@
 """Table 5: ML pipelines (preprocessing + learning-rate grid search)."""
 
-from conftest import once
-
 from repro.experiments import table5_pipeline
+from repro.sweep.orchestrator import run_sweep
 
 
-def test_table5_pipeline(benchmark, write_report):
-    rows = once(
-        benchmark,
-        table5_pipeline.run,
-        epochs_per_job=10.0,
-        grid=[0.01, 0.03, 0.05, 0.08, 0.1],  # 5-point grid keeps CI fast
-    )
+def test_table5_pipeline(write_report):
+    points = []
+    for model, dataset in table5_pipeline.CASES:
+        points += table5_pipeline.case_points(
+            model, dataset, epochs_per_job=10.0,
+            grid=[0.01, 0.03, 0.05, 0.08, 0.1],  # 5-point grid keeps CI fast
+        )
+    rows = table5_pipeline.aggregate(run_sweep(points).artifacts)
     report = table5_pipeline.format_report(rows)
     write_report("table5_pipeline", report)
 

@@ -1,13 +1,12 @@
 """Table 6: analytical-model constants re-measured from the substrate."""
 
 import pytest
-from conftest import once
 
 from repro.experiments import table6_constants
 
 
-def test_table6_constants(benchmark, write_report):
-    rows = once(benchmark, table6_constants.run)
+def test_table6_constants(write_report):
+    rows = table6_constants.run()
     report = table6_constants.format_report(rows)
     write_report("table6_constants", report)
     for row in rows:

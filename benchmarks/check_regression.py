@@ -19,25 +19,15 @@ applies two checks against the record committed in ``BENCH_engine.json``:
    a backstop for uniform constant-factor slowdowns. Deliberately
    generous because the baseline was measured on a dev machine and CI
    runner cores vary; each point takes the best of ``--repeats`` runs
-   (points at w >= 512 run once — at ~10-45 s apiece, repeating them
+   (points at w >= 512 run once — at ~6-27 s apiece, repeating them
    would dominate the CI job for noise-reduction the ratio gates
    don't need).
-
-It also sanity-checks the *shape* of ``BENCH_sweep.json`` (the sweep
-acceptance record): both the original per-point schema and the
-``substrate`` section added with the record/replay sweeps must parse
-and carry their required keys, so a malformed benchmark commit fails
-CI instead of silently rotting. No sweep is re-run here — full-scale
-sweep points cost minutes each; regenerate with
-``benchmarks/bench_substrate_replay.py`` (or, for the ``service``
-section, ``benchmarks/bench_service_schedulers.py``) when the numbers
-change.
 
 Run locally::
 
     PYTHONPATH=src python benchmarks/check_regression.py
 
-Exit code 0 = within budget, 1 = regression, 2 = bad baseline file.
+Exit code 0 = within budget, 1 = regression, 2 = unreadable baseline.
 """
 
 from __future__ import annotations
@@ -52,326 +42,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_engine_microbench import run_round  # noqa: E402
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-DEFAULT_SWEEP_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
-
-# Required keys per section of BENCH_sweep.json. The file grows fields
-# freely (unknown keys are tolerated by design — that is the point of
-# this check being shape-based); these are the ones reports and future
-# regressions dereference.
-_SWEEP_POINT_KEYS = {"workers", "config_hash", "simulated_runtime_s",
-                     "cost_dollars", "converged", "host_wall_seconds"}
-_SWEEP_SUBSTRATE_KEYS = {"points", "unique_stat_fingerprints", "exact_trainings",
-                         "exact_training_reduction", "replayed_points",
-                         "exact_point_wall_seconds_mean",
-                         "replay_point_wall_seconds_mean",
-                         "artifacts_bit_identical"}
-_SWEEP_RELIABILITY_KEYS = {"points", "unique_stat_fingerprints",
-                           "traces_recorded", "replayed_points", "series"}
-_RELIABILITY_ROW_KEYS = {"crash_rate_per_hour", "storage_error_rate",
-                         "runtime_s", "cost_dollars", "overhead_s",
-                         "overhead_dollars", "crashes"}
-_RELIABILITY_SERIES = {"faas-crash", "iaas-crash", "faas-storage", "faas-interval"}
-_SWEEP_FUZZ_KEYS = {"seed", "budget", "scenarios", "checks_per_invariant",
-                    "checks_total", "campaign_wall_seconds"}
-_SWEEP_SERVICE_KEYS = {"tenants", "rate_per_hour", "seed", "max_concurrent",
-                       "schedulers"}
-_SWEEP_MEGA_KEYS = {"note", "command", "workers", "host_wall_seconds"}
-_SERVICE_METRIC_KEYS = {"jobs", "p50_completion_s", "p99_completion_s",
-                        "mean_completion_s", "mean_queue_s", "total_cost",
-                        "cost_per_job", "mean_slowdown", "max_slowdown",
-                        "fairness_jain", "makespan_s", "converged_jobs"}
-_SERVICE_SCHEDULERS = {"fifo", "fair_share", "cost_aware", "adaptive"}
-_SWEEP_SERVING_KEYS = {"requests", "rate_rps", "seed", "models", "panel"}
-_SERVING_CELL_KEYS = {"model", "platform", "traffic", "autoscaler",
-                      "p50_latency_s", "p99_latency_s", "p999_latency_s",
-                      "cold_start_fraction", "utilization",
-                      "cost_per_1m_requests", "end_to_end_dollars"}
-_SERVING_PLATFORMS = {"faas", "iaas", "gpu_iaas"}
-
-
-def check_sweep_baseline(path: Path) -> list[str]:
-    """Shape-validate BENCH_sweep.json; returns problem descriptions."""
-    if not path.exists():
-        return []  # nothing recorded yet: nothing to validate
-    try:
-        baseline = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path.name}: unreadable JSON ({exc})"]
-    problems = []
-    points = baseline.get("points")
-    if not isinstance(points, dict) or not points:
-        problems.append(f"{path.name}: 'points' must be a non-empty object")
-    else:
-        for key, record in points.items():
-            if not isinstance(record, dict):
-                problems.append(f"{path.name}: point {key} is not an object")
-                continue
-            missing = _SWEEP_POINT_KEYS - record.keys()
-            if missing:
-                problems.append(
-                    f"{path.name}: point {key} missing {sorted(missing)}"
-                )
-    substrate = baseline.get("substrate")
-    if substrate is not None:  # optional until the replay bench has run
-        if not isinstance(substrate, dict):
-            problems.append(f"{path.name}: 'substrate' must be an object")
-            return problems
-        missing = _SWEEP_SUBSTRATE_KEYS - substrate.keys()
-        if missing:
-            problems.append(
-                f"{path.name}: 'substrate' section missing {sorted(missing)}"
-            )
-        elif not substrate["artifacts_bit_identical"]:
-            problems.append(
-                f"{path.name}: 'substrate' records non-identical replay "
-                "artifacts — the recorded run was invalid"
-            )
-    problems.extend(_check_reliability_section(path, baseline.get("reliability")))
-    problems.extend(_check_fuzz_section(path, baseline.get("fuzz_campaign")))
-    problems.extend(_check_service_section(path, baseline.get("service")))
-    problems.extend(_check_serving_section(path, baseline.get("serving")))
-    problems.extend(_check_mega_section(path, baseline))
-    return problems
-
-
-def _check_serving_section(path: Path, serving) -> list[str]:
-    """Shape-validate the figV train-then-serve panel record."""
-    if serving is None:  # optional until the serving bench has run
-        return []
-    if not isinstance(serving, dict):
-        return [f"{path.name}: 'serving' must be an object"]
-    missing = _SWEEP_SERVING_KEYS - serving.keys()
-    if missing:
-        return [f"{path.name}: 'serving' section missing {sorted(missing)}"]
-    panel = serving["panel"]
-    if not isinstance(panel, list) or not panel:
-        return [f"{path.name}: 'serving' panel must be a non-empty list"]
-    problems = []
-    for cell in panel:
-        if not isinstance(cell, dict):
-            problems.append(f"{path.name}: serving panel cell is not an object")
-            continue
-        missing = _SERVING_CELL_KEYS - cell.keys()
-        if missing:
-            problems.append(
-                f"{path.name}: serving cell missing {sorted(missing)}"
-            )
-            continue
-        where = (f"{cell['model']}/{cell['platform']}/"
-                 f"{cell['traffic']}/{cell['autoscaler']}")
-        if cell["platform"] not in _SERVING_PLATFORMS:
-            problems.append(
-                f"{path.name}: serving cell {where} has unknown platform"
-            )
-        if not (cell["p50_latency_s"] <= cell["p99_latency_s"]
-                <= cell["p999_latency_s"]):
-            problems.append(
-                f"{path.name}: serving cell {where} has unordered "
-                "latency percentiles"
-            )
-        if not 0.0 <= cell["cold_start_fraction"] <= 1.0 \
-                or not 0.0 <= cell["utilization"] <= 1.0:
-            problems.append(
-                f"{path.name}: serving cell {where} has a fraction "
-                "outside [0, 1]"
-            )
-        if cell["cost_per_1m_requests"] <= 0 or cell["end_to_end_dollars"] <= 0:
-            problems.append(
-                f"{path.name}: serving cell {where} records free serving — "
-                "simulated requests are never free"
-            )
-        if cell["cold_start_fraction"] > 0 and cell["platform"] != "faas":
-            if cell["autoscaler"] == "fixed":
-                problems.append(
-                    f"{path.name}: serving cell {where} cold-starts on a "
-                    "pre-booted always-on fleet"
-                )
-    # The headline finding figV exists to report: bursty traffic on FaaS
-    # must show a cold-start tail that the always-on fleet doesn't have.
-    # The record is deterministic (seeded traffic), so this inequality
-    # is a property of the committed numbers, not of the CI machine.
-    def _cell(platform, autoscaler):
-        for cell in panel:
-            if isinstance(cell, dict) and not (_SERVING_CELL_KEYS - cell.keys()) \
-                    and cell["model"] == "nn" and cell["traffic"] == "bursty" \
-                    and cell["platform"] == platform \
-                    and cell["autoscaler"] == autoscaler:
-                return cell
-        return None
-
-    faas, iaas = _cell("faas", "concurrency"), _cell("iaas", "fixed")
-    if faas is not None and iaas is not None:
-        if not (faas["p999_latency_s"] > iaas["p999_latency_s"]
-                and faas["cold_start_fraction"] > 0.0
-                and iaas["cold_start_fraction"] == 0.0):
-            problems.append(
-                f"{path.name}: the recorded bursty FaaS/IaaS pair shows no "
-                f"cold-start tail (p99.9 {faas['p999_latency_s']} vs "
-                f"{iaas['p999_latency_s']}, cold "
-                f"{faas['cold_start_fraction']} vs "
-                f"{iaas['cold_start_fraction']})"
-            )
-    return problems
-
-
-def _check_mega_section(path: Path, baseline: dict) -> list[str]:
-    """Shape-validate the mega-scale ceiling record (sweep --mega tail)."""
-    mega = baseline.get("mega")
-    if mega is None:  # optional until bench_fig11_mega has run
-        return []
-    if not isinstance(mega, dict):
-        return [f"{path.name}: 'mega' must be an object"]
-    missing = _SWEEP_MEGA_KEYS - mega.keys()
-    if missing:
-        return [f"{path.name}: 'mega' section missing {sorted(missing)}"]
-    problems = []
-    points = baseline.get("points") or {}
-    for workers in mega["workers"]:
-        if str(workers) not in points:
-            problems.append(
-                f"{path.name}: mega records W={workers} but 'points' has no "
-                "such entry — rerun benchmarks/bench_fig11_mega.py"
-            )
-    return problems
-
-
-def _check_service_section(path: Path, service) -> list[str]:
-    """Shape-validate the figS multi-tenant service scheduler record."""
-    if service is None:  # optional until the service bench has run
-        return []
-    if not isinstance(service, dict):
-        return [f"{path.name}: 'service' must be an object"]
-    missing = _SWEEP_SERVICE_KEYS - service.keys()
-    if missing:
-        return [f"{path.name}: 'service' section missing {sorted(missing)}"]
-    problems = []
-    schedulers = service["schedulers"]
-    if not isinstance(schedulers, dict) or len(schedulers) < 2:
-        return [f"{path.name}: 'service' needs >= 2 scheduler scorecards"]
-    unknown = schedulers.keys() - _SERVICE_SCHEDULERS
-    if unknown:
-        problems.append(f"{path.name}: unknown service schedulers {sorted(unknown)}")
-    for name, metrics in schedulers.items():
-        if not isinstance(metrics, dict):
-            problems.append(f"{path.name}: service scheduler {name} is not an object")
-            continue
-        missing = _SERVICE_METRIC_KEYS - metrics.keys()
-        if missing:
-            problems.append(
-                f"{path.name}: service scheduler {name} missing {sorted(missing)}"
-            )
-            continue
-        if metrics["jobs"] != service["tenants"]:
-            problems.append(
-                f"{path.name}: service scheduler {name} served "
-                f"{metrics['jobs']} of {service['tenants']} jobs"
-            )
-        if metrics["p50_completion_s"] > metrics["p99_completion_s"]:
-            problems.append(
-                f"{path.name}: service scheduler {name} has p50 > p99"
-            )
-        if metrics["mean_slowdown"] < 1.0 or metrics["cost_per_job"] <= 0:
-            problems.append(
-                f"{path.name}: service scheduler {name} records an impossible "
-                f"scorecard (mean_slowdown {metrics['mean_slowdown']}, "
-                f"$/job {metrics['cost_per_job']}) — contention cannot speed "
-                "jobs up and simulated jobs are never free"
-            )
-    # The headline finding figS exists to report: adaptive worker
-    # scaling must actually trade tail latency for $/job vs fifo. The
-    # record is deterministic (seeded arrivals), so this inequality is
-    # a property of the committed numbers, not of the CI machine.
-    fifo, adaptive = schedulers.get("fifo"), schedulers.get("adaptive")
-    if isinstance(fifo, dict) and isinstance(adaptive, dict) \
-            and not (_SERVICE_METRIC_KEYS - fifo.keys()) \
-            and not (_SERVICE_METRIC_KEYS - adaptive.keys()):
-        if not (adaptive["cost_per_job"] < fifo["cost_per_job"]
-                and adaptive["p99_completion_s"] > fifo["p99_completion_s"]):
-            problems.append(
-                f"{path.name}: the recorded fifo/adaptive pair shows no "
-                f"cost-vs-tail trade-off ($/job {fifo['cost_per_job']} -> "
-                f"{adaptive['cost_per_job']}, p99 {fifo['p99_completion_s']} "
-                f"-> {adaptive['p99_completion_s']})"
-            )
-    return problems
-
-
-def _check_fuzz_section(path: Path, fuzz) -> list[str]:
-    """Shape-validate the reference fuzz-campaign record."""
-    if fuzz is None:  # optional until the fuzz bench has run
-        return []
-    if not isinstance(fuzz, dict):
-        return [f"{path.name}: 'fuzz_campaign' must be an object"]
-    missing = _SWEEP_FUZZ_KEYS - fuzz.keys()
-    if missing:
-        return [f"{path.name}: 'fuzz_campaign' section missing {sorted(missing)}"]
-    problems = []
-    if fuzz["scenarios"] != fuzz["budget"]:
-        problems.append(
-            f"{path.name}: fuzz campaign checked {fuzz['scenarios']} of "
-            f"{fuzz['budget']} budgeted scenarios"
-        )
-    checks = fuzz["checks_per_invariant"]
-    if not isinstance(checks, dict) or checks.get("completes") != fuzz["budget"]:
-        problems.append(
-            f"{path.name}: 'completes' must run on every scenario "
-            f"(got {checks})"
-        )
-    if sum(checks.values()) != fuzz["checks_total"]:
-        problems.append(f"{path.name}: fuzz checks_total is inconsistent")
-    return problems
-
-
-def _check_reliability_section(path: Path, reliability) -> list[str]:
-    """Shape-validate the figR cost-of-reliability record."""
-    if reliability is None:  # optional until the figR bench has run
-        return []
-    if not isinstance(reliability, dict):
-        return [f"{path.name}: 'reliability' must be an object"]
-    problems = []
-    missing = _SWEEP_RELIABILITY_KEYS - reliability.keys()
-    if missing:
-        problems.append(
-            f"{path.name}: 'reliability' section missing {sorted(missing)}"
-        )
-        return problems
-    if reliability["unique_stat_fingerprints"] != 1:
-        problems.append(
-            f"{path.name}: reliability grid must share ONE statistical "
-            f"fingerprint (fault axes are systems axes), recorded "
-            f"{reliability['unique_stat_fingerprints']}"
-        )
-    if reliability["traces_recorded"] != 1:
-        problems.append(
-            f"{path.name}: reliability sweep should record exactly 1 trace, "
-            f"recorded {reliability['traces_recorded']}"
-        )
-    series = reliability["series"]
-    if not isinstance(series, dict) or not series:
-        problems.append(f"{path.name}: reliability 'series' must be non-empty")
-        return problems
-    unknown = series.keys() - _RELIABILITY_SERIES
-    if unknown:
-        problems.append(f"{path.name}: unknown reliability series {sorted(unknown)}")
-    for name, rows in series.items():
-        if not isinstance(rows, list) or not rows:
-            problems.append(f"{path.name}: reliability series {name} is empty")
-            continue
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"{path.name}: {name}[{i}] is not an object")
-                continue
-            missing = _RELIABILITY_ROW_KEYS - row.keys()
-            if missing:
-                problems.append(
-                    f"{path.name}: {name}[{i}] missing {sorted(missing)}"
-                )
-            elif row["overhead_s"] < 0:
-                problems.append(
-                    f"{path.name}: {name}[{i}] has negative overhead "
-                    f"({row['overhead_s']}s) — faults cannot speed a run up"
-                )
-    return problems
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -386,9 +56,6 @@ def main(argv: list[str] | None = None) -> int:
                         "the recorded ratio (machine-independent)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="runs per point; the best (min) is compared")
-    parser.add_argument("--sweep-baseline", type=Path, default=DEFAULT_SWEEP_BASELINE,
-                        help="sweep benchmark record to shape-validate "
-                        "(BENCH_sweep.json; skipped when absent)")
     args = parser.parse_args(argv)
 
     try:
@@ -397,14 +64,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
         return 2
-
-    sweep_problems = check_sweep_baseline(args.sweep_baseline)
-    if sweep_problems:
-        print("sweep benchmark record is malformed:", file=sys.stderr)
-        for line in sweep_problems:
-            print(f"  {line}", file=sys.stderr)
-        return 2
-    print(f"sweep baseline {args.sweep_baseline.name}: shape ok")
 
     failures = []
     measured: dict[int, float] = {}

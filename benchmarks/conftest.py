@@ -3,7 +3,7 @@
 Each benchmark regenerates one table/figure of the paper at a scale
 that finishes in seconds-to-minutes, then writes the formatted rows to
 `benchmarks/reports/<name>.txt` — those files are the reproduction
-record referenced by EXPERIMENTS.md.
+record. Per-test host seconds come from pytest.ini's `--durations`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,3 @@ def write_report(report_dir):
 
     return _write
 
-
-def once(benchmark, fn, *args, **kwargs):
-    """Run an expensive simulation exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -134,6 +134,30 @@ class Session:
             progress=self.progress,
         )
 
+    def _resolve(
+        self, study, max_epochs: float | None, seed: int | None
+    ) -> tuple[Study | None, list[SweepPoint], str]:
+        """Name / ``Study`` / scenario list -> (study, points, out name)."""
+        if isinstance(study, str):
+            study = get_study(study)
+        if isinstance(study, Study):
+            ctx = StudyContext(
+                max_epochs=max_epochs, seed=self.seed if seed is None else seed
+            )
+            return study, study.points(ctx=ctx), study.name
+        try:
+            items = list(study)
+        except TypeError:
+            raise ConfigurationError(
+                f"cannot sweep {type(study).__name__}: expected a study name, "
+                "a Study, or a list of Scenario/SweepPoint"
+            ) from None
+        points = [
+            p if isinstance(p, SweepPoint) else _as_scenario(p).point("adhoc")
+            for p in items
+        ]
+        return None, points, "adhoc"
+
     # -- verbs ------------------------------------------------------------
     def run(self, scenario, *, substrate: str | None = None) -> RunResult:
         """One simulated training job, cached under ``<root>/runs``."""
@@ -159,40 +183,21 @@ class Session:
         session's default ``resume=True`` a repeated call re-runs zero
         points.
         """
-        if isinstance(study, str):
-            study = get_study(study)
-        if isinstance(study, Study):
-            points = study.points(
-                ctx=StudyContext(
-                    max_epochs=max_epochs,
-                    seed=self.seed if seed is None else seed,
-                )
-            )
-            sweep_run = self._sweep(points, study.name, jobs=jobs, substrate=substrate)
-            return StudyOutcome(
-                run=sweep_run, result=study.aggregate(sweep_run.artifacts), study=study
-            )
-        points = [
-            p if isinstance(p, SweepPoint) else _as_scenario(p).point("adhoc")
-            for p in study
-        ]
-        sweep_run = self._sweep(points, "adhoc", jobs=jobs, substrate=substrate)
-        result = [
-            (a["label"], result_from_artifact(a)) for a in sweep_run.artifacts
-        ]
-        return StudyOutcome(run=sweep_run, result=result, study=None)
+        study, points, out_name = self._resolve(study, max_epochs, seed)
+        sweep_run = self._sweep(points, out_name, jobs=jobs, substrate=substrate)
+        if study is not None:
+            result = study.aggregate(sweep_run.artifacts)
+        else:
+            result = [
+                (a["label"], result_from_artifact(a)) for a in sweep_run.artifacts
+            ]
+        return StudyOutcome(run=sweep_run, result=result, study=study)
 
     def plan(self, study, *, max_epochs: float | None = None,
              seed: int | None = None) -> dict:
-        """The ``--dry-run`` accounting for a study, against this root."""
-        if isinstance(study, str):
-            study = get_study(study)
-        points = study.points(
-            ctx=StudyContext(
-                max_epochs=max_epochs, seed=self.seed if seed is None else seed
-            )
-        )
-        return plan_sweep(points, out_dir=self._dir(study.name), resume=self.resume)
+        """The ``--dry-run`` accounting for anything ``sweep`` accepts."""
+        _, points, out_name = self._resolve(study, max_epochs, seed)
+        return plan_sweep(points, out_dir=self._dir(out_name), resume=self.resume)
 
     def compare(
         self, scenarios, *, substrate: str | None = None

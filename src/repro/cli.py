@@ -46,6 +46,7 @@ import sys
 from typing import NamedTuple
 
 from repro.analytics.estimator import SamplingEstimator
+from repro.config import DEFAULT_SEED
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.experiments.workloads import WORKLOADS
@@ -166,7 +167,7 @@ def _add_estimate_parser(subparsers) -> None:
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--sample-fraction", type=float, default=0.1)
     p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20210620)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _run_estimate(args: argparse.Namespace) -> int:
@@ -224,7 +225,7 @@ def _add_sweep_parser(subparsers) -> None:
                    "existing artifact/trace counts, then exit without running")
     p.add_argument("--max-epochs", type=_positive_float, default=None,
                    help="override every point's epoch cap (scaled-down sweeps)")
-    p.add_argument("--seed", type=int, default=20210620)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--mega", action="store_true",
                    help="include the mega-scale grid tails (fig11: FaaS "
                    "W=1024/2048/4096) — opt-in so default sweeps and CI "

@@ -11,7 +11,6 @@ laptop-scale physical arrays.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 
 def stable_hash(text: str) -> int:
@@ -31,22 +30,10 @@ DEFAULT_SEED = 20210620  # SIGMOD'21 opening day.
 
 # Physical down-scaling factor applied to the paper's datasets: we keep
 # 1/SCALE of the instances *and* divide batch sizes by SCALE so that the
-# number of iterations per epoch is unchanged (see DESIGN.md section 2).
+# number of iterations per epoch is unchanged.
 DEFAULT_DATA_SCALE = 100
 
 # Simulated-polling granularity for the synchronous protocol's wait
 # loops (seconds). The paper polls the storage service for merged
 # files; we charge this much extra latency per wake-up.
 DEFAULT_POLL_INTERVAL_S = 0.05
-
-
-@dataclass(frozen=True)
-class ReproducibilityConfig:
-    """Bundle of determinism knobs threaded through experiments."""
-
-    seed: int = DEFAULT_SEED
-    data_scale: int = DEFAULT_DATA_SCALE
-
-    def child_seed(self, stream: str) -> int:
-        """Derive a per-stream seed so subsystems do not share RNG state."""
-        return (self.seed * 1_000_003 + stable_hash(stream)) % (2**31 - 1)

@@ -11,7 +11,7 @@ Each entry carries two layers of information:
 
 The physical data is 1/`default_scale` of the logical instance count;
 batch sizes are scaled by the same factor so iteration counts per epoch
-match the paper (see DESIGN.md).
+match the paper.
 """
 
 from __future__ import annotations

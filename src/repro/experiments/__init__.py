@@ -7,12 +7,13 @@ them by importing this package's modules, so ``repro.cli sweep
 --experiment <name>`` (and ``repro.api``'s ``Session.sweep``) covers
 the whole catalog with ``--jobs/--resume/--substrate auto``.
 
-Each module also keeps its legacy ``run(...)`` helper — now a thin shim
-routing through the sweep orchestrator, verified bit-identical to the
-old hand-rolled loops — returning plain data structures, with a
-``format_report(...)`` renderer mirroring the paper's tables. The
-benchmark harness in ``benchmarks/`` calls these with scaled-down
-settings; the functions also accept the full-scale parameters.
+The modules hold grids, aggregators and renderers only, and none
+imports the orchestrator: running one is the protocol itself — hand a
+grid function's points to the sweep orchestrator and its artifacts to
+``aggregate`` — which is how the figure scripts in ``benchmarks/`` call
+them at scaled-down settings (the grid functions also accept the
+full-scale parameters). ``format_report(...)`` mirrors the paper's
+tables. Analytical studies keep a ``run()`` that *is* their computation.
 """
 
 from repro.experiments.workloads import WORKLOADS, Workload, get_workload

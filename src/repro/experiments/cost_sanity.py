@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
 from repro.experiments.workloads import get_workload
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 CASES = [
@@ -43,7 +43,7 @@ class SanityRow:
 
 def case_points(
     model: str, dataset: str, workers: int = 10, max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """Baseline + FaaS + IaaS points for one workload."""
     workload = get_workload(model, dataset)
@@ -79,7 +79,7 @@ def case_points(
 
 
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     points = []
     for model, dataset in CASES:
@@ -111,21 +111,6 @@ def aggregate(artifacts: list[dict]) -> list[SanityRow]:
             )
         )
     return rows
-
-
-def run_case(
-    model: str, dataset: str, workers: int = 10, max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> SanityRow:
-    """One workload's sanity row (legacy shim)."""
-    points = case_points(
-        model, dataset, workers=workers, max_epochs=max_epochs, seed=seed
-    )
-    return aggregate(run_sweep(points).artifacts)[0]
-
-
-def run(cases=CASES, max_epochs: float | None = None, seed: int = 20210620):
-    return [run_case(m, d, max_epochs=max_epochs, seed=seed) for m, d in cases]
 
 
 def format_report(rows: list[SanityRow]) -> str:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import DEFAULT_SEED
 from repro.core.results import RunResult
 from repro.experiments.report import format_table
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 SYSTEMS = ("pytorch", "angel", "hybridps", "lambdaml")
@@ -47,7 +47,7 @@ class BreakdownRow:
 def sweep_points(
     max_epochs: float | None = None,
     workers: int = 10,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One fixed-epoch point per system (no early stopping)."""
     epochs = max_epochs or DEFAULT_EPOCHS
@@ -82,16 +82,6 @@ def aggregate(artifacts: list[dict]) -> list[BreakdownRow]:
         _to_row(artifact["tags"]["system"], result_from_artifact(artifact))
         for artifact in artifacts
     ]
-
-
-def run(
-    epochs: float = DEFAULT_EPOCHS,
-    workers: int = 10,
-    seed: int = 20210620,
-) -> list[BreakdownRow]:
-    """Legacy helper: run the grid, return the rows (system order)."""
-    points = sweep_points(max_epochs=epochs, workers=workers, seed=seed)
-    return aggregate(run_sweep(points).artifacts)
 
 
 def _to_row(system: str, result: RunResult) -> BreakdownRow:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
 from repro.experiments.workloads import get_workload
 from repro.sweep.grid import SweepPoint, expand_grid
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 # Default grids. FaaS deliberately crosses the paper's ceiling: Fig. 11
@@ -34,8 +34,8 @@ FAAS_WORKERS = (10, 30, 50, 100, 200, 300, 512)
 # The mega-scale tail (sweep --mega / StudyContext.mega): past the
 # cost cliff into the regime SMLT/MLLess study, where per-round
 # simulation cost dominates exploration. Opt-in, not default: the
-# tail costs minutes of host wall, and the default grid is what the
-# CI sweep smoke and the committed BENCH_sweep points budget for.
+# tail costs minutes of host wall; CI runs one W=1024 point of it
+# (tests/test_mega_smoke.py).
 MEGA_FAAS_WORKERS = (1024, 2048, 4096)
 IAAS_WORKERS = (1, 2, 5, 10, 20, 30)
 IAAS_INSTANCES = ("t2.medium", "c5.4xlarge")
@@ -64,7 +64,7 @@ def lr_higgs_points(
     iaas_workers=IAAS_WORKERS,
     iaas_instances=IAAS_INSTANCES,
     max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
     mega: bool = False,
 ) -> list[SweepPoint]:
     """Declarative grid for the LR/Higgs profile.
@@ -112,7 +112,7 @@ def mobilenet_points(
     faas_workers=MOBILENET_FAAS_WORKERS,
     gpu_workers=MOBILENET_GPU_WORKERS,
     max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """Declarative grid for the MobileNet/Cifar10 profile."""
     workload = get_workload("mobilenet", "cifar10")
@@ -152,7 +152,7 @@ def mobilenet_points(
 
 
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620, mega: bool = False
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED, mega: bool = False
 ) -> list[SweepPoint]:
     """The full Figure-11 sweep grid (what ``repro.cli sweep`` runs).
 
@@ -185,32 +185,6 @@ def aggregate(artifacts: list[dict]) -> list[ScalingProfile]:
             )
         )
     return list(profiles.values())
-
-
-def run_lr_higgs(
-    faas_workers=(10, 30, 50, 100),
-    iaas_workers=(1, 2, 5, 10, 20, 30),
-    max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> ScalingProfile:
-    points = lr_higgs_points(
-        faas_workers=faas_workers, iaas_workers=iaas_workers,
-        max_epochs=max_epochs, seed=seed,
-    )
-    return aggregate(run_sweep(points).artifacts)[0]
-
-
-def run_mobilenet(
-    faas_workers=MOBILENET_FAAS_WORKERS,
-    gpu_workers=MOBILENET_GPU_WORKERS,
-    max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> ScalingProfile:
-    points = mobilenet_points(
-        faas_workers=faas_workers, gpu_workers=gpu_workers,
-        max_epochs=max_epochs, seed=seed,
-    )
-    return aggregate(run_sweep(points).artifacts)[0]
 
 
 def format_report(profiles: list[ScalingProfile]) -> str:

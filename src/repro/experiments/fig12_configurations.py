@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
 from repro.experiments.workloads import get_workload
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 
@@ -58,7 +58,7 @@ def workload_points(
     iaas_instances: tuple[str, ...] = ("t2.medium", "c5.xlarge"),
     gpu_instances: tuple[str, ...] = (),
     max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """The configuration grid of one Figure-12 scatter."""
     workload = get_workload(model, dataset)
@@ -113,7 +113,7 @@ def workload_points(
 def sweep_points(
     workers_cap: int = 20,
     max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """The full Figure-12 grid: three YFCC workloads plus MobileNet."""
     points = []
@@ -149,32 +149,6 @@ def aggregate(artifacts: list[dict]) -> list[Scatter]:
             )
         )
     return list(scatters.values())
-
-
-def run_workload(
-    model: str,
-    dataset: str,
-    workers: int,
-    lr_grid: tuple[float, ...] | None = None,
-    iaas_instances: tuple[str, ...] = ("t2.medium", "c5.xlarge"),
-    gpu_instances: tuple[str, ...] = (),
-    max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> Scatter:
-    points = workload_points(
-        model, dataset, workers, lr_grid=lr_grid, iaas_instances=iaas_instances,
-        gpu_instances=gpu_instances, max_epochs=max_epochs, seed=seed,
-    )
-    return aggregate(run_sweep(points).artifacts)[0]
-
-
-def run(
-    workers_cap: int = 20,
-    max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> list[Scatter]:
-    points = sweep_points(workers_cap=workers_cap, max_epochs=max_epochs, seed=seed)
-    return aggregate(run_sweep(points).artifacts)
 
 
 def format_report(scatters: list[Scatter]) -> str:

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 from repro.analytics.estimator import SamplingEstimator
 from repro.analytics.model import AnalyticalModel, WorkloadParams
+from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
 from repro.experiments.report import format_table
 from repro.experiments.workloads import get_workload
 from repro.models.zoo import get_model_info
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 EPOCH_GRID = (1, 5, 10, 25, 50, 100)
@@ -88,7 +88,7 @@ class Fig13Result:
 def fixed_epoch_points(
     epoch_grid=EPOCH_GRID,
     workers: int = WORKERS,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """Figure 13a grid: (epochs x platform) fixed-epoch runs."""
     workload = get_workload("lr", "higgs")
@@ -119,7 +119,7 @@ def estimator_points(
     algorithms=ESTIMATOR_ALGORITHMS,
     workers: int = WORKERS,
     max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """Figure 13b grid: the end-to-end actuals the estimates are judged against."""
     points = []
@@ -147,7 +147,7 @@ def estimator_points(
 
 
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """The full Figure-13 grid (both panels' simulated actuals).
 
@@ -229,29 +229,6 @@ def aggregate(artifacts: list[dict]) -> Fig13Result:
             )
         )
     return result
-
-
-def run_fixed_epochs(
-    epoch_grid=EPOCH_GRID,
-    workers: int = WORKERS,
-    seed: int = 20210620,
-) -> list[ValidationPoint]:
-    """Figure 13a: predicted vs actual runtime (legacy shim)."""
-    points = fixed_epoch_points(epoch_grid=epoch_grid, workers=workers, seed=seed)
-    return aggregate(run_sweep(points).artifacts).fixed
-
-
-def run_estimator(
-    cases=ESTIMATOR_CASES,
-    algorithms=ESTIMATOR_ALGORITHMS,
-    workers: int = WORKERS,
-    seed: int = 20210620,
-) -> list[EstimatorPoint]:
-    """Figure 13b: sampling estimator + analytical model (legacy shim)."""
-    points = estimator_points(
-        cases=cases, algorithms=algorithms, workers=workers, seed=seed
-    )
-    return aggregate(run_sweep(points).artifacts).estimator
 
 
 def format_report(points: list[ValidationPoint], est: list[EstimatorPoint]) -> str:

@@ -14,20 +14,19 @@ at a small and a large worker count, reporting
 The per-workload (algorithm x workers) grid is declarative
 (:func:`workload_points`) and runs on the sweep orchestrator;
 :func:`aggregate` rebuilds the comparisons — loss curves included —
-from per-point JSON artifacts. :func:`run` is the legacy single-panel
-helper, now a shim over the same machinery.
+from per-point JSON artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import DEFAULT_SEED
 from repro.core.results import RunResult
 from repro.experiments.report import format_series, format_table
 from repro.experiments.workloads import get_workload
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 # The figure's three panels: (model, dataset, (small W, large W)).
@@ -77,7 +76,7 @@ def workload_points(
     channel: str = "memcached",
     max_epochs: float | None = None,
     ga_max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One (algorithm, workers) grid cell per point, for one workload."""
     workload = get_workload(model, dataset)
@@ -121,7 +120,7 @@ def workload_points(
 
 
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """The full Figure-7 grid (all three panels)."""
     points = []
@@ -147,23 +146,6 @@ def aggregate(artifacts: list[dict]) -> list[AlgorithmComparison]:
         key = (config["algorithm"], config["workers"])
         comparison.results[key] = result_from_artifact(artifact)
     return list(comparisons.values())
-
-
-def run(
-    model: str = "lr",
-    dataset: str = "higgs",
-    worker_counts: tuple[int, int] = (10, 300),
-    channel: str = "memcached",
-    max_epochs: float | None = None,
-    ga_max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> AlgorithmComparison:
-    """Train one workload with every applicable algorithm (legacy shim)."""
-    points = workload_points(
-        model, dataset, worker_counts=worker_counts, channel=channel,
-        max_epochs=max_epochs, ga_max_epochs=ga_max_epochs, seed=seed,
-    )
-    return aggregate(run_sweep(points).artifacts)[0]
 
 
 def format_report(comparison: AlgorithmComparison, worker_counts=(10, 300)) -> str:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import DEFAULT_SEED
 from repro.core.results import RunResult
 from repro.experiments.report import format_series, format_table
 from repro.experiments.workloads import get_workload
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint, expand_grid
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 CASES = [
@@ -42,7 +42,7 @@ class SyncComparison:
 
 
 def sweep_points(
-    cases=CASES, max_epochs: float | None = None, seed: int = 20210620
+    cases=CASES, max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """One BSP and one S-ASP point per (model, dataset, W) case."""
     points = []
@@ -94,24 +94,6 @@ def aggregate(artifacts: list[dict]) -> list[SyncComparison]:
         for case, results in paired.items()
         if "bsp" in results and "asp" in results
     ]
-
-
-def run_case(
-    model: str,
-    dataset: str,
-    workers: int,
-    max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> SyncComparison:
-    points = sweep_points(
-        cases=[(model, dataset, workers)], max_epochs=max_epochs, seed=seed
-    )
-    return aggregate(run_sweep(points).artifacts)[0]
-
-
-def run(max_epochs: float | None = None, cases=CASES, seed: int = 20210620):
-    points = sweep_points(cases=cases, max_epochs=max_epochs, seed=seed)
-    return aggregate(run_sweep(points).artifacts)
 
 
 def format_report(comparisons: list[SyncComparison]) -> str:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config import DEFAULT_SEED
 from repro.core.results import RunResult
 from repro.experiments.report import format_series, format_table
 from repro.experiments.workloads import Workload, get_workload
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 
@@ -97,7 +97,7 @@ def panel_points(
     dataset: str,
     workers: int,
     max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One point per system for a single panel, at exactly ``workers``."""
     workload = get_workload(model, dataset)
@@ -117,7 +117,7 @@ def sweep_points(
     panels=ALL_PANELS,
     workers_cap: int | None = None,
     max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One point per (panel, system) cell of Figure 9."""
     points = []
@@ -136,31 +136,6 @@ def aggregate(artifacts: list[dict]) -> list[EndToEndPanel]:
         panel = panels.setdefault(tags["panel"], EndToEndPanel(workload=tags["panel"]))
         panel.results[tags["system"]] = result_from_artifact(artifact)
     return list(panels.values())
-
-
-def run_panel(
-    model: str,
-    dataset: str,
-    workers: int | None = None,
-    max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> EndToEndPanel:
-    workload = get_workload(model, dataset)
-    w = workers if workers is not None else workload.workers
-    points = panel_points(model, dataset, w, max_epochs=max_epochs, seed=seed)
-    return aggregate(run_sweep(points).artifacts)[0]
-
-
-def run(
-    panels=ALL_PANELS,
-    workers_cap: int | None = None,
-    max_epochs: float | None = None,
-    seed: int = 20210620,
-) -> list[EndToEndPanel]:
-    points = sweep_points(
-        panels=panels, workers_cap=workers_cap, max_epochs=max_epochs, seed=seed
-    )
-    return aggregate(run_sweep(points).artifacts)
 
 
 def format_report(panels: list[EndToEndPanel]) -> str:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
 from repro.experiments.workloads import get_workload
 from repro.sweep.grid import SweepPoint, expand_grid
@@ -90,7 +91,7 @@ class ReliabilityCurve:
 
 def sweep_points(
     max_epochs: float | None = None,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
     crash_rates=FAAS_CRASH_RATES,
     iaas_crash_rates=IAAS_CRASH_RATES,
     storage_error_rates=STORAGE_ERROR_RATES,

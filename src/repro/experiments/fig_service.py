@@ -18,6 +18,7 @@ slowdown — including the measured p99-vs-cost trade-off between
 
 from __future__ import annotations
 
+from repro.config import DEFAULT_SEED
 from repro.sweep.grid import SweepPoint
 from repro.sweep.study import study
 
@@ -27,7 +28,7 @@ ACCOUNTS = 3
 MAX_CONCURRENT = 4
 
 
-def class_kwargs(max_epochs: float | None = None, seed: int = 20210620) -> list[dict]:
+def class_kwargs(max_epochs: float | None = None, seed: int = DEFAULT_SEED) -> list[dict]:
     """The two tenant job classes (cheap vs expensive, both comm-bound)."""
     base = dict(
         model="lr", dataset="rcv1", workers=8, max_epochs=max_epochs or 2.0,
@@ -40,7 +41,7 @@ def class_kwargs(max_epochs: float | None = None, seed: int = 20210620) -> list[
 
 
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     labels = ("small", "large")
     return [

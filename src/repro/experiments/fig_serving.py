@@ -20,6 +20,7 @@ every invocation.
 
 from __future__ import annotations
 
+from repro.config import DEFAULT_SEED
 from repro.sweep.grid import SweepPoint
 from repro.sweep.study import study
 
@@ -36,7 +37,7 @@ PANEL_TRAFFIC = ("poisson", "diurnal", "bursty")
 PANEL_AUTOSCALERS = ("fixed", "concurrency", "queue_depth")
 
 
-def class_kwargs(max_epochs: float | None = None, seed: int = 20210620) -> dict:
+def class_kwargs(max_epochs: float | None = None, seed: int = DEFAULT_SEED) -> dict:
     """The two trained-model classes feeding the registry.
 
     Both legs are ``ServingConfig.train_kwargs()`` so the study and the
@@ -60,7 +61,7 @@ def class_kwargs(max_epochs: float | None = None, seed: int = 20210620) -> dict:
 
 
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     return [
         SweepPoint(

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analytics.model import AnalyticalModel, WorkloadParams
+from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
 from repro.models.zoo import get_model_info
 from repro.pricing.catalog import DEFAULT_CATALOG
@@ -151,7 +152,7 @@ BURST_LIMITS = (2, 4, 8)
 
 
 def burst_config_kwargs(
-    max_epochs: float | None = None, seed: int = 20210620
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> dict:
     """The burst job class: communication-bound LR/RCV1 over one shared
     redis node (prestarted — the service keeps a warm pool), where a

@@ -2,8 +2,8 @@
 
 Each experiment returns rows of python primitives; these helpers render
 them as aligned tables that mirror the paper's tables/figure captions,
-so `pytest benchmarks/ --benchmark-only` output doubles as the
-reproduction record in EXPERIMENTS.md.
+so the reports `pytest benchmarks/bench_*.py` writes under
+`benchmarks/reports/` double as the reproduction record.
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ sweep-smoke job run this grid.
 
 from __future__ import annotations
 
+from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint, expand_grid
 from repro.sweep.study import study
 
 
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """A 6-point grid that completes in seconds (heavily down-scaled)."""
     base = dict(

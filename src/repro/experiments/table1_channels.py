@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table, ratio
 from repro.experiments.workloads import get_workload
 from repro.models.zoo import get_model_info
 from repro.storage.services import DYNAMODB_MAX_ITEM_BYTES, DynamoDBStore
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 CHANNELS = ("s3", "memcached", "dynamodb")
@@ -65,7 +65,7 @@ def workload_points(
     k: int = 10,
     max_epochs: float | None = None,
     include_hybrid: bool = True,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One point per feasible channel (plus VM-PS) for one table row."""
     workload = get_workload(model, dataset)
@@ -106,7 +106,7 @@ def workload_points(
 
 # The default rows (scaled: MobileNet capped at 6 epochs, no W=50 row).
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620, scaled: bool = True
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED, scaled: bool = True
 ) -> list[SweepPoint]:
     w_small, w_large = (10, 50)
     points = []
@@ -160,29 +160,6 @@ def aggregate(artifacts: list[dict]) -> list[ChannelRow]:
             )
         )
     return rows
-
-
-def run_workload(
-    model: str,
-    dataset: str,
-    workers: int,
-    k: int = 10,
-    max_epochs: float | None = None,
-    include_hybrid: bool = True,
-    seed: int = 20210620,
-) -> ChannelRow:
-    """One table row (legacy shim over the orchestrator)."""
-    points = workload_points(
-        model, dataset, workers, k=k, max_epochs=max_epochs,
-        include_hybrid=include_hybrid, seed=seed,
-    )
-    return aggregate(run_sweep(points).artifacts)[0]
-
-
-def run(scaled: bool = True, seed: int = 20210620) -> list[ChannelRow]:
-    """All Table-1 rows (scaled=True shrinks the MobileNet budget for CI)."""
-    points = sweep_points(seed=seed, scaled=scaled)
-    return aggregate(run_sweep(points).artifacts)
 
 
 def format_report(rows: list[ChannelRow]) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
 from repro.experiments.report import format_table
 from repro.experiments.workloads import get_workload
@@ -29,7 +30,6 @@ from repro.iaas.cluster import iaas_startup_seconds
 from repro.pricing.catalog import DEFAULT_CATALOG
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import study
 
 WORKERS = 10
@@ -58,7 +58,7 @@ def case_points(
     dataset: str,
     epochs_per_job: float = 10.0,
     grid=GRID,
-    seed: int = 20210620,
+    seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """The grid-search jobs of one pipeline case (both platforms)."""
     workload = get_workload(model, dataset)
@@ -92,7 +92,7 @@ def case_points(
 
 
 def sweep_points(
-    max_epochs: float | None = None, seed: int = 20210620
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """Both pipeline cases; ``max_epochs`` overrides epochs-per-job."""
     points = []
@@ -155,29 +155,6 @@ def aggregate(artifacts: list[dict]) -> list[PipelineRow]:
                 accuracy=best,
                 cost=total_cost,
             )
-        )
-    return rows
-
-
-def run_case(
-    model: str,
-    dataset: str,
-    epochs_per_job: float = 10.0,
-    grid=GRID,
-    seed: int = 20210620,
-) -> list[PipelineRow]:
-    """One pipeline case, both platforms (legacy shim)."""
-    points = case_points(
-        model, dataset, epochs_per_job=epochs_per_job, grid=grid, seed=seed
-    )
-    return aggregate(run_sweep(points).artifacts)
-
-
-def run(epochs_per_job: float = 10.0, grid=GRID, seed: int = 20210620):
-    rows = []
-    for model, dataset in CASES:
-        rows += run_case(
-            model, dataset, epochs_per_job=epochs_per_job, grid=grid, seed=seed
         )
     return rows
 

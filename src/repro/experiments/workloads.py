@@ -4,7 +4,7 @@ The paper tunes the learning rate per workload in [0.001, 1] and stops
 at fixed loss thresholds. Our synthetic datasets preserve each
 dataset's character but not its absolute loss scale everywhere, so each
 workload records both the paper's threshold and the threshold used
-here, with the mapping documented in EXPERIMENTS.md.
+here.
 
 Batch sizes follow the paper: B=100K for the Higgs micro-benchmarks
 (§4.1), B=10K for the Higgs end-to-end runs, B=2K on RCV1, B=800 on

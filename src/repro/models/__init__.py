@@ -3,7 +3,7 @@
 Convex models (logistic regression, linear SVM) and k-means are exact
 numpy implementations. MobileNet/ResNet50 are represented by small
 neural-network surrogates carrying the paper's *logical* parameter
-sizes and compute profiles (see `repro.models.zoo` and DESIGN.md §2).
+sizes and compute profiles (see `repro.models.zoo`).
 """
 
 from repro.models.base import SupervisedModel

@@ -310,7 +310,7 @@ def run_sweep(
         The grid. Duplicate config hashes are collapsed (first wins).
     out_dir:
         Where ``<hash>.json`` artifacts go. ``None`` keeps everything
-        in memory (used by the experiment modules' ``run()`` helpers).
+        in memory (a throwaway ``Session(None)``, the figure scripts).
     jobs:
         Process-pool width. ``1`` runs inline in this process.
     resume:

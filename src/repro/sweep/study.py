@@ -32,8 +32,8 @@ the registry again, and ``repro.cli sweep --experiment <name>`` gains
 ``--jobs/--resume/--substrate auto`` for free.
 
 Grid expansion is memoized per :class:`StudyContext`: a ``--dry-run``
-plan followed by the real run (or ``run_panel()``-style helpers called
-in a loop) expands each grid exactly once per process.
+plan followed by the real run expands each grid exactly once per
+process.
 """
 
 from __future__ import annotations

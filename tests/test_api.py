@@ -113,6 +113,23 @@ class TestSessionSweep:
         again = session.sweep(grid)
         assert (again.run.ran, again.run.skipped) == (0, 2)
 
+    def test_plan_accepts_what_sweep_accepts(self, tmp_path):
+        # plan() used to die with AttributeError on the ad-hoc lists
+        # sweep() takes; both now resolve their argument the same way.
+        grid = Scenario(SMOKE).grid(channel=("s3", "memcached"))
+        session = Session(tmp_path)
+        plan = session.plan(grid)
+        assert (plan["points"], plan["pending_points"]) == (2, 2)
+        assert plan["out_dir"] == str(tmp_path / "adhoc")
+        session.sweep(grid)
+        assert session.plan(grid)["pending_points"] == 0
+        assert Session(None).plan([Scenario(SMOKE)])["points"] == 1
+        for bad in (42, [42]):
+            with pytest.raises(ConfigurationError):
+                session.plan(bad)
+            with pytest.raises(ConfigurationError):
+                session.sweep(bad)
+
     def test_in_memory_session_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         outcome = api.sweep([Scenario(SMOKE)])

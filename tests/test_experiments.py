@@ -2,19 +2,18 @@
 
 These exercise the same code paths as the benchmark harness but with
 small worker counts / epoch caps so the whole file runs in seconds.
-The *shape* assertions here are the reproduction's acceptance criteria
-(see EXPERIMENTS.md).
+The *shape* assertions here are the reproduction's acceptance criteria.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import cost_sanity, table2_hybrid_rpc, table3_patterns
-from repro.experiments import table6_constants
-from repro.experiments.fig10_breakdown import run as run_breakdown
+from repro.experiments import cost_sanity, fig10_breakdown, table2_hybrid_rpc
+from repro.experiments import table3_patterns, table6_constants
 from repro.experiments.report import format_table, ratio
 from repro.experiments.workloads import WORKLOADS, get_workload, scaled
+from repro.sweep.orchestrator import run_sweep
 
 
 class TestWorkloadRegistry:
@@ -95,7 +94,11 @@ class TestTable6:
 
 class TestFig10:
     def test_breakdown_shape(self):
-        rows = {r.system: r for r in run_breakdown(epochs=3.0, workers=4)}
+        points = fig10_breakdown.sweep_points(max_epochs=3.0, workers=4)
+        rows = {
+            r.system: r
+            for r in fig10_breakdown.aggregate(run_sweep(points).artifacts)
+        }
         assert rows["lambdaml"].startup_s < 5
         assert rows["pytorch"].startup_s > 100
         assert rows["angel"].startup_s > rows["pytorch"].startup_s
@@ -112,7 +115,8 @@ class TestFig10:
 class TestCostSanity:
     @pytest.mark.slow
     def test_distributed_beats_single_machine(self):
-        row = cost_sanity.run_case("lr", "higgs", workers=10, max_epochs=20)
+        points = cost_sanity.case_points("lr", "higgs", workers=10, max_epochs=20)
+        (row,) = cost_sanity.aggregate(run_sweep(points).artifacts)
         assert row.faas_speedup > 2.0
         assert row.iaas_speedup > 1.0
 

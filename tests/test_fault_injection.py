@@ -19,6 +19,7 @@ import pytest
 from repro.core.config import TrainingConfig
 from repro.core.context import JobContext
 from repro.core.driver import train
+from repro.experiments import figR_reliability
 from repro.faas.checkpoint import Checkpoint
 from repro.simulation.commands import Get, Put, Sleep
 from repro.simulation.engine import Engine, ProcessState
@@ -271,6 +272,28 @@ class TestFaultSweeps:
         assert durations[2] > durations[1]  # shorter MTTF, more recovery
         events = run.artifacts[2]["result"]["events"]
         assert events["crashes"] > 0
+
+    def test_figR_grid_shares_one_trace_and_faults_only_add_time(self):
+        run = run_sweep(figR_reliability.sweep_points(), substrate="auto")
+        assert len(run.artifacts) == 18
+        assert (run.stat_groups, run.recorded) == (1, 1)
+        assert len({a["result"]["final_loss"] for a in run.artifacts}) == 1
+        for curve in figR_reliability.aggregate(run.artifacts):
+            ordered = sorted(
+                curve.points,
+                key=lambda p: (p.crash_rate, p.storage_error_rate,
+                               p.checkpoint_interval),
+            )
+            overheads = [p.overhead_s for p in ordered]
+            for p in ordered:
+                if p.crash_rate == 0 and p.storage_error_rate == 0:
+                    assert p.overhead_s == 0.0, curve.series
+            assert min(overheads) >= 0, (curve.series, overheads)
+            # The rate-swept series peak at the top rate. The interval
+            # series sweeps cadence at a FIXED rate, where which crash
+            # lands where dominates: only non-negativity is a theorem.
+            if curve.series != "faas-interval":
+                assert overheads[-1] == max(overheads), (curve.series, overheads)
 
     @pytest.mark.slow
     def test_replayed_fault_artifacts_are_bit_identical_to_exact(self, tmp_path):

@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import signal
+from collections import Counter
 
 import pytest
 
@@ -75,6 +76,10 @@ class TestScenarioSpace:
         assert any(k.get("checkpoint_interval", 1) > 1 for k in kwargs)
 
 
+def _gate_counts(plan) -> dict[str, int]:
+    return dict(Counter(name for task in plan for name in task.invariants))
+
+
 class TestCampaignPlan:
     def test_plan_is_deterministic_and_gates_every_scenario(self):
         plan = plan_campaign(seed=0, budget=30)
@@ -85,6 +90,22 @@ class TestCampaignPlan:
         # The gated invariants must each land on *some* scenario.
         gated = {name for task in plan for name in task.invariants}
         assert {"determinism_under_rerun", "stat_sibling_invariance"} <= gated
+        # The reference plan's gate counts: sampler or gating drift is a
+        # test failure here, not silently different coverage.
+        assert _gate_counts(plan_campaign(seed=0, budget=50)) == {
+            "completes": 50,
+            "determinism_under_rerun": 11,
+            "fault_invariance": 11,
+            "replay_matches_exact": 16,
+            "stat_sibling_invariance": 21,
+        }
+
+    @pytest.mark.slow
+    def test_campaign_checks_exactly_what_the_plan_gated(self):
+        result = run_campaign(budget=2, seed=0, workers=1, corpus_dir=None)
+        assert result.ok, [f.describe() for f in result.findings]
+        assert result.scenarios == 2
+        assert result.checks == _gate_counts(plan_campaign(seed=0, budget=2))
 
     def test_sibling_prefers_the_platform_flip(self):
         sibling = sibling_kwargs(

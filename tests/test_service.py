@@ -31,6 +31,8 @@ from repro.service import (
 )
 from repro.service.metrics import build_report
 from repro.service.runtime import _feasible_workers
+from repro.sweep.orchestrator import run_sweep
+from repro.sweep.study import get_study
 
 #: Seconds-scale job class shared by most tests (LR/Higgs, 1 epoch).
 FAST_JOB = dict(
@@ -192,6 +194,24 @@ class TestSchedulers:
         granted = _feasible_workers(dict(kwargs, workers=4), 2, 4)
         assert granted > 2
         assert config_validity_error(dict(kwargs, workers=granted)) is None
+
+    @pytest.mark.slow
+    def test_figS_adaptive_trades_tail_latency_for_cost(self):
+        # The figS panel at its default scale: every scheduler's
+        # scorecard is possible, and the headline finding holds.
+        study = get_study("figS")
+        result = study.aggregate(run_sweep(study.points()).artifacts)
+        cards = result["schedulers"]
+        assert set(cards) == {"fifo", "fair_share", "cost_aware", "adaptive"}
+        for name, card in cards.items():
+            assert card["jobs"] == result["tenants"] == 12, name
+            # Contention cannot speed a job up; simulated jobs are never free.
+            assert card["mean_slowdown"] >= 1.0, name
+            assert card["cost_per_job"] > 0, name
+            assert card["p50_completion_s"] <= card["p99_completion_s"], name
+        fifo, adaptive = cards["fifo"], cards["adaptive"]
+        assert adaptive["cost_per_job"] < fifo["cost_per_job"]
+        assert adaptive["p99_completion_s"] > fifo["p99_completion_s"]
 
 
 class TestMetrics:

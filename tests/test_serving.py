@@ -521,6 +521,13 @@ class TestFigVStudy:
         cold_free = [c for c in r1["panel"]
                      if c["platform"] != "faas" and c["autoscaler"] == "fixed"]
         assert all(c["cold_start_fraction"] == 0.0 for c in cold_free)
+        for c in r1["panel"]:
+            assert c["platform"] in {"faas", "iaas", "gpu_iaas"}
+            assert c["p50_latency_s"] <= c["p99_latency_s"] <= c["p999_latency_s"]
+            assert 0.0 <= c["cold_start_fraction"] <= 1.0
+            assert 0.0 <= c["utilization"] <= 1.0
+            # Simulated requests are never free.
+            assert c["cost_per_1m_requests"] > 0 and c["end_to_end_dollars"] > 0
 
     def test_serial_vs_pooled_artifacts_byte_identical(self, tmp_path):
         """The acceptance criterion: --jobs must not change any byte."""
@@ -566,9 +573,19 @@ class TestFigVStudy:
                 "config_hash": "smallhash",
             },
         ]
-        text = format_report(serve_pipeline(artifacts))
+        result = serve_pipeline(artifacts)
+        text = format_report(result)
         assert "bursty tail" in text
         assert "end-to-end" in text
+        # The finding behind that line: bursty traffic on FaaS shows a
+        # cold-start tail the always-on fleet does not have.
+        cells = {
+            (c["platform"], c["autoscaler"]): c for c in result["panel"]
+            if c["model"] == "nn" and c["traffic"] == "bursty"
+        }
+        faas, iaas = cells[("faas", "concurrency")], cells[("iaas", "fixed")]
+        assert faas["p999_latency_s"] > iaas["p999_latency_s"]
+        assert faas["cold_start_fraction"] > 0.0 == iaas["cold_start_fraction"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""Golden tests: legacy ``run*()`` shims vs the pre-redesign loops.
+"""Golden tests: the Study protocol vs the pre-redesign loops.
 
-Each experiment module ported onto the Study protocol kept its old
-``run*()`` helper as a shim over the sweep orchestrator. These tests
-re-implement the *old* hand-rolled loops (direct ``train()`` calls,
-copied verbatim from the pre-ISSUE-5 modules) at scaled-down settings
-and assert the shim output is bit-identical — loss histories through
-the artifact JSON roundtrip included. ``result_from_artifact`` does not
-reconstruct ``per_worker`` traces, so equality is asserted field by
-field over everything the aggregators and reports consume.
+Each experiment module is a grid function plus an ``aggregate`` run by
+the sweep orchestrator. These tests re-implement the *old* hand-rolled
+loops (direct ``train()`` calls, copied verbatim from the pre-ISSUE-5
+modules) at scaled-down settings and assert that
+``aggregate(run_sweep(<grid>).artifacts)`` is bit-identical — loss
+histories through the artifact JSON roundtrip included. (Test ids keep
+the names of the ``run*`` helpers they were first written against.)
+``result_from_artifact`` does not reconstruct ``per_worker`` traces, so
+equality is asserted field by field over everything the aggregators and
+reports consume.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.experiments import (
 )
 from repro.experiments.report import ratio
 from repro.experiments.workloads import get_workload
+from repro.sweep.orchestrator import run_sweep
 
 SEED = 20210620
 
@@ -62,7 +65,8 @@ class TestFig10Golden:
                 max_epochs=epochs, seed=SEED,
             )
             old_rows.append(fig10_breakdown._to_row(system, train(config)))
-        assert fig10_breakdown.run(epochs=epochs, workers=workers) == old_rows
+        points = fig10_breakdown.sweep_points(max_epochs=epochs, workers=workers)
+        assert fig10_breakdown.aggregate(run_sweep(points).artifacts) == old_rows
 
 
 class TestFig13Golden:
@@ -98,9 +102,10 @@ class TestFig13Golden:
                 iaas_actual_s=iaas.duration_s,
                 iaas_predicted_s=model.iaas_seconds(workers),
             ))
-        shim = fig13_validation.run_fixed_epochs(
+        points = fig13_validation.fixed_epoch_points(
             epoch_grid=epoch_grid, workers=workers
         )
+        shim = fig13_validation.aggregate(run_sweep(points).artifacts).fixed
         assert shim == old_points
 
     @pytest.mark.slow
@@ -142,9 +147,10 @@ class TestFig13Golden:
                     predicted_runtime_s=AnalyticalModel(scaled).faas_seconds(workers),
                     actual_runtime_s=actual.duration_s,
                 ))
-        shim = fig13_validation.run_estimator(
+        points = fig13_validation.estimator_points(
             cases=cases, algorithms=algorithms, workers=workers
         )
+        shim = fig13_validation.aggregate(run_sweep(points).artifacts).estimator
         assert shim == old_points
 
 
@@ -169,10 +175,11 @@ class TestFig7Golden:
                     max_epochs=epochs_cap, partition_mode="iid", seed=SEED,
                 )
                 old_results[(algorithm, workers)] = train(config)
-        comparison = fig7_algorithms.run(
+        points = fig7_algorithms.workload_points(
             model, dataset, worker_counts=worker_counts,
             max_epochs=max_epochs, ga_max_epochs=ga_max_epochs,
         )
+        (comparison,) = fig7_algorithms.aggregate(run_sweep(points).artifacts)
         assert comparison.workload == f"{model}/{dataset}"
         assert comparison.results.keys() == old_results.keys()
         for key, old in old_results.items():
@@ -218,9 +225,10 @@ class TestTable1Golden:
                 for name, r in results.items() if name != "s3"
             },
         )
-        shim = table1_channels.run_workload(
+        points = table1_channels.workload_points(
             model, dataset, workers, max_epochs=max_epochs
         )
+        (shim,) = table1_channels.aggregate(run_sweep(points).artifacts)
         assert shim == old_row
 
     def test_dynamodb_feasibility_matches_the_store(self):
@@ -238,7 +246,7 @@ class TestTable1Golden:
             ))
 
     def test_infeasible_dynamodb_renders_na(self):
-        # mobilenet/dynamodb is excluded from the grid, so the shim's
+        # mobilenet/dynamodb is excluded from the grid, so the aggregated
         # row must carry the None the old exception handler produced.
         points = table1_channels.workload_points(
             "mobilenet", "cifar10", 2, max_epochs=1.0
@@ -303,9 +311,10 @@ class TestTable5Golden:
                 workload=f"{model}/{dataset}", platform=platform,
                 runtime_s=runtime, accuracy=best, cost=total_cost,
             ))
-        shim = table5_pipeline.run_case(
+        points = table5_pipeline.case_points(
             model, dataset, epochs_per_job=epochs_per_job, grid=grid
         )
+        shim = table5_pipeline.aggregate(run_sweep(points).artifacts)
         assert shim == old_rows
 
 
@@ -336,7 +345,8 @@ class TestCostSanityGolden:
             faas_speedup=single.duration_s / faas.duration_s,
             iaas_speedup=single.duration_s / iaas.duration_s,
         )
-        shim = cost_sanity.run_case(
+        points = cost_sanity.case_points(
             model, dataset, workers=workers, max_epochs=max_epochs
         )
+        (shim,) = cost_sanity.aggregate(run_sweep(points).artifacts)
         assert shim == old_row

@@ -9,8 +9,12 @@ fingerprint accounting.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.experiments
 from repro.cli import main
 from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError
@@ -68,6 +72,24 @@ class TestRegistry:
                 assert isinstance(point.config(), TrainingConfig)
                 hashes.add(point.hash())
             assert len(hashes) == len(points), f"{name}: colliding configs"
+
+    def test_experiment_modules_never_import_the_orchestrator(self):
+        # Experiment modules are grids, aggregators and renderers; the
+        # run*() shims that executed them are gone and must not grow back.
+        offenders = []
+        for path in sorted(Path(repro.experiments.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    imported = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                elif isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                else:
+                    continue
+                if "repro.sweep.orchestrator" in imported:
+                    offenders.append(path.name)
+        assert offenders == []
 
     def test_direct_studies_aggregate_without_artifacts(self):
         # The cheap analytical ones; table3/table6/datasets run real

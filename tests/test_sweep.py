@@ -436,7 +436,7 @@ class TestSweepCli:
         assert max(fig11_faas) >= 512
 
     def test_fig9_panel_honours_explicit_worker_count(self):
-        # run_panel(workers=50) must scale the panel UP past the
+        # panel_points(..., 50) must scale the panel UP past the
         # Table-4 default (10), not silently cap at it.
         from repro.experiments.fig9_end_to_end import panel_points
 
