@@ -10,9 +10,10 @@ Three layers, smallest first:
       result = run(Scenario.workload("lr", "higgs", workers=10))
       print(result.summary())
 
-* **A session.** :class:`Session` owns an artifact root and a substrate
-  policy; its ``run``/``sweep``/``compare`` are content-addressed and
-  resumable — repeating a call against the same root re-runs nothing::
+* **A session.** :class:`Session` owns an artifact root; its substrate
+  and jobs policy is set at construction, not per call. Its
+  ``run``/``sweep``/``compare`` are content-addressed and resumable —
+  repeating a call against the same root re-runs nothing::
 
       from repro.api import Scenario, Session
 
@@ -28,8 +29,8 @@ Three layers, smallest first:
 * **A service.** :class:`Service` runs a whole multi-tenant workload —
   seeded Poisson or trace-driven arrivals, pluggable schedulers — on one
   shared engine with shared storage capacity, and reports p50/p99
-  completion, $/job and contention slowdown per tenant. Shaped exactly
-  like ``Session``: content-addressed, resume-by-default::
+  completion, $/job and contention slowdown per tenant. The same
+  rooted facade as ``Session``: content-addressed, resume-by-default::
 
       from repro.api import Service, ServiceConfig
 
@@ -55,6 +56,12 @@ Three layers, smallest first:
   name becomes available to ``Session.sweep`` and ``repro.cli sweep``
   alike (see ``examples/custom_study.py`` — a complete new experiment
   is ~30 lines).
+
+All three facades share one root layout — artifacts under
+``<root>/<study|runs|adhoc|baselines|models>``, reports under
+``<root>/service`` and ``<root>/serving``, every replay trace under
+``<root>/traces`` — so a trace recorded by one is replayed by the
+others (:mod:`repro.api.report`).
 
 The analytical toolkit the paper's Section-5.3 model uses is re-exported
 here too (:class:`AnalyticalModel`, :class:`WorkloadParams`,
@@ -118,16 +125,16 @@ __all__ = [
 ]
 
 
-def run(scenario, *, substrate: str | None = None) -> RunResult:
+def run(scenario, *, substrate: str = "auto") -> RunResult:
     """Train one scenario in a throwaway in-memory session."""
-    return Session(None).run(scenario, substrate=substrate)
+    return Session(None, substrate=substrate).run(scenario)
 
 
-def sweep(study, **kwargs) -> StudyOutcome:
+def sweep(study, *, jobs: int = 1, substrate: str = "auto", **kwargs) -> StudyOutcome:
     """Run a study (by name, object, or scenario list) in memory."""
-    return Session(None).sweep(study, **kwargs)
+    return Session(None, jobs=jobs, substrate=substrate).sweep(study, **kwargs)
 
 
-def compare(scenarios, *, substrate: str | None = None) -> Comparison:
+def compare(scenarios, *, substrate: str = "auto") -> Comparison:
     """Run labelled scenarios head to head in memory."""
-    return Session(None).compare(scenarios, substrate=substrate)
+    return Session(None, substrate=substrate).compare(scenarios)

@@ -1,10 +1,18 @@
-"""What ``Service`` and ``ServingSession`` share: a rooted report facade.
+"""What ``Session``, ``Service`` and ``ServingSession`` share: one root.
 
-Both own a root directory, train through the ordinary sweep
-orchestrator (artifacts under ``<root>/<sub>``, replay traces under
-``<root>/traces``, shared with any other sweep against that root) and
-persist one report through :func:`repro.store.load_or_run`.
-``root=None`` keeps everything in memory.
+All three own a root directory and a sweep policy fixed at
+construction, and train through the ordinary sweep orchestrator. One
+layout holds whatever launched a run::
+
+    <root>/<study> | runs | adhoc     Session.sweep / run+compare / lists
+    <root>/baselines, <root>/service  Service: isolated runs, its report
+    <root>/models, <root>/serving     ServingSession: the model, its report
+    <root>/traces                     every facade's replay traces
+
+so a trace one facade records is replayed by any other sweep against
+that root. The two report facades persist their report through
+:func:`repro.store.load_or_run`. ``root=None`` keeps everything in
+memory.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import run_sweep
+from repro.sweep.orchestrator import SWEEP_SUBSTRATES, SweepRun, run_sweep
 
 
 @dataclass
@@ -42,17 +50,29 @@ class ReportOutcome:
 
 
 class ReportFacade:
-    """Root + sweep policy; subclasses add the workload and ``run``.
+    """Root + sweep policy; subclasses add their workload and verbs.
 
-    ``_config_param`` names the constructor keyword ``from_config``
-    passes the declarative config as.
+    The policy is set here, once per facade: ``jobs`` (pool width),
+    ``substrate`` (one of ``SWEEP_SUBSTRATES``), ``resume`` (reuse what
+    the root already holds; the default) and ``progress`` (a callable
+    taking one status line). A report facade also names, as
+    ``_config_param``, the constructor keyword ``from_config`` passes
+    the declarative config as.
     """
 
-    def __init__(self, root, *, jobs: int, substrate: str, resume: bool, progress) -> None:
-        if substrate not in ("auto", "exact"):
+    def __init__(
+        self,
+        root: str | os.PathLike | None = None,
+        *,
+        jobs: int = 1,
+        substrate: str = "auto",
+        resume: bool = True,
+        progress=None,
+    ) -> None:
+        if substrate not in SWEEP_SUBSTRATES:
             raise ConfigurationError(
-                f"{type(self).__name__} substrate must be 'auto' or 'exact', "
-                f"not {substrate!r}"
+                f"{type(self).__name__} substrate must be one of "
+                f"{SWEEP_SUBSTRATES}, not {substrate!r}"
             )
         self.root = None if root is None else Path(root)
         self.jobs = jobs
@@ -68,8 +88,8 @@ class ReportFacade:
     def _dir(self, name: str) -> Path | None:
         return None if self.root is None else self.root / name
 
-    def _train(self, points: list[SweepPoint], sub: str) -> list[dict]:
-        """Train ``points`` under ``<root>/<sub>``; their artifacts, in order."""
+    def _train(self, points: list[SweepPoint], sub: str) -> SweepRun:
+        """Train ``points`` under ``<root>/<sub>``, traces under ``<root>/traces``."""
         return run_sweep(
             points,
             out_dir=self._dir(sub),
@@ -78,4 +98,4 @@ class ReportFacade:
             substrate=self.substrate,
             traces_dir=self._dir("traces"),
             progress=self.progress,
-        ).artifacts
+        )

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 
 from repro import store
-from repro.config import DEFAULT_SEED
 from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError
 from repro.api.report import ReportFacade, ReportOutcome
@@ -87,7 +86,7 @@ def _workload_fingerprint(
 
 
 class Service(ReportFacade):
-    """Report root + scheduler + arrivals + the submit/run verbs."""
+    """The rooted facade (``**policy``) + scheduler + arrivals + the submit/run verbs."""
 
     _config_param = "arrivals"
 
@@ -98,15 +97,9 @@ class Service(ReportFacade):
         arrivals: ServiceConfig | None = None,
         scheduler: str | None = None,
         max_concurrent: int | None = None,
-        jobs: int = 1,
-        substrate: str = "auto",
-        resume: bool = True,
-        seed: int | None = None,
-        progress=None,
+        **policy,
     ) -> None:
-        super().__init__(
-            root, jobs=jobs, substrate=substrate, resume=resume, progress=progress
-        )
+        super().__init__(root, **policy)
         self.config = arrivals
         # Explicit arguments win; an arrivals config fills the gaps.
         self.scheduler = scheduler or (arrivals.scheduler if arrivals else "fifo")
@@ -114,11 +107,6 @@ class Service(ReportFacade):
             max_concurrent
             if max_concurrent is not None
             else (arrivals.max_concurrent if arrivals else 4)
-        )
-        self.seed = (
-            seed
-            if seed is not None
-            else (arrivals.seed if arrivals else DEFAULT_SEED)
         )
         self._submitted: list[JobRequest] = []
 

@@ -19,8 +19,6 @@ nothing. ``repro.cli infer`` is a thin wrapper over this class.
 
 from __future__ import annotations
 
-import os
-
 from repro import store
 from repro.api.report import ReportFacade, ReportOutcome
 from repro.core.config import TrainingConfig
@@ -50,23 +48,12 @@ class ServingOutcome(ReportOutcome):
 
 
 class ServingSession(ReportFacade):
-    """Report root + one declarative train-then-serve pipeline."""
+    """The rooted facade (``**policy``) + one declarative train-then-serve pipeline."""
 
     _config_param = "config"
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        *,
-        config: ServingConfig,
-        jobs: int = 1,
-        substrate: str = "auto",
-        resume: bool = True,
-        progress=None,
-    ) -> None:
-        super().__init__(
-            root, jobs=jobs, substrate=substrate, resume=resume, progress=progress
-        )
+    def __init__(self, root=None, *, config: ServingConfig, **policy) -> None:
+        super().__init__(root, **policy)
         self.config = config
 
     def _model_artifact(self) -> dict:
@@ -79,7 +66,7 @@ class ServingSession(ReportFacade):
             config_kwargs=kwargs,
             tags={"series": "serving"},
         )
-        return self._train([point], "models")[0]
+        return self._train([point], "models").artifacts[0]
 
     # -- the verb ----------------------------------------------------------
     def run(self) -> ServingOutcome:

@@ -1,7 +1,8 @@
 """Session: the facade's durable home for runs, sweeps and comparisons.
 
-A :class:`Session` owns an artifact root, a trace directory and a
-substrate policy, and exposes the three verbs scripts need:
+A :class:`Session` is the rooted facade (:mod:`repro.api.report`: one
+root, one sweep policy set at construction, traces under
+``<root>/traces``) plus a default seed and the verbs scripts need:
 
 * ``run(scenario)`` — one simulated training job, content-addressed
   under ``<root>/runs`` so repeating it costs a file read;
@@ -18,9 +19,7 @@ substrate policy, and exposes the three verbs scripts need:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.config import DEFAULT_SEED
@@ -28,10 +27,11 @@ from repro.core.config import TrainingConfig
 from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.experiments.report import format_table
+from repro.api.report import ReportFacade
 from repro.api.scenario import Scenario
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import SweepRun, plan_sweep, run_sweep
+from repro.sweep.orchestrator import SweepRun, plan_sweep
 from repro.sweep.study import Study, StudyContext, get_study
 
 
@@ -94,45 +94,12 @@ def _as_scenario(scenario) -> Scenario:
     )
 
 
-class Session:
-    """Artifact root + substrate policy + the run/sweep/compare verbs."""
+class Session(ReportFacade):
+    """The rooted facade (``**policy``) + a default seed + the run/sweep/compare verbs."""
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        *,
-        jobs: int = 1,
-        substrate: str = "auto",
-        resume: bool = True,
-        seed: int = DEFAULT_SEED,
-        progress=None,
-    ) -> None:
-        self.root = None if root is None else Path(root)
-        self.jobs = jobs
-        self.substrate = substrate
-        self.resume = resume and root is not None
+    def __init__(self, root=None, *, seed: int = DEFAULT_SEED, **policy) -> None:
+        super().__init__(root, **policy)
         self.seed = seed
-        self.progress = progress
-
-    # -- internals --------------------------------------------------------
-    def _dir(self, name: str) -> Path | None:
-        return None if self.root is None else self.root / name
-
-    def _sweep(
-        self,
-        points: list[SweepPoint],
-        out_name: str,
-        jobs: int | None = None,
-        substrate: str | None = None,
-    ) -> SweepRun:
-        return run_sweep(
-            points,
-            out_dir=self._dir(out_name),
-            jobs=jobs or self.jobs,
-            resume=self.resume,
-            substrate=substrate or self.substrate,
-            progress=self.progress,
-        )
 
     def _resolve(
         self, study, max_epochs: float | None, seed: int | None
@@ -159,11 +126,10 @@ class Session:
         return None, points, "adhoc"
 
     # -- verbs ------------------------------------------------------------
-    def run(self, scenario, *, substrate: str | None = None) -> RunResult:
+    def run(self, scenario) -> RunResult:
         """One simulated training job, cached under ``<root>/runs``."""
         point = _as_scenario(scenario).point(experiment="runs")
-        sweep_run = self._sweep([point], "runs", substrate=substrate)
-        return result_from_artifact(sweep_run.artifacts[0])
+        return result_from_artifact(self._train([point], "runs").artifacts[0])
 
     def sweep(
         self,
@@ -171,8 +137,6 @@ class Session:
         *,
         max_epochs: float | None = None,
         seed: int | None = None,
-        jobs: int | None = None,
-        substrate: str | None = None,
     ) -> StudyOutcome:
         """Run a registered study — or an ad-hoc scenario list — end to end.
 
@@ -184,7 +148,7 @@ class Session:
         points.
         """
         study, points, out_name = self._resolve(study, max_epochs, seed)
-        sweep_run = self._sweep(points, out_name, jobs=jobs, substrate=substrate)
+        sweep_run = self._train(points, out_name)
         if study is not None:
             result = study.aggregate(sweep_run.artifacts)
         else:
@@ -197,11 +161,14 @@ class Session:
              seed: int | None = None) -> dict:
         """The ``--dry-run`` accounting for anything ``sweep`` accepts."""
         _, points, out_name = self._resolve(study, max_epochs, seed)
-        return plan_sweep(points, out_dir=self._dir(out_name), resume=self.resume)
+        return plan_sweep(
+            points,
+            out_dir=self._dir(out_name),
+            traces_dir=self._dir("traces"),
+            resume=self.resume,
+        )
 
-    def compare(
-        self, scenarios, *, substrate: str | None = None
-    ) -> Comparison:
+    def compare(self, scenarios) -> Comparison:
         """Run labelled scenarios head to head (through the run cache)."""
         if isinstance(scenarios, dict):
             labelled = [(label, _as_scenario(s)) for label, s in scenarios.items()]
@@ -210,7 +177,7 @@ class Session:
                 (_as_scenario(s).describe(), _as_scenario(s)) for s in scenarios
             ]
         points = [s.point(experiment="runs") for _, s in labelled]
-        sweep_run = self._sweep(points, "runs", substrate=substrate)
+        sweep_run = self._train(points, "runs")
         # The orchestrator dedupes identical configs, so pair each label
         # with its artifact by config hash — never positionally (two
         # labels may legitimately name the same config).

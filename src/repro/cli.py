@@ -50,6 +50,8 @@ from repro.config import DEFAULT_SEED
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.experiments.workloads import WORKLOADS
+from repro.sweep.orchestrator import SWEEP_SUBSTRATES, plan_sweep, run_sweep
+from repro.sweep.study import all_studies, get_study
 
 # Scalar parsers for derived flags. `from __future__ import annotations`
 # makes dataclass field types strings ("float | None"); the first union
@@ -210,14 +212,12 @@ def _add_sweep_parser(subparsers) -> None:
                    help="artifact directory (default: sweeps/<experiment>)")
     p.add_argument("--resume", action="store_true",
                    help="skip points whose artifact already exists in --out")
-    p.add_argument("--substrate", default="exact",
-                   choices=["exact", "replay", "auto"],
+    p.add_argument("--substrate", default="exact", choices=SWEEP_SUBSTRATES,
                    help="statistical backend: 'exact' trains every point with "
                    "real numpy; 'auto' records one trace per unique statistical "
                    "fingerprint and replays it across the systems grid "
                    "(bit-identical artifacts, exact fallback for timing-coupled "
-                   "ASP/hybrid points); 'replay' is auto that refuses "
-                   "timing-coupled points")
+                   "ASP/hybrid points)")
     p.add_argument("--traces", default=None,
                    help="convergence trace directory (default: <out>/traces)")
     p.add_argument("--dry-run", action="store_true",
@@ -239,11 +239,8 @@ def _add_sweep_parser(subparsers) -> None:
 
 
 def _dry_run_sweep(args: argparse.Namespace, experiment, points, out_dir) -> int:
-    from repro.sweep.orchestrator import plan_sweep
-
-    # The plan mirrors the run flags exactly: without --resume, on-disk
-    # artifacts/traces are reported but NOT counted as done, because the
-    # real run would re-run everything too.
+    # Without --resume, on-disk artifacts/traces are reported but NOT
+    # counted as done, because the real run would re-run everything too.
     plan = plan_sweep(
         points, out_dir=out_dir, traces_dir=args.traces, resume=args.resume
     )
@@ -263,12 +260,8 @@ def _dry_run_sweep(args: argparse.Namespace, experiment, points, out_dir) -> int
               "without it this invocation re-runs every point")
     if args.substrate == "exact":
         print(f"  substrate=exact would train:  {plan['pending_points']} point(s)")
-    elif args.substrate == "replay" and plan["pending_timing_coupled"]:
-        print(f"  substrate=replay would FAIL: "
-              f"{plan['pending_timing_coupled']} pending timing-coupled "
-              "point(s) cannot be replayed (use --substrate auto or exact)")
     else:
-        print(f"  substrate={args.substrate} would train: "
+        print(f"  substrate=auto would train: "
               f"{plan['exact_trainings_needed']} exact point(s) and replay "
               f"{plan['replays_needed']}")
     return 0
@@ -276,9 +269,6 @@ def _dry_run_sweep(args: argparse.Namespace, experiment, points, out_dir) -> int
 
 def _list_studies(args: argparse.Namespace) -> int:
     """``sweep --list``: the catalog, with the ``--dry-run`` accounting."""
-    from repro.sweep.orchestrator import plan_sweep
-    from repro.sweep.study import all_studies
-
     studies = all_studies()
     width = max(len(name) for name in studies)
     print(f"{'study':<{width}} {'kind':<6} {'points':>6} {'stat-fp':>7}  description")
@@ -295,9 +285,6 @@ def _list_studies(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep.orchestrator import run_sweep
-    from repro.sweep.study import get_study
-
     if args.list:
         return _list_studies(args)
     if args.experiment is None:
@@ -489,7 +476,7 @@ def _add_report_parser(subparsers, command: str) -> None:
                    default=True,
                    help=f"load the persisted report for an identical {verb.noun} "
                    "run instead of re-simulating it (needs --out)")
-    p.add_argument("--substrate", default="auto", choices=["auto", "exact"],
+    p.add_argument("--substrate", default="auto", choices=SWEEP_SUBSTRATES,
                    help="training policy: 'auto' replays recorded statistics "
                    "when eligible; 'exact' always trains with real numpy")
     p.add_argument("--json", action="store_true",

@@ -259,13 +259,6 @@ class JobContext:
         )
         return raw / self.worker_speed(rank)
 
-    def epoch_seconds(self, rank: int) -> float:
-        """One full local training epoch (asynchronous executor)."""
-        shard = self.shards[rank]
-        return self._work_seconds(
-            rank, shard.n_rows * self.scale, shard.iterations_per_epoch
-        )
-
     # ------------------------------------------------------------------
     # Communication helpers
     # ------------------------------------------------------------------

@@ -26,10 +26,9 @@ from repro.simulation.tracing import TimeBreakdown
 def train(config: TrainingConfig, substrate=None) -> RunResult:
     """Run one simulated training job end to end.
 
-    ``substrate`` selects the statistical backend: ``None``/``"exact"``
-    for the real numpy path, ``"record"`` (or a
-    :class:`~repro.substrate.record.RecordingSubstrate` instance, whose
-    ``.trace`` survives the call) to additionally capture a convergence
+    ``substrate`` is the statistical backend: ``None`` for the real
+    numpy path, a :class:`~repro.substrate.record.RecordingSubstrate`
+    (whose ``.trace`` survives the call) to also capture a convergence
     trace, or a :class:`~repro.substrate.replay.ReplaySubstrate` to
     re-emit one with zero numpy work — bit-identical duration, cost,
     history and breakdown for BSP configs.

@@ -38,10 +38,6 @@ class ItemTooLargeError(StorageError):
     """An object exceeds the service's item-size limit (e.g. DynamoDB 400 KB)."""
 
 
-class ServiceNotStartedError(StorageError):
-    """The storage service has not finished its startup (e.g. ElastiCache)."""
-
-
 class TransientStorageError(StorageError):
     """A storage operation kept failing past the retry policy's budget.
 
@@ -65,24 +61,8 @@ class OutOfMemoryError(FaaSError):
     """A function exceeded its configured memory limit."""
 
 
-class InvocationError(FaaSError):
-    """A function could not be invoked (bad payload, missing handler...)."""
-
-
-class IaaSError(ReproError):
-    """Base class for simulated IaaS (VM cluster) failures."""
-
-
-class ClusterError(IaaSError):
-    """The VM cluster is in an unusable state."""
-
-
 class CommunicationError(ReproError):
     """A collective communication operation failed."""
-
-
-class ConvergenceError(ReproError):
-    """Training failed to reach the requested loss threshold in budget."""
 
 
 class FaultInjectionError(ReproError):

@@ -39,7 +39,7 @@ def format_report(rows) -> str:
     )
 
 
-@study("datasets", kind="direct")
+@study("datasets")
 class DatasetsStudy:
     """Figure 6 dataset table: logical specs next to the physical stand-ins"""
 

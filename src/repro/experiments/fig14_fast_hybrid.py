@@ -101,7 +101,7 @@ def format_report(rows: list[CaseStudyRow]) -> str:
     )
 
 
-@study("fig14", kind="direct")
+@study("fig14")
 class Fig14Study:
     """Q1 what-if: a 10 Gbps FaaS<->IaaS link, evaluated analytically"""
 

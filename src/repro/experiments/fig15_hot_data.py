@@ -47,7 +47,7 @@ def format_report(rows: list[HotDataRow]) -> str:
     )
 
 
-@study("fig15", kind="direct")
+@study("fig15")
 class Fig15Study:
     """Q2 what-if: hot data resident in a serving VM, evaluated analytically"""
 

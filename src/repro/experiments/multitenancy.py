@@ -129,7 +129,7 @@ def format_report(outcomes: list[TenancyOutcome]) -> str:
     )
 
 
-@study("multitenancy_analytical", kind="direct")
+@study("multitenancy_analytical")
 class MultitenancyAnalyticalStudy:
     """Q3 extension (closed form): peaky multi-tenant arrivals on FaaS vs reserved/on-demand IaaS"""
 

@@ -91,7 +91,7 @@ def format_report(rows: list[RPCRow]) -> str:
     )
 
 
-@study("table2", kind="direct")
+@study("table2")
 class Table2Study:
     """Lambda<->VM parameter-server RPC micro-benchmark (gRPC vs Thrift, 75 MB)"""
 

@@ -88,7 +88,7 @@ def format_report(rows: list[PatternRow]) -> str:
     )
 
 
-@study("table3", kind="direct")
+@study("table3")
 class Table3Study:
     """AllReduce vs ScatterReduce single-exchange timing over S3 (engine micro-probe)"""
 

@@ -113,7 +113,7 @@ def format_report(rows: list[ConstantRow]) -> str:
     )
 
 
-@study("table6", kind="direct")
+@study("table6")
 class Table6Study:
     """self-consistency check: analytical constants re-measured from the substrate"""
 

@@ -161,14 +161,14 @@ def run_campaign(
         for task in tasks:
             on_result(_check_task(task))
     else:
-        from repro.sweep.orchestrator import _run_resilient_pool
+        from repro.sweep import run_resilient_pool
 
         def on_dead(task: CampaignTask, reason: str) -> None:
             result.checks[PROCESS_SURVIVES] = result.checks.get(PROCESS_SURVIVES, 0) + 1
             raw_failures.append((task, PROCESS_SURVIVES, reason))
             say(f"[{task.index + 1}/{len(tasks)}] {task.scenario_id} FAILED {PROCESS_SURVIVES}: {reason}")
 
-        _run_resilient_pool(tasks, min(workers, len(tasks)), on_result, on_dead, fn=_check_task)
+        run_resilient_pool(tasks, min(workers, len(tasks)), on_result, on_dead, fn=_check_task)
 
     # Order findings by scenario for a stable report regardless of pool
     # scheduling; the pool already preserves nothing else.

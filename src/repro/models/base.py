@@ -37,9 +37,3 @@ class SupervisedModel(abc.ABC):
     def loss_and_gradient(self, params: np.ndarray, X, y: np.ndarray):
         """Override when loss and gradient share work."""
         return self.loss(params, X, y), self.gradient(params, X, y)
-
-    def check_params(self, params: np.ndarray) -> None:
-        if params.shape != (self.n_params,):
-            raise ValueError(
-                f"expected params of shape ({self.n_params},), got {params.shape}"
-            )

@@ -31,18 +31,3 @@ def sgd_epoch(
         params -= (lr * grad).astype(params.dtype, copy=False)
     return params
 
-
-def sgd_steps(
-    model: SupervisedModel,
-    params: np.ndarray,
-    shard: Shard,
-    lr: float,
-    steps: int,
-) -> np.ndarray:
-    """`steps` sampled minibatch updates (asynchronous executors)."""
-    params = params.copy()
-    for _ in range(steps):
-        X_batch, y_batch = shard.sample_batch()
-        grad = model.gradient(params, X_batch, y_batch)
-        params -= (lr * grad).astype(params.dtype, copy=False)
-    return params

@@ -53,6 +53,7 @@ from repro.substrate.record import RecordingSubstrate
 from repro.substrate.replay import ReplaySubstrate
 from repro.sweep.artifacts import artifact_from_result, write_artifact
 from repro.sweep.grid import SweepPoint, config_hash
+from repro.sweep.orchestrator import SWEEP_SUBSTRATES
 
 BASELINE_EXPERIMENT = "baselines"
 
@@ -125,7 +126,7 @@ class BaselineProvider:
         results: dict[str, RunResult] | None = None,
         traces: dict[str, dict] | None = None,
     ) -> None:
-        if policy not in ("auto", "exact"):
+        if policy not in SWEEP_SUBSTRATES:
             raise SimulationError(f"unknown baseline policy {policy!r}")
         self.policy = policy
         self.artifacts_dir = artifacts_dir

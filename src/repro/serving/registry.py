@@ -7,17 +7,15 @@ reference worker, a quality tag derived from the training run's final
 loss, and what that run cost — the training leg of the end-to-end
 $/(model + 1M requests) axis.
 
-Entries are built from :class:`~repro.core.results.RunResult` objects
-(in-process pipelines) or persisted sweep artifacts (the figV study),
-so a registry never retrains anything: models are content-addressed
-training outputs.
+Entries are built from sweep artifacts (persisted, or in memory for a
+rootless pipeline), so a registry never retrains anything: models are
+content-addressed training outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.models.zoo import get_model_info
 
@@ -85,27 +83,6 @@ class ModelRegistry:
             raise ConfigurationError(f"model {entry.name!r} is already registered")
         self._entries[entry.name] = entry
         return entry
-
-    def register_result(
-        self, name: str, result: RunResult, source: str = "run"
-    ) -> ServedModel:
-        """Build an entry straight from an in-memory training result."""
-        config = result.config
-        info = get_model_info(config.model, config.dataset)
-        return self.register(
-            ServedModel(
-                name=name,
-                model=config.model,
-                dataset=config.dataset,
-                param_bytes=info.param_bytes,
-                final_loss=result.final_loss,
-                converged=result.converged,
-                quality=_quality_tag(result.converged, result.final_loss),
-                training_cost=result.cost_total,
-                training_s=result.duration_s,
-                source=source,
-            )
-        )
 
     def register_artifact(self, name: str, artifact: dict) -> ServedModel:
         """Build an entry from a persisted sweep artifact (figV path)."""

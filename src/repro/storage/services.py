@@ -55,46 +55,40 @@ class S3Store(ObjectStore):
             self.meter.bill_s3_request(op, count)
 
 
-class MemcachedStore(ObjectStore):
+class _ElastiCacheStore(ObjectStore):
+    """An ElastiCache node: Table-6 envelope, minutes to start, node-hours."""
+
+    _engine: str  # profile name prefix
+    _threads: int  # worker threads serving concurrent transfers
+
+    def __init__(self, node: str = "cache.t3.small", meter: CostMeter | None = None):
+        try:
+            env = ELASTICACHE_NODES[node]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown ElastiCache node {node!r}; known: {sorted(ELASTICACHE_NODES)}"
+            ) from None
+        profile = StorageProfile(
+            name=f"{self._engine}[{node}]",
+            latency_s=env["latency_s"],
+            bandwidth_bps=env["bandwidth_bps"],
+            concurrency=self._threads,
+            startup_s=ELASTICACHE_STARTUP_S,
+        )
+        super().__init__(profile, meter=meter)
+        self.node = node
+
+
+class MemcachedStore(_ElastiCacheStore):
     """ElastiCache-for-Memcached: fast, multi-threaded, slow to start."""
 
-    def __init__(self, node: str = "cache.t3.small", meter: CostMeter | None = None):
-        try:
-            env = ELASTICACHE_NODES[node]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown ElastiCache node {node!r}; known: {sorted(ELASTICACHE_NODES)}"
-            ) from None
-        profile = StorageProfile(
-            name=f"memcached[{node}]",
-            latency_s=env["latency_s"],
-            bandwidth_bps=env["bandwidth_bps"],
-            concurrency=8,
-            startup_s=ELASTICACHE_STARTUP_S,
-        )
-        super().__init__(profile, meter=meter)
-        self.node = node
+    _engine, _threads = "memcached", 8
 
 
-class RedisStore(ObjectStore):
+class RedisStore(_ElastiCacheStore):
     """ElastiCache-for-Redis: same node envelope, single worker thread."""
 
-    def __init__(self, node: str = "cache.t3.small", meter: CostMeter | None = None):
-        try:
-            env = ELASTICACHE_NODES[node]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown ElastiCache node {node!r}; known: {sorted(ELASTICACHE_NODES)}"
-            ) from None
-        profile = StorageProfile(
-            name=f"redis[{node}]",
-            latency_s=env["latency_s"],
-            bandwidth_bps=env["bandwidth_bps"],
-            concurrency=1,
-            startup_s=ELASTICACHE_STARTUP_S,
-        )
-        super().__init__(profile, meter=meter)
-        self.node = node
+    _engine, _threads = "redis", 1
 
 
 class DynamoDBStore(ObjectStore):

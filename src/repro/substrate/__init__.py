@@ -9,7 +9,7 @@ dollars). See :mod:`repro.substrate.base` for the contract and
 from __future__ import annotations
 
 from repro.errors import SubstrateError
-from repro.substrate.base import SUBSTRATE_MODES, Substrate
+from repro.substrate.base import Substrate
 from repro.substrate.exact import ExactSubstrate
 from repro.substrate.record import RecordingSubstrate
 from repro.substrate.replay import ReplaySubstrate
@@ -24,7 +24,6 @@ from repro.substrate.traces import (
 )
 
 __all__ = [
-    "SUBSTRATE_MODES",
     "Substrate",
     "ExactSubstrate",
     "RecordingSubstrate",
@@ -41,28 +40,11 @@ __all__ = [
 
 
 def make_substrate(spec=None) -> Substrate:
-    """Resolve a substrate spec: None/name/instance -> fresh instance.
-
-    ``None`` and ``"exact"`` give the default numpy path; ``"record"``
-    a recording run; ``"replay"`` needs a trace, so it is only valid as
-    an already-constructed :class:`ReplaySubstrate` instance (the sweep
-    orchestrator builds those from ``traces/<stat_hash>.json``).
-    """
+    """``None`` -> a fresh :class:`ExactSubstrate`; an instance -> itself."""
     if spec is None:
         return ExactSubstrate()
     if isinstance(spec, Substrate):
         return spec
-    if spec == "exact":
-        return ExactSubstrate()
-    if spec == "record":
-        return RecordingSubstrate()
-    if spec == "replay":
-        raise SubstrateError(
-            "substrate 'replay' needs a recorded trace: pass "
-            "ReplaySubstrate(trace) (or use the sweep orchestrator, which "
-            "records and replays traces for you)"
-        )
     raise SubstrateError(
-        f"unknown substrate {spec!r}; expected one of {SUBSTRATE_MODES} "
-        "or a Substrate instance"
+        f"unknown substrate {spec!r}; expected None or a Substrate instance"
     )

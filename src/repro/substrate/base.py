@@ -32,8 +32,6 @@ import time
 
 from repro.errors import SubstrateError
 
-SUBSTRATE_MODES = ("exact", "record", "replay")
-
 
 class Substrate(abc.ABC):
     """Per-run statistical backend; see the module docstring."""

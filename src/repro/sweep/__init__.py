@@ -38,7 +38,7 @@ from repro.sweep.orchestrator import (
     SWEEP_SUBSTRATES,
     SweepRun,
     plan_sweep,
-    run_point,
+    run_resilient_pool,
     run_sweep,
 )
 # NOTE: the ``@study`` decorator itself is deliberately NOT re-exported
@@ -70,7 +70,7 @@ __all__ = [
     "expand_grid",
     "load_artifact",
     "result_from_artifact",
-    "run_point",
+    "run_resilient_pool",
     "run_sweep",
     "scan_artifacts",
     "write_artifact",

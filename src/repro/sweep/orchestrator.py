@@ -26,7 +26,7 @@ Design constraints:
   phase-0 recording of every statistical fingerprint that already has
   a valid ``traces/<stat_hash>.json``.
 
-Two-phase replay sweeps (``substrate="auto"`` / ``"replay"``):
+Two-phase replay sweeps (``substrate="auto"``):
 
 Most sweep axes (channel, pattern, instance, poll interval, prices,
 Lambda sizing) move simulated clocks and dollars but cannot change a
@@ -36,8 +36,9 @@ space are separable. Phase 0 therefore groups the grid by
 training per unique fingerprint; phase 1 replays the recorded trace
 for every other point in the group, yielding bit-identical artifacts
 at ~zero numpy cost. Timing-coupled configs (ASP, hybrid PS) have no
-systems-independent trajectory: ``"auto"`` silently runs them exact,
-``"replay"`` refuses them.
+systems-independent trajectory, so they run exact. :func:`_classify`
+is that split, and the one definition of it: :func:`plan_sweep` counts
+what it returns, :func:`run_sweep` executes it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from repro.sweep.artifacts import (
 )
 from repro.sweep.grid import SweepPoint, dedupe_with_hashes
 
-SWEEP_SUBSTRATES = ("exact", "replay", "auto")
+SWEEP_SUBSTRATES = ("exact", "auto")
 
 
 @dataclass
@@ -121,11 +122,6 @@ def run_task(task: _Task) -> tuple[int, dict, dict | None]:
     return task.index, artifact, substrate.trace if task.mode == "record" else None
 
 
-def run_point(point: SweepPoint) -> dict:
-    """Execute one sweep point exactly (kept for library/test callers)."""
-    return run_task(_Task(0, point))[1]
-
-
 def _pool_child(fn, task, conn) -> None:
     """Child-process entry point: run one task, ship result or error.
 
@@ -151,7 +147,7 @@ def _pool_child(fn, task, conn) -> None:
     conn.close()
 
 
-def _run_resilient_pool(tasks, width: int, on_result, on_dead, fn=None) -> None:
+def run_resilient_pool(tasks, width: int, on_result, on_dead, fn=None) -> None:
     """Fan tasks over one-process-per-task workers; survive worker death.
 
     ``multiprocessing.Pool.imap_unordered`` hangs forever when a worker
@@ -233,6 +229,29 @@ def _resolve_traces_dir(
     return None  # in-memory sweep: traces live only for this invocation
 
 
+def _classify(
+    points: list[SweepPoint], hashes: list[str], configs: list, reused, substrate: str
+) -> tuple[list[_Task], dict[str, list[_Task]]]:
+    """Split the points not in ``reused`` into exact tasks and stat groups.
+
+    ``reused`` holds the config hashes a resume already has artifacts
+    for. Of the rest, an ``"exact"`` sweep and every timing-coupled
+    config train exactly; the others are grouped by statistical
+    fingerprint, in grid order — a group with no trace records its head
+    and replays its tail, a group with one replays whole.
+    """
+    exact_tasks: list[_Task] = []
+    stat_groups: dict[str, list[_Task]] = {}
+    for index, (point, point_hash, config) in enumerate(zip(points, hashes, configs)):
+        if point_hash in reused:
+            continue
+        if substrate == "exact" or config.timing_coupled:
+            exact_tasks.append(_Task(index, point))
+        else:
+            stat_groups.setdefault(config.stat_hash(), []).append(_Task(index, point))
+    return exact_tasks, stat_groups
+
+
 def plan_sweep(
     points: list[SweepPoint],
     out_dir: str | os.PathLike | None = None,
@@ -243,7 +262,8 @@ def plan_sweep(
 
     Returns grid size, unique statistical fingerprints, how many
     artifacts/traces already exist on disk, and how much exact numpy
-    work a replay-mode invocation would actually pay for. ``resume``
+    work a ``substrate="auto"`` invocation would actually pay for
+    (``pending_points`` is what ``"exact"`` would train). ``resume``
     must match the planned invocation: on-disk artifacts and traces
     only count as done when the real run would reuse them too.
     """
@@ -252,42 +272,26 @@ def plan_sweep(
     traces_dir = _resolve_traces_dir(out_dir, traces_dir)
     traces, corrupt_traces = scan_traces(traces_dir)
 
-    stat_hashes: set[str] = set()
-    replayable_hashes: set[str] = set()
-    coupled = 0
-    pending_stat_hashes: set[str] = set()
-    pending_coupled = 0
-    pending = 0
-    for config, point_hash in zip(configs, hashes):
-        stat_hash = config.stat_hash()
-        stat_hashes.add(stat_hash)
-        if config.timing_coupled:
-            coupled += 1
-        else:
-            replayable_hashes.add(stat_hash)
-        if resume and point_hash in completed:
-            continue
-        pending += 1
-        if config.timing_coupled:
-            pending_coupled += 1
-        else:
-            pending_stat_hashes.add(stat_hash)
-
-    usable_traces = traces if resume else {}
-    recordings_needed = sum(1 for h in pending_stat_hashes if h not in usable_traces)
+    coupled, replayable = _classify(points, hashes, configs, {}, "auto")
+    reused, usable_traces = (completed, traces) if resume else ({}, {})
+    exact_tasks, stat_groups = _classify(points, hashes, configs, reused, "auto")
+    exact_needed = len(exact_tasks) + sum(
+        1 for stat_hash in stat_groups if stat_hash not in usable_traces
+    )
+    pending = len(exact_tasks) + sum(len(tasks) for tasks in stat_groups.values())
     return {
         "points": len(points),
-        "unique_stat_fingerprints": len(stat_hashes),
-        "timing_coupled_points": coupled,
-        "pending_timing_coupled": pending_coupled,
+        "unique_stat_fingerprints": len(
+            {configs[task.index].stat_hash() for task in coupled} | set(replayable)
+        ),
+        "timing_coupled_points": len(coupled),
         "artifacts_present": sum(1 for h in hashes if h in completed),
         "artifacts_corrupt": len(corrupt),
-        "traces_present": sum(1 for h in replayable_hashes if h in traces),
+        "traces_present": sum(1 for h in replayable if h in traces),
         "traces_corrupt": len(corrupt_traces),
         "pending_points": pending,
-        "exact_trainings_needed": recordings_needed + pending_coupled,
-        "replays_needed": pending - pending_coupled - recordings_needed,
-        "resume": resume,
+        "exact_trainings_needed": exact_needed,
+        "replays_needed": pending - exact_needed,
         "out_dir": None if out_dir is None else str(out_dir),
         "traces_dir": None if traces_dir is None else str(traces_dir),
     }
@@ -319,11 +323,10 @@ def run_sweep(
         Optional callable ``progress(message: str)`` for per-point
         status lines (the CLI passes one; the library default is quiet).
     substrate:
-        ``"exact"`` trains every point with real numpy (the default).
-        ``"auto"`` runs the two-phase record/replay sweep, falling back
-        to exact for timing-coupled (ASP / hybrid-PS) points.
-        ``"replay"`` is ``"auto"`` that *refuses* timing-coupled points
-        instead of falling back.
+        One of :data:`SWEEP_SUBSTRATES`. ``"exact"`` trains every point
+        with real numpy (the default). ``"auto"`` runs the two-phase
+        record/replay sweep, falling back to exact for timing-coupled
+        (ASP / hybrid-PS) points.
     traces_dir:
         Where ``<stat_hash>.json`` traces go (default:
         ``<out_dir>/traces``; in-memory when ``out_dir`` is ``None``).
@@ -358,10 +361,7 @@ def run_sweep(
 
     by_hash: dict[str, dict] = {}
     skipped = 0
-    pending: list[tuple[int, SweepPoint, object]] = []
-    for index, (point, point_hash, config) in enumerate(
-        zip(points, hashes, configs)
-    ):
+    for index, (point, point_hash) in enumerate(zip(points, hashes)):
         if point_hash in completed:
             artifact = completed[point_hash]
             recorded_version = artifact["meta"].get("engine_version")
@@ -395,8 +395,6 @@ def run_sweep(
             by_hash[point_hash] = artifact
             skipped += 1
             say(f"[{index + 1}/{len(points)}] {point.label}: skipped (artifact exists)")
-        else:
-            pending.append((index, point, config))
 
     run = SweepRun(
         skipped=skipped,
@@ -441,28 +439,27 @@ def run_sweep(
             else:
                 run.exact_runs += 1
         by_index = {task.index: task for task in tasks}
+
+        def on_result(message: tuple) -> None:
+            index, artifact, trace = message
+            finish(by_index[index], artifact)
+            if trace is not None:
+                on_trace(trace)
+
         width = min(jobs, len(tasks))
         if width == 1:
             for task in tasks:
-                index, artifact, trace = run_task(task)
-                finish(task, artifact)
-                if trace is not None and on_trace is not None:
-                    on_trace(trace)
+                on_result(run_task(task))
         else:
+            run_resilient_pool(tasks, width, on_result, fail)
 
-            def on_result(message: tuple) -> None:
-                index, artifact, trace = message
-                finish(by_index[index], artifact)
-                if trace is not None and on_trace is not None:
-                    on_trace(trace)
-
-            _run_resilient_pool(tasks, width, on_result, fail)
-
+    exact_tasks, stat_groups = _classify(points, hashes, configs, completed, substrate)
     if substrate == "exact":
-        execute([_Task(index, point) for index, point, _ in pending])
+        execute(exact_tasks)
     else:
         _run_two_phase(
-            run, pending, substrate, out_dir, traces_dir, resume, say, execute, fail
+            run, exact_tasks, stat_groups,
+            _resolve_traces_dir(out_dir, traces_dir), resume, say, execute, fail,
         )
 
     # Failed points (dead workers) have no artifact; everything else is
@@ -472,11 +469,11 @@ def run_sweep(
 
 
 def _run_two_phase(
-    run: SweepRun, pending, substrate, out_dir, traces_dir, resume, say, execute, fail
+    run: SweepRun, exact_tasks, stat_groups, traces_dir, resume, say, execute, fail
 ) -> None:
-    """Group by stat fingerprint; record once per group, replay the rest."""
-    traces_dir = _resolve_traces_dir(out_dir, traces_dir)
+    """Record once per stat group that has no trace; replay the rest."""
     run.traces_dir = None if traces_dir is None else str(traces_dir)
+    run.stat_groups = len(stat_groups)
     traces: dict[str, dict] = {}
     if traces_dir is not None and resume:
         # Reusing a previously recorded trace is the same act of trust
@@ -495,35 +492,11 @@ def _run_two_phase(
                     f"{recorded_version or 'unknown'} (running {repro_version})"
                 )
 
-    exact_tasks: list[_Task] = []
-    groups: dict[str, list[_Task]] = {}
-    for index, point, config in pending:
-        if config.timing_coupled:
-            if substrate == "replay":
-                raise ConfigurationError(
-                    f"point {point.label!r} ({config.protocol}/{config.platform}) "
-                    "is timing-coupled and cannot be replayed; run it with "
-                    "substrate='auto' (exact fallback) or 'exact'"
-                )
-            exact_tasks.append(_Task(index, point))
-        else:
-            groups.setdefault(config.stat_hash(), []).append(_Task(index, point))
-    run.stat_groups = len(groups)
-
-    record_tasks: list[_Task] = []
-    replay_ready: list[tuple[_Task, str]] = []
-    replay_blocked: dict[str, list[_Task]] = {}
-    for stat_hash, tasks in groups.items():
-        rest = tasks
-        if stat_hash not in traces:
-            head, *rest = tasks
-            record_tasks.append(
-                _Task(head.index, head.point, mode="record")
-            )
-            replay_blocked[stat_hash] = rest
-        else:
-            replay_ready.extend((task, stat_hash) for task in tasks)
-
+    record_tasks = [
+        _Task(tasks[0].index, tasks[0].point, mode="record")
+        for stat_hash, tasks in stat_groups.items()
+        if stat_hash not in traces
+    ]
     say(
         f"phase 0: {len(record_tasks)} exact recording(s) for "
         f"{run.stat_groups} unique statistical fingerprint(s) "
@@ -540,25 +513,24 @@ def _run_two_phase(
     # full-cost exact trainings, so one pool pass covers phase 0.
     execute(record_tasks + exact_tasks, on_trace=on_trace)
 
-    replay_tasks = [
-        _Task(task.index, task.point, mode="replay", trace=traces[stat_hash])
-        for task, stat_hash in replay_ready
-    ]
-    for stat_hash, tasks in replay_blocked.items():
-        if stat_hash not in traces:
-            # The phase-0 recording for this fingerprint died (its
-            # worker was killed): its replays have no trace to run on.
-            for task in tasks:
+    recorded = {task.index for task in record_tasks}
+    replay_tasks: list[_Task] = []
+    for stat_hash, tasks in stat_groups.items():
+        for task in tasks:
+            if task.index in recorded:
+                continue
+            if stat_hash in traces:
+                replay_tasks.append(
+                    _Task(task.index, task.point, mode="replay", trace=traces[stat_hash])
+                )
+            else:
+                # The phase-0 recording for this fingerprint died (its
+                # worker was killed): its replays have no trace to run on.
                 fail(
                     task,
                     f"recording for statistical fingerprint {stat_hash[:12]} "
                     "failed; nothing to replay",
                 )
-            continue
-        replay_tasks.extend(
-            _Task(task.index, task.point, mode="replay", trace=traces[stat_hash])
-            for task in tasks
-        )
     replay_tasks.sort(key=lambda task: task.index)
     say(f"phase 1: replaying {len(replay_tasks)} point(s) from recorded traces")
     execute(replay_tasks)

@@ -30,10 +30,6 @@ and the registry auto-discovers them by importing every module under
 :mod:`repro.experiments` on first lookup — adding a study never touches
 the registry again, and ``repro.cli sweep --experiment <name>`` gains
 ``--jobs/--resume/--substrate auto`` for free.
-
-Grid expansion is memoized per :class:`StudyContext`: a ``--dry-run``
-plan followed by the real run expands each grid exactly once per
-process.
 """
 
 from __future__ import annotations
@@ -67,8 +63,7 @@ class StudyContext:
     sweeps); ``seed`` feeds every RNG draw; ``mega`` opts into the
     mega-scale grid tails (e.g. fig11's W=1024/2048/4096 FaaS points)
     that stay out of default sweeps so CI smoke runs keep their wall
-    budget. Frozen and hashable so it doubles as the memoization key
-    for grid expansion.
+    budget.
     """
 
     max_epochs: float | None = None
@@ -79,37 +74,31 @@ class StudyContext:
 class Study:
     """One registered experiment: grid + aggregator + report renderer.
 
-    ``kind`` distinguishes how the result is produced:
+    ``kind`` says how the result is produced, and follows from the
+    declaration:
 
-    * ``"grid"`` — the study's substance is a grid of
-      :class:`~repro.core.config.TrainingConfig` points run by the
+    * ``"grid"`` — ``points`` is given: the study's substance is a grid
+      of :class:`~repro.core.config.TrainingConfig` points run by the
       sweep orchestrator; ``aggregate`` is a cheap pure reduction of
       the persisted artifacts.
-    * ``"direct"`` — the grid is empty and ``aggregate`` computes the
-      result itself (analytical models, engine micro-probes). The
-      orchestrator flags still work — there is just nothing to fan out.
+    * ``"direct"`` — ``points`` is ``None``: the grid is empty and
+      ``aggregate`` computes the result itself (analytical models,
+      engine micro-probes). The orchestrator flags still work — there
+      is just nothing to fan out.
+
+    ``aggregate(artifacts)`` reduces per-point artifacts to the
+    experiment's result object; ``format_report(result)`` renders it the
+    way the paper reports it.
     """
 
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        points,
-        aggregate,
-        format_report,
-        kind: str = "grid",
-    ) -> None:
-        if kind not in ("grid", "direct"):
-            raise ConfigurationError(f"unknown study kind {kind!r}")
+    def __init__(self, name: str, description: str, points, aggregate, format_report) -> None:
         self.name = name
         self.description = description
-        self.kind = kind
+        self.kind = "direct" if points is None else "grid"
         self._points = points
-        self._aggregate = aggregate
-        self._format_report = format_report
-        self._expansions: dict[StudyContext, list[SweepPoint]] = {}
+        self.aggregate = aggregate
+        self.format_report = format_report
 
-    # -- protocol ---------------------------------------------------------
     def points(
         self,
         max_epochs: float | None = None,
@@ -117,27 +106,12 @@ class Study:
         ctx: StudyContext | None = None,
         mega: bool = False,
     ) -> list[SweepPoint]:
-        """The study's grid, memoized per context.
-
-        Returns a fresh list each call (callers may filter/extend it)
-        over shared, frozen :class:`SweepPoint` instances — expansion
-        itself runs once per :class:`StudyContext` per process, so a
-        ``--dry-run`` plan plus the real run never double-expands a
-        large grid.
-        """
+        """The study's grid for one context (a fresh list each call)."""
+        if self._points is None:
+            return []
         if ctx is None:
             ctx = StudyContext(max_epochs=max_epochs, seed=seed, mega=mega)
-        if ctx not in self._expansions:
-            self._expansions[ctx] = list(self._points(ctx))
-        return list(self._expansions[ctx])
-
-    def aggregate(self, artifacts: list[dict]):
-        """Reduce per-point artifacts to the experiment's result object."""
-        return self._aggregate(artifacts)
-
-    def format_report(self, result) -> str:
-        """Render an aggregated result the way the paper reports it."""
-        return self._format_report(result)
+        return list(self._points(ctx))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Study({self.name!r}, kind={self.kind!r})"
@@ -145,10 +119,6 @@ class Study:
 
 _REGISTRY: dict[str, Study] = {}
 _DISCOVERED = False
-
-
-def _no_points(_ctx: StudyContext) -> list[SweepPoint]:
-    return []
 
 
 def register(entry: Study) -> Study:
@@ -162,11 +132,11 @@ def register(entry: Study) -> Study:
     return entry
 
 
-def study(name: str, *, kind: str = "grid", description: str | None = None):
+def study(name: str, *, description: str | None = None):
     """Class decorator registering a study declaration.
 
-    The class provides ``points(ctx)`` (optional for ``kind="direct"``
-    studies — defaults to an empty grid), ``aggregate(artifacts)`` and
+    The class provides ``points(ctx)`` (leave it out for a direct study
+    — the grid is then empty), ``aggregate(artifacts)`` and
     ``format_report(result)`` as static/plain callables; the
     description defaults to the first line of the class docstring.
     """
@@ -177,21 +147,13 @@ def study(name: str, *, kind: str = "grid", description: str | None = None):
             raise ConfigurationError(
                 f"study {name!r} needs a description (docstring or keyword)"
             )
-        points = getattr(cls, "points", None)
-        if points is None:
-            if kind != "direct":
-                raise ConfigurationError(
-                    f"grid study {name!r} must declare points(ctx)"
-                )
-            points = _no_points
         register(
             Study(
                 name,
                 doc.splitlines()[0],
-                points=points,
+                points=getattr(cls, "points", None),
                 aggregate=cls.aggregate,
                 format_report=cls.format_report,
-                kind=kind,
             )
         )
         return cls

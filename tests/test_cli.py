@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import add_config_flags, build_parser, config_from_args, main
 from repro.core.config import TrainingConfig
+from repro.sweep import SWEEP_SUBSTRATES
 
 
 def train_subparser() -> argparse.ArgumentParser:
@@ -317,3 +318,24 @@ class TestInferFlagParity:
     def test_infer_rejects_unknown_traffic(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["infer", "--traffic", "square_wave"])
+
+
+class TestSubstrateChoices:
+    """One tuple names the sweep substrates; every --substrate flag reads it."""
+
+    @pytest.mark.parametrize("command", ["sweep", "serve", "infer"])
+    def test_substrate_flag_offers_the_sweep_substrates(self, command):
+        subparsers = build_parser()._subparsers._group_actions[0]
+        (flag,) = [
+            a for a in subparsers.choices[command]._actions if a.dest == "substrate"
+        ]
+        assert flag.choices is SWEEP_SUBSTRATES
+        assert flag.default in SWEEP_SUBSTRATES
+
+    def test_replay_is_not_a_choice(self, capsys):
+        assert SWEEP_SUBSTRATES == ("exact", "auto")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["sweep", "--experiment", "smoke", "--substrate", "replay"]
+            )
+        assert "invalid choice: 'replay'" in capsys.readouterr().err

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.api import Scenario, Service, ServiceConfig
+from repro.api import Scenario, Service, ServiceConfig, Session
 from repro.cli import main
 from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError, SimulationError
@@ -362,8 +362,23 @@ class TestServiceFacade:
             Service().run()
 
     def test_bad_substrate_rejected(self):
-        with pytest.raises(ConfigurationError, match="substrate"):
-            Service(substrate="replay")
+        # One check for every rooted facade (repro.api.report).
+        for facade in (Service, Session):
+            with pytest.raises(ConfigurationError, match="substrate must be one of"):
+                facade(substrate="replay")
+
+    def test_session_and_service_share_one_root_layout(self, tmp_path):
+        # A Session used to file its traces under <root>/<study>/traces,
+        # where no other facade looked; now whatever launched a run
+        # records into — and replays from — <root>/traces.
+        config = fast_service()
+        Session(tmp_path).run(Scenario(**config.job_kwargs()))
+        messages = []
+        Service(tmp_path, arrivals=config, progress=messages.append).run()
+        assert sorted(tmp_path.rglob("traces")) == [tmp_path / "traces"]
+        assert len(list((tmp_path / "traces").iterdir())) == 1
+        (phase0,) = [m for m in messages if m.startswith("phase 0")]
+        assert phase0.startswith("phase 0: 0 exact recording(s)")
 
     def test_submitted_jobs_join_generated_arrivals(self):
         service = Service(arrivals=fast_service(tenants=2))

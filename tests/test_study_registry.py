@@ -1,10 +1,9 @@
-"""The Study registry: discovery, memoized grids, the CLI catalog.
+"""The Study registry: discovery, derived kinds, the CLI catalog.
 
 ISSUE 5 acceptance: every experiment module is a registered study
 (>= 14 names beyond smoke), each grid study's points build valid,
-hash-unique configs, grid expansion is memoized per context, and
-``repro.cli sweep --list`` prints the whole catalog with grid/
-fingerprint accounting.
+hash-unique configs, and ``repro.cli sweep --list`` prints the whole
+catalog with grid/fingerprint accounting.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ import repro.experiments
 from repro.cli import main
 from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError
-from repro.sweep.grid import SweepPoint
 from repro.sweep.study import (
     Study,
-    StudyContext,
     all_studies,
     get_study,
     register,
@@ -101,49 +98,6 @@ class TestRegistry:
             assert entry.format_report(result), name
 
 
-class TestMemoizedExpansion:
-    def make_study(self, calls):
-        def points(ctx):
-            calls.append(ctx)
-            return [
-                SweepPoint(
-                    "memo", "p",
-                    config_kwargs=dict(
-                        model="lr", dataset="higgs", algorithm="admm",
-                        max_epochs=ctx.max_epochs or 1.0,
-                    ),
-                )
-            ]
-
-        return Study("memo", "memoization probe", points,
-                     aggregate=lambda a: a, format_report=str)
-
-    def test_same_context_expands_once(self):
-        calls = []
-        entry = self.make_study(calls)
-        first = entry.points(max_epochs=1.0)
-        second = entry.points(max_epochs=1.0)
-        assert len(calls) == 1  # --dry-run + run: one expansion
-        assert first == second
-        assert first is not second  # callers get their own list
-        assert first[0] is second[0]  # over shared frozen points
-
-    def test_context_changes_invalidate(self):
-        calls = []
-        entry = self.make_study(calls)
-        entry.points(max_epochs=1.0)
-        entry.points(max_epochs=2.0)
-        entry.points(seed=7)
-        assert len(calls) == 3
-
-    def test_ctx_object_and_kwargs_share_the_cache(self):
-        calls = []
-        entry = self.make_study(calls)
-        entry.points(max_epochs=1.0, seed=3)
-        entry.points(ctx=StudyContext(max_epochs=1.0, seed=3))
-        assert len(calls) == 1
-
-
 class TestStudyDecorator:
     def test_description_defaults_to_docstring(self):
         probe = []
@@ -173,14 +127,6 @@ class TestStudyDecorator:
             study_module.register = original
         assert probe[0].description == "first line wins"
 
-    def test_grid_study_requires_points(self):
-        with pytest.raises(ConfigurationError, match="must declare points"):
-
-            @study("pointless", description="no grid")
-            class Pointless:
-                aggregate = staticmethod(lambda a: a)
-                format_report = staticmethod(str)
-
     def test_direct_study_defaults_to_empty_grid(self):
         probe = []
         import repro.sweep.study as study_module
@@ -193,7 +139,7 @@ class TestStudyDecorator:
         study_module.register = catcher
         try:
 
-            @study("directless", kind="direct", description="computed")
+            @study("directless", description="computed")
             class Directless:
                 aggregate = staticmethod(lambda a: "result")
                 format_report = staticmethod(str)
@@ -201,10 +147,9 @@ class TestStudyDecorator:
         finally:
             study_module.register = original
         assert probe[0].points(max_epochs=1.0) == []
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown study kind"):
-            Study("x", "d", lambda ctx: [], lambda a: a, str, kind="quantum")
+        # kind follows from the declaration: no points -> direct.
+        assert probe[0].kind == "direct"
+        assert Study("x", "d", lambda ctx: [], lambda a: a, str).kind == "grid"
 
     def test_register_is_importable_and_guarded(self):
         with pytest.raises(ConfigurationError, match="already registered"):

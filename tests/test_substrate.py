@@ -281,14 +281,12 @@ class TestSubstrateGuards:
 
     def test_make_substrate_resolution(self, trace):
         assert isinstance(make_substrate(None), ExactSubstrate)
-        assert isinstance(make_substrate("exact"), ExactSubstrate)
-        assert isinstance(make_substrate("record"), RecordingSubstrate)
         replay = ReplaySubstrate(trace)
         assert make_substrate(replay) is replay
-        with pytest.raises(SubstrateError, match="needs a recorded trace"):
-            make_substrate("replay")
-        with pytest.raises(SubstrateError, match="unknown substrate"):
-            make_substrate("surrogate")
+        # Names are not specs: a substrate is None or an instance.
+        for name in ("exact", "record", "replay", "surrogate"):
+            with pytest.raises(SubstrateError, match="unknown substrate"):
+                make_substrate(name)
 
     def test_exact_meters_compute_seconds(self):
         substrate = ExactSubstrate()

@@ -35,10 +35,19 @@ from repro.sweep.artifacts import (
     write_artifact,
 )
 from repro.sweep.grid import SweepPoint, config_hash, dedupe_points, expand_grid
-from repro.sweep.orchestrator import run_point, run_sweep
+from repro.sweep.orchestrator import plan_sweep, run_sweep
 from repro.sweep.study import get_study
 
 SMOKE_POINTS = get_study("smoke").points
+
+
+ASP_POINT = SweepPoint(
+    "x", "asp-point",
+    config_kwargs=dict(
+        model="lr", dataset="higgs", algorithm="ga_sgd",
+        protocol="asp", data_scale=5000, max_epochs=1.0, workers=4,
+    ),
+)
 
 
 def strip_meta(artifact: dict) -> dict:
@@ -101,7 +110,7 @@ class TestArtifacts:
     # and their messages.
     @pytest.fixture(scope="class")
     def artifact(self):
-        return run_point(SMOKE_POINTS()[0])
+        return run_sweep(SMOKE_POINTS()[:1]).artifacts[0]
 
     def test_roundtrip_preserves_result(self, artifact, tmp_path):
         path = write_artifact(tmp_path, artifact)
@@ -541,25 +550,14 @@ class TestTwoPhaseSweep:
         load_trace(trace_file)  # healed by the re-recording
 
     def test_replay_mode_refuses_timing_coupled_points(self):
-        asp = SweepPoint(
-            "x", "asp-point",
-            config_kwargs=dict(
-                model="lr", dataset="higgs", algorithm="ga_sgd",
-                protocol="asp", data_scale=5000, max_epochs=1.0, workers=4,
-            ),
-        )
-        with pytest.raises(ConfigurationError, match="timing-coupled"):
-            run_sweep([asp], substrate="replay")
+        # "replay" used to be auto that refused timing-coupled points; it
+        # had no caller, and now refuses them — and every other point —
+        # as the unknown substrate it is.
+        with pytest.raises(ConfigurationError, match="unknown sweep substrate"):
+            run_sweep([ASP_POINT], substrate="replay")
 
     def test_auto_falls_back_to_exact_for_timing_coupled_points(self, tmp_path):
-        asp = SweepPoint(
-            "x", "asp-point",
-            config_kwargs=dict(
-                model="lr", dataset="higgs", algorithm="ga_sgd",
-                protocol="asp", data_scale=5000, max_epochs=1.0, workers=4,
-            ),
-        )
-        run = run_sweep([asp], out_dir=tmp_path, substrate="auto")
+        run = run_sweep([ASP_POINT], out_dir=tmp_path, substrate="auto")
         assert (run.exact_runs, run.recorded, run.replayed) == (1, 0, 0)
         assert run.artifacts[0]["meta"]["substrate"] == "exact"
         assert not (tmp_path / "traces").exists()  # nothing replayable
@@ -595,8 +593,6 @@ class TestTwoPhaseSweep:
 
 class TestPlanSweep:
     def test_plan_counts_fingerprints_and_existing_work(self, tmp_path):
-        from repro.sweep.orchestrator import plan_sweep
-
         points = SMOKE_POINTS()
         plan = plan_sweep(points, out_dir=tmp_path)
         assert plan["points"] == len(points)
@@ -622,11 +618,30 @@ class TestPlanSweep:
         assert plan["replays_needed"] == len(points) - 1
 
     def test_plan_runs_nothing(self, tmp_path):
-        from repro.sweep.orchestrator import plan_sweep
-
         plan_sweep(SMOKE_POINTS(), out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
         assert plan_sweep(SMOKE_POINTS())["out_dir"] is None
+
+    @pytest.mark.parametrize("state", ["fresh", "two artifacts", "trace only"])
+    def test_plan_equals_the_run_that_follows(self, tmp_path, state):
+        # The plan and the run count one _classify() split; this pins
+        # that they also agree on what resume may reuse.
+        points = SMOKE_POINTS() + [ASP_POINT]
+        resume = state != "fresh"
+        if state == "two artifacts":
+            run_sweep(points[:2], out_dir=tmp_path, substrate="auto")
+        elif state == "trace only":
+            run_sweep(points, out_dir=tmp_path, substrate="auto")
+            for path in tmp_path.glob("*.json"):
+                path.unlink()
+            assert len(list((tmp_path / "traces").glob("*.json"))) == 1
+        plan = plan_sweep(points, out_dir=tmp_path, resume=resume)
+        run = run_sweep(points, out_dir=tmp_path, substrate="auto", resume=resume)
+        assert plan["exact_trainings_needed"] == run.recorded + run.exact_runs
+        assert plan["replays_needed"] == run.replayed
+        assert plan["pending_points"] == run.ran
+        expected = {"fresh": (2, 5, 7), "two artifacts": (1, 4, 5), "trace only": (1, 6, 7)}
+        assert (run.recorded + run.exact_runs, run.replayed, run.ran) == expected[state]
 
 
 def test_smoke_sweep_is_deterministic_across_invocations(tmp_path):
