@@ -31,7 +31,7 @@ def reduce_vectors(vectors: list[np.ndarray], reduce: str) -> np.ndarray:
             )
     acc = np.array(vectors[0], dtype=np.float64, copy=True)
     for v in vectors[1:]:
-        acc += np.asarray(v, dtype=np.float64)
+        acc += v  # the ufunc widens to float64 exactly, without a temporary
     if reduce == "mean":
         acc /= len(vectors)
         return acc

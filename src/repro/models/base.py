@@ -32,7 +32,11 @@ class SupervisedModel(abc.ABC):
 
     @abc.abstractmethod
     def gradient(self, params: np.ndarray, X, y: np.ndarray) -> np.ndarray:
-        """Gradient of :meth:`loss` with respect to `params`."""
+        """Gradient of :meth:`loss` with respect to `params`.
+
+        Returns a new array of the parameters' dtype that the caller may
+        overwrite (the SGD step scales and consumes it in place).
+        """
 
     def loss_and_gradient(self, params: np.ndarray, X, y: np.ndarray):
         """Override when loss and gradient share work."""

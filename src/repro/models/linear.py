@@ -1,7 +1,8 @@
 """Linear models: logistic regression and linear SVM.
 
-Both operate on labels in {-1, +1}, accept dense ndarrays or scipy CSR
-matrices, and include optional L2 regularisation. The loss is the
+Both operate on labels in {-1, +1}, accept anything with ``X @ v`` and
+``X.T @ v`` (dense ndarrays, scipy CSR matrices, the loader's raw-CSR
+minibatches), and include optional L2 regularisation. The loss is the
 *mean* over examples so thresholds are dataset-size independent (the
 paper stops training at fixed loss thresholds, Table 4).
 """
@@ -9,22 +10,17 @@ paper stops training at fixed loss thresholds, Table 4).
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.models.base import SupervisedModel
 
 
 def _margins(X, params: np.ndarray) -> np.ndarray:
-    out = X @ params
-    if sparse.issparse(out):  # pragma: no cover - scipy returns ndarray
-        out = out.toarray().ravel()
-    return np.asarray(out).ravel()
+    return np.asarray(X @ params).ravel()
 
 
 def _xtv(X, v: np.ndarray) -> np.ndarray:
     """X^T v as a dense 1-D array for dense or sparse X."""
-    out = X.T @ v
-    return np.asarray(out).ravel()
+    return np.asarray(X.T @ v).ravel()
 
 
 class LogisticRegression(SupervisedModel):
@@ -54,14 +50,6 @@ class LogisticRegression(SupervisedModel):
         # d/dz log(1+exp(-z)) = -sigmoid(-z)
         coef = -y * _sigmoid(-z) / y.shape[0]
         return _xtv(X, coef) + self.l2 * params
-
-    def loss_and_gradient(self, params: np.ndarray, X, y: np.ndarray):
-        z = y * _margins(X, params)
-        losses = np.logaddexp(0.0, -z)
-        reg = 0.5 * self.l2 * float(params @ params)
-        coef = -y * _sigmoid(-z) / y.shape[0]
-        grad = _xtv(X, coef) + self.l2 * params
-        return float(losses.mean() + reg), grad
 
     def predict(self, params: np.ndarray, X) -> np.ndarray:
         return np.where(_margins(X, params) >= 0, 1, -1)
@@ -111,9 +99,7 @@ class LinearSVM(SupervisedModel):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Stable logistic function: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below."""
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)

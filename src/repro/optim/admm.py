@@ -66,7 +66,11 @@ class ADMM(DistributedAlgorithm):
         self._x = self._z.copy()
 
         def prox_grad(x: np.ndarray) -> np.ndarray:
-            return self.rho * (x - self._z + self._u)
+            # rho * (x - z + u), built in one array.
+            penalty = x - self._z
+            penalty += self._u
+            penalty *= self.rho
+            return penalty
 
         for _ in range(self.scans):
             self._x = sgd_epoch(self.model, self._x, self.shard, self.lr, extra_grad=prox_grad)

@@ -32,7 +32,10 @@ class GradientAveragingSGD(DistributedAlgorithm):
         # checkpoints and record/replay, and generators don't copy. The
         # RNG call sequence is identical to iterating
         # ``shard.epoch_batches()`` — one permutation per epoch, drawn
-        # when the epoch's first batch is taken.
+        # when the epoch's first batch is taken. Batches stay indexed
+        # one at a time on purpose: an epoch-gathered copy of the shard,
+        # as ``epoch_batches()`` keeps, would be cursor state too and
+        # ride along in every fault snapshot.
         self._order: np.ndarray | None = None
         self._cursor = 0
 
@@ -57,7 +60,8 @@ class GradientAveragingSGD(DistributedAlgorithm):
         return self.model.gradient(self._params, X_batch, y_batch)
 
     def apply(self, merged: np.ndarray) -> None:
-        self._params = self._params - (self.lr * merged).astype(self._params.dtype, copy=False)
+        step = (self.lr * merged).astype(self._params.dtype, copy=False)
+        self._params = np.subtract(self._params, step, out=step)
 
     def local_loss(self) -> float:
         return self.model.loss(self._params, self.shard.X_val, self.shard.y_val)

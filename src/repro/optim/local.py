@@ -20,14 +20,16 @@ def sgd_epoch(
     """One shuffled pass of minibatch SGD over the shard.
 
     `extra_grad` adds a term to every gradient — ADMM uses it for the
-    proximal penalty rho * (x - z + u). Returns new parameters (the
-    input array is not mutated).
+    proximal penalty rho * (x - z + u); its result is only read. Returns
+    new parameters (the input array is not mutated). The step is built
+    in the gradient array, which ``SupervisedModel.gradient`` hands over.
     """
     params = params.copy()
     for X_batch, y_batch in shard.epoch_batches():
         grad = model.gradient(params, X_batch, y_batch)
         if extra_grad is not None:
-            grad = grad + extra_grad(params)
-        params -= (lr * grad).astype(params.dtype, copy=False)
+            grad += extra_grad(params)
+        grad *= lr
+        params -= grad
     return params
 

@@ -152,12 +152,6 @@ class TestShards:
         shards = make_shards(split, 10, global_batch=10, min_local_batch=32)
         assert shards[0].batch_size == 32
 
-    def test_sample_batch_size(self):
-        split = generate("higgs", seed=1)
-        shard = make_shards(split, 4, global_batch=64)[0]
-        X_batch, y_batch = shard.sample_batch()
-        assert len(y_batch) == shard.batch_size
-
     def test_invalid_batch_rejected(self):
         split = generate("higgs", seed=1)
         with pytest.raises(ConfigurationError):

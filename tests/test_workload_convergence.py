@@ -15,7 +15,8 @@ from repro.core.driver import train
 from repro.experiments.workloads import WORKLOADS
 
 # Full-substrate convergence runs are the suite's long tail (the
-# Criteo case alone is ~80 s); CI's fast lane skips them.
+# Criteo case alone is ~50 s: nine dense passes over its 10^6
+# parameters per step); CI's fast lane skips them.
 pytestmark = pytest.mark.slow
 
 # (workload key, scaled workers, epoch cap) — chosen so each case runs
