@@ -14,8 +14,6 @@ Run:  python examples/capacity_planner.py
 from __future__ import annotations
 
 from repro.api import AnalyticalModel, HybridModel, SamplingEstimator, WorkloadParams
-from repro.data.datasets import get_spec
-from repro.models.zoo import get_model_info
 
 MB = 1024 * 1024
 
@@ -25,22 +23,13 @@ def build_params(model: str, dataset: str, algorithm: str, lr: float, threshold:
     estimator = SamplingEstimator(sample_fraction=0.1, seed=7)
     estimate = estimator.estimate(model, dataset, algorithm, lr=lr, threshold=threshold,
                                   batch_size=100)
-    spec = get_spec(dataset)
-    info = get_model_info(model, dataset)
-    compute = spec.n_instances * info.compute.per_instance_s
-    rounds = 0.1 if algorithm == "admm" else 1.0
     print(
         f"sampling estimator: {estimate.epochs:.1f} epochs to loss {threshold}"
         f" ({'converged' if estimate.converged else 'cap hit'})"
     )
-    return WorkloadParams(
-        dataset_bytes=spec.size_bytes,
-        model_bytes=info.param_bytes,
-        epochs_faas=estimate.epochs,
-        epochs_iaas=estimate.epochs,
-        compute_faas_s=compute,
-        compute_iaas_s=compute,
-        rounds_per_epoch=rounds,
+    return WorkloadParams.from_zoo(
+        model, dataset, estimate.epochs,
+        rounds_per_epoch=0.1 if algorithm == "admm" else 1.0,
     )
 
 

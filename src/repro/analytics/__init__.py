@@ -2,19 +2,12 @@
 
 from repro.analytics.constants import TABLE6, AnalyticalConstants
 from repro.analytics.estimator import SamplingEstimator
-from repro.analytics.model import (
-    AnalyticalModel,
-    WorkloadParams,
-    faas_time,
-    iaas_time,
-)
+from repro.analytics.model import AnalyticalModel, WorkloadParams
 
 __all__ = [
     "TABLE6",
     "AnalyticalConstants",
     "AnalyticalModel",
     "WorkloadParams",
-    "faas_time",
-    "iaas_time",
     "SamplingEstimator",
 ]

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.analytics.constants import TABLE6, AnalyticalConstants
+from repro.data.datasets import get_spec
+from repro.models.zoo import get_model_info
 from repro.pricing.catalog import DEFAULT_CATALOG, PriceCatalog
 
 MB = 1024 * 1024
@@ -50,6 +52,31 @@ class WorkloadParams:
     channel: str = "s3"
     # Network selection for the IaaS side: "t2" or "c5".
     network: str = "t2"
+
+    @classmethod
+    def from_zoo(
+        cls, model: str, dataset: str, epochs: float, rounds_per_epoch: float,
+        **overrides,
+    ) -> WorkloadParams:
+        """Model inputs of a zoo workload, from its dataset and model profiles.
+
+        Both platforms run ``epochs`` epochs at the reference worker's
+        single-worker compute time C = instances x seconds-per-instance;
+        ``overrides`` replace any field (channel, network, a GPU's C_I...).
+        """
+        spec = get_spec(dataset)
+        info = get_model_info(model, dataset)
+        compute = spec.n_instances * info.compute.per_instance_s
+        fields = dict(
+            dataset_bytes=spec.size_bytes,
+            model_bytes=info.param_bytes,
+            epochs_faas=epochs,
+            epochs_iaas=epochs,
+            compute_faas_s=compute,
+            compute_iaas_s=compute,
+            rounds_per_epoch=rounds_per_epoch,
+        )
+        return cls(**{**fields, **overrides})
 
 
 @dataclass(frozen=True)
@@ -111,13 +138,3 @@ class AnalyticalModel:
     def iaas_cost(self, workers: int, instance: str = "t2.medium") -> float:
         seconds = self.iaas_seconds(workers)
         return workers * self.catalog.ec2_price(instance) * seconds / 3600.0
-
-
-def faas_time(params: WorkloadParams, workers: int) -> float:
-    """Convenience wrapper: FaaS(w) under the default constants."""
-    return AnalyticalModel(params).faas_seconds(workers)
-
-
-def iaas_time(params: WorkloadParams, workers: int) -> float:
-    """Convenience wrapper: IaaS(w) under the default constants."""
-    return AnalyticalModel(params).iaas_seconds(workers)

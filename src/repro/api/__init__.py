@@ -72,7 +72,7 @@ scripts need no internal imports.
 from repro.analytics.casestudy import HybridModel
 from repro.analytics.estimator import SamplingEstimator
 from repro.analytics.model import AnalyticalModel, WorkloadParams
-from repro.api.scenario import Scenario
+from repro.sweep.scenario import Scenario
 from repro.api.service import Service, ServiceOutcome
 from repro.api.serving import ServingOutcome, ServingSession
 from repro.api.session import Comparison, Session, StudyOutcome

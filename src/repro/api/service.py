@@ -29,7 +29,7 @@ from repro import store
 from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError
 from repro.api.report import ReportFacade, ReportOutcome
-from repro.api.scenario import Scenario
+from repro.sweep.scenario import Scenario
 from repro.service.arrivals import JobRequest, build_requests
 from repro.service.config import ServiceConfig, service_fingerprint
 from repro.service.metrics import (

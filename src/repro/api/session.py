@@ -28,7 +28,7 @@ from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.experiments.report import format_table
 from repro.api.report import ReportFacade
-from repro.api.scenario import Scenario
+from repro.sweep.scenario import Scenario
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.orchestrator import SweepRun, plan_sweep

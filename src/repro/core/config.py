@@ -11,7 +11,8 @@ HybridPS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
@@ -21,6 +22,7 @@ from repro.models.zoo import get_model_info
 from repro.utils.hashing import fingerprint_hash, init_fingerprint
 
 SYSTEMS = ("lambdaml", "pytorch", "angel", "hybridps")
+CHANNELS = ("s3", "memcached", "redis", "dynamodb")
 PLATFORM_OF_SYSTEM = {
     "lambdaml": "faas",
     "pytorch": "iaas",
@@ -109,6 +111,32 @@ def _cli(help: str, choices: tuple[str, ...] | None = None) -> dict:
     return meta
 
 
+@cache
+def _closed_fields(cls: type, skip: tuple[str, ...]) -> tuple[tuple[str, tuple], ...]:
+    return tuple(
+        (f.name, f.metadata["choices"])
+        for f in fields(cls)
+        if "choices" in f.metadata and f.name not in skip
+    )
+
+
+def check_choices(config, skip: tuple[str, ...] = ()) -> None:
+    """Reject any closed-set field of a config dataclass outside its set.
+
+    The set is the ``choices`` of the field's ``_cli`` metadata — the
+    same tuple argparse enforces on the flag — so a config built from a
+    dict (a sweep grid, a trace file's per-job overrides) is refused
+    where it is built, as the CLI would refuse it. The per-class table
+    is built once; ``skip`` names fields another owner validates.
+    """
+    for name, choices in _closed_fields(type(config), skip):
+        value = getattr(config, name)
+        if value not in choices:
+            raise ConfigurationError(
+                f"unknown {name} {value!r}; expected one of {choices}"
+            )
+
+
 @dataclass
 class TrainingConfig:
     """One end-to-end training run."""
@@ -135,8 +163,7 @@ class TrainingConfig:
     # Communication channel / pattern / protocol (FaaS dimensions).
     channel: str = field(
         default="s3",
-        metadata=_cli("FaaS communication channel",
-                      ("s3", "memcached", "redis", "dynamodb")),
+        metadata=_cli("FaaS communication channel", CHANNELS),
     )
     cache_node: str = field(
         default="cache.t3.small", metadata=_cli("ElastiCache node type")
@@ -264,17 +291,12 @@ class TrainingConfig:
     platform: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.system not in SYSTEMS:
-            raise ConfigurationError(f"unknown system {self.system!r}; known: {SYSTEMS}")
+        # model/dataset keep the zoo's and the spec table's own errors
+        # (below); algorithm accepts aliases make_algorithm resolves.
+        check_choices(self, skip=("model", "dataset", "algorithm"))
         self.platform = PLATFORM_OF_SYSTEM[self.system]
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.pattern not in ("allreduce", "scatterreduce"):
-            raise ConfigurationError(f"unknown pattern {self.pattern!r}")
-        if self.protocol not in ("bsp", "asp"):
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-        if self.batch_scope not in ("global", "per_worker"):
-            raise ConfigurationError(f"unknown batch_scope {self.batch_scope!r}")
         if self.max_epochs <= 0:
             raise ConfigurationError(f"max_epochs must be > 0, got {self.max_epochs}")
         if not 0.0 < self.poll_interval_s < math.inf:

@@ -7,6 +7,19 @@ them by importing this package's modules, so ``repro.cli sweep
 --experiment <name>`` (and ``repro.api``'s ``Session.sweep``) covers
 the whole catalog with ``--jobs/--resume/--substrate auto``.
 
+A grid has one spelling: every ``points`` / ``*_points`` function is a
+:class:`~repro.sweep.scenario.Scenario` expression, exactly like
+``examples/custom_study.py`` — ``Scenario.workload(model, dataset,
+**overrides)`` seeds a point from the tuned Table-4 registry
+(:mod:`repro.experiments.workloads`) and is the only code that maps
+Table 4 to config kwargs, ``.vary()`` / ``.grid()`` derive the cells,
+``.named(label, **tags)`` labels them and ``.point(experiment)`` hands
+them to the orchestrator. A deliberate departure from Table 4 is a
+commented override at the call site; no module here constructs a
+``SweepPoint`` or calls ``expand_grid`` / ``get_workload`` itself
+(``tests/test_study_registry.py`` enforces it, counts the departures and
+pins the digest of all 22 grids).
+
 The modules hold grids, aggregators and renderers only, and none
 imports the orchestrator: running one is the protocol itself — hand a
 grid function's points to the sweep orchestrator and its artifacts to

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
-from repro.experiments.workloads import get_workload
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 CASES = [
@@ -46,35 +46,19 @@ def case_points(
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """Baseline + FaaS + IaaS points for one workload."""
-    workload = get_workload(model, dataset)
-    cap = max_epochs or workload.max_epochs
     case = f"{model}/{dataset}"
-
-    def make_point(role: str, system: str, w: int) -> SweepPoint:
-        return SweepPoint(
-            "cost_sanity", f"{case} {role}",
-            config_kwargs=dict(
-                model=model,
-                dataset=dataset,
-                algorithm=workload.algorithm,
-                system=system,
-                workers=w,
-                channel="s3",
-                batch_size=workload.batch_size,
-                batch_scope=workload.batch_scope,
-                lr=workload.lr,
-                k=workload.k,
-                loss_threshold=workload.threshold,
-                max_epochs=cap,
-                seed=seed,
-            ),
-            tags={"case": case, "role": role},
-        )
-
+    base = Scenario.workload(model, dataset, channel="s3", seed=seed)
+    if max_epochs:
+        base = base.vary(max_epochs=max_epochs)
     return [
-        make_point("single", "pytorch", 1),
-        make_point("faas", "lambdaml", workers),
-        make_point("iaas", "pytorch", workers),
+        base.vary(system=system, workers=w)
+        .named(f"{case} {role}", case=case, role=role)
+        .point("cost_sanity")
+        for role, system, w in (
+            ("single", "pytorch", 1),
+            ("faas", "lambdaml", workers),
+            ("iaas", "pytorch", workers),
+        )
     ]
 
 

@@ -11,13 +11,10 @@ MICRO = ("cifar10", "rcv1", "higgs")
 END_TO_END = ("cifar10", "yfcc100m", "criteo")
 
 
-def run(include_physical: bool = True, scale: int | None = None, seed: int = 0):
+def run(scale: int | None = None, seed: int = 0):
     rows = []
     for name, spec in DATASETS.items():
-        physical_n = None
-        if include_physical:
-            split = generate(name, scale=scale, seed=seed)
-            physical_n = split.n_train + split.y_val.shape[0]
+        split = generate(name, scale=scale, seed=seed)
         rows.append(
             [
                 name,
@@ -25,7 +22,7 @@ def run(include_physical: bool = True, scale: int | None = None, seed: int = 0):
                 spec.n_instances,
                 spec.n_features,
                 spec.sparse,
-                physical_n,
+                split.n_train + split.y_val.shape[0],
             ]
         )
     return rows

@@ -27,6 +27,7 @@ from repro.core.results import RunResult
 from repro.experiments.report import format_table
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 SYSTEMS = ("pytorch", "angel", "hybridps", "lambdaml")
@@ -51,27 +52,17 @@ def sweep_points(
 ) -> list[SweepPoint]:
     """One fixed-epoch point per system (no early stopping)."""
     epochs = max_epochs or DEFAULT_EPOCHS
+    base = Scenario.workload(
+        "lr", "higgs", workers=workers, channel="s3",
+        loss_threshold=None,  # run the full epoch budget
+        max_epochs=epochs, seed=seed,
+    )
     return [
-        SweepPoint(
-            "fig10",
-            f"{system},W={workers},{epochs:g}ep",
-            config_kwargs=dict(
-                model="lr",
-                dataset="higgs",
-                # The breakdown fixes epoch count, so MA-SGD (one exchange
-                # per epoch) matches the paper's per-epoch communication.
-                algorithm="ma_sgd" if system != "hybridps" else "ga_sgd",
-                system=system,
-                workers=workers,
-                channel="s3",
-                batch_size=10_000,
-                lr=0.05,
-                loss_threshold=None,  # run the full epoch budget
-                max_epochs=epochs,
-                seed=seed,
-            ),
-            tags={"system": system},
-        )
+        # The breakdown fixes epoch count, so MA-SGD (one exchange per
+        # epoch) matches the paper's per-epoch communication.
+        base.vary(system=system, algorithm="ga_sgd" if system == "hybridps" else "ma_sgd")
+        .named(f"{system},W={workers},{epochs:g}ep", system=system)
+        .point("fig10")
         for system in SYSTEMS
     ]
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
-from repro.experiments.workloads import get_workload
-from repro.sweep.grid import SweepPoint, expand_grid
+from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 # Default grids. FaaS deliberately crosses the paper's ceiling: Fig. 11
@@ -77,35 +77,25 @@ def lr_higgs_points(
         faas_workers = tuple(faas_workers) + tuple(
             w for w in MEGA_FAAS_WORKERS if w not in faas_workers
         )
-    workload = get_workload("lr", "higgs")
-    base = dict(
-        model="lr", dataset="higgs", algorithm="admm",
-        batch_size=workload.batch_size, lr=workload.lr,
-        loss_threshold=workload.threshold,
-        max_epochs=max_epochs or workload.max_epochs, seed=seed,
+    base = Scenario.workload("lr", "higgs", seed=seed)
+    if max_epochs:
+        base = base.vary(max_epochs=max_epochs)
+    faas = base.vary(system="lambdaml", channel="s3").grid(workers=faas_workers)
+    iaas = base.vary(system="pytorch").grid(
+        instance=iaas_instances, workers=iaas_workers
     )
-    points = [
-        SweepPoint(
-            "fig11", f"lr/higgs faas,W={kw['workers']}",
-            config_kwargs=kw,
-            tags={"series": "lr/higgs", "system": "faas"},
-        )
-        for kw in expand_grid(
-            dict(base, system="lambdaml", channel="s3"), {"workers": faas_workers}
-        )
+    return [
+        s.named(
+            f"lr/higgs faas,W={s.kwargs['workers']}", series="lr/higgs", system="faas"
+        ).point("fig11")
+        for s in faas
+    ] + [
+        s.named(
+            f"lr/higgs iaas,{s.kwargs['instance']},W={s.kwargs['workers']}",
+            series="lr/higgs", system="iaas", instance=s.kwargs["instance"],
+        ).point("fig11")
+        for s in iaas
     ]
-    points += [
-        SweepPoint(
-            "fig11", f"lr/higgs iaas,{kw['instance']},W={kw['workers']}",
-            config_kwargs=kw,
-            tags={"series": "lr/higgs", "system": "iaas", "instance": kw["instance"]},
-        )
-        for kw in expand_grid(
-            dict(base, system="pytorch"),
-            {"instance": iaas_instances, "workers": iaas_workers},
-        )
-    ]
-    return points
 
 
 def mobilenet_points(
@@ -115,40 +105,24 @@ def mobilenet_points(
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """Declarative grid for the MobileNet/Cifar10 profile."""
-    workload = get_workload("mobilenet", "cifar10")
-    base = dict(
-        model="mobilenet", dataset="cifar10", algorithm="ga_sgd",
-        batch_size=workload.batch_size, batch_scope=workload.batch_scope,
-        lr=workload.lr, loss_threshold=workload.threshold,
-        max_epochs=max_epochs or workload.max_epochs, seed=seed,
-    )
-    points = [
-        SweepPoint(
-            "fig11", f"mobilenet faas,W={kw['workers']}",
-            config_kwargs=kw,
-            tags={"series": "mobilenet/cifar10", "system": "faas"},
-        )
-        for kw in expand_grid(
-            dict(base, system="lambdaml", channel="memcached"),
-            {"workers": faas_workers},
-        )
+    base = Scenario.workload("mobilenet", "cifar10", seed=seed)
+    if max_epochs:
+        base = base.vary(max_epochs=max_epochs)
+    faas = base.vary(system="lambdaml", channel="memcached").grid(workers=faas_workers)
+    gpu = base.vary(system="pytorch", instance="g3s.xlarge").grid(workers=gpu_workers)
+    return [
+        s.named(
+            f"mobilenet faas,W={s.kwargs['workers']}",
+            series="mobilenet/cifar10", system="faas",
+        ).point("fig11")
+        for s in faas
+    ] + [
+        s.named(
+            f"mobilenet iaas-gpu,W={s.kwargs['workers']}",
+            series="mobilenet/cifar10", system="iaas-gpu", instance="g3s.xlarge",
+        ).point("fig11")
+        for s in gpu
     ]
-    points += [
-        SweepPoint(
-            "fig11", f"mobilenet iaas-gpu,W={kw['workers']}",
-            config_kwargs=kw,
-            tags={
-                "series": "mobilenet/cifar10",
-                "system": "iaas-gpu",
-                "instance": "g3s.xlarge",
-            },
-        )
-        for kw in expand_grid(
-            dict(base, system="pytorch", instance="g3s.xlarge"),
-            {"workers": gpu_workers},
-        )
-    ]
-    return points
 
 
 def sweep_points(

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
-from repro.experiments.workloads import get_workload
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 
@@ -54,58 +54,39 @@ def workload_points(
     model: str,
     dataset: str,
     workers: int,
-    lr_grid: tuple[float, ...] | None = None,
     iaas_instances: tuple[str, ...] = ("t2.medium", "c5.xlarge"),
     gpu_instances: tuple[str, ...] = (),
     max_epochs: float | None = None,
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """The configuration grid of one Figure-12 scatter."""
-    workload = get_workload(model, dataset)
-    cap = max_epochs or workload.max_epochs
-    lrs = lr_grid or (workload.lr / 2, workload.lr, workload.lr * 2)
+    base = Scenario.workload(model, dataset, workers=workers, seed=seed)
+    if max_epochs:
+        base = base.vary(max_epochs=max_epochs)
+    tuned_lr = base.kwargs["lr"]
     series = f"{model}/{dataset}"
-
-    def base(lr: float, **kw) -> dict:
-        return dict(
-            model=model, dataset=dataset, workers=kw.pop("workers", workers),
-            batch_size=workload.batch_size, batch_scope=workload.batch_scope,
-            min_local_batch=workload.min_local_batch,
-            lr=lr, k=workload.k, loss_threshold=workload.threshold,
-            max_epochs=cap, seed=seed, **kw,
-        )
-
-    deep = model in ("mobilenet", "resnet50")
-    algorithm = "ga_sgd" if deep else workload.algorithm
     # The paper tunes the worker count per configuration ("there are
     # more red points than orange points because we need to tune
     # different instance types for IaaS" — and worker counts for both):
     # FaaS's elasticity is exactly that it can deploy more workers.
+    deep = model in ("mobilenet", "resnet50")
     faas_worker_grid = [workers] if deep else [workers, 2 * workers, 3 * workers]
     points = []
-    for lr in lrs:
-        for w in faas_worker_grid:
-            label = f"faas,W={w},lr={lr:g}"
+    for lr in (tuned_lr / 2, tuned_lr, tuned_lr * 2):
+        tuned = base.vary(lr=lr)
+        for s in tuned.vary(system="lambdaml", channel="s3").grid(workers=faas_worker_grid):
+            label = f"faas,W={s.kwargs['workers']},lr={lr:g}"
             points.append(
-                SweepPoint(
-                    "fig12", f"{series} {label}",
-                    config_kwargs=base(
-                        lr, system="lambdaml", algorithm=algorithm,
-                        channel="s3", workers=w,
-                    ),
-                    tags={"workload": series, "platform": "faas", "config": label},
-                )
+                s.named(
+                    f"{series} {label}", workload=series, platform="faas", config=label
+                ).point("fig12")
             )
-        for instance in iaas_instances + gpu_instances:
-            label = f"{instance},lr={lr:g}"
+        for s in tuned.vary(system="pytorch").grid(instance=iaas_instances + gpu_instances):
+            label = f"{s.kwargs['instance']},lr={lr:g}"
             points.append(
-                SweepPoint(
-                    "fig12", f"{series} {label}",
-                    config_kwargs=base(
-                        lr, system="pytorch", algorithm=algorithm, instance=instance
-                    ),
-                    tags={"workload": series, "platform": "iaas", "config": label},
-                )
+                s.named(
+                    f"{series} {label}", workload=series, platform="iaas", config=label
+                ).point("fig12")
             )
     return points
 
@@ -118,10 +99,10 @@ def sweep_points(
     """The full Figure-12 grid: three YFCC workloads plus MobileNet."""
     points = []
     for model in ("lr", "svm", "kmeans"):
-        workload = get_workload(model, "yfcc100m")
+        workers = Scenario.workload(model, "yfcc100m").kwargs["workers"]
         points += workload_points(
             model, "yfcc100m",
-            workers=min(workload.workers, workers_cap) if workers_cap else workload.workers,
+            workers=min(workers, workers_cap) if workers_cap else workers,
             max_epochs=max_epochs, seed=seed,
         )
     points += workload_points(

@@ -23,39 +23,15 @@ from dataclasses import dataclass, field
 from repro.analytics.estimator import SamplingEstimator
 from repro.analytics.model import AnalyticalModel, WorkloadParams
 from repro.config import DEFAULT_SEED
-from repro.data.datasets import get_spec
 from repro.experiments.report import format_table
-from repro.experiments.workloads import get_workload
-from repro.models.zoo import get_model_info
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 EPOCH_GRID = (1, 5, 10, 25, 50, 100)
 ESTIMATOR_CASES = (("lr", "higgs"), ("svm", "higgs"))
 ESTIMATOR_ALGORITHMS = ("ma_sgd", "admm")
 WORKERS = 10
-
-
-def _params_for(model: str, dataset: str, algorithm: str, workers: int) -> WorkloadParams:
-    """Assemble analytical-model inputs from the zoo profiles."""
-    spec = get_spec(dataset)
-    info = get_model_info(model, dataset)
-    # C: single-worker seconds per epoch on the reference worker.
-    compute = spec.n_instances * info.compute.per_instance_s
-    rounds = 1.0
-    if algorithm == "admm":
-        rounds = 1.0 / 10.0  # one exchange per ten scans
-    return WorkloadParams(
-        dataset_bytes=spec.size_bytes,
-        model_bytes=info.param_bytes,
-        epochs_faas=1.0,
-        epochs_iaas=1.0,
-        compute_faas_s=compute,
-        compute_iaas_s=compute,
-        rounds_per_epoch=rounds,
-        channel="s3",
-        network="t2",
-    )
 
 
 @dataclass
@@ -91,27 +67,22 @@ def fixed_epoch_points(
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """Figure 13a grid: (epochs x platform) fixed-epoch runs."""
-    workload = get_workload("lr", "higgs")
-    points = []
-    for epochs in epoch_grid:
-        for platform, kwargs in (
-            ("faas", dict(system="lambdaml", channel="s3")),
-            ("iaas", dict(system="pytorch", instance="t2.medium")),
-        ):
-            points.append(
-                SweepPoint(
-                    "fig13",
-                    f"13a {platform},{epochs:g}ep",
-                    config_kwargs=dict(
-                        model="lr", dataset="higgs", algorithm="ma_sgd",
-                        workers=workers, batch_size=workload.batch_size,
-                        lr=workload.lr, loss_threshold=None,
-                        max_epochs=float(epochs), seed=seed, **kwargs,
-                    ),
-                    tags={"part": "13a", "platform": platform},
-                )
-            )
-    return points
+    base = Scenario.workload(
+        "lr", "higgs", algorithm="ma_sgd", workers=workers,
+        loss_threshold=None,  # fixed-epoch runs: no early stop
+        seed=seed,
+    )
+    platforms = {
+        "faas": base.vary(system="lambdaml", channel="s3"),
+        "iaas": base.vary(system="pytorch", instance="t2.medium"),
+    }
+    return [
+        on_platform.vary(max_epochs=float(epochs))
+        .named(f"13a {platform},{epochs:g}ep", part="13a", platform=platform)
+        .point("fig13")
+        for epochs in epoch_grid
+        for platform, on_platform in platforms.items()
+    ]
 
 
 def estimator_points(
@@ -124,25 +95,19 @@ def estimator_points(
     """Figure 13b grid: the end-to-end actuals the estimates are judged against."""
     points = []
     for model_name, dataset in cases:
-        workload = get_workload(model_name, dataset)
-        cap = workload.max_epochs if max_epochs is None else min(
-            workload.max_epochs, max_epochs
+        base = Scenario.workload(
+            model_name, dataset, system="lambdaml", workers=workers,
+            channel="s3", seed=seed,
         )
-        for algorithm in algorithms:
-            points.append(
-                SweepPoint(
-                    "fig13",
-                    f"13b {model_name}/{dataset} {algorithm}",
-                    config_kwargs=dict(
-                        model=model_name, dataset=dataset, algorithm=algorithm,
-                        system="lambdaml", workers=workers, channel="s3",
-                        batch_size=workload.batch_size, lr=workload.lr,
-                        loss_threshold=workload.threshold,
-                        max_epochs=cap, seed=seed,
-                    ),
-                    tags={"part": "13b", "workload": f"{model_name}/{dataset}"},
-                )
-            )
+        if max_epochs is not None:
+            base = base.vary(max_epochs=min(base.kwargs["max_epochs"], max_epochs))
+        points += [
+            s.named(
+                f"13b {model_name}/{dataset} {s.kwargs['algorithm']}",
+                part="13b", workload=f"{model_name}/{dataset}",
+            ).point("fig13")
+            for s in base.grid(algorithm=algorithms)
+        ]
     return points
 
 
@@ -174,15 +139,14 @@ def aggregate(artifacts: list[dict]) -> Fig13Result:
             continue
         epochs = artifact["config"]["max_epochs"]
         pairs.setdefault(epochs, {})[artifact["tags"]["platform"]] = artifact
-    params = _params_for("lr", "higgs", "ma_sgd", WORKERS)
     for epochs, sides in pairs.items():
         if "faas" not in sides or "iaas" not in sides:
             continue  # interrupted sweep directory: render what exists
         workers = sides["faas"]["config"]["workers"]
-        scaled = WorkloadParams(
-            **{**params.__dict__, "epochs_faas": float(epochs), "epochs_iaas": float(epochs)}
+        # MA-SGD: one exchange per epoch.
+        scaled_model = AnalyticalModel(
+            WorkloadParams.from_zoo("lr", "higgs", float(epochs), rounds_per_epoch=1.0)
         )
-        scaled_model = AnalyticalModel(scaled)
         result.fixed.append(
             ValidationPoint(
                 epochs=float(epochs),
@@ -201,23 +165,19 @@ def aggregate(artifacts: list[dict]) -> Fig13Result:
             continue
         config = artifact["config"]
         model_name, dataset = config["model"], config["dataset"]
-        workload = get_workload(model_name, dataset)
         estimator = SamplingEstimator(sample_fraction=0.1, seed=config["seed"])
         estimate = estimator.estimate(
             model_name, dataset, config["algorithm"],
-            lr=workload.lr, threshold=workload.threshold,
-            batch_size=max(32, workload.batch_size // 100),
+            lr=config["lr"], threshold=config["loss_threshold"],
+            batch_size=max(32, config["batch_size"] // 100),
             max_epochs=config["max_epochs"],
         )
-        params = _params_for(model_name, dataset, config["algorithm"], config["workers"])
-        scaled = WorkloadParams(
-            **{
-                **params.__dict__,
-                "epochs_faas": estimate.epochs,
-                "epochs_iaas": estimate.epochs,
-            }
+        params = WorkloadParams.from_zoo(
+            model_name, dataset, estimate.epochs,
+            # ADMM exchanges once per ten scans, SGD once per epoch.
+            rounds_per_epoch=0.1 if config["algorithm"] == "admm" else 1.0,
         )
-        predicted = AnalyticalModel(scaled).faas_seconds(config["workers"])
+        predicted = AnalyticalModel(params).faas_seconds(config["workers"])
         result.estimator.append(
             EstimatorPoint(
                 workload=f"{model_name}/{dataset}",

@@ -14,7 +14,7 @@ cheaper than GPU IaaS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analytics.casestudy import (
     HybridModel,
@@ -22,7 +22,6 @@ from repro.analytics.casestudy import (
     q1_gpu_faas_cost,
 )
 from repro.analytics.model import AnalyticalModel, WorkloadParams
-from repro.data.datasets import get_spec
 from repro.experiments.report import format_table
 from repro.models.zoo import get_model_info
 from repro.pricing.catalog import DEFAULT_CATALOG
@@ -31,21 +30,15 @@ from repro.sweep.study import study
 
 def _workload_params(model: str, dataset: str, epochs: float, rounds_per_epoch: float,
                      gpu: bool = False) -> WorkloadParams:
-    spec = get_spec(dataset)
-    info = get_model_info(model, dataset)
-    compute = spec.n_instances * info.compute.per_instance_s
-    compute_iaas = compute / (info.compute.gpu_speedup_m60 if gpu else 1.0)
-    return WorkloadParams(
-        dataset_bytes=spec.size_bytes,
-        model_bytes=info.param_bytes,
-        epochs_faas=epochs,
-        epochs_iaas=epochs,
-        compute_faas_s=compute,
-        compute_iaas_s=compute_iaas,
-        rounds_per_epoch=rounds_per_epoch,
+    params = WorkloadParams.from_zoo(
+        model, dataset, epochs, rounds_per_epoch,
         channel="elasticache" if model in ("mobilenet", "resnet50") else "s3",
         network="c5",
     )
+    if gpu:
+        speedup = get_model_info(model, dataset).compute.gpu_speedup_m60
+        params = replace(params, compute_iaas_s=params.compute_iaas_s / speedup)
+    return params
 
 
 @dataclass

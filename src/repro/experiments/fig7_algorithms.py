@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from repro.config import DEFAULT_SEED
 from repro.core.results import RunResult
 from repro.experiments.report import format_series, format_table
-from repro.experiments.workloads import get_workload
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 # The figure's three panels: (model, dataset, (small W, large W)).
@@ -79,43 +79,30 @@ def workload_points(
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One (algorithm, workers) grid cell per point, for one workload."""
-    workload = get_workload(model, dataset)
+    base = Scenario.workload(
+        model, dataset, system="lambdaml", channel=channel,
+        # §4 protocol: Memcached is launched before the Lambdas.
+        channel_prestarted=True,
+        partition_mode="label-skew" if model in ("mobilenet", "resnet50") else "iid",
+        seed=seed,
+    )
+    if max_epochs:
+        base = base.vary(max_epochs=max_epochs)
     points = []
     for algorithm in _algorithms_for(model):
-        for workers in worker_counts:
-            epochs_cap = max_epochs or workload.max_epochs
-            if algorithm == "ga_sgd" and ga_max_epochs is not None:
-                # GA-SGD at large scale is dominated by per-batch
-                # communication; capping epochs keeps runs bounded
-                # without changing the (non-)convergence story.
-                epochs_cap = ga_max_epochs
-            points.append(
-                SweepPoint(
-                    "fig7",
-                    f"{model}/{dataset} {algorithm},W={workers}",
-                    config_kwargs=dict(
-                        model=model,
-                        dataset=dataset,
-                        algorithm=algorithm,
-                        system="lambdaml",
-                        workers=workers,
-                        channel=channel,
-                        # §4 protocol: Memcached is launched before the Lambdas.
-                        channel_prestarted=True,
-                        batch_size=workload.batch_size,
-                        batch_scope=workload.batch_scope,
-                        lr=workload.lr,
-                        k=workload.k,
-                        loss_threshold=workload.threshold,
-                        max_epochs=epochs_cap,
-                        partition_mode="label-skew"
-                        if model in ("mobilenet", "resnet50")
-                        else "iid",
-                        seed=seed,
-                    ),
-                    tags={"workload": f"{model}/{dataset}"},
-                )
-            )
+        cell = base.vary(algorithm=algorithm)
+        if algorithm == "ga_sgd" and ga_max_epochs is not None:
+            # GA-SGD at large scale is dominated by per-batch
+            # communication; capping epochs keeps runs bounded
+            # without changing the (non-)convergence story.
+            cell = cell.vary(max_epochs=ga_max_epochs)
+        points += [
+            s.named(
+                f"{model}/{dataset} {algorithm},W={s.kwargs['workers']}",
+                workload=f"{model}/{dataset}",
+            ).point("fig7")
+            for s in cell.grid(workers=worker_counts)
+        ]
     return points
 
 

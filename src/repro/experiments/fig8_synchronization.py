@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from repro.config import DEFAULT_SEED
 from repro.core.results import RunResult
 from repro.experiments.report import format_series, format_table
-from repro.experiments.workloads import get_workload
 from repro.sweep.artifacts import result_from_artifact
-from repro.sweep.grid import SweepPoint, expand_grid
+from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 CASES = [
@@ -47,31 +47,19 @@ def sweep_points(
     """One BSP and one S-ASP point per (model, dataset, W) case."""
     points = []
     for model, dataset, workers in cases:
-        workload = get_workload(model, dataset)
         label = f"{model}/{dataset},W={workers}"
-        base = dict(
-            model=model,
-            dataset=dataset,
-            algorithm="ga_sgd",
-            system="lambdaml",
-            workers=workers,
-            channel="s3",
-            batch_size=workload.batch_size,
-            batch_scope=workload.batch_scope,
-            lr=workload.lr,
-            loss_threshold=workload.threshold,
-            max_epochs=max_epochs or min(workload.max_epochs, 20),
+        base = Scenario.workload(
+            model, dataset, algorithm="ga_sgd", system="lambdaml",
+            workers=workers, channel="s3",
             # Mild straggling amplifies staleness, as on real Lambda.
-            straggler_jitter=0.3,
-            seed=seed,
+            straggler_jitter=0.3, seed=seed,
         )
+        base = base.vary(max_epochs=max_epochs or min(base.kwargs["max_epochs"], 20))
         points += [
-            SweepPoint(
-                "fig8", f"{label} {kw['protocol']}",
-                config_kwargs=kw,
-                tags={"case": label, "protocol": kw["protocol"]},
-            )
-            for kw in expand_grid(base, {"protocol": ("bsp", "asp")})
+            base.vary(protocol=protocol)
+            .named(f"{label} {protocol}", case=label, protocol=protocol)
+            .point("fig8")
+            for protocol in ("bsp", "asp")
         ]
     return points
 

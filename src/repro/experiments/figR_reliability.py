@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
-from repro.experiments.workloads import get_workload
-from repro.sweep.grid import SweepPoint, expand_grid
+from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 # Crashes per worker per simulated hour. An LR/Higgs job at W=10 runs
@@ -99,66 +99,51 @@ def sweep_points(
     workers: int = WORKERS,
 ) -> list[SweepPoint]:
     """Declarative grid for the cost-of-reliability curves."""
-    workload = get_workload("lr", "higgs")
-    # admm_scans=2 gives the job a real round structure (5 exchange
-    # rounds over EPOCH_BUDGET instead of 1) — without it a crash
-    # always re-executes the whole job and the checkpoint-cadence
-    # series would be vacuous.
-    base = dict(
-        model="lr", dataset="higgs", algorithm="admm", admm_scans=2,
-        workers=workers, batch_size=workload.batch_size, lr=workload.lr,
-        max_epochs=max_epochs or EPOCH_BUDGET, seed=seed,
+    base = Scenario.workload(
+        "lr", "higgs", workers=workers,
+        # admm_scans=2 gives the job a real round structure (5 exchange
+        # rounds over EPOCH_BUDGET instead of 1) — without it a crash
+        # always re-executes the whole job and the checkpoint-cadence
+        # series would be vacuous.
+        admm_scans=2,
+        # Not Table 4's stopping rule: a fixed budget, no early stop
+        # (see EPOCH_BUDGET).
+        loss_threshold=None, max_epochs=max_epochs or EPOCH_BUDGET, seed=seed,
     )
-    points = [
-        SweepPoint(
-            "figR", f"faas,crash_rate={kw['crash_rate']:g}/h",
-            config_kwargs=kw,
-            tags={"series": "faas-crash", "system": "faas"},
+    faas = base.vary(system="lambdaml", channel="s3")
+    scenarios = [
+        s.named(
+            f"faas,crash_rate={s.kwargs['crash_rate']:g}/h",
+            series="faas-crash", system="faas",
         )
-        for kw in expand_grid(
-            dict(base, system="lambdaml", channel="s3"),
-            {"crash_rate": crash_rates},
-        )
+        for s in faas.grid(crash_rate=crash_rates)
     ]
-    points += [
-        SweepPoint(
-            "figR", f"iaas,crash_rate={kw['crash_rate']:g}/h",
-            config_kwargs=kw,
-            tags={"series": "iaas-crash", "system": "iaas"},
+    scenarios += [
+        s.named(
+            f"iaas,crash_rate={s.kwargs['crash_rate']:g}/h",
+            series="iaas-crash", system="iaas",
         )
-        for kw in expand_grid(
-            dict(base, system="pytorch"), {"crash_rate": iaas_crash_rates}
-        )
+        for s in base.vary(system="pytorch").grid(crash_rate=iaas_crash_rates)
     ]
-    points += [
-        SweepPoint(
-            "figR", f"faas,storage_error_rate={kw['storage_error_rate']:g}",
-            config_kwargs=kw,
-            tags={"series": "faas-storage", "system": "faas"},
+    scenarios += [
+        s.named(
+            f"faas,storage_error_rate={s.kwargs['storage_error_rate']:g}",
+            series="faas-storage", system="faas",
         )
-        for kw in expand_grid(
-            dict(base, system="lambdaml", channel="s3"),
-            {"storage_error_rate": storage_error_rates},
-        )
-        if kw["storage_error_rate"] > 0  # rate 0 already in faas-crash
+        for s in faas.grid(storage_error_rate=storage_error_rates)
+        if s.kwargs["storage_error_rate"] > 0  # rate 0 already in faas-crash
     ]
-    points += [
-        SweepPoint(
-            "figR",
-            f"faas,checkpoint_interval={kw['checkpoint_interval']},"
+    scenarios += [
+        s.named(
+            f"faas,checkpoint_interval={s.kwargs['checkpoint_interval']},"
             f"crash_rate={INTERVAL_CRASH_RATE:g}/h",
-            config_kwargs=kw,
-            tags={"series": "faas-interval", "system": "faas"},
+            series="faas-interval", system="faas",
         )
-        for kw in expand_grid(
-            dict(
-                base, system="lambdaml", channel="s3",
-                crash_rate=INTERVAL_CRASH_RATE,
-            ),
-            {"checkpoint_interval": checkpoint_intervals},
+        for s in faas.vary(crash_rate=INTERVAL_CRASH_RATE).grid(
+            checkpoint_interval=checkpoint_intervals
         )
     ]
-    return points
+    return [s.point("figR") for s in scenarios]
 
 
 def aggregate(artifacts: list[dict]) -> list[ReliabilityCurve]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.config import DEFAULT_SEED
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 JOBS = 12
@@ -43,15 +44,13 @@ def class_kwargs(max_epochs: float | None = None, seed: int = DEFAULT_SEED) -> l
 def sweep_points(
     max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
-    labels = ("small", "large")
     return [
-        SweepPoint(
-            "figS",
-            f"class={label} lr/rcv1,W={kw['workers']},scale={kw['data_scale']}",
-            config_kwargs=kw,
+        Scenario(
+            kw,
+            label=f"class={label} lr/rcv1,W={kw['workers']},scale={kw['data_scale']}",
             tags={"series": "service", "class": label},
-        )
-        for label, kw in zip(labels, class_kwargs(max_epochs, seed))
+        ).point("figS")
+        for label, kw in zip(("small", "large"), class_kwargs(max_epochs, seed))
     ]
 
 

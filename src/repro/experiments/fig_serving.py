@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.config import DEFAULT_SEED
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 #: Serving panel knobs (shared by the study and the benchmark).
@@ -64,12 +65,11 @@ def sweep_points(
     max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     return [
-        SweepPoint(
-            "figV",
-            f"model={label} {kw['model']}/{kw['dataset']},W={kw['workers']}",
-            config_kwargs=kw,
+        Scenario(
+            kw,
+            label=f"model={label} {kw['model']}/{kw['dataset']},W={kw['workers']}",
             tags={"series": "serving", "class": label},
-        )
+        ).point("figV")
         for label, kw in sorted(class_kwargs(max_epochs, seed).items())
     ]
 

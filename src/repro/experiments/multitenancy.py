@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 from repro.analytics.model import AnalyticalModel, WorkloadParams
 from repro.config import DEFAULT_SEED
-from repro.data.datasets import get_spec
-from repro.models.zoo import get_model_info
 from repro.pricing.catalog import DEFAULT_CATALOG
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 HORIZON_S = 24 * 3600.0
@@ -37,18 +36,8 @@ HORIZON_S = 24 * 3600.0
 
 def default_params() -> WorkloadParams:
     """The registry study's workload: LR/Higgs ADMM, ~20 epochs/job."""
-    spec = get_spec("higgs")
-    info = get_model_info("lr", "higgs")
-    compute = spec.n_instances * info.compute.per_instance_s
-    return WorkloadParams(
-        dataset_bytes=spec.size_bytes,
-        model_bytes=info.param_bytes,
-        epochs_faas=20.0,
-        epochs_iaas=20.0,
-        compute_faas_s=compute,
-        compute_iaas_s=compute,
-        rounds_per_epoch=0.1,  # ADMM: one exchange per ten scans
-    )
+    # ADMM: one exchange per ten scans.
+    return WorkloadParams.from_zoo("lr", "higgs", epochs=20.0, rounds_per_epoch=0.1)
 
 
 @dataclass(frozen=True)
@@ -217,16 +206,13 @@ class MultitenancyStudy:
 
     @staticmethod
     def points(ctx):
-        from repro.sweep.grid import SweepPoint
-
-        kwargs = burst_config_kwargs(max_epochs=ctx.max_epochs, seed=ctx.seed)
         return [
-            SweepPoint(
-                "multitenancy",
+            Scenario(burst_config_kwargs(max_epochs=ctx.max_epochs, seed=ctx.seed))
+            .named(
                 "lr/rcv1,W=4,redis (burst job class)",
-                config_kwargs=kwargs,
-                tags={"series": "burst", "role": "isolated-baseline"},
+                series="burst", role="isolated-baseline",
             )
+            .point("multitenancy")
         ]
 
     aggregate = staticmethod(simulate_bursts)

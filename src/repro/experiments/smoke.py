@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
-from repro.sweep.grid import SweepPoint, expand_grid
+from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 
@@ -21,46 +22,26 @@ def sweep_points(
     max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """A 6-point grid that completes in seconds (heavily down-scaled)."""
-    base = dict(
+    base = Scenario(
         model="lr", dataset="higgs", algorithm="admm", system="lambdaml",
-        data_scale=5000, loss_threshold=0.66,
+        workers=4, data_scale=5000, loss_threshold=0.66,
         max_epochs=max_epochs or 2.0, seed=seed,
+        tags={"series": "lr/higgs@1/5000", "system": "faas"},
     )
-    points = [
-        SweepPoint(
-            "smoke",
-            f"{kw['channel']},{kw['pattern']},W={kw['workers']}",
-            config_kwargs=kw,
-            tags={"series": "lr/higgs@1/5000", "system": "faas"},
-        )
-        for kw in expand_grid(
-            base,
-            {
-                "channel": ("s3", "memcached"),
-                "pattern": ("allreduce", "scatterreduce"),
-                "workers": (4,),
-            },
+    scenarios = [
+        s.named(f"{s.kwargs['channel']},{s.kwargs['pattern']},W=4")
+        for s in base.grid(
+            channel=("s3", "memcached"), pattern=("allreduce", "scatterreduce")
         )
     ]
-    points.append(
-        SweepPoint(
-            "smoke", "s3,allreduce,W=4,mttf=120s",
-            config_kwargs=dict(base, channel="s3", workers=4, mttf_s=120.0),
-            tags={"series": "lr/higgs@1/5000", "system": "faas",
-                  "faults": "crash"},
-        )
-    )
-    points.append(
-        SweepPoint(
-            "smoke", "s3,allreduce,W=4,storage_err=2%",
-            config_kwargs=dict(
-                base, channel="s3", workers=4, storage_error_rate=0.02
-            ),
-            tags={"series": "lr/higgs@1/5000", "system": "faas",
-                  "faults": "storage"},
-        )
-    )
-    return points
+    faulted = base.vary(channel="s3")
+    scenarios += [
+        faulted.vary(mttf_s=120.0).named("s3,allreduce,W=4,mttf=120s", faults="crash"),
+        faulted.vary(storage_error_rate=0.02).named(
+            "s3,allreduce,W=4,storage_err=2%", faults="storage"
+        ),
+    ]
+    return [s.point("smoke") for s in scenarios]
 
 
 def format_report(artifacts: list[dict]) -> str:

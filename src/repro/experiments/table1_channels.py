@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table, ratio
-from repro.experiments.workloads import get_workload
 from repro.models.zoo import get_model_info
 from repro.storage.services import DYNAMODB_MAX_ITEM_BYTES, DynamoDBStore
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 CHANNELS = ("s3", "memcached", "dynamodb")
@@ -64,44 +64,29 @@ def workload_points(
     workers: int,
     k: int = 10,
     max_epochs: float | None = None,
-    include_hybrid: bool = True,
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One point per feasible channel (plus VM-PS) for one table row."""
-    workload = get_workload(model, dataset)
     row = f"{model}/{dataset}" + (f",k={k}" if model == "kmeans" else "") + f",W={workers}"
-
-    def make_point(channel_label: str, **overrides) -> SweepPoint:
-        kwargs = dict(
-            model=model,
-            dataset=dataset,
-            algorithm=overrides.pop("algorithm", workload.algorithm),
-            system=overrides.pop("system", "lambdaml"),
-            workers=workers,
-            batch_size=workload.batch_size,
-            batch_scope=workload.batch_scope,
-            lr=workload.lr,
-            k=k if model == "kmeans" else workload.k,
-            loss_threshold=workload.threshold,
-            max_epochs=max_epochs or workload.max_epochs,
-            seed=seed,
-            **overrides,
-        )
-        return SweepPoint(
-            "table1", f"{row} {channel_label}",
-            config_kwargs=kwargs,
-            tags={"row": row, "channel": channel_label, "workers": str(workers)},
-        )
-
-    points = []
-    for channel in CHANNELS:
-        if channel == "dynamodb" and not dynamodb_feasible(model, dataset, k=k):
-            continue  # N/A in the paper's table
-        points.append(make_point(channel, channel=channel))
-    if include_hybrid and workload.algorithm != "em":
+    base = Scenario.workload(model, dataset, system="lambdaml", workers=workers, seed=seed)
+    if model == "kmeans":
+        # The k=1000 row is the paper's large-model k-means, not Table 4's k.
+        base = base.vary(k=k)
+    if max_epochs:
+        base = base.vary(max_epochs=max_epochs)
+    cells = [
+        (channel, base.vary(channel=channel))
+        for channel in CHANNELS
+        # An infeasible DynamoDB cell is N/A in the paper's table.
+        if channel != "dynamodb" or dynamodb_feasible(model, dataset, k=k)
+    ]
+    if base.kwargs["algorithm"] != "em":
         # The VM-PS column trains with Cirrus-style GA-SGD pushes.
-        points.append(make_point("vm-ps", system="hybridps", algorithm="ga_sgd"))
-    return points
+        cells.append(("vm-ps", base.vary(system="hybridps", algorithm="ga_sgd")))
+    return [
+        s.named(f"{row} {label}", row=row, channel=label, workers=str(workers)).point("table1")
+        for label, s in cells
+    ]
 
 
 # The default rows (scaled: MobileNet capped at 6 epochs, no W=50 row).

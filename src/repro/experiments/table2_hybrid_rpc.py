@@ -46,7 +46,7 @@ class RPCRow:
     thrift_update_s: float
 
 
-def run(payload_bytes: int = PAYLOAD_BYTES) -> list[RPCRow]:
+def run() -> list[RPCRow]:
     rows = []
     for n, mem, instance in CONFIGS:
         timings = {}
@@ -55,8 +55,8 @@ def run(payload_bytes: int = PAYLOAD_BYTES) -> list[RPCRow]:
                 instance=get_instance(instance), rpc=rpc, lambda_memory_gb=mem
             )
             timings[rpc] = (
-                model.data_transmission_s(payload_bytes, n),
-                model.model_update_s(payload_bytes, n),
+                model.data_transmission_s(PAYLOAD_BYTES, n),
+                model.model_update_s(PAYLOAD_BYTES, n),
             )
         rows.append(
             RPCRow(

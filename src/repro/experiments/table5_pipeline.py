@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
 from repro.experiments.report import format_table
-from repro.experiments.workloads import get_workload
 from repro.iaas.cluster import iaas_startup_seconds
 from repro.pricing.catalog import DEFAULT_CATALOG
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
+from repro.sweep.scenario import Scenario
 from repro.sweep.study import study
 
 WORKERS = 10
@@ -61,34 +61,25 @@ def case_points(
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """The grid-search jobs of one pipeline case (both platforms)."""
-    workload = get_workload(model, dataset)
-    deep = model in ("mobilenet", "resnet50")
-    algorithm = "ga_sgd" if deep else workload.algorithm
-    instance = "g3s.xlarge" if deep else "t2.medium"
-    points = []
-    for platform in ("faas", "iaas"):
-        for lr in grid:
-            extra = (
-                dict(system="lambdaml")
-                if platform == "faas"
-                else dict(system="pytorch", instance=instance)
-            )
-            points.append(
-                SweepPoint(
-                    "table5",
-                    f"{model}/{dataset} {platform},lr={lr:g}",
-                    config_kwargs=dict(
-                        model=model, dataset=dataset, algorithm=algorithm,
-                        workers=WORKERS, channel="s3",
-                        batch_size=workload.batch_size,
-                        batch_scope=workload.batch_scope, lr=lr,
-                        loss_threshold=None, max_epochs=epochs_per_job,
-                        seed=seed, **extra,
-                    ),
-                    tags={"case": f"{model}/{dataset}", "platform": platform},
-                )
-            )
-    return points
+    base = Scenario.workload(
+        model, dataset, workers=WORKERS, channel="s3",
+        # Every candidate runs its full epoch budget: the pipeline
+        # compares learning rates, not Table 4's stopping rule.
+        loss_threshold=None, max_epochs=epochs_per_job, seed=seed,
+    )
+    instance = "g3s.xlarge" if model in ("mobilenet", "resnet50") else "t2.medium"
+    platforms = {
+        "faas": base.vary(system="lambdaml"),
+        "iaas": base.vary(system="pytorch", instance=instance),
+    }
+    return [
+        s.named(
+            f"{model}/{dataset} {platform},lr={s.kwargs['lr']:g}",
+            case=f"{model}/{dataset}", platform=platform,
+        ).point("table5")
+        for platform, on_platform in platforms.items()
+        for s in on_platform.grid(lr=grid)
+    ]
 
 
 def sweep_points(

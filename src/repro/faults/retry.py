@@ -40,6 +40,3 @@ class RetryPolicy:
     def backoff_s(self, attempt: int) -> float:
         """Backoff after failed attempt `attempt` (0-based)."""
         return min(self.base_s * (BACKOFF_FACTOR**attempt), MAX_BACKOFF_S)
-
-    def total_backoff_s(self, failures: int) -> float:
-        return sum(self.backoff_s(i) for i in range(failures))

@@ -60,15 +60,3 @@ class MPICommunicator:
         """
         self._groups.clear()
 
-    def barrier(self):
-        """Command for `yield`: synchronisation barrier (latency only)."""
-        if "barrier" not in self._groups:
-            self._groups["barrier"] = CollectiveGroup(
-                name="barrier",
-                size=self.cluster.workers,
-                reduce_fn=lambda values: None,
-                time_fn=lambda nbytes, size: 2
-                * self.cluster.instance.network_latency_s
-                * max(1, size - 1),
-            )
-        return Collective(group=self._groups["barrier"], value=None, category="comm")

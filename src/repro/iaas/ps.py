@@ -71,24 +71,17 @@ class PSTimingModel:
     instance: InstanceSpec
     rpc: str = "grpc"
     lambda_memory_gb: float = 3.0
-    bandwidth_override_bps: float | None = None  # Figure 14's 10 Gbps what-if
 
     def __post_init__(self) -> None:
         if self.rpc not in ("grpc", "thrift"):
             raise ConfigurationError(f"rpc must be grpc|thrift, got {self.rpc!r}")
-
-    @property
-    def per_function_bandwidth(self) -> float:
-        if self.bandwidth_override_bps is not None:
-            return self.bandwidth_override_bps
-        return FAAS_VM_BANDWIDTH
 
     def lambda_serdes_s(self, nbytes: int) -> float:
         vcpu_scale = math.sqrt(lambda_vcpus(self.lambda_memory_gb) / REFERENCE_VCPUS)
         return nbytes / (LAMBDA_SERDES_RATE[self.rpc] * vcpu_scale)
 
     def transfer_s(self, nbytes: int) -> float:
-        return nbytes / self.per_function_bandwidth
+        return nbytes / FAAS_VM_BANDWIDTH
 
     def ps_deser_s(self, nbytes: int) -> float:
         return nbytes / _rate(PS_DESER_RATE, self.rpc, self.instance)
@@ -132,23 +125,18 @@ class ParameterServer(ObjectStore):
         init_params: np.ndarray,
         logical_param_bytes: int,
         lr: float = 0.0,
-        update_mode: str = "gradient",
         meter: CostMeter | None = None,
-        available_from: float | None = None,
     ) -> None:
-        if update_mode not in ("gradient", "kv"):
-            raise ConfigurationError(f"update_mode must be gradient|kv, got {update_mode!r}")
         profile = StorageProfile(
             name=f"ps[{timing.instance.name}/{timing.rpc}]",
             latency_s=1e-3,
-            bandwidth_bps=timing.per_function_bandwidth,
+            bandwidth_bps=FAAS_VM_BANDWIDTH,
             concurrency=timing.ingress_slots,
-            startup_s=iaas_startup_seconds(1) if available_from is None else available_from,
+            startup_s=iaas_startup_seconds(1),
         )
-        super().__init__(profile, meter=meter, available_from=profile.startup_s)
+        super().__init__(profile, meter=meter)
         self.timing = timing
         self.lr = lr
-        self.update_mode = update_mode
         self.logical_param_bytes = logical_param_bytes
         self.params = np.asarray(init_params, dtype=np.float64).copy()
         self.push_count = 0
@@ -174,7 +162,7 @@ class ParameterServer(ObjectStore):
 
     # -- data ----------------------------------------------------------------
     def _do_put(self, key: str, value) -> list:
-        if self.update_mode == "kv" or not key.startswith("grad/"):
+        if not key.startswith("grad/"):
             return super()._do_put(key, value)
         gradient = np.asarray(unwrap(value), dtype=np.float64)
         if gradient.shape != self.params.shape:
@@ -184,12 +172,12 @@ class ParameterServer(ObjectStore):
         return []  # a push stores no key, so it can satisfy no waiter
 
     def _do_get(self, key: str):
-        if key == self.MODEL_KEY and self.update_mode == "gradient":
+        if key == self.MODEL_KEY:
             return SizedPayload(self.params.copy(), self.logical_param_bytes)
         return super()._do_get(key)
 
     def _exists(self, key: str) -> bool:
-        if key == self.MODEL_KEY and self.update_mode == "gradient":
+        if key == self.MODEL_KEY:
             return True
         return super()._exists(key)
 
@@ -201,7 +189,6 @@ def make_parameter_server(
     lr: float,
     rpc: str = "grpc",
     lambda_memory_gb: float = 3.0,
-    bandwidth_override_bps: float | None = None,
     meter: CostMeter | None = None,
 ) -> ParameterServer:
     """Convenience constructor resolving the instance by name."""
@@ -209,7 +196,6 @@ def make_parameter_server(
         instance=get_instance(instance_name),
         rpc=rpc,
         lambda_memory_gb=lambda_memory_gb,
-        bandwidth_override_bps=bandwidth_override_bps,
     )
     return ParameterServer(
         timing,

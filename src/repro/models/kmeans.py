@@ -91,15 +91,6 @@ class KMeansModel:
             "n": float(X.shape[0]),
         }
 
-    def merge_stats(self, stats: list[dict]) -> dict:
-        return {
-            "sums": sum(s["sums"] for s in stats),
-            "counts": sum(s["counts"] for s in stats),
-            "sq_dist": sum(s["sq_dist"] for s in stats),
-            "sq_norm": sum(s["sq_norm"] for s in stats),
-            "n": sum(s["n"] for s in stats),
-        }
-
     def update(self, centroids: np.ndarray, merged: dict) -> np.ndarray:
         """New centroids from merged stats; empty clusters keep position."""
         counts = merged["counts"]

@@ -13,7 +13,6 @@ from repro.optim.em import KMeansEM
 from repro.optim.gradient_averaging import GradientAveragingSGD
 from repro.optim.local import sgd_epoch
 from repro.optim.model_averaging import ModelAveragingSGD
-from repro.optim.schedules import constant_lr, inv_sqrt_decay
 
 __all__ = [
     "DistributedAlgorithm",
@@ -23,6 +22,4 @@ __all__ = [
     "ADMM",
     "KMeansEM",
     "sgd_epoch",
-    "constant_lr",
-    "inv_sqrt_decay",
 ]

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.models.zoo import ComputeProfile
-from repro.pricing.catalog import DEFAULT_CATALOG, PriceCatalog
 
 # Single-request speed of one always-on CPU VM core relative to the
 # Lambda reference worker (3 GB ≈ 1.8 shared vCPU): a dedicated c5
@@ -57,14 +56,6 @@ class PlatformProfile:
             )
         if self.kind == "iaas" and not self.instance:
             raise ConfigurationError(f"IaaS platform {self.name!r} needs an instance type")
-
-    def hourly_dollars(
-        self, catalog: PriceCatalog = DEFAULT_CATALOG, memory_gb: float = 3.0
-    ) -> float:
-        """$/replica-hour: the VM rate, or Lambda's 100 %-utilization ceiling."""
-        if self.kind == "faas":
-            return memory_gb * 3600.0 * catalog.lambda_per_gb_second
-        return catalog.ec2_price(self.instance)
 
 
 def inference_speedup(profile: PlatformProfile, compute: ComputeProfile) -> float:

@@ -15,6 +15,8 @@ entries::
 
 ``config`` holds per-job ``TrainingConfig`` overrides on top of the
 service's base workload; ``tenant``/``priority``/``job`` are optional.
+Every resolved entry must construct a ``TrainingConfig`` before any job
+is simulated.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError
 from repro.faults.plan import unit_draw
 from repro.service.config import ServiceConfig
@@ -118,6 +121,16 @@ def build_requests(config: ServiceConfig) -> list[JobRequest]:
             )
             for i, entry in enumerate(entries)
         ]
+        # Per-job overrides are outside input: refuse a misspelt field or
+        # value here, not after the tenants ahead of it have been simulated.
+        for i, request in enumerate(requests):
+            try:
+                TrainingConfig(**request.config_kwargs)
+            except (TypeError, ConfigurationError) as exc:
+                raise ConfigurationError(
+                    f"workload trace {config.trace}: entry {i} 'config' is not "
+                    f"a training config: {exc}"
+                ) from exc
     requests.sort(key=lambda r: (r.arrival_s, r.job))
     jobs = [r.job for r in requests]
     if len(set(jobs)) != len(jobs):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
-from repro.core.config import _cli
+from repro.core.config import CHANNELS, _cli, check_choices
 from repro.errors import ConfigurationError
 from repro.utils.hashing import fingerprint_hash, init_fingerprint
 
@@ -68,8 +68,7 @@ class ServiceConfig:
     )
     channel: str = field(
         default="s3",
-        metadata=_cli("communication channel each job uses",
-                      ("s3", "memcached", "redis", "dynamodb")),
+        metadata=_cli("communication channel each job uses", CHANNELS),
     )
     seed: int = field(
         default=DEFAULT_SEED,
@@ -77,16 +76,7 @@ class ServiceConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.arrivals not in ARRIVAL_KINDS:
-            raise ConfigurationError(
-                f"unknown arrival process {self.arrivals!r}; "
-                f"expected one of {ARRIVAL_KINDS}"
-            )
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"expected one of {SCHEDULER_NAMES}"
-            )
+        check_choices(self)
         if self.arrivals == "poisson" and self.rate <= 0:
             raise ConfigurationError("poisson arrivals need --rate > 0")
         if self.arrivals == "trace" and not self.trace:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
-from repro.core.config import _cli
+from repro.core.config import _cli, check_choices
 from repro.errors import ConfigurationError
 from repro.faas.limits import MAX_MEMORY_GB
 from repro.pricing.platforms import SERVING_PLATFORMS
@@ -144,10 +144,6 @@ class ServingConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.platform not in PLATFORM_NAMES:
-            raise ConfigurationError(
-                f"unknown platform {self.platform!r}; expected one of {PLATFORM_NAMES}"
-            )
         # The traffic knobs are checked where traces are generated, so a
         # config and a direct `request_arrivals` call refuse the same values.
         check_traffic(
@@ -155,11 +151,7 @@ class ServingConfig:
             self.diurnal_period_s, self.diurnal_amplitude,
             self.burst_every_s, self.burst_len_s, self.burst_factor,
         )
-        if self.autoscaler not in AUTOSCALER_NAMES:
-            raise ConfigurationError(
-                f"unknown autoscaler {self.autoscaler!r}; "
-                f"expected one of {AUTOSCALER_NAMES}"
-            )
+        check_choices(self)
         if not 1 <= self.min_replicas <= self.max_replicas:
             raise ConfigurationError(
                 "need 1 <= --min-replicas <= --max-replicas"

@@ -46,13 +46,6 @@ class TimeBreakdown:
         """Communication as the paper reports it: transfer + sync wait."""
         return self.get("comm") + self.get("wait") + self.get("merge")
 
-    def merged_with(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        out = TimeBreakdown()
-        for source in (self, other):
-            for category, duration in source.seconds.items():
-                out.add(category, duration)
-        return out
-
     @staticmethod
     def max_per_category(parts: list["TimeBreakdown"]) -> "TimeBreakdown":
         """Category-wise maximum across workers.

@@ -116,13 +116,12 @@ class ObjectStore:
         self,
         profile: StorageProfile,
         meter: CostMeter | None = None,
-        available_from: float | None = None,
     ) -> None:
         self.profile = profile
         self.meter = meter
         # The service accepts requests only once started; ElastiCache
         # nodes take minutes to come up while S3 is an always-on service.
-        self.available_at = profile.startup_s if available_from is None else available_from
+        self.available_at = profile.startup_s
         self.queue = ServiceQueue(profile.concurrency)
         # Fault plane (see module docstring). fault_policy is attached
         # by the job context. Crash-injected runs attach a retention

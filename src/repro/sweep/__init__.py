@@ -10,6 +10,9 @@ Layout:
 
 * :mod:`repro.sweep.grid` — declarative grid specs, ``SweepPoint``,
   config fingerprinting/hashing.
+* :mod:`repro.sweep.scenario` — ``Scenario``, the immutable builder
+  every study spells its grid with (``workload`` / ``vary`` / ``grid``
+  / ``named`` / ``point``); ``repro.api`` re-exports it.
 * :mod:`repro.sweep.artifacts` — the per-point JSON schema, declared
   as a :mod:`repro.store` document kind (atomic writes, validation and
   corrupt-artifact detection live in the store).

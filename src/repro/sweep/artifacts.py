@@ -25,7 +25,8 @@ Artifact schema (version 3)::
           "checkpoints": int, "lifetime_reinvocations": int,
           "crashes": int, "reincarnations": int, "restarts": int,
           "recovery_checkpoints": int, "storage_errors": int,
-          "storage_retries": int, "storage_backoff_s": float
+          "storage_retries": int, "storage_backoff_s": float,
+          "storage_exhaustions": int, "gc_collected_keys": int
         }
       },
       "meta": {
@@ -93,7 +94,7 @@ def artifact_from_result(
     substrate: str = "exact",
     compute_seconds: float = 0.0,
 ) -> dict:
-    """Serialize one completed run as a schema-2 artifact dict."""
+    """Serialize one completed run as a schema-3 artifact dict."""
     fingerprint = config_fingerprint(result.config)
     return {
         "schema": ARTIFACT_SCHEMA_VERSION,

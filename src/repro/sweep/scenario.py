@@ -1,7 +1,8 @@
-"""Scenario: the facade's immutable builder over ``TrainingConfig``.
+"""Scenario: the immutable builder over ``TrainingConfig``.
 
 A scenario is a bag of config kwargs that is cheap to copy, vary and
-expand into grids — the unit ``repro.api`` scripts compose::
+expand into grids — the one spelling of a grid, used by every in-tree
+study and (re-exported from ``repro.api``) by user scripts::
 
     from repro.api import Scenario
 
@@ -52,7 +53,9 @@ class Scenario:
 
         Copies the workload's algorithm, worker count, batch shape,
         learning rate, k, loss threshold and epoch budget; ``overrides``
-        win over all of them.
+        win over all of them. This is the only Table-4 -> config-kwargs
+        mapping in the tree: a study that needs a tuned value reads it
+        off ``Scenario.workload(...).kwargs``.
         """
         w = get_workload(model, dataset)
         kwargs = dict(
@@ -98,11 +101,14 @@ class Scenario:
     def grid(self, **axes) -> list[Scenario]:
         """The cross-product of ``axes`` over this scenario.
 
+        An axis replaces whatever the scenario already sets for that key
+        (Table 4 always sets ``workers``, and scaling studies sweep it).
         Each returned scenario is labelled with its axis values
         (``"channel=s3,workers=10"``) unless it already carries a label.
         """
+        base = {k: v for k, v in self.kwargs.items() if k not in axes}
         scenarios = []
-        for kwargs in expand_grid(self.kwargs, {k: tuple(v) for k, v in axes.items()}):
+        for kwargs in expand_grid(base, {k: tuple(v) for k, v in axes.items()}):
             label = self.label or ",".join(
                 f"{name}={kwargs[name]}" for name in axes
             )

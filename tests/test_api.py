@@ -58,6 +58,15 @@ class TestScenario:
         assert scenarios[0].label == "channel=s3,pattern=allreduce"
         assert {s.config().channel for s in scenarios} == {"s3", "memcached"}
 
+    def test_grid_axis_replaces_what_the_base_sets(self):
+        # Table 4 always sets `workers`; a scaling study sweeps it.
+        points = Scenario.workload("lr", "higgs").grid(workers=(4, 8))
+        assert [p.config().workers for p in points] == [4, 8]
+        assert [p.label for p in points] == ["workers=4", "workers=8"]
+        # expand_grid itself still refuses the collision.
+        with pytest.raises(ConfigurationError, match="also set in base"):
+            list(api.expand_grid({"workers": 10}, {"workers": (4, 8)}))
+
     def test_config_validation_still_applies(self):
         with pytest.raises(ConfigurationError):
             Scenario(dict(SMOKE, system="borg")).config()

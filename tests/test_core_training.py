@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import TrainingConfig
+from repro.core.config import TrainingConfig, config_validity_error
 from repro.core.context import JobContext
 from repro.core.driver import finalize_job, launch_job, train
 from repro.errors import ConfigurationError, OutOfMemoryError
@@ -46,6 +46,26 @@ class TestConfigValidation:
     def test_unknown_system(self):
         with pytest.raises(ConfigurationError):
             _config(system="spark")
+
+    @pytest.mark.parametrize(
+        "field, value", [("channel", "ftp"), ("rpc", "soap"), ("partition_mode", "zipf")]
+    )
+    def test_closed_set_fields_are_checked_at_construction(self, field, value):
+        # These three used to construct and fail in setup_faas /
+        # make_parameter_server / make_shards, after dataset synthesis.
+        with pytest.raises(ConfigurationError, match=f"unknown {field} '{value}'"):
+            _config(**{field: value})
+        error = config_validity_error(
+            {"model": "lr", "dataset": "higgs", field: value}
+        )
+        assert error is not None and field in error
+
+    def test_algorithm_aliases_and_zoo_errors_survive(self):
+        # `algorithm` is closed on the CLI but make_algorithm owns its
+        # aliases; model/dataset keep the zoo's and spec table's errors.
+        assert _config(algorithm="MA-SGD").algorithm == "MA-SGD"
+        with pytest.raises(ConfigurationError, match="unknown dataset"):
+            _config(dataset="mnist")
 
     @pytest.mark.parametrize("interval", [0, -1, float("inf"), float("nan")])
     def test_poll_interval_must_be_positive_and_finite(self, interval):

@@ -39,7 +39,8 @@ class TestKMeans:
         full = model.local_stats(centroids, X)
         part1 = model.local_stats(centroids, X[:100])
         part2 = model.local_stats(centroids, X[100:])
-        merged = model.merge_stats([part1, part2])
+        # The sum-reduce KMeansEM ships is the merge: statistics are additive.
+        merged = {name: part1[name] + part2[name] for name in part1}
         np.testing.assert_allclose(merged["sums"], full["sums"])
         np.testing.assert_allclose(merged["counts"], full["counts"])
         assert merged["sq_dist"] == pytest.approx(full["sq_dist"])

@@ -21,7 +21,6 @@ from repro.optim.em import KMeansEM
 from repro.optim.gradient_averaging import GradientAveragingSGD
 from repro.optim.local import sgd_epoch
 from repro.optim.model_averaging import ModelAveragingSGD
-from repro.optim.schedules import constant_lr, inv_sqrt_decay
 
 WORKERS = 4
 
@@ -207,20 +206,3 @@ class TestLocalSGD:
         plain = sgd_epoch(model, params, higgs_shards[0], lr=0.1)
         # The proximal pull toward `anchor` must move params toward it.
         assert np.linalg.norm(pulled - anchor) < np.linalg.norm(plain - anchor)
-
-
-class TestSchedules:
-    def test_constant(self):
-        schedule = constant_lr(0.3)
-        assert schedule(0) == schedule(100) == 0.3
-
-    def test_inv_sqrt(self):
-        schedule = inv_sqrt_decay(1.0)
-        assert schedule(0) == pytest.approx(1.0)
-        assert schedule(3) == pytest.approx(0.5)
-
-    def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            constant_lr(0.0)
-        with pytest.raises(ValueError):
-            inv_sqrt_decay(-1.0)

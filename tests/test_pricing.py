@@ -214,25 +214,6 @@ class TestServingPlatforms:
         # g4dn.xlarge (one T4) at the on-demand $0.526/hour anchor.
         assert DEFAULT_CATALOG.ec2_price("g4dn.xlarge") == 0.526
 
-    def test_hourly_dollars_iaas_is_instance_rate(self):
-        from repro.pricing import SERVING_PLATFORMS
-
-        profile = SERVING_PLATFORMS["gpu_iaas"]
-        assert profile.hourly_dollars(DEFAULT_CATALOG) == pytest.approx(0.526)
-
-    def test_hourly_dollars_faas_is_gb_second_ceiling(self):
-        from repro.pricing import SERVING_PLATFORMS
-        from repro.pricing.catalog import LAMBDA_PER_GB_SECOND
-
-        profile = SERVING_PLATFORMS["faas"]
-        # A fully-utilized 3 GB function for one hour.
-        expected = 3.0 * 3600.0 * LAMBDA_PER_GB_SECOND
-        assert profile.hourly_dollars(
-            DEFAULT_CATALOG, memory_gb=3.0
-        ) == pytest.approx(expected)
-        # The FaaS hourly ceiling beats the GPU VM only below 3 GB x 1 h.
-        assert expected == pytest.approx(0.18000036)
-
     def test_inference_speedup_selects_gpu_family(self):
         import dataclasses
 

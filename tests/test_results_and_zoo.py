@@ -87,12 +87,6 @@ class TestTimeBreakdown:
         assert merged.get("compute") == 7.0
         assert merged.get("wait") == 1.0
 
-    def test_merged_with_sums(self):
-        a, b = TimeBreakdown(), TimeBreakdown()
-        a.add("comm", 1.0)
-        b.add("comm", 2.0)
-        assert a.merged_with(b).get("comm") == 3.0
-
 
 class TestModelZoo:
     def test_lr_higgs_is_224_bytes(self):

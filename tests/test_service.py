@@ -122,6 +122,30 @@ class TestArrivals:
             build_requests(fast_service(arrivals="trace", trace=str(bad)))
         assert complaint in str(caught.value)
 
+    def test_bad_per_job_override_fails_before_any_engine_exists(
+        self, tmp_path, monkeypatch
+    ):
+        # Per-job `config` overrides are outside input; a value outside a
+        # closed set used to surface from the job's setup, after the
+        # tenants ahead of it had already been simulated.
+        import repro.simulation.engine as engine_module
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an Engine was built")
+
+        monkeypatch.setattr(engine_module.Engine, "__init__", no_engine)
+        trace = tmp_path / "load.json"
+        trace.write_text(json.dumps([
+            {"arrival_s": 0.0},
+            {"arrival_s": 1.0, "config": {"channel": "ftp"}},
+        ]))
+        with pytest.raises(ConfigurationError, match="load.json: entry 1") as caught:
+            build_requests(fast_service(arrivals="trace", trace=str(trace)))
+        assert "unknown channel 'ftp'" in str(caught.value)
+        trace.write_text(json.dumps([{"arrival_s": 0.0, "config": {"wrokers": 2}}]))
+        with pytest.raises(ConfigurationError, match="load.json: entry 0"):
+            build_requests(fast_service(arrivals="trace", trace=str(trace)))
+
     def test_duplicate_job_ids_rejected(self, tmp_path):
         trace = tmp_path / "dup.json"
         trace.write_text(json.dumps([

@@ -75,7 +75,7 @@ class TestFig13Golden:
 
         epoch_grid, workers = (1, 2), 4
         workload = get_workload("lr", "higgs")
-        params = fig13_validation._params_for("lr", "higgs", "ma_sgd", workers)
+        params = WorkloadParams.from_zoo("lr", "higgs", epochs=1.0, rounds_per_epoch=1.0)
         old_points = []
         for epochs in epoch_grid:
             faas = train(TrainingConfig(
@@ -132,8 +132,8 @@ class TestFig13Golden:
                     loss_threshold=workload.threshold,
                     max_epochs=workload.max_epochs, seed=SEED,
                 ))
-                params = fig13_validation._params_for(
-                    model_name, dataset, algorithm, workers
+                params = WorkloadParams.from_zoo(
+                    model_name, dataset, epochs=1.0, rounds_per_epoch=1.0
                 )
                 scaled = WorkloadParams(**{
                     **params.__dict__,
