@@ -5,8 +5,8 @@ ran: *how does the storage polling interval move runtime and cost?*
 Polling faster finds merged files sooner but bills more requests — a
 genuine trade-off curve, posed as a ``Study`` declaration and executed
 by the same parallel/resumable/two-phase orchestrator as every paper
-figure. All 8 points share one statistical fingerprint, so
-``substrate="auto"`` trains once and replays seven times.
+figure. All 8 points share one statistical fingerprint, so the sweep
+trains once and replays seven times.
 
 Run:  python examples/custom_study.py
 """
@@ -57,7 +57,7 @@ class PollTradeoffStudy:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as root:
-        session = Session(root, jobs=2)  # substrate="auto", resume=True
+        session = Session(root, jobs=2)  # resume=True
         outcome = session.sweep("poll_tradeoff")
         print(outcome.report())
         print()

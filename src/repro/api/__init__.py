@@ -10,14 +10,14 @@ Three layers, smallest first:
       result = run(Scenario.workload("lr", "higgs", workers=10))
       print(result.summary())
 
-* **A session.** :class:`Session` owns an artifact root; its substrate
-  and jobs policy is set at construction, not per call. Its
+* **A session.** :class:`Session` owns an artifact root; its jobs and
+  resume policy is set at construction, not per call. Its
   ``run``/``sweep``/``compare`` are content-addressed and resumable —
   repeating a call against the same root re-runs nothing::
 
       from repro.api import Scenario, Session
 
-      s = Session("results", jobs=4)           # substrate="auto"
+      s = Session("results", jobs=4)
       outcome = s.sweep("fig11")               # any registered study
       print(outcome.report())
       verdict = s.compare({
@@ -125,16 +125,16 @@ __all__ = [
 ]
 
 
-def run(scenario, *, substrate: str = "auto") -> RunResult:
+def run(scenario) -> RunResult:
     """Train one scenario in a throwaway in-memory session."""
-    return Session(None, substrate=substrate).run(scenario)
+    return Session(None).run(scenario)
 
 
-def sweep(study, *, jobs: int = 1, substrate: str = "auto", **kwargs) -> StudyOutcome:
+def sweep(study, *, jobs: int = 1, **kwargs) -> StudyOutcome:
     """Run a study (by name, object, or scenario list) in memory."""
-    return Session(None, jobs=jobs, substrate=substrate).sweep(study, **kwargs)
+    return Session(None, jobs=jobs).sweep(study, **kwargs)
 
 
-def compare(scenarios, *, substrate: str = "auto") -> Comparison:
+def compare(scenarios) -> Comparison:
     """Run labelled scenarios head to head in memory."""
-    return Session(None, substrate=substrate).compare(scenarios)
+    return Session(None).compare(scenarios)

@@ -1,7 +1,8 @@
 """What ``Session``, ``Service`` and ``ServingSession`` share: one root.
 
 All three own a root directory and a sweep policy fixed at
-construction, and train through the ordinary sweep orchestrator. One
+construction, and train through the ordinary sweep orchestrator: one
+exact training per statistical fingerprint, replays for the rest. One
 layout holds whatever launched a run::
 
     <root>/<study> | runs | adhoc     Session.sweep / run+compare / lists
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.sweep.grid import SweepPoint
-from repro.sweep.orchestrator import SWEEP_SUBSTRATES, SweepRun, run_sweep
+from repro.sweep.orchestrator import SweepRun, run_sweep
 
 
 @dataclass
@@ -53,11 +54,10 @@ class ReportFacade:
     """Root + sweep policy; subclasses add their workload and verbs.
 
     The policy is set here, once per facade: ``jobs`` (pool width),
-    ``substrate`` (one of ``SWEEP_SUBSTRATES``), ``resume`` (reuse what
-    the root already holds; the default) and ``progress`` (a callable
-    taking one status line). A report facade also names, as
-    ``_config_param``, the constructor keyword ``from_config`` passes
-    the declarative config as.
+    ``resume`` (reuse what the root already holds; the default) and
+    ``progress`` (a callable taking one status line). A report facade
+    also names, as ``_config_param``, the constructor keyword
+    ``from_config`` passes the declarative config as.
     """
 
     def __init__(
@@ -65,18 +65,13 @@ class ReportFacade:
         root: str | os.PathLike | None = None,
         *,
         jobs: int = 1,
-        substrate: str = "auto",
         resume: bool = True,
         progress=None,
     ) -> None:
-        if substrate not in SWEEP_SUBSTRATES:
-            raise ConfigurationError(
-                f"{type(self).__name__} substrate must be one of "
-                f"{SWEEP_SUBSTRATES}, not {substrate!r}"
-            )
+        if jobs < 1:
+            raise ConfigurationError(f"{type(self).__name__} jobs must be >= 1, got {jobs}")
         self.root = None if root is None else Path(root)
         self.jobs = jobs
-        self.substrate = substrate
         self.resume = resume and root is not None
         self.progress = progress
 
@@ -95,7 +90,6 @@ class ReportFacade:
             out_dir=self._dir(sub),
             jobs=self.jobs,
             resume=self.resume,
-            substrate=self.substrate,
             traces_dir=self._dir("traces"),
             progress=self.progress,
         )

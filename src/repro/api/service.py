@@ -1,6 +1,6 @@
 """Service: the facade for multi-tenant workloads, shaped like Session.
 
-A :class:`Service` owns a report root and a substrate policy and exposes
+A :class:`Service` owns a report root and a sweep policy and exposes
 the service verbs::
 
     from repro.api import Scenario, Service, ServiceConfig
@@ -108,6 +108,8 @@ class Service(ReportFacade):
             if max_concurrent is not None
             else (arrivals.max_concurrent if arrivals else 4)
         )
+        # ServiceConfig's rules, applied to the explicit arguments too.
+        ServiceConfig(scheduler=self.scheduler, max_concurrent=self.max_concurrent)
         self._submitted: list[JobRequest] = []
 
     # -- workload assembly -------------------------------------------------
@@ -160,9 +162,7 @@ class Service(ReportFacade):
         baselines are shared artifacts; only scheduler-shrunk variants
         are computed lazily inside the service run.
         """
-        provider = BaselineProvider(
-            policy=self.substrate, artifacts_dir=self._dir("baselines")
-        )
+        provider = BaselineProvider(artifacts_dir=self._dir("baselines"))
         if self.root is not None:
             configs = {}
             for request in requests:

@@ -39,7 +39,7 @@ from repro.sweep.study import Study, StudyContext, get_study
 class StudyOutcome:
     """What ``Session.sweep`` returns: orchestration + aggregation."""
 
-    run: SweepRun  # ran/skipped/substrate counters, artifact list
+    run: SweepRun  # ran/skipped/recorded/replayed counters, artifact list
     result: Any  # the study's aggregate() output
     study: Study | None = None  # None for ad-hoc scenario sweeps
 

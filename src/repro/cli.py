@@ -19,7 +19,8 @@ derived mechanically from the ``TrainingConfig`` dataclass fields, so
 the CLI can never drift from the config; `workloads` lists the tuned
 Table-4 workloads; `estimate` runs the sampling-based
 epochs-to-convergence estimator; `sweep` runs any registered study
-(``--list`` prints the catalog) over a process pool, writing one
+(``--list`` prints the catalog) over a process pool, one exact training
+per statistical fingerprint and replays for the rest, writing one
 resumable JSON artifact per point; `serve` runs a multi-tenant training
 service workload and `infer` a train-then-serve inference pipeline —
 their flags are derived from ``ServiceConfig`` / ``ServingConfig`` the
@@ -50,7 +51,7 @@ from repro.config import DEFAULT_SEED
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.experiments.workloads import WORKLOADS
-from repro.sweep.orchestrator import SWEEP_SUBSTRATES, plan_sweep, run_sweep
+from repro.sweep.orchestrator import plan_sweep, run_sweep
 from repro.sweep.study import all_studies, get_study
 
 # Scalar parsers for derived flags. `from __future__ import annotations`
@@ -192,6 +193,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _add_sweep_parser(subparsers) -> None:
     p = subparsers.add_parser(
         "sweep",
@@ -206,20 +214,12 @@ def _add_sweep_parser(subparsers) -> None:
     p.add_argument("--list", action="store_true",
                    help="print every registered study (kind, grid size, "
                    "unique statistical fingerprints) and exit")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (1 = run inline)")
     p.add_argument("--out", default=None,
                    help="artifact directory (default: sweeps/<experiment>)")
     p.add_argument("--resume", action="store_true",
                    help="skip points whose artifact already exists in --out")
-    p.add_argument("--substrate", default="exact", choices=SWEEP_SUBSTRATES,
-                   help="statistical backend: 'exact' trains every point with "
-                   "real numpy; 'auto' records one trace per unique statistical "
-                   "fingerprint and replays it across the systems grid "
-                   "(bit-identical artifacts, exact fallback for timing-coupled "
-                   "ASP/hybrid points)")
-    p.add_argument("--traces", default=None,
-                   help="convergence trace directory (default: <out>/traces)")
     p.add_argument("--dry-run", action="store_true",
                    help="print grid size, unique statistical fingerprints and "
                    "existing artifact/trace counts, then exit without running")
@@ -241,9 +241,7 @@ def _add_sweep_parser(subparsers) -> None:
 def _dry_run_sweep(args: argparse.Namespace, experiment, points, out_dir) -> int:
     # Without --resume, on-disk artifacts/traces are reported but NOT
     # counted as done, because the real run would re-run everything too.
-    plan = plan_sweep(
-        points, out_dir=out_dir, traces_dir=args.traces, resume=args.resume
-    )
+    plan = plan_sweep(points, out_dir=out_dir, resume=args.resume)
     print(f"sweep {experiment.name} (dry run; nothing was executed)")
     print(f"  grid points (deduped):        {plan['points']}")
     print(f"  unique stat fingerprints:     {plan['unique_stat_fingerprints']}"
@@ -258,12 +256,8 @@ def _dry_run_sweep(args: argparse.Namespace, experiment, points, out_dir) -> int
     if not args.resume and (plan["artifacts_present"] or plan["traces_present"]):
         print("  note: existing artifacts/traces are reused only with --resume; "
               "without it this invocation re-runs every point")
-    if args.substrate == "exact":
-        print(f"  substrate=exact would train:  {plan['pending_points']} point(s)")
-    else:
-        print(f"  substrate=auto would train: "
-              f"{plan['exact_trainings_needed']} exact point(s) and replay "
-              f"{plan['replays_needed']}")
+    print(f"  would train: {plan['exact_trainings_needed']} exact point(s) "
+          f"and replay {plan['replays_needed']}")
     return 0
 
 
@@ -322,8 +316,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             out_dir=out_dir,
             jobs=jobs,
             resume=args.resume,
-            substrate=args.substrate,
-            traces_dir=args.traces,
             progress=_say,
         )
 
@@ -340,18 +332,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if not args.no_report:
         print(experiment.format_report(experiment.aggregate(run.artifacts)))
         print()
-    detail = ""
-    if run.substrate != "exact":
-        detail = (
-            f" [{run.substrate}: {run.stat_groups} unique stat fingerprint(s), "
-            f"{run.recorded} recorded, {run.replayed} replayed, "
-            f"{run.exact_runs} exact]"
-        )
     print(
         f"sweep {experiment.name}: {run.ran} point(s) run, "
         f"{run.skipped} skipped via resume, "
         f"{len(run.corrupt)} corrupt artifact(s) re-run; "
-        f"artifacts in {run.out_dir}" + detail
+        f"artifacts in {run.out_dir} [{run.stat_groups} unique stat "
+        f"fingerprint(s), {run.recorded} recorded, {run.replayed} replayed, "
+        f"{run.exact_runs} exact]"
     )
     if run.failed:
         print(f"{len(run.failed)} point(s) FAILED:", file=sys.stderr)
@@ -376,12 +363,12 @@ def _add_fuzz_parser(subparsers) -> None:
         "TrainingConfig x FaultPlan space, shrinking failures into the "
         "regression corpus",
     )
-    p.add_argument("--budget", type=int, default=50,
+    p.add_argument("--budget", type=_positive_int, default=50,
                    help="number of scenarios to check (default: 50)")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed; 'seed:index' alone reproduces any "
                    "scenario (default: 0)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="fuzz worker processes; a dying worker is recorded "
                    "as a process_survives finding, not a hang (default: 1)")
     p.add_argument("--corpus", default=None, metavar="DIR",
@@ -400,9 +387,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         scenario = ScenarioSpace.from_id(args.show_scenario)
         print(json.dumps(scenario.config_kwargs, indent=2, sort_keys=True))
         return 0
-    if args.budget < 1:
-        print("error: --budget must be >= 1", file=sys.stderr)
-        return 2
     result = run_campaign(
         budget=args.budget,
         seed=args.seed,
@@ -470,15 +454,12 @@ def _add_report_parser(subparsers, command: str) -> None:
     add_config_flags(p, cls=_load(verb.config))
     # Orchestration flags (not part of the run's identity).
     p.add_argument("--out", default=None, help=verb.out_help)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the training sweep")
     p.add_argument("--resume", action=argparse.BooleanOptionalAction,
                    default=True,
                    help=f"load the persisted report for an identical {verb.noun} "
                    "run instead of re-simulating it (needs --out)")
-    p.add_argument("--substrate", default="auto", choices=SWEEP_SUBSTRATES,
-                   help="training policy: 'auto' replays recorded statistics "
-                   "when eligible; 'exact' always trains with real numpy")
     p.add_argument("--json", action="store_true",
                    help="print the raw report document instead of the table")
 
@@ -489,7 +470,6 @@ def _run_report(args: argparse.Namespace) -> int:
         config_from_args(args, cls=_load(verb.config)),
         root=args.out,
         jobs=args.jobs,
-        substrate=args.substrate,
         resume=args.resume,
         progress=_say,
     ).run()

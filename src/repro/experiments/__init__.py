@@ -5,7 +5,8 @@ Every module registers a :class:`~repro.sweep.study.Study` via the
 artifact aggregator and a report renderer. The registry auto-discovers
 them by importing this package's modules, so ``repro.cli sweep
 --experiment <name>`` (and ``repro.api``'s ``Session.sweep``) covers
-the whole catalog with ``--jobs/--resume/--substrate auto``.
+the whole catalog with ``--jobs/--resume``, recording one exact
+training per statistical fingerprint and replaying the rest.
 
 A grid has one spelling: every ``points`` / ``*_points`` function is a
 :class:`~repro.sweep.scenario.Scenario` expression, exactly like

@@ -14,8 +14,8 @@ Paper's measured values for reference (seconds):
 The four systems form a declarative grid (:func:`sweep_points`) run by
 the sweep orchestrator; :func:`aggregate` rebuilds the breakdown rows
 from per-point JSON artifacts (the time breakdown is persisted in
-full). Note the HybridPS point is timing-coupled, so ``--substrate
-auto`` runs it exact and the other three through record/replay.
+full). Note the HybridPS point is timing-coupled, so a sweep trains
+it exact and the other three through record/replay.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ classic checkpoint-frequency trade-off, measured in the same
 overhead-vs-baseline units as the other curves.
 
 Every point shares one statistical fingerprint — crash and retry axes
-are systems axes — so a ``--substrate auto`` sweep records *one* exact
+are systems axes — so a sweep of the grid records *one* exact
 trace and replays the entire grid in milliseconds per point. Each
 artifact's ``result.events`` carries the reliability story (crashes,
 reincarnations/restarts, checkpoints, retries).

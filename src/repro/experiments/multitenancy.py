@@ -132,7 +132,7 @@ class MultitenancyAnalyticalStudy:
 # study *simulates* it on the multi-tenant service runtime: one burst of
 # identical jobs on a shared engine with shared storage capacity, swept
 # over the admission limit. Registering it as a grid study means
-# ``--jobs/--resume/--substrate auto`` apply to the isolated baseline,
+# ``--jobs/--resume`` and record/replay apply to the isolated baseline,
 # and the burst simulation itself rides in ``aggregate``.
 
 BURST_JOBS = 8

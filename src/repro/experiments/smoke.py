@@ -3,7 +3,7 @@
 Four fault-free systems points plus two fault-plane points (one
 crash-injected, one with transient storage errors) on a heavily
 down-scaled LR/Higgs workload. All six share one statistical
-fingerprint, so a ``--substrate auto`` run records exactly one trace —
+fingerprint, so a sweep of it records exactly one trace —
 the cheapest end-to-end probe of both the two-phase orchestrator and
 the fault plane's determinism contract. The test suite and CI's
 sweep-smoke job run this grid.

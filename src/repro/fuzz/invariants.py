@@ -28,9 +28,9 @@ The catalog encodes the repository's load-bearing contracts:
   sorted (epoch, worker, loss) trajectory bit-identical: the
   canonical-rank-order-fold guarantee that underwrites two-phase
   sweeps.
-* ``sweep_roundtrip`` — a two-point sweep produces byte-identical
-  artifacts pooled vs serial, and resuming it immediately afterwards
-  runs zero points (the artifact layer's "zero pending after resume").
+* ``sweep_roundtrip`` — a sweep of two statistical fingerprints (so
+  phase 0 crosses the pool) produces byte-identical artifacts pooled vs
+  serial, and resuming it immediately afterwards runs zero points.
 
 NaN losses are tolerated everywhere (a diverging learning rate is a
 statistical outcome, not a bug) but must be *deterministically* NaN:
@@ -48,6 +48,7 @@ from repro.core.config import TrainingConfig, config_validity_error
 from repro.core.driver import train
 from repro.errors import ReproError
 from repro.faults import unit_draw
+from repro.fuzz.space import SEED_LADDER
 from repro.substrate import RecordingSubstrate, ReplaySubstrate
 
 #: TrainingConfig fields that make up the fault plane. Stripping them
@@ -277,12 +278,19 @@ def check_sweep_roundtrip(kwargs: dict) -> str | None:
     from repro.sweep.grid import SweepPoint
     from repro.sweep.orchestrator import run_sweep
 
-    sibling = sibling_kwargs(kwargs)
-    points = [SweepPoint(experiment="fuzz", label="base", config_kwargs=dict(kwargs))]
-    if sibling is not None:
-        points.append(
-            SweepPoint(experiment="fuzz", label="sibling", config_kwargs=sibling)
-        )
+    # A second seed is a second statistical fingerprint: phase 0 then
+    # records twice, which is what puts the sweep on the process pool.
+    seed = _config(kwargs).seed
+    variants = {
+        "base": dict(kwargs),
+        "reseeded": {**kwargs, "seed": next(s for s in SEED_LADDER if s != seed)},
+        "sibling": sibling_kwargs(kwargs),
+    }
+    points = [
+        SweepPoint(experiment="fuzz", label=label, config_kwargs=variant)
+        for label, variant in variants.items()
+        if variant is not None
+    ]
 
     def strip_meta(artifact: dict) -> dict:
         return {key: value for key, value in artifact.items() if key != "meta"}
@@ -292,6 +300,8 @@ def check_sweep_roundtrip(kwargs: dict) -> str | None:
         pooled = run_sweep(points, out_dir=f"{tmp}/pool", jobs=2)
         if pooled.failed:
             return f"pooled sweep lost {len(pooled.failed)} point(s): {pooled.failed[0]['reason']}"
+        if pooled.recorded != 2:
+            return f"pooled sweep recorded {pooled.recorded} trace(s), expected 2"
         serial_artifacts = [strip_meta(a) for a in serial.artifacts]
         pooled_artifacts = [strip_meta(a) for a in pooled.artifacts]
         if serial_artifacts != pooled_artifacts:

@@ -41,6 +41,9 @@ MAX_ATTEMPTS = 32
 # a single scenario training in well under a second of wall clock.
 _DATA_SCALES = {"higgs": (200, 500), "rcv1": (40, 80)}
 
+# The training seeds a scenario samples from.
+SEED_LADDER = (3, 7, 11, 20210620)
+
 
 def _pick(u: float, options):
     """Map one unit draw onto a finite ladder (uniform over options)."""
@@ -161,7 +164,7 @@ class ScenarioSpace:
         kwargs["lr"] = _pick(
             u("lr"), (0.01, 0.05) if model == "svm" else (0.01, 0.05, 0.1)
         )
-        kwargs["seed"] = _pick(u("seed"), (3, 7, 11, 20210620))
+        kwargs["seed"] = _pick(u("seed"), SEED_LADDER)
         if algorithm == "ma_sgd" and u("ma_sync_epochs") < 0.3:
             kwargs["ma_sync_epochs"] = 2
 

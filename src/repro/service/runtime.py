@@ -14,7 +14,7 @@ Three pieces:
 
 * :class:`BaselineProvider` — isolated-run ground truth. Each distinct
   granted config is trained once on a *private* engine (recording a
-  replay trace when the policy allows); the isolated duration/cost are
+  replay trace when it is eligible); the isolated duration/cost are
   the denominators for slowdown and the inputs to cost-aware
   scheduling, and the traces let service jobs replay statistics with
   zero numpy work.
@@ -53,7 +53,6 @@ from repro.substrate.record import RecordingSubstrate
 from repro.substrate.replay import ReplaySubstrate
 from repro.sweep.artifacts import artifact_from_result, write_artifact
 from repro.sweep.grid import SweepPoint, config_hash
-from repro.sweep.orchestrator import SWEEP_SUBSTRATES
 
 BASELINE_EXPERIMENT = "baselines"
 
@@ -111,24 +110,19 @@ class SharedServices:
 class BaselineProvider:
     """Isolated results + replay traces per distinct config, memoized.
 
-    ``policy`` is ``"auto"`` (replay statistics for every eligible
-    config, recording one trace per statistical fingerprint) or
-    ``"exact"`` (every service job runs real numpy). Lazily computed
-    baselines are persisted as ordinary sweep artifacts when
-    ``artifacts_dir`` is set, so a resumed service run can prime from
-    disk instead of re-training.
+    Every eligible config replays its statistics, recording one trace
+    per statistical fingerprint. Lazily computed baselines are
+    persisted as ordinary sweep artifacts when ``artifacts_dir`` is
+    set, so a resumed service run can prime from disk instead of
+    re-training.
     """
 
     def __init__(
         self,
-        policy: str = "auto",
         artifacts_dir=None,
         results: dict[str, RunResult] | None = None,
         traces: dict[str, dict] | None = None,
     ) -> None:
-        if policy not in SWEEP_SUBSTRATES:
-            raise SimulationError(f"unknown baseline policy {policy!r}")
-        self.policy = policy
         self.artifacts_dir = artifacts_dir
         self._results = dict(results or {})
         self._traces = dict(traces or {})
@@ -161,11 +155,7 @@ class BaselineProvider:
         # (exact-only by construction); faulted configs re-execute
         # rounds from substrate snapshots — keep those on the exact
         # path too so the fault plane is genuinely exercised.
-        return (
-            self.policy == "auto"
-            and not config.timing_coupled
-            and not config.faults_enabled
-        )
+        return not config.timing_coupled and not config.faults_enabled
 
     def _run_isolated(self, config: TrainingConfig) -> RunResult:
         record = (

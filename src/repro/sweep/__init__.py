@@ -16,10 +16,10 @@ Layout:
 * :mod:`repro.sweep.artifacts` — the per-point JSON schema, declared
   as a :mod:`repro.store` document kind (atomic writes, validation and
   corrupt-artifact detection live in the store).
-* :mod:`repro.sweep.orchestrator` — the pool fan-out / resume loop,
-  including the two-phase record/replay sweep (``substrate="auto"``):
-  one exact training per unique statistical fingerprint, replays for
-  the rest (see :mod:`repro.substrate`).
+* :mod:`repro.sweep.orchestrator` — the pool fan-out / resume loop.
+  Every sweep is two-phase: one exact (recording) training per unique
+  statistical fingerprint, replays for the rest (see
+  :mod:`repro.substrate`).
 * :mod:`repro.sweep.study` — the Study protocol (``points(ctx)`` /
   ``aggregate`` / ``format_report``), the ``@study`` registration
   decorator and auto-discovery over :mod:`repro.experiments`; every
@@ -37,13 +37,7 @@ from repro.sweep.artifacts import (
     write_artifact,
 )
 from repro.sweep.grid import SweepPoint, config_fingerprint, config_hash, expand_grid
-from repro.sweep.orchestrator import (
-    SWEEP_SUBSTRATES,
-    SweepRun,
-    plan_sweep,
-    run_resilient_pool,
-    run_sweep,
-)
+from repro.sweep.orchestrator import SweepRun, plan_sweep, run_resilient_pool, run_sweep
 # NOTE: the ``@study`` decorator itself is deliberately NOT re-exported
 # here — ``repro.sweep.study`` must keep naming the submodule. Import
 # the decorator from ``repro.api`` or ``repro.sweep.study``.
@@ -58,7 +52,6 @@ from repro.sweep.study import (
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "ArtifactError",
-    "SWEEP_SUBSTRATES",
     "Study",
     "StudyContext",
     "SweepPoint",

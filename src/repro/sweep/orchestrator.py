@@ -22,23 +22,23 @@ Design constraints:
 * **Resume is hash-addressed at both phases.** ``resume=True`` scans
   the sweep directory once and skips every point whose config hash
   already has a valid artifact; corrupt or partial files are treated
-  as not-run and overwritten. Replay sweeps additionally skip the
-  phase-0 recording of every statistical fingerprint that already has
-  a valid ``traces/<stat_hash>.json``.
+  as not-run and overwritten. It also skips the phase-0 recording of
+  every statistical fingerprint that already has a valid
+  ``traces/<stat_hash>.json``.
 
-Two-phase replay sweeps (``substrate="auto"``):
-
-Most sweep axes (channel, pattern, instance, poll interval, prices,
-Lambda sizing) move simulated clocks and dollars but cannot change a
-BSP loss trajectory — the statistical and systems axes of the design
-space are separable. Phase 0 therefore groups the grid by
-``TrainingConfig.stat_fingerprint()`` and runs *one* exact (recording)
-training per unique fingerprint; phase 1 replays the recorded trace
-for every other point in the group, yielding bit-identical artifacts
-at ~zero numpy cost. Timing-coupled configs (ASP, hybrid PS) have no
-systems-independent trajectory, so they run exact. :func:`_classify`
-is that split, and the one definition of it: :func:`plan_sweep` counts
-what it returns, :func:`run_sweep` executes it.
+Every sweep runs in two phases. Most sweep axes (channel, pattern,
+instance, poll interval, prices, Lambda sizing) move simulated clocks
+and dollars but cannot change a BSP loss trajectory — the statistical
+and systems axes of the design space are separable. Phase 0 therefore
+groups the grid by ``TrainingConfig.stat_fingerprint()`` and runs *one*
+exact (recording) training per unique fingerprint; phase 1 replays the
+recorded trace for every other point in the group, yielding artifacts
+bit-identical to exact trainings at ~zero numpy cost. Timing-coupled
+configs (ASP, hybrid PS) have no systems-independent trajectory, so
+they train exact. :func:`_classify` is that split, and the one
+definition of it: :func:`plan_sweep` counts what it returns,
+:func:`run_sweep` executes it. One exact training outside a sweep is
+``train(point.config())``.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ from repro.sweep.artifacts import (
 )
 from repro.sweep.grid import SweepPoint, dedupe_with_hashes
 
-SWEEP_SUBSTRATES = ("exact", "auto")
-
 
 @dataclass
 class SweepRun:
@@ -83,12 +81,10 @@ class SweepRun:
     # jobs > 1 — an inline run dying takes the orchestrator with it.
     failed: list[dict] = field(default_factory=list)
     out_dir: str | None = None
-    # Replay-sweep bookkeeping (all zero for substrate="exact").
-    substrate: str = "exact"
     stat_groups: int = 0  # unique stat fingerprints among pending points
     recorded: int = 0  # phase-0 exact trainings that captured a trace
     replayed: int = 0  # phase-1 points served from a trace
-    exact_runs: int = 0  # plain exact runs (incl. timing-coupled fallbacks)
+    exact_runs: int = 0  # timing-coupled points, trained exact
     traces_dir: str | None = None
 
 
@@ -230,22 +226,22 @@ def _resolve_traces_dir(
 
 
 def _classify(
-    points: list[SweepPoint], hashes: list[str], configs: list, reused, substrate: str
+    points: list[SweepPoint], hashes: list[str], configs: list, reused
 ) -> tuple[list[_Task], dict[str, list[_Task]]]:
     """Split the points not in ``reused`` into exact tasks and stat groups.
 
     ``reused`` holds the config hashes a resume already has artifacts
-    for. Of the rest, an ``"exact"`` sweep and every timing-coupled
-    config train exactly; the others are grouped by statistical
-    fingerprint, in grid order — a group with no trace records its head
-    and replays its tail, a group with one replays whole.
+    for. Of the rest, every timing-coupled config trains exactly; the
+    others are grouped by statistical fingerprint, in grid order — a
+    group with no trace records its head and replays its tail, a group
+    with one replays whole.
     """
     exact_tasks: list[_Task] = []
     stat_groups: dict[str, list[_Task]] = {}
     for index, (point, point_hash, config) in enumerate(zip(points, hashes, configs)):
         if point_hash in reused:
             continue
-        if substrate == "exact" or config.timing_coupled:
+        if config.timing_coupled:
             exact_tasks.append(_Task(index, point))
         else:
             stat_groups.setdefault(config.stat_hash(), []).append(_Task(index, point))
@@ -261,9 +257,8 @@ def plan_sweep(
     """What a sweep *would* do, without running anything (``--dry-run``).
 
     Returns grid size, unique statistical fingerprints, how many
-    artifacts/traces already exist on disk, and how much exact numpy
-    work a ``substrate="auto"`` invocation would actually pay for
-    (``pending_points`` is what ``"exact"`` would train). ``resume``
+    artifacts/traces already exist on disk, and how many exact
+    trainings and replays the invocation would pay for. ``resume``
     must match the planned invocation: on-disk artifacts and traces
     only count as done when the real run would reuse them too.
     """
@@ -272,9 +267,9 @@ def plan_sweep(
     traces_dir = _resolve_traces_dir(out_dir, traces_dir)
     traces, corrupt_traces = scan_traces(traces_dir)
 
-    coupled, replayable = _classify(points, hashes, configs, {}, "auto")
+    coupled, replayable = _classify(points, hashes, configs, {})
     reused, usable_traces = (completed, traces) if resume else ({}, {})
-    exact_tasks, stat_groups = _classify(points, hashes, configs, reused, "auto")
+    exact_tasks, stat_groups = _classify(points, hashes, configs, reused)
     exact_needed = len(exact_tasks) + sum(
         1 for stat_hash in stat_groups if stat_hash not in usable_traces
     )
@@ -303,10 +298,10 @@ def run_sweep(
     jobs: int = 1,
     resume: bool = False,
     progress=None,
-    substrate: str = "exact",
+    substrate: str = "auto",
     traces_dir: str | os.PathLike | None = None,
 ) -> SweepRun:
-    """Run a grid of sweep points, optionally in parallel and resumable.
+    """Record once per statistical fingerprint, replay the rest of the grid.
 
     Parameters
     ----------
@@ -323,17 +318,17 @@ def run_sweep(
         Optional callable ``progress(message: str)`` for per-point
         status lines (the CLI passes one; the library default is quiet).
     substrate:
-        One of :data:`SWEEP_SUBSTRATES`. ``"exact"`` trains every point
-        with real numpy (the default). ``"auto"`` runs the two-phase
-        record/replay sweep, falling back to exact for timing-coupled
-        (ASP / hybrid-PS) points.
+        Only ``"auto"``. The keyword is kept for its three callers in
+        ``benchmarks/ledger/workloads.py``, which pass it explicitly.
     traces_dir:
         Where ``<stat_hash>.json`` traces go (default:
         ``<out_dir>/traces``; in-memory when ``out_dir`` is ``None``).
     """
-    if substrate not in SWEEP_SUBSTRATES:
+    if substrate != "auto":
         raise ConfigurationError(
-            f"unknown sweep substrate {substrate!r}; known: {SWEEP_SUBSTRATES}"
+            f"unknown sweep substrate {substrate!r}: a sweep records once per "
+            "statistical fingerprint and replays the rest ('auto'); one exact "
+            "training is train(point.config())"
         )
     if resume and out_dir is None:
         raise ConfigurationError("resume=True requires an artifact directory")
@@ -360,7 +355,6 @@ def run_sweep(
                 say(f"corrupt artifact {path.name} matches no point in this grid; ignored")
 
     by_hash: dict[str, dict] = {}
-    skipped = 0
     for index, (point, point_hash) in enumerate(zip(points, hashes)):
         if point_hash in completed:
             artifact = completed[point_hash]
@@ -393,89 +387,11 @@ def run_sweep(
                 write_artifact(out_dir, artifact)
                 say(f"refreshed metadata of {point_hash}.json to match this grid")
             by_hash[point_hash] = artifact
-            skipped += 1
             say(f"[{index + 1}/{len(points)}] {point.label}: skipped (artifact exists)")
 
-    run = SweepRun(
-        skipped=skipped,
-        corrupt=[str(p) for p in corrupt],
-        out_dir=None if out_dir is None else str(out_dir),
-        substrate=substrate,
-    )
-
-    def finish(task: _Task, artifact: dict) -> None:
-        by_hash[artifact["config_hash"]] = artifact
-        if out_dir is not None:
-            write_artifact(out_dir, artifact)
-        say(
-            f"[{task.index + 1}/{len(points)}] {task.point.label}: "
-            f"runtime={artifact['result']['duration_s']:.1f}s "
-            f"cost=${artifact['result']['cost_total']:.4f} "
-            f"converged={artifact['result']['converged']} "
-            f"({artifact['meta']['wall_seconds']:.1f}s wall, {task.mode})"
-        )
-
-    def fail(task: _Task, reason: str) -> None:
-        run.failed.append(
-            {
-                "index": task.index,
-                "label": task.point.label,
-                "config_hash": hashes[task.index],
-                "reason": reason,
-            }
-        )
-        say(f"[{task.index + 1}/{len(points)}] {task.point.label}: FAILED ({reason})")
-
-    def execute(tasks: list[_Task], on_trace=None) -> None:
-        """Fan a batch of tasks over the pool (or inline); stream writes."""
-        if not tasks:
-            return
-        run.ran += len(tasks)
-        for task in tasks:
-            if task.mode == "record":
-                run.recorded += 1
-            elif task.mode == "replay":
-                run.replayed += 1
-            else:
-                run.exact_runs += 1
-        by_index = {task.index: task for task in tasks}
-
-        def on_result(message: tuple) -> None:
-            index, artifact, trace = message
-            finish(by_index[index], artifact)
-            if trace is not None:
-                on_trace(trace)
-
-        width = min(jobs, len(tasks))
-        if width == 1:
-            for task in tasks:
-                on_result(run_task(task))
-        else:
-            run_resilient_pool(tasks, width, on_result, fail)
-
-    exact_tasks, stat_groups = _classify(points, hashes, configs, completed, substrate)
-    if substrate == "exact":
-        execute(exact_tasks)
-    else:
-        _run_two_phase(
-            run, exact_tasks, stat_groups,
-            _resolve_traces_dir(out_dir, traces_dir), resume, say, execute, fail,
-        )
-
-    # Failed points (dead workers) have no artifact; everything else is
-    # returned in point order, exactly as before.
-    run.artifacts = [by_hash[h] for h in hashes if h in by_hash]
-    return run
-
-
-def _run_two_phase(
-    run: SweepRun, exact_tasks, stat_groups, traces_dir, resume, say, execute, fail
-) -> None:
-    """Record once per stat group that has no trace; replay the rest."""
-    run.traces_dir = None if traces_dir is None else str(traces_dir)
-    run.stat_groups = len(stat_groups)
+    traces_dir = _resolve_traces_dir(out_dir, traces_dir)
     traces: dict[str, dict] = {}
-    if traces_dir is not None and resume:
+    if resume:
         # Reusing a previously recorded trace is the same act of trust
         # as reusing a previously written artifact: both are opt-in via
         # resume. A non-resume sweep re-records everything (and
@@ -492,27 +408,73 @@ def _run_two_phase(
                     f"{recorded_version or 'unknown'} (running {repro_version})"
                 )
 
+    exact_tasks, stat_groups = _classify(points, hashes, configs, completed)
     record_tasks = [
         _Task(tasks[0].index, tasks[0].point, mode="record")
         for stat_hash, tasks in stat_groups.items()
         if stat_hash not in traces
     ]
+    run = SweepRun(
+        skipped=len(by_hash),
+        corrupt=[str(p) for p in corrupt],
+        out_dir=None if out_dir is None else str(out_dir),
+        stat_groups=len(stat_groups),
+        recorded=len(record_tasks),
+        exact_runs=len(exact_tasks),
+        traces_dir=None if traces_dir is None else str(traces_dir),
+    )
+
+    def finish(message: tuple) -> None:
+        """Persist one task's result as it streams back (artifact, trace)."""
+        index, artifact, trace = message
+        by_hash[artifact["config_hash"]] = artifact
+        if out_dir is not None:
+            write_artifact(out_dir, artifact)
+        if trace is not None:
+            traces[trace["stat_hash"]] = trace
+            if traces_dir is not None:
+                write_trace(traces_dir, trace)
+        say(
+            f"[{index + 1}/{len(points)}] {points[index].label}: "
+            f"runtime={artifact['result']['duration_s']:.1f}s "
+            f"cost=${artifact['result']['cost_total']:.4f} "
+            f"converged={artifact['result']['converged']} "
+            f"({artifact['meta']['wall_seconds']:.1f}s wall, "
+            f"{artifact['meta']['substrate']})"
+        )
+
+    def fail(task: _Task, reason: str) -> None:
+        run.failed.append(
+            {
+                "index": task.index,
+                "label": task.point.label,
+                "config_hash": hashes[task.index],
+                "reason": reason,
+            }
+        )
+        say(f"[{task.index + 1}/{len(points)}] {task.point.label}: FAILED ({reason})")
+
+    def execute(tasks: list[_Task]) -> None:
+        """Fan a batch of tasks over the pool, or run it inline at width 1."""
+        width = min(jobs, len(tasks))
+        if width > 1:
+            run_resilient_pool(tasks, width, finish, fail)
+        else:
+            for task in tasks:
+                finish(run_task(task))
+
+    # Phase 0: one recording per stat group that has no trace yet. The
+    # timing-coupled points ride along: both are full-cost exact
+    # trainings, so one pool pass covers them.
     say(
         f"phase 0: {len(record_tasks)} exact recording(s) for "
         f"{run.stat_groups} unique statistical fingerprint(s) "
         f"({len(traces)} trace(s) already on disk)"
         + (f"; {len(exact_tasks)} timing-coupled point(s) run exact" if exact_tasks else "")
     )
+    execute(record_tasks + exact_tasks)
 
-    def on_trace(trace: dict) -> None:
-        traces[trace["stat_hash"]] = trace
-        if traces_dir is not None:
-            write_trace(traces_dir, trace)
-
-    # Timing-coupled fallbacks ride along with the recordings: both are
-    # full-cost exact trainings, so one pool pass covers phase 0.
-    execute(record_tasks + exact_tasks, on_trace=on_trace)
-
+    # Phase 1: replay every other point of each group from its trace.
     recorded = {task.index for task in record_tasks}
     replay_tasks: list[_Task] = []
     for stat_hash, tasks in stat_groups.items():
@@ -532,5 +494,12 @@ def _run_two_phase(
                     "failed; nothing to replay",
                 )
     replay_tasks.sort(key=lambda task: task.index)
+    run.replayed = len(replay_tasks)
+    run.ran = run.recorded + run.exact_runs + run.replayed
     say(f"phase 1: replaying {len(replay_tasks)} point(s) from recorded traces")
     execute(replay_tasks)
+
+    # Failed points (dead workers) have no artifact; everything else is
+    # returned in point order.
+    run.artifacts = [by_hash[h] for h in hashes if h in by_hash]
+    return run

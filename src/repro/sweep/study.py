@@ -29,7 +29,7 @@ Experiment modules register by decorating a small declaration class::
 and the registry auto-discovers them by importing every module under
 :mod:`repro.experiments` on first lookup — adding a study never touches
 the registry again, and ``repro.cli sweep --experiment <name>`` gains
-``--jobs/--resume/--substrate auto`` for free.
+``--jobs/--resume`` and the record-once/replay-the-rest sweep for free.
 """
 
 from __future__ import annotations

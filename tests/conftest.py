@@ -69,3 +69,19 @@ def s3() -> S3Store:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(7)
+
+
+@pytest.fixture
+def pool_widths(monkeypatch) -> list[int]:
+    """The width of every process pool a sweep opens (inline runs open none)."""
+    import repro.sweep.orchestrator as orchestrator
+
+    widths: list[int] = []
+    real_pool = orchestrator.run_resilient_pool
+
+    def counting_pool(tasks, width, *args, **kwargs):
+        widths.append(width)
+        return real_pool(tasks, width, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_resilient_pool", counting_pool)
+    return widths

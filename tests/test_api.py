@@ -102,7 +102,7 @@ class TestSessionSweep:
         session = Session(tmp_path, jobs=2)
         first = session.sweep("smoke")
         assert (first.run.ran, first.run.skipped) == (6, 0)
-        assert first.run.substrate == "auto"
+        assert (first.run.recorded, first.run.replayed) == (1, 5)
         assert len(list((tmp_path / "smoke").glob("*.json"))) == 6
 
         second = session.sweep("smoke")

@@ -10,7 +10,8 @@ import pytest
 
 from repro.cli import add_config_flags, build_parser, config_from_args, main
 from repro.core.config import TrainingConfig
-from repro.sweep import SWEEP_SUBSTRATES
+from repro.errors import ConfigurationError
+from repro.sweep import get_study, run_sweep
 
 
 def train_subparser() -> argparse.ArgumentParser:
@@ -191,10 +192,9 @@ def serve_subparser() -> argparse.ArgumentParser:
 
 
 # Orchestration knobs (where reports/baselines live, parallelism,
-# resume, substrate policy, output format) are deliberately NOT part of
-# the workload's identity, so they are hand-written flags, not
-# ServiceConfig fields.
-SERVE_ORCHESTRATION_FLAGS = {"out", "jobs", "resume", "substrate", "json"}
+# resume, output format) are deliberately NOT part of the workload's
+# identity, so they are hand-written flags, not ServiceConfig fields.
+SERVE_ORCHESTRATION_FLAGS = {"out", "jobs", "resume", "json"}
 
 
 class TestServeFlagParity:
@@ -259,7 +259,7 @@ def infer_subparser() -> argparse.ArgumentParser:
 
 # Same split as serve: pipeline identity lives in ServingConfig,
 # orchestration knobs are hand-written flags.
-INFER_ORCHESTRATION_FLAGS = {"out", "jobs", "resume", "substrate", "json"}
+INFER_ORCHESTRATION_FLAGS = {"out", "jobs", "resume", "json"}
 
 
 class TestInferFlagParity:
@@ -321,21 +321,43 @@ class TestInferFlagParity:
 
 
 class TestSubstrateChoices:
-    """One tuple names the sweep substrates; every --substrate flag reads it."""
+    """A sweep has one path — record once per fingerprint, replay the
+    rest — and no front door offers another."""
 
     @pytest.mark.parametrize("command", ["sweep", "serve", "infer"])
-    def test_substrate_flag_offers_the_sweep_substrates(self, command):
+    def test_no_substrate_or_traces_flag(self, command):
         subparsers = build_parser()._subparsers._group_actions[0]
-        (flag,) = [
-            a for a in subparsers.choices[command]._actions if a.dest == "substrate"
-        ]
-        assert flag.choices is SWEEP_SUBSTRATES
-        assert flag.default in SWEEP_SUBSTRATES
+        dests = {a.dest for a in subparsers.choices[command]._actions}
+        assert not dests & {"substrate", "traces"}
 
     def test_replay_is_not_a_choice(self, capsys):
-        assert SWEEP_SUBSTRATES == ("exact", "auto")
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["sweep", "--experiment", "smoke", "--substrate", "replay"]
             )
-        assert "invalid choice: 'replay'" in capsys.readouterr().err
+        assert "unrecognized arguments: --substrate replay" in capsys.readouterr().err
+
+    def test_run_sweep_refuses_exact(self):
+        with pytest.raises(ConfigurationError, match=r"train\(point\.config\(\)\)"):
+            run_sweep(get_study("smoke").points(), substrate="exact")
+
+    def test_default_sweep_records_once_and_replays_the_rest(self):
+        run = run_sweep(get_study("smoke").points())
+        assert (run.recorded, run.replayed, run.exact_runs) == (1, 5, 0)
+
+
+class TestPositiveCounts:
+    """Counts of processes and scenarios are refused by argparse at 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--experiment", "smoke", "--jobs", "0"],
+        ["serve", "--jobs", "0"],
+        ["infer", "--jobs", "0"],
+        ["fuzz", "--workers", "0"],
+        ["fuzz", "--budget", "0"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
+    def test_zero_exits_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"argument {argv[-2]}: must be >= 1, got 0" in capsys.readouterr().err

@@ -5,8 +5,8 @@ The acceptance bar of the fault plane (ISSUE 4): a BSP run with
 injected crashes and storage retries must produce a loss trajectory
 *bit-identical* to the fault-free run of the same statistical config —
 only clocks, dollars and the time breakdown may move — and a fault-axis
-sweep under ``--substrate auto`` must record exactly one trace however
-many fault points the grid holds.
+sweep must record exactly one trace however many fault points the grid
+holds.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.faas.checkpoint import Checkpoint
 from repro.simulation.commands import Get, Put, Sleep
 from repro.simulation.engine import Engine, ProcessState
 from repro.storage.services import S3Store
+from repro.sweep.artifacts import artifact_from_result
 from repro.sweep.grid import SweepPoint
 from repro.sweep.orchestrator import run_sweep
 from repro.utils.serialization import SizedPayload
@@ -256,7 +257,7 @@ class TestFaultSweeps:
 
     def test_auto_sweep_records_one_trace_for_n_fault_points(self, tmp_path):
         points = self._fault_grid()
-        run = run_sweep(points, out_dir=tmp_path, substrate="auto")
+        run = run_sweep(points, out_dir=tmp_path)
         assert run.stat_groups == 1
         assert run.recorded == 1
         assert run.replayed == len(points) - 1
@@ -274,7 +275,7 @@ class TestFaultSweeps:
         assert events["crashes"] > 0
 
     def test_figR_grid_shares_one_trace_and_faults_only_add_time(self):
-        run = run_sweep(figR_reliability.sweep_points(), substrate="auto")
+        run = run_sweep(figR_reliability.sweep_points())
         assert len(run.artifacts) == 18
         assert (run.stat_groups, run.recorded) == (1, 1)
         assert len({a["result"]["final_loss"] for a in run.artifacts}) == 1
@@ -297,15 +298,16 @@ class TestFaultSweeps:
 
     @pytest.mark.slow
     def test_replayed_fault_artifacts_are_bit_identical_to_exact(self, tmp_path):
+        # The oracle is one exact train() per point, outside any sweep.
         points = self._fault_grid()
-        exact = run_sweep(points, substrate="exact")
-        auto = run_sweep(points, out_dir=tmp_path, substrate="auto")
+        auto = run_sweep(points, out_dir=tmp_path)
 
         def strip_meta(artifact):
             return {k: v for k, v in artifact.items() if k != "meta"}
 
-        for exact_art, auto_art in zip(exact.artifacts, auto.artifacts):
-            assert strip_meta(exact_art) == strip_meta(auto_art), exact_art["label"]
+        for point, auto_art in zip(points, auto.artifacts):
+            exact_art = artifact_from_result(point, train(point.config()))
+            assert strip_meta(exact_art) == strip_meta(auto_art), point.label
 
 
 def _pool_speed_factors(config_kwargs: dict) -> list[float]:
@@ -505,6 +507,12 @@ class TestServiceFaultIsolation:
             make_scheduler,
         )
 
+        class ExactProvider(BaselineProvider):
+            """Every tenant trains real numpy: no replay substrate."""
+
+            def substrate_for(self, config):
+                return None
+
         requests = [
             JobRequest("j000", "acct0", 0.0, dict(self.CLEAN)),
             JobRequest("j001", "acct1", 1.0, dict(self.CRASHY)),
@@ -512,7 +520,7 @@ class TestServiceFaultIsolation:
         ]
         runtime = ServiceRuntime(
             requests, make_scheduler("fifo"), 3,
-            BaselineProvider(policy="exact"),
+            ExactProvider(),
         )
         records = runtime.run()
         return runtime, {r["job"]: r for r in records}

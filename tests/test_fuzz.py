@@ -325,3 +325,19 @@ class TestChaosCatchesRealBugs:
         # ...and green once the fold is restored.
         monkeypatch.setattr(patterns, "reduce_vectors", true_reduce_vectors)
         assert replay_entry(entry) is None
+
+
+class TestSweepRoundtrip:
+    """Every sweep is two-phase and runs a lone task inline, so the
+    invariant adds a reseeded point: two recordings reach the pool."""
+
+    KWARGS = {
+        "model": "lr", "dataset": "higgs", "algorithm": "ma_sgd",
+        "workers": 3, "data_scale": 500, "max_epochs": 1, "seed": 3,
+    }
+
+    def test_pooled_sweep_fans_two_recordings_over_the_pool(self, pool_widths):
+        assert INVARIANTS["sweep_roundtrip"].check(dict(self.KWARGS)) is None
+        # The serial sweep opens no pool; the pooled one opens it once,
+        # for phase 0, and replays the platform sibling inline.
+        assert pool_widths == [2]

@@ -31,7 +31,7 @@ def test_w1024_fig11_point_completes(tmp_path):
         if p.config_kwargs["workers"] == 1024
     ]
     (point,) = points
-    run = run_sweep([point], out_dir=tmp_path, substrate="auto")
+    run = run_sweep([point], out_dir=tmp_path)
     (artifact,) = run.artifacts
     assert artifact["config"]["workers"] == 1024
     result = artifact["result"]

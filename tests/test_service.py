@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import Scenario, Service, ServiceConfig, Session
 from repro.cli import main
-from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.service import (
     BaselineProvider,
@@ -386,10 +385,30 @@ class TestServiceFacade:
             Service().run()
 
     def test_bad_substrate_rejected(self):
-        # One check for every rooted facade (repro.api.report).
+        # No rooted facade takes a substrate, not even the one a sweep
+        # runs: every sweep records once per fingerprint, replays the rest.
         for facade in (Service, Session):
-            with pytest.raises(ConfigurationError, match="substrate must be one of"):
-                facade(substrate="replay")
+            for substrate in ("replay", "auto"):
+                with pytest.raises(TypeError, match="substrate"):
+                    facade(substrate=substrate)
+
+    @pytest.mark.parametrize("facade", [Service, Session])
+    def test_zero_jobs_rejected_at_construction(self, facade):
+        # One check for every rooted facade (repro.api.report), before
+        # any verb runs a sweep.
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            facade(jobs=0)
+
+    @pytest.mark.parametrize("limit", [0, -2])
+    def test_nonpositive_concurrency_rejected_at_construction(self, limit):
+        # ServiceConfig's rule, applied to the explicit argument too —
+        # not after the baselines trained and the queue never drained.
+        with pytest.raises(ConfigurationError, match="max-concurrent must be >= 1"):
+            Service(max_concurrent=limit)
+
+    def test_unknown_scheduler_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="unknown scheduler 'lifo'"):
+            Service(scheduler="lifo")
 
     def test_session_and_service_share_one_root_layout(self, tmp_path):
         # A Session used to file its traces under <root>/<study>/traces,

@@ -538,7 +538,7 @@ class TestFigVStudy:
         for out, jobs in ((serial, 1), (pooled, 2)):
             run_sweep(
                 sweep_points(max_epochs=0.2), out_dir=out, jobs=jobs,
-                substrate="auto", traces_dir=tmp_path / f"traces{jobs}",
+                traces_dir=tmp_path / f"traces{jobs}",
             )
         serial_files = sorted(p.name for p in serial.glob("*.json"))
         pooled_files = sorted(p.name for p in pooled.glob("*.json"))

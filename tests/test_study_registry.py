@@ -234,7 +234,7 @@ class TestCliCatalog:
         # A "direct" study rides the same CLI: zero points, full report.
         out = tmp_path / "artifacts"
         assert main(["sweep", "--experiment", "table2", "--out", str(out),
-                     "--resume", "--substrate", "auto", "--jobs", "2"]) == 0
+                     "--resume", "--jobs", "2"]) == 0
         stdout = capsys.readouterr().out
         assert "Table 2" in stdout
         assert "0 point(s) run" in stdout

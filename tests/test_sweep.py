@@ -25,9 +25,11 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import TrainingConfig
+from repro.core.driver import train
 from repro.errors import ConfigurationError
 from repro.sweep.artifacts import (
     ArtifactError,
+    artifact_from_result,
     artifact_path,
     load_artifact,
     result_from_artifact,
@@ -240,14 +242,17 @@ class TestOrchestrator:
         # ...and the foreign file is left untouched for the operator.
         assert foreign.read_text() == "{not json"
 
-    def test_pool_matches_serial_byte_for_byte(self, tmp_path):
+    def test_pool_matches_serial_byte_for_byte(self, tmp_path, pool_widths):
         points = SMOKE_POINTS()
         serial_dir, pool_dir = tmp_path / "serial", tmp_path / "pool"
         serial = run_sweep(points, out_dir=serial_dir, jobs=1)
+        assert pool_widths == []
         pooled = run_sweep(points, out_dir=pool_dir, jobs=4)
+        # One recording runs inline; the five replays share the pool.
+        assert pool_widths == [4]
         assert serial.ran == pooled.ran == len(points)
-        names = sorted(p.name for p in serial_dir.iterdir())
-        assert names == sorted(p.name for p in pool_dir.iterdir())
+        names = sorted(p.name for p in serial_dir.glob("*.json"))
+        assert names == sorted(p.name for p in pool_dir.glob("*.json"))
         for name in names:
             a = json.loads((serial_dir / name).read_text())
             b = json.loads((pool_dir / name).read_text())
@@ -277,7 +282,7 @@ class TestResilientPool:
 
     @needs_fork
     def test_dead_worker_marks_point_failed_and_sweep_continues(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, pool_widths
     ):
         import repro.sweep.orchestrator as orchestrator
 
@@ -292,6 +297,7 @@ class TestResilientPool:
 
         monkeypatch.setattr(orchestrator, "run_task", killer_run_task)
         run = run_sweep(points, out_dir=tmp_path, jobs=2)
+        assert pool_widths == [2]  # the victim is a phase-1 replay
 
         assert [f["label"] for f in run.failed] == [victim]
         reason = run.failed[0]["reason"]
@@ -312,7 +318,7 @@ class TestResilientPool:
 
     @needs_fork
     def test_dead_recording_fails_its_replays_not_the_sweep(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, pool_widths
     ):
         import repro.sweep.orchestrator as orchestrator
 
@@ -347,7 +353,8 @@ class TestResilientPool:
             return real_run_task(task)
 
         monkeypatch.setattr(orchestrator, "run_task", killer_run_task)
-        run = run_sweep(points, out_dir=tmp_path, jobs=2, substrate="auto")
+        run = run_sweep(points, out_dir=tmp_path, jobs=2)
+        assert pool_widths[0] == 2  # phase 0: two recordings
         assert {f["label"] for f in run.failed} == doomed
         assert sum("nothing to replay" in f["reason"] for f in run.failed) == len(doomed) - 1
         assert [a["label"] for a in run.artifacts] == [
@@ -355,7 +362,9 @@ class TestResilientPool:
         ]
 
     @needs_fork
-    def test_worker_exception_still_aborts_the_pool(self, tmp_path, monkeypatch):
+    def test_worker_exception_still_aborts_the_pool(
+        self, tmp_path, monkeypatch, pool_widths
+    ):
         import repro.sweep.orchestrator as orchestrator
 
         points = SMOKE_POINTS()
@@ -370,6 +379,7 @@ class TestResilientPool:
         monkeypatch.setattr(orchestrator, "run_task", raising_run_task)
         with pytest.raises(ValueError, match="deliberate task failure"):
             run_sweep(points, out_dir=tmp_path, jobs=2)
+        assert pool_widths == [2]  # raised in a replay worker, not inline
 
 
 class TestSweepCli:
@@ -388,9 +398,10 @@ class TestSweepCli:
         assert "0 point(s) run, 6 skipped" in stdout
 
     def test_sweep_substrate_auto_and_dry_run(self, tmp_path, capsys):
+        # No flag selects the record/replay path: it is the only one.
         out = tmp_path / "artifacts"
         assert main(["sweep", "--experiment", "smoke", "--out", str(out),
-                     "--dry-run", "--substrate", "auto"]) == 0
+                     "--dry-run"]) == 0
         stdout = capsys.readouterr().out
         assert "dry run" in stdout
         assert "unique stat fingerprints:     1" in stdout
@@ -398,20 +409,20 @@ class TestSweepCli:
         assert not out.exists()  # a dry run runs (and writes) nothing
 
         assert main(["sweep", "--experiment", "smoke", "--out", str(out),
-                     "--substrate", "auto", "--no-report"]) == 0
+                     "--no-report"]) == 0
         stdout = capsys.readouterr().out
         assert "1 recorded, 5 replayed, 0 exact" in stdout
         assert len(list((out / "traces").glob("*.json"))) == 1
 
         assert main(["sweep", "--experiment", "smoke", "--out", str(out),
-                     "--dry-run", "--substrate", "auto", "--resume"]) == 0
+                     "--dry-run", "--resume"]) == 0
         stdout = capsys.readouterr().out
         assert "would train: 0 exact point(s) and replay 0" in stdout
 
         # Without --resume the same dry run must NOT claim the work is
         # done — a non-resume invocation re-runs every point.
         assert main(["sweep", "--experiment", "smoke", "--out", str(out),
-                     "--dry-run", "--substrate", "auto"]) == 0
+                     "--dry-run"]) == 0
         stdout = capsys.readouterr().out
         assert "would train: 1 exact point(s) and replay 5" in stdout
         assert "reused only with --resume" in stdout
@@ -463,11 +474,11 @@ class TestSweepCli:
 
 
 class TestTwoPhaseSweep:
-    """Record-once/replay-everywhere sweeps (``substrate="auto"``)."""
+    """Every sweep records once per fingerprint and replays the rest."""
 
     def test_auto_records_once_and_replays_the_rest(self, tmp_path):
         points = SMOKE_POINTS()  # 6 points (2 fault-injected), 1 statistical fingerprint
-        run = run_sweep(points, out_dir=tmp_path, substrate="auto")
+        run = run_sweep(points, out_dir=tmp_path)
         assert (run.stat_groups, run.recorded, run.replayed, run.exact_runs) == (
             1, 1, len(points) - 1, 0,
         )
@@ -479,11 +490,12 @@ class TestTwoPhaseSweep:
         assert substrates == {"record", "replay"}
 
     def test_auto_artifacts_match_exact_artifacts(self, tmp_path):
+        # The oracle is one exact train() per point, outside any sweep.
         points = SMOKE_POINTS()
-        exact = run_sweep(points, out_dir=tmp_path / "exact", substrate="exact")
-        auto = run_sweep(points, out_dir=tmp_path / "auto", substrate="auto")
-        for a, b in zip(exact.artifacts, auto.artifacts):
-            assert strip_meta(a) == strip_meta(b), a["label"]
+        auto = run_sweep(points, out_dir=tmp_path)
+        for point, artifact in zip(points, auto.artifacts):
+            exact = artifact_from_result(point, train(point.config()))
+            assert strip_meta(exact) == strip_meta(artifact), point.label
         # Replayed points record (almost) zero statistical compute; the
         # single recording carries the numpy bill.
         replayed = [a for a in auto.artifacts if a["meta"]["substrate"] == "replay"]
@@ -493,18 +505,10 @@ class TestTwoPhaseSweep:
         recorded = [a for a in auto.artifacts if a["meta"]["substrate"] == "record"]
         assert len(recorded) == 1 and recorded[0]["meta"]["compute_seconds"] > 0
 
-    def test_auto_pool_matches_serial_byte_for_byte(self, tmp_path):
-        points = SMOKE_POINTS()
-        serial = run_sweep(points, out_dir=tmp_path / "serial", substrate="auto")
-        pooled = run_sweep(points, out_dir=tmp_path / "pool", substrate="auto", jobs=4)
-        assert serial.ran == pooled.ran == len(points)
-        for a, b in zip(serial.artifacts, pooled.artifacts):
-            assert strip_meta(a) == strip_meta(b), a["label"]
-
     def test_resume_skips_both_phases(self, tmp_path):
         points = SMOKE_POINTS()
-        run_sweep(points, out_dir=tmp_path, substrate="auto")
-        resumed = run_sweep(points, out_dir=tmp_path, substrate="auto", resume=True)
+        run_sweep(points, out_dir=tmp_path)
+        resumed = run_sweep(points, out_dir=tmp_path, resume=True)
         assert (resumed.ran, resumed.skipped) == (0, len(points))
         assert (resumed.recorded, resumed.replayed) == (0, 0)
 
@@ -512,10 +516,10 @@ class TestTwoPhaseSweep:
         # Phase-0 work survives even if every artifact is lost: the
         # trace makes the whole re-run replay-speed.
         points = SMOKE_POINTS()
-        run_sweep(points, out_dir=tmp_path, substrate="auto")
+        run_sweep(points, out_dir=tmp_path)
         for path in tmp_path.glob("*.json"):
             path.unlink()
-        resumed = run_sweep(points, out_dir=tmp_path, substrate="auto", resume=True)
+        resumed = run_sweep(points, out_dir=tmp_path, resume=True)
         assert (resumed.recorded, resumed.replayed) == (0, len(points))
 
     def test_without_resume_existing_traces_are_not_reused(self, tmp_path):
@@ -524,23 +528,23 @@ class TestTwoPhaseSweep:
         # (non-resume) sweep can never stamp stale trajectories into
         # fresh artifacts.
         points = SMOKE_POINTS()
-        run_sweep(points, out_dir=tmp_path, substrate="auto")
+        run_sweep(points, out_dir=tmp_path)
         trace_file = next((tmp_path / "traces").glob("*.json"))
         before = trace_file.read_text()
-        rerun = run_sweep(points, out_dir=tmp_path, substrate="auto")
+        rerun = run_sweep(points, out_dir=tmp_path)
         assert rerun.recorded == 1  # re-recorded, not reused
         assert json.loads(trace_file.read_text())["stat_hash"] in before
 
     def test_corrupt_trace_is_rerecorded(self, tmp_path):
         points = SMOKE_POINTS()
-        run_sweep(points, out_dir=tmp_path, substrate="auto")
+        run_sweep(points, out_dir=tmp_path)
         trace_file = next((tmp_path / "traces").glob("*.json"))
         trace_file.write_text("{broken")
         for path in tmp_path.glob("*.json"):
             path.unlink()
         messages = []
         rerun = run_sweep(
-            points, out_dir=tmp_path, substrate="auto", resume=True,
+            points, out_dir=tmp_path, resume=True,
             progress=messages.append,
         )
         assert rerun.recorded == 1 and rerun.replayed == len(points) - 1
@@ -552,23 +556,24 @@ class TestTwoPhaseSweep:
     def test_replay_mode_refuses_timing_coupled_points(self):
         # "replay" used to be auto that refused timing-coupled points; it
         # had no caller, and now refuses them — and every other point —
-        # as the unknown substrate it is.
+        # as the unknown substrate it is ("exact" went the same way).
         with pytest.raises(ConfigurationError, match="unknown sweep substrate"):
             run_sweep([ASP_POINT], substrate="replay")
 
     def test_auto_falls_back_to_exact_for_timing_coupled_points(self, tmp_path):
-        run = run_sweep([ASP_POINT], out_dir=tmp_path, substrate="auto")
+        run = run_sweep([ASP_POINT], out_dir=tmp_path)
         assert (run.exact_runs, run.recorded, run.replayed) == (1, 0, 0)
         assert run.artifacts[0]["meta"]["substrate"] == "exact"
         assert not (tmp_path / "traces").exists()  # nothing replayable
 
     def test_unknown_substrate_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown sweep substrate"):
-            run_sweep(SMOKE_POINTS(), substrate="surrogate")
+        for substrate in ("surrogate", "exact"):
+            with pytest.raises(ConfigurationError, match="unknown sweep substrate"):
+                run_sweep(SMOKE_POINTS(), substrate=substrate)
 
     def test_in_memory_two_phase_sweep(self):
         # out_dir=None keeps artifacts AND traces in memory only.
-        run = run_sweep(SMOKE_POINTS(), substrate="auto")
+        run = run_sweep(SMOKE_POINTS())
         assert run.recorded == 1 and run.replayed == len(SMOKE_POINTS()) - 1
         assert run.traces_dir is None
 
@@ -601,7 +606,7 @@ class TestPlanSweep:
         assert plan["exact_trainings_needed"] == 1
         assert plan["replays_needed"] == len(points) - 1
 
-        run_sweep(points[:2], out_dir=tmp_path, substrate="auto")
+        run_sweep(points[:2], out_dir=tmp_path)
         plan = plan_sweep(points, out_dir=tmp_path, resume=True)
         assert plan["artifacts_present"] == 2
         assert plan["traces_present"] == 1
@@ -629,14 +634,14 @@ class TestPlanSweep:
         points = SMOKE_POINTS() + [ASP_POINT]
         resume = state != "fresh"
         if state == "two artifacts":
-            run_sweep(points[:2], out_dir=tmp_path, substrate="auto")
+            run_sweep(points[:2], out_dir=tmp_path)
         elif state == "trace only":
-            run_sweep(points, out_dir=tmp_path, substrate="auto")
+            run_sweep(points, out_dir=tmp_path)
             for path in tmp_path.glob("*.json"):
                 path.unlink()
             assert len(list((tmp_path / "traces").glob("*.json"))) == 1
         plan = plan_sweep(points, out_dir=tmp_path, resume=resume)
-        run = run_sweep(points, out_dir=tmp_path, substrate="auto", resume=resume)
+        run = run_sweep(points, out_dir=tmp_path, resume=resume)
         assert plan["exact_trainings_needed"] == run.recorded + run.exact_runs
         assert plan["replays_needed"] == run.replayed
         assert plan["pending_points"] == run.ran
