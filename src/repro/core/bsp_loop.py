@@ -45,6 +45,15 @@ EPS = 1e-9
 LOSS_WIRE_BYTES = 16
 
 
+def crosses_epoch(epoch_float: float, next_epoch: float) -> bool:
+    """Does a round from `epoch_float` to `next_epoch` end an epoch?
+
+    Shared with the lockstep pass (:mod:`repro.substrate.lockstep`), which
+    must evaluate losses at exactly the rounds this loop does.
+    """
+    return math.floor(next_epoch + EPS) > math.floor(epoch_float + EPS)
+
+
 @dataclass(frozen=True)
 class RoundState:
     """The BSP loop's position at a round boundary (picklable)."""
@@ -104,7 +113,7 @@ def bsp_rounds(
         algo.apply(merged)
 
         next_epoch = epoch_float + algo.epochs_per_round
-        crossing = math.floor(next_epoch + EPS) > math.floor(epoch_float + EPS)
+        crossing = crosses_epoch(epoch_float, next_epoch)
         rounds += 1
         epoch_float = next_epoch
 

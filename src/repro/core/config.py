@@ -398,6 +398,15 @@ class TrainingConfig:
         """Content address of :meth:`stat_fingerprint` (trace file name)."""
         return fingerprint_hash(self.stat_fingerprint())
 
+    def converged(self, loss: float) -> bool:
+        """The stop test: a finite loss at or under ``loss_threshold``.
+
+        The one predicate behind the executors (``JobContext.converged``)
+        and the lockstep pass, so the two can never stop apart.
+        """
+        threshold = self.loss_threshold
+        return threshold is not None and math.isfinite(loss) and loss <= threshold
+
     # -- convenience ------------------------------------------------------
     @property
     def global_batch(self) -> int:

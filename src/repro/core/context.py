@@ -78,9 +78,10 @@ class JobContext:
         self.scale = config.data_scale or self.spec.default_scale
 
         # The statistical half of the run. Exact/recording substrates
-        # synthesize the dataset and build one algorithm per rank;
-        # replay builds nothing (`shards`/`algorithms` stay empty) and
-        # serves every statistical question from its trace.
+        # synthesize the dataset, build one algorithm per rank and (BSP)
+        # compute the whole statistical run up front; replay builds
+        # nothing (`shards`/`algorithms` stay empty) and serves every
+        # statistical question from its trace.
         self.substrate = make_substrate(substrate)
         self.substrate.attach(self)
         self.shards: list[Shard] = self.substrate.shards
@@ -338,5 +339,4 @@ class JobContext:
         return events
 
     def converged(self, loss: float) -> bool:
-        threshold = self.config.loss_threshold
-        return threshold is not None and math.isfinite(loss) and loss <= threshold
+        return self.config.converged(loss)

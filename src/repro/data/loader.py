@@ -4,6 +4,9 @@ A :class:`Shard` is what one executor holds after loading its partition
 from S3: a slice of the training matrix, a slice of the validation set
 (validation loss is averaged across workers at synchronisation points),
 and a deterministic minibatch sampler that reshuffles every epoch.
+:func:`make_shards` returns a run's shards as :class:`Shards`, whose
+dense shards are views of one block that the lockstep pass gathers
+every rank's minibatch from at once.
 """
 
 from __future__ import annotations
@@ -102,6 +105,42 @@ class Shard:
             yield rows, y[a:b]
 
 
+class Shards(list):
+    """One run's W shards and, for dense data, the one block they view.
+
+    ``X`` is ``(W, n, d)`` and ``y`` is ``(W, n)``; shard ``r`` holds the
+    views ``X[r]`` and ``y[r]``, so a lockstep step gathers every rank's
+    minibatch with one take instead of W. Both are ``None`` for sparse
+    data. The block is the same bytes the W per-rank copies were.
+    """
+
+    def __init__(self, shards, X=None, y=None) -> None:
+        super().__init__(shards)
+        self.X, self.y = X, y
+        if X is not None:
+            workers, n_rows = y.shape
+            # Row `orders[r, i]` of shard r is row `orders[r, i] + r * n`.
+            self._offsets = np.arange(0, workers * n_rows, n_rows)[:, None]
+            self._rows, self._labels = X.reshape(workers * n_rows, -1), y.reshape(-1)
+
+    def gather(self, orders: np.ndarray):
+        """Stacked minibatch ``(W, b, d)``, ``(W, b)``: row ``orders[r]`` of
+        every shard ``r``, in one take from the block."""
+        return self._take(orders + self._offsets)
+
+    def _take(self, rows: np.ndarray):
+        return self._rows.take(rows, axis=0), self._labels.take(rows)
+
+    def epoch_batches(self):
+        """:meth:`Shard.epoch_batches` for every rank at once: batch ``r``
+        of each stacked pair is the rows shard ``r`` would have yielded:
+        each shard draws the epoch's shuffle from its own generator."""
+        n_rows, step = self[0].n_rows, self[0].batch_size
+        rows = np.stack([shard.rng.permutation(n_rows) for shard in self]) + self._offsets
+        for a in range(0, n_rows, step):
+            yield self._take(rows[:, a : a + step])
+
+
 def make_shards(
     split: TrainValSplit,
     workers: int,
@@ -110,7 +149,7 @@ def make_shards(
     skew: float = 0.8,
     seed: int = 0,
     min_local_batch: int = 1,
-) -> list[Shard]:
+) -> Shards:
     """Partition a dataset across `workers` executors.
 
     `global_batch` is the paper-style global minibatch size; each worker
@@ -142,11 +181,19 @@ def make_shards(
     val_parts = [p[:val_size] for p in val_parts]
     local_batch = max(1, min_local_batch, round(global_batch / workers))
     rngs = [make_rng(seed * 1000 + rank) for rank in range(workers)]
-    return [
+    X_block = y_block = None
+    if isinstance(split.X_train, np.ndarray):
+        block_rows = np.stack(train_parts)
+        X_block, y_block = split.X_train[block_rows], split.y_train[block_rows]
+        X_parts, y_parts = list(X_block), list(y_block)
+    else:
+        X_parts = [split.X_train[part] for part in train_parts]
+        y_parts = [split.y_train[part] for part in train_parts]
+    shards = [
         Shard(
             rank=rank,
-            X=split.X_train[train_parts[rank]],
-            y=split.y_train[train_parts[rank]],
+            X=X_parts[rank],
+            y=y_parts[rank],
             X_val=split.X_val[val_parts[rank]],
             y_val=split.y_val[val_parts[rank]],
             batch_size=local_batch,
@@ -154,3 +201,4 @@ def make_shards(
         )
         for rank in range(workers)
     ]
+    return Shards(shards, X_block, y_block)

@@ -32,6 +32,12 @@ The catalog encodes the repository's load-bearing contracts:
   phase 0 crosses the pool) produces byte-identical artifacts pooled vs
   serial, and resuming it immediately afterwards runs zero points.
 
+A default BSP run computes its statistics in the lockstep pass and
+replays them, so ``replay_matches_exact``, ``fault_invariance`` and
+``stat_sibling_invariance`` train their exact side(s) with
+:class:`~repro.substrate.PerRankSubstrate`, rank by rank in the engine:
+compared with another lockstep run, they could not fail.
+
 NaN losses are tolerated everywhere (a diverging learning rate is a
 statistical outcome, not a bug) but must be *deterministically* NaN:
 trajectory comparisons treat NaN == NaN.
@@ -49,7 +55,7 @@ from repro.core.driver import train
 from repro.errors import ReproError
 from repro.faults import unit_draw
 from repro.fuzz.space import SEED_LADDER
-from repro.substrate import RecordingSubstrate, ReplaySubstrate
+from repro.substrate import PerRankSubstrate, RecordingSubstrate, ReplaySubstrate
 
 #: TrainingConfig fields that make up the fault plane. Stripping them
 #: from a scenario yields its fault-free twin.
@@ -186,15 +192,22 @@ def check_determinism_under_rerun(kwargs: dict) -> str | None:
 
 
 def check_replay_matches_exact(kwargs: dict) -> str | None:
+    # The exact side runs rank by rank in the engine: a recording is the
+    # lockstep pass replayed, so replaying its trace again could only
+    # agree with it.
     recording = RecordingSubstrate()
-    exact = train(_config(kwargs), substrate=recording)
+    train(_config(kwargs), substrate=recording)
+    exact = train(_config(kwargs), substrate=PerRankSubstrate())
     replayed = train(_config(kwargs), substrate=ReplaySubstrate(recording.trace))
     return _compare_results(exact, replayed, "replay-vs-exact")
 
 
 def check_fault_invariance(kwargs: dict) -> str | None:
     clean_kwargs = {k: v for k, v in kwargs.items() if k not in FAULT_FIELDS}
-    faulted = train(_config(kwargs))
+    # The faulted side restores deep-copied per-rank state after each
+    # crash; a default (lockstep) run would only rewind replay cursors
+    # over the very trace the clean run replays.
+    faulted = train(_config(kwargs), substrate=PerRankSubstrate())
     clean = train(_config(clean_kwargs))
     faulted_traj = sorted(_trajectory(faulted), key=lambda p: (p[0], p[1]))
     clean_traj = sorted(_trajectory(clean), key=lambda p: (p[0], p[1]))
@@ -257,8 +270,10 @@ def check_stat_sibling_invariance(kwargs: dict) -> str | None:
     sibling = sibling_kwargs(kwargs)
     if sibling is None:
         return None  # no valid sibling to compare against
-    base = train(_config(kwargs))
-    other = train(_config(sibling))
+    # Rank by rank in the engine, so each side's floats go through its
+    # own platform's aggregation path rather than the lockstep pass.
+    base = train(_config(kwargs), substrate=PerRankSubstrate())
+    other = train(_config(sibling), substrate=PerRankSubstrate())
     base_traj = sorted(_trajectory(base), key=lambda p: (p[0], p[1]))
     other_traj = sorted(_trajectory(other), key=lambda p: (p[0], p[1]))
     if not _trajectories_equal(base_traj, other_traj):

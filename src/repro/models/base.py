@@ -21,6 +21,10 @@ class SupervisedModel(abc.ABC):
     n_params: int
     #: numpy dtype of the parameter vector.
     dtype: np.dtype = np.dtype(np.float64)
+    #: Does :meth:`gradient` also take W ranks stacked — params ``(W, d)``,
+    #: dense X ``(W, b, d)``, y ``(W, b)`` — and return each rank's
+    #: gradient bit for bit, as row ``r`` of a ``(W, d)`` array?
+    stacks: bool = False
 
     @abc.abstractmethod
     def init_params(self, rng: np.random.Generator) -> np.ndarray:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.loader import Shard
+from repro.data.loader import Shard, Shards
 from repro.errors import ConfigurationError
 from repro.models.base import SupervisedModel
-from repro.optim.base import DistributedAlgorithm
+from repro.optim.base import DistributedAlgorithm, stacked
 from repro.optim.local import sgd_epoch
 from repro.utils.rng import make_rng
 
@@ -61,20 +61,35 @@ class ADMM(DistributedAlgorithm):
         iterations = float(self.shard.iterations_per_epoch * self.scans)
         return (instances, iterations)
 
-    def round_payload(self) -> np.ndarray:
-        # Warm-start the subproblem from the consensus point.
-        self._x = self._z.copy()
+    def _local_solve(self, z: np.ndarray, u: np.ndarray, shard) -> np.ndarray:
+        """`scans` proximal SGD epochs warm-started at the consensus `z`
+        (one rank's vectors and shard, or W ranks' stacked)."""
 
         def prox_grad(x: np.ndarray) -> np.ndarray:
             # rho * (x - z + u), built in one array.
-            penalty = x - self._z
-            penalty += self._u
+            penalty = x - z
+            penalty += u
             penalty *= self.rho
             return penalty
 
+        x = z
         for _ in range(self.scans):
-            self._x = sgd_epoch(self.model, self._x, self.shard, self.lr, extra_grad=prox_grad)
+            x = sgd_epoch(self.model, x, shard, self.lr, extra_grad=prox_grad)
+        return x
+
+    def round_payload(self) -> np.ndarray:
+        self._x = self._local_solve(self._z, self._u, self.shard)
         return self._x + self._u
+
+    @classmethod
+    def round_payloads(cls, algos: list, shards: Shards) -> list[np.ndarray]:
+        if not stacked(algos, shards):
+            return super().round_payloads(algos, shards)
+        U = np.stack([algo._u for algo in algos])
+        X = algos[0]._local_solve(np.stack([algo._z for algo in algos]), U, shards)
+        for algo, x in zip(algos, X):
+            algo._x = x
+        return list(X + U)
 
     def apply(self, merged: np.ndarray) -> None:
         self._z = np.asarray(merged, dtype=self._x.dtype).copy()

@@ -22,7 +22,7 @@ import abc
 
 import numpy as np
 
-from repro.data.loader import Shard
+from repro.data.loader import Shard, Shards
 from repro.errors import ConfigurationError
 
 
@@ -54,6 +54,18 @@ class DistributedAlgorithm(abc.ABC):
     def round_payload(self) -> np.ndarray:
         """Run the round's local computation; return the statistic vector."""
 
+    @classmethod
+    def round_payloads(cls, algos: list, shards: Shards) -> list[np.ndarray]:
+        """Every rank's :meth:`round_payload`, in rank order.
+
+        The lockstep pass's entry point (:mod:`repro.substrate.lockstep`).
+        Ranks run one by one here; ADMM, MA-SGD and GA-SGD override it
+        with one stacked call per minibatch step when :func:`stacked`
+        allows. Either way each rank ends in the state its own
+        ``round_payload()`` would have left.
+        """
+        return [algo.round_payload() for algo in algos]
+
     @abc.abstractmethod
     def apply(self, merged: np.ndarray) -> None:
         """Install the aggregated statistic into local state."""
@@ -70,6 +82,16 @@ class DistributedAlgorithm(abc.ABC):
     @params.setter
     def params(self, value: np.ndarray) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+
+def stacked(algos: list, shards: Shards) -> bool:
+    """Can these ranks' minibatch steps run as stacked calls?
+
+    Dense data (one shard block to gather from) and a model whose
+    gradient takes stacked ranks. Sparse data and neural networks run
+    rank by rank.
+    """
+    return shards.X is not None and algos[0].model.stacks
 
 
 def make_algorithm(

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.loader import Shard
+from repro.data.loader import Shard, Shards
 from repro.models.base import SupervisedModel
-from repro.optim.base import DistributedAlgorithm
+from repro.optim.base import DistributedAlgorithm, stacked
 from repro.utils.rng import make_rng
 
 
@@ -28,14 +28,14 @@ class GradientAveragingSGD(DistributedAlgorithm):
         self.lr = lr
         self._params = model.init_params(make_rng(seed))
         # The batch cursor is explicit state (permutation + offset), not
-        # a live generator: snapshots deep-copy the algorithm for crash
-        # checkpoints and record/replay, and generators don't copy. The
-        # RNG call sequence is identical to iterating
+        # a live generator: the lockstep pass moves every rank's cursor
+        # together (round_payloads), and the per-rank path deep-copies
+        # the algorithm for crash snapshots, which generators don't
+        # survive. The RNG call sequence is identical to iterating
         # ``shard.epoch_batches()`` — one permutation per epoch, drawn
-        # when the epoch's first batch is taken. Batches stay indexed
-        # one at a time on purpose: an epoch-gathered copy of the shard,
-        # as ``epoch_batches()`` keeps, would be cursor state too and
-        # ride along in every fault snapshot.
+        # when the epoch's first batch is taken. Each round gathers only
+        # its own batch: one round is one minibatch, so an epoch-gathered
+        # copy of the shard would buy nothing.
         self._order: np.ndarray | None = None
         self._cursor = 0
 
@@ -46,18 +46,26 @@ class GradientAveragingSGD(DistributedAlgorithm):
     def round_work(self) -> tuple[float, float]:
         return (float(self.shard.batch_size), 1.0)
 
-    def _next_batch(self):
+    def _next_rows(self) -> np.ndarray:
         shard = self.shard
         if self._order is None or self._cursor >= shard.n_rows:
             self._order = shard.rng.permutation(shard.n_rows)
             self._cursor = 0
         idx = self._order[self._cursor : self._cursor + shard.batch_size]
         self._cursor += shard.batch_size
-        return shard.X[idx], shard.y[idx]
+        return idx
 
     def round_payload(self) -> np.ndarray:
-        X_batch, y_batch = self._next_batch()
-        return self.model.gradient(self._params, X_batch, y_batch)
+        idx = self._next_rows()
+        return self.model.gradient(self._params, self.shard.X[idx], self.shard.y[idx])
+
+    @classmethod
+    def round_payloads(cls, algos: list, shards: Shards) -> list[np.ndarray]:
+        if not stacked(algos, shards):
+            return super().round_payloads(algos, shards)
+        X_batch, y_batch = shards.gather(np.stack([algo._next_rows() for algo in algos]))
+        params = np.stack([algo._params for algo in algos])
+        return list(algos[0].model.gradient(params, X_batch, y_batch))
 
     def apply(self, merged: np.ndarray) -> None:
         step = (self.lr * merged).astype(self._params.dtype, copy=False)

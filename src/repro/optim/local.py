@@ -6,14 +6,14 @@ from typing import Callable
 
 import numpy as np
 
-from repro.data.loader import Shard
+from repro.data.loader import Shard, Shards
 from repro.models.base import SupervisedModel
 
 
 def sgd_epoch(
     model: SupervisedModel,
     params: np.ndarray,
-    shard: Shard,
+    shard: Shard | Shards,
     lr: float,
     extra_grad: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -23,6 +23,11 @@ def sgd_epoch(
     proximal penalty rho * (x - z + u); its result is only read. Returns
     new parameters (the input array is not mutated). The step is built
     in the gradient array, which ``SupervisedModel.gradient`` hands over.
+
+    Given dense :class:`~repro.data.loader.Shards` and ``(W, d)`` params
+    (a model that ``stacks``), this is every rank's epoch at once: each
+    step is one stacked gradient and elementwise updates, row ``r`` bit
+    for bit what shard ``r`` alone would have computed.
     """
     params = params.copy()
     for X_batch, y_batch in shard.epoch_batches():
@@ -32,4 +37,3 @@ def sgd_epoch(
         grad *= lr
         params -= grad
     return params
-

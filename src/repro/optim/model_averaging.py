@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.loader import Shard
+from repro.data.loader import Shard, Shards
 from repro.errors import ConfigurationError
 from repro.models.base import SupervisedModel
-from repro.optim.base import DistributedAlgorithm
+from repro.optim.base import DistributedAlgorithm, stacked
 from repro.optim.local import sgd_epoch
 from repro.utils.rng import make_rng
 
@@ -48,10 +48,24 @@ class ModelAveragingSGD(DistributedAlgorithm):
         iterations = float(self.shard.iterations_per_epoch * self.sync_epochs)
         return (instances, iterations)
 
-    def round_payload(self) -> np.ndarray:
+    def _local_epochs(self, params: np.ndarray, shard) -> np.ndarray:
+        """`sync_epochs` local SGD epochs (one rank, or W ranks stacked)."""
         for _ in range(self.sync_epochs):
-            self._params = sgd_epoch(self.model, self._params, self.shard, self.lr)
+            params = sgd_epoch(self.model, params, shard, self.lr)
+        return params
+
+    def round_payload(self) -> np.ndarray:
+        self._params = self._local_epochs(self._params, self.shard)
         return self._params
+
+    @classmethod
+    def round_payloads(cls, algos: list, shards: Shards) -> list[np.ndarray]:
+        if not stacked(algos, shards):
+            return super().round_payloads(algos, shards)
+        P = algos[0]._local_epochs(np.stack([algo._params for algo in algos]), shards)
+        for algo, params in zip(algos, P):
+            algo._params = params
+        return list(P)
 
     def apply(self, merged: np.ndarray) -> None:
         self._params = np.asarray(merged, dtype=self._params.dtype).copy()

@@ -2,15 +2,17 @@
 
 Separates *what the workers compute* (datasets, shards, algorithms,
 losses) from *what the simulation times and bills* (commands, clocks,
-dollars). See :mod:`repro.substrate.base` for the contract and
-:mod:`repro.substrate.traces` for the trace artifact schema.
+dollars). See :mod:`repro.substrate.base` for the contract,
+:mod:`repro.substrate.lockstep` for how an exact BSP run computes its
+statistics, and :mod:`repro.substrate.traces` for the trace artifact
+schema.
 """
 
 from __future__ import annotations
 
 from repro.errors import SubstrateError
 from repro.substrate.base import Substrate
-from repro.substrate.exact import ExactSubstrate
+from repro.substrate.exact import ExactSubstrate, PerRankSubstrate
 from repro.substrate.record import RecordingSubstrate
 from repro.substrate.replay import ReplaySubstrate
 from repro.substrate.traces import (
@@ -26,6 +28,7 @@ from repro.substrate.traces import (
 __all__ = [
     "Substrate",
     "ExactSubstrate",
+    "PerRankSubstrate",
     "RecordingSubstrate",
     "ReplaySubstrate",
     "TRACE_SCHEMA_VERSION",

@@ -10,12 +10,21 @@ bills. Executors reach the statistical side exclusively through
 ``reduce``, ``epochs_per_round``, ``round_work()``, ``eval_work()``,
 ``round_payload()``, ``apply()``, ``local_loss()``, ``params``.
 
-Three implementations:
+Four implementations:
 
-* :class:`~repro.substrate.exact.ExactSubstrate` — today's real numpy
-  path, unchanged (the default).
-* :class:`~repro.substrate.record.RecordingSubstrate` — exact, plus it
-  captures per-rank losses and round structure into a trace artifact.
+* :class:`~repro.substrate.exact.ExactSubstrate` — real numpy (the
+  default). A BSP run's statistics are timing-independent, so it
+  computes them before the engine starts — the lockstep pass
+  (:mod:`repro.substrate.lockstep`), all W ranks together, one stacked
+  numpy call per minibatch step where the kernels allow — and the run
+  replays that trace. Timing-coupled configs (ASP, hybrid PS) run the
+  per-rank views instead.
+* :class:`~repro.substrate.exact.PerRankSubstrate` — the per-rank
+  views alone: each rank's numpy runs inside the engine, one call at a
+  time. What timing-coupled configs use, and the independent oracle the
+  lockstep pass is tested against.
+* :class:`~repro.substrate.record.RecordingSubstrate` — exact, kept
+  for its trace artifact (per-rank losses and round structure).
 * :class:`~repro.substrate.replay.ReplaySubstrate` — re-emits a
   recorded trace with zero numpy work; the executors yield the
   identical command stream, so duration/cost/history/breakdown are
@@ -73,7 +82,7 @@ class Substrate(abc.ABC):
         return None
 
     def finalize(self, ctx, result, outcomes) -> None:
-        """Post-run hook (recording assembles its trace here)."""
+        """Post-run hook (a replay checks it consumed its trace here)."""
 
     # -- fault recovery -------------------------------------------------
     def snapshot_rank(self, rank: int):

@@ -1,11 +1,21 @@
-"""The exact substrate: real numpy training, exactly as before the seam.
+"""The exact substrates: real numpy training.
 
-Owns what used to live inline in ``JobContext.__init__``: synthesize
-the dataset split, shard it across workers, and instantiate one
+:class:`PerRankSubstrate` owns what used to live inline in
+``JobContext.__init__``: synthesize the dataset split, shard it across
+workers, and instantiate one
 :class:`~repro.optim.base.DistributedAlgorithm` per rank (plus the
-k-means global-initialisation broadcast). Per-rank views are
-:class:`~repro.substrate.base.TimedView` wrappers, so the run also
-learns how many host seconds the statistical work cost.
+k-means global-initialisation broadcast). Its per-rank views are
+:class:`~repro.substrate.base.TimedView` wrappers the engine drives one
+call at a time, so the run also learns how many host seconds the
+statistical work cost.
+
+:class:`ExactSubstrate` — the default — builds the same and picks the
+schedule. A BSP config's statistics do not depend on timing, so it runs
+them all before the engine starts, in the lockstep pass
+(:mod:`repro.substrate.lockstep`), and the run replays that trace: the
+engine simulates only timing. Timing-coupled configs (ASP, hybrid PS)
+keep the per-rank views. The per-rank class is also the independent
+oracle the lockstep pass is tested against.
 """
 
 from __future__ import annotations
@@ -17,10 +27,13 @@ from repro.data.loader import make_shards
 from repro.data.synth import generate
 from repro.optim.base import make_algorithm
 from repro.substrate.base import Substrate, TimedView
+from repro.substrate.lockstep import run_lockstep
+from repro.substrate.replay import ReplaySubstrate
+from repro.substrate.traces import make_trace
 
 
-class ExactSubstrate(Substrate):
-    """Default substrate: every statistic computed with real numpy."""
+class PerRankSubstrate(Substrate):
+    """Every statistic computed with real numpy, rank by rank in the engine."""
 
     name = "exact"
 
@@ -108,3 +121,58 @@ class ExactSubstrate(Substrate):
             return None
         finally:
             self.compute_seconds += time.perf_counter() - t0
+
+
+class ExactSubstrate(PerRankSubstrate):
+    """The default substrate; see the module docstring.
+
+    For a BSP config ``trace`` holds the lockstep pass's schema-1 trace
+    and a :class:`~repro.substrate.replay.ReplaySubstrate` over it
+    answers the run: a crashed rank restores a replay cursor, and
+    :meth:`finalize` refuses a run that did not consume the trace
+    exactly. For a timing-coupled config ``trace`` stays ``None``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.trace: dict | None = None
+        self._replay: ReplaySubstrate | None = None
+
+    def _build(self, ctx) -> None:
+        super()._build(ctx)
+        if ctx.config.timing_coupled:
+            return
+        t0 = time.perf_counter()
+        ranks = run_lockstep(ctx.config, self.algorithms, self.shards)
+        self.compute_seconds += time.perf_counter() - t0
+        self.trace = make_trace(
+            ctx.config,
+            self.algorithms[0].reduce,
+            ranks,
+            super().final_accuracy(ctx),
+            self.compute_seconds,
+        )
+        self._replay = ReplaySubstrate(self.trace)
+        self._replay.attach(ctx)
+        self._views = self._replay._views
+
+    # -- replay of the lockstep trace (BSP) -----------------------------
+    def snapshot_rank(self, rank: int):
+        if self._replay is None:
+            return super().snapshot_rank(rank)
+        return self._replay.snapshot_rank(rank)
+
+    def restore_rank(self, rank: int, state) -> None:
+        if self._replay is None:
+            super().restore_rank(rank, state)
+        else:
+            self._replay.restore_rank(rank, state)
+
+    def final_accuracy(self, ctx) -> float | None:
+        if self._replay is None:
+            return super().final_accuracy(ctx)
+        return self._replay.final_accuracy(ctx)
+
+    def finalize(self, ctx, result, outcomes) -> None:
+        if self._replay is not None:
+            self._replay.finalize(ctx, result, outcomes)

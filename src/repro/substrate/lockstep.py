@@ -1,0 +1,69 @@
+"""The lockstep pass: a BSP run's statistics for all ranks, before the engine.
+
+BSP statistics do not depend on timing: every rank computes its payload
+from state fixed at the round's start, the merge folds the payloads in
+rank order on every pattern and platform (``comm/aggregator.py``), and
+the stop test reads one merged loss. So the whole statistical run can
+be computed up front, with the W ranks advanced together, and handed to
+the engine as a trace to replay.
+
+:func:`run_lockstep` follows :func:`~repro.core.bsp_loop.bsp_rounds`'
+statistical control flow — the baseline ``local_loss``, payloads merged
+with ``reduce_vectors`` in rank order, ``apply``, the epoch-crossing
+rule, the loss exchange as ``reduce_vectors([[loss, 1.0], ...])`` and
+``m[0] / m[1]``, and the stop test through ``TrainingConfig.converged``
+— and returns the per-rank trace records. Each round's payloads come
+from one ``round_payloads`` call: one stacked numpy call per minibatch
+step for ADMM, MA-SGD and GA-SGD over dense linear models, rank by rank
+otherwise (sparse data, neural networks, k-means EM).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from repro.comm.aggregator import reduce_vectors
+from repro.substrate.traces import rank_record
+
+
+def run_lockstep(config, algorithms: list, shards) -> list[dict]:
+    """Train `algorithms` (one per rank, on `shards`) to the BSP stop;
+    returns each rank's trace record. The algorithms end in their final
+    state."""
+    # Deferred: core.bsp_loop imports core.context, which imports this
+    # package.
+    from repro.core.bsp_loop import crosses_epoch
+
+    step = type(algorithms[0]).round_payloads
+    reduce = algorithms[0].reduce
+    epochs_per_round = algorithms[0].epochs_per_round
+    losses = [[algo.local_loss()] for algo in algorithms]
+    global_losses = [rank_losses[0] for rank_losses in losses]
+    epoch_float, rounds = 0.0, 0
+    while epoch_float < config.max_epochs:
+        payloads = step(algorithms, shards)
+        merged = reduce_vectors([np.asarray(p, dtype=np.float64) for p in payloads], reduce)
+        del payloads  # each apply below can reuse the memory of a payload it replaces
+        for algo in algorithms:
+            algo.apply(merged)
+
+        next_epoch = epoch_float + epochs_per_round
+        crossing = crosses_epoch(epoch_float, next_epoch)
+        rounds += 1
+        epoch_float = next_epoch
+
+        if crossing:
+            local = [algo.local_loss() for algo in algorithms]
+            merged_loss = reduce_vectors([np.array([loss, 1.0]) for loss in local], reduce)
+            global_loss = merged_loss[0] / merged_loss[1] if merged_loss[1] > 0 else math.inf
+            for rank_losses, loss in zip(losses, local):
+                rank_losses.append(loss)
+            global_losses = [global_loss] * len(algorithms)
+            if config.converged(global_loss):
+                break
+    return [
+        rank_record(algo, rank_losses, rounds, epoch_float, final_loss)
+        for algo, rank_losses, final_loss in zip(algorithms, losses, global_losses)
+    ]

@@ -1,48 +1,23 @@
-"""The recording substrate: exact training that also captures a trace.
+"""The recording substrate: an exact run, kept for its trace.
 
-Runs the identical numpy path as :class:`ExactSubstrate` (pure
-observation — the resulting ``RunResult`` is bit-identical) while
-capturing, per rank, every local-loss evaluation in call order plus the
-static round structure (``epochs_per_round``, ``round_work``,
-``eval_work``, ``reduce``). :meth:`finalize` assembles the
-``traces/<stat_hash>.json`` payload that
-:class:`~repro.substrate.replay.ReplaySubstrate` re-emits.
+:class:`~repro.substrate.exact.ExactSubstrate` already computes a BSP
+run's statistics as a trace (the lockstep pass) and replays it, so a
+recording costs no more than an exact run: this class keeps ``.trace``
+— the ``traces/<stat_hash>.json`` payload that
+:class:`~repro.substrate.replay.ReplaySubstrate` re-emits — and refuses
+timing-coupled configs, which have no trace to keep.
 """
 
 from __future__ import annotations
 
-from repro.core.config import config_fingerprint
 from repro.errors import SubstrateError
-from repro.substrate.base import TimedView
 from repro.substrate.exact import ExactSubstrate
-from repro.substrate.traces import TRACE_SCHEMA_VERSION
-from repro.utils.hashing import fingerprint_hash
-
-
-class _RecordingView(TimedView):
-    """Timed view that also appends each local loss to the rank record."""
-
-    __slots__ = ("_losses",)
-
-    def __init__(self, algo, substrate, losses: list) -> None:
-        super().__init__(algo, substrate)
-        object.__setattr__(self, "_losses", losses)
-
-    def local_loss(self) -> float:
-        loss = super().local_loss()
-        self._losses.append(float(loss))
-        return loss
 
 
 class RecordingSubstrate(ExactSubstrate):
-    """Exact substrate + convergence capture; see the module docstring."""
+    """Exact substrate + its convergence trace; see the module docstring."""
 
     name = "record"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.trace: dict | None = None
-        self._loss_log: list[list[float]] = []
 
     def _build(self, ctx) -> None:
         if ctx.config.timing_coupled:
@@ -52,66 +27,3 @@ class RecordingSubstrate(ExactSubstrate):
                 "systems-independent convergence to record — run exact"
             )
         super()._build(ctx)
-        self._loss_log = [[] for _ in self.algorithms]
-        self._views = [
-            _RecordingView(algo, self, losses)
-            for algo, losses in zip(self.algorithms, self._loss_log)
-        ]
-
-    # -- fault recovery -------------------------------------------------
-    def snapshot_rank(self, rank: int):
-        """Algorithm state plus how many losses were recorded so far."""
-        return (super().snapshot_rank(rank), len(self._loss_log[rank]))
-
-    def restore_rank(self, rank: int, state) -> None:
-        """Rewind the loss log with the algorithm: a crash-recovered run
-        re-evaluates the dropped entries with identical values, so the
-        assembled trace is indistinguishable from a fault-free
-        recording."""
-        algo_state, recorded = state
-        super().restore_rank(rank, algo_state)
-        losses = self._loss_log[rank]
-        del losses[recorded:]
-        self._views[rank] = _RecordingView(self.algorithms[rank], self, losses)
-
-    def finalize(self, ctx, result, outcomes) -> None:
-        # Deferred: repro/__init__ -> core -> context -> substrate would
-        # otherwise be circular at import time.
-        from repro import __version__ as repro_version
-
-        config = ctx.config
-        by_rank = {outcome.rank: outcome for outcome in outcomes}
-        if sorted(by_rank) != list(range(config.workers)):
-            raise SubstrateError(
-                f"cannot record a trace from an incomplete run: got outcomes "
-                f"for ranks {sorted(by_rank)} of {config.workers} workers"
-            )
-        ranks = []
-        for rank, algo in enumerate(self.algorithms):
-            outcome = by_rank[rank]
-            instances, iterations = algo.round_work()
-            eval_instances, eval_iterations = algo.eval_work()
-            ranks.append(
-                {
-                    "epochs_per_round": float(algo.epochs_per_round),
-                    "round_work": [float(instances), float(iterations)],
-                    "eval_work": [float(eval_instances), float(eval_iterations)],
-                    "losses": self._loss_log[rank],
-                    "rounds": int(outcome.rounds),
-                    "epochs": float(outcome.epochs),
-                    "final_loss": float(outcome.final_loss),
-                }
-            )
-        self.trace = {
-            "schema": TRACE_SCHEMA_VERSION,
-            "stat_hash": config.stat_hash(),
-            "stat_fingerprint": config.stat_fingerprint(),
-            "reduce": self.algorithms[0].reduce,
-            "ranks": ranks,
-            "final_accuracy": result.final_accuracy,
-            "meta": {
-                "engine_version": repro_version,
-                "recorded_config_hash": fingerprint_hash(config_fingerprint(config)),
-                "compute_seconds": round(self.compute_seconds, 3),
-            },
-        }

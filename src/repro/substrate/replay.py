@@ -29,10 +29,10 @@ from repro.substrate.traces import validate_trace
 class _ReplayView:
     """Per-rank statistical view answering from one trace rank record."""
 
-    __slots__ = ("reduce", "_record", "_payload", "_params", "_cursor", "_rank")
+    __slots__ = ("_reduce", "_record", "_payload", "_params", "_cursor", "_rank")
 
     def __init__(self, record: dict, reduce: str, workers: int, rank: int) -> None:
-        self.reduce = reduce
+        self._reduce = reduce
         self._record = record
         self._rank = rank
         self._cursor = 0
@@ -41,6 +41,14 @@ class _ReplayView:
         # while staying O(w) instead of O(model size).
         self._payload = np.zeros(workers, dtype=np.float64)
         self._params = np.zeros(1, dtype=np.float64)
+
+    @property
+    def reduce(self) -> str:
+        return self._reduce
+
+    @reduce.setter
+    def reduce(self, value) -> None:
+        raise AttributeError("substrate views are read-only (tried to set 'reduce')")
 
     @property
     def epochs_per_round(self) -> float:
@@ -81,6 +89,10 @@ class _ReplayView:
     @params.setter
     def params(self, value) -> None:
         pass
+
+
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)  # NaN == NaN: a deterministic outcome
 
 
 class ReplaySubstrate(Substrate):
@@ -133,3 +145,28 @@ class ReplaySubstrate(Substrate):
 
     def final_accuracy(self, ctx) -> float | None:
         return self.trace.get("final_accuracy")
+
+    def finalize(self, ctx, result, outcomes) -> None:
+        """Refuse a run that did not consume the trace exactly.
+
+        Every rank's final incarnation must have read every recorded
+        loss (crash rewinds included), and every outcome must end where
+        its record says; otherwise the trace described some other run.
+        """
+        for view in self._views:
+            recorded = len(view._record["losses"])
+            if view._cursor != recorded:
+                raise ReplayDivergenceError(
+                    f"rank {view._rank} read {view._cursor} of the {recorded} "
+                    "evaluations the trace recorded: the replayed config does not "
+                    "share the recorded statistical trajectory"
+                )
+        for outcome in outcomes:
+            record = self.trace["ranks"][outcome.rank]
+            for key in ("rounds", "epochs", "final_loss"):
+                if not _same(getattr(outcome, key), record[key]):
+                    raise ReplayDivergenceError(
+                        f"rank {outcome.rank} ended with {key} "
+                        f"{getattr(outcome, key)!r} but the trace recorded "
+                        f"{record[key]!r}"
+                    )

@@ -42,9 +42,13 @@ from __future__ import annotations
 from functools import partial
 
 from repro import store
+from repro.core.config import config_fingerprint
 from repro.errors import SubstrateError
+from repro.utils.hashing import fingerprint_hash
 
 TRACE_SCHEMA_VERSION = 1
+#: The reductions the aggregation layer implements (comm/aggregator.py).
+REDUCTIONS = ("mean", "sum")
 
 _RANK_KEYS = {
     "epochs_per_round", "round_work", "eval_work",
@@ -56,7 +60,9 @@ class TraceError(SubstrateError):
     """A convergence trace is corrupt, partial, or from another schema."""
 
 
-def _check_ranks(trace: dict) -> str | None:
+def _check_trace(trace: dict) -> str | None:
+    if trace["reduce"] not in REDUCTIONS:
+        return f"trace reduce {trace['reduce']!r} is not one of {REDUCTIONS}"
     if not trace["ranks"]:
         return "trace has no per-rank records"
     for rank, record in enumerate(trace["ranks"]):
@@ -75,8 +81,46 @@ TRACE = store.Kind(
     },
     key="stat_hash",
     fingerprint="stat_fingerprint",
-    check=_check_ranks,
+    check=_check_trace,
 )
+
+
+def rank_record(algo, losses: list, rounds: int, epochs: float, final_loss: float) -> dict:
+    """One rank's trace entry: its algorithm's static round structure
+    plus what the run observed (losses in call order, the outcome)."""
+    instances, iterations = algo.round_work()
+    eval_instances, eval_iterations = algo.eval_work()
+    return {
+        "epochs_per_round": float(algo.epochs_per_round),
+        "round_work": [float(instances), float(iterations)],
+        "eval_work": [float(eval_instances), float(eval_iterations)],
+        "losses": [float(loss) for loss in losses],
+        "rounds": int(rounds),
+        "epochs": float(epochs),
+        "final_loss": float(final_loss),
+    }
+
+
+def make_trace(config, reduce: str, ranks: list, final_accuracy, compute_seconds: float) -> dict:
+    """The schema-1 trace of `config`'s run from its rank records."""
+    # Deferred: repro/__init__ -> core -> context -> substrate would
+    # otherwise be circular at import time.
+    from repro import __version__ as repro_version
+
+    return {
+        "schema": TRACE_SCHEMA_VERSION,
+        "stat_hash": config.stat_hash(),
+        "stat_fingerprint": config.stat_fingerprint(),
+        "reduce": reduce,
+        "ranks": ranks,
+        "final_accuracy": final_accuracy,
+        "meta": {
+            "engine_version": repro_version,
+            "recorded_config_hash": fingerprint_hash(config_fingerprint(config)),
+            "compute_seconds": round(compute_seconds, 3),
+        },
+    }
+
 
 trace_path = store.document_path
 write_trace = partial(store.put, TRACE)  # (traces_dir, trace) -> Path

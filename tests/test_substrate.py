@@ -25,6 +25,7 @@ from repro.core.driver import train
 from repro.errors import ReplayDivergenceError, SubstrateError
 from repro.substrate import (
     ExactSubstrate,
+    PerRankSubstrate,
     RecordingSubstrate,
     ReplaySubstrate,
     TraceError,
@@ -161,6 +162,12 @@ SYSTEMS_GRID = {
 }
 
 
+def per_rank(config):
+    """The exact run rank by rank in the engine: the oracle a replay is
+    held to (a default run is itself the lockstep trace, replayed)."""
+    return train(config, substrate=PerRankSubstrate())
+
+
 class TestGoldenBitIdentity:
     @pytest.fixture(scope="class")
     def shared_trace(self):
@@ -168,7 +175,7 @@ class TestGoldenBitIdentity:
         recorder = RecordingSubstrate()
         result = train(cfg(**SYSTEMS_GRID["faas_s3_allreduce"]), substrate=recorder)
         assert result_key(result) == result_key(
-            train(cfg(**SYSTEMS_GRID["faas_s3_allreduce"]))
+            per_rank(cfg(**SYSTEMS_GRID["faas_s3_allreduce"]))
         ), "a recording run must be bit-identical to an exact run"
         return recorder.trace
 
@@ -180,7 +187,7 @@ class TestGoldenBitIdentity:
         # claim the two-phase sweep is built on.
         config = cfg(**SYSTEMS_GRID[name])
         assert config.stat_hash() == shared_trace["stat_hash"]
-        exact = train(config)
+        exact = per_rank(config)
         replayed = train(config, substrate=ReplaySubstrate(shared_trace))
         assert result_key(replayed) == result_key(exact)
 
@@ -195,7 +202,7 @@ class TestGoldenBitIdentity:
         recorder = RecordingSubstrate()
         train(cfg(**base), substrate=recorder)
         config = cfg(system="pytorch", **base)
-        exact = train(config)
+        exact = per_rank(config)
         replayed = train(config, substrate=ReplaySubstrate(recorder.trace))
         assert result_key(replayed) == result_key(exact)
 
@@ -214,14 +221,14 @@ class TestGoldenBitIdentity:
         train(cfg(**base), substrate=recorder)
         config = cfg(pattern="scatterreduce", channel="redis", **base)
         assert result_key(train(config, substrate=ReplaySubstrate(recorder.trace))) \
-            == result_key(train(config))
+            == result_key(per_rank(config))
 
         base = dict(workers=12, loss_threshold=0.6, max_epochs=1.0)
         recorder = RecordingSubstrate()
         train(cfg(**base), substrate=recorder)
         config = cfg(system="pytorch", **base)
         assert result_key(train(config, substrate=ReplaySubstrate(recorder.trace))) \
-            == result_key(train(config))
+            == result_key(per_rank(config))
 
     def test_kmeans_em_sum_reduce_replays(self):
         base = dict(model="kmeans", algorithm="em", k=3,
@@ -230,7 +237,7 @@ class TestGoldenBitIdentity:
         train(cfg(**base), substrate=recorder)
         assert recorder.trace["reduce"] == "sum"
         config = cfg(pattern="scatterreduce", **base)
-        exact = train(config)
+        exact = per_rank(config)
         replayed = train(config, substrate=ReplaySubstrate(recorder.trace))
         assert result_key(replayed) == result_key(exact)
 
@@ -272,6 +279,32 @@ class TestSubstrateGuards:
             record["losses"] = record["losses"][:1]
         with pytest.raises(ReplayDivergenceError, match="trace recorded only"):
             train(cfg(), substrate=ReplaySubstrate(truncated))
+
+    def test_replay_refuses_a_trace_it_does_not_consume(self, trace):
+        # An extra loss per rank, five more rounds and another final
+        # loss used to replay silently into the recording's own result.
+        tampered = copy.deepcopy(trace)
+        for record in tampered["ranks"]:
+            record["losses"].append(0.5)
+            record["rounds"] += 5
+            record["final_loss"] = 9.9
+        with pytest.raises(ReplayDivergenceError):
+            train(cfg(), substrate=ReplaySubstrate(tampered))
+
+    def test_replay_refuses_unread_evaluations(self, trace):
+        tampered = copy.deepcopy(trace)
+        tampered["ranks"][2]["losses"].append(0.5)
+        with pytest.raises(ReplayDivergenceError, match="rank 2 read"):
+            train(cfg(), substrate=ReplaySubstrate(tampered))
+
+    @pytest.mark.parametrize("key, value", [
+        ("rounds", 6), ("epochs", 12.5), ("final_loss", 9.9),
+    ])
+    def test_replay_refuses_an_outcome_the_trace_did_not_record(self, trace, key, value):
+        tampered = copy.deepcopy(trace)
+        tampered["ranks"][1][key] = value
+        with pytest.raises(ReplayDivergenceError, match=f"rank 1 ended with {key}"):
+            train(cfg(), substrate=ReplaySubstrate(tampered))
 
     def test_substrates_are_single_use(self):
         substrate = ExactSubstrate()
@@ -340,6 +373,16 @@ class TestTraceArtifacts:
     def test_foreign_schema_is_corrupt(self, trace):
         with pytest.raises(TraceError, match="schema"):
             validate_trace({**trace, "schema": 99})
+
+    @pytest.mark.parametrize("reduce", ["max", "MEAN", ""])
+    def test_unknown_reduction_is_corrupt(self, trace, tmp_path, reduce):
+        # Used to validate, then die mid-simulation with a
+        # CommunicationError from the first merge.
+        with pytest.raises(TraceError, match="reduce"):
+            validate_trace({**trace, "reduce": reduce})
+        path = write_trace(tmp_path, {**trace, "reduce": reduce})
+        with pytest.raises(TraceError, match="reduce"):
+            load_trace(path)
 
     def test_misfiled_trace_is_corrupt(self, trace, tmp_path):
         path = write_trace(tmp_path, trace)
