@@ -12,7 +12,8 @@ PUTs one merged file; everyone else polls for and GETs the merged file.
 
 ScatterReduce: every worker is the reducer of one 1/w slice; each
 worker PUTs w-1 chunk files, reduces its own slice, PUTs the merged
-slice, then GETs the other w-1 merged slices.
+slice, then GETs the other w-1 merged slices. Each such run of ops (and
+the AllReduce leader's w reads) is one storage-op sequence: one resume.
 
 Keys embed (epoch-independent) round ids, mirroring the file-naming
 scheme of the paper's synchronous protocol (§3.2.4). After merging,
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.aggregator import reduce_vectors, split_chunks
-from repro.simulation.commands import Compute, Get, Put, WaitKey, WaitKeyCount
+from repro.simulation.commands import Compute, Get, GetEach, Put, PutEach, WaitKey, WaitKeyCount
 from repro.storage.base import ObjectStore
 from repro.utils.serialization import SizedPayload, unwrap
 
@@ -118,11 +119,8 @@ def allreduce(
 
     if rank == 0:
         yield WaitKeyCount(store, prefix, workers, poll_interval, category="merge")
-        parts = []
-        for peer in range(workers):
-            obj = yield Get(store, f"{prefix}{peer:05d}")
-            parts.append(unwrap(obj))
-        merged = reduce_vectors(parts, reduce)
+        parts = yield GetEach(store, (f"{prefix}{peer:05d}" for peer in range(workers)))
+        merged = reduce_vectors([unwrap(obj) for obj in parts], reduce)
         yield Compute(_merge_seconds(logical_nbytes * workers), category="merge")
         yield Put(store, merged_key, SizedPayload(merged, logical_nbytes))
         for peer in range(workers):
@@ -161,14 +159,14 @@ def scatter_reduce(
     # string formatting off the w^2-put hot path of large rounds.
     ranks = [f"{peer:05d}" for peer in range(workers)]
     me = ranks[rank]
+    others = [peer for peer in range(workers) if peer != rank]
     base = f"sr/{round_id}/"
 
     # Scatter: send chunk j to its reducer (worker j). Own chunk stays local.
-    for peer in range(workers):
-        if peer == rank:
-            continue
-        key = f"{base}for_{ranks[peer]}/from_{me}"
-        yield Put(store, key, SizedPayload(chunks[peer], chunk_bytes))
+    yield PutEach(store, (
+        (f"{base}for_{ranks[peer]}/from_{me}", SizedPayload(chunks[peer], chunk_bytes))
+        for peer in others
+    ))
 
     # Reduce my slice: wait for w-1 foreign contributions. Contributions
     # are reduced in *rank order* (own chunk slotted at position `rank`,
@@ -181,34 +179,25 @@ def scatter_reduce(
     # statistical fingerprint across the whole systems grid.
     my_prefix = f"{base}for_{me}/"
     yield WaitKeyCount(store, my_prefix, workers - 1, poll_interval, category="merge")
-    contributions = []
-    for peer in range(workers):
-        if peer == rank:
-            contributions.append(chunks[rank])
-            continue
-        obj = yield Get(store, f"{my_prefix}from_{ranks[peer]}")
-        contributions.append(unwrap(obj))
+    inbox = (f"{my_prefix}from_{ranks[peer]}" for peer in others)
+    contributions = [unwrap(obj) for obj in (yield GetEach(store, inbox))]
+    contributions.insert(rank, chunks[rank])
     merged_chunk = reduce_vectors(contributions, reduce)
     yield Compute(_merge_seconds(chunk_bytes * workers), category="merge")
     yield Put(store, f"{base}merged_{me}", SizedPayload(merged_chunk, chunk_bytes))
     store.expect_readers(f"{base}merged_{me}", workers - 1)
-    for peer in range(workers):
-        if peer != rank:
-            store.discard(f"{my_prefix}from_{ranks[peer]}")
+    for peer in others:
+        store.discard(f"{my_prefix}from_{ranks[peer]}")
 
     # Gather: collect everyone's merged slice to rebuild the full vector.
     yield WaitKeyCount(store, f"{base}merged_", workers, poll_interval)
-    merged_parts: list[np.ndarray] = []
-    for peer in range(workers):
-        if peer == rank:
-            merged_parts.append(merged_chunk)
-            continue
-        key = f"{base}merged_{ranks[peer]}"
-        obj = yield Get(store, key)
-        # Each merged slice is read by the other w-1 workers; the last
-        # of them retires it so rounds don't leak one file per rank.
-        store.discard_after_read(key)
-        merged_parts.append(unwrap(obj))
+    slices = (f"{base}merged_{ranks[peer]}" for peer in others)
+    merged_parts = [unwrap(obj) for obj in (yield GetEach(store, slices))]
+    # Each merged slice is read by the other w-1 workers; the last of them
+    # retires it (after every reader's lookup) so rounds don't leak files.
+    for peer in others:
+        store.discard_after_read(f"{base}merged_{ranks[peer]}")
+    merged_parts.insert(rank, merged_chunk)
     return np.concatenate(merged_parts)
 
 

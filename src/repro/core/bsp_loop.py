@@ -65,8 +65,8 @@ class RoundState:
 
 
 # An exchange callback receives (round_id, wire_vector, logical_nbytes)
-# and is itself a generator yielding simulation commands, returning the
-# merged vector.
+# and returns a generator yielding simulation commands, whose return
+# value is the merged vector.
 ExchangeFn = Callable[[str, np.ndarray, int], Generator]
 # Optional hook run before each round with the loop's RoundState (FaaS
 # uses it for the Figure-5 lifetime check and recovery checkpoints).

@@ -297,28 +297,40 @@ class TrainingConfig:
         self.platform = PLATFORM_OF_SYSTEM[self.system]
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.max_epochs <= 0:
-            raise ConfigurationError(f"max_epochs must be > 0, got {self.max_epochs}")
         if not 0.0 < self.poll_interval_s < math.inf:
             raise ConfigurationError(
                 f"poll_interval_s must be > 0 and finite, got {self.poll_interval_s}"
             )
-        if self.straggler_jitter < 0:
-            raise ConfigurationError("straggler_jitter must be >= 0")
-        if self.crash_rate < 0:
-            raise ConfigurationError("crash_rate must be >= 0")
-        if self.mttf_s is not None and self.mttf_s <= 0:
-            raise ConfigurationError(f"mttf_s must be > 0, got {self.mttf_s}")
+        # Each test is the accepted range, so a NaN (every comparison
+        # false) is refused: `x <= 0` would let it through.
+        for name, rule, ok in (
+            ("max_epochs", "> 0", self.max_epochs > 0),
+            ("lr", "> 0 and finite", 0.0 < self.lr < math.inf),
+            ("l2", ">= 0 and finite", 0.0 <= self.l2 < math.inf),
+            ("admm_rho", "> 0 and finite", 0.0 < self.admm_rho < math.inf),
+            ("admm_scans", ">= 1", self.admm_scans >= 1),
+            ("ma_sync_epochs", ">= 1", self.ma_sync_epochs >= 1),
+            ("batch_size", ">= 1", self.batch_size >= 1),
+            ("min_local_batch", ">= 1", self.min_local_batch >= 1),
+            ("data_scale", ">= 1", self.data_scale is None or self.data_scale >= 1),
+            ("k", ">= 1", self.k >= 1),
+            ("lambda_lifetime_s", "> 0", self.lambda_lifetime_s > 0),
+            ("straggler_jitter", ">= 0", self.straggler_jitter >= 0),
+            ("crash_rate", ">= 0", self.crash_rate >= 0),
+            ("mttf_s", "> 0", self.mttf_s is None or self.mttf_s > 0),
+            ("storage_retry_base_s", ">= 0", self.storage_retry_base_s >= 0),
+            ("cold_start_jitter", ">= 0", self.cold_start_jitter >= 0),
+        ):
+            if not ok:
+                raise ConfigurationError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}"
+                )
         if not 0.0 <= self.storage_error_rate < 1.0:
             raise ConfigurationError(
                 f"storage_error_rate must be in [0, 1), got {self.storage_error_rate}"
             )
         if self.storage_retry_limit < 0:
             raise ConfigurationError("storage_retry_limit must be >= 0")
-        if self.storage_retry_base_s < 0:
-            raise ConfigurationError("storage_retry_base_s must be >= 0")
-        if self.cold_start_jitter < 0:
-            raise ConfigurationError("cold_start_jitter must be >= 0")
         if self.checkpoint_interval < 1:
             raise ConfigurationError(
                 f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"

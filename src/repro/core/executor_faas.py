@@ -21,9 +21,8 @@ iteration with no coordination, decaying the learning rate 1/sqrt(T).
 
 from __future__ import annotations
 
+import functools
 import math
-
-import numpy as np
 
 from repro.comm.protocols import (
     async_read_model,
@@ -73,10 +72,6 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
                 )
                 round_state = resume.round_state
 
-        def exchange(round_id: str, wire: np.ndarray, nbytes: int):
-            merged = yield from ctx.exchange(rank, round_id, wire, nbytes=nbytes)
-            return merged
-
         def pre_round(state: RoundState):
             """Round-boundary bookkeeping: recovery checkpoint + Figure 5."""
             if injector is not None and injector.should_checkpoint(rank, state.rounds):
@@ -102,8 +97,11 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
                 )
                 lifetime.reincarnate(ctx.engine.now)
 
+        # ctx.exchange returns the pattern's generator itself, so a resume
+        # walks worker -> bsp_rounds -> pattern, with no pass-through frame.
         outcome = yield from bsp_rounds(
-            ctx, rank, exchange, pre_round=pre_round, resume=round_state
+            ctx, rank, functools.partial(ctx.exchange, rank),
+            pre_round=pre_round, resume=round_state,
         )
     except TransientStorageError:
         if injector is None or not injector.crashes_enabled:

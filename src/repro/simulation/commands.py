@@ -4,13 +4,14 @@ A process is a generator; each `yield <command>` suspends it until the
 engine has charged the simulated duration of the command (including any
 queueing on contended services) and applied its data effect. The value
 sent back into the generator is the command's result (e.g. the object
-returned by :class:`Get`).
+returned by :class:`Get`). A storage-op sequence (:class:`PutEach`,
+:class:`GetEach`) is its ops' events, items pulled as they issue, one resume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.simulation.engine import Process
@@ -49,6 +50,24 @@ class Get:
 
     store: "ObjectStore"
     key: str
+    category: str = "comm"
+
+
+@dataclass
+class PutEach:
+    """A :class:`Put` per ``(key, value)`` of `items`; results: their byte counts."""
+
+    store: "ObjectStore"
+    items: Iterable
+    category: str = "comm"
+
+
+@dataclass
+class GetEach:
+    """A :class:`Get` per key of `keys`; results: the objects read (or item k's error)."""
+
+    store: "ObjectStore"
+    keys: Iterable
     category: str = "comm"
 
 

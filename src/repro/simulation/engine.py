@@ -43,6 +43,10 @@ bench_engine_microbench.py``):
   completions — pay one clock advance, not W²). Dispatch order within
   a batch is still exactly seq order (the heap's events stamped with
   the instant, then the FIFO), so batching is invisible to traces.
+* A storage-op sequence resumes its generator once; each op keeps its
+  own events: after each item ``_next_put`` / ``_next_get`` take the slot
+  a ``_fire`` held (same seq, same instant) and issue the next item or,
+  after the last, resume. A single Put/Get has ``rest`` / ``done`` None.
 
 Profiling: :meth:`Engine.enable_stats` attaches an
 :class:`EngineStats` that counts dispatched events per callsite
@@ -86,9 +90,11 @@ from repro.simulation.commands import (
     Compute,
     Delete,
     Get,
+    GetEach,
     Join,
     ListKeys,
     Put,
+    PutEach,
     Sleep,
     Spawn,
     WaitKey,
@@ -483,7 +489,13 @@ class Engine:
         self._resume_later(proc, failed_at, throw=exc)
 
     def _dispatch_put(self, proc: Process, cmd: Put) -> None:
-        nbytes = payload_nbytes(cmd.value)
+        self._put(proc, cmd, cmd.key, cmd.value, None, None)
+
+    def _dispatch_put_each(self, proc: Process, cmd: PutEach) -> None:
+        self._next_put(proc, proc._wake_token, cmd, iter(cmd.items), [])
+
+    def _put(self, proc: Process, cmd, key: str, value: Any, rest, done) -> None:
+        nbytes = payload_nbytes(value)
         issued = self.clock.now
         try:
             start, end = cmd.store.schedule_op("put", nbytes, issued)
@@ -491,26 +503,44 @@ class Engine:
             self._throw_storage_failure(proc, cmd.category, issued, exc)
             return
         self._charge_op(proc, cmd.category, issued, start, end)
-        self._schedule(end, self._apply_put, proc, cmd, nbytes)
+        self._schedule(end, self._apply_put, proc, cmd, key, value, nbytes, rest, done)
 
-    def _apply_put(self, proc: Process, cmd: Put, nbytes: int) -> None:
+    def _apply_put(self, proc: Process, cmd, key: str, value: Any, nbytes: int, rest, done):
         now = self.clock.now
-        for wake in cmd.store._do_put(cmd.key, cmd.value):
+        for wake in cmd.store._do_put(key, value):
             wake(now)
-        self._resume_now(proc, nbytes)
+        if done is None:
+            self._resume_now(proc, nbytes)
+        else:
+            done.append(nbytes)
+            self._fifo.append((self._next_put, (proc, proc._wake_token, cmd, rest, done)))
+
+    def _next_put(self, proc: Process, token: int, cmd: PutEach, rest, done: list) -> None:
+        if proc._wake_token != token or proc.state is not ProcessState.BLOCKED:
+            return  # stale, like _fire's: killed mid-sequence
+        item = next(rest, None)
+        if item is not None:
+            self._put(proc, cmd, *item, rest, done)
+        elif done:
+            self._step(proc, done)
+        else:
+            raise SimulationError(f"{proc.name}: empty PutEach")
 
     def _dispatch_get(self, proc: Process, cmd: Get) -> None:
         # Size is only known at completion; we first charge the latency,
         # then the transfer of the actual object found at completion. The
         # lookup is a same-instant event of its own: it sees every write
         # already queued for this instant.
-        self._fifo.append((self._apply_get, (proc, cmd, self.clock.now)))
+        self._fifo.append((self._apply_get, (proc, cmd, cmd.key, self.clock.now, None, None)))
 
-    def _apply_get(self, proc: Process, cmd: Get, issued: float) -> None:
+    def _dispatch_get_each(self, proc: Process, cmd: GetEach) -> None:
+        self._next_get(proc, proc._wake_token, cmd, iter(cmd.keys), [])
+
+    def _apply_get(self, proc: Process, cmd, key: str, issued: float, rest, done) -> None:
         if proc.state not in _ALIVE_STATES:
             return  # killed while the request was in flight
         try:
-            value = cmd.store._do_get(cmd.key)
+            value = cmd.store._do_get(key)
         except KeyNotFoundError as exc:
             self._resume_now(proc, throw=exc)
             return
@@ -521,7 +551,23 @@ class Engine:
             self._throw_storage_failure(proc, cmd.category, issued, exc)
             return
         self._charge_op(proc, cmd.category, issued, start, end)
-        self._resume_later(proc, max(end, self.clock.now), value=value)
+        if done is None:
+            self._resume_later(proc, max(end, self.clock.now), value=value)
+        else:
+            done.append(value)
+            at = max(end, self.clock.now)
+            self._schedule(at, self._next_get, proc, proc._wake_token, cmd, rest, done)
+
+    def _next_get(self, proc: Process, token: int, cmd: GetEach, rest, done: list) -> None:
+        if proc._wake_token != token or proc.state is not ProcessState.BLOCKED:
+            return  # stale, like _fire's: killed mid-sequence
+        key = next(rest, None)
+        if key is not None:
+            self._fifo.append((self._apply_get, (proc, cmd, key, self.clock.now, rest, done)))
+        elif done:
+            self._step(proc, done)
+        else:
+            raise SimulationError(f"{proc.name}: empty GetEach")
 
     def _dispatch_delete(self, proc: Process, cmd: Delete) -> None:
         issued = self.now
@@ -635,6 +681,8 @@ _DISPATCH_TABLE: dict[type, Callable[[Engine, Process, Any], None]] = {
     Compute: Engine._dispatch_timed,
     Put: Engine._dispatch_put,
     Get: Engine._dispatch_get,
+    PutEach: Engine._dispatch_put_each,
+    GetEach: Engine._dispatch_get_each,
     Delete: Engine._dispatch_delete,
     ListKeys: Engine._dispatch_list,
     WaitKey: Engine._dispatch_wait_key,

@@ -72,6 +72,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="poll_interval_s"):
             _config(poll_interval_s=interval)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", float("nan")), ("lr", -0.5), ("lr", 0.0), ("lr", float("inf")),
+            ("max_epochs", float("nan")),
+            ("l2", -1.0), ("l2", float("nan")),
+            ("admm_rho", float("nan")), ("admm_rho", -1.0),
+            ("admm_scans", 0), ("ma_sync_epochs", 0),
+            ("batch_size", 0), ("batch_size", -5), ("min_local_batch", 0),
+            ("data_scale", 0), ("data_scale", -3), ("k", 0),
+            ("lambda_lifetime_s", -5.0), ("lambda_lifetime_s", float("nan")),
+            ("straggler_jitter", float("nan")), ("crash_rate", float("nan")),
+            ("mttf_s", float("nan")), ("storage_retry_base_s", float("nan")),
+            ("cold_start_jitter", float("nan")),
+        ],
+    )
+    def test_out_of_range_hyper_parameters_are_refused(self, field, value):
+        # Each of these used to construct and train a silent wrong
+        # number (`--lr nan` ended "NOT converged at loss nan", exit 0).
+        with pytest.raises(ConfigurationError, match=f"{field} must be"):
+            _config(**{field: value})
+
     def test_platform_derived(self):
         assert _config().platform == "faas"
         assert _config(system="pytorch").platform == "iaas"

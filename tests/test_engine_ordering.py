@@ -25,9 +25,11 @@ from repro.simulation.commands import (
     Compute,
     Delete,
     Get,
+    GetEach,
     Join,
     ListKeys,
     Put,
+    PutEach,
     Sleep,
     Spawn,
     WaitKey,
@@ -127,7 +129,7 @@ def build(engine_cls, seed):
                 continue
             store = rng.choice(stores)
             key = f"r/{rng.randrange(4)}/{rng.randrange(3)}"
-            kind = rng.randrange(11)
+            kind = rng.randrange(13)
             if kind == 0:
                 yield Sleep(0)
             elif kind == 1:
@@ -157,10 +159,20 @@ def build(engine_cls, seed):
                     delay=0,
                 )
                 assert (yield Join(kid)) == f"{rank}-{step}"
-            else:
+            elif kind == 10:
                 try:
                     yield Join(raiser)
                 except ValueError:
+                    pass
+            elif kind == 11:  # a sequence: same events as its Puts, one resume
+                items = [(f"r/{rng.randrange(4)}/{i}", i) for i in range(rng.randrange(1, 4))]
+                assert (yield PutEach(store, items)) == [8] * len(items)
+            else:  # may miss a key at any item
+                count = rng.randrange(1, 4)
+                keys = [f"r/{rng.randrange(4)}/{rng.randrange(3)}" for _ in range(count)]
+                try:
+                    yield GetEach(store, keys)
+                except KeyNotFoundError:
                     pass
         return rank
 
@@ -175,7 +187,8 @@ def build(engine_cls, seed):
         raise ValueError("boom")
 
     def victim():
-        yield Put(narrow, "r/victim", 1)
+        # A kill may land between two items of the sequence.
+        yield PutEach(narrow, [("r/victim", 1), ("r/victim/2", 2), ("r/victim/3", 3)])
         yield WaitKeyCount(s3, "never/", 1, poll_interval=0.01)  # until killed
 
     def reaper(target, after):
