@@ -1,7 +1,7 @@
 """Retry policy for transient storage errors: capped exponential backoff.
 
 The policy is timing metadata, not behaviour: the store's
-``schedule_op`` asks the :class:`~repro.faults.plan.FaultPlan` how many
+``book`` asks the :class:`~repro.faults.plan.FaultPlan` how many
 consecutive attempts fail, then uses :meth:`RetryPolicy.backoff_s` to
 lay the failed attempts and their backoff gaps onto simulated time and
 bills every attempt. Exhausting the budget raises

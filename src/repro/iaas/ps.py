@@ -145,8 +145,13 @@ class ParameterServer(ObjectStore):
         self._lock = ServiceQueue(1)
 
     # -- timing ----------------------------------------------------------------
-    def schedule_op(self, op: str, nbytes: int, arrival: float) -> tuple[float, float]:
-        arrival = max(arrival, self.available_at)
+    def _service_times(self, op: str, nbytes: int, arrival: float) -> tuple[float, float]:
+        """(start, completion) of an op arriving once the PS is up.
+
+        Replaces the base store's single queue in :meth:`ObjectStore.book`,
+        which still checks, bills (nothing: a PS is billed as a VM) and
+        charges the issuer.
+        """
         if op == "put":
             ser_done = arrival + self.timing.lambda_serdes_s(nbytes)
             ingress_duration = self.timing.transfer_s(nbytes) + self.timing.ps_deser_s(nbytes)

@@ -86,8 +86,10 @@ class CostMeter:
 
         Keeps the accumulator bit-identical to `count` separate
         :meth:`add` calls (repeated float addition is not the same as
-        one fused ``count * dollars`` add). A single charge — every
-        put/get/delete — is one ``+=``; a batch — the poll-billing
+        one fused ``count * dollars`` add). A single charge is one
+        ``+=`` (an S3 request's is added inline by
+        :meth:`ObjectStore.book <repro.storage.base.ObjectStore.book>`
+        from a price checked once per store); a batch — the poll-billing
         path, where `count` is thousands per satisfied wait — goes
         through :func:`repeated_add`, whose cost does not grow with
         `count`.
@@ -126,12 +128,31 @@ class CostMeter:
         self.add("elasticache", hourly * (seconds / 3600.0))
 
     # -- storage requests ---------------------------------------------------
+    def s3_request_prices(self) -> dict[str, tuple[float, str, str]]:
+        """Per-op ``(price, component, counter)`` of an S3 request.
+
+        S3's request prices do not depend on the payload, so a store
+        resolves this once at construction and :meth:`ObjectStore.book
+        <repro.storage.base.ObjectStore.book>` bills one op with two
+        dict adds. Prices are checked here, once, instead of per op.
+        """
+        catalog = self.catalog
+        prices = {}
+        for op in ("put", "get", "list", "delete"):
+            price = catalog.s3_per_get if op == "get" else catalog.s3_per_put
+            if not 0.0 <= price < _INF:  # also rejects NaN
+                raise ValueError(f"invalid charge {price!r} for s3")
+            prices[op] = (price, "s3", f"s3_{op}")
+        return prices
+
+    def bill_request(self, entry: tuple[float, str, str], count: int = 1) -> None:
+        """Bill `count` requests priced by one ``(price, component, counter)`` entry."""
+        price, component, counter = entry
+        self._add_repeated(component, price, count)
+        self.counters[counter] += count
+
     def bill_s3_request(self, op: str, count: int = 1) -> None:
-        if op in ("put", "list", "delete"):
-            self._add_repeated("s3", self.catalog.s3_per_put, count)
-        else:
-            self._add_repeated("s3", self.catalog.s3_per_get, count)
-        self.counters[f"s3_{op}"] += count
+        self.bill_request(self.s3_request_prices()[op], count)
 
     def bill_dynamodb_request(self, op: str, nbytes: int, count: int = 1) -> None:
         if op in ("put", "delete"):

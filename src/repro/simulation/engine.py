@@ -36,6 +36,12 @@ bench_engine_microbench.py``):
   depend on the simulated poll interval.
 * Service slot booking is O(log slots) via
   :class:`repro.simulation.resources.ServiceQueue`'s heap.
+* A storage op is one store call: :meth:`~repro.storage.base.ObjectStore.
+  book` checks the item limit, books the op on the store's queue (one
+  ``heapreplace``), bills it from prices the store resolved once and
+  charges the issuer's ``wait`` and category seconds — the one place a
+  storage op's simulated time is charged. The engine reads a
+  ``SizedPayload``'s size directly and schedules the completion inline.
 * Event dispatch is batched per timestamp: the run loop advances the
   clock once per distinct simulated instant, then drains every event
   stamped with that instant in a tight inner loop (synchronized
@@ -101,7 +107,7 @@ from repro.simulation.commands import (
     WaitKeyCount,
 )
 from repro.simulation.tracing import TimeBreakdown
-from repro.utils.serialization import payload_nbytes
+from repro.utils.serialization import SizedPayload, payload_nbytes
 
 Command = Any
 ProcessGenerator = Generator[Command, Any, Any]
@@ -467,27 +473,6 @@ class Engine:
         self._resume_now(proc, child)
 
     # -- storage ---------------------------------------------------------
-    def _charge_op(self, proc: Process, category: str, issued: float, start: float, end: float):
-        if start > issued:
-            proc.trace.add("wait", start - issued)
-        proc.trace.add(category, end - start)
-
-    def _throw_storage_failure(
-        self, proc: Process, category: str, issued: float, exc: TransientStorageError
-    ) -> None:
-        """Deliver a retry-exhausted storage op to its issuing worker.
-
-        The failed attempts already occupied the service and the event
-        counters (see ObjectStore._schedule_failed_attempts); here the
-        worker waits out that window and then sees the error thrown at
-        its yield point — the same injection seam KeyNotFoundError
-        uses — so a generator (or the fault injector behind it) can
-        recover instead of the whole simulation aborting.
-        """
-        failed_at = max(issued, exc.failed_at if exc.failed_at is not None else issued)
-        proc.trace.add(category, failed_at - issued)
-        self._resume_later(proc, failed_at, throw=exc)
-
     def _dispatch_put(self, proc: Process, cmd: Put) -> None:
         self._put(proc, cmd, cmd.key, cmd.value, None, None)
 
@@ -495,15 +480,19 @@ class Engine:
         self._next_put(proc, proc._wake_token, cmd, iter(cmd.items), [])
 
     def _put(self, proc: Process, cmd, key: str, value: Any, rest, done) -> None:
-        nbytes = payload_nbytes(value)
-        issued = self.clock.now
+        nbytes = value.nbytes if value.__class__ is SizedPayload else payload_nbytes(value)
+        now = self.clock.now
         try:
-            start, end = cmd.store.schedule_op("put", nbytes, issued)
+            end = cmd.store.book("put", nbytes, now, proc.trace, cmd.category)
         except TransientStorageError as exc:
-            self._throw_storage_failure(proc, cmd.category, issued, exc)
+            self._resume_later(proc, exc.failed_at, throw=exc)
             return
-        self._charge_op(proc, cmd.category, issued, start, end)
-        self._schedule(end, self._apply_put, proc, cmd, key, value, nbytes, rest, done)
+        # _schedule, inline: a booked op never completes before it was issued.
+        args = (proc, cmd, key, value, nbytes, rest, done)
+        if end > now:
+            self._heappush(self._heap, (end, self._seq_next(), self._apply_put, args))
+        else:
+            self._fifo.append((self._apply_put, args))
 
     def _apply_put(self, proc: Process, cmd, key: str, value: Any, nbytes: int, rest, done):
         now = self.clock.now
@@ -544,19 +533,23 @@ class Engine:
         except KeyNotFoundError as exc:
             self._resume_now(proc, throw=exc)
             return
-        nbytes = payload_nbytes(value)
+        nbytes = value.nbytes if value.__class__ is SizedPayload else payload_nbytes(value)
         try:
-            start, end = cmd.store.schedule_op("get", nbytes, issued)
+            end = cmd.store.book("get", nbytes, issued, proc.trace, cmd.category)
         except TransientStorageError as exc:
-            self._throw_storage_failure(proc, cmd.category, issued, exc)
+            self._resume_later(proc, exc.failed_at, throw=exc)
             return
-        self._charge_op(proc, cmd.category, issued, start, end)
+        now = self.clock.now
         if done is None:
-            self._resume_later(proc, max(end, self.clock.now), value=value)
+            self._resume_later(proc, max(end, now), value=value)
         else:
             done.append(value)
-            at = max(end, self.clock.now)
-            self._schedule(at, self._next_get, proc, proc._wake_token, cmd, rest, done)
+            # _schedule(max(end, now), ...), inline.
+            args = (proc, proc._wake_token, cmd, rest, done)
+            if end > now:
+                self._heappush(self._heap, (end, self._seq_next(), self._next_get, args))
+            else:
+                self._fifo.append((self._next_get, args))
 
     def _next_get(self, proc: Process, token: int, cmd: GetEach, rest, done: list) -> None:
         if proc._wake_token != token or proc.state is not ProcessState.BLOCKED:
@@ -570,9 +563,7 @@ class Engine:
             raise SimulationError(f"{proc.name}: empty GetEach")
 
     def _dispatch_delete(self, proc: Process, cmd: Delete) -> None:
-        issued = self.now
-        start, end = cmd.store.schedule_op("delete", 0, issued)
-        self._charge_op(proc, cmd.category, issued, start, end)
+        end = cmd.store.book("delete", 0, self.clock.now, proc.trace, cmd.category)
         self._schedule(end, self._apply_delete, proc, cmd)
 
     def _apply_delete(self, proc: Process, cmd: Delete) -> None:
@@ -580,9 +571,7 @@ class Engine:
         self._resume_now(proc)
 
     def _dispatch_list(self, proc: Process, cmd: ListKeys) -> None:
-        issued = self.now
-        start, end = cmd.store.schedule_op("list", 0, issued)
-        self._charge_op(proc, cmd.category, issued, start, end)
+        end = cmd.store.book("list", 0, self.clock.now, proc.trace, cmd.category)
         self._schedule(end, self._apply_list, proc, cmd)
 
     def _apply_list(self, proc: Process, cmd: ListKeys) -> None:

@@ -36,7 +36,7 @@ from repro.errors import ConfigurationError
 class ServiceQueue:
     """Deterministic k-server queue over simulated time."""
 
-    __slots__ = ("slots", "ops_booked", "_free")
+    __slots__ = ("slots", "ops_booked", "free")
 
     def __init__(self, slots: int) -> None:
         if slots < 1:
@@ -44,8 +44,9 @@ class ServiceQueue:
         self.slots = slots
         self.ops_booked = 0
         # Min-heap of next-free simulated times, one float per slot.
-        # All-equal entries are a valid heap; no heapify needed.
-        self._free: list[float] = [0.0] * slots
+        # All-equal entries are a valid heap; no heapify needed. Public
+        # because ObjectStore.book runs `schedule` inline on it.
+        self.free: list[float] = [0.0] * slots
 
     def schedule(self, arrival: float, duration: float) -> tuple[float, float]:
         """Book `duration` seconds of service starting at/after `arrival`.
@@ -55,7 +56,7 @@ class ServiceQueue:
         results depend only on arrival order — which the engine keeps
         deterministic.
         """
-        free = self._free
+        free = self.free
         free_at = free[0]
         start = arrival if arrival > free_at else free_at
         completion = start + duration
@@ -77,4 +78,4 @@ class ServiceQueue:
         ``reset()`` helper was removed as unused: rewinding slot state
         mid-simulation would violate the engine's monotonic clock).
         """
-        return max(self._free)
+        return max(self.free)

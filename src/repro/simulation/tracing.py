@@ -8,8 +8,11 @@ the paper folds into communication.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+
+_INF = math.inf
 
 KNOWN_CATEGORIES = (
     "startup",
@@ -30,8 +33,8 @@ class TimeBreakdown:
     seconds: dict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     def add(self, category: str, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"negative duration {duration} for {category}")
+        if not 0.0 <= duration < _INF:  # also rejects NaN
+            raise ValueError(f"invalid duration {duration!r} for {category}")
         self.seconds[category] += duration
 
     def get(self, category: str) -> float:

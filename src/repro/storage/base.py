@@ -35,7 +35,20 @@ seed_object` (staging, before the run) is counted but wakes nobody.
 
 The timing plane is a :class:`StorageProfile` — latency, bandwidth,
 concurrency, startup delay and item limit — which is where the
-services differ.
+services differ. The engine makes one call per op,
+:meth:`ObjectStore.book`, which checks the item limit, books the op on
+the store's :class:`~repro.simulation.resources.ServiceQueue`, bills
+the request and charges the issuing process's ``wait`` and category
+seconds, all in one frame. What it needs per store is resolved at
+construction: a flat-priced service (S3) keeps one ``(price,
+component, counter)`` entry per op from its meter's catalog, a free
+one (ElastiCache, a VM disk, no meter) keeps none and skips billing,
+and only DynamoDB, whose request units depend on the item size, calls
+:meth:`ObjectStore._bill` per op. The profile refuses a negative or
+non-finite latency or start-up delay and a non-positive bandwidth, so
+every booked duration is finite and non-negative by construction. The
+order of its float operations (queue, bill, charge) is part of the
+contract: dollars and traces are pinned bit for bit.
 
 A store may additionally carry a :class:`~repro.faults.plan.
 StorageFaultPolicy` (attached by the job context when the config's
@@ -51,7 +64,9 @@ pre-fault-plane engine.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from heapq import heapreplace
 from typing import Any
 
 from repro.errors import (
@@ -62,6 +77,7 @@ from repro.errors import (
 )
 from repro.pricing.meter import CostMeter
 from repro.simulation.resources import ServiceQueue
+from repro.simulation.tracing import TimeBreakdown
 from repro.storage.ordered_index import OrderedKeyIndex
 
 _MAX_CHAR = chr(0x10FFFF)
@@ -97,8 +113,21 @@ class StorageProfile:
     max_item_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0 or self.bandwidth_bps <= 0:
-            raise ConfigurationError(f"invalid profile for {self.name}")
+        # Comparisons written so NaN fails them: every booked duration is
+        # then finite and non-negative by construction, which is what lets
+        # ObjectStore.book charge it without re-checking each op.
+        if not 0.0 <= self.latency_s < math.inf:
+            raise ConfigurationError(
+                f"{self.name}: latency_s must be >= 0 and finite, got {self.latency_s!r}"
+            )
+        if not self.bandwidth_bps > 0.0:
+            raise ConfigurationError(
+                f"{self.name}: bandwidth_bps must be > 0, got {self.bandwidth_bps!r}"
+            )
+        if not 0.0 <= self.startup_s < math.inf:
+            raise ConfigurationError(
+                f"{self.name}: startup_s must be >= 0 and finite, got {self.startup_s!r}"
+            )
         if self.concurrency < 1:
             raise ConfigurationError(f"{self.name}: concurrency must be >= 1")
 
@@ -106,10 +135,12 @@ class StorageProfile:
 class ObjectStore:
     """A simulated key/value object service.
 
-    Subclasses override :meth:`_bill` for service-specific pricing and
-    may override :meth:`op_duration`. Data methods prefixed with `_do_`
-    are invoked by the engine at operation-completion time and must not
-    be called directly from worker code.
+    Subclasses price requests through :meth:`_request_prices` (flat
+    per-op prices) or :meth:`_bill` (size-dependent ones), and a service
+    that is not one k-server queue defines ``_service_times``. Data
+    methods prefixed with `_do_` are invoked by the engine at
+    operation-completion time and must not be called directly from
+    worker code.
     """
 
     def __init__(
@@ -119,6 +150,7 @@ class ObjectStore:
     ) -> None:
         self.profile = profile
         self.meter = meter
+        self._prices = self._request_prices(meter)
         # The service accepts requests only once started; ElastiCache
         # nodes take minutes to come up while S3 is an always-on service.
         self.available_at = profile.startup_s
@@ -157,12 +189,6 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # Timing plane (called by the engine)
     # ------------------------------------------------------------------
-    def op_duration(self, op: str, nbytes: int) -> float:
-        if op in ("put", "get"):
-            return self.profile.latency_s + nbytes / self.profile.bandwidth_bps
-        # list/delete move only metadata.
-        return self.profile.latency_s
-
     def stored_item_bytes(self, nbytes: int) -> int:
         """Bytes the service actually stores for an `nbytes` payload.
 
@@ -173,31 +199,93 @@ class ObjectStore:
         """
         return nbytes
 
-    def schedule_op(self, op: str, nbytes: int, arrival: float) -> tuple[float, float]:
-        """Book the operation; returns (service_start, completion)."""
-        if (
-            op == "put"
-            and self.profile.max_item_bytes is not None
-            and self.stored_item_bytes(nbytes) > self.profile.max_item_bytes
-        ):
-            raise ItemTooLargeError(
-                f"{self.profile.name}: item of {self.stored_item_bytes(nbytes)} B "
-                f"(payload {nbytes} B) exceeds limit {self.profile.max_item_bytes} B"
-            )
-        arrival = max(arrival, self.available_at)
-        policy = self.fault_policy
-        if policy is not None and op in ("put", "get"):
-            retried = self._schedule_failed_attempts(op, arrival, policy)
+    def book(
+        self, op: str, nbytes: int, issued: float, trace: TimeBreakdown, category: str
+    ) -> float:
+        """Serve one `op` of `nbytes` issued at `issued`; returns its completion.
+
+        The whole timing plane of a storage op in one frame, in this
+        order: the item-limit check; the wait for the service to start;
+        any transient failures (:meth:`_schedule_failed_attempts`, which
+        books and bills the failed attempts first); the booking of the
+        op itself on ``self.queue`` (re-read on every op: the service
+        tier swaps a shared queue in), one latency for list/delete plus
+        ``nbytes / bandwidth`` for put/get; the request's bill; and the
+        issuer's seconds on `trace` — the queueing wait (service start
+        after `issued`) as ``"wait"``, the rest as `category`. This is
+        the one place a storage op's simulated time is charged.
+
+        A retry-exhausted op charges `category` up to the instant it
+        gave up and raises :class:`TransientStorageError` carrying that
+        instant as ``failed_at``; the engine throws it into the issuing
+        worker then — the seam KeyNotFoundError uses — so a generator
+        (or the fault injector behind it) can recover instead of the
+        whole simulation aborting.
+        """
+        profile = self.profile
+        if op == "put" and profile.max_item_bytes is not None:
+            stored = self.stored_item_bytes(nbytes)
+            if stored > profile.max_item_bytes:
+                raise ItemTooLargeError(
+                    f"{profile.name}: item of {stored} B "
+                    f"(payload {nbytes} B) exceeds limit {profile.max_item_bytes} B"
+                )
+        available_at = self.available_at
+        arrival = available_at if available_at > issued else issued
+        if self._service_times is not None:
+            start, end = self._service_times(op, nbytes, arrival)
+        else:
+            retried = None
+            if op == "put" or op == "get":
+                duration = profile.latency_s + nbytes / profile.bandwidth_bps
+                policy = self.fault_policy
+                if policy is not None:
+                    try:
+                        retried = self._schedule_failed_attempts(op, arrival, policy)
+                    except TransientStorageError as exc:
+                        trace.seconds[category] += exc.failed_at - issued
+                        raise
+                    if retried is not None:
+                        arrival = retried[1]
+            else:  # list/delete move only metadata
+                duration = profile.latency_s
+            # ServiceQueue.schedule, inline.
+            queue = self.queue
+            free = queue.free
+            free_at = free[0]
+            start = arrival if arrival > free_at else free_at
+            end = start + duration
+            heapreplace(free, end)
+            queue.ops_booked += 1
             if retried is not None:
-                first_start, arrival = retried
-                duration = self.op_duration(op, nbytes)
-                _, end = self.queue.schedule(arrival, duration)
-                self._bill(op, nbytes)
-                return first_start, end
-        duration = self.op_duration(op, nbytes)
-        start, end = self.queue.schedule(arrival, duration)
-        self._bill(op, nbytes)
-        return start, end
+                start = retried[0]  # the op began with its first, failed attempt
+        prices = self._prices
+        if prices:
+            price, component, counter = prices[op]
+            meter = self.meter
+            meter.dollars[component] += price
+            meter.counters[counter] += 1
+        elif prices is None:
+            self._bill(op, nbytes)
+        seconds = trace.seconds
+        if start > issued:
+            seconds["wait"] += start - issued
+        seconds[category] += end - start
+        return end
+
+    # A service that is not one k-server queue (the parameter server)
+    # defines `_service_times(op, nbytes, arrival) -> (start, end)`; it
+    # then takes no transient failures and bills nothing of its own.
+    _service_times = None
+
+    def _request_prices(self, meter: CostMeter | None) -> dict | None:
+        """Per-op ``(price, component, counter)`` of a flat-priced request.
+
+        Resolved once, at construction, from the meter's catalog. ``{}``
+        bills nothing per op; ``None`` means the price depends on the
+        payload size, and :meth:`_bill` computes it per op.
+        """
+        return {}
 
     def _schedule_failed_attempts(self, op, arrival, policy):
         """Lay this op's transient failures onto simulated time.
@@ -262,7 +350,16 @@ class ObjectStore:
         self._bill("list", 0, count)
 
     def _bill(self, op: str, nbytes: int, count: int = 1) -> None:
-        """Default: free (subclasses bill requests or node-hours)."""
+        """Bill `count` requests of `op` at the store's flat per-op price.
+
+        The counted path (poll batches, failed attempts); :meth:`book`
+        inlines the one-request case. A store with no entry for `op`
+        bills nothing; a store whose price depends on the payload size
+        overrides this.
+        """
+        entry = self._prices.get(op)
+        if entry is not None:
+            self.meter.bill_request(entry, count)
 
     # ------------------------------------------------------------------
     # Index maintenance and the wait index

@@ -50,9 +50,8 @@ class S3Store(ObjectStore):
         )
         super().__init__(profile, meter=meter)
 
-    def _bill(self, op: str, nbytes: int, count: int = 1) -> None:
-        if self.meter is not None:
-            self.meter.bill_s3_request(op, count)
+    def _request_prices(self, meter: CostMeter | None) -> dict | None:
+        return {} if meter is None else meter.s3_request_prices()
 
 
 class _ElastiCacheStore(ObjectStore):
@@ -110,6 +109,10 @@ class DynamoDBStore(ObjectStore):
         # which pushes the 378 KB RCV1 model over the 400 KB limit as
         # the paper observes ("infeasible for many median models").
         return int(nbytes * 1.12) + 256
+
+    def _request_prices(self, meter: CostMeter | None) -> dict | None:
+        # Request units grow with the item size: priced per op by _bill.
+        return {} if meter is None else None
 
     def _bill(self, op: str, nbytes: int, count: int = 1) -> None:
         if self.meter is not None:

@@ -25,7 +25,15 @@ from repro.faults import (
 )
 from repro.simulation.commands import Put, Sleep, WaitKey
 from repro.simulation.engine import Engine, ProcessState
+from repro.simulation.tracing import TimeBreakdown
 from repro.storage.services import S3Store
+
+
+def _book(store, op, nbytes, issued):
+    """(first attempt's start, completion) of one op, read back from the trace."""
+    trace = TimeBreakdown()
+    end = store.book(op, nbytes, issued, trace, "comm")
+    return issued + trace.get("wait"), end
 
 
 def _take(iterator, n):
@@ -180,23 +188,24 @@ class TestStorageRetryLayer:
 
     def test_fault_free_store_is_untouched(self):
         clean = S3Store()
-        start, end = clean.schedule_op("put", 1000, 0.0)
+        start, end = _book(clean, "put", 1000, 0.0)
         assert clean.fault_events == {
             "storage_errors": 0,
             "retries": 0,
             "backoff_s": 0.0,
             "exhaustions": 0,
         }
-        assert end - start == pytest.approx(clean.op_duration("put", 1000))
+        profile = clean.profile
+        assert end - start == pytest.approx(profile.latency_s + 1000 / profile.bandwidth_bps)
 
     def test_failed_attempts_stretch_the_operation_and_count_events(self):
         store = self._flaky_store(rate=0.9, limit=50)
         clean = S3Store()
-        baseline = clean.op_duration("put", 1000)
+        baseline = clean.profile.latency_s + 1000 / clean.profile.bandwidth_bps
         # With rate 0.9 the very first ops fail at least once.
         stretched = False
         for _ in range(20):
-            start, end = store.schedule_op("put", 1000, 0.0)
+            start, end = _book(store, "put", 1000, 0.0)
             if end - start > baseline + 1e-12:
                 stretched = True
         assert stretched
@@ -208,19 +217,19 @@ class TestStorageRetryLayer:
         store = self._flaky_store(rate=0.999, limit=0)
         with pytest.raises(TransientStorageError, match="retry budget"):
             for _ in range(50):
-                store.schedule_op("get", 10, 0.0)
+                _book(store, "get", 10, 0.0)
 
     def test_list_and_delete_never_fault(self):
         store = self._flaky_store(rate=0.999, limit=0)
         for _ in range(50):
-            store.schedule_op("list", 0, 0.0)
-            store.schedule_op("delete", 0, 0.0)
+            _book(store, "list", 0, 0.0)
+            _book(store, "delete", 0, 0.0)
         assert store.fault_events["storage_errors"] == 0
 
     def test_retry_timing_is_deterministic(self):
         def run():
             store = self._flaky_store(rate=0.5, limit=8)
-            return [store.schedule_op("put", 100, float(i)) for i in range(40)]
+            return [_book(store, "put", 100, float(i)) for i in range(40)]
 
         assert run() == run()
 

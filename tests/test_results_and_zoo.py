@@ -71,6 +71,15 @@ class TestTimeBreakdown:
         with pytest.raises(ValueError):
             TimeBreakdown().add("compute", -1.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_duration_rejected_and_not_recorded(self, duration):
+        b = TimeBreakdown()
+        with pytest.raises(ValueError, match="invalid duration"):
+            b.add("compute", duration)
+        assert b.seconds == {}
+        b.add("compute", 0.0)
+        assert b.get("compute") == 0.0
+
     def test_communication_aggregate(self):
         b = TimeBreakdown()
         b.add("comm", 1.0)

@@ -9,7 +9,8 @@ from repro.errors import ConfigurationError, ItemTooLargeError
 from repro.pricing.meter import CostMeter
 from repro.simulation.commands import Get, Put
 from repro.simulation.engine import Engine
-from repro.storage.base import StorageProfile
+from repro.simulation.tracing import TimeBreakdown
+from repro.storage.base import ObjectStore, StorageProfile
 from repro.storage.services import (
     DynamoDBStore,
     MemcachedStore,
@@ -21,6 +22,13 @@ from repro.storage.services import (
 from repro.utils.serialization import SizedPayload
 
 MB = 1024 * 1024
+
+
+def _book(store, op, nbytes, issued=0.0):
+    """(service start, completion) of one op, read back from the issuer's trace."""
+    trace = TimeBreakdown()
+    end = store.book(op, nbytes, issued, trace, "comm")
+    return issued + trace.get("wait"), end
 
 
 class TestProfiles:
@@ -45,11 +53,36 @@ class TestProfiles:
         with pytest.raises(ConfigurationError):
             StorageProfile(name="bad", latency_s=0, bandwidth_bps=1, concurrency=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("latency_s", float("nan")),
+            ("latency_s", float("inf")),
+            ("latency_s", -1e-9),
+            ("bandwidth_bps", float("nan")),
+            ("bandwidth_bps", 0.0),
+            ("bandwidth_bps", -1.0),
+            ("startup_s", float("nan")),
+            ("startup_s", float("inf")),
+            ("startup_s", -1.0),
+        ],
+    )
+    def test_non_finite_or_negative_envelope_rejected(self, field, value):
+        fields = {"latency_s": 0.01, "bandwidth_bps": 1.0, "startup_s": 0.0}
+        fields[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            StorageProfile(name="bad", concurrency=1, **fields)
+
+    def test_infinite_bandwidth_books_a_latency_only_transfer(self):
+        # bytes / inf is 0.0: finite, so the envelope accepts it.
+        profile = StorageProfile("x", latency_s=0.01, bandwidth_bps=float("inf"), concurrency=1)
+        assert _book(ObjectStore(profile), "put", 10 * MB) == (0.0, 0.01)
+
 
 class TestTiming:
     def test_put_duration_is_latency_plus_transfer(self):
         store = S3Store()
-        start, end = store.schedule_op("put", 65 * MB, arrival=0.0)
+        start, end = _book(store, "put", 65 * MB)
         assert start == 0.0
         # 65 MB at 65 MB/s = 1 s, plus 80 ms latency.
         assert end == pytest.approx(1.08, rel=1e-3)
@@ -57,8 +90,8 @@ class TestTiming:
     def test_ops_queue_when_concurrency_exhausted(self):
         store = RedisStore()
         store.available_at = 0.0
-        first = store.schedule_op("put", 63 * MB, arrival=0.0)
-        second = store.schedule_op("put", 63 * MB, arrival=0.0)
+        first = _book(store, "put", 63 * MB)
+        second = _book(store, "put", 63 * MB)
         assert second[0] >= first[1]  # serialized behind the first
 
     def test_memcached_parallelism_beats_redis(self):
@@ -66,43 +99,43 @@ class TestTiming:
         mc.available_at = 0.0
         rd = RedisStore()
         rd.available_at = 0.0
-        mc_end = max(mc.schedule_op("put", 63 * MB, 0.0)[1] for _ in range(8))
-        rd_end = max(rd.schedule_op("put", 63 * MB, 0.0)[1] for _ in range(8))
+        mc_end = max(_book(mc, "put", 63 * MB)[1] for _ in range(8))
+        rd_end = max(_book(rd, "put", 63 * MB)[1] for _ in range(8))
         assert mc_end < rd_end
 
     def test_ops_wait_for_startup(self):
         store = MemcachedStore()
-        start, end = store.schedule_op("get", 1024, arrival=0.0)
+        start, end = _book(store, "get", 1024)
         assert start >= store.available_at
 
 
 class TestDynamoDB:
     def test_small_item_accepted(self):
         store = DynamoDBStore()
-        store.schedule_op("put", 100 * 1024, arrival=0.0)
+        _book(store, "put", 100 * 1024)
 
     def test_large_item_rejected(self):
         store = DynamoDBStore()
         with pytest.raises(ItemTooLargeError):
-            store.schedule_op("put", 500 * 1024, arrival=0.0)
+            _book(store, "put", 500 * 1024)
 
     def test_rcv1_model_rejected_via_serialization_overhead(self):
         # 47236 float64 = 377,888 raw bytes; framing pushes it past 400 KB.
         store = DynamoDBStore()
         with pytest.raises(ItemTooLargeError):
-            store.schedule_op("put", 47_236 * 8, arrival=0.0)
+            _book(store, "put", 47_236 * 8)
 
     def test_higgs_model_fits(self):
         store = DynamoDBStore()
-        store.schedule_op("put", 28 * 8, arrival=0.0)
+        _book(store, "put", 28 * 8)
 
 
 class TestBilling:
     def test_s3_bills_requests(self):
         meter = CostMeter()
         store = S3Store(meter=meter)
-        store.schedule_op("put", 1024, 0.0)
-        store.schedule_op("get", 1024, 0.0)
+        _book(store, "put", 1024)
+        _book(store, "get", 1024)
         assert meter.counters["s3_put"] == 1
         assert meter.counters["s3_get"] == 1
         assert meter.total > 0
@@ -110,11 +143,11 @@ class TestBilling:
     def test_dynamodb_bills_by_request_units(self):
         meter = CostMeter()
         store = DynamoDBStore(meter=meter)
-        store.schedule_op("put", 10 * 1024, 0.0)  # 10 write units
+        _book(store, "put", 10 * 1024)  # 10 write units
         ten_kb = meter.total
         meter2 = CostMeter()
         store2 = DynamoDBStore(meter=meter2)
-        store2.schedule_op("put", 1024, 0.0)  # 1 write unit
+        _book(store2, "put", 1024)  # 1 write unit
         assert ten_kb > meter2.total
 
     def test_poll_billing(self):
