@@ -43,6 +43,7 @@ import argparse
 import dataclasses
 import importlib
 import json
+import math
 import sys
 from typing import NamedTuple
 
@@ -188,8 +189,8 @@ def _run_estimate(args: argparse.Namespace) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
     return value
 
 

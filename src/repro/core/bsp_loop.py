@@ -82,7 +82,7 @@ def bsp_rounds(
 ):
     """Generator running BSP rounds to convergence; returns WorkerOutcome."""
     cfg = ctx.config
-    algo = ctx.stats(rank)  # substrate view: exact, recording, or replay
+    algo = ctx.stats(rank)  # substrate view: exact, per-rank, or replay
 
     if resume is None:
         # Baseline evaluation (loss at initialisation).

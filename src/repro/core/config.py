@@ -304,7 +304,7 @@ class TrainingConfig:
         # Each test is the accepted range, so a NaN (every comparison
         # false) is refused: `x <= 0` would let it through.
         for name, rule, ok in (
-            ("max_epochs", "> 0", self.max_epochs > 0),
+            ("max_epochs", "> 0 and finite", 0.0 < self.max_epochs < math.inf),
             ("lr", "> 0 and finite", 0.0 < self.lr < math.inf),
             ("l2", ">= 0 and finite", 0.0 <= self.l2 < math.inf),
             ("admm_rho", "> 0 and finite", 0.0 < self.admm_rho < math.inf),
@@ -315,11 +315,11 @@ class TrainingConfig:
             ("data_scale", ">= 1", self.data_scale is None or self.data_scale >= 1),
             ("k", ">= 1", self.k >= 1),
             ("lambda_lifetime_s", "> 0", self.lambda_lifetime_s > 0),
-            ("straggler_jitter", ">= 0", self.straggler_jitter >= 0),
-            ("crash_rate", ">= 0", self.crash_rate >= 0),
+            ("straggler_jitter", ">= 0 and finite", 0.0 <= self.straggler_jitter < math.inf),
+            ("crash_rate", ">= 0 and finite", 0.0 <= self.crash_rate < math.inf),
             ("mttf_s", "> 0", self.mttf_s is None or self.mttf_s > 0),
             ("storage_retry_base_s", ">= 0", self.storage_retry_base_s >= 0),
-            ("cold_start_jitter", ">= 0", self.cold_start_jitter >= 0),
+            ("cold_start_jitter", ">= 0 and finite", 0.0 <= self.cold_start_jitter < math.inf),
         ):
             if not ok:
                 raise ConfigurationError(

@@ -5,7 +5,7 @@ meter, the communication channel and all derived timing constants —
 the *systems* half of a run. The *statistical* half (dataset shards,
 per-worker algorithm state, losses) lives behind the pluggable
 substrate (:mod:`repro.substrate`): executors reach it exclusively via
-:meth:`JobContext.stats`, so an exact run, a recording run and a
+:meth:`JobContext.stats`, so an exact run, a per-rank run and a
 replayed run drive identical command streams through the engine.
 
 Executor generators receive the context plus their rank and interact
@@ -30,7 +30,6 @@ from repro.core.config import (
 from repro.core.results import LossPoint
 from repro.comm.patterns import RetentionWindow, allreduce, scatter_reduce
 from repro.data.datasets import DatasetSpec, get_spec
-from repro.data.loader import Shard
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.faas.limits import LambdaLimits, lambda_speed_factor
 from repro.faas.runtime import FunctionLifetime, faas_startup_seconds
@@ -40,7 +39,6 @@ from repro.iaas.mpi import MPICommunicator
 from repro.iaas.ps import ParameterServer, make_parameter_server
 from repro.iaas.vm import get_instance
 from repro.models.zoo import ModelInfo, get_model_info
-from repro.optim.base import DistributedAlgorithm
 from repro.pricing.meter import CostMeter
 from repro.simulation.engine import Engine
 from repro.storage.services import Channel, S3Store, make_channel
@@ -77,15 +75,14 @@ class JobContext:
         self.meter = CostMeter()
         self.scale = config.data_scale or self.spec.default_scale
 
-        # The statistical half of the run. Exact/recording substrates
-        # synthesize the dataset, build one algorithm per rank and (BSP)
-        # compute the whole statistical run up front; replay builds
-        # nothing (`shards`/`algorithms` stay empty) and serves every
-        # statistical question from its trace.
-        self.substrate = make_substrate(substrate)
+        # The statistical half of the run. The exact substrate (BSP)
+        # synthesizes the dataset, builds one algorithm per rank and
+        # computes the whole statistical run up front; the per-rank one
+        # (ASP, hybrid PS) builds the same and trains in the engine; a
+        # replay builds nothing and serves every statistical question
+        # from its trace.
+        self.substrate = make_substrate(substrate, config)
         self.substrate.attach(self)
-        self.shards: list[Shard] = self.substrate.shards
-        self.algorithms: list[DistributedAlgorithm] = self.substrate.algorithms
 
         # The fault plane: a pure, seeded schedule of crashes, cold
         # starts and transient storage errors (repro.faults). The plan
@@ -206,9 +203,8 @@ class JobContext:
         """Worker `rank`'s statistical view (the substrate seam).
 
         Executors must route every statistical call — payloads, loss
-        evaluations, round structure — through this, never through
-        ``self.algorithms`` directly, so recorded and replayed runs
-        stay interchangeable with exact ones.
+        evaluations, round structure — through this, so exact, per-rank
+        and replayed runs stay interchangeable.
         """
         return self.substrate.stats(rank)
 

@@ -26,12 +26,13 @@ from repro.simulation.tracing import TimeBreakdown
 def train(config: TrainingConfig, substrate=None) -> RunResult:
     """Run one simulated training job end to end.
 
-    ``substrate`` is the statistical backend: ``None`` for the real
-    numpy path, a :class:`~repro.substrate.record.RecordingSubstrate`
-    (whose ``.trace`` survives the call) to also capture a convergence
-    trace, or a :class:`~repro.substrate.replay.ReplaySubstrate` to
-    re-emit one with zero numpy work — bit-identical duration, cost,
-    history and breakdown for BSP configs.
+    ``substrate`` is the statistical backend: ``None`` for the default
+    (:func:`~repro.substrate.make_substrate`), an
+    :class:`~repro.substrate.exact.ExactSubstrate` whose ``.trace``
+    outlives the call to keep the convergence trace, or a
+    :class:`~repro.substrate.replay.ReplaySubstrate` to re-emit one with
+    zero numpy work — bit-identical duration, cost, history and
+    breakdown for BSP configs.
     """
     ctx = JobContext(config, substrate=substrate)
     launch_job(ctx)

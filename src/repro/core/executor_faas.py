@@ -82,6 +82,7 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
                 yield from write_checkpoint(
                     ctx, rank, state.epoch_float, state.rounds, state.local_loss
                 )
+                ctx.checkpoint_count += 1
                 injector.save_recovery(rank, state, ctx.substrate.snapshot_rank(rank))
             round_estimate = ctx.round_seconds(rank)
             if round_estimate > ctx.limits.lifetime_s - ctx.limits.checkpoint_margin_s:
@@ -92,8 +93,7 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
                 )
             if lifetime.needs_checkpoint(ctx.engine.now, round_estimate):
                 yield from checkpoint_and_reinvoke(
-                    ctx, rank, ctx.stats(rank), state.epoch_float, state.rounds,
-                    state.local_loss,
+                    ctx, rank, state.epoch_float, state.rounds, state.local_loss
                 )
                 lifetime.reincarnate(ctx.engine.now)
 
@@ -119,7 +119,7 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
 def write_checkpoint(
     ctx: JobContext, rank: int, epoch_float: float, rounds: int, local_loss: float
 ):
-    """Persist one recovery checkpoint to the data store (simulated)."""
+    """Persist `rank`'s checkpoint to the data store (simulated)."""
     state = Checkpoint(
         rank=rank,
         epoch_float=epoch_float,
@@ -129,22 +129,13 @@ def write_checkpoint(
     )
     nbytes = checkpoint_bytes(ctx.info.param_bytes)
     yield Put(ctx.data_store, state.key(), SizedPayload(state, nbytes), category="checkpoint")
-    ctx.checkpoint_count += 1
 
 
 def checkpoint_and_reinvoke(
-    ctx: JobContext, rank: int, algo, epoch_float: float, rounds: int, local_loss: float
+    ctx: JobContext, rank: int, epoch_float: float, rounds: int, local_loss: float
 ):
     """Figure-5 mechanism: save state to S3, self-trigger a successor."""
-    state = Checkpoint(
-        rank=rank,
-        epoch_float=epoch_float,
-        round_index=rounds,
-        params=algo.params.copy(),
-        last_local_loss=local_loss,
-    )
-    nbytes = checkpoint_bytes(ctx.info.param_bytes)
-    yield Put(ctx.data_store, state.key(), SizedPayload(state, nbytes), category="checkpoint")
+    yield from write_checkpoint(ctx, rank, epoch_float, rounds, local_loss)
     # Cold start of the successor function plus reloading the
     # checkpoint; the fault plan's deterministic jitter widens the cold
     # start when the config asks for variance (cold_start_jitter > 0).
@@ -154,7 +145,7 @@ def checkpoint_and_reinvoke(
         rank, ctx.next_invocation(rank), REINVOKE_OVERHEAD_S
     )
     yield Sleep(cold, "checkpoint")
-    yield Get(ctx.data_store, state.key(), category="checkpoint")
+    yield Get(ctx.data_store, Checkpoint.key_for(rank), category="checkpoint")
     ctx.checkpoint_count += 1
     ctx.extra_invocations += 1
 

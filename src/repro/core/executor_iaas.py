@@ -20,7 +20,7 @@ from repro.simulation.commands import Get, Sleep
 def iaas_worker(ctx: JobContext, rank: int):
     """Distributed-PyTorch-style worker (generator for the engine)."""
     cfg = ctx.config
-    algo = ctx.stats(rank)  # substrate view: exact, recording, or replay
+    algo = ctx.stats(rank)  # substrate view: exact, per-rank, or replay
 
     yield Sleep(ctx.startup_s, "startup")
     load_started = ctx.engine.now

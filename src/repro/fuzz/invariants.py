@@ -55,7 +55,7 @@ from repro.core.driver import train
 from repro.errors import ReproError
 from repro.faults import unit_draw
 from repro.fuzz.space import SEED_LADDER
-from repro.substrate import PerRankSubstrate, RecordingSubstrate, ReplaySubstrate
+from repro.substrate import ExactSubstrate, PerRankSubstrate, ReplaySubstrate
 
 #: TrainingConfig fields that make up the fault plane. Stripping them
 #: from a scenario yields its fault-free twin.
@@ -192,10 +192,10 @@ def check_determinism_under_rerun(kwargs: dict) -> str | None:
 
 
 def check_replay_matches_exact(kwargs: dict) -> str | None:
-    # The exact side runs rank by rank in the engine: a recording is the
-    # lockstep pass replayed, so replaying its trace again could only
-    # agree with it.
-    recording = RecordingSubstrate()
+    # The exact side runs rank by rank in the engine: an ExactSubstrate
+    # run is the lockstep pass replayed, so replaying its trace again
+    # could only agree with it.
+    recording = ExactSubstrate()
     train(_config(kwargs), substrate=recording)
     exact = train(_config(kwargs), substrate=PerRankSubstrate())
     replayed = train(_config(kwargs), substrate=ReplaySubstrate(recording.trace))

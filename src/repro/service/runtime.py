@@ -49,8 +49,7 @@ from repro.simulation.engine import Engine
 from repro.simulation.resources import ServiceQueue
 from repro.service.arrivals import JobRequest
 from repro.service.schedulers import Scheduler
-from repro.substrate.record import RecordingSubstrate
-from repro.substrate.replay import ReplaySubstrate
+from repro.substrate import ExactSubstrate, ReplaySubstrate
 from repro.sweep.artifacts import artifact_from_result, write_artifact
 from repro.sweep.grid import SweepPoint, config_hash
 
@@ -162,7 +161,7 @@ class BaselineProvider:
             self._replay_eligible(config)
             and config.stat_hash not in self._traces
         )
-        substrate = RecordingSubstrate() if record else None
+        substrate = ExactSubstrate() if record else None
         result = train(config, substrate)
         if record:
             self._traces[config.stat_hash] = substrate.trace

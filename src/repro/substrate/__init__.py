@@ -1,4 +1,4 @@
-"""Pluggable statistical substrate: exact, recording, and replay modes.
+"""Pluggable statistical substrate: exact, per-rank, and replay.
 
 Separates *what the workers compute* (datasets, shards, algorithms,
 losses) from *what the simulation times and bills* (commands, clocks,
@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.errors import SubstrateError
 from repro.substrate.base import Substrate
 from repro.substrate.exact import ExactSubstrate, PerRankSubstrate
-from repro.substrate.record import RecordingSubstrate
 from repro.substrate.replay import ReplaySubstrate
 from repro.substrate.traces import (
     TRACE_SCHEMA_VERSION,
@@ -25,11 +24,13 @@ from repro.substrate.traces import (
     write_trace,
 )
 
+# The frozen benchmark ledger still imports the old name of the recorder.
+RecordingSubstrate = ExactSubstrate
+
 __all__ = [
     "Substrate",
     "ExactSubstrate",
     "PerRankSubstrate",
-    "RecordingSubstrate",
     "ReplaySubstrate",
     "TRACE_SCHEMA_VERSION",
     "TraceError",
@@ -42,10 +43,12 @@ __all__ = [
 ]
 
 
-def make_substrate(spec=None) -> Substrate:
-    """``None`` -> a fresh :class:`ExactSubstrate`; an instance -> itself."""
+def make_substrate(spec, config) -> Substrate:
+    """The substrate a run of `config` attaches: `spec` when it is an
+    instance, else the default — :class:`PerRankSubstrate` for a
+    timing-coupled config, :class:`ExactSubstrate` for any other."""
     if spec is None:
-        return ExactSubstrate()
+        return PerRankSubstrate() if config.timing_coupled else ExactSubstrate()
     if isinstance(spec, Substrate):
         return spec
     raise SubstrateError(

@@ -10,25 +10,24 @@ bills. Executors reach the statistical side exclusively through
 ``reduce``, ``epochs_per_round``, ``round_work()``, ``eval_work()``,
 ``round_payload()``, ``apply()``, ``local_loss()``, ``params``.
 
-Four implementations:
+Three implementations:
 
-* :class:`~repro.substrate.exact.ExactSubstrate` — real numpy (the
-  default). A BSP run's statistics are timing-independent, so it
-  computes them before the engine starts — the lockstep pass
-  (:mod:`repro.substrate.lockstep`), all W ranks together, one stacked
-  numpy call per minibatch step where the kernels allow — and the run
-  replays that trace. Timing-coupled configs (ASP, hybrid PS) run the
-  per-rank views instead.
-* :class:`~repro.substrate.exact.PerRankSubstrate` — the per-rank
-  views alone: each rank's numpy runs inside the engine, one call at a
-  time. What timing-coupled configs use, and the independent oracle the
-  lockstep pass is tested against.
-* :class:`~repro.substrate.record.RecordingSubstrate` — exact, kept
-  for its trace artifact (per-rank losses and round structure).
-* :class:`~repro.substrate.replay.ReplaySubstrate` — re-emits a
-  recorded trace with zero numpy work; the executors yield the
-  identical command stream, so duration/cost/history/breakdown are
-  bit-identical to the exact run.
+* :class:`~repro.substrate.exact.ExactSubstrate` — the default for
+  every config that is not timing-coupled. A BSP run's statistics are
+  timing-independent, so it computes them before the engine starts —
+  the lockstep pass (:mod:`repro.substrate.lockstep`), all W ranks
+  together, one stacked numpy call per minibatch step where the kernels
+  allow — and the run replays that trace; ``.trace`` keeps it.
+* :class:`~repro.substrate.exact.PerRankSubstrate` — real numpy in the
+  engine: each rank's algorithm runs one call at a time. The default
+  for timing-coupled configs (ASP, hybrid PS), and the independent
+  oracle the lockstep pass is tested against.
+* :class:`~repro.substrate.replay.ReplaySubstrate` — re-emits a given
+  trace with zero numpy work; the executors yield the identical
+  command stream, so duration/cost/history/breakdown are bit-identical
+  to the exact run.
+
+:func:`repro.substrate.make_substrate` picks the default.
 
 Substrate instances are single-use: one ``train()`` call attaches one
 substrate to one job context.
@@ -45,8 +44,6 @@ from repro.errors import SubstrateError
 class Substrate(abc.ABC):
     """Per-run statistical backend; see the module docstring."""
 
-    name: str = "abstract"
-
     def __init__(self) -> None:
         #: Host seconds spent doing statistical (numpy) work: substrate
         #: build + every round_payload/apply/local_loss call. Sweeps
@@ -57,11 +54,7 @@ class Substrate(abc.ABC):
 
     # ------------------------------------------------------------------
     def attach(self, ctx) -> None:
-        """Bind to a job context; build shards/algorithms or load state.
-
-        Implementations must set ``self.shards`` and ``self.algorithms``
-        (empty lists when nothing physical is built) before returning.
-        """
+        """Bind to a job context: build this run's statistical state."""
         if self._attached:
             raise SubstrateError(
                 f"{type(self).__name__} is single-use: already attached to a run"

@@ -98,8 +98,6 @@ def _same(a, b) -> bool:
 class ReplaySubstrate(Substrate):
     """Serve a recorded trace; see the module docstring."""
 
-    name = "replay"
-
     def __init__(self, trace: dict) -> None:
         super().__init__()
         self.trace = validate_trace(trace)
@@ -124,8 +122,6 @@ class ReplaySubstrate(Substrate):
                 f"trace holds {len(self.trace['ranks'])} ranks but the config "
                 f"runs {config.workers} workers"
             )
-        self.shards = []
-        self.algorithms = []
         reduce = self.trace["reduce"]
         self._views = [
             _ReplayView(record, reduce, config.workers, rank)

@@ -54,7 +54,7 @@ from repro.core.driver import train
 from repro.errors import ConfigurationError
 from repro.substrate import (
     ExactSubstrate,
-    RecordingSubstrate,
+    PerRankSubstrate,
     ReplaySubstrate,
     scan_traces,
     write_trace,
@@ -94,7 +94,7 @@ class _Task:
 
     index: int  # position in the deduped grid (progress display)
     point: SweepPoint
-    mode: str = "exact"  # exact | record | replay
+    mode: str = "exact"  # exact (per-rank: timing-coupled) | record | replay
     trace: dict | None = None  # required when mode == "replay"
 
 
@@ -102,11 +102,11 @@ def run_task(task: _Task) -> tuple[int, dict, dict | None]:
     """Execute one sweep task end to end (pool worker entry point)."""
     t0 = time.perf_counter()
     if task.mode == "record":
-        substrate = RecordingSubstrate()
+        substrate = ExactSubstrate()
     elif task.mode == "replay":
         substrate = ReplaySubstrate(task.trace)
     else:
-        substrate = ExactSubstrate()
+        substrate = PerRankSubstrate()
     result = train(task.point.config(), substrate=substrate)
     artifact = artifact_from_result(
         task.point,

@@ -48,7 +48,7 @@ def _run_lockstep(ctx) -> list[WorkerOutcome]:
             yield Sleep(0.0)
             while round_id not in results:
                 if len(pending[round_id]) == workers:
-                    reduce = ctx.algorithms[rank].reduce
+                    reduce = ctx.stats(rank).reduce
                     stacked = np.stack(pending[round_id])
                     results[round_id] = (
                         stacked.mean(axis=0) if reduce == "mean" else stacked.sum(axis=0)

@@ -347,7 +347,8 @@ class TestSubstrateChoices:
 
 
 class TestPositiveCounts:
-    """Counts of processes and scenarios are refused by argparse at 0."""
+    """Counts of processes and scenarios are refused by argparse at 0,
+    and so is an epoch cap that is not positive and finite."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--experiment", "smoke", "--jobs", "0"],
@@ -361,3 +362,12 @@ class TestPositiveCounts:
             main(argv)
         assert exited.value.code == 2
         assert f"argument {argv[-2]}: must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_sweep_epoch_cap_must_be_positive_and_finite(self, value, capsys):
+        # An infinite cap used to reach the lockstep loop and never return.
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--experiment", "smoke", "--max-epochs", value])
+        assert exited.value.code == 2
+        assert (f"argument --max-epochs: must be > 0 and finite, got {value}"
+                in capsys.readouterr().err)

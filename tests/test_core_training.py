@@ -86,6 +86,9 @@ class TestConfigValidation:
             ("straggler_jitter", float("nan")), ("crash_rate", float("nan")),
             ("mttf_s", float("nan")), ("storage_retry_base_s", float("nan")),
             ("cold_start_jitter", float("nan")),
+            # Infinite budgets and rates: a hang or a late, misleading failure.
+            ("max_epochs", float("inf")), ("straggler_jitter", float("inf")),
+            ("cold_start_jitter", float("inf")), ("crash_rate", float("inf")),
         ],
     )
     def test_out_of_range_hyper_parameters_are_refused(self, field, value):

@@ -38,7 +38,7 @@ from repro.simulation.commands import (
 from repro.simulation.engine import Engine, capture_stats
 from repro.storage.base import ObjectStore, StorageProfile
 from repro.storage.services import S3Store
-from repro.substrate import RecordingSubstrate, ReplaySubstrate
+from repro.substrate import ExactSubstrate, ReplaySubstrate
 
 
 class _HeapBackedFifo:
@@ -364,7 +364,7 @@ REPLAY_BASE = dict(
 )
 def test_pinned_event_counts(params, pinned):
     config = TrainingConfig(**REPLAY_BASE, **params)
-    recording = RecordingSubstrate()
+    recording = ExactSubstrate()
     recorded = train(config, recording)
     with capture_stats() as sink:
         replayed = train(config, ReplaySubstrate(recording.trace))

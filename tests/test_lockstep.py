@@ -26,7 +26,7 @@ from repro.models.zoo import get_model_info
 from repro.optim.admm import ADMM
 from repro.optim.gradient_averaging import GradientAveragingSGD
 from repro.optim.model_averaging import ModelAveragingSGD
-from repro.substrate import PerRankSubstrate, RecordingSubstrate
+from repro.substrate import ExactSubstrate, PerRankSubstrate
 from repro.substrate.base import TimedView
 from repro.substrate.traces import make_trace, rank_record
 
@@ -171,9 +171,9 @@ def test_lockstep_run_equals_the_per_rank_run(name):
     config = TrainingConfig(**CASES[name])
     oracle = PerRankRecorder()
     expected = train(config, substrate=oracle)
-    recording = RecordingSubstrate()
-    got = train(config, substrate=recording)
-    assert without_meta(recording.trace) == without_meta(oracle.trace)
+    exact = ExactSubstrate()
+    got = train(config, substrate=exact)
+    assert without_meta(exact.trace) == without_meta(oracle.trace)
     assert result_key(got) == result_key(expected)
     # The default substrate is the same computation.
     assert result_key(train(config)) == result_key(expected)

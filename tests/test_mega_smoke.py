@@ -20,7 +20,7 @@ from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.experiments.fig11_scaling import lr_higgs_points
 from repro.simulation.engine import capture_stats
-from repro.substrate import RecordingSubstrate
+from repro.substrate import ExactSubstrate
 from repro.sweep.orchestrator import run_sweep
 
 pytestmark = pytest.mark.slow
@@ -56,7 +56,7 @@ def test_w256_scatterreduce_training_is_pinned():
         max_epochs=0.03,
     )
     with capture_stats() as sink:
-        result = train(config, RecordingSubstrate())
+        result = train(config, ExactSubstrate())
     # Pinned from the per-op engine (one generator resume per storage
     # op): storage-op sequences keep every event, instant and dollar.
     assert result.comm_rounds == 3

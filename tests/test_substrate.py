@@ -11,7 +11,8 @@ The contract under test (ISSUE 3 acceptance criteria):
   recording — reproduces the exact run's ``duration_s``,
   ``cost_total``, ``history`` and ``breakdown`` bit for bit, with zero
   numpy work;
-* replay/record refuse timing-coupled configs and mismatched traces.
+* exact/replay refuse timing-coupled configs, replay refuses mismatched
+  traces, and the default substrate is picked from the config.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.errors import ReplayDivergenceError, SubstrateError
 from repro.substrate import (
     ExactSubstrate,
     PerRankSubstrate,
-    RecordingSubstrate,
     ReplaySubstrate,
     TraceError,
     load_trace,
@@ -172,7 +172,7 @@ class TestGoldenBitIdentity:
     @pytest.fixture(scope="class")
     def shared_trace(self):
         """One trace per statistical fingerprint — recorded once."""
-        recorder = RecordingSubstrate()
+        recorder = ExactSubstrate()
         result = train(cfg(**SYSTEMS_GRID["faas_s3_allreduce"]), substrate=recorder)
         assert result_key(result) == result_key(
             per_rank(cfg(**SYSTEMS_GRID["faas_s3_allreduce"]))
@@ -191,15 +191,21 @@ class TestGoldenBitIdentity:
         replayed = train(config, substrate=ReplaySubstrate(shared_trace))
         assert result_key(replayed) == result_key(exact)
 
-    def test_replay_does_no_numpy_work(self, shared_trace):
+    def test_replay_does_no_numpy_work(self, shared_trace, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a replay must not synthesize a dataset")
+
+        config = cfg(**SYSTEMS_GRID["faas_redis_scatterreduce"])
+        monkeypatch.setattr("repro.data.synth.generate", no_data)
+        with pytest.raises(AssertionError, match="must not synthesize"):
+            train(config, substrate=ExactSubstrate())  # the patch bites
         substrate = ReplaySubstrate(shared_trace)
-        train(cfg(**SYSTEMS_GRID["faas_redis_scatterreduce"]), substrate=substrate)
+        train(config, substrate=substrate)
         assert substrate.compute_seconds == 0.0
-        assert substrate.algorithms == [] and substrate.shards == []
 
     def test_ma_sgd_trace_replays_on_iaas(self):
         base = dict(algorithm="ma_sgd", loss_threshold=None, max_epochs=2.0)
-        recorder = RecordingSubstrate()
+        recorder = ExactSubstrate()
         train(cfg(**base), substrate=recorder)
         config = cfg(system="pytorch", **base)
         exact = per_rank(config)
@@ -217,14 +223,14 @@ class TestGoldenBitIdentity:
         # boundaries for the 28-dim LR/Higgs model... no — 12 < 28, so
         # force tiny chunks via w=30 for (a) and w=12 for (b).
         base = dict(workers=30, loss_threshold=0.6, max_epochs=1.0)
-        recorder = RecordingSubstrate()
+        recorder = ExactSubstrate()
         train(cfg(**base), substrate=recorder)
         config = cfg(pattern="scatterreduce", channel="redis", **base)
         assert result_key(train(config, substrate=ReplaySubstrate(recorder.trace))) \
             == result_key(per_rank(config))
 
         base = dict(workers=12, loss_threshold=0.6, max_epochs=1.0)
-        recorder = RecordingSubstrate()
+        recorder = ExactSubstrate()
         train(cfg(**base), substrate=recorder)
         config = cfg(system="pytorch", **base)
         assert result_key(train(config, substrate=ReplaySubstrate(recorder.trace))) \
@@ -233,7 +239,7 @@ class TestGoldenBitIdentity:
     def test_kmeans_em_sum_reduce_replays(self):
         base = dict(model="kmeans", algorithm="em", k=3,
                     loss_threshold=None, max_epochs=2.0)
-        recorder = RecordingSubstrate()
+        recorder = ExactSubstrate()
         train(cfg(**base), substrate=recorder)
         assert recorder.trace["reduce"] == "sum"
         config = cfg(pattern="scatterreduce", **base)
@@ -248,19 +254,19 @@ class TestGoldenBitIdentity:
 class TestSubstrateGuards:
     @pytest.fixture(scope="class")
     def trace(self):
-        recorder = RecordingSubstrate()
+        recorder = ExactSubstrate()
         train(cfg(), substrate=recorder)
         return recorder.trace
 
-    def test_record_refuses_asp(self):
+    def test_exact_refuses_asp(self):
         with pytest.raises(SubstrateError, match="timing-coupled"):
             train(cfg(algorithm="ga_sgd", protocol="asp"),
-                  substrate=RecordingSubstrate())
+                  substrate=ExactSubstrate())
 
-    def test_record_refuses_hybrid(self):
+    def test_exact_refuses_hybrid(self):
         with pytest.raises(SubstrateError, match="timing-coupled"):
             train(cfg(system="hybridps", algorithm="ga_sgd"),
-                  substrate=RecordingSubstrate())
+                  substrate=ExactSubstrate())
 
     def test_replay_refuses_asp(self, trace):
         with pytest.raises(SubstrateError, match="timing-coupled"):
@@ -313,13 +319,21 @@ class TestSubstrateGuards:
             train(cfg(), substrate=substrate)
 
     def test_make_substrate_resolution(self, trace):
-        assert isinstance(make_substrate(None), ExactSubstrate)
         replay = ReplaySubstrate(trace)
-        assert make_substrate(replay) is replay
+        assert make_substrate(replay, cfg()) is replay
         # Names are not specs: a substrate is None or an instance.
         for name in ("exact", "record", "replay", "surrogate"):
             with pytest.raises(SubstrateError, match="unknown substrate"):
-                make_substrate(name)
+                make_substrate(name, cfg())
+
+    @pytest.mark.parametrize("overrides, default", [
+        (dict(), ExactSubstrate),
+        (dict(system="pytorch"), ExactSubstrate),
+        (dict(algorithm="ga_sgd", protocol="asp"), PerRankSubstrate),
+        (dict(system="hybridps", algorithm="ga_sgd"), PerRankSubstrate),
+    ], ids=["bsp-faas", "bsp-iaas", "asp", "hybrid-ps"])
+    def test_make_substrate_picks_the_default(self, overrides, default):
+        assert type(make_substrate(None, cfg(**overrides))) is default
 
     def test_exact_meters_compute_seconds(self):
         substrate = ExactSubstrate()
@@ -342,7 +356,7 @@ class TestSubstrateGuards:
 class TestTraceArtifacts:
     @pytest.fixture(scope="class")
     def trace(self):
-        recorder = RecordingSubstrate()
+        recorder = ExactSubstrate()
         train(cfg(), substrate=recorder)
         return recorder.trace
 
