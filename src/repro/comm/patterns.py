@@ -23,6 +23,8 @@ housekeeping so long runs do not accumulate memory.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.comm.aggregator import reduce_vectors, split_chunks
@@ -93,10 +95,8 @@ class RetentionWindow:
         """
         removed = 0
         for r in range(self.floor, floor):
-            for prefix in (f"ar/{r:08d}", f"sr/{r:08d}"):
-                for key in store._do_list(prefix):
-                    store._do_delete(key)
-                    removed += 1
+            removed += store._do_delete_prefix(f"ar/{r:08d}")
+            removed += store._do_delete_prefix(f"sr/{r:08d}")
         self.floor = max(self.floor, floor)
         self.collected += removed
         return removed
@@ -123,8 +123,7 @@ def allreduce(
         merged = reduce_vectors([unwrap(obj) for obj in parts], reduce)
         yield Compute(_merge_seconds(logical_nbytes * workers), category="merge")
         yield Put(store, merged_key, SizedPayload(merged, logical_nbytes))
-        for peer in range(workers):
-            store.discard(f"{prefix}{peer:05d}")
+        store.discard_prefix(prefix)
         if workers == 1:
             # No followers will ever read (and thus GC) the merged file.
             store.discard(merged_key)
@@ -134,8 +133,18 @@ def allreduce(
 
     yield WaitKey(store, merged_key, poll_interval)
     obj = yield Get(store, merged_key)
-    store.discard_after_read(merged_key)
+    store.discard_after_read((merged_key,))
     return unwrap(obj)
+
+
+@lru_cache(maxsize=64)
+def _rank_labels(workers: int) -> tuple[str, ...]:
+    """Zero-padded rank labels, built once per worker count.
+
+    Each label is reused w-1 times per worker per round; formatting them
+    once keeps string work off the w^2-put hot path of large rounds.
+    """
+    return tuple(f"{peer:05d}" for peer in range(workers))
 
 
 def scatter_reduce(
@@ -155,9 +164,7 @@ def scatter_reduce(
 
     chunks = split_chunks(vector, workers)
     chunk_bytes = max(1, logical_nbytes // workers)
-    # Key fragments are reused w-1 times each; building them once keeps
-    # string formatting off the w^2-put hot path of large rounds.
-    ranks = [f"{peer:05d}" for peer in range(workers)]
+    ranks = _rank_labels(workers)
     me = ranks[rank]
     others = [peer for peer in range(workers) if peer != rank]
     base = f"sr/{round_id}/"
@@ -186,8 +193,7 @@ def scatter_reduce(
     yield Compute(_merge_seconds(chunk_bytes * workers), category="merge")
     yield Put(store, f"{base}merged_{me}", SizedPayload(merged_chunk, chunk_bytes))
     store.expect_readers(f"{base}merged_{me}", workers - 1)
-    for peer in others:
-        store.discard(f"{my_prefix}from_{ranks[peer]}")
+    store.discard_prefix(my_prefix)
 
     # Gather: collect everyone's merged slice to rebuild the full vector.
     yield WaitKeyCount(store, f"{base}merged_", workers, poll_interval)
@@ -195,8 +201,7 @@ def scatter_reduce(
     merged_parts = [unwrap(obj) for obj in (yield GetEach(store, slices))]
     # Each merged slice is read by the other w-1 workers; the last of them
     # retires it (after every reader's lookup) so rounds don't leak files.
-    for peer in others:
-        store.discard_after_read(f"{base}merged_{ranks[peer]}")
+    store.discard_after_read(f"{base}merged_{ranks[peer]}" for peer in others)
     merged_parts.insert(rank, merged_chunk)
     return np.concatenate(merged_parts)
 

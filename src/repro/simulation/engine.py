@@ -17,11 +17,13 @@ bench_engine_microbench.py``):
 
 * Storage wake-ups are event-driven, not scan-driven. Who waits on a
   store is that store's business (the wait index of
-  :mod:`repro.storage.base`): applying a put stores the object and
-  wakes exactly the waiters the store hands back — O(1) lookup for the
-  exact key plus O(distinct watched prefix lengths) dict probes plus
-  O(waiters on a matched prefix) integer comparisons. No put ever
-  rescans unrelated waiters or stored keys.
+  :mod:`repro.storage.base`): applying a put is one store call,
+  ``_do_put``, which stores, indexes and wake-checks the key and hands
+  back exactly the waiters it satisfies — O(1) lookup for the exact
+  key plus O(distinct watched prefix lengths) dict probes, each
+  settled by one comparison with the prefix's smallest target unless
+  a waiter there is satisfied. No put ever rescans unrelated waiters
+  or stored keys.
 * Prefix counts come from the store's live counters (O(1) for a
   watched prefix, O(log n) bisect otherwise) and key listings from
   its sorted index (O(log n + matches)).
@@ -70,7 +72,11 @@ any storage waiter it holds so a later put neither bills polls for nor
 wakes the dead process; in-flight operations still apply their data
 effects (an S3 write survives its writer). Daemon processes (fault
 monitors) never keep the simulation alive — the run loop stops, and
-the clock freezes, once the last non-daemon process finishes.
+the clock freezes, once the last non-daemon process finishes: one
+``_over`` flag, set by ``_retire`` and cleared by ``spawn``, is the
+test the loop reads per event. The per-event paths read module-level
+aliases of the :class:`ProcessState` members (``_BLOCKED``, ...),
+not the enum's attributes.
 """
 
 from __future__ import annotations
@@ -131,10 +137,17 @@ class ProcessState(enum.Enum):
     KILLED = "killed"
 
 
-# States in which a process can still run. Hot paths (_step, the get
-# completion event) test membership directly instead of going through
-# the Process.alive property descriptor — same predicate, no call.
-_ALIVE_STATES = (ProcessState.READY, ProcessState.RUNNING, ProcessState.BLOCKED)
+# Module-level aliases of the states the hot paths (_first_step, _step,
+# _fire, _next_put, _next_get, _apply_get) read on every event: a global
+# read costs a fraction of an enum attribute read. _ALIVE_STATES is what they test
+# membership in instead of going through the Process.alive property
+# descriptor — same predicate, no call.
+_READY = ProcessState.READY
+_RUNNING = ProcessState.RUNNING
+_BLOCKED = ProcessState.BLOCKED
+_DONE = ProcessState.DONE
+_FAILED = ProcessState.FAILED
+_ALIVE_STATES = (_READY, _RUNNING, _BLOCKED)
 
 
 class EngineStats:
@@ -258,9 +271,10 @@ class Engine:
         # run loop stops once every non-daemon process has finished,
         # even if daemon wake-ups remain queued — otherwise a monitor
         # sleeping toward a crash that will never happen would drag the
-        # simulated clock past the end of the job.
-        self._nondaemon_spawned = 0
+        # simulated clock past the end of the job. `_over` is that test,
+        # kept by spawn and _retire so the loop reads one flag per event.
         self._nondaemon_alive = 0
+        self._over = False
 
     # ------------------------------------------------------------------
     # Public API
@@ -282,8 +296,8 @@ class Engine:
         proc = Process(generator, name, daemon=daemon)
         self.processes.append(proc)
         if not daemon:
-            self._nondaemon_spawned += 1
             self._nondaemon_alive += 1
+            self._over = False  # a process spawned after the job ended re-arms the loop
         self._schedule(self.now + delay, self._first_step, proc)
         return proc
 
@@ -320,7 +334,7 @@ class Engine:
         clock = self.clock
         stats = self.stats
         while heap or fifo:
-            if self._nondaemon_spawned and not self._nondaemon_alive:
+            if self._over:
                 # Only daemon events remain; the job itself is over.
                 break
             # A non-empty FIFO here (spawns made outside run(), a run()
@@ -335,14 +349,14 @@ class Engine:
                 stats.batches += 1
                 stats.peak_heap = max(stats.peak_heap, len(heap) + len(fifo))
             while heap and heap[0][0] == t:
-                if self._nondaemon_spawned and not self._nondaemon_alive:
+                if self._over:
                     break
                 _, _, fn, args = heappop(heap)
                 if stats is not None:
                     stats.record(fn)
                 fn(*args)
             while fifo:
-                if self._nondaemon_spawned and not self._nondaemon_alive:
+                if self._over:
                     break
                 fn, args = popleft()
                 if stats is not None:
@@ -388,7 +402,7 @@ class Engine:
             self._heappush(self._heap, (at, self._seq_next(), fn, args))
 
     def _first_step(self, proc: Process) -> None:
-        if proc.state is not ProcessState.READY:
+        if proc.state is not _READY:
             return
         proc.started_at = self.now
         self._step(proc, send_value=None)
@@ -397,21 +411,21 @@ class Engine:
         """Advance the generator one command and dispatch it."""
         if proc.state not in _ALIVE_STATES:
             return
-        proc.state = ProcessState.RUNNING
+        proc.state = _RUNNING
         try:
             if throw is not None:
                 command = proc.generator.throw(throw)
             else:
                 command = proc.generator.send(send_value)
         except StopIteration as stop:
-            proc.state = ProcessState.DONE
+            proc.state = _DONE
             proc.result = stop.value
             proc.finished_at = self.now
             self._retire(proc)
             self._wake_joiners(proc)
             return
         except BaseException as exc:  # noqa: BLE001 - recorded or re-raised below
-            proc.state = ProcessState.FAILED
+            proc.state = _FAILED
             proc.exception = exc
             proc.finished_at = self.now
             self._retire(proc)
@@ -419,7 +433,7 @@ class Engine:
             if self.on_error == "raise":
                 raise
             return
-        proc.state = ProcessState.BLOCKED
+        proc.state = _BLOCKED
         proc._wake_token += 1
         self._dispatch(proc, command)
 
@@ -435,7 +449,7 @@ class Engine:
         self._fifo.append((self._fire, (proc, proc._wake_token, value, throw)))
 
     def _fire(self, proc: Process, token: int, value: Any, throw: BaseException | None) -> None:
-        if proc._wake_token != token or proc.state is not ProcessState.BLOCKED:
+        if proc._wake_token != token or proc.state is not _BLOCKED:
             return  # stale wake-up: the process was killed or already resumed
         self._step(proc, send_value=value, throw=throw)
 
@@ -443,6 +457,7 @@ class Engine:
         """Account one alive->terminal transition (DONE/FAILED/KILLED)."""
         if not proc.daemon:
             self._nondaemon_alive -= 1
+            self._over = not self._nondaemon_alive
 
     def _wake_joiners(self, proc: Process) -> None:
         joiners, proc.joiners = proc.joiners, []
@@ -505,11 +520,12 @@ class Engine:
             self._fifo.append((self._next_put, (proc, proc._wake_token, cmd, rest, done)))
 
     def _next_put(self, proc: Process, token: int, cmd: PutEach, rest, done: list) -> None:
-        if proc._wake_token != token or proc.state is not ProcessState.BLOCKED:
+        if proc._wake_token != token or proc.state is not _BLOCKED:
             return  # stale, like _fire's: killed mid-sequence
         item = next(rest, None)
         if item is not None:
-            self._put(proc, cmd, *item, rest, done)
+            key, value = item
+            self._put(proc, cmd, key, value, rest, done)
         elif done:
             self._step(proc, done)
         else:
@@ -526,16 +542,19 @@ class Engine:
         self._next_get(proc, proc._wake_token, cmd, iter(cmd.keys), [])
 
     def _apply_get(self, proc: Process, cmd, key: str, issued: float, rest, done) -> None:
-        if proc.state not in _ALIVE_STATES:
-            return  # killed while the request was in flight
+        if proc.state is not _BLOCKED:
+            # Blocked on this very op while alive; anything else means it
+            # was killed while the request was in flight.
+            return
+        store = cmd.store
         try:
-            value = cmd.store._do_get(key)
+            value = store._do_get(key)
         except KeyNotFoundError as exc:
             self._resume_now(proc, throw=exc)
             return
         nbytes = value.nbytes if value.__class__ is SizedPayload else payload_nbytes(value)
         try:
-            end = cmd.store.book("get", nbytes, issued, proc.trace, cmd.category)
+            end = store.book("get", nbytes, issued, proc.trace, cmd.category)
         except TransientStorageError as exc:
             self._resume_later(proc, exc.failed_at, throw=exc)
             return
@@ -552,7 +571,7 @@ class Engine:
                 self._fifo.append((self._next_get, args))
 
     def _next_get(self, proc: Process, token: int, cmd: GetEach, rest, done: list) -> None:
-        if proc._wake_token != token or proc.state is not ProcessState.BLOCKED:
+        if proc._wake_token != token or proc.state is not _BLOCKED:
             return  # stale, like _fire's: killed mid-sequence
         key = next(rest, None)
         if key is not None:

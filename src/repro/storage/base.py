@@ -19,13 +19,22 @@ hot-path queries cheap at mega-scale:
 
 The wait index is the only place that knows who waits on a store:
 ``key -> waiters`` for :class:`~repro.simulation.commands.WaitKey` and
-one record per watched prefix, ``prefix -> [live count, waiters]``, for
-:class:`~repro.simulation.commands.WaitKeyCount` — a prefix is watched
-exactly while it has a waiter, by construction. Indexing a *new* key
-hands back the waiters it satisfies, so a completed put wakes exactly
-the affected waiters: O(1) for the exact key, one probe per watched
-prefix length, O(waiters on a matched prefix) integer comparisons;
-never a scan over unrelated waiters or stored keys. Wake order is
+one record per watched prefix, ``prefix -> [live count, waiters,
+smallest target]``, for :class:`~repro.simulation.commands.WaitKeyCount`
+— a prefix is watched exactly while it has a waiter, by construction.
+
+Every data-plane mutation is one store call. :meth:`ObjectStore._do_put`
+stores, indexes and wake-checks a key in one frame and hands back the
+waiters a *new* key satisfies, so a completed put wakes exactly the
+affected waiters: O(1) for the exact key, one probe per watched prefix
+length, and an O(1) comparison against the record's smallest target
+deciding that nobody on the prefix is satisfied yet (only a put that
+does satisfy someone looks at the prefix's waiters); never a scan over
+unrelated waiters or stored keys. :meth:`ObjectStore.discard_prefix`
+retires every key under a prefix — a reducer's consumed inbox, a
+leader's part files, a round below the retention floor — in one range
+delete of the key index, moving the watched counters with one probe per
+watched length up to the prefix's own. Wake order is
 exact-key waiters in registration order, then satisfied count waiters
 in registration order *across* prefixes (a dedicated sequence
 counter), which is what the historical linear scan produced, so traces
@@ -67,7 +76,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from heapq import heapreplace
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from repro.errors import (
     ConfigurationError,
@@ -172,8 +181,8 @@ class ObjectStore:
         # so mutations never pay an O(n) memmove).
         self._keys = OrderedKeyIndex()
         # Wait index. key -> [(wake, process)] in registration order;
-        # prefix -> [live match count, [(needed, reg seq, wake, process)]],
-        # one record per prefix that has a waiter.
+        # prefix -> [live match count, [(needed, reg seq, wake, process)],
+        # smallest needed], one record per prefix that has a waiter.
         self._key_waiters: dict[str, list[tuple]] = {}
         self._watched: dict[str, list] = {}
         # Registration order of count waiters, across prefixes.
@@ -362,45 +371,8 @@ class ObjectStore:
             self.meter.bill_request(entry, count)
 
     # ------------------------------------------------------------------
-    # Index maintenance and the wait index
+    # The wait index
     # ------------------------------------------------------------------
-    def _index_add(self, key: str) -> list:
-        """Index a new key; returns the wake callbacks it satisfies.
-
-        Exact-key waiters first, in registration order, then the count
-        waiters of every watched prefix whose live count reached their
-        target, in registration (seq) order across prefixes — so
-        wake-up sequence numbers, and therefore all downstream
-        tie-breaking, are deterministic.
-        """
-        self._keys.add(key)
-        woken = []
-        if key in self._key_waiters:
-            woken = [wake for wake, _ in self._key_waiters.pop(key)]
-        if self._watched:  # most puts land while nothing is watched
-            satisfied: list[tuple] = []
-            for prefix, record in self._watching(key):
-                record[0] = current = record[0] + 1
-                waiters = record[1]
-                remaining = [w for w in waiters if w[0] > current]
-                if len(remaining) == len(waiters):
-                    continue
-                satisfied.extend(w for w in waiters if w[0] <= current)
-                record[1] = remaining
-                if not remaining:
-                    self._unwatch(prefix)
-            if satisfied:
-                # Seqs are unique, so the wake callables are never compared.
-                satisfied.sort(key=lambda entry: entry[1])
-                woken.extend(entry[2] for entry in satisfied)
-        return woken
-
-    def _index_remove(self, key: str) -> None:
-        self._keys.remove(key)
-        if self._watched:
-            for _, record in self._watching(key):
-                record[0] -= 1
-
     def _watching(self, key: str) -> list[tuple[str, list]]:
         """(prefix, record) of the watched prefixes `key` falls under, shortest first."""
         watched = self._watched
@@ -434,11 +406,13 @@ class ObjectStore:
             return False
         record = self._watched.get(prefix)
         if record is None:
-            record = self._watched[prefix] = [count, []]
+            record = self._watched[prefix] = [count, [], needed]
             refs = self._prefix_len_refs
             refs[len(prefix)] = refs.get(len(prefix), 0) + 1
             if refs[len(prefix)] == 1:  # a new length
                 self._prefix_lens = tuple(sorted(refs))
+        elif needed < record[2]:
+            record[2] = needed
         record[1].append((needed, next(self._wait_seq), wake, proc))
         return True
 
@@ -457,18 +431,64 @@ class ObjectStore:
                 del self._key_waiters[token]
         else:
             record = self._watched[token]
-            record[1] = [w for w in record[1] if w[-1] is not proc]
-            if not record[1]:
+            record[1] = remaining = [w for w in record[1] if w[-1] is not proc]
+            if remaining:
+                record[2] = min(w[0] for w in remaining)
+            else:
                 self._unwatch(token)
 
     # ------------------------------------------------------------------
     # Data plane (called by the engine at completion time)
     # ------------------------------------------------------------------
-    def _do_put(self, key: str, value: Any) -> list:
-        """Store the object; returns the wake callbacks to call (new keys only)."""
-        woken = self._index_add(key) if key not in self._objects else []
-        self._objects[key] = value
-        return woken
+    def _do_put(self, key: str, value: Any) -> Sequence:
+        """Store the object; returns the wake callbacks a *new* key satisfies.
+
+        Stores, indexes and wake-checks in one frame. Exact-key waiters
+        come first, in registration order, then the count waiters of
+        every watched prefix whose live count reached their target, in
+        registration (seq) order across prefixes — so wake-up sequence
+        numbers, and therefore all downstream tie-breaking, are
+        deterministic. A watched prefix is probed once per watched
+        length, and its record's smallest target answers "nobody here
+        is satisfied yet" without looking at its waiters.
+        """
+        objects = self._objects
+        if key in objects:  # an overwrite changes no count
+            objects[key] = value
+            return ()
+        objects[key] = value
+        self._keys.add(key)
+        key_waiters = self._key_waiters
+        woken = [wake for wake, _ in key_waiters.pop(key)] if key in key_waiters else ()
+        watched = self._watched
+        if not watched:  # most puts land while nothing is watched
+            return woken
+        satisfied = None
+        size = len(key)
+        for n in self._prefix_lens:
+            if n > size:
+                break
+            record = watched.get(prefix := key[:n])
+            if record is None:
+                continue
+            record[0] = current = record[0] + 1
+            if current < record[2]:
+                continue
+            waiters = record[1]
+            if satisfied is None:
+                satisfied = []
+            satisfied.extend(w for w in waiters if w[0] <= current)
+            remaining = [w for w in waiters if w[0] > current]
+            if remaining:
+                record[1] = remaining
+                record[2] = min(w[0] for w in remaining)
+            else:
+                self._unwatch(prefix)
+        if satisfied is None:
+            return woken
+        # Seqs are unique, so the wake callables are never compared.
+        satisfied.sort(key=lambda entry: entry[1])
+        return [*woken, *(entry[2] for entry in satisfied)]
 
     def _do_get(self, key: str) -> Any:
         try:
@@ -479,7 +499,35 @@ class ObjectStore:
     def _do_delete(self, key: str) -> None:
         if key in self._objects:
             del self._objects[key]
-            self._index_remove(key)
+            self._keys.remove(key)
+            if self._watched:
+                for _, record in self._watching(key):
+                    record[0] -= 1
+
+    def _do_delete_prefix(self, prefix: str) -> int:
+        """Delete every key under `prefix` in one range delete; returns how many.
+
+        The watched-prefix counters move with one probe per watched
+        length up to ``len(prefix)`` — every removed key shares that
+        prefix of `prefix` — and per key only for the longer lengths.
+        """
+        removed = self._keys.remove_range(prefix, _prefix_upper_bound(prefix))
+        objects = self._objects
+        for key in removed:
+            del objects[key]
+        watched = self._watched
+        if watched and removed:
+            size = len(prefix)
+            for n in self._prefix_lens:
+                if n <= size:
+                    record = watched.get(prefix[:n])
+                    if record is not None:
+                        record[0] -= len(removed)
+                    continue
+                for key in removed:
+                    if n <= len(key) and (record := watched.get(key[:n])) is not None:
+                        record[0] -= 1
+        return len(removed)
 
     def _do_list(self, prefix: str) -> list[str]:
         return self._keys.list_range(prefix, _prefix_upper_bound(prefix))
@@ -528,6 +576,24 @@ class ObjectStore:
             return
         self._do_delete(key)
 
+    def discard_prefix(self, prefix: str) -> None:
+        """:meth:`discard` every key under `prefix`, in one range delete.
+
+        What a reducer calls on its consumed inbox once the round's
+        contributions are merged. Under a retention window each key
+        keeps :meth:`discard`'s verdict: when the window retains any of
+        them, only the others leave, one by one.
+        """
+        retention = self.retention
+        if retention is not None:
+            keys = self._do_list(prefix)
+            doomed = [key for key in keys if not retention.retains(key)]
+            if len(doomed) < len(keys):
+                for key in doomed:
+                    self._do_delete(key)
+                return
+        self._do_delete_prefix(prefix)
+
     def expect_readers(self, key: str, readers: int) -> None:
         """Arm the last-reader count when a shared round file is (re)written.
 
@@ -545,22 +611,28 @@ class ObjectStore:
         if self.retention is None:
             self._pending_reads[key] = readers
 
-    def discard_after_read(self, key: str) -> None:
-        """Note one completed read of `key`; discard after the last one.
+    def discard_after_read(self, keys: Iterable[str]) -> None:
+        """Note one completed read of each of `keys`; discard after the last one.
 
-        Safe with respect to simulated time: every reader's lookup happens
-        at its Get's *issue* instant, while the discard happens only once
-        every armed reader's Get has returned, so no reader can miss the
-        object. Zero-time, unbilled housekeeping, like :meth:`discard`.
+        One call per reader per round: the gather passes every slice it
+        read. Safe with respect to simulated time: every reader's lookup
+        happens at its Get's *issue* instant, while the discard happens
+        only once every armed reader's Get has returned, so no reader
+        can miss the object. Zero-time, unbilled housekeeping, like
+        :meth:`discard`.
         """
-        remaining = self._pending_reads.get(key)
-        if remaining is None:
-            return
-        if remaining <= 1:
-            del self._pending_reads[key]
-            self.discard(key)
-        else:
-            self._pending_reads[key] = remaining - 1
+        if isinstance(keys, str):
+            raise TypeError(f"discard_after_read takes an iterable of keys, got {keys!r}")
+        pending = self._pending_reads
+        for key in keys:
+            remaining = pending.get(key)
+            if remaining is None:
+                continue
+            if remaining <= 1:
+                del pending[key]
+                self.discard(key)
+            else:
+                pending[key] = remaining - 1
 
     def __len__(self) -> int:
         return len(self._objects)

@@ -19,6 +19,9 @@ sublist's maximum for O(log n) sublist location.
   split when they outgrow 2·LOAD and merge with a neighbour when they
   shrink far enough, so the structure cannot degenerate under
   adversarial insert/delete orders.
+* ``remove_range(lo, hi)`` — O(log n + m) for m removed keys: the two
+  endpoint sublists are cut with one slice delete each, the whole
+  sublists between them are dropped, and only the cut ends rebalance.
 * ``list_range(lo, hi)`` — O(log n + m) for m matches: locate both
   endpoints, concatenate whole sublists between them.
 * ``count_range(lo, hi)`` — O(log n + #sublists): two endpoint ranks;
@@ -102,6 +105,54 @@ class OrderedKeyIndex:
             maxes[pos] = sub[-1]
         if len(sub) < (self._load >> 3):
             self._merge(pos)
+
+    def remove_range(self, lo: str, hi: str | None) -> list[str]:
+        """Delete every key k with lo <= k (< hi, when hi is given).
+
+        Returns the removed keys in sorted order. O(log n) to locate both
+        ends, one slice delete in each of the (at most two) cut sublists,
+        whole sublists in between dropped without touching their keys.
+        """
+        maxes = self._maxes
+        n = len(maxes)
+        start = bisect_left(maxes, lo)
+        if start == n or (hi is not None and hi <= lo):
+            return []
+        lists = self._lists
+        first = lists[start]
+        i = bisect_left(first, lo)
+        stop = n if hi is None else bisect_left(maxes, hi)
+        if stop == start:
+            # The range ends inside `first`, whose max (>= hi) survives.
+            j = bisect_left(first, hi)
+            removed = first[i:j]
+            del first[i:j]
+            self._len -= len(removed)
+            if removed and len(first) < (self._load >> 3):
+                self._merge(start)
+            return removed
+        removed = first[i:]
+        for pos in range(start + 1, stop):
+            removed.extend(lists[pos])
+        if stop < n:  # the range ends inside `tail`, whose max (>= hi) survives
+            tail = lists[stop]
+            cut = bisect_left(tail, hi)
+            removed.extend(tail[:cut])
+            del tail[:cut]
+        self._len -= len(removed)
+        del first[i:]
+        if i:
+            maxes[start] = first[-1]
+            start += 1
+        del lists[start:stop]
+        del maxes[start:stop]
+        # Rebalance the cut ends: the tail (now at `start`) before the
+        # head (at `start - 1`), so the head's position is still valid.
+        if stop < n and len(lists[start]) < (self._load >> 3):
+            self._merge(start)
+        if i and len(lists[start - 1]) < (self._load >> 3):
+            self._merge(start - 1)
+        return removed
 
     def _split(self, pos: int) -> None:
         sub = self._lists[pos]

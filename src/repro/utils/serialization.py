@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 from typing import Any
 
 import numpy as np
@@ -26,8 +27,10 @@ class SizedPayload:
     nbytes: int
 
     def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"payload size must be >= 0, got {self.nbytes}")
+        # Written so NaN fails it: a NaN or infinite size would book a
+        # non-finite storage op and corrupt the simulated clock.
+        if not 0 <= self.nbytes < inf:
+            raise ValueError(f"payload size must be >= 0 and finite, got {self.nbytes}")
 
 
 @lru_cache(maxsize=4096)

@@ -340,3 +340,67 @@ def test_run_until_pauses_and_resumes(engine):
     assert p.state is ProcessState.BLOCKED
     engine.run()
     assert p.result == "done"
+
+
+class TestJobEnd:
+    """The run stops once the last non-daemon process is done."""
+
+    @staticmethod
+    def ticker(engine, log, name):
+        while True:
+            yield Sleep(1.0)
+            log.append((name, engine.now))
+            yield Sleep(0.0)  # a same-instant resume: the FIFO
+            log.append((name + "'", engine.now))
+
+    def job(self):
+        engine, log = Engine(), []
+        stats = engine.enable_stats()
+
+        def worker():
+            yield Sleep(1.0)
+            log.append(("worker", engine.now))
+
+        a = engine.spawn(self.ticker(engine, log, "a"), "a", daemon=True)
+        engine.spawn(worker(), "worker")
+        b = engine.spawn(self.ticker(engine, log, "b"), "b", daemon=True)
+        return engine, stats, log, (a, b)
+
+    def test_stops_mid_batch_with_same_instant_daemon_events_queued(self):
+        engine, stats, log, daemons = self.job()
+        engine.run()
+        # At t=1 "a" ran and queued its zero-delay resume, then the worker
+        # finished: b's t=1 wake-up (heap) and a's resume (FIFO) never run.
+        assert log == [("a", 1.0), ("worker", 1.0)]
+        assert stats.events == 5 and stats.batches == 2
+        assert engine.now == 1.0
+        assert len(engine._heap) == 1 and len(engine._fifo) == 1
+        assert all(d.state is ProcessState.KILLED for d in daemons)
+
+    def test_a_process_spawned_after_the_job_ended_re_arms_the_loop(self):
+        engine, stats, log, _ = self.job()
+        engine.run()
+
+        def late():
+            yield Sleep(2.0)
+            log.append(("late", engine.now))
+            return "late"
+
+        proc = engine.spawn(late(), "late")
+        engine.run()
+        assert proc.result == "late"
+        assert log == [("a", 1.0), ("worker", 1.0), ("late", 3.0)]
+        # The two stale daemon events are dispatched (and ignored) on the way.
+        assert stats.events == 9
+        assert engine.now == 3.0
+
+    def test_run_until_resumed_after_the_job_ended(self):
+        engine, stats, log, _ = self.job()
+        engine.run(until=0.5)
+        assert engine.now == 0.5 and stats.events == 3
+        engine.run(until=4.0)
+        assert engine.now == 1.0  # stopped at the job's end, not at `until`
+        assert log == [("a", 1.0), ("worker", 1.0)]
+        engine.run(until=6.0)
+        assert engine.now == 1.0 and stats.events == 5
+        assert log == [("a", 1.0), ("worker", 1.0)]

@@ -109,6 +109,30 @@ class _ReferenceModel:
     def count_range(self, lo, hi):
         return len(self.list_range(lo, hi))
 
+    def remove_range(self, lo, hi):
+        removed = self.list_range(lo, hi)
+        start = bisect_left(self.keys, lo)
+        del self.keys[start:start + len(removed)]
+        return removed
+
+
+class _CountingMerges(OrderedKeyIndex):
+    """The chunked index, counting how often a cut sublist asks to merge."""
+
+    merges = 0
+
+    def _merge(self, pos):
+        self.merges += 1
+        super()._merge(pos)
+
+
+def _assert_well_formed(index: OrderedKeyIndex) -> None:
+    assert all(index._lists)  # no empty chunks
+    assert [sub[-1] for sub in index._lists] == index._maxes
+    assert all(len(sub) <= 2 * index._load for sub in index._lists)
+    assert all(sub == sorted(sub) for sub in index._lists)
+    assert len(index) == sum(map(len, index._lists))
+
 
 class TestOrderedKeyIndex:
     """The chunked sorted list vs the flat reference, op for op.
@@ -202,6 +226,73 @@ class TestOrderedKeyIndex:
             assert all(len(sub) <= 2 * load for sub in index._lists)
             assert all(sub for sub in index._lists)  # no empty chunks
             assert [sub[-1] for sub in index._lists] == index._maxes
+
+    @pytest.mark.parametrize("load", [4, 16, 32])
+    def test_remove_range_randomized_against_reference(self, load):
+        """Ranges spanning several sublists, emptying whole ones, cutting both ends."""
+        rng = random.Random(20210620 + load)
+        index, ref = _CountingMerges(load=load), _ReferenceModel()
+        for _ in range(300):
+            for _ in range(rng.randrange(40)):
+                key = f"{rng.randrange(20):02d}/{rng.randrange(100):03d}"
+                if key not in index:
+                    index.add(key)
+                    ref.add(key)
+            roll = rng.random()
+            if roll < 0.5:  # a prefix range, like the store's
+                lo = f"{rng.randrange(20):02d}"[: rng.randrange(3)]
+                hi = _prefix_upper_bound(lo)
+            elif roll < 0.7 or not ref.keys:  # open-ended
+                lo, hi = f"{rng.randrange(20):02d}", None
+            elif roll < 0.9:  # between two stored keys, either order
+                lo, hi = sorted((rng.choice(ref.keys), rng.choice(ref.keys)))
+            else:  # empty or inverted
+                lo = rng.choice(ref.keys)
+                hi = lo if rng.random() < 0.5 else lo[:-1]
+            assert index.remove_range(lo, hi) == ref.remove_range(lo, hi)
+            assert list(index) == ref.keys
+            _assert_well_formed(index)
+            assert index.count_range("", None) == len(ref.keys)
+        if load >= 16:  # load // 8 >= 2: a cut end can come out underfull
+            assert index.merges > 0
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            ("", None),  # everything
+            ("", "k00000"),  # before the first key: nothing
+            ("k00040", "k00040"),  # empty range on a stored key
+            ("z", None),  # after the last key: nothing
+            ("", "k00002"),  # the head of the first chunk
+            ("", "k00006"),  # the first chunk whole, the head of the second
+            ("k00093", None),  # the tail of the last chunk
+            ("k00010", "k00050"),  # whole chunks between two cut ends
+            ("k00012", "k00014"),  # inside one chunk
+            ("k00008", "k00016"),  # two whole chunks, no cut end
+        ],
+    )
+    def test_remove_range_named_cases(self, lo, hi):
+        keys = [f"k{i:05d}" for i in range(100)]
+        # Ascending inserts at load 4 leave chunks k00000-03, k00004-07, ...
+        index, ref = OrderedKeyIndex(load=4), _ReferenceModel()
+        for key in keys:
+            index.add(key)
+            ref.add(key)
+        assert index.remove_range(lo, hi) == ref.remove_range(lo, hi)
+        assert list(index) == ref.keys
+        _assert_well_formed(index)
+        for key in ("k00000", "k00099", "k00050"):  # still a usable index
+            if key not in index:
+                index.add(key)
+                ref.add(key)
+        assert list(index) == ref.keys
+        _assert_well_formed(index)
+
+    def test_remove_range_on_an_empty_index(self):
+        index = OrderedKeyIndex(load=4)
+        assert index.remove_range("", None) == []
+        assert index.remove_range("a", "b") == []
+        assert len(index) == 0
 
     def test_membership_and_errors(self):
         index = OrderedKeyIndex(load=4)
@@ -311,7 +402,7 @@ class TestRegisteredPrefixLengths:
     def check(self, store: ObjectStore, probes) -> None:
         live = list(store._objects)
         watched = store._watched
-        for prefix, (count, waiters) in watched.items():
+        for prefix, (count, waiters, _) in watched.items():
             assert waiters, prefix  # watched iff waited on
             assert count == sum(k.startswith(prefix) for k in live), prefix
         assert store._prefix_lens == tuple(sorted({len(p) for p in watched}))
@@ -454,7 +545,7 @@ class TestWaitIndexAgainstOracle:
         } == {key: [proc for _, proc in waiters] for key, waiters in oracle.key_waiters.items()}
         assert {
             prefix: (count, [(needed, proc) for needed, _, _, proc in waiters])
-            for prefix, (count, waiters) in store._watched.items()
+            for prefix, (count, waiters, _) in store._watched.items()
         } == {
             prefix: (oracle.count(prefix), [(needed, proc) for needed, _, proc in waiters])
             for prefix, waiters in oracle.count_waiters.items()
@@ -492,8 +583,14 @@ class TestWaitIndexAgainstOracle:
                 store.cancel_wait(*blocked.pop(victim), victim)
                 oracle.cancel(victim)
             elif op == 4 and store._objects:
-                store.discard(victim_key := rng.choice(sorted(store._objects)))
-                oracle.objects.remove(victim_key)
+                victim_key = rng.choice(sorted(store._objects))
+                if rng.randrange(3):
+                    store.discard(victim_key)
+                    oracle.objects.remove(victim_key)
+                else:  # a range discard: every key under a prefix of one
+                    prefix = victim_key[: rng.randrange(len(victim_key) + 1)]
+                    store.discard_prefix(prefix)
+                    oracle.objects -= {k for k in oracle.objects if k.startswith(prefix)}
             else:
                 # A new key, or (one time in four) an overwrite: the
                 # oracle notifies on both, the store only on the former.
@@ -510,6 +607,36 @@ class TestWaitIndexAgainstOracle:
             self.agree(store, oracle)
         assert satisfied_some > 20  # the mix does exercise wake-ups
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_smallest_target_is_exact(self, seed):
+        """A record's third field is its waiters' smallest target, always.
+
+        It is what lets a put skip a watched prefix without looking at
+        its waiters: too large and a satisfied waiter sleeps on, too
+        small and every put scans.
+        """
+        rng = random.Random(seed)
+        store, blocked = make_store(), []
+        for proc in range(600):
+            op = rng.randrange(5)
+            if op == 0:
+                prefix = _word(rng, 2)
+                needed = store._count_prefix(prefix) + rng.randrange(1, 5)
+                assert store.wait_for_count(prefix, needed, lambda at: None, proc)
+                blocked.append((prefix, proc))
+            elif op == 1 and blocked:
+                prefix, victim = blocked.pop(rng.randrange(len(blocked)))
+                store.cancel_wait("count", prefix, victim)
+            elif op == 2 and store._objects:
+                store.discard_prefix(rng.choice(sorted(store._objects))[:2])
+            else:
+                store._do_put(_word(rng, 4), 0)
+                live = {p for _, _, _, p in (w for r in store._watched.values() for w in r[1])}
+                blocked = [(prefix, p) for prefix, p in blocked if p in live]
+            for prefix, (count, waiters, smallest) in store._watched.items():
+                assert smallest == min(needed for needed, *_ in waiters), prefix
+                assert count < smallest  # nobody left waiting is satisfied
+
     def test_wake_order_is_key_waiters_then_count_waiters_by_registration(self):
         store = make_store()
         order: list[str] = []
@@ -523,6 +650,108 @@ class TestWaitIndexAgainstOracle:
         # order across prefixes, not prefix-by-prefix.
         assert order == ["key", "long", "short", "long2"]
         assert list(store._watched) == [""] and store._prefix_lens == (0,)
+
+
+def _round_keys() -> list[str]:
+    """Round files of three rounds, both patterns, plus keys that are not."""
+    keys = [
+        f"sr/{r:08d}/for_{a:05d}/from_{b:05d}"
+        for r in range(3) for a in range(4) for b in range(4) if a != b
+    ]
+    keys += [f"sr/{r:08d}/merged_{a:05d}" for r in range(3) for a in range(4)]
+    keys += [f"ar/{r:08d}/part_{a:05d}" for r in range(3) for a in range(5)]
+    keys += [f"ar/{r:08d}-loss/part_{a:05d}" for r in range(3) for a in range(2)]
+    keys += ["ar/00000001x", "data/part_0", "s", "sr", "sr/00000001"]
+    return keys
+
+
+# Watched prefixes shorter than, equal to (and beside) and longer than the
+# discarded "sr/00000001/for_00002/", plus unrelated ones.
+_WATCHED = (
+    "", "s", "sr/", "sr/00000001/", "sr/00000001/for_00002/", "sr/00000001/for_00003/",
+    "sr/00000001/for_00002/from_0000", "sr/00000001/for_00002/from_00001",
+    "sr/00000001/for_00002/from_00001/longer", "ar/", "data/",
+)
+
+
+class TestDiscardPrefix:
+    """One range delete vs the per-key ``discard`` loop it replaced."""
+
+    def twin(self, retention_floor=None):
+        """A store with round files and live waiters; its wake log."""
+        from repro.comm.patterns import RetentionWindow
+
+        store, woken = make_store(), []
+        for key in _round_keys():
+            store._do_put(key, key)
+        for i, prefix in enumerate(_WATCHED):
+            needed = store._count_prefix(prefix) + 1 + i % 3
+            assert store.wait_for_count(prefix, needed, lambda at, p=prefix: woken.append(p), i)
+        assert store.wait_for_key("sr/00000001/for_00002/late", lambda at: woken.append("key"), "k")
+        if retention_floor is not None:
+            store.retention = RetentionWindow()
+            store.retention.floor = retention_floor
+        return store, woken
+
+    @staticmethod
+    def per_key(store, prefix):
+        for key in store._do_list(prefix):
+            store.discard(key)
+
+    def assert_same(self, got, want):
+        (store, woken), (oracle, oracle_woken) = got, want
+        assert store._objects == oracle._objects
+        assert list(store._keys) == list(oracle._keys) == sorted(store._objects)
+        assert {p: r[0] for p, r in store._watched.items()} == {
+            p: r[0] for p, r in oracle._watched.items()
+        }
+        for prefix in _WATCHED:
+            assert store._count_prefix(prefix) == sum(k.startswith(prefix) for k in store._objects)
+        assert woken == oracle_woken
+
+    @pytest.mark.parametrize(
+        "prefix",
+        ["sr/00000001/for_00002/", "sr/00000001/for_00002/from_00001", "sr/00000001/",
+         "sr/", "ar/00000001", "s", "", "zz/", "sr/00000001/for_00002/from_00001/x"],
+    )
+    @pytest.mark.parametrize("retention_floor", [None, 0, 2])
+    def test_matches_the_per_key_loop(self, prefix, retention_floor):
+        got, want = self.twin(retention_floor), self.twin(retention_floor)
+        got[0].discard_prefix(prefix)
+        self.per_key(want[0], prefix)
+        self.assert_same(got, want)
+        if retention_floor == 0:  # every round file is retained, and so is the rest
+            assert got[0]._objects.keys() == set(_round_keys())
+        # Later puts wake the same waiters, in the same order.
+        for key in ("sr/00000001/for_00002/late", "sr/00000001/for_00002/from_00001",
+                    "sr/00000001/for_00002/from_00003", "sr/00000002/for_00002/x",
+                    "ar/00000001/part_00000", "data/part_1", "s/1", "t"):
+            for store, woken in (got, want):
+                for wake in store._do_put(key, 0):
+                    wake(0.0)
+            self.assert_same(got, want)
+        assert got[1]  # the puts did satisfy waiters
+
+    @pytest.mark.parametrize("start,floor", [(0, 1), (0, 3), (1, 2), (2, 2), (2, 1)])
+    def test_retention_advance_deletes_what_the_old_walk_did(self, start, floor):
+        def old_advance(window, store, floor):
+            removed = 0
+            for r in range(window.floor, floor):
+                for prefix in (f"ar/{r:08d}", f"sr/{r:08d}"):
+                    for key in store._do_list(prefix):
+                        store._do_delete(key)
+                        removed += 1
+            window.floor = max(window.floor, floor)
+            window.collected += removed
+            return removed
+
+        got, want = self.twin(start), self.twin(start)
+        removed = got[0].retention.advance(got[0], floor)
+        assert removed == old_advance(want[0].retention, want[0], floor)
+        assert removed == (len(_round_keys()) - len(got[0]._objects))
+        assert got[0].retention.floor == want[0].retention.floor
+        assert got[0].retention.collected == want[0].retention.collected == removed
+        self.assert_same(got, want)
 
 
 class TestOnlyANewKeySatisfiesWaiters:

@@ -66,7 +66,7 @@ def oracle_allreduce(store, rank, workers, round_id, vector, logical_nbytes,
         return merged
     yield WaitKey(store, merged_key, poll_interval)
     obj = yield Get(store, merged_key)
-    store.discard_after_read(merged_key)
+    store.discard_after_read((merged_key,))
     return unwrap(obj)
 
 
@@ -108,7 +108,7 @@ def oracle_scatter_reduce(store, rank, workers, round_id, vector, logical_nbytes
             continue
         key = f"{base}merged_{ranks[peer]}"
         obj = yield Get(store, key)
-        store.discard_after_read(key)
+        store.discard_after_read((key,))
         merged_parts.append(unwrap(obj))
     return np.concatenate(merged_parts)
 

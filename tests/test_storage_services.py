@@ -197,6 +197,17 @@ class TestDataPlane:
         assert len(store) == 0
         assert meter.total == 0
 
+    def test_discard_after_read_takes_an_iterable_of_keys(self):
+        store = S3Store()
+        for key in ("a", "b"):
+            store.seed_object(key, 1)
+            store.expect_readers(key, 2)
+        store.discard_after_read(iter(["a", "b"]))
+        store.discard_after_read(("a",))
+        assert sorted(store._objects) == ["b"]  # "a" lost its last reader
+        with pytest.raises(TypeError, match="iterable of keys"):
+            store.discard_after_read("b")  # a bare key would iterate its characters
+
     def test_count_prefix(self):
         store = S3Store()
         store.seed_object("a/1", 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -50,6 +52,30 @@ class TestPayloadSizing:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             SizedPayload(None, -1)
+
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_size_rejected(self, nbytes):
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            SizedPayload(None, nbytes)
+
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+    def test_non_finite_size_never_reaches_the_clock(self, nbytes):
+        # Unchecked, a NaN size "completed" a put at t = 0 and left a NaN
+        # in the store's slot heap; an infinite one drove the clock to inf.
+        from repro.simulation.commands import Put
+        from repro.simulation.engine import Engine
+        from repro.storage.services import S3Store
+
+        engine, store = Engine(), S3Store()
+
+        def writer():
+            yield Put(store, "k", SizedPayload(np.zeros(1), nbytes))
+
+        engine.spawn(writer(), "writer")
+        with pytest.raises(ValueError):
+            engine.run()
+        assert engine.now == 0.0
+        assert all(math.isfinite(t) for t in store.queue.free)
 
     def test_container_sizes_sum(self):
         assert payload_nbytes([np.zeros(2), np.zeros(3)]) == 16 + 24
