@@ -33,8 +33,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.comm.patterns import scatter_reduce
 from repro.simulation.engine import Engine
 from repro.storage.services import S3Store
@@ -46,7 +44,6 @@ SEED_BASELINE_S = {50: 0.334, 100: 4.065}
 # key list), measured on this container with the machine idle.
 PRE_MEGA_BASELINE_S = {512: 22.10, 1024: 284.07}
 
-VECTOR_ELEMS = 256  # physical surrogate; logical size set separately
 LOGICAL_NBYTES = 400_000  # ~LR/RCV1-sized model
 
 
@@ -55,14 +52,12 @@ def run_round(workers: int, rounds: int = 1) -> float:
     engine = Engine()
     store = S3Store()
     store.available_at = 0.0
-    vector = np.ones(VECTOR_ELEMS, dtype=np.float64)
+    finished = []
 
     def worker(rank: int):
         for r in range(rounds):
-            merged = yield from scatter_reduce(
-                store, rank, workers, f"r{r}", vector, LOGICAL_NBYTES
-            )
-            assert merged.shape[0] == VECTOR_ELEMS
+            yield from scatter_reduce(store, rank, workers, f"r{r}", LOGICAL_NBYTES)
+        finished.append(rank)
 
     for rank in range(workers):
         engine.spawn(worker(rank), f"w{rank}")
@@ -78,10 +73,12 @@ def run_round(workers: int, rounds: int = 1) -> float:
     try:
         t0 = time.perf_counter()
         engine.run()
-        return time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
     finally:
         if was_enabled:
             gc.enable()
+    assert len(finished) == workers, "a worker did not complete its rounds"
+    return elapsed
 
 
 def main() -> int:

@@ -1,4 +1,4 @@
-"""Vector aggregation helpers shared by the communication patterns."""
+"""The rank-order fold every BSP statistic is merged with."""
 
 from __future__ import annotations
 
@@ -13,13 +13,13 @@ def reduce_vectors(vectors: list[np.ndarray], reduce: str) -> np.ndarray:
     The fold is an explicit sequential accumulation in list order, not
     ``np.stack(...).mean(axis=0)``: numpy's reductions pick a summation
     strategy (sequential vs pairwise/unrolled) from the *array shape*,
-    so the same contributions reduced as ``(w, 1)`` chunks vs one
-    ``(w, d)`` block can differ in the last ulp once ``w > 8``. Every
-    aggregation path (AllReduce leader, ScatterReduce slice reducers,
-    the IaaS collective) folds through here, which makes the merged
-    floats a function of the contribution *order alone* — independent
-    of how a pattern chunks the vector. The replay substrate's
-    trace-sharing across patterns/platforms relies on exactly that.
+    so a stacked reduction can differ from a per-rank loop in the last
+    ulp once ``w > 8``. The lockstep pass (:mod:`repro.substrate.lockstep`)
+    is its only caller: it folds each round's payloads and each
+    evaluation's losses here, in rank order, before the engine starts.
+    The communication patterns and the IaaS collective move byte counts
+    only, so a BSP trajectory cannot depend on the pattern, channel or
+    platform that times it.
     """
     if not vectors:
         raise CommunicationError("nothing to reduce")
@@ -39,13 +39,3 @@ def reduce_vectors(vectors: list[np.ndarray], reduce: str) -> np.ndarray:
         return acc
     raise CommunicationError(f"unknown reduction {reduce!r}; expected mean|sum")
 
-
-def split_chunks(vector: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Split a vector into `parts` nearly equal chunks (ScatterReduce)."""
-    if parts < 1:
-        raise CommunicationError(f"parts must be >= 1, got {parts}")
-    # np.array_split's views as plain slices, without its ~0.2 ms a call at W=128.
-    vector = np.asarray(vector)
-    size, extra = divmod(len(vector), parts)
-    bounds = [i * size + min(i, extra) for i in range(parts + 1)]
-    return [vector[start:end] for start, end in zip(bounds, bounds[1:])]

@@ -1,9 +1,12 @@
 """AllReduce and ScatterReduce over a storage channel (Figure 4).
 
 Both are generator functions used with `yield from` inside executor
-processes. They move :class:`SizedPayload`-wrapped vectors so the
-simulated wire carries the paper's *logical* model size even though the
-physical surrogate arrays are smaller.
+processes. They are pure key/size protocols: every file is a
+``SizedPayload(None, nbytes)`` carrying the paper's *logical* model
+size, and nothing is folded. What a BSP exchange merges is computed
+before the engine starts, in the lockstep pass
+(:mod:`repro.substrate.lockstep`); here only its time and dollars are
+simulated.
 
 AllReduce: every worker PUTs its update; the leader (rank 0) waits for
 all parts, GETs them sequentially (this serial read is exactly the
@@ -25,12 +28,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
-from repro.comm.aggregator import reduce_vectors, split_chunks
 from repro.simulation.commands import Compute, Get, GetEach, Put, PutEach, WaitKey, WaitKeyCount
 from repro.storage.base import ObjectStore
-from repro.utils.serialization import SizedPayload, unwrap
+from repro.utils.serialization import SizedPayload
 
 # Effective memory bandwidth for merging vectors on a worker, used to
 # charge the reducer's aggregation compute (noticeable for 89 MB
@@ -107,34 +107,31 @@ def allreduce(
     rank: int,
     workers: int,
     round_id: str,
-    vector: np.ndarray,
     logical_nbytes: int,
-    reduce: str = "mean",
     poll_interval: float = POLL_INTERVAL_S,
 ):
-    """Generator: aggregate `vector` across workers; returns merged vector."""
+    """Generator: one AllReduce round of `logical_nbytes` per file."""
     prefix = f"ar/{round_id}/part_"
     merged_key = f"ar/{round_id}/merged"
-    yield Put(store, f"{prefix}{rank:05d}", SizedPayload(vector, logical_nbytes))
+    payload = SizedPayload(None, logical_nbytes)
+    yield Put(store, f"{prefix}{rank:05d}", payload)
 
     if rank == 0:
         yield WaitKeyCount(store, prefix, workers, poll_interval, category="merge")
-        parts = yield GetEach(store, (f"{prefix}{peer:05d}" for peer in range(workers)))
-        merged = reduce_vectors([unwrap(obj) for obj in parts], reduce)
+        yield GetEach(store, (f"{prefix}{peer:05d}" for peer in range(workers)))
         yield Compute(_merge_seconds(logical_nbytes * workers), category="merge")
-        yield Put(store, merged_key, SizedPayload(merged, logical_nbytes))
+        yield Put(store, merged_key, payload)
         store.discard_prefix(prefix)
         if workers == 1:
             # No followers will ever read (and thus GC) the merged file.
             store.discard(merged_key)
         else:
             store.expect_readers(merged_key, workers - 1)
-        return merged
+        return
 
     yield WaitKey(store, merged_key, poll_interval)
-    obj = yield Get(store, merged_key)
+    yield Get(store, merged_key)
     store.discard_after_read((merged_key,))
-    return unwrap(obj)
 
 
 @lru_cache(maxsize=64)
@@ -152,61 +149,35 @@ def scatter_reduce(
     rank: int,
     workers: int,
     round_id: str,
-    vector: np.ndarray,
     logical_nbytes: int,
-    reduce: str = "mean",
     poll_interval: float = POLL_INTERVAL_S,
 ):
-    """Generator: ScatterReduce aggregation; returns full merged vector."""
+    """Generator: one ScatterReduce round of `logical_nbytes` in total."""
     if workers == 1:
-        # Degenerate case: nothing to exchange.
-        return np.asarray(vector, dtype=np.float64)
+        return  # degenerate case: nothing to exchange
 
-    chunks = split_chunks(vector, workers)
-    chunk_bytes = max(1, logical_nbytes // workers)
+    chunk = SizedPayload(None, max(1, logical_nbytes // workers))
     ranks = _rank_labels(workers)
     me = ranks[rank]
     others = [peer for peer in range(workers) if peer != rank]
     base = f"sr/{round_id}/"
 
     # Scatter: send chunk j to its reducer (worker j). Own chunk stays local.
-    yield PutEach(store, (
-        (f"{base}for_{ranks[peer]}/from_{me}", SizedPayload(chunks[peer], chunk_bytes))
-        for peer in others
-    ))
+    yield PutEach(store, ((f"{base}for_{ranks[peer]}/from_{me}", chunk) for peer in others))
 
-    # Reduce my slice: wait for w-1 foreign contributions. Contributions
-    # are reduced in *rank order* (own chunk slotted at position `rank`,
-    # not first): float reduction is order-sensitive at the last ulp,
-    # and every aggregation path — AllReduce's leader, this reducer,
-    # the IaaS collective (arrivals sorted by process name) — must fold
-    # in the same canonical order for a BSP trajectory to be
-    # bit-identical across patterns and platforms. The replay substrate
-    # relies on exactly that invariant to share one recorded trace per
-    # statistical fingerprint across the whole systems grid.
+    # Reduce my slice: wait for the w-1 foreign contributions and read
+    # them in rank order (the order the lockstep pass folds them in).
     my_prefix = f"{base}for_{me}/"
     yield WaitKeyCount(store, my_prefix, workers - 1, poll_interval, category="merge")
-    inbox = (f"{my_prefix}from_{ranks[peer]}" for peer in others)
-    contributions = [unwrap(obj) for obj in (yield GetEach(store, inbox))]
-    contributions.insert(rank, chunks[rank])
-    merged_chunk = reduce_vectors(contributions, reduce)
-    yield Compute(_merge_seconds(chunk_bytes * workers), category="merge")
-    yield Put(store, f"{base}merged_{me}", SizedPayload(merged_chunk, chunk_bytes))
+    yield GetEach(store, (f"{my_prefix}from_{ranks[peer]}" for peer in others))
+    yield Compute(_merge_seconds(chunk.nbytes * workers), category="merge")
+    yield Put(store, f"{base}merged_{me}", chunk)
     store.expect_readers(f"{base}merged_{me}", workers - 1)
     store.discard_prefix(my_prefix)
 
-    # Gather: collect everyone's merged slice to rebuild the full vector.
+    # Gather: collect everyone's merged slice.
     yield WaitKeyCount(store, f"{base}merged_", workers, poll_interval)
-    slices = (f"{base}merged_{ranks[peer]}" for peer in others)
-    merged_parts = [unwrap(obj) for obj in (yield GetEach(store, slices))]
+    yield GetEach(store, (f"{base}merged_{ranks[peer]}" for peer in others))
     # Each merged slice is read by the other w-1 workers; the last of them
     # retires it (after every reader's lookup) so rounds don't leak files.
     store.discard_after_read(f"{base}merged_{ranks[peer]}" for peer in others)
-    merged_parts.insert(rank, merged_chunk)
-    return np.concatenate(merged_parts)
-
-
-PATTERNS = {
-    "allreduce": allreduce,
-    "scatterreduce": scatter_reduce,
-}

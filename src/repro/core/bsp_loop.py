@@ -2,16 +2,21 @@
 
 One communication round:
 
-1. run the algorithm's local computation (charged as simulated compute);
-2. exchange the statistic vector (gradient / local model / consensus
-   term / k-means sufficient statistics) through the platform's
-   aggregation mechanism — the payload is exactly the logical model
-   size, matching Table 3's per-exchange measurements;
-3. apply the merged statistic;
-4. at epoch boundaries, evaluate the local validation loss on the
-   freshly merged state and run a tiny (16-byte) loss all-reduce, so
-   every worker sees the identical global loss — the stop decision is
-   lockstep-consistent and the rendezvous can never deadlock.
+1. charge the algorithm's local computation as simulated compute;
+2. exchange the statistic (gradient / local model / consensus term /
+   k-means sufficient statistics) through the platform's aggregation
+   mechanism — the payload is exactly the logical model size, matching
+   Table 3's per-exchange measurements;
+3. at epoch boundaries, charge the local validation-loss evaluation and
+   run a tiny (16-byte) loss all-reduce, after which every worker holds
+   the identical global loss — the stop decision is lockstep-consistent
+   and the rendezvous can never deadlock.
+
+The loop simulates only time and dollars: the exchange moves byte
+counts, and every statistic it reads — local and global losses, epochs
+per round — comes from the rank's substrate view, whose values the
+lockstep pass (:mod:`repro.substrate.lockstep`) computed before the
+engine started.
 
 The loss exchange costs one extra metadata-sized round per epoch
 (negligible next to the model-sized exchanges), and removes any lag
@@ -25,9 +30,8 @@ no command is yielded in between — which is where the FaaS executor
 persists its recovery checkpoint. A respawned incarnation then passes
 that state back via ``resume``: the loop skips the baseline
 evaluation (its record survived the crash) and continues from the
-checkpointed round, with the substrate restored so the re-executed
-statistics are bit-identical to what the dead incarnation would have
-computed.
+checkpointed round, with its substrate view rewound so the re-executed
+rounds read exactly the statistics the dead incarnation read.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Generator
-
-import numpy as np
 
 from repro.core.context import JobContext, WorkerOutcome
 from repro.simulation.commands import Compute
@@ -64,10 +66,9 @@ class RoundState:
     global_loss: float
 
 
-# An exchange callback receives (round_id, wire_vector, logical_nbytes)
-# and returns a generator yielding simulation commands, whose return
-# value is the merged vector.
-ExchangeFn = Callable[[str, np.ndarray, int], Generator]
+# An exchange callback receives (round_id, logical_nbytes) and returns a
+# generator yielding the round's simulation commands.
+ExchangeFn = Callable[[str, int], Generator]
 # Optional hook run before each round with the loop's RoundState (FaaS
 # uses it for the Figure-5 lifetime check and recovery checkpoints).
 PreRoundHook = Callable[[RoundState], Generator]
@@ -82,7 +83,7 @@ def bsp_rounds(
 ):
     """Generator running BSP rounds to convergence; returns WorkerOutcome."""
     cfg = ctx.config
-    algo = ctx.stats(rank)  # substrate view: exact, per-rank, or replay
+    algo = ctx.stats(rank)  # substrate view over the run's trace
 
     if resume is None:
         # Baseline evaluation (loss at initialisation).
@@ -106,11 +107,8 @@ def bsp_rounds(
                 RoundState(epoch_float, rounds, local_loss, global_loss)
             )
 
-        payload = algo.round_payload()
         yield Compute(ctx.round_seconds(rank), "compute")
-        wire = np.asarray(payload, dtype=np.float64)
-        merged = yield from exchange(f"{rounds:08d}", wire, ctx.wire_bytes)
-        algo.apply(merged)
+        yield from exchange(f"{rounds:08d}", ctx.wire_bytes)
 
         next_epoch = epoch_float + algo.epochs_per_round
         crossing = crosses_epoch(epoch_float, next_epoch)
@@ -120,14 +118,8 @@ def bsp_rounds(
         if crossing:
             yield Compute(ctx.eval_seconds(rank), "compute")
             local_loss = algo.local_loss()
-            loss_wire = np.array([local_loss, 1.0])
-            merged_loss = yield from exchange(
-                f"{rounds:08d}-loss", loss_wire, LOSS_WIRE_BYTES
-            )
-            # Mean-reduce yields [mean, 1]; sum-reduce yields [sum, w].
-            global_loss = (
-                merged_loss[0] / merged_loss[1] if merged_loss[1] > 0 else math.inf
-            )
+            yield from exchange(f"{rounds:08d}-loss", LOSS_WIRE_BYTES)
+            global_loss = algo.global_loss()
             ctx.record(rank, epoch_float, local_loss)
             if ctx.converged(global_loss):
                 break

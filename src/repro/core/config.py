@@ -63,8 +63,8 @@ ANGEL_COMPUTE_FACTOR = 1.56
 # pattern, poll_interval_s, instance, lambda_memory_gb,
 # lambda_lifetime_s, ps_instance, rpc, straggler_jitter — all of which
 # move simulated clocks and dollars but not a single merged float
-# (aggregation folds contributions in canonical rank order on every
-# pattern and platform; see repro.comm.patterns). The fault axes
+# (the patterns and the IaaS collective move byte counts; BSP floats are
+# folded once, in the lockstep pass: repro.substrate.lockstep). The fault axes
 # (crash_rate, mttf_s, storage_error_rate, storage_retry_limit,
 # storage_retry_base_s, cold_start_jitter, checkpoint_interval) are
 # likewise absent: BSP crash recovery replays the identical

@@ -5,8 +5,8 @@ meter, the communication channel and all derived timing constants —
 the *systems* half of a run. The *statistical* half (dataset shards,
 per-worker algorithm state, losses) lives behind the pluggable
 substrate (:mod:`repro.substrate`): executors reach it exclusively via
-:meth:`JobContext.stats`, so an exact run, a per-rank run and a
-replayed run drive identical command streams through the engine.
+:meth:`JobContext.stats`, so an exact BSP run and a replay of its
+trace drive identical command streams through the engine.
 
 Executor generators receive the context plus their rank and interact
 with the simulated world exclusively through `yield`ed commands and
@@ -202,9 +202,9 @@ class JobContext:
     def stats(self, rank: int):
         """Worker `rank`'s statistical view (the substrate seam).
 
-        Executors must route every statistical call — payloads, loss
-        evaluations, round structure — through this, so exact, per-rank
-        and replayed runs stay interchangeable.
+        Executors must route every statistical call — loss evaluations,
+        round structure, and on the timing-coupled paths payloads —
+        through this, so exact and replayed runs stay interchangeable.
         """
         return self.substrate.stats(rank)
 
@@ -267,10 +267,8 @@ class JobContext:
             return self.info.k * (self.spec.n_features + 1) * 8
         return self.info.param_bytes
 
-    def exchange(
-        self, rank: int, round_id: str, wire: np.ndarray, nbytes: int | None = None
-    ) -> Iterator:
-        """Generator: one synchronous FaaS exchange via the channel."""
+    def exchange(self, rank: int, round_id: str, nbytes: int) -> Iterator:
+        """Generator: one synchronous FaaS exchange of `nbytes` via the channel."""
         if self.channel is None:
             raise ConfigurationError("FaaS exchange requires a channel")
         pattern = allreduce if self.config.pattern == "allreduce" else scatter_reduce
@@ -279,9 +277,7 @@ class JobContext:
             rank,
             self.config.workers,
             round_id,
-            wire,
-            logical_nbytes=self.wire_bytes if nbytes is None else nbytes,
-            reduce=self.stats(rank).reduce,
+            nbytes,
             poll_interval=self.config.poll_interval_s,
         )
 

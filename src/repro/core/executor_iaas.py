@@ -9,8 +9,6 @@ a compute penalty (see `repro.core.config`).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.bsp_loop import bsp_rounds
 from repro.core.config import ANGEL_LOAD_FACTOR
 from repro.core.context import JobContext
@@ -20,7 +18,6 @@ from repro.simulation.commands import Get, Sleep
 def iaas_worker(ctx: JobContext, rank: int):
     """Distributed-PyTorch-style worker (generator for the engine)."""
     cfg = ctx.config
-    algo = ctx.stats(rank)  # substrate view: exact, per-rank, or replay
 
     yield Sleep(ctx.startup_s, "startup")
     load_started = ctx.engine.now
@@ -31,9 +28,8 @@ def iaas_worker(ctx: JobContext, rank: int):
         s3_seconds = ctx.engine.now - load_started
         yield Sleep(s3_seconds * (ANGEL_LOAD_FACTOR - 1.0), "load")
 
-    def exchange(round_id: str, wire: np.ndarray, nbytes: int):
-        merged = yield ctx.mpi.allreduce(wire, nbytes, reduce=algo.reduce)
-        return merged
+    def exchange(round_id: str, nbytes: int):
+        yield ctx.mpi.allreduce(nbytes)
 
     outcome = yield from bsp_rounds(ctx, rank, exchange)
     return outcome

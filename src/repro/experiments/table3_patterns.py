@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.comm.patterns import allreduce, scatter_reduce
 from repro.models.zoo import get_model_info
 from repro.simulation.engine import Engine
@@ -42,23 +40,11 @@ def measure_exchange(pattern_name: str, workers: int, logical_nbytes: int) -> fl
     """Simulated wall time for one exchange across `workers` workers."""
     engine = Engine()
     channel = make_channel("s3")
-    vector = np.zeros(max(8, min(logical_nbytes // 8, 4096)))
     pattern = allreduce if pattern_name == "allreduce" else scatter_reduce
-
-    def worker(rank: int):
-        merged = yield from pattern(
-            channel.store,
-            rank,
-            workers,
-            "bench",
-            vector,
-            logical_nbytes=logical_nbytes,
-            reduce="mean",
-        )
-        return merged
-
     for rank in range(workers):
-        engine.spawn(worker(rank), name=f"w{rank}")
+        engine.spawn(
+            pattern(channel.store, rank, workers, "bench", logical_nbytes), name=f"w{rank}"
+        )
     engine.run()
     return engine.now
 

@@ -15,28 +15,30 @@ The catalog encodes the repository's load-bearing contracts:
 * ``determinism_under_rerun`` — two in-process runs of one config are
   bit-identical (catches hidden global state: module caches, GC-order
   dependencies, shared RNG objects).
-* ``replay_matches_exact`` — a recorded trace replayed through the
-  replay substrate reproduces the exact run bit for bit (PR 3's
-  contract, over the whole sampled space instead of golden points).
+* ``replay_matches_exact`` — the lockstep pass's trace equals the
+  rank-by-rank reference's (:class:`ReferenceSubstrate`), and replaying
+  it through the replay substrate reproduces the exact run bit for bit.
 * ``fault_invariance`` — stripping the fault axes changes clocks and
   dollars, never a loss float; chaos only ever *adds* time and cost
   (the sound core of "monotone in crash rate": pointwise monotonicity
   across different crash schedules is not a theorem — two schedules
   are not nested — but clean <= faulted always is).
 * ``stat_sibling_invariance`` — flipping a systems axis (platform,
-  channel, pattern, straggler jitter) off a BSP config leaves the
-  sorted (epoch, worker, loss) trajectory bit-identical: the
-  canonical-rank-order-fold guarantee that underwrites two-phase
-  sweeps.
+  channel, pattern, straggler jitter) off a BSP config keeps its
+  statistical fingerprint, the sibling's run consumes the config's
+  trace exactly, and the sorted (epoch, worker, loss) trajectory is
+  bit-identical: the guarantee that underwrites two-phase sweeps.
 * ``sweep_roundtrip`` — a sweep of two statistical fingerprints (so
   phase 0 crosses the pool) produces byte-identical artifacts pooled vs
   serial, and resuming it immediately afterwards runs zero points.
 
 A default BSP run computes its statistics in the lockstep pass and
-replays them, so ``replay_matches_exact``, ``fault_invariance`` and
-``stat_sibling_invariance`` train their exact side(s) with
-:class:`~repro.substrate.PerRankSubstrate`, rank by rank in the engine:
-compared with another lockstep run, they could not fail.
+replays them, and the engine moves byte counts only. So the checks aim
+where a BSP trajectory can still go wrong: the lockstep pass's stacked
+kernels (against the rank-by-rank reference), the control flow it
+shares with :func:`~repro.core.bsp_loop.bsp_rounds` (a replay must
+consume its trace exactly, faulted or on a sibling's platform), and the
+timing and dollars of the run that replays it.
 
 NaN losses are tolerated everywhere (a diverging learning rate is a
 statistical outcome, not a bug) but must be *deterministically* NaN:
@@ -45,17 +47,21 @@ trajectory comparisons treat NaN == NaN.
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.config import TrainingConfig, config_validity_error
+from repro.core.context import JobContext
 from repro.core.driver import train
-from repro.errors import ReproError
+from repro.errors import ReplayDivergenceError, ReproError
 from repro.faults import unit_draw
 from repro.fuzz.space import SEED_LADDER
-from repro.substrate import ExactSubstrate, PerRankSubstrate, ReplaySubstrate
+from repro.optim.base import DistributedAlgorithm
+from repro.substrate import ExactSubstrate, ReplaySubstrate
+from repro.substrate.lockstep import run_lockstep
 
 #: TrainingConfig fields that make up the fault plane. Stripping them
 #: from a scenario yields its fault-free twin.
@@ -96,11 +102,27 @@ class Invariant:
         return unit_draw(seed, f"invariant-gate/{self.name}", index) < self.probability
 
 
+class ReferenceSubstrate(ExactSubstrate):
+    """The lockstep pass with no stacking: every rank steps on its own
+    ``round_payload`` (the base class's
+    ``DistributedAlgorithm.round_payloads``). Its trace is the reference
+    the default, stacked pass is held to."""
+
+    @staticmethod
+    def _lockstep(config, algorithms, shards) -> list[dict]:
+        return run_lockstep(config, algorithms, shards, DistributedAlgorithm.round_payloads)
+
+
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
 def _config(kwargs: dict) -> TrainingConfig:
     return TrainingConfig(**kwargs)
+
+
+def _trace_body(trace: dict) -> str:
+    """A trace minus its ``meta``, as comparable text (NaN == NaN)."""
+    return json.dumps({k: v for k, v in trace.items() if k != "meta"}, sort_keys=True)
 
 
 def _floats_equal(a: float, b: float) -> bool:
@@ -192,22 +214,21 @@ def check_determinism_under_rerun(kwargs: dict) -> str | None:
 
 
 def check_replay_matches_exact(kwargs: dict) -> str | None:
-    # The exact side runs rank by rank in the engine: an ExactSubstrate
-    # run is the lockstep pass replayed, so replaying its trace again
-    # could only agree with it.
     recording = ExactSubstrate()
-    train(_config(kwargs), substrate=recording)
-    exact = train(_config(kwargs), substrate=PerRankSubstrate())
+    exact = train(_config(kwargs), substrate=recording)
+    reference = ReferenceSubstrate()
+    JobContext(_config(kwargs), substrate=reference)  # attaching computes the trace
+    if _trace_body(recording.trace) != _trace_body(reference.trace):
+        return "the stacked lockstep trace differs from the rank-by-rank reference"
     replayed = train(_config(kwargs), substrate=ReplaySubstrate(recording.trace))
     return _compare_results(exact, replayed, "replay-vs-exact")
 
 
 def check_fault_invariance(kwargs: dict) -> str | None:
     clean_kwargs = {k: v for k, v in kwargs.items() if k not in FAULT_FIELDS}
-    # The faulted side restores deep-copied per-rank state after each
-    # crash; a default (lockstep) run would only rewind replay cursors
-    # over the very trace the clean run replays.
-    faulted = train(_config(kwargs), substrate=PerRankSubstrate())
+    # A crash rewinds the faulted run's replay cursors; the run must still
+    # consume the trace exactly, or finalize raises.
+    faulted = train(_config(kwargs))
     clean = train(_config(clean_kwargs))
     faulted_traj = sorted(_trajectory(faulted), key=lambda p: (p[0], p[1]))
     clean_traj = sorted(_trajectory(clean), key=lambda p: (p[0], p[1]))
@@ -270,22 +291,23 @@ def check_stat_sibling_invariance(kwargs: dict) -> str | None:
     sibling = sibling_kwargs(kwargs)
     if sibling is None:
         return None  # no valid sibling to compare against
-    # Rank by rank in the engine, so each side's floats go through its
-    # own platform's aggregation path rather than the lockstep pass.
-    base = train(_config(kwargs), substrate=PerRankSubstrate())
-    other = train(_config(sibling), substrate=PerRankSubstrate())
+    flipped = sorted(
+        name for name in set(sibling) | set(kwargs) if sibling.get(name) != kwargs.get(name)
+    )
+    recording = ExactSubstrate()
+    base = train(_config(kwargs), substrate=recording)
+    if _config(sibling).stat_hash() != recording.trace["stat_hash"]:
+        return f"flipping systems axes {flipped} changed the statistical fingerprint"
+    # The sibling's executors must consume the trace exactly (finalize
+    # raises otherwise): the same evaluations at the same rounds.
+    try:
+        other = train(_config(sibling), substrate=ReplaySubstrate(recording.trace))
+    except ReplayDivergenceError as exc:
+        return f"flipping systems axes {flipped} diverged from the trace: {exc}"
     base_traj = sorted(_trajectory(base), key=lambda p: (p[0], p[1]))
     other_traj = sorted(_trajectory(other), key=lambda p: (p[0], p[1]))
     if not _trajectories_equal(base_traj, other_traj):
-        flipped = sorted(
-            name
-            for name in set(sibling) | set(kwargs)
-            if sibling.get(name) != kwargs.get(name)
-        )
-        return (
-            f"flipping systems axes {flipped} changed the loss trajectory — "
-            "aggregation is not folding in canonical rank order"
-        )
+        return f"flipping systems axes {flipped} changed the loss trajectory"
     return None
 
 
@@ -355,8 +377,9 @@ INVARIANTS: dict[str, Invariant] = {
         ),
         Invariant(
             name="replay_matches_exact",
-            description="a recorded trace replays bit-identically to the "
-            "exact run (BSP only; timing-coupled configs have no trace)",
+            description="the stacked lockstep trace equals the rank-by-rank "
+            "reference and replays bit-identically to the exact run (BSP only; "
+            "timing-coupled configs have no trace)",
             probability=0.3,
             applies=lambda kwargs: not _timing_coupled(kwargs),
             check=check_replay_matches_exact,
@@ -372,7 +395,8 @@ INVARIANTS: dict[str, Invariant] = {
         Invariant(
             name="stat_sibling_invariance",
             description="flipping a systems axis (platform/channel/pattern/"
-            "stragglers) leaves the loss trajectory bit-identical",
+            "stragglers) keeps the fingerprint, consumes the trace exactly and "
+            "leaves the loss trajectory bit-identical",
             probability=0.45,
             applies=lambda kwargs: not _timing_coupled(kwargs),
             check=check_stat_sibling_invariance,

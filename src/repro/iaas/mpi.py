@@ -4,17 +4,16 @@ Distributed PyTorch communicates through Gloo's ring AllReduce over
 VM-to-VM links; we model one collective as a rendezvous of all workers
 (the engine's :class:`Collective` command) whose duration follows the
 paper's analytical term (2w-2)(m/w / B_n + L_n), using the logical
-payload size.
+payload size. Like the storage patterns, the collective carries a byte
+count and no values: the floats a BSP round merges are folded in the
+lockstep pass (:mod:`repro.substrate.lockstep`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.comm.aggregator import reduce_vectors
 from repro.iaas.cluster import VMCluster
 from repro.simulation.commands import Collective, CollectiveGroup
-from repro.utils.serialization import SizedPayload, unwrap
+from repro.utils.serialization import SizedPayload
 
 
 class MPICommunicator:
@@ -22,31 +21,13 @@ class MPICommunicator:
 
     def __init__(self, cluster: VMCluster) -> None:
         self.cluster = cluster
-        self._groups: dict[str, CollectiveGroup] = {}
+        self.reset()
 
-    def _group(self, reduce: str) -> CollectiveGroup:
-        if reduce not in self._groups:
-            self._groups[reduce] = CollectiveGroup(
-                name=f"allreduce-{reduce}",
-                size=self.cluster.workers,
-                reduce_fn=self._make_reduce_fn(reduce),
-                time_fn=lambda nbytes, size: self.cluster.ring_allreduce_seconds(nbytes),
-            )
-        return self._groups[reduce]
-
-    @staticmethod
-    def _make_reduce_fn(reduce: str):
-        def fn(payloads: list) -> np.ndarray:
-            vectors = [np.asarray(unwrap(p)) for p in payloads]
-            return reduce_vectors(vectors, reduce)
-
-        return fn
-
-    def allreduce(self, vector: np.ndarray, logical_nbytes: int, reduce: str = "mean"):
-        """Command for `yield`: AllReduce this worker's contribution."""
+    def allreduce(self, logical_nbytes: int):
+        """Command for `yield`: one AllReduce of `logical_nbytes` per member."""
         return Collective(
-            group=self._group(reduce),
-            value=SizedPayload(vector, logical_nbytes),
+            group=self._group,
+            value=SizedPayload(None, logical_nbytes),
             category="comm",
         )
 
@@ -54,9 +35,12 @@ class MPICommunicator:
         """Forget all rendezvous state (fault-injected job restart).
 
         Killed workers may be parked inside a half-full collective
-        round; dropping the groups gives the restarted cohort fresh
+        round; a fresh group gives the restarted cohort fresh
         ``pending``/``round_counter`` maps so stale contributions can
-        never fold into a new rendezvous.
+        never count towards a new rendezvous.
         """
-        self._groups.clear()
-
+        self._group = CollectiveGroup(
+            name="allreduce",
+            size=self.cluster.workers,
+            time_fn=lambda nbytes, size: self.cluster.ring_allreduce_seconds(nbytes),
+        )

@@ -1,13 +1,14 @@
 """Round-based API shared by all distributed optimization algorithms.
 
-Executors drive training as a sequence of *communication rounds*. Per
-round, each worker:
+Training is a sequence of *communication rounds*. Per round, each
+worker:
 
 1. calls :meth:`round_payload` — real numpy computation producing the
    statistic to aggregate (gradient / local model / consensus term /
    k-means sufficient statistics);
-2. lets the communication layer reduce payloads across workers
-   (element-wise mean or sum, per :attr:`reduce`);
+2. has the payloads reduced across workers (element-wise mean or sum,
+   per :attr:`reduce`) — for BSP, in rank order by the lockstep pass
+   (:mod:`repro.substrate.lockstep`);
 3. calls :meth:`apply` with the merged vector.
 
 :meth:`round_work` reports how many instances/iterations the round

@@ -143,8 +143,9 @@ class Collective:
     """Rendezvous of `group.size` processes (AllReduce / barrier on IaaS).
 
     All participants of a round block until the last one arrives; the
-    group's time model is then charged once and every participant
-    resumes with the reduced value at the same simulated instant.
+    group's time model is then charged once, sized by the largest
+    ``value``, and every participant resumes at the same simulated
+    instant. Values are sized, never combined.
     """
 
     group: "CollectiveGroup"
@@ -154,12 +155,10 @@ class Collective:
 
 @dataclass
 class CollectiveGroup:
-    """Identity + timing/reduction rules for a set of collective peers."""
+    """Identity + timing rule for a set of collective peers."""
 
     name: str
     size: int
-    # reduce_fn folds the list of contributed values into one result.
-    reduce_fn: Any = None
     # time_fn(nbytes_per_member, size) -> seconds for one collective.
     time_fn: Any = None
     # Internal rendezvous state, managed by the engine.

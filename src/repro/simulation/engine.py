@@ -5,7 +5,7 @@ The engine keeps a single priority queue of `(time, seq, fn, args)`
 events — bound methods and their arguments, no per-operation closures —
 plus a same-instant FIFO of `(fn, args)` for events scheduled at the
 current instant, which never touch the heap. Data effects (storage
-writes, collective reductions) are applied at the simulated
+writes, collective completions) are applied at the simulated
 *completion* time of their operation, so reads that complete earlier
 never observe later writes. All scheduling is deterministic: ties are
 broken by a monotonically increasing sequence number, and the FIFO
@@ -85,7 +85,6 @@ import enum
 import heapq
 import itertools
 import math
-import re
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Generator
@@ -117,16 +116,6 @@ from repro.utils.serialization import SizedPayload, payload_nbytes
 
 Command = Any
 ProcessGenerator = Generator[Command, Any, Any]
-
-_DIGITS = re.compile(r"(\d+)")
-
-
-def _natural_key(name: str) -> tuple:
-    """Sort key treating digit runs numerically: worker-2 < worker-10."""
-    return tuple(
-        int(part) if part.isdigit() else part for part in _DIGITS.split(name)
-    )
-
 
 class ProcessState(enum.Enum):
     READY = "ready"
@@ -662,25 +651,17 @@ class Engine:
         pending.append((proc, cmd.value, self.now, cmd.category))
         if len(pending) < group.size:
             return
-        # Last member arrived: reduce and wake everyone. Contributions
-        # are folded in *rank order* — numeric, not lexicographic:
-        # "worker-10" sorting before "worker-2" would fold a >10-member
-        # collective in a different order than the storage patterns,
-        # and float reduction order is visible in the last ulp (the
-        # replay substrate shares traces across platforms on the
-        # promise that it isn't).
+        # Last member arrived: charge the time model once (sized by the
+        # largest contribution) and wake everyone at the same instant.
         del group.pending[round_id]
-        arrivals = sorted(pending, key=lambda item: _natural_key(item[0].name))
-        values = [value for _, value, _, _ in arrivals]
-        nbytes = max((payload_nbytes(v) for v in values), default=0)
-        result = group.reduce_fn(values) if group.reduce_fn is not None else None
+        nbytes = max(payload_nbytes(value) for _, value, _, _ in pending)
         duration = group.time_fn(nbytes, group.size) if group.time_fn is not None else 0.0
         t_last = max(arrived for _, _, arrived, _ in pending)
         completion = t_last + duration
         for member, _, arrived, category in pending:
             member.trace.add("wait", t_last - arrived)
             member.trace.add(category, duration)
-            self._resume_later(member, completion, value=result)
+            self._resume_later(member, completion)
 
 
 # Unbound handlers keyed by exact command type (see Engine._dispatch).

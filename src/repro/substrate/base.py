@@ -4,11 +4,7 @@ A :class:`Substrate` owns everything *statistical* about a training
 run — datasets, shards, per-rank algorithm state, losses — while the
 job context and executors own everything the simulation times and
 bills. Executors reach the statistical side exclusively through
-``ctx.stats(rank)``, which returns a per-rank view exposing the
-:class:`~repro.optim.base.DistributedAlgorithm` surface:
-
-``reduce``, ``epochs_per_round``, ``round_work()``, ``eval_work()``,
-``round_payload()``, ``apply()``, ``local_loss()``, ``params``.
+``ctx.stats(rank)``, which returns a per-rank view.
 
 Three implementations:
 
@@ -17,15 +13,19 @@ Three implementations:
   timing-independent, so it computes them before the engine starts —
   the lockstep pass (:mod:`repro.substrate.lockstep`), all W ranks
   together, one stacked numpy call per minibatch step where the kernels
-  allow — and the run replays that trace; ``.trace`` keeps it.
-* :class:`~repro.substrate.exact.PerRankSubstrate` — real numpy in the
-  engine: each rank's algorithm runs one call at a time. The default
-  for timing-coupled configs (ASP, hybrid PS), and the independent
-  oracle the lockstep pass is tested against.
+  allow, and the only place BSP floats are folded — and the run replays
+  that trace; ``.trace`` keeps it.
 * :class:`~repro.substrate.replay.ReplaySubstrate` — re-emits a given
-  trace with zero numpy work; the executors yield the identical
-  command stream, so duration/cost/history/breakdown are bit-identical
-  to the exact run.
+  trace with zero numpy work; its views answer ``epochs_per_round``,
+  ``round_work()``, ``eval_work()``, ``local_loss()``, ``global_loss()``
+  and ``params``, so the executors yield the identical command stream
+  and duration/cost/history/breakdown are bit-identical to the exact
+  run.
+* :class:`~repro.substrate.exact.PerRankSubstrate` — real numpy in the
+  engine for timing-coupled configs only (ASP, hybrid PS), whose floats
+  depend on the event order; its views are the
+  :class:`~repro.optim.base.DistributedAlgorithm` surface. It refuses a
+  BSP config, as ``ExactSubstrate`` refuses a timing-coupled one.
 
 :func:`repro.substrate.make_substrate` picks the default.
 
@@ -46,7 +46,7 @@ class Substrate(abc.ABC):
 
     def __init__(self) -> None:
         #: Host seconds spent doing statistical (numpy) work: substrate
-        #: build + every round_payload/apply/local_loss call. Sweeps
+        #: build + every round_payload/local_loss call. Sweeps
         #: persist this per point (``meta.compute_seconds``) so the
         #: wall-clock ledger shows where time actually goes.
         self.compute_seconds = 0.0
@@ -77,35 +77,14 @@ class Substrate(abc.ABC):
     def finalize(self, ctx, result, outcomes) -> None:
         """Post-run hook (a replay checks it consumed its trace here)."""
 
-    # -- fault recovery -------------------------------------------------
-    def snapshot_rank(self, rank: int):
-        """Opaque statistical state of `rank` for crash recovery.
-
-        The returned object must stay valid across any number of
-        :meth:`restore_rank` calls (restores install a *copy*), and a
-        restored rank must reproduce the exact statistical stream —
-        payload floats, losses, RNG draws — that followed the snapshot
-        the first time. The fault injector snapshots at every FaaS
-        round boundary and once per rank at IaaS job start.
-        """
-        raise SubstrateError(
-            f"{type(self).__name__} does not support fault recovery snapshots"
-        )
-
-    def restore_rank(self, rank: int, state) -> None:
-        """Reset `rank`'s statistical state to a prior snapshot."""
-        raise SubstrateError(
-            f"{type(self).__name__} does not support fault recovery snapshots"
-        )
-
 
 class TimedView:
     """Pass-through per-rank view that meters the numpy-heavy calls.
 
     Forwards the full algorithm surface (including ``model``/``shard``
     for the asynchronous executor) and adds the elapsed host time of
-    ``round_payload``/``apply``/``local_loss`` to the owning
-    substrate's ``compute_seconds``. Pure observation: values, dtypes
+    ``round_payload``/``local_loss`` to the owning substrate's
+    ``compute_seconds``. Pure observation: values, dtypes
     and call order are untouched, so a metered run is bit-identical to
     the raw algorithm.
     """
@@ -122,11 +101,6 @@ class TimedView:
         self._substrate.compute_seconds += time.perf_counter() - t0
         return out
 
-    def apply(self, merged) -> None:
-        t0 = time.perf_counter()
-        self._algo.apply(merged)
-        self._substrate.compute_seconds += time.perf_counter() - t0
-
     def local_loss(self) -> float:
         t0 = time.perf_counter()
         loss = self._algo.local_loss()
@@ -142,8 +116,8 @@ class TimedView:
         self._algo.params = value
 
     def __getattr__(self, name):
-        # reduce / epochs_per_round / round_work / eval_work / model /
-        # shard / algorithm-specific extras: plain forwarding.
+        # epochs_per_round / round_work / eval_work / model / shard /
+        # algorithm-specific extras: plain forwarding.
         return getattr(self._algo, name)
 
     def __setattr__(self, name, value) -> None:

@@ -7,24 +7,22 @@ workers, and instantiate one
 k-means global-initialisation broadcast). Both substrates here start
 from it.
 
-:class:`PerRankSubstrate` drives those algorithms inside the engine:
-its per-rank views are :class:`~repro.substrate.base.TimedView`
-wrappers called one at a time, so the run also learns how many host
-seconds the statistical work cost. Timing-coupled configs (ASP, hybrid
-PS) need it, and it is the independent oracle the lockstep pass is
-tested against.
-
-:class:`ExactSubstrate` — the default for every other config — is a
+:class:`ExactSubstrate` — the default for every BSP config — is a
 :class:`~repro.substrate.replay.ReplaySubstrate` that makes its own
 trace. A BSP config's statistics do not depend on timing, so it runs
 them all before the engine starts, in the lockstep pass
 (:mod:`repro.substrate.lockstep`), and the run replays that trace: the
 engine simulates only timing.
+
+:class:`PerRankSubstrate` drives those algorithms inside the engine for
+the timing-coupled configs (ASP, hybrid PS), whose floats depend on the
+event order: its per-rank views are
+:class:`~repro.substrate.base.TimedView` wrappers called one at a time,
+so the run also learns how many host seconds the statistical work cost.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 
 from repro.data import synth
@@ -87,6 +85,13 @@ class PerRankSubstrate(Substrate):
     """Every statistic computed with real numpy, rank by rank in the engine."""
 
     def _build(self, ctx) -> None:
+        config = ctx.config
+        if not config.timing_coupled:
+            raise SubstrateError(
+                f"{config.protocol}/{config.platform} statistics do not depend on "
+                "timing: they are computed in the lockstep pass and replayed — "
+                "run ExactSubstrate"
+            )
         t0 = time.perf_counter()
         self.shards, self.algorithms = build_ranks(ctx)
         self.compute_seconds += time.perf_counter() - t0
@@ -94,38 +99,6 @@ class PerRankSubstrate(Substrate):
 
     def stats(self, rank: int):
         return self._views[rank]
-
-    # -- fault recovery -------------------------------------------------
-    def _copy_algorithm(self, algo):
-        """Deep copy of an algorithm's mutable state, sharing the data.
-
-        The shard's feature/label arrays are immutable for the whole
-        run, so the memo pins them (copying a full Higgs shard per
-        round-boundary snapshot would dominate fault runs); everything
-        else — parameters, ADMM duals, k-means centroids, and crucially
-        the shard's minibatch RNG — is copied, which is exactly what a
-        resumed incarnation needs to replay the identical statistical
-        stream.
-        """
-        shard = algo.shard
-        memo = {
-            id(arr): arr
-            for arr in (shard.X, shard.y, shard.X_val, shard.y_val)
-        }
-        return copy.deepcopy(algo, memo)
-
-    def snapshot_rank(self, rank: int):
-        t0 = time.perf_counter()
-        state = self._copy_algorithm(self.algorithms[rank])
-        self.compute_seconds += time.perf_counter() - t0
-        return state
-
-    def restore_rank(self, rank: int, state) -> None:
-        t0 = time.perf_counter()
-        algo = self._copy_algorithm(state)  # the snapshot stays reusable
-        self.algorithms[rank] = algo
-        self._views[rank] = TimedView(algo, self)
-        self.compute_seconds += time.perf_counter() - t0
 
     def final_accuracy(self, ctx) -> float | None:
         """Validation accuracy of worker 0's final model, when defined."""
@@ -160,10 +133,16 @@ class ExactSubstrate(ReplaySubstrate):
             )
         t0 = time.perf_counter()
         shards, algorithms = build_ranks(ctx)
-        ranks = run_lockstep(config, algorithms, shards)
+        ranks = self._lockstep(config, algorithms, shards)
         final_accuracy = accuracy(algorithms[0], shards[0])
         self.compute_seconds += time.perf_counter() - t0
         self.trace = make_trace(
             config, algorithms[0].reduce, ranks, final_accuracy, self.compute_seconds
         )
         super()._build(ctx)
+
+    @staticmethod
+    def _lockstep(config, algorithms, shards) -> list[dict]:
+        """The lockstep pass, each algorithm stepping its ranks its own
+        way (stacked where its kernels allow)."""
+        return run_lockstep(config, algorithms, shards, type(algorithms[0]).round_payloads)

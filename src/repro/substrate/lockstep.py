@@ -1,21 +1,25 @@
 """The lockstep pass: a BSP run's statistics for all ranks, before the engine.
 
 BSP statistics do not depend on timing: every rank computes its payload
-from state fixed at the round's start, the merge folds the payloads in
-rank order on every pattern and platform (``comm/aggregator.py``), and
-the stop test reads one merged loss. So the whole statistical run can
-be computed up front, with the W ranks advanced together, and handed to
-the engine as a trace to replay.
+from state fixed at the round's start, the merge is one rank-order fold
+(``comm/aggregator.py``), and the stop test reads one merged loss. So
+the whole statistical run is computed up front, with the W ranks
+advanced together, and handed to the engine as a trace to replay. This
+is the one place BSP floats are folded: the communication patterns and
+the IaaS collective move byte counts only, so the trajectory is the same
+on every pattern, channel and platform by construction.
 
 :func:`run_lockstep` follows :func:`~repro.core.bsp_loop.bsp_rounds`'
 statistical control flow — the baseline ``local_loss``, payloads merged
 with ``reduce_vectors`` in rank order, ``apply``, the epoch-crossing
-rule, the loss exchange as ``reduce_vectors([[loss, 1.0], ...])`` and
-``m[0] / m[1]``, and the stop test through ``TrainingConfig.converged``
-— and returns the per-rank trace records. Each round's payloads come
-from one ``round_payloads`` call: one stacked numpy call per minibatch
-step for ADMM, MA-SGD and GA-SGD over dense linear models, rank by rank
-otherwise (sparse data, neural networks, k-means EM).
+rule, the global loss of :func:`global_loss`, and the stop test through
+``TrainingConfig.converged`` — and returns the per-rank trace records.
+Each round's payloads come from one ``step(algorithms, shards)`` call:
+the algorithm's own ``round_payloads`` steps ADMM, MA-SGD and GA-SGD
+over dense linear models with one stacked numpy call per minibatch step
+(rank by rank otherwise: sparse data, neural networks, k-means EM);
+``DistributedAlgorithm.round_payloads`` always steps rank by rank, which
+makes it the reference the stacking is tested against.
 """
 
 from __future__ import annotations
@@ -28,15 +32,23 @@ from repro.comm.aggregator import reduce_vectors
 from repro.substrate.traces import rank_record
 
 
-def run_lockstep(config, algorithms: list, shards) -> list[dict]:
-    """Train `algorithms` (one per rank, on `shards`) to the BSP stop;
-    returns each rank's trace record. The algorithms end in their final
-    state."""
+def global_loss(local_losses, reduce: str) -> float:
+    """The loss every rank sees after one evaluation: the rank-order fold
+    of ``[loss, 1.0]`` rows (mean gives ``[mean, 1]``, sum ``[sum, w]``),
+    then ``m[0] / m[1]``. The lockstep pass and the replay of its trace
+    both read it from here."""
+    merged = reduce_vectors([np.array([loss, 1.0]) for loss in local_losses], reduce)
+    return merged[0] / merged[1] if merged[1] > 0 else math.inf
+
+
+def run_lockstep(config, algorithms: list, shards, step) -> list[dict]:
+    """Train `algorithms` (one per rank, on `shards`) to the BSP stop,
+    each round's payloads from ``step(algorithms, shards)``; returns
+    each rank's trace record. The algorithms end in their final state."""
     # Deferred: core.bsp_loop imports core.context, which imports this
     # package.
     from repro.core.bsp_loop import crosses_epoch
 
-    step = type(algorithms[0]).round_payloads
     reduce = algorithms[0].reduce
     epochs_per_round = algorithms[0].epochs_per_round
     losses = [[algo.local_loss()] for algo in algorithms]
@@ -56,12 +68,11 @@ def run_lockstep(config, algorithms: list, shards) -> list[dict]:
 
         if crossing:
             local = [algo.local_loss() for algo in algorithms]
-            merged_loss = reduce_vectors([np.array([loss, 1.0]) for loss in local], reduce)
-            global_loss = merged_loss[0] / merged_loss[1] if merged_loss[1] > 0 else math.inf
+            merged_loss = global_loss(local, reduce)
             for rank_losses, loss in zip(losses, local):
                 rank_losses.append(loss)
-            global_losses = [global_loss] * len(algorithms)
-            if config.converged(global_loss):
+            global_losses = [merged_loss] * len(algorithms)
+            if config.converged(merged_loss):
                 break
     return [
         rank_record(algo, rank_losses, rounds, epoch_float, final_loss)

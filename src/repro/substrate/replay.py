@@ -4,17 +4,17 @@ Given a trace whose statistical fingerprint matches the config being
 run, each rank's view answers the executor's statistical questions from
 the recording: ``round_work``/``eval_work``/``epochs_per_round`` give
 the simulation the same compute charges, ``local_loss`` plays back the
-recorded evaluations in order, ``round_payload`` hands out a tiny
-surrogate vector (the wire carries *logical* byte counts, so payload
-contents never touch timing or billing), and ``apply`` is a no-op.
+recorded evaluations in order, and ``global_loss`` is the rank-order
+fold of every rank's loss at that evaluation — folded once per trace,
+at attach time, by the lockstep pass's own helper
+(:func:`~repro.substrate.lockstep.global_loss`).
 
-Because every statistical decision the BSP loop makes — payload sizes,
-per-epoch losses, the loss-allreduce values, the stop round — replays
-identically, the executors yield the identical command stream and the
-engine reproduces the exact run's duration, cost, history and
-breakdown bit for bit. No dataset is synthesized and no model is
-instantiated: a replayed point costs milliseconds instead of the ~40 s
-an LR/Higgs training takes.
+Because every statistical decision the BSP loop makes — per-epoch
+losses, the global loss, the stop round — replays identically, the
+executors yield the identical command stream and the engine reproduces
+the exact run's duration, cost, history and breakdown bit for bit. No
+dataset is synthesized and no model is instantiated: a replayed point
+costs milliseconds instead of the ~40 s an LR/Higgs training takes.
 """
 
 from __future__ import annotations
@@ -23,32 +23,21 @@ import numpy as np
 
 from repro.errors import ReplayDivergenceError, SubstrateError
 from repro.substrate.base import Substrate
+from repro.substrate.lockstep import global_loss
 from repro.substrate.traces import validate_trace
 
 
 class _ReplayView:
     """Per-rank statistical view answering from one trace rank record."""
 
-    __slots__ = ("_reduce", "_record", "_payload", "_params", "_cursor", "_rank")
+    __slots__ = ("_record", "_global_losses", "_params", "_cursor", "_rank")
 
-    def __init__(self, record: dict, reduce: str, workers: int, rank: int) -> None:
-        self._reduce = reduce
+    def __init__(self, record: dict, global_losses: list, rank: int) -> None:
         self._record = record
+        self._global_losses = global_losses
         self._rank = rank
         self._cursor = 0
-        # ScatterReduce splits the physical payload into `workers`
-        # chunks; a `workers`-long surrogate keeps every chunk non-empty
-        # while staying O(w) instead of O(model size).
-        self._payload = np.zeros(workers, dtype=np.float64)
         self._params = np.zeros(1, dtype=np.float64)
-
-    @property
-    def reduce(self) -> str:
-        return self._reduce
-
-    @reduce.setter
-    def reduce(self, value) -> None:
-        raise AttributeError("substrate views are read-only (tried to set 'reduce')")
 
     @property
     def epochs_per_round(self) -> float:
@@ -62,12 +51,6 @@ class _ReplayView:
         instances, iterations = self._record["eval_work"]
         return (instances, iterations)
 
-    def round_payload(self) -> np.ndarray:
-        return self._payload
-
-    def apply(self, merged) -> None:
-        pass
-
     def local_loss(self) -> float:
         losses = self._record["losses"]
         if self._cursor >= len(losses):
@@ -79,6 +62,10 @@ class _ReplayView:
         loss = losses[self._cursor]
         self._cursor += 1
         return loss
+
+    def global_loss(self) -> float:
+        """The global loss of the evaluation :meth:`local_loss` last read."""
+        return self._global_losses[self._cursor - 1]
 
     @property
     def params(self) -> np.ndarray:
@@ -122,10 +109,13 @@ class ReplaySubstrate(Substrate):
                 f"trace holds {len(self.trace['ranks'])} ranks but the config "
                 f"runs {config.workers} workers"
             )
-        reduce = self.trace["reduce"]
+        ranks = self.trace["ranks"]
+        global_losses = [
+            global_loss(evaluation, self.trace["reduce"])
+            for evaluation in zip(*(record["losses"] for record in ranks))
+        ]
         self._views = [
-            _ReplayView(record, reduce, config.workers, rank)
-            for rank, record in enumerate(self.trace["ranks"])
+            _ReplayView(record, global_losses, rank) for rank, record in enumerate(ranks)
         ]
 
     def stats(self, rank: int):
@@ -133,10 +123,17 @@ class ReplaySubstrate(Substrate):
 
     # -- fault recovery -------------------------------------------------
     def snapshot_rank(self, rank: int):
-        """A replayed rank's whole mutable state is its loss cursor."""
+        """Opaque statistical state of `rank` for crash recovery.
+
+        A replayed rank's whole mutable state is its loss cursor: a
+        restored rank re-reads exactly the losses that followed the
+        snapshot the first time. The fault injector snapshots at every
+        FaaS round boundary and once per rank at IaaS job start.
+        """
         return self._views[rank]._cursor
 
     def restore_rank(self, rank: int, state) -> None:
+        """Rewind `rank` to a prior :meth:`snapshot_rank`."""
         self._views[rank]._cursor = state
 
     def final_accuracy(self, ctx) -> float | None:

@@ -39,6 +39,7 @@ binds the store's verbs to it.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 from repro import store
@@ -47,7 +48,7 @@ from repro.errors import SubstrateError
 from repro.utils.hashing import fingerprint_hash
 
 TRACE_SCHEMA_VERSION = 1
-#: The reductions the aggregation layer implements (comm/aggregator.py).
+#: The reductions the lockstep pass folds with (comm/aggregator.py).
 REDUCTIONS = ("mean", "sum")
 
 _RANK_KEYS = {
@@ -60,14 +61,47 @@ class TraceError(SubstrateError):
     """A convergence trace is corrupt, partial, or from another schema."""
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_rank(record) -> str | None:
+    """What is wrong with one rank record, or None. A value a replay would
+    loop on (``epochs_per_round`` 0) or trip over is refused here."""
+    if not isinstance(record, dict) or not _RANK_KEYS <= record.keys():
+        return "is missing keys"
+    epochs_per_round = record["epochs_per_round"]
+    if not (_number(epochs_per_round) and 0 < epochs_per_round < math.inf):
+        return f"epochs_per_round {epochs_per_round!r} is not finite and > 0"
+    for key in ("round_work", "eval_work"):
+        work = record[key]
+        if not (
+            isinstance(work, (list, tuple)) and len(work) == 2
+            and all(_number(x) and 0 <= x < math.inf for x in work)
+        ):
+            return f"{key} {work!r} is not two finite numbers >= 0"
+    losses = record["losses"]
+    # NaN / inf losses are legal: a diverging run is a deterministic outcome.
+    if not (isinstance(losses, list) and all(_number(loss) for loss in losses)):
+        return "losses is not a list of numbers"
+    rounds = record["rounds"]
+    if not (isinstance(rounds, int) and not isinstance(rounds, bool) and rounds >= 0):
+        return f"rounds {rounds!r} is not an int >= 0"
+    return None
+
+
 def _check_trace(trace: dict) -> str | None:
     if trace["reduce"] not in REDUCTIONS:
         return f"trace reduce {trace['reduce']!r} is not one of {REDUCTIONS}"
     if not trace["ranks"]:
         return "trace has no per-rank records"
     for rank, record in enumerate(trace["ranks"]):
-        if not isinstance(record, dict) or not _RANK_KEYS <= record.keys():
-            return f"rank {rank} record is missing keys"
+        problem = _check_rank(record)
+        if problem is not None:
+            return f"rank {rank} record {problem}"
+    if len({len(record["losses"]) for record in trace["ranks"]}) > 1:
+        # The replay folds every rank's loss at each evaluation.
+        return "ranks recorded unequal numbers of losses"
     return None
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.bsp_loop import bsp_rounds
@@ -33,37 +32,25 @@ def _context(**overrides) -> JobContext:
     return ctx
 
 
+def _barrier(workers: int):
+    """An in-memory exchange: a rendezvous of `workers` ranks, no storage."""
+    arrived: dict[str, int] = {}
+
+    def exchange(round_id, nbytes):
+        arrived[round_id] = arrived.get(round_id, 0) + 1
+        yield Sleep(0.0)
+        while arrived[round_id] < workers:
+            yield Sleep(0.01)
+
+    return exchange
+
+
 def _run_lockstep(ctx) -> list[WorkerOutcome]:
     """Drive bsp_rounds for all workers with an in-memory exchange."""
-    pending: dict[str, list] = {}
-    results: dict[str, np.ndarray] = {}
-    workers = ctx.config.workers
-
-    def make_exchange(rank):
-        def exchange(round_id, wire, nbytes):
-            # Rendezvous without any storage: collect every worker's
-            # contribution, reduce once, hand the same vector back.
-            bucket = pending.setdefault(round_id, [])
-            bucket.append(np.asarray(wire, dtype=np.float64))
-            yield Sleep(0.0)
-            while round_id not in results:
-                if len(pending[round_id]) == workers:
-                    reduce = ctx.stats(rank).reduce
-                    stacked = np.stack(pending[round_id])
-                    results[round_id] = (
-                        stacked.mean(axis=0) if reduce == "mean" else stacked.sum(axis=0)
-                    )
-                else:
-                    yield Sleep(0.01)
-            return results[round_id]
-
-        return exchange
-
+    exchange = _barrier(ctx.config.workers)
     procs = [
-        ctx.engine.spawn(
-            bsp_rounds(ctx, rank, make_exchange(rank)), name=f"w{rank}"
-        )
-        for rank in range(workers)
+        ctx.engine.spawn(bsp_rounds(ctx, rank, exchange), name=f"w{rank}")
+        for rank in range(ctx.config.workers)
     ]
     ctx.engine.run()
     return [p.result for p in procs]
@@ -109,20 +96,7 @@ class TestBSPLoop:
             calls.append((state.epoch_float, state.rounds))
             yield Sleep(0.0)
 
-        pending = {}
-        results = {}
-
-        def exchange(round_id, wire, nbytes):
-            bucket = pending.setdefault(round_id, [])
-            bucket.append(np.asarray(wire, dtype=np.float64))
-            yield Sleep(0.0)
-            while round_id not in results:
-                if len(pending[round_id]) == ctx.config.workers:
-                    results[round_id] = np.stack(pending[round_id]).mean(axis=0)
-                else:
-                    yield Sleep(0.01)
-            return results[round_id]
-
+        exchange = _barrier(ctx.config.workers)
         procs = [
             ctx.engine.spawn(
                 bsp_rounds(ctx, rank, exchange, pre_round=pre_round), name=f"w{rank}"

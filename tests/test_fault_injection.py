@@ -24,7 +24,6 @@ from repro.faas.checkpoint import Checkpoint
 from repro.simulation.commands import Get, Put, Sleep
 from repro.simulation.engine import Engine, ProcessState
 from repro.storage.services import S3Store
-from repro.substrate import PerRankSubstrate
 from repro.sweep.artifacts import artifact_from_result
 from repro.sweep.grid import SweepPoint
 from repro.sweep.orchestrator import run_sweep
@@ -299,9 +298,8 @@ class TestFaultSweeps:
 
     @pytest.mark.slow
     def test_replayed_fault_artifacts_are_bit_identical_to_exact(self, tmp_path):
-        # The oracle is one exact train() per point, outside any sweep,
-        # rank by rank in the engine: crashes restore deep-copied state
-        # instead of rewinding a replay of the lockstep trace.
+        # The oracle is one standalone train() per point, outside any
+        # sweep: its own lockstep pass, replayed with its own crashes.
         points = self._fault_grid()
         auto = run_sweep(points, out_dir=tmp_path)
 
@@ -309,7 +307,7 @@ class TestFaultSweeps:
             return {k: v for k, v in artifact.items() if k != "meta"}
 
         for point, auto_art in zip(points, auto.artifacts):
-            exact = train(point.config(), substrate=PerRankSubstrate())
+            exact = train(point.config())
             exact_art = artifact_from_result(point, exact)
             assert strip_meta(exact_art) == strip_meta(auto_art), point.label
 

@@ -3,8 +3,8 @@
 The chaos suite's own contract is tested at three levels: the sampler
 (content-addressed, valid, byte-stable), the machinery (shrinker and
 corpus with synthetic invariants — no trainings), and the whole loop
-(a deliberately broken aggregation fold must be *caught* by a campaign
-and *shrunk* to a minimal repro; restoring the fold turns it green).
+(a deliberately broken stacked step must be *caught* by a campaign and
+*shrunk* to a minimal repro; restoring the step turns it green).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from collections import Counter
 
 import pytest
 
-import repro.comm.patterns as patterns
-from repro.comm.aggregator import reduce_vectors as true_reduce_vectors
 from repro.core.config import config_validity_error
 from repro.errors import FuzzError
 from repro.fuzz import (
@@ -36,6 +34,8 @@ from repro.fuzz import (
     sibling_kwargs,
 )
 from repro.fuzz.shrink import MAX_EVALS
+from repro.optim.base import stacked
+from repro.optim.gradient_averaging import GradientAveragingSGD
 
 
 class TestScenarioSpace:
@@ -225,13 +225,20 @@ class TestCorpus:
         assert load_corpus(tmp_path / "nowhere") == []
 
 
-def _reversed_fold(vectors, reduce):
-    return true_reduce_vectors(list(reversed(vectors)), reduce)
+#: GA-SGD's own (stacked) step, as the class defines it.
+_TRUE_GA_STEP = GradientAveragingSGD.__dict__["round_payloads"]
 
 
-#: The invariants that train a BSP config rank by rank in the engine
-#: (``PerRankSubstrate``), so a broken pattern fold reaches their floats.
-PER_RANK_INVARIANTS = {"replay_matches_exact", "fault_invariance", "stat_sibling_invariance"}
+def _reversed_fold(cls, algos, shards):
+    """GA-SGD's stacked step handing back its gradients in reversed rank
+    order, so the lockstep pass folds them backwards (float addition is
+    not associative: the merged gradient moves in the last ulps)."""
+    payloads = _TRUE_GA_STEP.__func__(cls, algos, shards)
+    return payloads[::-1] if stacked(algos, shards) else payloads
+
+
+def _break_the_stacked_step(monkeypatch):
+    monkeypatch.setattr(GradientAveragingSGD, "round_payloads", classmethod(_reversed_fold))
 
 
 from repro.fuzz.runner import _check_task as _real_check_task
@@ -272,65 +279,68 @@ class TestCampaignResilience:
 
 
 class TestChaosCatchesRealBugs:
-    """Break the engine on purpose; the suite must notice and minimise."""
+    """Break the lockstep pass on purpose; the suite must notice and minimise."""
 
-    # The canonical-rank-order fold guarantee, violated only on the
-    # FaaS side (iaas/mpi.py binds reduce_vectors separately), caught
-    # by the platform-flip sibling check. This is the shrunk repro the
-    # shrinker itself produces from campaign counterexamples.
+    # Only the rank-by-rank reference steps GA-SGD without the stacked
+    # call, so replay_matches_exact is the invariant that sees a broken
+    # one. This is the shrunk repro the shrinker itself produces from the
+    # bloated campaign counterexample below (scenario 105:0).
     MINIMAL_BROKEN = {
-        "model": "kmeans", "dataset": "higgs", "algorithm": "em",
-        "workers": 3, "data_scale": 500, "max_epochs": 1, "seed": 3,
+        "model": "lr", "dataset": "higgs", "algorithm": "ga_sgd",
+        "workers": 4, "data_scale": 200, "max_epochs": 1,
     }
 
     def test_reversed_fold_is_caught_and_shrunk(self, monkeypatch):
-        inv = INVARIANTS["stat_sibling_invariance"]
+        inv = INVARIANTS["replay_matches_exact"]
         bloated = {
             **self.MINIMAL_BROKEN,
-            "k": 10, "workers": 4, "batch_size": 4096,
-            "straggler_jitter": 0.05, "seed": 11, "system": "pytorch",
+            "system": "pytorch", "workers": 6, "batch_size": 10000, "lr": 0.1,
+            "seed": 3, "straggler_jitter": 0.2, "mttf_s": 3600.0,
+            "storage_error_rate": 0.05, "storage_retry_limit": 5,
         }
         assert inv.check(dict(bloated)) is None  # healthy engine: holds
 
-        monkeypatch.setattr(patterns, "reduce_vectors", _reversed_fold)
+        _break_the_stacked_step(monkeypatch)
         message = inv.check(dict(bloated))
-        assert message is not None and "loss trajectory" in message
+        assert message is not None and "rank-by-rank reference" in message
 
         result = shrink(inv, bloated, message)
-        # A reversed fold over two contributions is commutatively
-        # identical, so the true minimal worker count is three.
-        assert result.kwargs["workers"] == 3
+        assert result.kwargs == self.MINIMAL_BROKEN
+        # Reversing two contributions commutes, so no repro has fewer than three.
+        assert result.kwargs["workers"] >= 3
         assert len(result.kwargs) < len(bloated)
 
     def test_minimal_repro_is_green_on_the_healthy_engine(self):
-        inv = INVARIANTS["stat_sibling_invariance"]
+        inv = INVARIANTS["replay_matches_exact"]
         assert inv.check(dict(self.MINIMAL_BROKEN)) is None
 
     @pytest.mark.slow
     def test_campaign_catches_the_reversed_fold_within_budget(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setattr(patterns, "reduce_vectors", _reversed_fold)
-        # workers=1: the monkeypatch only exists in this process. The
-        # eval cap keeps the two shrinks inside the per-test timeout;
-        # minimality is asserted by the dedicated shrinker tests.
+        _break_the_stacked_step(monkeypatch)
+        # workers=1: the monkeypatch only exists in this process. Scenario
+        # 0:18 is the reference campaign's first dense GA-SGD config gated
+        # on replay_matches_exact. The eval cap keeps the shrink inside the
+        # per-test timeout; minimality is asserted by the dedicated test.
         result = run_campaign(
-            budget=4, seed=0, workers=1, corpus_dir=tmp_path,
+            budget=19, seed=0, workers=1, corpus_dir=tmp_path,
             shrink_failures=True, shrink_max_evals=12,
         )
         assert not result.ok
         finding = result.findings[0]
-        # Every invariant with a per-rank side folds through the broken
-        # pattern; the lockstep pass it is compared with does not.
-        assert finding.invariant in PER_RANK_INVARIANTS
+        assert finding.scenario_id == "0:18"
+        # Every other invariant replays the (broken) stacked trace on both
+        # sides; only the reference check steps the ranks one by one.
+        assert finding.invariant == "replay_matches_exact"
         assert finding.shrunk_kwargs is not None
         assert len(finding.shrunk_kwargs) <= len(finding.config_kwargs)
         assert finding.corpus_path is not None
         # The saved counterexample replays red while the bug exists...
         entry = load_entry(finding.corpus_path)
         assert replay_entry(entry) is not None
-        # ...and green once the fold is restored.
-        monkeypatch.setattr(patterns, "reduce_vectors", true_reduce_vectors)
+        # ...and green once the stacked step is restored.
+        monkeypatch.setattr(GradientAveragingSGD, "round_payloads", _TRUE_GA_STEP)
         assert replay_entry(entry) is None
 
 

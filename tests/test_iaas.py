@@ -10,8 +10,8 @@ from repro.iaas.cluster import VMCluster, iaas_startup_seconds
 from repro.iaas.mpi import MPICommunicator
 from repro.iaas.ps import PSTimingModel, make_parameter_server
 from repro.iaas.vm import INSTANCES, get_instance
-from repro.simulation.commands import Get, Put
-from repro.simulation.engine import Engine
+from repro.simulation.commands import Get, Put, Sleep
+from repro.simulation.engine import Engine, ProcessState
 from repro.utils.serialization import SizedPayload
 
 MB = 1024 * 1024
@@ -79,18 +79,41 @@ class TestRingAllReduce:
 class TestMPICollectives:
     def test_allreduce_through_engine(self):
         engine = Engine()
-        comm = MPICommunicator(VMCluster.build("c5.large", 3))
-        results = {}
+        cluster = VMCluster.build("c5.large", 3)
+        comm = MPICommunicator(cluster)
+        finished = {}
 
         def worker(rank):
-            merged = yield comm.allreduce(np.full(4, float(rank)), 1024, reduce="mean")
-            results[rank] = merged
+            yield Sleep(float(rank))
+            finished[rank] = ((yield comm.allreduce(1024)), engine.now)
 
         for rank in range(3):
             engine.spawn(worker(rank), f"w{rank}")
         engine.run()
-        for merged in results.values():
-            np.testing.assert_allclose(merged, np.full(4, 1.0))
+        # A byte count, no values: everyone leaves together, one ring
+        # AllReduce after the last arrival.
+        done = 2.0 + cluster.ring_allreduce_seconds(1024)
+        assert finished == {rank: (None, done) for rank in range(3)}
+
+    def test_reset_starts_a_fresh_rendezvous(self):
+        engine = Engine()
+        comm = MPICommunicator(VMCluster.build("c5.large", 3))
+
+        def worker():
+            yield comm.allreduce(1024)
+
+        cohort = []
+
+        def restart():
+            yield Sleep(1.0)  # w0 is parked in a half-full collective round
+            engine.kill(stale)
+            comm.reset()
+            cohort.extend(engine.spawn(worker(), f"w{rank}#2") for rank in range(3))
+
+        stale = engine.spawn(worker(), "w0")
+        engine.spawn(restart(), "restart")
+        engine.run()
+        assert all(p.state is ProcessState.DONE for p in cohort)
 
 
 

@@ -1,12 +1,15 @@
-"""The lockstep pass against the per-rank path it replaced, bit for bit.
+"""The stacked lockstep pass against the rank-by-rank reference, bit for bit.
 
 A default BSP run computes its statistics before the engine starts —
 all ranks together, one stacked numpy call per minibatch step where the
 kernels allow (``repro.substrate.lockstep``) — and then replays that
-trace. The oracle is :class:`PerRankSubstrate`: each rank's numpy runs
-inside the engine, one call at a time, and a crash restores a deep copy.
-Its trace is assembled here the way the in-engine recorder used to
-assemble it, so both the traces and the ``RunResult`` s are compared.
+trace. The reference is the same pass stepped rank by rank through the
+base class's ``DistributedAlgorithm.round_payloads``
+(:class:`~repro.fuzz.invariants.ReferenceSubstrate`): part (a) compares
+the two traces and checks that a replay of the reference reproduces the
+default run's ``RunResult``, crashes and flaky storage included (a
+replay that does not consume its trace exactly raises at finalize, which
+is what holds ``bsp_rounds`` to the pass's control flow).
 
 Part (b) checks the stacked kernels themselves against their per-rank
 spellings over W in {1, 3, 64} and b in {1, 7, 50}.
@@ -18,70 +21,17 @@ import numpy as np
 import pytest
 
 from repro.core.config import TrainingConfig
+from repro.core.context import JobContext
 from repro.core.driver import train
 from repro.data.loader import make_shards
 from repro.data.synth import generate
+from repro.fuzz.invariants import ReferenceSubstrate
 from repro.models.linear import LinearSVM, LogisticRegression
 from repro.models.zoo import get_model_info
 from repro.optim.admm import ADMM
 from repro.optim.gradient_averaging import GradientAveragingSGD
 from repro.optim.model_averaging import ModelAveragingSGD
-from repro.substrate import ExactSubstrate, PerRankSubstrate
-from repro.substrate.base import TimedView
-from repro.substrate.traces import make_trace, rank_record
-
-
-# ---------------------------------------------------------------------------
-# The oracle: the per-rank path, recording its trace inside the engine
-# ---------------------------------------------------------------------------
-class _LoggedView(TimedView):
-    """A per-rank view that also logs every local loss it hands out."""
-
-    __slots__ = ("_log",)
-
-    def __init__(self, algo, substrate, log: list) -> None:
-        super().__init__(algo, substrate)
-        object.__setattr__(self, "_log", log)
-
-    def local_loss(self) -> float:
-        loss = super().local_loss()
-        self._log.append(loss)
-        return loss
-
-
-class PerRankRecorder(PerRankSubstrate):
-    """Per-rank statistics, with the trace a recording of them makes.
-
-    Crash recovery rewinds a rank's loss log with its algorithm, so a
-    faulted run logs exactly what a fault-free one does.
-    """
-
-    def _build(self, ctx) -> None:
-        super()._build(ctx)
-        self.logs = [[] for _ in self.algorithms]
-        self._views = [
-            _LoggedView(algo, self, log) for algo, log in zip(self.algorithms, self.logs)
-        ]
-
-    def snapshot_rank(self, rank: int):
-        return super().snapshot_rank(rank), len(self.logs[rank])
-
-    def restore_rank(self, rank: int, state) -> None:
-        algo_state, logged = state
-        super().restore_rank(rank, algo_state)
-        del self.logs[rank][logged:]
-        self._views[rank] = _LoggedView(self.algorithms[rank], self, self.logs[rank])
-
-    def finalize(self, ctx, result, outcomes) -> None:
-        by_rank = {outcome.rank: outcome for outcome in outcomes}
-        assert sorted(by_rank) == list(range(ctx.config.workers))
-        ranks = [
-            rank_record(algo, log, by_rank[rank].rounds, by_rank[rank].epochs,
-                        by_rank[rank].final_loss)
-            for rank, (algo, log) in enumerate(zip(self.algorithms, self.logs))
-        ]
-        self.trace = make_trace(ctx.config, self.algorithms[0].reduce, ranks,
-                                result.final_accuracy, self.compute_seconds)
+from repro.substrate import ExactSubstrate, ReplaySubstrate
 
 
 def result_key(result):
@@ -107,7 +57,7 @@ def without_meta(trace: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# (a) whole runs: lockstep + replay == per-rank, trace and RunResult
+# (a) whole runs: stacked pass == rank-by-rank reference, trace and RunResult
 # ---------------------------------------------------------------------------
 HIGGS = dict(model="lr", dataset="higgs", data_scale=5000, seed=20210620)
 S3_ALLREDUCE = dict(system="lambdaml", channel="s3", pattern="allreduce")
@@ -115,9 +65,8 @@ REDIS_SCATTER = dict(system="lambdaml", channel="redis", pattern="scatterreduce"
 PYTORCH = dict(system="pytorch")
 
 CASES = {
-    # Dense LR/SVM: the stacked kernels. W crosses the ScatterReduce
-    # chunking boundary (W > d = 28 gives empty chunks) and the name-sort
-    # one ("worker-10" < "worker-2").
+    # Dense LR/SVM: the stacked kernels, at W up to 30 (past numpy's
+    # shape-dependent summation switch at w > 8).
     "lr-admm-w1-pytorch": dict(HIGGS, algorithm="admm", workers=1, max_epochs=20,
                                loss_threshold=None, **PYTORCH),
     "lr-admm-w3-redis": dict(HIGGS, algorithm="admm", workers=3, lr=0.01, max_epochs=40,
@@ -155,8 +104,8 @@ CASES = {
                                      data_scale=1000, algorithm="ma_sgd", workers=12,
                                      batch_size=16, batch_scope="per_worker",
                                      max_epochs=1, loss_threshold=None, seed=3, **PYTORCH),
-    # The fault plane: crash rewinds restore replay cursors on one side
-    # and deep-copied algorithms on the other.
+    # The fault plane: crash rewinds restore replay cursors, and the run
+    # must still consume the trace exactly.
     "lr-ma-w4-crashes": dict(HIGGS, algorithm="ma_sgd", workers=4, batch_size=10_000,
                              lr=0.05, max_epochs=4, loss_threshold=None, seed=3,
                              mttf_s=60.0, **S3_ALLREDUCE),
@@ -169,14 +118,13 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lockstep_run_equals_the_per_rank_run(name):
     config = TrainingConfig(**CASES[name])
-    oracle = PerRankRecorder()
-    expected = train(config, substrate=oracle)
+    reference = ReferenceSubstrate()
+    JobContext(config, substrate=reference)  # attaching computes the trace
     exact = ExactSubstrate()
-    got = train(config, substrate=exact)
-    assert without_meta(exact.trace) == without_meta(oracle.trace)
-    assert result_key(got) == result_key(expected)
-    # The default substrate is the same computation.
-    assert result_key(train(config)) == result_key(expected)
+    JobContext(config, substrate=exact)
+    assert without_meta(exact.trace) == without_meta(reference.trace)
+    replayed = train(config, substrate=ReplaySubstrate(reference.trace))
+    assert result_key(replayed) == result_key(train(config))
 
 
 def test_the_cases_exercise_what_they_claim():

@@ -228,45 +228,39 @@ def test_kill_terminates_process(engine):
 
 
 def test_collective_rendezvous(engine):
-    group = CollectiveGroup(
-        name="g",
-        size=3,
-        reduce_fn=lambda values: sum(values),
-        time_fn=lambda nbytes, size: 1.0,
-    )
+    group = CollectiveGroup(name="g", size=3, time_fn=lambda nbytes, size: 1.0)
     results = {}
 
     def member(i):
         yield Sleep(float(i))
-        merged = yield Collective(group, value=i)
-        results[i] = (merged, engine.now)
+        yield Collective(group, value=i)
+        results[i] = engine.now
 
-    for i in range(3):
-        engine.spawn(member(i), f"m{i}")
+    procs = [engine.spawn(member(i), f"m{i}") for i in range(3)]
     engine.run()
-    # Everyone gets the same reduction at the same completion time.
-    assert all(v[0] == 3 for v in results.values())
-    times = [v[1] for v in results.values()]
-    assert all(t == pytest.approx(3.0) for t in times)  # last arrival (2.0) + 1.0
+    # Everyone completes at the same instant: last arrival (2.0) + 1.0.
+    assert results == {0: 3.0, 1: 3.0, 2: 3.0}
+    # Early arrivals wait for the last one; everyone pays the collective once.
+    assert [p.trace.as_dict().get("wait", 0.0) for p in procs] == [2.0, 1.0, 0.0]
+    assert all(p.trace.as_dict()["comm"] == 1.0 for p in procs)
 
 
 def test_collective_multiple_rounds(engine):
-    group = CollectiveGroup(
-        name="g", size=2, reduce_fn=sum, time_fn=lambda n, s: 0.5
-    )
+    group = CollectiveGroup(name="g", size=2, time_fn=lambda n, s: 0.5)
     log = []
 
     def member(i):
         for round_index in range(3):
-            merged = yield Collective(group, value=round_index)
-            log.append((i, round_index, merged))
+            yield Collective(group, value=round_index)
+            log.append((i, round_index, engine.now))
 
     engine.spawn(member(0), "m0")
     engine.spawn(member(1), "m1")
     engine.run()
-    assert len(log) == 6
-    for _, round_index, merged in log:
-        assert merged == 2 * round_index
+    # Each round is its own rendezvous: both members leave round r at 0.5 (r + 1).
+    assert sorted(log) == [
+        (i, r, 0.5 * (r + 1)) for i in range(2) for r in range(3)
+    ]
 
 
 def test_negative_sleep_rejected(engine):

@@ -3,10 +3,11 @@
 A run of consecutive storage ops is one command: the engine steps through
 it with exactly the events the single ops dispatch and resumes the
 generator once, at the end. The oracle is the per-op ``allreduce`` /
-``scatter_reduce`` — one ``yield Put`` / ``yield Get`` per item and
-``np.array_split`` chunks — kept here and nowhere else. Both sides must
-agree bit for bit: the clock, every process's time breakdown, dollars,
-live keys, fault counters and the event / batch / peak-queue counts.
+``scatter_reduce`` — one ``yield Put`` / ``yield Get`` per item — kept
+here and nowhere else. Both sides must agree bit for bit: the clock, the
+instant each rank finishes each round, every process's time breakdown,
+dollars, live keys, fault counters and the event / batch / peak-queue
+counts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.aggregator import reduce_vectors, split_chunks
 from repro.comm.patterns import POLL_INTERVAL_S, _merge_seconds, allreduce, scatter_reduce
 from repro.errors import (
     DeadlockError,
@@ -43,38 +43,33 @@ from repro.utils.serialization import SizedPayload, unwrap
 # ---------------------------------------------------------------------------
 # The oracle: both patterns as they were before storage-op sequences.
 # ---------------------------------------------------------------------------
-def oracle_allreduce(store, rank, workers, round_id, vector, logical_nbytes,
-                     reduce="mean", poll_interval=POLL_INTERVAL_S):
+def oracle_allreduce(store, rank, workers, round_id, logical_nbytes,
+                     poll_interval=POLL_INTERVAL_S):
     prefix = f"ar/{round_id}/part_"
     merged_key = f"ar/{round_id}/merged"
-    yield Put(store, f"{prefix}{rank:05d}", SizedPayload(vector, logical_nbytes))
+    yield Put(store, f"{prefix}{rank:05d}", SizedPayload(None, logical_nbytes))
     if rank == 0:
         yield WaitKeyCount(store, prefix, workers, poll_interval, category="merge")
-        parts = []
         for peer in range(workers):
-            obj = yield Get(store, f"{prefix}{peer:05d}")
-            parts.append(unwrap(obj))
-        merged = reduce_vectors(parts, reduce)
+            yield Get(store, f"{prefix}{peer:05d}")
         yield Compute(_merge_seconds(logical_nbytes * workers), category="merge")
-        yield Put(store, merged_key, SizedPayload(merged, logical_nbytes))
+        yield Put(store, merged_key, SizedPayload(None, logical_nbytes))
         for peer in range(workers):
             store.discard(f"{prefix}{peer:05d}")
         if workers == 1:
             store.discard(merged_key)
         else:
             store.expect_readers(merged_key, workers - 1)
-        return merged
+        return
     yield WaitKey(store, merged_key, poll_interval)
-    obj = yield Get(store, merged_key)
+    yield Get(store, merged_key)
     store.discard_after_read((merged_key,))
-    return unwrap(obj)
 
 
-def oracle_scatter_reduce(store, rank, workers, round_id, vector, logical_nbytes,
-                          reduce="mean", poll_interval=POLL_INTERVAL_S):
+def oracle_scatter_reduce(store, rank, workers, round_id, logical_nbytes,
+                          poll_interval=POLL_INTERVAL_S):
     if workers == 1:
-        return np.asarray(vector, dtype=np.float64)
-    chunks = [np.asarray(c) for c in np.array_split(vector, workers)]
+        return
     chunk_bytes = max(1, logical_nbytes // workers)
     ranks = [f"{peer:05d}" for peer in range(workers)]
     me = ranks[rank]
@@ -83,34 +78,25 @@ def oracle_scatter_reduce(store, rank, workers, round_id, vector, logical_nbytes
         if peer == rank:
             continue
         key = f"{base}for_{ranks[peer]}/from_{me}"
-        yield Put(store, key, SizedPayload(chunks[peer], chunk_bytes))
+        yield Put(store, key, SizedPayload(None, chunk_bytes))
     my_prefix = f"{base}for_{me}/"
     yield WaitKeyCount(store, my_prefix, workers - 1, poll_interval, category="merge")
-    contributions = []
     for peer in range(workers):
-        if peer == rank:
-            contributions.append(chunks[rank])
-            continue
-        obj = yield Get(store, f"{my_prefix}from_{ranks[peer]}")
-        contributions.append(unwrap(obj))
-    merged_chunk = reduce_vectors(contributions, reduce)
+        if peer != rank:
+            yield Get(store, f"{my_prefix}from_{ranks[peer]}")
     yield Compute(_merge_seconds(chunk_bytes * workers), category="merge")
-    yield Put(store, f"{base}merged_{me}", SizedPayload(merged_chunk, chunk_bytes))
+    yield Put(store, f"{base}merged_{me}", SizedPayload(None, chunk_bytes))
     store.expect_readers(f"{base}merged_{me}", workers - 1)
     for peer in range(workers):
         if peer != rank:
             store.discard(f"{my_prefix}from_{ranks[peer]}")
     yield WaitKeyCount(store, f"{base}merged_", workers, poll_interval)
-    merged_parts = []
     for peer in range(workers):
         if peer == rank:
-            merged_parts.append(merged_chunk)
             continue
         key = f"{base}merged_{ranks[peer]}"
-        obj = yield Get(store, key)
+        yield Get(store, key)
         store.discard_after_read((key,))
-        merged_parts.append(unwrap(obj))
-    return np.concatenate(merged_parts)
 
 
 PATTERNS = {
@@ -123,7 +109,6 @@ STORES = {
     "memcached": MemcachedStore,
     "dynamodb": DynamoDBStore,
 }
-VECTOR_LEN = 37  # fewer elements than W=130 workers: empty chunks too
 LOGICAL_NBYTES = 40_000  # under DynamoDB's item limit
 ROUNDS = 2
 
@@ -148,7 +133,7 @@ def spy(gen, seen):
 
 
 def simulate(pattern, store_kind, workers, *, oracle, error_rate=0.0, retry_limit=5,
-             kill=None, reduce="mean"):
+             kill=None):
     """ROUNDS exchanges of `workers` ranks; returns everything to compare."""
     engine = Engine(on_error="record")
     stats = engine.enable_stats()
@@ -167,19 +152,19 @@ def simulate(pattern, store_kind, workers, *, oracle, error_rate=0.0, retry_limi
 
         setattr(store, op, logged)
     exchange = PATTERNS[pattern][1 if oracle else 0]
-    merged: dict = {}
+    # The instant each rank finishes each round (or why it gave up).
+    rounds: dict = {}
     seen: dict[int, list[str]] = {}
 
     def worker(rank):
         for r in range(ROUNDS):
-            vector = np.linspace(rank / 3.0, rank + r + 1.0, VECTOR_LEN) ** 2
-            gen = exchange(store, rank, workers, f"{r:08d}", vector, LOGICAL_NBYTES, reduce)
+            gen = exchange(store, rank, workers, f"{r:08d}", LOGICAL_NBYTES)
             try:
-                out = yield from spy(gen, seen.setdefault(rank, []))
+                yield from spy(gen, seen.setdefault(rank, []))
             except TransientStorageError as exc:
-                merged[rank, r] = repr(exc)
+                rounds[rank, r] = repr(exc)
                 return "gave up"
-            merged[rank, r] = out.tobytes()
+            rounds[rank, r] = engine.now
             yield Compute(0.01 * (rank % 5))  # ranks drift apart between rounds
         return rank
 
@@ -201,7 +186,7 @@ def simulate(pattern, store_kind, workers, *, oracle, error_rate=0.0, retry_limi
         "deadlock": deadlock,
         "accesses": accesses,
         "now": engine.now.hex(),
-        "merged": merged,
+        "rounds": rounds,
         "processes": [
             (
                 p.name,
@@ -248,13 +233,11 @@ def assert_same(pattern, store_kind, workers, **kwargs):
 def test_sequences_match_the_per_op_patterns(pattern, store_kind, workers):
     got, _, _, _ = assert_same(pattern, store_kind, workers)
     assert got["deadlock"] is None
-    assert len(got["merged"]) == workers * ROUNDS
+    assert len(got["rounds"]) == workers * ROUNDS
+    if workers > 1:  # (a lone ScatterReduce rank exchanges nothing)
+        for rank in range(workers):  # rounds are separate: the second ends later
+            assert got["rounds"][rank, 0] < got["rounds"][rank, 1]
     assert got["keys"] == []  # every round file retired by its last reader
-
-
-def test_sum_reduction_matches():
-    got, _, _, _ = assert_same("scatterreduce", "s3", 17, reduce="sum")
-    assert got["deadlock"] is None
 
 
 @pytest.mark.parametrize(
@@ -277,7 +260,7 @@ def test_flaky_storage_matches(pattern, store_kind, workers, retry_limit):
         # reached its worker after the same simulated charges, and the
         # ranks it stranded deadlock identically on both sides.
         assert float.fromhex(got["faults"]["exhaustions"]) > 0
-        assert any(isinstance(v, str) for v in got["merged"].values())
+        assert any(isinstance(v, str) for v in got["rounds"].values())
         assert got["deadlock"] is not None
 
 
@@ -381,10 +364,9 @@ def test_a_scatter_round_resumes_each_worker_a_handful_of_times():
     engine = Engine()
     stats = engine.enable_stats()
     store = S3Store()
-    vector = np.ones(256)
 
     def worker(rank):
-        yield from scatter_reduce(store, rank, workers, "r0", vector, 400_000)
+        yield from scatter_reduce(store, rank, workers, "r0", 400_000)
 
     for rank in range(workers):
         engine.spawn(worker(rank), f"w{rank}")
@@ -397,12 +379,3 @@ def test_a_scatter_round_resumes_each_worker_a_handful_of_times():
     assert stats.by_callsite["Engine._next_get"] == 2 * workers * (workers - 1)
     assert stats.events > 3 * workers * (workers - 1)
 
-
-@pytest.mark.parametrize("length", [0, 1, 36, 37, 128, 129])
-@pytest.mark.parametrize("parts", [1, 2, 3, 17, 130])
-def test_split_chunks_are_array_split_views(length, parts):
-    vector = np.arange(float(length))
-    got = split_chunks(vector, parts)
-    want = np.array_split(vector, parts)
-    assert [c.tolist() for c in got] == [c.tolist() for c in want]
-    assert all(c.base is vector for c in got)

@@ -24,6 +24,7 @@ import pytest
 from repro.core.config import STAT_FIELDS, TrainingConfig, config_fingerprint
 from repro.core.driver import train
 from repro.errors import ReplayDivergenceError, SubstrateError
+from repro.fuzz.invariants import ReferenceSubstrate
 from repro.substrate import (
     ExactSubstrate,
     PerRankSubstrate,
@@ -163,9 +164,9 @@ SYSTEMS_GRID = {
 
 
 def per_rank(config):
-    """The exact run rank by rank in the engine: the oracle a replay is
-    held to (a default run is itself the lockstep trace, replayed)."""
-    return train(config, substrate=PerRankSubstrate())
+    """The reference run: the lockstep pass stepped rank by rank, then
+    replayed — the oracle a replay of the stacked trace is held to."""
+    return train(config, substrate=ReferenceSubstrate())
 
 
 class TestGoldenBitIdentity:
@@ -213,15 +214,11 @@ class TestGoldenBitIdentity:
         assert result_key(replayed) == result_key(exact)
 
     def test_replay_holds_past_the_chunking_and_name_sort_boundaries(self):
-        # Two regressions hide above w=10: (a) numpy picks its float
-        # summation strategy from array *shape*, so ScatterReduce's
-        # 1-element chunks (w > model dim) must not reduce in different
-        # bit order than AllReduce's full vectors — reduce_vectors
-        # folds sequentially to guarantee that; (b) the IaaS collective
-        # must order contributions by numeric rank, not name strings
-        # ("worker-10" < "worker-2" lexicographically). w=12 > both
-        # boundaries for the 28-dim LR/Higgs model... no — 12 < 28, so
-        # force tiny chunks via w=30 for (a) and w=12 for (b).
+        # Two boundaries where in-engine folds used to drift: ScatterReduce
+        # chunks smaller than one element (w=30 > the 28-dim LR/Higgs
+        # model) and the IaaS collective's arrival names past "worker-9"
+        # (w=12). The engine folds nothing now, so the shared trace must
+        # replay to each config's reference run on both.
         base = dict(workers=30, loss_threshold=0.6, max_epochs=1.0)
         recorder = ExactSubstrate()
         train(cfg(**base), substrate=recorder)
@@ -299,9 +296,18 @@ class TestSubstrateGuards:
 
     def test_replay_refuses_unread_evaluations(self, trace):
         tampered = copy.deepcopy(trace)
-        tampered["ranks"][2]["losses"].append(0.5)
-        with pytest.raises(ReplayDivergenceError, match="rank 2 read"):
+        for record in tampered["ranks"]:
+            record["losses"].append(0.5)
+        with pytest.raises(ReplayDivergenceError, match="rank 0 read"):
             train(cfg(), substrate=ReplaySubstrate(tampered))
+
+    @pytest.mark.parametrize("config", [
+        cfg(), cfg(system="pytorch"),
+    ], ids=["bsp-faas", "bsp-iaas"])
+    def test_per_rank_refuses_bsp(self, config):
+        # Its statistics are the lockstep pass's, replayed.
+        with pytest.raises(SubstrateError, match="lockstep pass"):
+            train(config, substrate=PerRankSubstrate())
 
     @pytest.mark.parametrize("key, value", [
         ("rounds", 6), ("epochs", 12.5), ("final_loss", 9.9),
@@ -345,8 +351,8 @@ class TestSubstrateGuards:
 
         ctx = JobContext(cfg())
         view = ctx.stats(0)
-        with pytest.raises(AttributeError, match="read-only"):
-            view.reduce = "sum"
+        with pytest.raises(AttributeError, match="epochs_per_round"):
+            view.epochs_per_round = 2.0
         view.params = view.params  # the one writable attribute (hybrid PS)
 
 
@@ -383,6 +389,46 @@ class TestTraceArtifacts:
         del broken["ranks"][0]["losses"]
         with pytest.raises(TraceError, match="missing keys"):
             validate_trace(broken)
+
+    @pytest.mark.parametrize("tamper, match", [
+        (lambda r: r.update(epochs_per_round=0.0), "epochs_per_round"),
+        (lambda r: r.update(epochs_per_round=-1.0), "epochs_per_round"),
+        (lambda r: r.update(epochs_per_round=float("nan")), "epochs_per_round"),
+        (lambda r: r.update(epochs_per_round=float("inf")), "epochs_per_round"),
+        (lambda r: r.update(epochs_per_round="1"), "epochs_per_round"),
+        (lambda r: r.update(round_work=[1.0]), "round_work"),
+        (lambda r: r.update(round_work=[1.0, -2.0]), "round_work"),
+        (lambda r: r.update(eval_work=[1.0, float("inf")]), "eval_work"),
+        (lambda r: r.update(eval_work="ab"), "eval_work"),
+        (lambda r: r.update(losses="abcd"), "losses"),
+        (lambda r: r.update(losses=[0.5, None]), "losses"),
+        (lambda r: r.update(rounds=-1), "rounds"),
+        (lambda r: r.update(rounds=2.5), "rounds"),
+        (lambda r: r["losses"].append(0.5), "unequal numbers of losses"),
+    ], ids=[
+        "epochs-zero", "epochs-negative", "epochs-nan", "epochs-inf", "epochs-str",
+        "round-work-short", "round-work-negative", "eval-work-inf", "eval-work-str",
+        "losses-str", "losses-none", "rounds-negative", "rounds-float",
+        "losses-unequal",
+    ])
+    def test_unreplayable_rank_record_is_corrupt(self, trace, tmp_path, tamper, match):
+        # Each used to validate, then hang the replay (epochs_per_round
+        # 0) or escape it as a raw TypeError / ValueError.
+        broken = copy.deepcopy(trace)
+        tamper(broken["ranks"][1])
+        with pytest.raises(TraceError, match=match):
+            ReplaySubstrate(broken)
+        path = write_trace(tmp_path, broken)
+        with pytest.raises(TraceError, match=match):
+            load_trace(path)
+
+    def test_non_finite_losses_are_legal(self, trace):
+        # A diverging run is a deterministic outcome, not a corrupt trace.
+        diverged = copy.deepcopy(trace)
+        for record in diverged["ranks"]:
+            record["losses"][-1] = float("nan")
+        diverged["ranks"][0]["losses"][0] = float("inf")
+        assert validate_trace(diverged) is diverged
 
     def test_foreign_schema_is_corrupt(self, trace):
         with pytest.raises(TraceError, match="schema"):

@@ -553,6 +553,27 @@ class TestTwoPhaseSweep:
 
         load_trace(trace_file)  # healed by the re-recording
 
+    def test_unreplayable_trace_is_rerecorded_not_replayed(self, tmp_path):
+        # Well-formed JSON whose epochs_per_round is 0: replaying it
+        # used to spin the BSP loop forever.
+        points = SMOKE_POINTS()
+        run_sweep(points, out_dir=tmp_path)
+        trace_file = next((tmp_path / "traces").glob("*.json"))
+        planted = json.loads(trace_file.read_text())
+        planted["ranks"][0]["epochs_per_round"] = 0
+        trace_file.write_text(json.dumps(planted))
+        for path in tmp_path.glob("*.json"):
+            path.unlink()
+        messages = []
+        rerun = run_sweep(
+            points, out_dir=tmp_path, resume=True, progress=messages.append,
+        )
+        assert rerun.recorded == 1 and rerun.replayed == len(points) - 1
+        assert any("corrupt trace" in m for m in messages)
+        from repro.substrate import load_trace
+
+        assert load_trace(trace_file)["ranks"][0]["epochs_per_round"] > 0
+
     def test_replay_mode_refuses_timing_coupled_points(self):
         # "replay" used to be auto that refused timing-coupled points; it
         # had no caller, and now refuses them — and every other point —
