@@ -151,9 +151,6 @@ class CostMeter:
         self._add_repeated(component, price, count)
         self.counters[counter] += count
 
-    def bill_s3_request(self, op: str, count: int = 1) -> None:
-        self.bill_request(self.s3_request_prices()[op], count)
-
     def bill_dynamodb_request(self, op: str, nbytes: int, count: int = 1) -> None:
         if op in ("put", "delete"):
             units = max(1, math.ceil(nbytes / DYNAMODB_WRITE_UNIT_BYTES))

@@ -114,6 +114,8 @@ class ServingRuntime:
             config.platform, config.instance, config.gpu_instance
         )
         self.meter = CostMeter(catalog)
+        # A replica's model download: one S3 GET, billed like a store's.
+        self._model_get = self.meter.s3_request_prices()["get"]
         self.serve_s = request_service_seconds(config, entry)
         self.arrivals = arrivals_for(config)
         self.engine = Engine()
@@ -189,7 +191,7 @@ class ServingRuntime:
             self.meter.bill_lambda(self.config.memory_gb, delay)
         else:
             delay = self.platform.boot_s + self.entry.load_seconds
-        self.meter.bill_s3_request("get", 1)  # the model object download
+        self.meter.bill_request(self._model_get)
         self.engine.spawn(
             self._starter(replica, delay), f"replica-{replica.id}-start"
         )

@@ -314,7 +314,15 @@ class Engine:
         order among zero-delay events is their scheduling order. Every
         event is removed from its queue before it runs, so an exception
         leaving run() leaves no dispatched event behind.
+
+        `until` is None (run to the end), a finite instant at or after
+        ``now``, or ``inf``; NaN or an instant in the past is a
+        :class:`SimulationError` before anything is dispatched.
         """
+        if until is not None and not until >= self.clock.now:  # also rejects NaN
+            raise SimulationError(
+                f"run(until={until!r}): must be at or after now ({self.clock.now!r})"
+            )
         # Bind the hot callables once instead of per event.
         heap = self._heap
         fifo = self._fifo

@@ -373,15 +373,20 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # The wait index
     # ------------------------------------------------------------------
-    def _watching(self, key: str) -> list[tuple[str, list]]:
-        """(prefix, record) of the watched prefixes `key` falls under, shortest first."""
+    def _move_counts(self, key: str, step: int) -> None:
+        """Move the live count of every watched prefix of `key` by `step`.
+
+        The probe :meth:`_do_put` runs inline: one ``key[:n]`` per
+        watched prefix length, shortest first.
+        """
         watched = self._watched
         size = len(key)
-        return [
-            (p, record)
-            for n in self._prefix_lens
-            if n <= size and (record := watched.get(p := key[:n])) is not None
-        ]
+        for n in self._prefix_lens:
+            if n > size:
+                break
+            record = watched.get(key[:n])
+            if record is not None:
+                record[0] += step
 
     def _unwatch(self, prefix: str) -> None:
         """Drop the record of a prefix whose last waiter left."""
@@ -501,8 +506,7 @@ class ObjectStore:
             del self._objects[key]
             self._keys.remove(key)
             if self._watched:
-                for _, record in self._watching(key):
-                    record[0] -= 1
+                self._move_counts(key, -1)
 
     def _do_delete_prefix(self, prefix: str) -> int:
         """Delete every key under `prefix` in one range delete; returns how many.
@@ -555,8 +559,7 @@ class ObjectStore:
         """
         if key not in self._objects:
             self._keys.add(key)
-            for _, record in self._watching(key):
-                record[0] += 1
+            self._move_counts(key, 1)
         self._objects[key] = value
 
     def discard(self, key: str) -> None:

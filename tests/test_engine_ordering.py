@@ -1,259 +1,64 @@
-"""Dispatch order of the engine's two queues against an all-heap oracle.
+"""Dispatch order of the engine's two queues, and the run loop's contracts.
 
 The engine keeps future events in a ``(time, seq, fn, args)`` heap and
 events scheduled at the current instant in a FIFO that never touches
-the heap. The claim is that this is *exactly* seq order. The oracle
-below is the historical scheduler — every event, zero-delay or not,
-takes a seq and goes through the heap (the engine with its FIFO swapped
-for a shim that pushes onto the heap) — kept here and nowhere else.
+the heap. The claim is that this is *exactly* seq order: the seeded
+worlds below run on the real engine and on the reference engine
+(``tests/reference``), where every event draws a seq and rides one heap,
+and everything observable must agree — also when the real side pauses
+with ``run(until=...)`` at arbitrary instants.
 """
 
 from __future__ import annotations
 
-import heapq
-import random
+import math
 
 import pytest
 
+from reference.harness import OPS, SeededPick, assert_same_world, build_world
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
-from repro.errors import KeyNotFoundError, SimulationError
-from repro.pricing.meter import CostMeter
-from repro.simulation.commands import (
-    Collective,
-    CollectiveGroup,
-    Compute,
-    Delete,
-    Get,
-    GetEach,
-    Join,
-    ListKeys,
-    Put,
-    PutEach,
-    Sleep,
-    Spawn,
-    WaitKey,
-    WaitKeyCount,
-)
+from repro.errors import SimulationError
+from repro.simulation.commands import Put, Sleep, Spawn
 from repro.simulation.engine import Engine, capture_stats
-from repro.storage.base import ObjectStore, StorageProfile
 from repro.storage.services import S3Store
 from repro.substrate import ExactSubstrate, ReplaySubstrate
 
 
-class _HeapBackedFifo:
-    """Stands in for the same-instant FIFO: sends each event through the heap."""
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def append(self, event):
-        engine = self.engine
-        heapq.heappush(engine._heap, (engine.now, next(engine._seq), *event))
-
-    def __len__(self):
-        return 0  # never holds anything, so run() never pops from it
-
-    popleft = None  # run() binds it up front; this queue being empty, never calls it
-
-
-class AllHeapEngine(Engine):
-    """Reference scheduler: every event draws a seq and rides the heap."""
-
-    def __init__(self, on_error="raise"):
-        super().__init__(on_error)
-        self._fifo = _HeapBackedFifo(self)
-
-
-def logged(engine, log, name, gen):
-    """Run `gen` as process `name`, logging (now, name, command type)."""
-    value = exc = None
-    while True:
-        try:
-            command = gen.send(value) if exc is None else gen.throw(exc)
-        except StopIteration as stop:
-            log.append((engine.now, name, "return"))
-            return stop.value
-        except BaseException:
-            log.append((engine.now, name, "raise"))
-            raise
-        log.append((engine.now, name, type(command).__name__))
-        value = exc = None
-        try:
-            value = yield command
-        except GeneratorExit:
-            log.append((engine.now, name, "killed"))
-            gen.close()
-            raise
-        except BaseException as thrown:  # noqa: BLE001 - forwarded into gen
-            exc = thrown
-
-
-# Durations from a tiny grid, so unrelated processes keep landing on the
-# same simulated instant; 0.0 is the zero-delay path itself.
-DURATIONS = (0.0, 0.0, 0.01, 0.02, 0.05)
-WORKERS = 5
-STEPS = 28
-PUBLISHED = 12
-
-
-def build(engine_cls, seed):
-    """One seeded process mix on a fresh engine; returns what to compare."""
-    rng = random.Random(seed)
-    engine = engine_cls(on_error="record")
-    stats = engine.enable_stats()
-    meter = CostMeter()
-    s3 = S3Store(meter=meter)
-    # One slot, so same-instant operations contend for service.
-    narrow = ObjectStore(StorageProfile("narrow", latency_s=0.01, bandwidth_bps=1e4, concurrency=1))
-    stores = (s3, narrow)
-    group = CollectiveGroup("ring", WORKERS, time_fn=lambda nbytes, size: 0.01 * size)
-    log: list[tuple] = []
-
-    def spawn(gen, name, **kwargs):
-        return engine.spawn(logged(engine, log, name, gen), name, **kwargs)
-
-    def child(tag, ops):
-        for i in range(ops):
-            yield Put(rng.choice(stores), f"r/{tag}/{i}", i)
-            yield Sleep(rng.choice(DURATIONS))
-        return tag
-
-    def worker(rank):
-        for step in range(STEPS):
-            if step in (9, 19):  # every worker reaches both rendezvous
-                yield Collective(group, rank)
-                continue
-            store = rng.choice(stores)
-            key = f"r/{rng.randrange(4)}/{rng.randrange(3)}"
-            kind = rng.randrange(13)
-            if kind == 0:
-                yield Sleep(0)
-            elif kind == 1:
-                yield Sleep(rng.choice(DURATIONS))
-            elif kind == 2:
-                yield Compute(rng.choice(DURATIONS))
-            elif kind == 3:
-                yield Put(store, key, rng.randrange(1000))
-            elif kind == 4:
-                try:
-                    yield Get(store, key)
-                except KeyNotFoundError:
-                    pass
-            elif kind == 5:
-                yield Delete(store, key)
-            elif kind == 6:
-                yield ListKeys(store, "r/")
-            elif kind == 7:  # exact-key wait, satisfied on arrival or later
-                yield WaitKey(s3, f"pub/{rng.randrange(PUBLISHED)}", poll_interval=0.01)
-            elif kind == 8:  # two registered prefix lengths: "pub/" and "pub/1"
-                prefix, most = rng.choice((("pub/", PUBLISHED), ("pub/1", 3)))
-                yield WaitKeyCount(s3, prefix, rng.randrange(1, most + 1), poll_interval=0.02)
-            elif kind == 9:
-                kid = yield Spawn(
-                    logged(engine, log, f"kid-{rank}-{step}", child(f"{rank}-{step}", 2)),
-                    f"kid-{rank}-{step}",
-                    delay=0,
-                )
-                assert (yield Join(kid)) == f"{rank}-{step}"
-            elif kind == 10:
-                try:
-                    yield Join(raiser)
-                except ValueError:
-                    pass
-            elif kind == 11:  # a sequence: same events as its Puts, one resume
-                items = [(f"r/{rng.randrange(4)}/{i}", i) for i in range(rng.randrange(1, 4))]
-                assert (yield PutEach(store, items)) == [8] * len(items)
-            else:  # may miss a key at any item
-                count = rng.randrange(1, 4)
-                keys = [f"r/{rng.randrange(4)}/{rng.randrange(3)}" for _ in range(count)]
-                try:
-                    yield GetEach(store, keys)
-                except KeyNotFoundError:
-                    pass
-        return rank
-
-    def publisher():
-        for i in range(PUBLISHED):
-            yield Put(s3, f"pub/{i}", i)
-            yield Sleep(rng.choice(DURATIONS))
-
-    def raising():
-        yield Put(narrow, "r/boom", 1)
-        yield Sleep(0.02)
-        raise ValueError("boom")
-
-    def victim():
-        # A kill may land between two items of the sequence.
-        yield PutEach(narrow, [("r/victim", 1), ("r/victim/2", 2), ("r/victim/3", 3)])
-        yield WaitKeyCount(s3, "never/", 1, poll_interval=0.01)  # until killed
-
-    def reaper(target, after):
-        yield Sleep(after)
-        engine.kill(target)
-        while True:  # a daemon never keeps the run alive
-            yield Sleep(0.03)
-
-    raiser = spawn(raising(), "raiser")
-    spawn(publisher(), "publisher")
-    doomed = spawn(victim(), "victim")
-    spawn(reaper(doomed, rng.choice((0.02, 0.05, 0.3))), "reaper", daemon=True)
-    for rank in range(WORKERS):
-        spawn(worker(rank), f"worker-{rank}")
-    return engine, stats, meter, stores, log
-
-
-def outcome(engine, stats, meter, stores, log):
-    return {
-        "log": log,
-        "clock": engine.now.hex(),
-        "processes": [
-            (
-                p.name,
-                p.state.value,
-                repr(p.result),
-                None if p.finished_at is None else p.finished_at.hex(),
-                {k: v.hex() for k, v in sorted(p.trace.as_dict().items())},
-            )
-            for p in engine.processes
-        ],
-        "dollars": {k: v.hex() for k, v in sorted(meter.breakdown().items())},
-        "keys": [sorted(s._objects) for s in stores],
-        "events": stats.events,
-        "batches": stats.batches,
-        "peak_heap": stats.peak_heap,
-    }
+# Workers that never wait on storage or join a peer run long scripts
+# before the world deadlocks; the watch group still waits on counts.
+LONG_RUNNING = tuple(op for op in OPS if op not in ("wait_key", "wait_count", "join"))
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_two_queue_dispatch_is_seq_order(seed):
-    real = build(Engine, seed)
-    real[0].run()
-    oracle = build(AllHeapEngine, seed)
-    oracle[0].run()
-    got, want = outcome(*real), outcome(*oracle)
-    assert got["log"] == want["log"]
-    assert got == want
-    assert len(got["log"]) > 200
-    kinds = {entry[2] for entry in got["log"]}
-    assert {"Collective", "WaitKeyCount", "Spawn", "Join", "killed", "raise"} <= kinds
+    real, ref = assert_same_world(build_world(
+        SeededPick(f"order:{seed}"), kinds=("redis", "s3"), sliced=False, workers=(4, 6),
+        ops=(30, 40), menu=LONG_RUNNING, fragile=False, raiser=True, group=3, watch=True,
+        kill=True))
+    outcome = real.outcome
+    assert len(outcome["log"]) > 40
+    assert {"Collective", "WaitKeyCount", "Spawn", "Join"} <= ref.features
+    assert any(op == "kill" for _, _, op, _ in outcome["log"])
+    # The raiser failed, or an over-limit put escaped run() first.
+    assert any(state == "failed" for _, state, *_ in outcome["processes"]) or any(
+        name != "DeadlockError" for name, *_ in outcome["errors"])
+    assert real.stats.events > real.stats.batches + 30  # many batches of several events
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_run_until_in_slices_equals_one_run(seed):
-    """Pausing at any instant never reorders same-instant events."""
-    whole = build(Engine, seed)
-    whole[0].run()
-    sliced = build(Engine, seed)
-    rng = random.Random(seed)
-    t = 0.0
-    for _ in range(12):
-        # Grid points (where events collide) and points between them.
-        t += rng.choice((0.01, 0.02, 0.05, 0.013, 0.08))
-        sliced[0].run(until=t)
-    sliced[0].run()
-    # Pauses fall between batches, so even the batch count is the same.
-    assert outcome(*sliced) == outcome(*whole)
+    """Pausing at any instant never reorders same-instant events.
+
+    Pauses fall between batches, so even the batch count is that of one
+    run (``assert_same_world`` runs the world unsliced too).
+    """
+    world = build_world(SeededPick(f"slices:{seed}"), kinds=("redis", "s3"), sliced=True,
+                        pauses=(8, 12), workers=(3, 5), ops=(15, 25), menu=LONG_RUNNING,
+                        fragile=False)
+    real, _ = assert_same_world(world)
+    end = float.fromhex(real.outcome["clock"])
+    assert sum(t < end for t in world.slices) >= 6 and real.stats.batches > 40
 
 
 def test_run_until_keeps_same_instant_order():
@@ -273,6 +78,27 @@ def test_run_until_keeps_same_instant_order():
             assert engine.now == pause
         engine.run()
         assert finished == ["A", "B"]
+
+
+@pytest.mark.parametrize("until", [float("nan"), -1.0, 4.0])
+def test_run_until_refuses_nan_and_the_past(until):
+    """`t > nan` is always false: such a run used to dispatch everything."""
+    engine = Engine()
+    finished = []
+
+    def sleeper():
+        yield Sleep(10)
+        finished.append(engine.now)
+
+    engine.spawn(sleeper(), "sleeper")
+    if until == 4.0:  # the past, once the clock reads 5
+        engine.run(until=5.0)
+    before = engine.now
+    with pytest.raises(SimulationError, match="must be at or after now"):
+        engine.run(until=until)
+    assert engine.now == before and not finished
+    engine.run(until=math.inf)  # None and inf stay legal
+    assert finished == [10.0]
 
 
 @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-13])

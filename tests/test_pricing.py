@@ -71,14 +71,14 @@ class TestMeter:
     def test_negative_count_rejected_before_any_state_moves(self):
         m = CostMeter()
         with pytest.raises(ValueError, match="negative charge count"):
-            m.bill_s3_request("list", -3)
+            m.bill_request(m.s3_request_prices()["list"], -3)
         with pytest.raises(ValueError, match="negative charge count"):
             m.bill_dynamodb_request("get", 0, count=-1)
         assert not m.dollars and not m.counters
 
     def test_zero_count_is_a_noop(self):
         m = CostMeter()
-        m.bill_s3_request("list", 0)
+        m.bill_request(m.s3_request_prices()["list"], 0)
         assert m.total == 0.0 and m.counters["s3_list"] == 0
 
     def test_breakdown_by_component(self):

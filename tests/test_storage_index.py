@@ -2,12 +2,12 @@
 
 Covers the chunked ordered key index (:mod:`repro.storage.
 ordered_index`) directly — randomized cross-checks against a flat
-sorted-list reference model plus adversarial key sequences — and
+sorted-list model of its own spec plus adversarial key sequences — and
 through :mod:`repro.storage.base`'s wait index (watched-prefix live
-counters and wake order, checked op for op against the two-registry
-logic it replaced, kept here as a test-only oracle), the float-heap
-slot picker in :mod:`repro.simulation.resources`, the batched poll
-billing, the payload sizing fast path, and the communication
+counters, the smallest-target invariant, wake order; seeded worlds and
+range discards against the reference store of ``tests/reference``), the
+float-heap slot picker in :mod:`repro.simulation.resources`, the batched
+poll billing, the payload sizing fast path, and the communication
 patterns' round-file garbage collection.
 """
 
@@ -19,6 +19,15 @@ from bisect import bisect_left, insort
 import numpy as np
 import pytest
 
+from reference.harness import (
+    ProcSpec,
+    SeededPick,
+    StoreSpec,
+    World,
+    assert_same_world,
+    build_world,
+)
+from reference.store import RefQueue
 from repro.pricing.meter import CostMeter
 from repro.simulation.commands import Put, Sleep, WaitKeyCount
 from repro.simulation.engine import Engine, ProcessState
@@ -321,10 +330,6 @@ def watch(store: ObjectStore, prefix: str, needed: int = 10**9, wake=None):
     return proc
 
 
-def watching(store: ObjectStore, key: str) -> list[str]:
-    return [prefix for prefix, _ in store._watching(key)]
-
-
 class TestRegisteredPrefixCounters:
     """A watched prefix (one that has a waiter) keeps a live count."""
 
@@ -358,7 +363,7 @@ class TestRegisteredPrefixCounters:
         store._do_put("a/c/1", 0)
         assert store._count_prefix("a/") == 2
         assert store._count_prefix("a/b/") == 1
-        assert watching(store, "a/b/1") == ["a/", "a/b/"]
+        assert {p: r[0] for p, r in store._watched.items()} == {"a/": 2, "a/b/": 1}
 
     def test_register_idempotent_and_unregister_falls_back(self):
         store = make_store()
@@ -384,11 +389,6 @@ class _CountingStr(str):
         return str.__getitem__(self, item)
 
 
-def _scan_matches(registered, key: str) -> list[str]:
-    """Reference: the per-character scan the length index replaced."""
-    return [key[:i] for i in range(len(key) + 1) if key[:i] in registered]
-
-
 ALPHABET = "ab/é日" + chr(0x10FFFF)
 
 
@@ -397,7 +397,10 @@ def _word(rng: random.Random, longest: int) -> str:
 
 
 class TestRegisteredPrefixLengths:
-    """`_watching` probes once per watched prefix *length*."""
+    """A key is probed once per watched prefix *length*; the counters stay exact.
+
+    Every live count is checked against a scan of every key.
+    """
 
     def check(self, store: ObjectStore, probes) -> None:
         live = list(store._objects)
@@ -407,8 +410,6 @@ class TestRegisteredPrefixLengths:
             assert count == sum(k.startswith(prefix) for k in live), prefix
         assert store._prefix_lens == tuple(sorted({len(p) for p in watched}))
         assert sum(store._prefix_len_refs.values()) == len(watched)
-        for key in [*live, *probes]:
-            assert watching(store, key) == _scan_matches(watched, key)
         for prefix in [*watched, *probes]:  # live counter and bisect fallback
             assert store._count_prefix(prefix) == sum(k.startswith(prefix) for k in live)
 
@@ -443,12 +444,11 @@ class TestRegisteredPrefixLengths:
         }
         assert store._prefix_lens == (0, 2, 3, 4, 12)  # "a/" and "x/" share a length
         assert store._prefix_len_refs[2] == 2
-        # Nested prefixes of three lengths, plus the empty one; "a/b" equals a key.
-        assert watching(store, "a/b/1") == ["", "a/", "a/b", "a/b/"]
-        assert watching(store, "a/b") == ["", "a/", "a/b"]
-        # A watched prefix longer than the key never matches it.
-        assert watching(store, "a") == [""]
-        assert watching(store, "日本/x") == ["", "日本/"]
+        # Nested prefixes of three lengths, plus the empty one; "a/b" equals
+        # a key; a watched prefix longer than a key never counts it.
+        counts = {p: r[0] for p, r in store._watched.items()}
+        assert counts == {"": 4, "a/": 2, "a/b": 2, "a/b/": 1, "x/": 0, "日本/": 1,
+                          "a/b/1/longer": 0}
         self.check(store, ["a/b/1/longer", "a/b/1/longer/still", "x/", "x"])
         store.cancel_wait("count", "a/", procs.pop("a/"))
         assert store._prefix_lens == (0, 2, 3, 4, 12)  # "x/" still holds length 2
@@ -456,156 +456,41 @@ class TestRegisteredPrefixLengths:
         assert store._watched["x/"][0] == 0
         store.cancel_wait("count", "x/", procs.pop("x/"))
         assert store._prefix_lens == (0, 3, 4, 12)
-        assert watching(store, "a/b/1") == ["", "a/b", "a/b/"]
+        store._do_put("a/b/2", 0)
+        self.check(store, ["a/"])
         for prefix, proc in procs.items():
             store.cancel_wait("count", prefix, proc)
         assert store._prefix_lens == () and not store._prefix_len_refs
-        assert watching(store, "a/b/1") == []
 
     def test_cost_is_one_probe_per_registered_length(self):
         store = make_store()
         watch(store, "r/0001/")
         key = _CountingStr("r/0001/" + "x" * 9993)
         assert len(key) == 10_000
-        assert watching(store, key) == ["r/0001/"]
+        store._do_put(key, 0)
         assert key.slices == 1
+        assert store._watched["r/0001/"][0] == 1
         watch(store, "r/0002/")  # same length: still one probe
         watch(store, "r/")
         watch(store, "y" * 20_000)  # longer than the key: not probed
-        key.slices = 0
-        assert watching(store, key) == ["r/", "r/0001/"]
+        key = _CountingStr("r/0001/" + "z" * 9993)
+        store._do_put(key, 0)
         assert key.slices == 2
-
-
-class TwoRegistryOracle:
-    """The wake logic the wait index replaced, kept as a test-only oracle.
-
-    Two registries the way the engine held them (``key -> waiters``,
-    ``prefix -> waiters``, one sequence counter over both), a put that
-    notifies whether or not the key is new, and counts taken by brute
-    force over the stored keys. Processes are plain tokens.
-    """
-
-    def __init__(self):
-        self.objects: set[str] = set()
-        self.key_waiters: dict[str, list] = {}  # key -> [(seq, proc)]
-        self.count_waiters: dict[str, list] = {}  # prefix -> [(needed, seq, proc)]
-        self.seq = 0
-
-    def count(self, prefix: str) -> int:
-        return sum(k.startswith(prefix) for k in self.objects)
-
-    def wait_for_key(self, key, proc) -> bool:
-        if key in self.objects:
-            return False
-        self.seq += 1
-        self.key_waiters.setdefault(key, []).append((self.seq, proc))
-        return True
-
-    def wait_for_count(self, prefix, needed, proc) -> bool:
-        if self.count(prefix) >= needed:
-            return False
-        self.seq += 1
-        self.count_waiters.setdefault(prefix, []).append((needed, self.seq, proc))
-        return True
-
-    def cancel(self, proc) -> None:
-        for registry in (self.key_waiters, self.count_waiters):
-            for token, waiters in list(registry.items()):
-                remaining = [w for w in waiters if w[-1] is not proc]
-                if remaining:
-                    registry[token] = remaining
-                else:
-                    del registry[token]
-
-    def put(self, key) -> list:
-        """Store `key`; the processes woken, in wake order."""
-        self.objects.add(key)
-        woken = [proc for _, proc in self.key_waiters.pop(key, [])]
-        satisfied = []
-        for prefix in _scan_matches(self.count_waiters, key):
-            waiters = self.count_waiters[prefix]
-            current = self.count(prefix)
-            remaining = [w for w in waiters if w[0] > current]
-            satisfied.extend(w[1:] for w in waiters if w[0] <= current)
-            if remaining:
-                self.count_waiters[prefix] = remaining
-            else:
-                del self.count_waiters[prefix]
-        return woken + [proc for _, proc in sorted(satisfied)]
+        assert store._watched["r/"][0] == 2 and store._watched["r/0001/"][0] == 2
 
 
 class TestWaitIndexAgainstOracle:
-    """The store's one wait index vs the two-registry oracle, op for op."""
-
-    def agree(self, store: ObjectStore, oracle: TwoRegistryOracle) -> None:
-        assert set(store._objects) == oracle.objects
-        assert {
-            key: [proc for _, proc in waiters] for key, waiters in store._key_waiters.items()
-        } == {key: [proc for _, proc in waiters] for key, waiters in oracle.key_waiters.items()}
-        assert {
-            prefix: (count, [(needed, proc) for needed, _, _, proc in waiters])
-            for prefix, (count, waiters, _) in store._watched.items()
-        } == {
-            prefix: (oracle.count(prefix), [(needed, proc) for needed, _, proc in waiters])
-            for prefix, waiters in oracle.count_waiters.items()
-        }
-        lengths = [len(prefix) for prefix in oracle.count_waiters]
-        assert store._prefix_lens == tuple(sorted(set(lengths)))
-        assert store._prefix_len_refs == {n: lengths.count(n) for n in set(lengths)}
+    """The store's one wait index vs the reference store, and its own invariants."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_random_mixes(self, seed):
-        rng = random.Random(20210620 + seed)
-        store, oracle = make_store(), TwoRegistryOracle()
-        woken: list[int] = []
-        blocked: dict[int, tuple[str, str]] = {}  # proc -> (kind, token)
-        satisfied_some = 0
-        for proc in range(1200):
-            op = rng.randrange(8)
-            if op == 0:
-                key = _word(rng, 4)
-                registered = store.wait_for_key(key, lambda at, p=proc: woken.append(p), proc)
-                assert registered == oracle.wait_for_key(key, proc)
-                if registered:
-                    blocked[proc] = ("key", key)
-            elif op in (1, 2):
-                prefix = _word(rng, 3)  # the empty prefix included
-                needed = store._count_prefix(prefix) + rng.randrange(0, 4)
-                registered = store.wait_for_count(
-                    prefix, needed, lambda at, p=proc: woken.append(p), proc
-                )
-                assert registered == oracle.wait_for_count(prefix, needed, proc)
-                if registered:
-                    blocked[proc] = ("count", prefix)
-            elif op == 3 and blocked:
-                victim = rng.choice(sorted(blocked))
-                store.cancel_wait(*blocked.pop(victim), victim)
-                oracle.cancel(victim)
-            elif op == 4 and store._objects:
-                victim_key = rng.choice(sorted(store._objects))
-                if rng.randrange(3):
-                    store.discard(victim_key)
-                    oracle.objects.remove(victim_key)
-                else:  # a range discard: every key under a prefix of one
-                    prefix = victim_key[: rng.randrange(len(victim_key) + 1)]
-                    store.discard_prefix(prefix)
-                    oracle.objects -= {k for k in oracle.objects if k.startswith(prefix)}
-            else:
-                # A new key, or (one time in four) an overwrite: the
-                # oracle notifies on both, the store only on the former.
-                overwrite = store._objects and rng.randrange(4) == 0
-                key = rng.choice(sorted(store._objects)) if overwrite else _word(rng, 5)
-                for wake in store._do_put(key, proc):
-                    wake(0.0)
-                expected = oracle.put(key)
-                assert woken == expected  # the same processes, in the same order
-                satisfied_some += bool(woken)
-                for p in woken:
-                    del blocked[p]
-                woken.clear()
-            self.agree(store, oracle)
-        assert satisfied_some > 20  # the mix does exercise wake-ups
+        """Many one-wait workers; puts, range discards and kills in between."""
+        _, ref = assert_same_world(build_world(
+            SeededPick(f"mix:{seed}"), fault=None, workers=(30, 40), ops=(6, 10), fragile=False,
+            watch=True, menu=("put", "put_each", "wait_key", "wait_count", "discard_prefix",
+                              "sleep")))
+        assert {"WaitKey", "WaitKeyCount"} <= ref.features
+        assert sum(store.woken for store in ref.stores) > 15
 
     @pytest.mark.parametrize("seed", range(4))
     def test_smallest_target_is_exact(self, seed):
@@ -674,40 +559,28 @@ _WATCHED = (
 )
 
 
+# Puts after the discard: each may satisfy a waiter of the world below.
+_LATER = ("sr/00000001/for_00002/late", "sr/00000001/for_00002/from_00001",
+          "sr/00000001/for_00002/from_00003", "sr/00000002/for_00002/x",
+          "ar/00000001/part_00000", "data/part_1", "s/1", "t")
+
+
+def _discard_world(retention_floor, *ops) -> World:
+    """Round files, a waiter on every watched prefix and on one key; `ops` then `_LATER`."""
+    keys = _round_keys()
+    waiters = [
+        ProcSpec(f"count{i}", (("wait_count", 0, prefix,
+                                sum(k.startswith(prefix) for k in keys) + 1 + i % 3, 0.01),))
+        for i, prefix in enumerate(_WATCHED)
+    ]
+    waiters.append(ProcSpec("key", (("wait_key", 0, "sr/00000001/for_00002/late", 0.01),)))
+    driver = ProcSpec("driver", (*ops, *(("put", 0, key, 8) for key in _LATER)))
+    return World([StoreSpec("s3", retention=retention_floor)], [*waiters, driver],
+                 seeds=[(0, key, 8) for key in keys])
+
+
 class TestDiscardPrefix:
-    """One range delete vs the per-key ``discard`` loop it replaced."""
-
-    def twin(self, retention_floor=None):
-        """A store with round files and live waiters; its wake log."""
-        from repro.comm.patterns import RetentionWindow
-
-        store, woken = make_store(), []
-        for key in _round_keys():
-            store._do_put(key, key)
-        for i, prefix in enumerate(_WATCHED):
-            needed = store._count_prefix(prefix) + 1 + i % 3
-            assert store.wait_for_count(prefix, needed, lambda at, p=prefix: woken.append(p), i)
-        assert store.wait_for_key("sr/00000001/for_00002/late", lambda at: woken.append("key"), "k")
-        if retention_floor is not None:
-            store.retention = RetentionWindow()
-            store.retention.floor = retention_floor
-        return store, woken
-
-    @staticmethod
-    def per_key(store, prefix):
-        for key in store._do_list(prefix):
-            store.discard(key)
-
-    def assert_same(self, got, want):
-        (store, woken), (oracle, oracle_woken) = got, want
-        assert store._objects == oracle._objects
-        assert list(store._keys) == list(oracle._keys) == sorted(store._objects)
-        assert {p: r[0] for p, r in store._watched.items()} == {
-            p: r[0] for p, r in oracle._watched.items()
-        }
-        for prefix in _WATCHED:
-            assert store._count_prefix(prefix) == sum(k.startswith(prefix) for k in store._objects)
-        assert woken == oracle_woken
+    """One range delete vs the reference store's key-by-key discard."""
 
     @pytest.mark.parametrize(
         "prefix",
@@ -716,42 +589,24 @@ class TestDiscardPrefix:
     )
     @pytest.mark.parametrize("retention_floor", [None, 0, 2])
     def test_matches_the_per_key_loop(self, prefix, retention_floor):
-        got, want = self.twin(retention_floor), self.twin(retention_floor)
-        got[0].discard_prefix(prefix)
-        self.per_key(want[0], prefix)
-        self.assert_same(got, want)
+        real, _ = assert_same_world(
+            _discard_world(retention_floor, ("discard_prefix", 0, prefix)))
         if retention_floor == 0:  # every round file is retained, and so is the rest
-            assert got[0]._objects.keys() == set(_round_keys())
-        # Later puts wake the same waiters, in the same order.
-        for key in ("sr/00000001/for_00002/late", "sr/00000001/for_00002/from_00001",
-                    "sr/00000001/for_00002/from_00003", "sr/00000002/for_00002/x",
-                    "ar/00000001/part_00000", "data/part_1", "s/1", "t"):
-            for store, woken in (got, want):
-                for wake in store._do_put(key, 0):
-                    wake(0.0)
-            self.assert_same(got, want)
-        assert got[1]  # the puts did satisfy waiters
+            assert set(_round_keys()) <= set(real.stores[0]._objects)
+        # The later puts did satisfy waiters.
+        assert any(p[1] == "done" for p in real.outcome["processes"] if p[0] != "driver")
 
     @pytest.mark.parametrize("start,floor", [(0, 1), (0, 3), (1, 2), (2, 2), (2, 1)])
     def test_retention_advance_deletes_what_the_old_walk_did(self, start, floor):
-        def old_advance(window, store, floor):
-            removed = 0
-            for r in range(window.floor, floor):
-                for prefix in (f"ar/{r:08d}", f"sr/{r:08d}"):
-                    for key in store._do_list(prefix):
-                        store._do_delete(key)
-                        removed += 1
-            window.floor = max(window.floor, floor)
-            window.collected += removed
-            return removed
-
-        got, want = self.twin(start), self.twin(start)
-        removed = got[0].retention.advance(got[0], floor)
-        assert removed == old_advance(want[0].retention, want[0], floor)
-        assert removed == (len(_round_keys()) - len(got[0]._objects))
-        assert got[0].retention.floor == want[0].retention.floor
-        assert got[0].retention.collected == want[0].retention.collected == removed
-        self.assert_same(got, want)
+        real, _ = assert_same_world(_discard_world(start, ("advance", 0, floor)))
+        [removed] = [entry[3] for entry in real.outcome["log"] if entry[2] == "advance"]
+        assert removed == sum(
+            key.startswith(f"{kind}/{r:08d}")
+            for key in _round_keys() for kind in ("ar", "sr") for r in range(start, floor)
+        )
+        retention = real.stores[0].retention
+        assert retention.floor == max(start, floor)  # (2, 1): the floor never moves down
+        assert retention.collected == removed
 
 
 class TestOnlyANewKeySatisfiesWaiters:
@@ -876,7 +731,7 @@ class TestEngineWaitersWithDeletes:
 
 class TestServiceQueueHeap:
     def test_matches_linear_reference(self):
-        """Float-heap booking must match the linear argmin reference.
+        """Float-heap booking must match the reference's linear-min queue.
 
         The queue no longer tracks slot indices at all — only the
         multiset of free times — so this checks the observational
@@ -885,16 +740,12 @@ class TestServiceQueueHeap:
         """
         rng = np.random.default_rng(11)
         for slots in (1, 3, 8):
-            q = ServiceQueue(slots)
-            free_at = [0.0] * slots  # reference implementation
+            q, ref = ServiceQueue(slots), RefQueue(slots)
             for _ in range(300):
                 arrival = float(rng.uniform(0, 50))
                 duration = float(rng.uniform(0.01, 5))
-                idx = min(range(slots), key=lambda i: free_at[i])
-                start = max(arrival, free_at[idx])
-                free_at[idx] = start + duration
-                assert q.schedule(arrival, duration) == (start, start + duration)
-                assert q.busy_until == max(free_at)
+                assert q.schedule(arrival, duration) == ref.book(arrival, duration)
+                assert q.busy_until == max(ref.free)
 
 
 class TestBatchedPollBilling:
@@ -903,7 +754,7 @@ class TestBatchedPollBilling:
         store_batched = S3Store(meter=batched)
         store_batched.record_polls(1237)
         for _ in range(1237):
-            looped.bill_s3_request("list")
+            looped.bill_request(looped.s3_request_prices()["list"])
         assert batched.dollars["s3"] == looped.dollars["s3"]  # bit-identical
         assert batched.counters["s3_list"] == looped.counters["s3_list"] == 1237
 
@@ -947,9 +798,10 @@ class TestBatchedPollBilling:
         for _ in range(40):
             op = rng.choice(("list", "put", "get", "delete"))
             count = rng.choice((1, 2, 3, rng.randint(4, 5000)))
-            batched.bill_s3_request(op, count)
+            entry = batched.s3_request_prices()[op]
+            batched.bill_request(entry, count)
             for _ in range(count):
-                looped.bill_s3_request(op)
+                looped.bill_request(entry)
             assert batched.dollars["s3"].hex() == looped.dollars["s3"].hex()
         assert batched.counters == looped.counters
 
