@@ -53,7 +53,7 @@ from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.experiments.workloads import WORKLOADS
 from repro.sweep.orchestrator import plan_sweep, run_sweep
-from repro.sweep.study import all_studies, get_study
+from repro.sweep.study import StudyContext, all_studies, get_study
 
 # Scalar parsers for derived flags. `from __future__ import annotations`
 # makes dataclass field types strings ("float | None"); the first union
@@ -330,8 +330,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
             print(f"profile: {path}", file=sys.stderr)
     else:
         run = execute()
+    need_result = experiment.claims or not args.no_report
+    result = experiment.aggregate(run.artifacts) if need_result else None
     if not args.no_report:
-        print(experiment.format_report(experiment.aggregate(run.artifacts)))
+        print(experiment.format_report(result))
         print()
     print(
         f"sweep {experiment.name}: {run.ran} point(s) run, "
@@ -354,7 +356,22 @@ def _run_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
+    return _check_claims(args, experiment, result)
+
+
+def _check_claims(args: argparse.Namespace, experiment, result) -> int:
+    """One line per claim of the default grid; 1 when one fails outright."""
+    ctx = StudyContext(max_epochs=args.max_epochs, seed=args.seed, mega=args.mega)
+    if experiment.claims and ctx != StudyContext():
+        print(f"{len(experiment.claims)} claim(s) not checked: they are stated "
+              "for the default grid (no --max-epochs, --seed or --mega)")
+        return 0
+    failed = 0
+    for claim in experiment.claims:
+        fatal, line = claim.verdict(result)
+        print(line)
+        failed += fatal
+    return 1 if failed else 0
 
 
 def _add_fuzz_parser(subparsers) -> None:

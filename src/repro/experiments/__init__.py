@@ -19,15 +19,16 @@ them to the orchestrator. A deliberate departure from Table 4 is a
 commented override at the call site; no module here constructs a
 ``SweepPoint`` or calls ``expand_grid`` / ``get_workload`` itself
 (``tests/test_study_registry.py`` enforces it, counts the departures and
-pins the digest of all 22 grids).
+pins the digest of all 23 grids).
 
-The modules hold grids, aggregators and renderers only, and none
-imports the orchestrator: running one is the protocol itself — hand a
-grid function's points to the sweep orchestrator and its artifacts to
-``aggregate`` — which is how the figure scripts in ``benchmarks/`` call
-them at scaled-down settings (the grid functions also accept the
-full-scale parameters). ``format_report(...)`` mirrors the paper's
-tables. Analytical studies keep a ``run()`` that *is* their computation.
+The modules hold grids, aggregators, renderers and claims only, and
+none imports the orchestrator: running one is the protocol itself —
+hand the study's points to the sweep orchestrator and its artifacts to
+``aggregate``. ``format_report(...)`` mirrors the paper's tables, and a
+study's ``claims`` state the paper's findings on its default grid
+(``repro.cli sweep --experiment X`` checks them; a finding the simulator
+does not reproduce is a claim with a recorded ``deviation``). Analytical
+studies keep a ``run()`` that *is* their computation.
 """
 
 from repro.experiments.workloads import WORKLOADS, Workload, get_workload

@@ -3,13 +3,7 @@
 For each system we run exactly ten epochs (no early stopping) and
 report the per-phase simulated time of the slowest worker: start-up,
 data loading, computation, communication, the total, and the total
-excluding start-up.
-
-Paper's measured values for reference (seconds):
-  PyTorch   132 / 9 / 80 / 0.9 -> 221 (89 w/o startup)
-  Angel     457 / 35 / 125 / 1.1 -> 618 (161)
-  HybridPS  123 / 9 / 80 / 1.0 -> 213 (90)
-  LambdaML    1 / 9 / 80 / 2   ->  92 (91)
+excluding start-up. The paper's measured seconds are :data:`PAPER_SECONDS`.
 
 The four systems form a declarative grid (:func:`sweep_points`) run by
 the sweep orchestrator; :func:`aggregate` rebuilds the breakdown rows
@@ -28,10 +22,19 @@ from repro.experiments.report import format_table
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import Claim, study
 
 SYSTEMS = ("pytorch", "angel", "hybridps", "lambdaml")
 DEFAULT_EPOCHS = 10.0
+# The paper's seconds per system (startup, load, compute, comm, total),
+# and how far (relative) a simulated phase may sit from them.
+PAPER_SECONDS = {
+    "pytorch": (132, 9, 80, 0.9, 221),
+    "angel": (457, 35, 125, 1.1, 618),
+    "hybridps": (123, 9, 80, 1.0, 213),
+    "lambdaml": (1, 9, 80, 2, 92),
+}
+PHASE_TOLERANCE = {"startup_s": 0.35, "load_s": 0.6, "compute_s": 0.4, "total_s": 0.4}
 
 
 @dataclass
@@ -102,6 +105,27 @@ def format_report(rows: list[BreakdownRow]) -> str:
     )
 
 
+def _phases_near_paper(rows: list[BreakdownRow]) -> str | None:
+    by_system = {r.system: r for r in rows}
+    phases = ("startup_s", "load_s", "compute_s", "comm_s", "total_s")
+    return "; ".join(
+        f"{system} {phase} {getattr(by_system[system], phase):.3g} vs paper {paper}"
+        for system, seconds in PAPER_SECONDS.items()
+        for phase, paper in zip(phases, seconds)
+        if phase in PHASE_TOLERANCE
+        and not abs(getattr(by_system[system], phase) - paper) <= PHASE_TOLERANCE[phase] * paper
+    ) or None
+
+
+def _totals(rows: list[BreakdownRow], holds) -> str | None:
+    """``None`` when ``holds(total, total_without_startup)``, each keyed by system."""
+    total = {r.system: r.total_s for r in rows}
+    rest = {r.system: r.total_without_startup_s for r in rows}
+    if holds(total, rest):
+        return None
+    return ", ".join(f"{s} {total[s]:.4g} s ({rest[s]:.4g} s w/o startup)" for s in SYSTEMS)
+
+
 @study("fig10")
 class Fig10Study:
     """per-phase runtime breakdown (startup/load/compute/comm) across all four systems"""
@@ -112,3 +136,10 @@ class Fig10Study:
 
     aggregate = staticmethod(aggregate)
     format_report = staticmethod(format_report)
+    claims = (
+        Claim("fig10.phases_near_paper", "Fig. 10", _phases_near_paper),
+        Claim("fig10.lambdaml_hybrid_angel_order", "Fig. 10, §5.2", lambda r: _totals(
+            r, lambda total, _: total["lambdaml"] < total["hybridps"] < total["angel"])),
+        Claim("fig10.lambdaml_no_faster_past_startup", "Fig. 10, §5.2", lambda r: _totals(
+            r, lambda _, rest: rest["lambdaml"] >= rest["pytorch"])),
+    )

@@ -26,7 +26,7 @@ from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import Claim, study
 
 # Default grids. FaaS deliberately crosses the paper's ceiling: Fig. 11
 # stops near 300 workers, our engine sweeps to 512 and beyond.
@@ -99,17 +99,14 @@ def lr_higgs_points(
 
 
 def mobilenet_points(
-    faas_workers=MOBILENET_FAAS_WORKERS,
-    gpu_workers=MOBILENET_GPU_WORKERS,
-    max_epochs: float | None = None,
-    seed: int = DEFAULT_SEED,
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """Declarative grid for the MobileNet/Cifar10 profile."""
     base = Scenario.workload("mobilenet", "cifar10", seed=seed)
     if max_epochs:
         base = base.vary(max_epochs=max_epochs)
-    faas = base.vary(system="lambdaml", channel="memcached").grid(workers=faas_workers)
-    gpu = base.vary(system="pytorch", instance="g3s.xlarge").grid(workers=gpu_workers)
+    faas = base.vary(system="lambdaml", channel="memcached").grid(workers=MOBILENET_FAAS_WORKERS)
+    gpu = base.vary(system="pytorch", instance="g3s.xlarge").grid(workers=MOBILENET_GPU_WORKERS)
     return [
         s.named(
             f"mobilenet faas,W={s.kwargs['workers']}",
@@ -178,6 +175,32 @@ def format_report(profiles: list[ScalingProfile]) -> str:
     return "\n\n".join(blocks)
 
 
+def _series(profiles, workload: str, system: str) -> list[ScalingPoint]:
+    profile = next(p for p in profiles if p.workload == workload)
+    return sorted((p for p in profile.points if p.system == system), key=lambda p: p.workers)
+
+
+def _lr_higgs(profiles, holds) -> str | None:
+    """``None`` when ``holds(faas_points, iaas_points)``, each sorted by workers."""
+    faas, iaas = (_series(profiles, "lr/higgs", s) for s in ("faas", "iaas"))
+    if holds(faas, iaas):
+        return None
+    return "; ".join(
+        f"{name} W={p.workers}: {p.runtime_s:.4g} s ${p.cost:.3g}"
+        for name, pts in (("faas", faas), ("iaas", iaas)) for p in pts
+    )
+
+
+def _mobilenet_gpu_dominates_faas(profiles) -> str | None:
+    best = min(_series(profiles, "mobilenet/cifar10", "iaas-gpu"), key=lambda p: p.runtime_s)
+    return "; ".join(
+        f"GPU W={best.workers} ({best.runtime_s:.4g} s, ${best.cost:.3g}) does not "
+        f"dominate FaaS W={f.workers} ({f.runtime_s:.4g} s, ${f.cost:.3g})"
+        for f in _series(profiles, "mobilenet/cifar10", "faas")
+        if not (best.runtime_s < f.runtime_s and best.cost < f.cost)
+    ) or None
+
+
 @study("fig11")
 class Fig11Study:
     """runtime/cost vs worker count; FaaS grid crosses the paper's ~300-worker ceiling up to 512 (4096 with --mega)"""
@@ -188,3 +211,16 @@ class Fig11Study:
 
     aggregate = staticmethod(aggregate)
     format_report = staticmethod(format_report)
+    claims = (
+        Claim("fig11.lr_faas_fastest", "Fig. 11, §5.3", lambda r: _lr_higgs(
+            r, lambda faas, iaas: min(p.runtime_s for p in faas)
+            < min(p.runtime_s for p in iaas))),
+        # ...but never significantly cheaper than the cheapest IaaS.
+        Claim("fig11.lr_faas_not_much_cheaper", "Fig. 11, §5.3", lambda r: _lr_higgs(
+            r, lambda faas, iaas: min(p.cost for p in faas)
+            > 0.5 * min(p.cost for p in iaas))),
+        Claim("fig11.lr_faas_cost_grows_with_workers", "Fig. 11", lambda r: _lr_higgs(
+            r, lambda faas, _: faas[-1].cost > faas[0].cost)),
+        Claim("fig11.mobilenet_gpu_dominates_faas", "Fig. 11, §5.3",
+              _mobilenet_gpu_dominates_faas),
+    )

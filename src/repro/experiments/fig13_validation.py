@@ -26,7 +26,7 @@ from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import Claim, study
 
 EPOCH_GRID = (1, 5, 10, 25, 50, 100)
 ESTIMATOR_CASES = (("lr", "higgs"), ("svm", "higgs"))
@@ -212,6 +212,29 @@ def format_report(points: list[ValidationPoint], est: list[EstimatorPoint]) -> s
     return a + "\n\n" + b
 
 
+def _model_tracks_simulation(result: Fig13Result) -> str | None:
+    return "; ".join(
+        f"{p.epochs:g} epochs {side}: predicted {pred:.4g} s, simulated {actual:.4g} s"
+        for p in result.fixed
+        for side, pred, actual in (
+            ("FaaS", p.faas_predicted_s, p.faas_actual_s),
+            ("IaaS", p.iaas_predicted_s, p.iaas_actual_s),
+        )
+        if not abs(pred - actual) / actual < 0.35
+    ) or None
+
+
+def _estimates(result: Fig13Result, holds) -> str | None:
+    """``None`` when ``holds(estimate)`` for every estimator point."""
+    return "; ".join(
+        f"{e.workload} {e.algorithm}: estimated {e.estimated_epochs:.3g} epochs, "
+        f"{e.predicted_runtime_s:.4g} s; simulated {e.actual_epochs:.3g}, "
+        f"{e.actual_runtime_s:.4g} s"
+        for e in result.estimator
+        if not holds(e)
+    ) or None
+
+
 @study("fig13")
 class Fig13Study:
     """analytical-model validation: fixed-epoch runtimes + sampling-estimator predictions"""
@@ -225,3 +248,16 @@ class Fig13Study:
     @staticmethod
     def format_report(result: Fig13Result) -> str:
         return format_report(result.fixed, result.estimator)
+
+    claims = (
+        # Within 35 % of the simulated runtime, on both platforms.
+        Claim("fig13.model_tracks_simulation", "Fig. 13a, §5.4",
+              _model_tracks_simulation),
+        # The 10 % sample lands in the right epoch ballpark...
+        Claim("fig13.estimator_epochs_ballpark", "Fig. 13b, §5.4", lambda r: _estimates(
+            r, lambda e: e.estimated_epochs <= 3 * max(e.actual_epochs, 1.0) + 10)),
+        # ...and its runtime prediction has the right magnitude.
+        Claim("fig13.estimator_runtime_magnitude", "Fig. 13b, §5.4", lambda r: _estimates(
+            r, lambda e: e.actual_runtime_s / 10 < e.predicted_runtime_s
+            < 10 * e.actual_runtime_s)),
+    )

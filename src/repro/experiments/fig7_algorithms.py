@@ -19,6 +19,7 @@ from per-point JSON artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.config import DEFAULT_SEED
@@ -27,7 +28,7 @@ from repro.experiments.report import format_series, format_table
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import Claim, study
 
 # The figure's three panels: (model, dataset, (small W, large W)).
 # MobileNet runs at (10, 50): GA-SGD is the only stable algorithm there
@@ -73,14 +74,13 @@ def workload_points(
     model: str = "lr",
     dataset: str = "higgs",
     worker_counts: tuple[int, int] = (10, 300),
-    channel: str = "memcached",
     max_epochs: float | None = None,
     ga_max_epochs: float | None = None,
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One (algorithm, workers) grid cell per point, for one workload."""
     base = Scenario.workload(
-        model, dataset, system="lambdaml", channel=channel,
+        model, dataset, system="lambdaml", channel="memcached",
         # §4 protocol: Memcached is launched before the Lambdas.
         channel_prestarted=True,
         partition_mode="label-skew" if model in ("mobilenet", "resnet50") else "iid",
@@ -135,8 +135,8 @@ def aggregate(artifacts: list[dict]) -> list[AlgorithmComparison]:
     return list(comparisons.values())
 
 
-def format_report(comparison: AlgorithmComparison, worker_counts=(10, 300)) -> str:
-    small, large = worker_counts
+def format_report(comparison: AlgorithmComparison) -> str:
+    small, large = comparison.worker_counts()
     rows = []
     for (algorithm, workers), result in sorted(comparison.results.items()):
         rows.append(
@@ -171,6 +171,25 @@ def format_report(comparison: AlgorithmComparison, worker_counts=(10, 300)) -> s
     return "\n\n".join([table, table2, format_series("Loss vs time", curves)])
 
 
+def _scaling(comparisons, workload: str, holds) -> str | None:
+    """``None`` when ``holds(admm_speedup, ga_sgd_speedup)`` from small to large W."""
+    comparison = next(c for c in comparisons if c.workload == workload)
+    small, large = comparison.worker_counts()
+    admm, ga = (comparison.speedup(a, small, large) for a in ("admm", "ga_sgd"))
+    if holds(admm, ga):
+        return None
+    return f"{workload} W={small}->{large}: ADMM {admm:.3g}x, GA-SGD {ga:.3g}x"
+
+
+def _mobilenet_ga_beats_unstable_ma(comparisons) -> str | None:
+    results = next(c for c in comparisons if c.workload == "mobilenet/cifar10").results
+    ga, ma = (results[(a, 10)].final_loss for a in ("ga_sgd", "ma_sgd"))
+    # A NaN loss is MA-SGD diverging: the instability the paper reports.
+    if math.isfinite(ga) and (math.isnan(ma) or ga < ma):
+        return None
+    return f"W=10 final loss: GA-SGD {ga:.3g}, MA-SGD {ma:.3g}"
+
+
 @study("fig7")
 class Fig7Study:
     """algorithm comparison (GA-SGD / MA-SGD / ADMM) at small vs large worker counts"""
@@ -183,6 +202,18 @@ class Fig7Study:
 
     @staticmethod
     def format_report(comparisons: list[AlgorithmComparison]) -> str:
-        return "\n\n".join(
-            format_report(c, worker_counts=c.worker_counts()) for c in comparisons
-        )
+        return "\n\n".join(format_report(c) for c in comparisons)
+
+    claims = (
+        Claim("fig7.lr_admm_scales_ga_anti_scales", "Fig. 7a",
+              lambda r: _scaling(r, "lr/higgs", lambda admm, ga: admm > 1.0 > ga)),
+        Claim("fig7.lr_admm_speedup_magnitude", "Fig. 7a",
+              lambda r: _scaling(r, "lr/higgs", lambda admm, ga: admm > 1.5),
+              deviation="the paper's ADMM speeds up ~16x from 10 to 300 "
+              "workers; the simulated one ~1.4x (a bound of 1.5x held from "
+              "10 to 96 workers only)"),
+        Claim("fig7.svm_admm_outscales_ga", "Fig. 7b",
+              lambda r: _scaling(r, "svm/higgs", lambda admm, ga: admm > ga)),
+        Claim("fig7.mobilenet_ga_beats_unstable_ma", "Fig. 7c, §4.2",
+              _mobilenet_ga_beats_unstable_ma),
+    )

@@ -26,7 +26,7 @@ from repro.experiments.report import format_series, format_table
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import Claim, study
 
 
 @dataclass
@@ -84,13 +84,7 @@ def panel_points(
     seed: int = DEFAULT_SEED,
 ) -> list[SweepPoint]:
     """One point per system for a single panel, at exactly ``workers``."""
-    base = Scenario.workload(
-        model, dataset, workers=workers, seed=seed,
-        # Found inconsistency, held bit for bit: Table 4 says 32 for
-        # LR/SVM-YFCC100M and LR-Criteo (and fig12 runs 32 on the same
-        # workloads); this figure has always run the config default.
-        min_local_batch=1,
-    )
+    base = Scenario.workload(model, dataset, workers=workers, seed=seed)
     if max_epochs is not None:
         base = base.vary(max_epochs=max_epochs)
     panel_label = f"{model}/{dataset},W={workers}"
@@ -101,17 +95,12 @@ def panel_points(
 
 
 def sweep_points(
-    panels=ALL_PANELS,
-    workers_cap: int | None = None,
-    max_epochs: float | None = None,
-    seed: int = DEFAULT_SEED,
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """One point per (panel, system) cell of Figure 9."""
     points = []
-    for model, dataset in panels:
+    for model, dataset in ALL_PANELS:
         w = Scenario.workload(model, dataset).kwargs["workers"]
-        if workers_cap is not None:
-            w = min(w, workers_cap)
         points += panel_points(model, dataset, w, max_epochs=max_epochs, seed=seed)
     return points
 
@@ -149,6 +138,20 @@ def format_report(panels: list[EndToEndPanel]) -> str:
     return "\n\n".join(blocks)
 
 
+# The communication-efficient convex panels of §5.2's first finding.
+CONVEX_PANELS = ("lr/higgs", "svm/higgs", "lr/rcv1", "kmeans/higgs")
+
+
+def _faster(panels, workloads, fast: str, slow: str) -> str | None:
+    """``None`` when system ``fast`` beats system ``slow`` on every named panel."""
+    t = {p.workload.split(",")[0]: p.results for p in panels}
+    return "; ".join(
+        f"{w}: {fast} {t[w][fast].duration_s:.4g} s, {slow} {t[w][slow].duration_s:.4g} s"
+        for w in workloads
+        if not t[w][fast].duration_s < t[w][slow].duration_s
+    ) or None
+
+
 @study("fig9")
 class Fig9Study:
     """end-to-end systems comparison on the Table-4 workloads"""
@@ -159,3 +162,14 @@ class Fig9Study:
 
     aggregate = staticmethod(aggregate)
     format_report = staticmethod(format_report)
+    claims = (
+        Claim("fig9.lambdaml_beats_pytorch_on_convex", "Fig. 9, §5.2",
+              lambda r: _faster(r, CONVEX_PANELS, "lambdaml", "pytorch-sgd")),
+        Claim("fig9.angel_slower_than_pytorch_on_convex", "Fig. 9, §5.2",
+              lambda r: _faster(r, CONVEX_PANELS, "pytorch-sgd", "angel")),
+        Claim("fig9.gpu_beats_cpu_and_faas_on_mobilenet", "Fig. 9k, §5.2",
+              lambda r: _faster(r, ["mobilenet/cifar10"], "pytorch-gpu", "pytorch-sgd")
+              or _faster(r, ["mobilenet/cifar10"], "pytorch-gpu", "lambdaml")),
+        Claim("fig9.hybrid_serdes_bound_on_mobilenet", "Fig. 9k, §5.2",
+              lambda r: _faster(r, ["mobilenet/cifar10"], "pytorch-gpu", "hybridps")),
+    )

@@ -90,17 +90,11 @@ class ReliabilityCurve:
 
 
 def sweep_points(
-    max_epochs: float | None = None,
-    seed: int = DEFAULT_SEED,
-    crash_rates=FAAS_CRASH_RATES,
-    iaas_crash_rates=IAAS_CRASH_RATES,
-    storage_error_rates=STORAGE_ERROR_RATES,
-    checkpoint_intervals=CHECKPOINT_INTERVALS,
-    workers: int = WORKERS,
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     """Declarative grid for the cost-of-reliability curves."""
     base = Scenario.workload(
-        "lr", "higgs", workers=workers,
+        "lr", "higgs", workers=WORKERS,
         # admm_scans=2 gives the job a real round structure (5 exchange
         # rounds over EPOCH_BUDGET instead of 1) — without it a crash
         # always re-executes the whole job and the checkpoint-cadence
@@ -116,21 +110,21 @@ def sweep_points(
             f"faas,crash_rate={s.kwargs['crash_rate']:g}/h",
             series="faas-crash", system="faas",
         )
-        for s in faas.grid(crash_rate=crash_rates)
+        for s in faas.grid(crash_rate=FAAS_CRASH_RATES)
     ]
     scenarios += [
         s.named(
             f"iaas,crash_rate={s.kwargs['crash_rate']:g}/h",
             series="iaas-crash", system="iaas",
         )
-        for s in base.vary(system="pytorch").grid(crash_rate=iaas_crash_rates)
+        for s in base.vary(system="pytorch").grid(crash_rate=IAAS_CRASH_RATES)
     ]
     scenarios += [
         s.named(
             f"faas,storage_error_rate={s.kwargs['storage_error_rate']:g}",
             series="faas-storage", system="faas",
         )
-        for s in faas.grid(storage_error_rate=storage_error_rates)
+        for s in faas.grid(storage_error_rate=STORAGE_ERROR_RATES)
         if s.kwargs["storage_error_rate"] > 0  # rate 0 already in faas-crash
     ]
     scenarios += [
@@ -140,7 +134,7 @@ def sweep_points(
             series="faas-interval", system="faas",
         )
         for s in faas.vary(crash_rate=INTERVAL_CRASH_RATE).grid(
-            checkpoint_interval=checkpoint_intervals
+            checkpoint_interval=CHECKPOINT_INTERVALS
         )
     ]
     return [s.point("figR") for s in scenarios]

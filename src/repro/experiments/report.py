@@ -2,8 +2,8 @@
 
 Each experiment returns rows of python primitives; these helpers render
 them as aligned tables that mirror the paper's tables/figure captions,
-so the reports `pytest benchmarks/bench_*.py` writes under
-`benchmarks/reports/` double as the reproduction record.
+which is what `repro.cli sweep --experiment X` prints above the study's
+claim verdicts.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.storage.services import DYNAMODB_MAX_ITEM_BYTES, DynamoDBStore
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import Claim, study
 
 CHANNELS = ("s3", "memcached", "dynamodb")
 
@@ -91,7 +91,7 @@ def workload_points(
 
 # The default rows (scaled: MobileNet capped at 6 epochs, no W=50 row).
 def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED, scaled: bool = True
+    max_epochs: float | None = None, seed: int = DEFAULT_SEED
 ) -> list[SweepPoint]:
     w_small, w_large = (10, 50)
     points = []
@@ -104,13 +104,8 @@ def sweep_points(
         "kmeans", "higgs", w_large, k=1000, max_epochs=max_epochs or 10, seed=seed
     )
     points += workload_points(
-        "mobilenet", "cifar10", 10,
-        max_epochs=max_epochs or (6 if scaled else None), seed=seed,
+        "mobilenet", "cifar10", 10, max_epochs=max_epochs or 6, seed=seed
     )
-    if not scaled:
-        points += workload_points(
-            "mobilenet", "cifar10", 50, max_epochs=max_epochs, seed=seed
-        )
     return points
 
 
@@ -178,6 +173,26 @@ def format_report(rows: list[ChannelRow]) -> str:
     )
 
 
+def _row(rows: list[ChannelRow], workload: str, workers: int) -> ChannelRow:
+    return next(r for r in rows if (r.workload, r.workers) == (workload, workers))
+
+
+def _cell(rows: list[ChannelRow], workload: str, workers: int, column: str,
+          channel: str, holds) -> str | None:
+    """``None`` when ``holds`` the row's ``column`` entry (N/A never holds)."""
+    value = getattr(_row(rows, workload, workers), column)[channel]
+    if value is not None and holds(value):
+        return None
+    shown = "N/A" if value is None else f"{value:.3g}"
+    return f"{workload},W={workers} {channel} {column} {shown}"
+
+
+def _dynamodb_cannot_hold_mobilenet(rows) -> str | None:
+    # The 12 MB model exceeds DynamoDB's 400 KB item limit: the cell is N/A.
+    value = _row(rows, "mobilenet/cifar10", 10).slowdown["dynamodb"]
+    return None if value is None else f"mobilenet/cifar10,W=10 dynamodb slowdown {value:.3g}"
+
+
 @study("table1")
 class Table1Study:
     """channel comparison (S3 / Memcached / DynamoDB / VM-PS) slowdown + relative cost"""
@@ -188,3 +203,23 @@ class Table1Study:
 
     aggregate = staticmethod(aggregate)
     format_report = staticmethod(format_report)
+    claims = (
+        # Memcached pays its start-up on a short job (paper: cost 5x, slowdown 4.17x).
+        Claim("table1.memcached_loses_short_jobs", "Table 1, §4.3", lambda rows: _cell(
+            rows, "lr/higgs", 10, "slowdown", "memcached", lambda v: v > 1.3
+        ) or _cell(rows, "lr/higgs", 10, "rel_cost", "memcached", lambda v: v > 1.3)),
+        # Paper: ~0.95 cost and 0.83 slowdown.
+        Claim("table1.dynamodb_tracks_s3_on_tiny_models", "Table 1, §4.3",
+              lambda rows: _cell(rows, "lr/higgs", 10, "slowdown", "dynamodb",
+                                 lambda v: 0.5 < v < 1.2)),
+        # Paper: cost 4.7, slowdown 3.85.
+        Claim("table1.vm_ps_pays_its_boot", "Table 1, §4.3",
+              lambda rows: _cell(rows, "lr/higgs", 10, "slowdown", "vm-ps",
+                                 lambda v: v > 1.3)),
+        # Paper: slowdown 0.77, cost 0.9.
+        Claim("table1.memcached_wins_long_jobs", "Table 1, §4.3",
+              lambda rows: _cell(rows, "mobilenet/cifar10", 10, "slowdown", "memcached",
+                                 lambda v: v < 1.0)),
+        Claim("table1.dynamodb_cannot_hold_mobilenet", "Table 1, §4.3",
+              _dynamodb_cannot_hold_mobilenet),
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.experiments.report import format_table
 from repro.iaas.ps import PSTimingModel
 from repro.iaas.vm import get_instance
-from repro.sweep.study import study
+from repro.sweep.study import Claim, study
 
 MB = 1024 * 1024
 PAYLOAD_BYTES = 75 * MB
@@ -31,6 +31,17 @@ CONFIGS = [
     (10, 3.0, "c5.4xlarge"),
     (10, 1.0, "c5.4xlarge"),
 ]
+
+
+# (lambdas, mem, instance) -> the paper's gRPC transfer seconds.
+PAPER_GRPC_TRANSFER_S = {
+    (1, 3.0, "t2.2xlarge"): 2.62,
+    (1, 1.0, "t2.2xlarge"): 3.02,
+    (1, 3.0, "c5.4xlarge"): 1.85,
+    (1, 1.0, "c5.4xlarge"): 2.36,
+    (10, 3.0, "t2.2xlarge"): 5.7,
+    (10, 3.0, "c5.4xlarge"): 3.7,
+}
 
 
 @dataclass
@@ -91,9 +102,36 @@ def format_report(rows: list[RPCRow]) -> str:
     )
 
 
+def _by_config(rows: list[RPCRow]) -> dict[tuple, RPCRow]:
+    return {(r.n_lambdas, r.lambda_memory_gb, r.ps_instance): r for r in rows}
+
+
+def _grpc_transfer_near_paper(rows: list[RPCRow]) -> str | None:
+    by_config = _by_config(rows)
+    return "; ".join(
+        f"{config}: {by_config[config].grpc_transfer_s:.3g} s vs paper {paper} s"
+        for config, paper in PAPER_GRPC_TRANSFER_S.items()
+        if not abs(by_config[config].grpc_transfer_s - paper) <= 0.45 * paper
+    ) or None
+
+
+def _thrift_slow_transfer_fast_update(rows: list[RPCRow]) -> str | None:
+    one = _by_config(rows)[(1, 3.0, "c5.4xlarge")]
+    if one.thrift_transfer_s > 8 * one.grpc_transfer_s and one.grpc_update_s > one.thrift_update_s:
+        return None
+    return (f"transfer Thrift {one.thrift_transfer_s:.3g} s / gRPC {one.grpc_transfer_s:.3g} s, "
+            f"update gRPC {one.grpc_update_s:.3g} s / Thrift {one.thrift_update_s:.3g} s")
+
+
 @study("table2")
 class Table2Study:
     """Lambda<->VM parameter-server RPC micro-benchmark (gRPC vs Thrift, 75 MB)"""
 
     aggregate = staticmethod(lambda artifacts: run())
     format_report = staticmethod(format_report)
+    claims = (
+        Claim("table2.grpc_transfer_near_paper", "Table 2, §4.4",
+              _grpc_transfer_near_paper),
+        Claim("table2.thrift_slow_transfer_fast_update", "Table 2, §4.4",
+              _thrift_slow_transfer_fast_update),
+    )

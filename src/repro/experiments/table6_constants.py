@@ -23,7 +23,7 @@ from repro.simulation.commands import Get, Put
 from repro.simulation.engine import Engine
 from repro.storage.base import ObjectStore
 from repro.storage.services import MemcachedStore, S3Store, VMDiskStore
-from repro.sweep.study import study
+from repro.sweep.study import Claim, study
 from repro.utils.serialization import SizedPayload
 
 MB = 1024 * 1024
@@ -113,9 +113,19 @@ def format_report(rows: list[ConstantRow]) -> str:
     )
 
 
+def _constants_near_paper(rows: list[ConstantRow]) -> str | None:
+    return "; ".join(
+        f"{r.symbol} ({r.configuration}): {r.measured_value:.4g} "
+        f"vs paper {r.paper_value:.4g} {r.unit}"
+        for r in rows
+        if not abs(r.measured_value - r.paper_value) <= 0.25 * abs(r.paper_value)
+    ) or None
+
+
 @study("table6")
 class Table6Study:
     """self-consistency check: analytical constants re-measured from the substrate"""
 
     aggregate = staticmethod(lambda artifacts: run())
     format_report = staticmethod(format_report)
+    claims = (Claim("table6.constants_near_paper", "Table 6, §5.4", _constants_near_paper),)

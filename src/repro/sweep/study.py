@@ -9,7 +9,10 @@ benchmark harness all speak: a named experiment that can
 * reduce per-point sweep artifacts back into the experiment's result
   object — ``aggregate(artifacts)``;
 * render that result the way the paper reports it —
-  ``format_report(result)``.
+  ``format_report(result)``;
+* state the paper's findings it reproduces — ``claims``, a tuple of
+  :class:`Claim` checked on the aggregated result whenever the study
+  runs at the default :class:`StudyContext`.
 
 Experiment modules register by decorating a small declaration class::
 
@@ -38,12 +41,14 @@ import importlib
 import inspect
 import pkgutil
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.config import DEFAULT_SEED
 from repro.errors import ConfigurationError
 from repro.sweep.grid import SweepPoint
 
 __all__ = [
+    "Claim",
     "Study",
     "StudyContext",
     "all_studies",
@@ -71,6 +76,33 @@ class StudyContext:
     mega: bool = False
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One finding of the paper, stated as a check on a study's result.
+
+    ``check(result)`` returns ``None`` when the finding holds on the
+    aggregated result and a one-line complaint when it does not. ``cite``
+    names the figure, table or section it comes from. A finding the
+    simulator does not reproduce keeps its check and records why in
+    ``deviation``: a failed deviation is reported, never fatal.
+    """
+
+    id: str
+    cite: str
+    check: Callable[[Any], str | None]
+    deviation: str | None = None
+
+    def verdict(self, result) -> tuple[bool, str]:
+        """``(fatal, line)``: one printable line for this claim."""
+        complaint = self.check(result)
+        head = f"claim {self.id} [{self.cite}]"
+        if complaint is None:
+            return False, f"{head}: holds"
+        if self.deviation is not None:
+            return False, f"{head}: deviation ({complaint}): {self.deviation}"
+        return True, f"{head}: FAILED: {complaint}"
+
+
 class Study:
     """One registered experiment: grid + aggregator + report renderer.
 
@@ -88,16 +120,21 @@ class Study:
 
     ``aggregate(artifacts)`` reduces per-point artifacts to the
     experiment's result object; ``format_report(result)`` renders it the
-    way the paper reports it.
+    way the paper reports it; ``claims`` are the :class:`Claim` s that
+    result must satisfy at the default context.
     """
 
-    def __init__(self, name: str, description: str, points, aggregate, format_report) -> None:
+    def __init__(
+        self, name: str, description: str, points, aggregate, format_report,
+        claims: tuple[Claim, ...] = (),
+    ) -> None:
         self.name = name
         self.description = description
         self.kind = "direct" if points is None else "grid"
         self._points = points
         self.aggregate = aggregate
         self.format_report = format_report
+        self.claims = tuple(claims)
 
     def points(
         self,
@@ -137,8 +174,9 @@ def study(name: str, *, description: str | None = None):
 
     The class provides ``points(ctx)`` (leave it out for a direct study
     — the grid is then empty), ``aggregate(artifacts)`` and
-    ``format_report(result)`` as static/plain callables; the
-    description defaults to the first line of the class docstring.
+    ``format_report(result)`` as static/plain callables, and optionally
+    ``claims``; the description defaults to the first line of the class
+    docstring.
     """
 
     def decorate(cls):
@@ -154,6 +192,7 @@ def study(name: str, *, description: str | None = None):
                 points=getattr(cls, "points", None),
                 aggregate=cls.aggregate,
                 format_report=cls.format_report,
+                claims=getattr(cls, "claims", ()),
             )
         )
         return cls

@@ -18,10 +18,11 @@ import pytest
 
 import repro.experiments
 from repro.cli import main
-from repro.core.config import TrainingConfig
+from repro.core.config import TrainingConfig, config_validity_error
 from repro.errors import ConfigurationError
 from repro.experiments.workloads import WORKLOADS
 from repro.sweep.study import (
+    Claim,
     Study,
     StudyContext,
     all_studies,
@@ -32,11 +33,22 @@ from repro.sweep.study import (
 
 # The full catalog an ISSUE-5 registry must expose.
 EXPECTED_STUDIES = {
-    "cost_sanity", "datasets", "fig7", "fig8", "fig9", "fig10", "fig11",
+    "ablations", "cost_sanity", "datasets", "fig7", "fig8", "fig9", "fig10", "fig11",
     "fig12", "fig13", "fig14", "fig15", "figR", "figS", "multitenancy",
     "multitenancy_analytical", "smoke",
     "table1", "table2", "table3", "table5", "table6",
 }
+
+# The studies that state the paper's findings as claims (CI's
+# paper-claims job sweeps each one).
+CLAIMED_STUDIES = {
+    "ablations", "cost_sanity", "datasets", "fig7", "fig8", "fig9", "fig10",
+    "fig11", "fig12", "fig13", "fig14", "fig15",
+    "table1", "table2", "table3", "table5", "table6",
+}
+
+# The contexts a grid may depend on.
+CONTEXTS = (StudyContext(), StudyContext(mega=True), StudyContext(max_epochs=1.0))
 
 
 class TestRegistry:
@@ -74,9 +86,14 @@ class TestRegistry:
                 assert isinstance(point.config(), TrainingConfig)
                 hashes.add(point.hash())
             assert len(hashes) == len(points), f"{name}: colliding configs"
+            # Valid means trainable: no point of any context the digest
+            # walks may fail the feasibility checks a run makes first.
+            for ctx in CONTEXTS:
+                for point in entry.points(ctx=ctx):
+                    assert config_validity_error(point.config_kwargs) is None, point.label
 
     def test_grid_digest_is_pinned(self):
-        # Every (experiment, label, config hash, tags) of all 22 studies
+        # Every (experiment, label, config hash, tags) of all 23 studies
         # under the three contexts a grid may depend on. A refactor of
         # how grids are spelled must leave this digest alone; a change
         # that moves it on purpose re-pins it and says which points moved.
@@ -85,13 +102,12 @@ class TestRegistry:
              [(p.experiment, p.label, p.hash(), sorted(p.tags.items()))
               for p in entry.points(ctx=ctx)]]
             for name, entry in all_studies().items()
-            for ctx in (StudyContext(), StudyContext(mega=True),
-                        StudyContext(max_epochs=1.0))
+            for ctx in CONTEXTS
         ]
-        assert len(rows) == 66
-        assert sum(len(row[3]) for row in rows) == 833
+        assert len(rows) == 69
+        assert sum(len(row[3]) for row in rows) == 875
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-        assert digest[:16] == "53b56afb91b5eee4"
+        assert digest[:16] == "533741d6380f2874"
 
     def test_table4_fields_match_the_registry(self):
         # Scenario.workload is the one Table-4 -> kwargs mapping; a point
@@ -108,10 +124,6 @@ class TestRegistry:
                     if getattr(config, field) != getattr(workload, field):
                         drift[name, field] += 1
         assert drift == {
-            # Found inconsistency (ISSUE 24), held bit for bit: LR/SVM on
-            # YFCC100M and LR on Criteo run the config default of 1, not
-            # Table 4's 32, in this figure alone.
-            ("fig9", "min_local_batch"): 15,
             ("table1", "k"): 3,  # the k=1000 large-model k-means row
             # Extension studies with their own scaled-down job classes.
             ("figS", "batch_size"): 2,
@@ -157,54 +169,41 @@ class TestRegistry:
 
 
 class TestStudyDecorator:
-    def test_description_defaults_to_docstring(self):
-        probe = []
-
-        def catcher(entry):
-            probe.append(entry)
-            return entry
-
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """What the decorator registers, caught instead of registered."""
         import repro.sweep.study as study_module
 
-        original = study_module.register
-        study_module.register = catcher
-        try:
+        caught = []
+        monkeypatch.setattr(study_module, "register", caught.append)
+        return caught
 
-            @study("docstring-probe")
-            class Probe:
-                """first line wins
+    def test_description_defaults_to_docstring(self, probe):
+        @study("docstring-probe")
+        class Probe:
+            """first line wins
 
-                not this one.
-                """
+            not this one.
+            """
 
-                points = staticmethod(lambda ctx: [])
-                aggregate = staticmethod(lambda a: a)
-                format_report = staticmethod(str)
+            points = staticmethod(lambda ctx: [])
+            aggregate = staticmethod(lambda a: a)
+            format_report = staticmethod(str)
 
-        finally:
-            study_module.register = original
         assert probe[0].description == "first line wins"
+        assert probe[0].claims == ()
 
-    def test_direct_study_defaults_to_empty_grid(self):
-        probe = []
-        import repro.sweep.study as study_module
+    def test_direct_study_defaults_to_empty_grid(self, probe):
+        claim = Claim("directless.holds", "Fig. 0", lambda result: None)
 
-        def catcher(entry):
-            probe.append(entry)
-            return entry
+        @study("directless", description="computed")
+        class Directless:
+            aggregate = staticmethod(lambda a: "result")
+            format_report = staticmethod(str)
+            claims = (claim,)
 
-        original = study_module.register
-        study_module.register = catcher
-        try:
-
-            @study("directless", description="computed")
-            class Directless:
-                aggregate = staticmethod(lambda a: "result")
-                format_report = staticmethod(str)
-
-        finally:
-            study_module.register = original
         assert probe[0].points(max_epochs=1.0) == []
+        assert probe[0].claims == (claim,)
         # kind follows from the declaration: no points -> direct.
         assert probe[0].kind == "direct"
         assert Study("x", "d", lambda ctx: [], lambda a: a, str).kind == "grid"
@@ -238,6 +237,52 @@ class TestCliCatalog:
         stdout = capsys.readouterr().out
         assert "Table 2" in stdout
         assert "0 point(s) run" in stdout
+
+    def test_claim_ids_are_unique_and_cited(self):
+        claims = [(name, c) for name, e in all_studies().items() for c in e.claims]
+        ids = [c.id for _, c in claims]
+        assert len(ids) == len(set(ids))
+        for name, claim in claims:
+            assert claim.id.startswith(f"{name}."), claim.id
+            assert claim.cite.strip(), claim.id
+        assert {name for name, _ in claims} == CLAIMED_STUDIES
+
+    @pytest.mark.parametrize(
+        "name", ["ablations", "datasets", "fig14", "fig15", "table2", "table3", "table6"]
+    )
+    def test_claims_hold_through_the_sweep_cli(self, name, tmp_path, capsys):
+        # The direct studies and ablations (seconds each), checked the way
+        # CI's paper-claims job checks every study: default grid, the CLI.
+        assert main(["sweep", "--experiment", name, "--out", str(tmp_path),
+                     "--jobs", "2", "--no-report"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("claim ")]
+        assert len(lines) == len(get_study(name).claims)
+        assert all(line.endswith(": holds") for line in lines), lines
+
+    def test_claim_verdicts_set_the_exit_code(self, monkeypatch, tmp_path, capsys):
+        import repro.sweep.study as study_module
+
+        def run(claim, *flags):
+            entry = Study("claim-probe", "probe", None, lambda artifacts: 3, str,
+                          claims=(claim,))
+            monkeypatch.setitem(study_module._REGISTRY, entry.name, entry)
+            code = main(["sweep", "--experiment", entry.name, "--out",
+                         str(tmp_path), "--no-report", *flags])
+            return code, capsys.readouterr().out
+
+        def check(result):
+            return None if result > 5 else f"result {result} is not above 5"
+
+        code, out = run(Claim("probe.above_5", "Fig. 0", check))
+        assert code == 1
+        assert "claim probe.above_5 [Fig. 0]: FAILED: result 3 is not above 5" in out
+        code, out = run(Claim("probe.above_5", "Fig. 0", check, deviation="known"))
+        assert code == 0
+        assert "deviation (result 3 is not above 5): known" in out
+        code, out = run(Claim("probe.above_5", "Fig. 0", check), "--max-epochs", "1")
+        assert code == 0
+        assert "1 claim(s) not checked" in out and "FAILED" not in out
 
     def test_multitenancy_analytical_through_the_sweep_cli(self, capsys):
         # The closed-form study stays a zero-point direct study; its
