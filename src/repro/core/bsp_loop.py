@@ -30,8 +30,9 @@ no command is yielded in between — which is where the FaaS executor
 persists its recovery checkpoint. A respawned incarnation then passes
 that state back via ``resume``: the loop skips the baseline
 evaluation (its record survived the crash) and continues from the
-checkpointed round, with its substrate view rewound so the re-executed
-rounds read exactly the statistics the dead incarnation read.
+checkpointed round and evaluation index, so the re-executed rounds
+read exactly the statistics the dead incarnation read — the view is
+addressed by that index and holds no position of its own.
 """
 
 from __future__ import annotations
@@ -58,11 +59,18 @@ def crosses_epoch(epoch_float: float, next_epoch: float) -> bool:
 
 @dataclass(frozen=True)
 class RoundState:
-    """The BSP loop's position at a round boundary (picklable)."""
+    """The BSP loop's position at a round boundary (picklable).
+
+    ``evaluations`` counts the losses the rank has read from its view;
+    each read leaves one history record, so it is also how many of the
+    rank's records a successor resuming here keeps. ``global_loss`` is
+    the last fold the rank saw — its own baseline loss before the first
+    epoch crossing.
+    """
 
     epoch_float: float
     rounds: int
-    local_loss: float
+    evaluations: int
     global_loss: float
 
 
@@ -88,23 +96,19 @@ def bsp_rounds(
     if resume is None:
         # Baseline evaluation (loss at initialisation).
         yield Compute(ctx.eval_seconds(rank), "compute")
-        local_loss = algo.local_loss()
-        ctx.record(rank, 0.0, local_loss)
-        epoch_float = 0.0
-        rounds = 0
-        global_loss = local_loss
+        global_loss = algo.local_loss(0)
+        ctx.record(rank, 0.0, global_loss)
+        epoch_float, rounds, evaluations = 0.0, 0, 1
     else:
         # Recovered incarnation: the baseline (and every record up to
         # the checkpoint) is already in the history; pick up mid-run.
-        epoch_float = resume.epoch_float
-        rounds = resume.rounds
-        local_loss = resume.local_loss
-        global_loss = resume.global_loss
+        epoch_float, rounds = resume.epoch_float, resume.rounds
+        evaluations, global_loss = resume.evaluations, resume.global_loss
 
     while epoch_float < cfg.max_epochs:
         if pre_round is not None:
             yield from pre_round(
-                RoundState(epoch_float, rounds, local_loss, global_loss)
+                RoundState(epoch_float, rounds, evaluations, global_loss)
             )
 
         yield Compute(ctx.round_seconds(rank), "compute")
@@ -117,9 +121,10 @@ def bsp_rounds(
 
         if crossing:
             yield Compute(ctx.eval_seconds(rank), "compute")
-            local_loss = algo.local_loss()
+            local_loss = algo.local_loss(evaluations)
             yield from exchange(f"{rounds:08d}-loss", LOSS_WIRE_BYTES)
-            global_loss = algo.global_loss()
+            global_loss = algo.global_loss(evaluations)
+            evaluations += 1
             ctx.record(rank, epoch_float, local_loss)
             if ctx.converged(global_loss):
                 break

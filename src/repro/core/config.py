@@ -357,6 +357,11 @@ class TrainingConfig:
             raise ConfigurationError("kmeans must be trained with the EM algorithm")
         if info.kind != "kmeans" and algo in ("em", "kmeans"):
             raise ConfigurationError("EM only trains kmeans")
+        if self.platform == "hybrid" and algo not in ("ga_sgd", "ga", "sgd"):
+            raise ConfigurationError(
+                "the hybrid parameter-server architecture trains with GA-SGD "
+                "(Cirrus-style gradient pushes)"
+            )
         if self.protocol == "asp" and self.system != "lambdaml":
             raise ConfigurationError("the asynchronous protocol is a FaaS design point")
         if self.protocol == "asp" and info.kind == "kmeans":

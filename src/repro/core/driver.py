@@ -148,11 +148,6 @@ def _setup_platform(ctx: JobContext):
         ctx.setup_iaas()
         return iaas_worker
     if config.platform == "hybrid":
-        if config.algorithm.lower().replace("-", "_") not in ("ga_sgd", "ga", "sgd"):
-            raise ConfigurationError(
-                "the hybrid parameter-server architecture trains with GA-SGD "
-                "(Cirrus-style gradient pushes)"
-            )
         ctx.setup_hybrid()
         return hybrid_worker
     raise ConfigurationError(f"unknown platform {config.platform!r}")

@@ -10,9 +10,11 @@ same Figure-5 machinery turns into *recovery* checkpointing: every
 round boundary persists a checkpoint to S3, and a killed worker's
 successor incarnation (spawned by :class:`~repro.faults.injector.
 FaultInjector` with a :class:`~repro.faults.injector.WorkerResume`)
-pays a cold start, re-loads its partition and checkpoint, restores the
-substrate snapshot, and resumes the BSP loop mid-run — replaying the
-identical statistical stream, so only clocks and dollars move.
+pays a cold start, re-loads its partition and checkpoint, and resumes
+the BSP loop from the checkpointed round state — replaying the
+identical statistical stream, so only clocks and dollars move. A
+checkpoint on the simulated wire is its size alone: the round state
+it stands for is what the successor resumes from.
 
 The asynchronous loop follows SIREN-style S-ASP (§3.2.4): a single
 global model lives in the channel; workers read-modify-write it per
@@ -45,10 +47,9 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
 
     ``resume`` is only ever passed by the fault injector: it marks this
     generator as the successor of a crashed incarnation, carrying the
-    cold-start latency, the substrate snapshot to restore, and the
-    round boundary to continue from (``None`` when the predecessor died
-    before its first durable checkpoint — then everything restarts, but
-    on the restored initial statistical state).
+    cold-start latency and the round boundary to continue from
+    (``None`` when the predecessor died before its first durable
+    checkpoint — then everything restarts from round 0).
     """
     injector = ctx.fault_injector
     try:
@@ -63,27 +64,21 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
         yield Get(ctx.data_store, ctx.partition_key(rank), category="load")
 
         round_state: RoundState | None = None
-        if resume is not None:
-            ctx.substrate.restore_rank(rank, resume.snapshot)
-            if resume.round_state is not None:
-                # State reload: fetch the checkpoint the predecessor wrote.
-                yield Get(
-                    ctx.data_store, Checkpoint.key_for(rank), category="checkpoint"
-                )
-                round_state = resume.round_state
+        if resume is not None and resume.round_state is not None:
+            # State reload: fetch the checkpoint the predecessor wrote.
+            yield Get(ctx.data_store, Checkpoint.key_for(rank), category="checkpoint")
+            round_state = resume.round_state
 
         def pre_round(state: RoundState):
             """Round-boundary bookkeeping: recovery checkpoint + Figure 5."""
             if injector is not None and injector.should_checkpoint(rank, state.rounds):
                 # Persist a recovery checkpoint *before* the round so a
                 # crash anywhere inside it resumes from this boundary. The
-                # in-memory snapshot is saved only after the Put completes:
-                # a checkpoint is recoverable once durable, not before.
-                yield from write_checkpoint(
-                    ctx, rank, state.epoch_float, state.rounds, state.local_loss
-                )
+                # state is saved only after the Put completes: a
+                # checkpoint is recoverable once durable, not before.
+                yield from write_checkpoint(ctx, rank)
                 ctx.checkpoint_count += 1
-                injector.save_recovery(rank, state, ctx.substrate.snapshot_rank(rank))
+                injector.save_recovery(rank, state)
             round_estimate = ctx.round_seconds(rank)
             if round_estimate > ctx.limits.lifetime_s - ctx.limits.checkpoint_margin_s:
                 raise FunctionTimeoutError(
@@ -92,9 +87,7 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
                     "(the paper's unsupported >15-minute-iteration case)"
                 )
             if lifetime.needs_checkpoint(ctx.engine.now, round_estimate):
-                yield from checkpoint_and_reinvoke(
-                    ctx, rank, state.epoch_float, state.rounds, state.local_loss
-                )
+                yield from checkpoint_and_reinvoke(ctx, rank)
                 lifetime.reincarnate(ctx.engine.now)
 
         # ctx.exchange returns the pattern's generator itself, so a resume
@@ -116,26 +109,18 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
     return outcome
 
 
-def write_checkpoint(
-    ctx: JobContext, rank: int, epoch_float: float, rounds: int, local_loss: float
-):
-    """Persist `rank`'s checkpoint to the data store (simulated)."""
-    state = Checkpoint(
-        rank=rank,
-        epoch_float=epoch_float,
-        round_index=rounds,
-        params=ctx.stats(rank).params.copy(),
-        last_local_loss=local_loss,
-    )
+def write_checkpoint(ctx: JobContext, rank: int):
+    """Persist `rank`'s checkpoint to the data store (simulated: its size)."""
     nbytes = checkpoint_bytes(ctx.info.param_bytes)
-    yield Put(ctx.data_store, state.key(), SizedPayload(state, nbytes), category="checkpoint")
+    yield Put(
+        ctx.data_store, Checkpoint.key_for(rank), SizedPayload(None, nbytes),
+        category="checkpoint",
+    )
 
 
-def checkpoint_and_reinvoke(
-    ctx: JobContext, rank: int, epoch_float: float, rounds: int, local_loss: float
-):
+def checkpoint_and_reinvoke(ctx: JobContext, rank: int):
     """Figure-5 mechanism: save state to S3, self-trigger a successor."""
-    yield from write_checkpoint(ctx, rank, epoch_float, rounds, local_loss)
+    yield from write_checkpoint(ctx, rank)
     # Cold start of the successor function plus reloading the
     # checkpoint; the fault plan's deterministic jitter widens the cold
     # start when the config asks for variance (cold_start_jitter > 0).

@@ -3,7 +3,9 @@
 A checkpoint carries everything a successor function needs to continue
 the same partition: the model/algorithm parameters, the training
 position (epoch + round), and the most recent local loss. Its wire
-size is the logical model size plus a small metadata envelope.
+size is the logical model size plus a small metadata envelope. The
+simulated executors put only that size (``SizedPayload(None, n)``);
+a successor resumes from the fault injector's ``RoundState``.
 """
 
 from __future__ import annotations

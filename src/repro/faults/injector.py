@@ -12,18 +12,19 @@ Recovery follows the platform's real contract:
   boundary (the Figure-5 machinery, now driven per-round instead of
   only near the 15-minute wall). The successor incarnation pays a
   cold start (with the plan's deterministic jitter), re-loads its data
-  partition and the checkpoint, restores the substrate's statistical
-  snapshot, and resumes the BSP loop from the checkpointed round.
-  Because the substrate snapshot carries *all* statistical state (RNG
-  streams included), the re-executed rounds reproduce the dead
-  incarnation's floats bit for bit — a faulted run's loss trajectory
-  is identical to the fault-free one; only clocks and dollars move.
+  partition and the checkpoint, and resumes the BSP loop from the
+  checkpointed :class:`~repro.core.bsp_loop.RoundState`. That state is
+  the rank's whole position — a replayed rank reads its statistics by
+  evaluation index and keeps no other state — so the re-executed
+  rounds read the dead incarnation's losses bit for bit: a faulted
+  run's loss trajectory is identical to the fault-free one; only
+  clocks and dollars move.
 * **IaaS (distributed PyTorch)** — there is no checkpoint: a worker
   crash kills the job and the cluster restarts training from scratch
   (the restart-from-scratch baseline of the cost-of-reliability
   comparison). The injector kills every worker, resets the collective
-  groups and the statistical state, clears the loss history, and
-  respawns the whole cohort.
+  groups, clears the loss history, and respawns the whole cohort from
+  round 0.
 
 Loss records a dead incarnation made after its last durable checkpoint
 are rolled back before the successor starts, so every evaluation lands
@@ -34,7 +35,7 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import FaultInjectionError
 from repro.faas.runtime import REINVOKE_OVERHEAD_S
@@ -52,16 +53,6 @@ class WorkerResume:
     incarnation: int  # 1-based; the initial invocation is 1
     cold_start_s: float  # successor start-up latency (plan-jittered)
     round_state: "RoundState | None"  # None: no durable checkpoint yet
-    snapshot: Any  # substrate statistical state to restore
-
-
-@dataclass
-class _Recovery:
-    """Latest durable checkpoint of one rank (simulation bookkeeping)."""
-
-    round_state: "RoundState"
-    snapshot: Any
-    records: int  # this rank's ctx.history entries at checkpoint time
 
 
 class FaultInjector:
@@ -73,9 +64,9 @@ class FaultInjector:
         self.respawns = 0  # FaaS successor incarnations spawned
         self.restarts = 0  # IaaS whole-job restarts
         self.recovery_checkpoints = 0  # per-round checkpoints persisted
-        self._recovery: dict[int, _Recovery] = {}
+        # Each rank's latest durable checkpoint.
+        self._recovery: dict[int, "RoundState"] = {}
         self._generation = 1  # IaaS whole-job attempt number
-        self._initial: dict[int, Any] = {}
         self._ctx = None
         self._executor: Callable | None = None
         self._origin = 0.0  # engine instant the job started at
@@ -89,7 +80,7 @@ class FaultInjector:
         return self.plan.crashes_enabled
 
     def install(self, ctx, executor: Callable, name_prefix: str = "") -> None:
-        """Snapshot initial statistical state and spawn the monitors."""
+        """Bind to the job and spawn the crash monitors."""
         self._ctx = ctx
         self._executor = executor
         self._name_prefix = name_prefix
@@ -105,8 +96,6 @@ class FaultInjector:
                 "crash injection is defined for BSP FaaS/IaaS runs; "
                 f"got {config.protocol}/{config.platform}"
             )
-        for rank in range(config.workers):
-            self._initial[rank] = ctx.substrate.snapshot_rank(rank)
         if config.platform == "faas":
             for rank in range(config.workers):
                 ctx.engine.spawn(
@@ -137,16 +126,11 @@ class FaultInjector:
         if rounds % self._ctx.config.checkpoint_interval != 0:
             return False
         recovery = self._recovery.get(rank)
-        return recovery is None or recovery.round_state.rounds != rounds
+        return recovery is None or recovery.rounds != rounds
 
-    def save_recovery(self, rank: int, state: "RoundState", snapshot: Any) -> None:
+    def save_recovery(self, rank: int, state: "RoundState") -> None:
         """Note that `rank`'s checkpoint for `state` is now durable."""
-        ctx = self._ctx
-        self._recovery[rank] = _Recovery(
-            round_state=state,
-            snapshot=snapshot,
-            records=ctx.record_counts.get(rank, 0),
-        )
+        self._recovery[rank] = state
         self.recovery_checkpoints += 1
         self._advance_gc_floor()
 
@@ -164,7 +148,7 @@ class FaultInjector:
             return
         if len(self._recovery) < ctx.config.workers:
             return
-        floor = min(r.round_state.rounds for r in self._recovery.values())
+        floor = min(state.rounds for state in self._recovery.values())
         stores = [ctx.data_store]
         if ctx.channel is not None:
             stores.append(ctx.channel.store)
@@ -211,16 +195,15 @@ class FaultInjector:
                 engine.kill(proc)
             self.crashes += 1
             self.restarts += 1
-            # Restart from scratch: fresh collective rendezvous, fresh
-            # statistical state, empty loss log — the new attempt will
-            # re-produce every record with fault-free values.
+            # Restart from scratch: fresh collective rendezvous, empty
+            # loss log — the new attempt starts at round 0 and
+            # re-produces every record with fault-free values.
             ctx.mpi.reset()
             ctx.history.clear()
             ctx.record_counts.clear()
             self._generation += 1
             generation = self._generation
             for r in range(workers):
-                ctx.substrate.restore_rank(r, self._initial[r])
                 successor = engine.spawn(
                     self._executor(ctx, r),
                     name=f"{self._name_prefix}worker-{r}#{generation}",
@@ -240,16 +223,16 @@ class FaultInjector:
         re-recorded — with bit-identical values — by the successor.
         """
         ctx = self._ctx
-        recovery = self._recovery.get(rank)
-        self._truncate_history(rank, recovery.records if recovery else 0)
+        state = self._recovery.get(rank)
+        # Each evaluation the rank read left one record.
+        self._truncate_history(rank, state.evaluations if state else 0)
         incarnation = ctx.next_invocation(rank)
         resume = WorkerResume(
             incarnation=incarnation,
             cold_start_s=self.plan.cold_start_s(
                 rank, incarnation, REINVOKE_OVERHEAD_S
             ),
-            round_state=recovery.round_state if recovery else None,
-            snapshot=recovery.snapshot if recovery else self._initial[rank],
+            round_state=state,
         )
         successor = ctx.engine.spawn(
             self._executor(ctx, rank, resume),

@@ -226,8 +226,8 @@ def check_replay_matches_exact(kwargs: dict) -> str | None:
 
 def check_fault_invariance(kwargs: dict) -> str | None:
     clean_kwargs = {k: v for k, v in kwargs.items() if k not in FAULT_FIELDS}
-    # A crash rewinds the faulted run's replay cursors; the run must still
-    # consume the trace exactly, or finalize raises.
+    # A crashed rank resumes from its checkpointed round state; the run
+    # must still consume the trace exactly, or finalize raises.
     faulted = train(_config(kwargs))
     clean = train(_config(clean_kwargs))
     faulted_traj = sorted(_trajectory(faulted), key=lambda p: (p[0], p[1]))

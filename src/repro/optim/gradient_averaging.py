@@ -29,13 +29,11 @@ class GradientAveragingSGD(DistributedAlgorithm):
         self._params = model.init_params(make_rng(seed))
         # The batch cursor is explicit state (permutation + offset), not
         # a live generator: the lockstep pass moves every rank's cursor
-        # together (round_payloads), and the per-rank path deep-copies
-        # the algorithm for crash snapshots, which generators don't
-        # survive. The RNG call sequence is identical to iterating
-        # ``shard.epoch_batches()`` — one permutation per epoch, drawn
-        # when the epoch's first batch is taken. Each round gathers only
-        # its own batch: one round is one minibatch, so an epoch-gathered
-        # copy of the shard would buy nothing.
+        # together (round_payloads). The RNG call sequence is identical
+        # to iterating ``shard.epoch_batches()`` — one permutation per
+        # epoch, drawn when the epoch's first batch is taken. Each round
+        # gathers only its own batch: one round is one minibatch, so an
+        # epoch-gathered copy of the shard would buy nothing.
         self._order: np.ndarray | None = None
         self._cursor = 0
 

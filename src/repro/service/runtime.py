@@ -152,8 +152,8 @@ class BaselineProvider:
     def _replay_eligible(self, config: TrainingConfig) -> bool:
         # Timing-coupled protocols feed timing back into statistics
         # (exact-only by construction); faulted configs re-execute
-        # rounds from substrate snapshots — keep those on the exact
-        # path too so the fault plane is genuinely exercised.
+        # rounds after a crash — keep those on the exact path too so
+        # the fault plane is genuinely exercised.
         return not config.timing_coupled and not config.faults_enabled
 
     def _run_isolated(self, config: TrainingConfig) -> RunResult:

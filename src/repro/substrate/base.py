@@ -16,11 +16,11 @@ Three implementations:
   allow, and the only place BSP floats are folded — and the run replays
   that trace; ``.trace`` keeps it.
 * :class:`~repro.substrate.replay.ReplaySubstrate` — re-emits a given
-  trace with zero numpy work; its views answer ``epochs_per_round``,
-  ``round_work()``, ``eval_work()``, ``local_loss()``, ``global_loss()``
-  and ``params``, so the executors yield the identical command stream
-  and duration/cost/history/breakdown are bit-identical to the exact
-  run.
+  trace with zero numpy work; its read-only views answer
+  ``epochs_per_round``, ``round_work()``, ``eval_work()`` and, by
+  evaluation index, ``local_loss(i)`` and ``global_loss(i)``, so the
+  executors yield the identical command stream and
+  duration/cost/history/breakdown are bit-identical to the exact run.
 * :class:`~repro.substrate.exact.PerRankSubstrate` — real numpy in the
   engine for timing-coupled configs only (ASP, hybrid PS), whose floats
   depend on the event order; its views are the

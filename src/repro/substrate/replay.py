@@ -3,11 +3,14 @@
 Given a trace whose statistical fingerprint matches the config being
 run, each rank's view answers the executor's statistical questions from
 the recording: ``round_work``/``eval_work``/``epochs_per_round`` give
-the simulation the same compute charges, ``local_loss`` plays back the
-recorded evaluations in order, and ``global_loss`` is the rank-order
-fold of every rank's loss at that evaluation — folded once per trace,
-at attach time, by the lockstep pass's own helper
-(:func:`~repro.substrate.lockstep.global_loss`).
+the simulation the same compute charges, ``local_loss(i)`` is the
+rank's recorded evaluation ``i``, and ``global_loss(i)`` is the
+rank-order fold of every rank's loss at that evaluation — folded once
+per trace, at attach time, by the lockstep pass's own helper
+(:func:`~repro.substrate.lockstep.global_loss`). A view is read-only:
+which evaluation a rank reads next is the BSP loop's position
+(:class:`~repro.core.bsp_loop.RoundState`), so a crashed rank's
+successor resumes by position alone.
 
 Because every statistical decision the BSP loop makes — per-epoch
 losses, the global loss, the stop round — replays identically, the
@@ -19,7 +22,8 @@ costs milliseconds instead of the ~40 s an LR/Higgs training takes.
 
 from __future__ import annotations
 
-import numpy as np
+from collections import Counter
+from dataclasses import dataclass
 
 from repro.errors import ReplayDivergenceError, SubstrateError
 from repro.substrate.base import Substrate
@@ -27,17 +31,13 @@ from repro.substrate.lockstep import global_loss
 from repro.substrate.traces import validate_trace
 
 
+@dataclass(frozen=True, eq=False)
 class _ReplayView:
     """Per-rank statistical view answering from one trace rank record."""
 
-    __slots__ = ("_record", "_global_losses", "_params", "_cursor", "_rank")
-
-    def __init__(self, record: dict, global_losses: list, rank: int) -> None:
-        self._record = record
-        self._global_losses = global_losses
-        self._rank = rank
-        self._cursor = 0
-        self._params = np.zeros(1, dtype=np.float64)
+    _record: dict
+    _global_losses: list
+    _rank: int
 
     @property
     def epochs_per_round(self) -> float:
@@ -51,31 +51,20 @@ class _ReplayView:
         instances, iterations = self._record["eval_work"]
         return (instances, iterations)
 
-    def local_loss(self) -> float:
+    def local_loss(self, i: int) -> float:
+        """This rank's loss at evaluation `i` (0 is the baseline)."""
         losses = self._record["losses"]
-        if self._cursor >= len(losses):
+        if i >= len(losses):
             raise ReplayDivergenceError(
-                f"rank {self._rank} asked for evaluation #{self._cursor + 1} but "
+                f"rank {self._rank} asked for evaluation #{i + 1} but "
                 f"the trace recorded only {len(losses)}: the replayed config does "
                 "not share the recorded statistical trajectory"
             )
-        loss = losses[self._cursor]
-        self._cursor += 1
-        return loss
+        return losses[i]
 
-    def global_loss(self) -> float:
-        """The global loss of the evaluation :meth:`local_loss` last read."""
-        return self._global_losses[self._cursor - 1]
-
-    @property
-    def params(self) -> np.ndarray:
-        # Checkpoints copy this; contents are irrelevant (the simulated
-        # wire carries logical byte counts).
-        return self._params
-
-    @params.setter
-    def params(self, value) -> None:
-        pass
+    def global_loss(self, i: int) -> float:
+        """The rank-order fold of every rank's loss at evaluation `i`."""
+        return self._global_losses[i]
 
 
 def _same(a, b) -> bool:
@@ -121,36 +110,24 @@ class ReplaySubstrate(Substrate):
     def stats(self, rank: int):
         return self._views[rank]
 
-    # -- fault recovery -------------------------------------------------
-    def snapshot_rank(self, rank: int):
-        """Opaque statistical state of `rank` for crash recovery.
-
-        A replayed rank's whole mutable state is its loss cursor: a
-        restored rank re-reads exactly the losses that followed the
-        snapshot the first time. The fault injector snapshots at every
-        FaaS round boundary and once per rank at IaaS job start.
-        """
-        return self._views[rank]._cursor
-
-    def restore_rank(self, rank: int, state) -> None:
-        """Rewind `rank` to a prior :meth:`snapshot_rank`."""
-        self._views[rank]._cursor = state
-
     def final_accuracy(self, ctx) -> float | None:
         return self.trace.get("final_accuracy")
 
     def finalize(self, ctx, result, outcomes) -> None:
         """Refuse a run that did not consume the trace exactly.
 
-        Every rank's final incarnation must have read every recorded
-        loss (crash rewinds included), and every outcome must end where
-        its record says; otherwise the trace described some other run.
+        Every evaluation a rank reads leaves one history record, and a
+        crash rolls back the records past its checkpoint, so each rank's
+        records count the evaluations its final incarnation has read:
+        all of them, and every outcome must end where its record says;
+        otherwise the trace described some other run.
         """
-        for view in self._views:
-            recorded = len(view._record["losses"])
-            if view._cursor != recorded:
+        read = Counter(point.worker for point in result.history)
+        for rank, record in enumerate(self.trace["ranks"]):
+            recorded = len(record["losses"])
+            if read[rank] != recorded:
                 raise ReplayDivergenceError(
-                    f"rank {view._rank} read {view._cursor} of the {recorded} "
+                    f"rank {rank} read {read[rank]} of the {recorded} "
                     "evaluations the trace recorded: the replayed config does not "
                     "share the recorded statistical trajectory"
                 )

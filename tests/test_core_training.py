@@ -279,6 +279,14 @@ class TestHybridTraining:
     def test_hybrid_requires_gradient_algorithm(self):
         with pytest.raises(ConfigurationError):
             train(_config(system="hybridps", algorithm="ma_sgd"))
+        # Refused at construction, so the validity predicate agrees with
+        # train() and no dataset is synthesized first.
+        kwargs = dict(model="lr", dataset="higgs", system="hybridps",
+                      algorithm="ma_sgd", workers=10, data_scale=2000)
+        with pytest.raises(ConfigurationError, match="GA-SGD"):
+            TrainingConfig(**kwargs)
+        assert "GA-SGD" in config_validity_error(kwargs)
+        assert config_validity_error({**kwargs, "algorithm": "ga_sgd"}) is None
 
     def test_hybrid_bills_ps_vm(self):
         result = train(

@@ -86,6 +86,27 @@ class TestCheckpoint:
         ckpt = Checkpoint(3, 1.5, 7, np.zeros(4), 0.5)
         assert "3" in ckpt.key()
 
+    def test_recovery_checkpoint_stores_only_its_size(self):
+        """A crash-injected run's checkpoints carry bytes, not a model:
+        the successor resumes from the injector's round state."""
+        from repro.core.config import TrainingConfig
+        from repro.core.context import JobContext
+        from repro.core.driver import finalize_job, launch_job
+        from repro.utils.serialization import SizedPayload
+
+        ctx = JobContext(TrainingConfig(
+            model="lr", dataset="higgs", algorithm="ma_sgd", system="lambdaml",
+            channel="s3", workers=4, batch_size=10_000, lr=0.05, data_scale=5000,
+            loss_threshold=None, max_epochs=4, seed=3, mttf_s=60.0,
+        ))
+        launch_job(ctx)
+        ctx.engine.run()
+        result = finalize_job(ctx, 0.0, ctx.engine.now)
+        assert result.events["crashes"] > 0
+        for rank in range(ctx.config.workers):
+            stored = ctx.data_store.peek(Checkpoint.key_for(rank))
+            assert stored == SizedPayload(None, checkpoint_bytes(ctx.info.param_bytes))
+
 
 class TestLifetimeInTraining:
     @pytest.mark.slow

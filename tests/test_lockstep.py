@@ -104,8 +104,8 @@ CASES = {
                                      data_scale=1000, algorithm="ma_sgd", workers=12,
                                      batch_size=16, batch_scope="per_worker",
                                      max_epochs=1, loss_threshold=None, seed=3, **PYTORCH),
-    # The fault plane: crash rewinds restore replay cursors, and the run
-    # must still consume the trace exactly.
+    # The fault plane: a crashed rank resumes from its checkpointed round
+    # state, and the run must still consume the trace exactly.
     "lr-ma-w4-crashes": dict(HIGGS, algorithm="ma_sgd", workers=4, batch_size=10_000,
                              lr=0.05, max_epochs=4, loss_threshold=None, seed=3,
                              mttf_s=60.0, **S3_ALLREDUCE),

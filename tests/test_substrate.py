@@ -349,11 +349,19 @@ class TestSubstrateGuards:
     def test_views_are_read_only(self):
         from repro.core.context import JobContext
 
-        ctx = JobContext(cfg())
-        view = ctx.stats(0)
+        # A replay view answers by evaluation index and holds no state:
+        # nothing on it can be written, and it has no model to copy.
+        view = JobContext(cfg()).stats(0)
+        assert not hasattr(view, "params")
+        names = [name for name in dir(view) if not name.startswith("__")]
+        assert "epochs_per_round" in names and "_record" in names
+        for name in [*names, "params"]:
+            with pytest.raises(AttributeError, match=name):
+                setattr(view, name, None)
+        timed = JobContext(cfg(system="hybridps", algorithm="ga_sgd")).stats(0)
         with pytest.raises(AttributeError, match="epochs_per_round"):
-            view.epochs_per_round = 2.0
-        view.params = view.params  # the one writable attribute (hybrid PS)
+            timed.epochs_per_round = 2.0
+        timed.params = timed.params  # the one writable attribute (hybrid PS)
 
 
 # ----------------------------------------------------------------------
