@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from repro.analytics.estimator import SamplingEstimator
 from repro.config import DEFAULT_SEED
-from repro.core.config import TrainingConfig
+from repro.core.config import ALGORITHMS, TrainingConfig
 from repro.core.driver import train
 from repro.experiments.workloads import WORKLOADS
 from repro.sweep.orchestrator import plan_sweep, run_sweep
@@ -166,7 +166,7 @@ def _add_estimate_parser(subparsers) -> None:
     )
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--algorithm", default="ma_sgd")
+    p.add_argument("--algorithm", default="ma_sgd", choices=ALGORITHMS)
     p.add_argument("--lr", type=float, required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--sample-fraction", type=float, default=0.1)

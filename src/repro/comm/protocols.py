@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.simulation.commands import Get, ListKeys, Put
 from repro.storage.base import ObjectStore
-from repro.utils.serialization import SizedPayload, unwrap
+from repro.utils.serialization import SizedPayload
 
 GLOBAL_MODEL_KEY = "global/model"
 STOP_KEY = "global/stop"
@@ -32,7 +32,7 @@ def seed_global_model(store: ObjectStore, vector: np.ndarray, logical_nbytes: in
 def async_read_model(store: ObjectStore):
     """Generator: fetch the current global model (possibly stale)."""
     obj = yield Get(store, GLOBAL_MODEL_KEY)
-    return np.asarray(unwrap(obj), dtype=np.float64)
+    return np.asarray(obj.value, dtype=np.float64)
 
 
 def async_write_model(store: ObjectStore, vector: np.ndarray, logical_nbytes: int):
@@ -43,7 +43,7 @@ def async_write_model(store: ObjectStore, vector: np.ndarray, logical_nbytes: in
 
 def async_signal_stop(store: ObjectStore, rank: int):
     """Generator: tell the other workers the loss threshold was reached."""
-    yield Put(store, STOP_KEY, int(rank))
+    yield Put(store, STOP_KEY, SizedPayload(int(rank), 8))
     return None
 
 

@@ -52,7 +52,8 @@ def crosses_epoch(epoch_float: float, next_epoch: float) -> bool:
     """Does a round from `epoch_float` to `next_epoch` end an epoch?
 
     Shared with the lockstep pass (:mod:`repro.substrate.lockstep`), which
-    must evaluate losses at exactly the rounds this loop does.
+    must evaluate losses at exactly the rounds this loop does, and with
+    the hybrid executor's evaluations.
     """
     return math.floor(next_epoch + EPS) > math.floor(epoch_float + EPS)
 

@@ -18,11 +18,14 @@ from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
 from repro.errors import ConfigurationError
 from repro.faas.limits import LambdaLimits
+from repro.iaas.vm import INSTANCES
 from repro.models.zoo import get_model_info
+from repro.storage.services import ELASTICACHE_NODES
 from repro.utils.hashing import fingerprint_hash, init_fingerprint
 
 SYSTEMS = ("lambdaml", "pytorch", "angel", "hybridps")
 CHANNELS = ("s3", "memcached", "redis", "dynamodb")
+ALGORITHMS = ("ga_sgd", "ma_sgd", "admm", "em")
 PLATFORM_OF_SYSTEM = {
     "lambdaml": "faas",
     "pytorch": "iaas",
@@ -151,8 +154,7 @@ class TrainingConfig:
     # hence the default; EM is kmeans-only, ADMM convex-only.
     algorithm: str = field(
         default="ma_sgd",
-        metadata=_cli("distributed optimization algorithm",
-                      ("ga_sgd", "ma_sgd", "admm", "em")),
+        metadata=_cli("distributed optimization algorithm", ALGORITHMS),
     )
     system: str = field(
         default="lambdaml",
@@ -166,7 +168,8 @@ class TrainingConfig:
         metadata=_cli("FaaS communication channel", CHANNELS),
     )
     cache_node: str = field(
-        default="cache.t3.small", metadata=_cli("ElastiCache node type")
+        default="cache.t3.small",
+        metadata=_cli("ElastiCache node type", tuple(ELASTICACHE_NODES)),
     )
     # The paper's micro-benchmarks (§4) launch ElastiCache before
     # triggering the Lambdas, excluding its ~140 s boot from the
@@ -191,7 +194,7 @@ class TrainingConfig:
 
     # Infrastructure knobs.
     instance: str = field(
-        default="t2.medium", metadata=_cli("IaaS worker VM type")
+        default="t2.medium", metadata=_cli("IaaS worker VM type", tuple(INSTANCES))
     )
     lambda_memory_gb: float = field(
         default=3.0, metadata=_cli("Lambda memory size (GB)")
@@ -203,7 +206,8 @@ class TrainingConfig:
         default=900.0, metadata=_cli("Lambda function lifetime (seconds)")
     )
     ps_instance: str = field(
-        default="c5.4xlarge", metadata=_cli("hybrid parameter-server VM type")
+        default="c5.4xlarge",
+        metadata=_cli("hybrid parameter-server VM type", tuple(INSTANCES)),
     )
     rpc: str = field(
         default="grpc", metadata=_cli("hybrid PS RPC framework", ("grpc", "thrift"))
@@ -291,9 +295,8 @@ class TrainingConfig:
     platform: str = field(init=False)
 
     def __post_init__(self) -> None:
-        # model/dataset keep the zoo's and the spec table's own errors
-        # (below); algorithm accepts aliases make_algorithm resolves.
-        check_choices(self, skip=("model", "dataset", "algorithm"))
+        # model/dataset keep the zoo's and the spec table's own errors (below).
+        check_choices(self, skip=("model", "dataset"))
         self.platform = PLATFORM_OF_SYSTEM[self.system]
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
@@ -347,17 +350,16 @@ class TrainingConfig:
         get_spec(self.dataset)  # validates dataset name
 
         info = get_model_info(self.model, self.dataset, k=self.k, l2=self.l2)
-        algo = self.algorithm.lower().replace("-", "_")
-        if algo == "admm" and not info.convex:
+        if self.algorithm == "admm" and not info.convex:
             raise ConfigurationError(
                 "ADMM only optimises convex objectives; "
                 f"{self.model} is not convex (paper Section 4.2)"
             )
-        if info.kind == "kmeans" and algo not in ("em", "kmeans"):
+        if info.kind == "kmeans" and self.algorithm != "em":
             raise ConfigurationError("kmeans must be trained with the EM algorithm")
-        if info.kind != "kmeans" and algo in ("em", "kmeans"):
+        if info.kind != "kmeans" and self.algorithm == "em":
             raise ConfigurationError("EM only trains kmeans")
-        if self.platform == "hybrid" and algo not in ("ga_sgd", "ga", "sgd"):
+        if self.platform == "hybrid" and self.algorithm != "ga_sgd":
             raise ConfigurationError(
                 "the hybrid parameter-server architecture trains with GA-SGD "
                 "(Cirrus-style gradient pushes)"

@@ -12,14 +12,13 @@ restricts this executor to GA-SGD.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from repro.core.bsp_loop import crosses_epoch
 from repro.core.context import JobContext, WorkerOutcome
 from repro.faas.runtime import FunctionLifetime
 from repro.simulation.commands import Compute, Get, ListKeys, Put, Sleep
-from repro.utils.serialization import SizedPayload, unwrap
+from repro.utils.serialization import SizedPayload
 
 STOP_PREFIX = "stop/"
 
@@ -48,7 +47,6 @@ def hybrid_worker(ctx: JobContext, rank: int):
 
     epoch_float = 0.0
     rounds = 0
-    next_eval = 1.0
     while epoch_float < cfg.max_epochs:
         gradient = algo.round_payload()
         yield Compute(ctx.round_seconds(rank), "compute")
@@ -58,17 +56,16 @@ def hybrid_worker(ctx: JobContext, rank: int):
             SizedPayload(np.asarray(gradient, dtype=np.float64), ctx.info.param_bytes),
         )
         pulled = yield Get(ps, ps.MODEL_KEY)
-        algo.params = np.asarray(unwrap(pulled))
+        algo.params = np.asarray(pulled.value)
         rounds += 1
-        epoch_float += algo.epochs_per_round
+        previous, epoch_float = epoch_float, epoch_float + algo.epochs_per_round
 
-        if epoch_float + 1e-9 >= next_eval:
+        if crosses_epoch(previous, epoch_float):
             yield Compute(ctx.eval_seconds(rank), "compute")
             local_loss = algo.local_loss()
             ctx.record(rank, epoch_float, local_loss)
-            next_eval = math.floor(epoch_float + 1e-9) + 1.0
             if ctx.converged(local_loss):
-                yield Put(ps, f"{STOP_PREFIX}{rank:05d}", int(rank))
+                yield Put(ps, f"{STOP_PREFIX}{rank:05d}", SizedPayload(int(rank), 8))
                 break
             stop_keys = yield ListKeys(ps, STOP_PREFIX)
             if stop_keys:

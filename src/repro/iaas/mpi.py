@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.iaas.cluster import VMCluster
 from repro.simulation.commands import Collective, CollectiveGroup
-from repro.utils.serialization import SizedPayload
 
 
 class MPICommunicator:
@@ -25,11 +24,7 @@ class MPICommunicator:
 
     def allreduce(self, logical_nbytes: int):
         """Command for `yield`: one AllReduce of `logical_nbytes` per member."""
-        return Collective(
-            group=self._group,
-            value=SizedPayload(None, logical_nbytes),
-            category="comm",
-        )
+        return Collective(group=self._group, nbytes=logical_nbytes, category="comm")
 
     def reset(self) -> None:
         """Forget all rendezvous state (fault-injected job restart).

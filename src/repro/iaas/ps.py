@@ -26,7 +26,7 @@ from repro.iaas.vm import InstanceSpec, get_instance
 from repro.pricing.meter import CostMeter
 from repro.simulation.resources import ServiceQueue
 from repro.storage.base import ObjectStore, StorageProfile
-from repro.utils.serialization import SizedPayload, unwrap
+from repro.utils.serialization import SizedPayload
 
 MB = 1024 * 1024
 
@@ -169,7 +169,7 @@ class ParameterServer(ObjectStore):
     def _do_put(self, key: str, value) -> list:
         if not key.startswith("grad/"):
             return super()._do_put(key, value)
-        gradient = np.asarray(unwrap(value), dtype=np.float64)
+        gradient = np.asarray(value.value, dtype=np.float64)
         if gradient.shape != self.params.shape:
             return super()._do_put(key, value)
         self.params -= self.lr * gradient

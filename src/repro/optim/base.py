@@ -112,14 +112,13 @@ def make_algorithm(
     from repro.optim.gradient_averaging import GradientAveragingSGD
     from repro.optim.model_averaging import ModelAveragingSGD
 
-    name = name.lower().replace("-", "_")
-    if name in ("ga_sgd", "ga", "sgd"):
+    if name == "ga_sgd":
         return GradientAveragingSGD(model, shard, lr=lr, seed=seed)
-    if name in ("ma_sgd", "ma"):
+    if name == "ma_sgd":
         return ModelAveragingSGD(model, shard, lr=lr, seed=seed, sync_epochs=ma_sync_epochs)
     if name == "admm":
         return ADMM(model, shard, lr=lr, seed=seed, rho=admm_rho, scans=admm_scans)
-    if name in ("em", "kmeans"):
+    if name == "em":
         return KMeansEM(model, shard, seed=seed, init_centroids=kmeans_init)
     raise ConfigurationError(
         f"unknown algorithm {name!r}; expected ga_sgd|ma_sgd|admm|em"

@@ -23,6 +23,7 @@ from repro.config import DEFAULT_SEED
 from repro.core.config import _cli, check_choices
 from repro.errors import ConfigurationError
 from repro.faas.limits import MAX_MEMORY_GB
+from repro.iaas.vm import INSTANCES
 from repro.pricing.platforms import SERVING_PLATFORMS
 from repro.serving.workload import TRAFFIC_SHAPES, check_traffic
 from repro.utils.hashing import fingerprint_hash, init_fingerprint
@@ -127,11 +128,12 @@ class ServingConfig:
         metadata=_cli("relative seeded jitter on FaaS cold-start latency"),
     )
     instance: str = field(
-        default="c5.xlarge", metadata=_cli("EC2 instance type for --platform iaas")
+        default="c5.xlarge",
+        metadata=_cli("EC2 instance type for --platform iaas", tuple(INSTANCES)),
     )
     gpu_instance: str = field(
         default="g4dn.xlarge",
-        metadata=_cli("EC2 instance type for --platform gpu_iaas"),
+        metadata=_cli("EC2 instance type for --platform gpu_iaas", tuple(INSTANCES)),
     )
     request_overhead_s: float = field(
         default=0.002,

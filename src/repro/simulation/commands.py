@@ -36,7 +36,10 @@ class Compute:
 
 @dataclass
 class Put:
-    """Write `value` under `key`; charged latency + size/bandwidth."""
+    """Write `value` under `key`; charged latency + ``value.nbytes``/bandwidth.
+
+    `value` must be a :class:`~repro.utils.serialization.SizedPayload`.
+    """
 
     store: "ObjectStore"
     key: str
@@ -144,12 +147,12 @@ class Collective:
 
     All participants of a round block until the last one arrives; the
     group's time model is then charged once, sized by the largest
-    ``value``, and every participant resumes at the same simulated
-    instant. Values are sized, never combined.
+    ``nbytes``, and every participant resumes at the same simulated
+    instant. A collective moves a byte count, never values.
     """
 
     group: "CollectiveGroup"
-    value: Any = None
+    nbytes: int
     category: str = "comm"
 
 

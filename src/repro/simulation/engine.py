@@ -42,8 +42,12 @@ bench_engine_microbench.py``):
   book` checks the item limit, books the op on the store's queue (one
   ``heapreplace``), bills it from prices the store resolved once and
   charges the issuer's ``wait`` and category seconds — the one place a
-  storage op's simulated time is charged. The engine reads a
-  ``SizedPayload``'s size directly and schedules the completion inline.
+  storage op's simulated time is charged. A transfer's size is its
+  payload's ``nbytes``, stated by the sender: a put of anything but a
+  ``SizedPayload`` is refused with a ``SimulationError`` naming the
+  process and the key, a get books the stored payload's ``nbytes`` and
+  a collective round the largest member's ``Collective.nbytes``. The
+  completion is scheduled inline.
 * Event dispatch is batched per timestamp: the run loop advances the
   clock once per distinct simulated instant, then drains every event
   stamped with that instant in a tight inner loop (synchronized
@@ -112,7 +116,7 @@ from repro.simulation.commands import (
     WaitKeyCount,
 )
 from repro.simulation.tracing import TimeBreakdown
-from repro.utils.serialization import SizedPayload, payload_nbytes
+from repro.utils.serialization import SizedPayload
 
 Command = Any
 ProcessGenerator = Generator[Command, Any, Any]
@@ -492,7 +496,12 @@ class Engine:
         self._next_put(proc, proc._wake_token, cmd, iter(cmd.items), [])
 
     def _put(self, proc: Process, cmd, key: str, value: Any, rest, done) -> None:
-        nbytes = value.nbytes if value.__class__ is SizedPayload else payload_nbytes(value)
+        if value.__class__ is not SizedPayload:
+            raise SimulationError(
+                f"{proc.name}: put of {key!r} carries no size; "
+                f"send SizedPayload(value, nbytes), got {type(value).__name__}"
+            )
+        nbytes = value.nbytes
         now = self.clock.now
         try:
             end = cmd.store.book("put", nbytes, now, proc.trace, cmd.category)
@@ -549,9 +558,8 @@ class Engine:
         except KeyNotFoundError as exc:
             self._resume_now(proc, throw=exc)
             return
-        nbytes = value.nbytes if value.__class__ is SizedPayload else payload_nbytes(value)
         try:
-            end = store.book("get", nbytes, issued, proc.trace, cmd.category)
+            end = store.book("get", value.nbytes, issued, proc.trace, cmd.category)
         except TransientStorageError as exc:
             self._resume_later(proc, exc.failed_at, throw=exc)
             return
@@ -656,13 +664,13 @@ class Engine:
         round_id = group.round_counter.get(proc.name, 0)
         group.round_counter[proc.name] = round_id + 1
         pending = group.pending.setdefault(round_id, [])
-        pending.append((proc, cmd.value, self.now, cmd.category))
+        pending.append((proc, cmd.nbytes, self.now, cmd.category))
         if len(pending) < group.size:
             return
         # Last member arrived: charge the time model once (sized by the
         # largest contribution) and wake everyone at the same instant.
         del group.pending[round_id]
-        nbytes = max(payload_nbytes(value) for _, value, _, _ in pending)
+        nbytes = max(size for _, size, _, _ in pending)
         duration = group.time_fn(nbytes, group.size) if group.time_fn is not None else 0.0
         t_last = max(arrived for _, _, arrived, _ in pending)
         completion = t_last + duration

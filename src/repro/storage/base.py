@@ -82,12 +82,14 @@ from repro.errors import (
     ConfigurationError,
     ItemTooLargeError,
     KeyNotFoundError,
+    SimulationError,
     TransientStorageError,
 )
 from repro.pricing.meter import CostMeter
 from repro.simulation.resources import ServiceQueue
 from repro.simulation.tracing import TimeBreakdown
 from repro.storage.ordered_index import OrderedKeyIndex
+from repro.utils.serialization import SizedPayload
 
 _MAX_CHAR = chr(0x10FFFF)
 
@@ -556,7 +558,14 @@ class ObjectStore:
         (listings and prefix counts see it) but no waiter is notified —
         during a run, keys only become visible to blocked WaitKey /
         WaitKeyCount processes through a simulated Put of a new key.
+        Like a put, `value` must be a ``SizedPayload``: its ``nbytes`` is
+        what a later Get of `key` books.
         """
+        if value.__class__ is not SizedPayload:
+            raise SimulationError(
+                f"{self.profile.name}: seeded {key!r} carries no size; "
+                f"seed SizedPayload(value, nbytes), got {type(value).__name__}"
+            )
         if key not in self._objects:
             self._keys.add(key)
             self._move_counts(key, 1)

@@ -20,7 +20,6 @@ from repro.simulation.commands import (
     Collective, Compute, Delete, Get, GetEach, Join, ListKeys, Put, PutEach, Sleep, Spawn,
     WaitKey, WaitKeyCount,
 )
-from repro.utils.serialization import payload_nbytes
 
 ALIVE = ("ready", "running", "blocked")
 
@@ -208,7 +207,7 @@ class RefEngine:
             self._get(proc, cmd.store, item, cmd.category)
 
     def _put(self, proc, store, key, value, category) -> None:
-        nbytes = payload_nbytes(value)
+        nbytes = value.nbytes
         try:
             end = store.book("put", nbytes, self.now, proc.trace, category)
         except TransientStorageError as exc:
@@ -233,7 +232,7 @@ class RefEngine:
             self._later(proc, self.now, error=exc)
             return
         try:
-            end = store.book("get", payload_nbytes(value), issued, proc.trace, category)
+            end = store.book("get", value.nbytes, issued, proc.trace, category)
         except TransientStorageError as exc:
             self._later(proc, exc.failed_at, error=exc)
             return
@@ -289,11 +288,11 @@ class RefEngine:
         index = self.rounds[group.name, proc.name]
         self.rounds[group.name, proc.name] += 1
         arrived = self.arrivals.setdefault((group.name, index), [])
-        arrived.append((proc, cmd.value, self.now, cmd.category))
+        arrived.append((proc, cmd.nbytes, self.now, cmd.category))
         if len(arrived) < group.size:
             return
         del self.arrivals[group.name, index]
-        nbytes = max(payload_nbytes(value) for _, value, _, _ in arrived)
+        nbytes = max(size for _, size, _, _ in arrived)
         duration = group.time_fn(nbytes, group.size) if group.time_fn is not None else 0.0
         last = max(t for _, _, t, _ in arrived)
         for member, _, t, category in arrived:

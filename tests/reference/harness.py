@@ -413,7 +413,7 @@ class Side:
         if kind in ("sleep", "compute"):
             return (Sleep if kind == "sleep" else Compute)(args[0])
         if kind == "collective":
-            return Collective(self.group, SizedPayload(None, args[0]))
+            return Collective(self.group, args[0])
         if kind == "spawn":
             child = ProcSpec(f"{name}.{len(children)}", args[0])
             return Spawn(self.script(child), child.name, args[1])

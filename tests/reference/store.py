@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import ItemTooLargeError, KeyNotFoundError, TransientStorageError
 from repro.pricing.catalog import DYNAMODB_READ_UNIT_BYTES, DYNAMODB_WRITE_UNIT_BYTES
 from repro.simulation.commands import WaitKey
-from repro.utils.serialization import SizedPayload, unwrap
+from repro.utils.serialization import SizedPayload
 
 
 class RefQueue:
@@ -221,7 +221,7 @@ class RefStore:
     def put(self, key: str, value) -> list:
         """Store `value`; the wake callbacks a new key satisfies, in wake order."""
         if self.kind == "ps" and key.startswith("grad/"):
-            gradient = np.asarray(unwrap(value), dtype=np.float64)
+            gradient = np.asarray(value.value, dtype=np.float64)
             if gradient.shape == self.params.shape:
                 self.params -= self.lr * gradient
                 return []

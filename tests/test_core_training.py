@@ -60,12 +60,32 @@ class TestConfigValidation:
         )
         assert error is not None and field in error
 
-    def test_algorithm_aliases_and_zoo_errors_survive(self):
-        # `algorithm` is closed on the CLI but make_algorithm owns its
-        # aliases; model/dataset keep the zoo's and spec table's errors.
-        assert _config(algorithm="MA-SGD").algorithm == "MA-SGD"
+    def test_zoo_errors_survive(self):
+        # model/dataset keep the zoo's and spec table's errors.
         with pytest.raises(ConfigurationError, match="unknown dataset"):
             _config(dataset="mnist")
+
+    @pytest.mark.parametrize(
+        "algorithm", ["ga", "sgd", "GA-SGD", "ga-sgd", "ma", "MA-SGD", "kmeans", "ADMM", "foo"]
+    )
+    def test_algorithm_has_one_spelling(self, algorithm):
+        # An alias used to construct under its own config_hash and
+        # stat_hash: one trajectory, recorded and stored once per spelling.
+        with pytest.raises(ConfigurationError, match=f"unknown algorithm '{algorithm}'"):
+            _config(algorithm=algorithm)
+        error = config_validity_error(
+            {"model": "lr", "dataset": "higgs", "algorithm": algorithm}
+        )
+        assert error is not None and "unknown algorithm" in error
+
+    @pytest.mark.parametrize("field", ["instance", "ps_instance", "cache_node"])
+    def test_catalog_names_are_checked_at_construction(self, field):
+        # These passed config_validity_error and failed at platform setup,
+        # after dataset synthesis.
+        with pytest.raises(ConfigurationError, match=f"unknown {field} 'bogus'"):
+            _config(**{field: "bogus"})
+        error = config_validity_error({"model": "lr", "dataset": "higgs", field: "bogus"})
+        assert error is not None and field in error
 
     @pytest.mark.parametrize("interval", [0, -1, float("inf"), float("nan")])
     def test_poll_interval_must_be_positive_and_finite(self, interval):

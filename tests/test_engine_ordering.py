@@ -23,6 +23,7 @@ from repro.simulation.commands import Put, Sleep, Spawn
 from repro.simulation.engine import Engine, capture_stats
 from repro.storage.services import S3Store
 from repro.substrate import ExactSubstrate, ReplaySubstrate
+from repro.utils.serialization import SizedPayload
 
 
 # Workers that never wait on storage or join a peer run long scripts
@@ -147,7 +148,7 @@ def test_second_run_after_a_raise_redispatches_nothing():
         for i in range(3):
             steps.append((name, i))
             yield Sleep(0)
-        yield Put(store, f"k/{name}", 1)
+        yield Put(store, f"k/{name}", SizedPayload(1, 8))
         steps.append((name, "put"))
 
     def angry():

@@ -27,6 +27,7 @@ from repro.simulation.commands import Put, Sleep, WaitKey
 from repro.simulation.engine import Engine, ProcessState
 from repro.simulation.tracing import TimeBreakdown
 from repro.storage.services import S3Store
+from repro.utils.serialization import SizedPayload
 
 
 def _book(store, op, nbytes, issued):
@@ -244,7 +245,7 @@ class TestEngineKillSemantics:
 
         def producer():
             yield Sleep(5.0)
-            yield Put(store, "late", b"x")
+            yield Put(store, "late", SizedPayload(b"x", 1))
 
         blocked = engine.spawn(waiter(), "blocked")
         engine.spawn(producer(), "producer")

@@ -52,8 +52,9 @@ class TestFactory:
             assert algo.epochs_per_round > 0
 
     def test_unknown_name_rejected(self, higgs_shards):
-        with pytest.raises(ConfigurationError):
-            make_algorithm("adamw", LogisticRegression(28), higgs_shards[0], lr=0.1)
+        for name in ("adamw", "ga", "GA-SGD", "kmeans"):
+            with pytest.raises(ConfigurationError, match="unknown algorithm"):
+                make_algorithm(name, LogisticRegression(28), higgs_shards[0], lr=0.1)
 
 
 class TestGradientAveraging:

@@ -197,6 +197,13 @@ class TestServingConfig:
         with pytest.raises(ConfigurationError):
             ServingConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["instance", "gpu_instance"])
+    def test_unknown_instance_rejected_at_construction(self, field):
+        # An unknown instance used to train the model and simulate all the
+        # traffic, failing only at billing.
+        with pytest.raises(ConfigurationError, match=f"unknown {field} 'bogus'"):
+            ServingConfig(platform="iaas", **{field: "bogus"})
+
     @pytest.mark.parametrize("field", [
         "rate_rps", "diurnal_period_s", "burst_every_s", "burst_len_s",
         "burst_factor", "idle_expiry_s", "request_overhead_s",

@@ -21,6 +21,7 @@ from repro.simulation.commands import (
 )
 from repro.simulation.engine import Engine, ProcessState
 from repro.storage.services import S3Store
+from repro.utils.serialization import SizedPayload
 
 
 def test_sleep_advances_clock(engine):
@@ -58,9 +59,9 @@ def test_processes_interleave_deterministically(engine):
 
 def test_put_then_get_roundtrip(engine, s3):
     def proc():
-        yield Put(s3, "key", {"x": 1})
+        yield Put(s3, "key", SizedPayload({"x": 1}, 9))
         value = yield Get(s3, "key")
-        return value
+        return value.value
 
     p = engine.spawn(proc(), "worker")
     engine.run()
@@ -89,7 +90,6 @@ def test_get_sees_only_completed_puts(engine):
         # 64 MB at 65 MB/s: completes around t ~ 1s.
         import numpy as np
 
-        from repro.utils.serialization import SizedPayload
 
         yield Put(store, "big", SizedPayload(np.zeros(4), 64 * 1024 * 1024))
 
@@ -111,7 +111,7 @@ def test_wait_key_wakes_after_put(engine, s3):
 
     def writer():
         yield Sleep(3.0)
-        yield Put(s3, "flag", 1)
+        yield Put(s3, "flag", SizedPayload(1, 8))
 
     def waiter():
         yield WaitKey(s3, "flag", poll_interval=0.1)
@@ -128,7 +128,7 @@ def test_wait_key_wakes_after_put(engine, s3):
 def test_wait_key_count(engine, s3):
     def writer(i):
         yield Sleep(float(i))
-        yield Put(s3, f"parts/{i}", i)
+        yield Put(s3, f"parts/{i}", SizedPayload(i, 8))
 
     def waiter():
         yield WaitKeyCount(s3, "parts/", 3, poll_interval=0.05)
@@ -233,7 +233,7 @@ def test_collective_rendezvous(engine):
 
     def member(i):
         yield Sleep(float(i))
-        yield Collective(group, value=i)
+        yield Collective(group, nbytes=8)
         results[i] = engine.now
 
     procs = [engine.spawn(member(i), f"m{i}") for i in range(3)]
@@ -251,7 +251,7 @@ def test_collective_multiple_rounds(engine):
 
     def member(i):
         for round_index in range(3):
-            yield Collective(group, value=round_index)
+            yield Collective(group, nbytes=8)
             log.append((i, round_index, engine.now))
 
     engine.spawn(member(0), "m0")
@@ -298,9 +298,9 @@ def test_invalid_poll_interval_rejected(engine, s3, wait, interval):
 
 def test_list_keys(engine, s3):
     def proc():
-        yield Put(s3, "a/1", 1)
-        yield Put(s3, "a/2", 2)
-        yield Put(s3, "b/1", 3)
+        yield Put(s3, "a/1", SizedPayload(1, 8))
+        yield Put(s3, "a/2", SizedPayload(2, 8))
+        yield Put(s3, "b/1", SizedPayload(3, 8))
         keys = yield ListKeys(s3, "a/")
         return keys
 
@@ -311,7 +311,7 @@ def test_list_keys(engine, s3):
 
 def test_delete_removes_key(engine, s3):
     def proc():
-        yield Put(s3, "k", 1)
+        yield Put(s3, "k", SizedPayload(1, 8))
         yield Delete(s3, "k")
         try:
             yield Get(s3, "k")

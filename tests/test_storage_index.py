@@ -7,7 +7,7 @@ through :mod:`repro.storage.base`'s wait index (watched-prefix live
 counters, the smallest-target invariant, wake order; seeded worlds and
 range discards against the reference store of ``tests/reference``), the
 float-heap slot picker in :mod:`repro.simulation.resources`, the batched
-poll billing, the payload sizing fast path, and the communication
+poll billing, the refusal of unsized payloads, and the communication
 patterns' round-file garbage collection.
 """
 
@@ -28,6 +28,7 @@ from reference.harness import (
     build_world,
 )
 from reference.store import RefQueue
+from repro.errors import SimulationError
 from repro.pricing.meter import CostMeter
 from repro.simulation.commands import Put, Sleep, WaitKeyCount
 from repro.simulation.engine import Engine, ProcessState
@@ -35,7 +36,7 @@ from repro.simulation.resources import ServiceQueue
 from repro.storage.base import ObjectStore, StorageProfile, _prefix_upper_bound
 from repro.storage.ordered_index import OrderedKeyIndex
 from repro.storage.services import DynamoDBStore, S3Store
-from repro.utils.serialization import SizedPayload, payload_nbytes
+from repro.utils.serialization import SizedPayload
 
 
 def make_store() -> ObjectStore:
@@ -93,7 +94,7 @@ class TestSortedIndex:
 
     def test_seed_object_is_indexed(self):
         store = make_store()
-        store.seed_object("data/part_0", "x")
+        store.seed_object("data/part_0", SizedPayload("x", 1))
         assert store._do_list("data/") == ["data/part_0"]
         assert store._count_prefix("data/") == 1
 
@@ -624,15 +625,15 @@ class TestOnlyANewKeySatisfiesWaiters:
 
         def stager():
             yield Sleep(1.0)
-            store.seed_object("in/0", b"x")
-            store.seed_object("in/1", b"x")
+            store.seed_object("in/0", SizedPayload(b"x", 1))
+            store.seed_object("in/1", SizedPayload(b"x", 1))
             seen["count"] = store._watched["in/"][0]  # counted by the watched prefix...
             yield Sleep(1.0)
             seen["after_seed"] = proc._pending_wait  # ...but nobody was notified
-            yield Put(store, "in/0", b"y")  # an overwrite releases nobody either
+            yield Put(store, "in/0", SizedPayload(b"y", 1))  # an overwrite releases nobody either
             seen["after_overwrite"] = proc._pending_wait
             seen["put_at"] = engine.now
-            yield Put(store, "in/2", b"z")  # the next new key under the prefix does
+            yield Put(store, "in/2", SizedPayload(b"z", 1))  # the next new key under the prefix does
 
         proc = engine.spawn(waiter(), "waiter")
         engine.spawn(stager(), "stager")
@@ -654,7 +655,7 @@ class TestOnlyANewKeySatisfiesWaiters:
 
         def stager():
             yield Sleep(1.0)
-            store.seed_object("late", b"x")
+            store.seed_object("late", SizedPayload(b"x", 1))
 
         engine.spawn(waiter(), "waiter")
         engine.spawn(stager(), "stager")
@@ -693,12 +694,12 @@ class TestEngineWaitersWithDeletes:
         woken_at = {}
 
         def writer():
-            yield Put(store, "w/0", 0)
-            yield Put(store, "w/1", 1)
+            yield Put(store, "w/0", SizedPayload(0, 8))
+            yield Put(store, "w/1", SizedPayload(1, 8))
             # Zero-time removal between puts: count goes 2 -> 1.
             store.discard("w/1")
-            yield Put(store, "w/2", 2)
-            yield Put(store, "w/3", 3)
+            yield Put(store, "w/2", SizedPayload(2, 8))
+            yield Put(store, "w/3", SizedPayload(3, 8))
 
         def waiter():
             yield WaitKeyCount(store, "w/", 3, poll_interval=0.01)
@@ -718,7 +719,7 @@ class TestEngineWaitersWithDeletes:
         store = S3Store()
 
         def writer():
-            yield Put(store, "present", 1)
+            yield Put(store, "present", SizedPayload(1, 8))
 
         def waiter():
             yield WaitKey(store, "never", poll_interval=0.01)
@@ -807,32 +808,58 @@ class TestBatchedPollBilling:
 
 
 class TestPayloadFastPath:
-    def test_fast_and_general_agree(self):
-        samples = [
-            SizedPayload(np.zeros(2), 12345),
-            np.zeros(7, dtype=np.float32),
-            b"abc",
-            bytearray(b"abcd"),
-            "héllo",
-            7,
-            3.5,
-            True,
-            None,
-            {"key": np.zeros(4), "n": 1},
-            [1, "two", b"three"],
-            (1.0, 2.0),
-            {9, 10},
-            np.float64(2.5),  # float subclass -> slow path
-            object(),  # unknown -> 64
-        ]
-        from repro.utils.serialization import _payload_nbytes_general
+    """No value is sized by its type: a put or a seed states its byte count."""
 
-        for obj in samples:
-            assert payload_nbytes(obj) == _payload_nbytes_general(obj)
+    UNSIZED = [
+        np.zeros(7, dtype=np.float32),
+        b"abc",
+        bytearray(b"abcd"),
+        "héllo",
+        7,
+        3.5,
+        True,
+        None,
+        {"key": np.zeros(4), "n": 1},
+        [1, "two", b"three"],
+        (1.0, 2.0),
+        {9, 10},
+        np.float64(2.5),
+        object(),
+    ]
+
+    def test_fast_and_general_agree(self):
+        # A value of any type, numpy scalars and containers included, is
+        # refused by a put and by seed_object alike and leaves the store as
+        # it was.
+        for value in self.UNSIZED:
+            engine, store = Engine(), make_store()
+
+            def writer(value=value):
+                yield Put(store, "k", value)
+
+            engine.spawn(writer(), "writer")
+            with pytest.raises(SimulationError, match="put of 'k' carries no size"):
+                engine.run()
+            with pytest.raises(SimulationError, match="seeded 'k' carries no size"):
+                store.seed_object("k", value)
+            assert engine.now == 0.0
+            assert store.queue.free == [0.0] * 4
+            assert store._do_list("") == [] and store._count_prefix("") == 0
 
     def test_hot_key_memoized_size_is_stable(self):
-        assert payload_nbytes("ar/r0/merged") == payload_nbytes("ar/r0/merged")
-        assert payload_nbytes("é") == 2
+        # A payload's size is its nbytes, never its value's: a string value
+        # books the stated 2 bytes on every round, not its UTF-8 length.
+        engine, store = Engine(), make_store()
+        booked = []
+
+        def writer():
+            for _ in range(3):
+                booked.append((yield Put(store, "ar/r0/merged", SizedPayload("ar/r0/merged", 2))))
+
+        engine.spawn(writer(), "writer")
+        engine.run()
+        assert booked == [2, 2, 2]
+        assert engine.now == 3 * (2 / 1e9)
 
 
 class TestRoundFileGC:

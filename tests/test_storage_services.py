@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ItemTooLargeError
+from repro.errors import ConfigurationError, ItemTooLargeError, SimulationError
 from repro.pricing.meter import CostMeter
 from repro.simulation.commands import Get, Put
 from repro.simulation.engine import Engine
@@ -188,10 +188,18 @@ class TestDataPlane:
         engine.run()
         assert np.array_equal(p.result.value, np.arange(4))
 
+    @pytest.mark.parametrize("value", [1, b"abc", np.arange(4), None])
+    def test_seed_object_refuses_an_unsized_value(self, value):
+        # A seeded object is later read by a Get, which books its nbytes.
+        store = S3Store()
+        with pytest.raises(SimulationError, match="seeded 'x' carries no size"):
+            store.seed_object("x", value)
+        assert len(store) == 0 and store._count_prefix("") == 0
+
     def test_discard_is_silent_and_unbilled(self):
         meter = CostMeter()
         store = S3Store(meter=meter)
-        store.seed_object("x", 1)
+        store.seed_object("x", SizedPayload(1, 8))
         store.discard("x")
         store.discard("x")  # idempotent
         assert len(store) == 0
@@ -200,7 +208,7 @@ class TestDataPlane:
     def test_discard_after_read_takes_an_iterable_of_keys(self):
         store = S3Store()
         for key in ("a", "b"):
-            store.seed_object(key, 1)
+            store.seed_object(key, SizedPayload(1, 8))
             store.expect_readers(key, 2)
         store.discard_after_read(iter(["a", "b"]))
         store.discard_after_read(("a",))
@@ -210,7 +218,7 @@ class TestDataPlane:
 
     def test_count_prefix(self):
         store = S3Store()
-        store.seed_object("a/1", 1)
-        store.seed_object("a/2", 2)
-        store.seed_object("b/1", 3)
+        store.seed_object("a/1", SizedPayload(1, 8))
+        store.seed_object("a/2", SizedPayload(2, 8))
+        store.seed_object("b/1", SizedPayload(3, 8))
         assert store._count_prefix("a/") == 2

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.errors import SimulationError
+from repro.simulation.commands import Put
+from repro.simulation.engine import Engine
+from repro.storage.services import S3Store
 from repro.utils.rng import make_rng, spawn
-from repro.utils.serialization import SizedPayload, payload_nbytes, unwrap
+from repro.utils.serialization import SizedPayload
 
 
 class TestRng:
@@ -35,19 +39,46 @@ class TestRng:
             np.testing.assert_array_equal(x, y)
 
 
+def refused_put(value) -> None:
+    """`value`, put unsized, is refused before the clock or the store's queue moves."""
+    engine, store = Engine(), S3Store()
+
+    def writer():
+        yield Put(store, "k", value)
+
+    engine.spawn(writer(), "writer")
+    with pytest.raises(SimulationError, match="writer: put of 'k' carries no size"):
+        engine.run()
+    assert engine.now == 0.0
+    assert store.queue.free == [0.0] * len(store.queue.free)
+    assert store._do_list("") == []
+
+
 class TestPayloadSizing:
+    """A transfer's size is its sender's: only a SizedPayload is put."""
+
     def test_ndarray_size(self):
-        assert payload_nbytes(np.zeros(10, dtype=np.float64)) == 80
-        assert payload_nbytes(np.zeros(10, dtype=np.float32)) == 40
+        refused_put(np.zeros(10, dtype=np.float64))
+        refused_put(np.zeros(10, dtype=np.float32))
 
     def test_sparse_size(self):
-        X = sparse.random(10, 100, density=0.1, format="csr")
-        nbytes = payload_nbytes(X)
-        assert nbytes >= X.data.nbytes
+        refused_put(sparse.random(10, 100, density=0.1, format="csr"))
 
     def test_sized_payload_overrides(self):
+        # The booked size is the payload's nbytes, whatever the value's own
+        # buffer: 12 MiB over S3's 65 MiB/s after its 80 ms latency.
+        engine, store = Engine(), S3Store()
         payload = SizedPayload(np.zeros(2), 12 * 1024 * 1024)
-        assert payload_nbytes(payload) == 12 * 1024 * 1024
+        booked = []
+
+        def writer():
+            booked.append((yield Put(store, "k", payload)))
+
+        engine.spawn(writer(), "writer")
+        engine.run()
+        assert booked == [12 * 1024 * 1024]
+        assert engine.now == 8e-2 + payload.nbytes / (65 * 1024 * 1024)
+        assert store._do_get("k") is payload
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -62,10 +93,6 @@ class TestPayloadSizing:
     def test_non_finite_size_never_reaches_the_clock(self, nbytes):
         # Unchecked, a NaN size "completed" a put at t = 0 and left a NaN
         # in the store's slot heap; an infinite one drove the clock to inf.
-        from repro.simulation.commands import Put
-        from repro.simulation.engine import Engine
-        from repro.storage.services import S3Store
-
         engine, store = Engine(), S3Store()
 
         def writer():
@@ -78,22 +105,21 @@ class TestPayloadSizing:
         assert all(math.isfinite(t) for t in store.queue.free)
 
     def test_container_sizes_sum(self):
-        assert payload_nbytes([np.zeros(2), np.zeros(3)]) == 16 + 24
-        assert payload_nbytes({"a": np.zeros(1)}) == payload_nbytes("a") + 8
+        refused_put([np.zeros(2), np.zeros(3)])
+        refused_put({"a": np.zeros(1)})
 
     def test_scalar_and_bytes(self):
-        assert payload_nbytes(b"abcd") == 4
-        assert payload_nbytes("héllo") == len("héllo".encode())
-        assert payload_nbytes(3.14) == 8
-        assert payload_nbytes(None) == 8
+        for value in (b"abcd", "héllo", 3.14, 7, None):
+            refused_put(value)
 
     def test_unknown_object_never_free(self):
         class Thing:
             pass
 
-        assert payload_nbytes(Thing()) > 0
+        refused_put(Thing())
 
-    def test_unwrap(self):
+    def test_reader_takes_the_payload_value(self):
+        # A reader takes the value out of the payload the sender wrote.
         arr = np.zeros(2)
-        assert unwrap(SizedPayload(arr, 10)) is arr
-        assert unwrap(arr) is arr
+        assert SizedPayload(arr, 10).value is arr
+        refused_put(arr)
