@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from repro.data.partition import partition_indices
 from repro.data.synth import TrainValSplit
@@ -50,6 +49,9 @@ class CsrRows:
         rows, cols = self.shape
         if v.shape != (cols,):  # the compiled kernels index `v` unchecked
             raise ValueError(f"cannot multiply {self.shape} rows by a vector of shape {v.shape}")
+        # Bound here, not at module level: a dense run never loads scipy.
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
         out = np.zeros(rows, dtype=np.result_type(self.data.dtype, v.dtype))
         kernel = csc_matvec if self.transposed else csr_matvec
         kernel(rows, cols, self.indptr, self.indices, self.data, v, out)

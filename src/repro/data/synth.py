@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from repro.config import stable_hash
 from repro.data.datasets import DatasetSpec, get_spec
@@ -133,7 +132,13 @@ def _dense_binary(spec: DatasetSpec, n: int, rng: np.random.Generator) -> tuple:
 
 
 def _sparse_binary(spec: DatasetSpec, n: int, rng: np.random.Generator) -> tuple:
-    """Sparse TF-IDF-like binary data (RCV1 / Criteo families)."""
+    """Sparse TF-IDF-like binary data (RCV1 / Criteo families).
+
+    The one place a CSR matrix is built, so scipy loads here: a process
+    that trains on dense data never imports it.
+    """
+    from scipy import sparse
+
     d = spec.n_features
     nnz = spec.nnz_per_row
     # Feature popularity follows a Zipf-ish law like text/CTR data.
@@ -193,13 +198,21 @@ _FAMILIES = {
 }
 
 
-@lru_cache(maxsize=32)
 def generate(name: str, scale: int | None = None, seed: int = 0) -> TrainValSplit:
     """Generate (and cache) the physical train/val split for `name`.
 
     `scale` divides the paper's instance count; None uses the spec
-    default. The split is deterministic in (name, scale, seed).
+    default. The split is deterministic in (name, scale, seed), and the
+    cache is keyed by those values, not by how a call spells them: every
+    spelling of one split returns the same object. Its arrays are
+    read-only, since every caller shares them.
     """
+    spec = get_spec(name)
+    return _generate(name, spec.default_scale if scale is None else scale, seed)
+
+
+@lru_cache(maxsize=32)
+def _generate(name: str, scale: int, seed: int) -> TrainValSplit:
     spec = get_spec(name)
     # stable_hash, not hash(): dataset *content* must not depend on the
     # process's PYTHONHASHSEED (engine determinism is only as good as
@@ -215,9 +228,16 @@ def generate(name: str, scale: int | None = None, seed: int = 0) -> TrainValSpli
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     return TrainValSplit(
         name=name,
-        X_train=X[train_idx],
-        y_train=y[train_idx],
-        X_val=X[val_idx],
-        y_val=y[val_idx],
+        X_train=_read_only(X[train_idx]),
+        y_train=_read_only(y[train_idx]),
+        X_val=_read_only(X[val_idx]),
+        y_val=_read_only(y[val_idx]),
         spec=spec,
     )
+
+
+def _read_only(X):
+    """`X` with its arrays (a CSR matrix's three) made read-only."""
+    for array in (X,) if isinstance(X, np.ndarray) else (X.data, X.indices, X.indptr):
+        array.flags.writeable = False
+    return X

@@ -16,9 +16,15 @@ that are comparable across datasets.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.utils.rng import make_rng
+
+
+def _sq_norm(X) -> float:
+    """Total squared norm of the rows of a dense array or CSR matrix."""
+    if isinstance(X, np.ndarray):
+        return float(np.einsum("ij,ij->", X, X))
+    return float(X.multiply(X).sum())
 
 
 class KMeansModel:
@@ -39,7 +45,7 @@ class KMeansModel:
         n = X.shape[0]
         idx = rng.choice(n, size=min(self.k, n), replace=False)
         rows = X[idx]
-        if sparse.issparse(rows):
+        if not isinstance(rows, np.ndarray):  # a CSR slice
             rows = rows.toarray()
         centroids = np.asarray(rows, dtype=np.float64)
         if centroids.shape[0] < self.k:
@@ -51,15 +57,12 @@ class KMeansModel:
     def assign(self, centroids: np.ndarray, X) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-centroid labels and squared distances for each row."""
         x_sq = (
-            np.asarray(X.multiply(X).sum(axis=1)).ravel()
-            if sparse.issparse(X)
-            else np.einsum("ij,ij->i", X, X)
+            np.einsum("ij,ij->i", X, X)
+            if isinstance(X, np.ndarray)
+            else np.asarray(X.multiply(X).sum(axis=1)).ravel()
         )
         c_sq = np.einsum("ij,ij->i", centroids, centroids)
-        cross = X @ centroids.T
-        if sparse.issparse(cross):  # pragma: no cover - scipy returns ndarray
-            cross = cross.toarray()
-        cross = np.asarray(cross)
+        cross = np.asarray(X @ centroids.T)
         d2 = x_sq[:, None] - 2.0 * cross + c_sq[None, :]
         labels = np.argmin(d2, axis=1)
         best = np.maximum(d2[np.arange(X.shape[0]), labels], 0.0)
@@ -73,21 +76,13 @@ class KMeansModel:
         for cluster in range(k):
             mask = labels == cluster
             if mask.any():
-                block = X[mask]
-                if sparse.issparse(block):
-                    sums[cluster] = np.asarray(block.sum(axis=0)).ravel()
-                else:
-                    sums[cluster] = block.sum(axis=0)
+                sums[cluster] = np.asarray(X[mask].sum(axis=0)).ravel()
         counts = np.bincount(labels, minlength=k).astype(np.float64)
-        if sparse.issparse(X):
-            sq_norm = float(X.multiply(X).sum())
-        else:
-            sq_norm = float(np.einsum("ij,ij->", X, X))
         return {
             "sums": sums,
             "counts": counts,
             "sq_dist": float(d2.sum()),
-            "sq_norm": sq_norm,
+            "sq_norm": _sq_norm(X),
             "n": float(X.shape[0]),
         }
 
@@ -107,10 +102,7 @@ class KMeansModel:
 
     def loss(self, centroids: np.ndarray, X) -> float:
         _, d2 = self.assign(centroids, X)
-        if sparse.issparse(X):
-            sq_norm = float(X.multiply(X).sum())
-        else:
-            sq_norm = float(np.einsum("ij,ij->", X, X))
+        sq_norm = _sq_norm(X)
         if sq_norm <= 0:
             return float("inf")
         return float(d2.sum() / sq_norm)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.data import synth
 from repro.data.datasets import DATASETS, get_spec
 from repro.data.loader import make_shards
 from repro.data.partition import partition_indices
@@ -51,6 +52,26 @@ class TestGenerators:
 
     def test_caching_returns_same_object(self):
         assert generate("higgs", seed=3) is generate("higgs", seed=3)
+
+    def test_cache_keys_on_values_not_spelling(self):
+        synth._generate.cache_clear()
+        default = get_spec("higgs").default_scale
+        splits = [
+            generate("higgs"),
+            generate("higgs", seed=0),
+            generate("higgs", None, 0),
+            generate("higgs", scale=default, seed=0),
+        ]
+        assert all(split is splits[0] for split in splits)
+        info = synth._generate.cache_info()
+        assert (info.hits, info.misses) == (3, 1)
+
+    def test_shared_split_is_read_only(self):
+        dense, csr = generate("higgs", seed=1), generate("rcv1", seed=1)
+        for array in (dense.X_train, dense.y_train, dense.X_val, csr.y_val,
+                      csr.X_train.data, csr.X_train.indices, csr.X_val.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_different_seeds_differ(self):
         a = generate("higgs", seed=1)
