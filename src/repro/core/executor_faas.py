@@ -35,7 +35,7 @@ from repro.comm.protocols import (
 from repro.core.bsp_loop import RoundState, bsp_rounds
 from repro.core.context import JobContext, WorkerOutcome
 from repro.errors import FunctionTimeoutError, TransientStorageError
-from repro.faas.checkpoint import Checkpoint, checkpoint_bytes
+from repro.faas.checkpoint import checkpoint_bytes, checkpoint_key
 from repro.faas.runtime import REINVOKE_OVERHEAD_S, FunctionLifetime
 from repro.faults.injector import WorkerResume
 from repro.simulation.commands import Compute, Get, Put, Sleep
@@ -66,7 +66,7 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
         round_state: RoundState | None = None
         if resume is not None and resume.round_state is not None:
             # State reload: fetch the checkpoint the predecessor wrote.
-            yield Get(ctx.data_store, Checkpoint.key_for(rank), category="checkpoint")
+            yield Get(ctx.data_store, checkpoint_key(rank), category="checkpoint")
             round_state = resume.round_state
 
         def pre_round(state: RoundState):
@@ -113,7 +113,7 @@ def write_checkpoint(ctx: JobContext, rank: int):
     """Persist `rank`'s checkpoint to the data store (simulated: its size)."""
     nbytes = checkpoint_bytes(ctx.info.param_bytes)
     yield Put(
-        ctx.data_store, Checkpoint.key_for(rank), SizedPayload(None, nbytes),
+        ctx.data_store, checkpoint_key(rank), SizedPayload(None, nbytes),
         category="checkpoint",
     )
 
@@ -130,7 +130,7 @@ def checkpoint_and_reinvoke(ctx: JobContext, rank: int):
         rank, ctx.next_invocation(rank), REINVOKE_OVERHEAD_S
     )
     yield Sleep(cold, "checkpoint")
-    yield Get(ctx.data_store, Checkpoint.key_for(rank), category="checkpoint")
+    yield Get(ctx.data_store, checkpoint_key(rank), category="checkpoint")
     ctx.checkpoint_count += 1
     ctx.extra_invocations += 1
 
@@ -143,8 +143,7 @@ def faas_async_worker(ctx: JobContext, rank: int):
     algorithm with a model and a shard.
     """
     cfg = ctx.config
-    algo = ctx.stats(rank)
-    model = algo.model
+    algo = ctx.stats(rank)  # metered: its gradient/loss are the model's
     shard = algo.shard
     store = ctx.channel.store
     iters_per_epoch = shard.iterations_per_epoch
@@ -157,7 +156,7 @@ def faas_async_worker(ctx: JobContext, rank: int):
     yield Compute(ctx.eval_seconds(rank), "compute")
     params = yield from async_read_model(store)
     params = params.astype(algo.params.dtype)
-    local_loss = model.loss(params, shard.X_val, shard.y_val)
+    local_loss = algo.loss(params, shard.X_val, shard.y_val)
     ctx.record(rank, 0.0, local_loss)
 
     epoch = 0
@@ -171,7 +170,7 @@ def faas_async_worker(ctx: JobContext, rank: int):
             except StopIteration:
                 batches = shard.epoch_batches()
                 X_batch, y_batch = next(batches)
-            grad = model.gradient(params, X_batch, y_batch)
+            grad = algo.gradient(params, X_batch, y_batch)
             params = params - (lr_t * grad).astype(params.dtype, copy=False)
             yield Compute(per_iter_s, "compute")
             yield from async_write_model(store, params, ctx.info.param_bytes)
@@ -180,7 +179,7 @@ def faas_async_worker(ctx: JobContext, rank: int):
             rounds += 1
         epoch += 1
         yield Compute(ctx.eval_seconds(rank), "compute")
-        local_loss = model.loss(params, shard.X_val, shard.y_val)
+        local_loss = algo.loss(params, shard.X_val, shard.y_val)
         ctx.record(rank, float(epoch), local_loss)
         if ctx.converged(local_loss):
             yield from async_signal_stop(store, rank)

@@ -1,6 +1,6 @@
 """Simulated FaaS (AWS-Lambda-like) runtime substrate."""
 
-from repro.faas.checkpoint import Checkpoint, checkpoint_bytes
+from repro.faas.checkpoint import checkpoint_bytes, checkpoint_key
 from repro.faas.limits import LambdaLimits, lambda_speed_factor, lambda_vcpus
 from repro.faas.runtime import FunctionLifetime, faas_startup_seconds
 
@@ -10,6 +10,6 @@ __all__ = [
     "lambda_speed_factor",
     "FunctionLifetime",
     "faas_startup_seconds",
-    "Checkpoint",
+    "checkpoint_key",
     "checkpoint_bytes",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import ConfigurationError, FunctionTimeoutError
+from repro.errors import ConfigurationError
 from repro.faas.limits import LambdaLimits
 
 # (workers, seconds) anchors from Table 6.
@@ -65,19 +65,6 @@ class FunctionLifetime:
         """
         margin = self.limits.checkpoint_margin_s + next_round_estimate_s
         return self.remaining(now) <= margin
-
-    def ensure_alive(self, now: float) -> None:
-        """Raise if the function's lifetime is already spent.
-
-        Inclusive at zero: a function that has consumed exactly its
-        lifetime is terminated by the platform, not granted one more
-        instant.
-        """
-        if self.remaining(now) <= 0:
-            raise FunctionTimeoutError(
-                f"function exceeded its {self.limits.lifetime_s:.0f}s lifetime "
-                f"(started at {self.started_at:.1f}s, now {now:.1f}s)"
-            )
 
     def reincarnate(self, now: float) -> None:
         """Account for a self-triggered successor function (Figure 5)."""

@@ -54,7 +54,7 @@ class CorpusEntry:
 CORPUS_ENTRY = store.Kind(
     name="corpus entry",
     error=FuzzError,
-    schemas=(CORPUS_SCHEMA_VERSION,),
+    schema=CORPUS_SCHEMA_VERSION,
     shape={
         "invariant": str, "config_kwargs": dict,
         "scenario_id": str, "message": str,

@@ -162,7 +162,7 @@ class ParameterServer(ObjectStore):
             egress_duration = self.timing.ps_deser_s(nbytes) + self.timing.transfer_s(nbytes)
             _, sent = self._egress.schedule(arrival, egress_duration)
             return arrival, sent + self.timing.lambda_serdes_s(nbytes)
-        # Metadata ops (list/delete) are cheap RPCs.
+        # A list is a cheap metadata RPC.
         return arrival, arrival + self.profile.latency_s
 
     # -- data ----------------------------------------------------------------

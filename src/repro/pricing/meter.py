@@ -138,7 +138,7 @@ class CostMeter:
         """
         catalog = self.catalog
         prices = {}
-        for op in ("put", "get", "list", "delete"):
+        for op in ("put", "get", "list"):
             price = catalog.s3_per_get if op == "get" else catalog.s3_per_put
             if not 0.0 <= price < _INF:  # also rejects NaN
                 raise ValueError(f"invalid charge {price!r} for s3")
@@ -152,7 +152,7 @@ class CostMeter:
         self.counters[counter] += count
 
     def bill_dynamodb_request(self, op: str, nbytes: int, count: int = 1) -> None:
-        if op in ("put", "delete"):
+        if op == "put":
             units = max(1, math.ceil(nbytes / DYNAMODB_WRITE_UNIT_BYTES))
             self._add_repeated("dynamodb", units * self.catalog.dynamodb_per_write_unit, count)
         else:

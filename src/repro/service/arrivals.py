@@ -86,12 +86,15 @@ def load_trace(path: str) -> list[dict]:
             )
         for name in ("arrival_s", "priority"):
             try:
-                float(entry.get(name, 0.0))
+                value = float(entry.get(name, 0.0))
             except (TypeError, ValueError):
+                value = math.nan
+            # An arrival is an instant of the run: never before its start.
+            if not math.isfinite(value) or (name == "arrival_s" and value < 0):
                 raise ConfigurationError(
-                    f"workload trace {path}: entry {i} {name!r} must be a "
-                    f"number, got {entry[name]!r}"
-                ) from None
+                    f"workload trace {path}: entry {i} {name!r} must be a finite "
+                    f"number{' >= 0' if name == 'arrival_s' else ''}, got {entry[name]!r}"
+                )
     return entries
 
 

@@ -70,7 +70,7 @@ def build_report(
 SERVICE_REPORT = store.Kind(
     name="service report",
     error=SimulationError,
-    schemas=(REPORT_SCHEMA_VERSION,),
+    schema=REPORT_SCHEMA_VERSION,
     shape={"kind": str, "service_hash": str, "service": dict,
            "tenants": list, "metrics": dict},
     key="service_hash",

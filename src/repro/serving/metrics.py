@@ -67,7 +67,7 @@ def build_serving_report(
 SERVING_REPORT = store.Kind(
     name="serving report",
     error=SimulationError,
-    schemas=(SERVING_SCHEMA_VERSION,),
+    schema=SERVING_SCHEMA_VERSION,
     shape={"kind": str, "serving_hash": str, "serving": dict, "model": dict,
            "requests": list, "pool": dict, "metrics": dict,
            "end_to_end_dollars": float},

@@ -14,13 +14,11 @@ from repro.simulation.clock import SimClock
 from repro.simulation.commands import (
     Collective,
     Compute,
-    Delete,
     Get,
     Join,
     ListKeys,
     Put,
     Sleep,
-    Spawn,
     WaitKey,
     WaitKeyCount,
 )
@@ -39,11 +37,9 @@ __all__ = [
     "Compute",
     "Put",
     "Get",
-    "Delete",
     "ListKeys",
     "WaitKey",
     "WaitKeyCount",
-    "Spawn",
     "Join",
     "Collective",
 ]

@@ -75,15 +75,6 @@ class GetEach:
 
 
 @dataclass
-class Delete:
-    """Remove `key` if present (idempotent)."""
-
-    store: "ObjectStore"
-    key: str
-    category: str = "comm"
-
-
-@dataclass
 class ListKeys:
     """List keys with the given prefix; result is a sorted list of names."""
 
@@ -121,16 +112,6 @@ class WaitKeyCount:
     count: int
     poll_interval: float = 0.05
     category: str = "wait"
-
-
-@dataclass
-class Spawn:
-    """Start a new process running `generator` after `delay` seconds."""
-
-    generator: Any
-    name: str
-    delay: float = 0.0
-    category: str = "idle"
 
 
 @dataclass

@@ -103,7 +103,6 @@ from repro.simulation.clock import SimClock
 from repro.simulation.commands import (
     Collective,
     Compute,
-    Delete,
     Get,
     GetEach,
     Join,
@@ -111,7 +110,6 @@ from repro.simulation.commands import (
     Put,
     PutEach,
     Sleep,
-    Spawn,
     WaitKey,
     WaitKeyCount,
 )
@@ -240,11 +238,8 @@ class Process:
 class Engine:
     """Deterministic discrete-event scheduler."""
 
-    def __init__(self, on_error: str = "raise") -> None:
-        if on_error not in ("raise", "record"):
-            raise SimulationError(f"on_error must be 'raise' or 'record', got {on_error!r}")
+    def __init__(self) -> None:
         self.clock = SimClock()
-        self.on_error = on_error
         self.processes: list[Process] = []
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         # Events scheduled at the current instant, in scheduling (= seq)
@@ -425,15 +420,13 @@ class Engine:
             self._retire(proc)
             self._wake_joiners(proc)
             return
-        except BaseException as exc:  # noqa: BLE001 - recorded or re-raised below
+        except BaseException as exc:  # noqa: BLE001 - recorded, then re-raised
             proc.state = _FAILED
             proc.exception = exc
             proc.finished_at = self.now
             self._retire(proc)
             self._wake_joiners(proc)
-            if self.on_error == "raise":
-                raise
-            return
+            raise
         proc.state = _BLOCKED
         proc._wake_token += 1
         self._dispatch(proc, command)
@@ -483,10 +476,6 @@ class Engine:
             )
         proc.trace.add(command.category, command.duration)
         self._resume_later(proc, self.clock.now + command.duration)
-
-    def _dispatch_spawn(self, proc: Process, command: Spawn) -> None:
-        child = self.spawn(command.generator, command.name, delay=command.delay)
-        self._resume_now(proc, child)
 
     # -- storage ---------------------------------------------------------
     def _dispatch_put(self, proc: Process, cmd: Put) -> None:
@@ -586,14 +575,6 @@ class Engine:
         else:
             raise SimulationError(f"{proc.name}: empty GetEach")
 
-    def _dispatch_delete(self, proc: Process, cmd: Delete) -> None:
-        end = cmd.store.book("delete", 0, self.clock.now, proc.trace, cmd.category)
-        self._schedule(end, self._apply_delete, proc, cmd)
-
-    def _apply_delete(self, proc: Process, cmd: Delete) -> None:
-        cmd.store._do_delete(cmd.key)
-        self._resume_now(proc)
-
     def _dispatch_list(self, proc: Process, cmd: ListKeys) -> None:
         end = cmd.store.book("list", 0, self.clock.now, proc.trace, cmd.category)
         self._schedule(end, self._apply_list, proc, cmd)
@@ -688,11 +669,9 @@ _DISPATCH_TABLE: dict[type, Callable[[Engine, Process, Any], None]] = {
     Get: Engine._dispatch_get,
     PutEach: Engine._dispatch_put_each,
     GetEach: Engine._dispatch_get_each,
-    Delete: Engine._dispatch_delete,
     ListKeys: Engine._dispatch_list,
     WaitKey: Engine._dispatch_wait_key,
     WaitKeyCount: Engine._dispatch_wait_count,
-    Spawn: Engine._dispatch_spawn,
     Join: Engine._dispatch_join,
     Collective: Engine._dispatch_collective,
 }

@@ -220,7 +220,7 @@ class ObjectStore:
         any transient failures (:meth:`_schedule_failed_attempts`, which
         books and bills the failed attempts first); the booking of the
         op itself on ``self.queue`` (re-read on every op: the service
-        tier swaps a shared queue in), one latency for list/delete plus
+        tier swaps a shared queue in), one latency for a list plus
         ``nbytes / bandwidth`` for put/get; the request's bill; and the
         issuer's seconds on `trace` — the queueing wait (service start
         after `issued`) as ``"wait"``, the rest as `category`. This is
@@ -258,7 +258,7 @@ class ObjectStore:
                         raise
                     if retried is not None:
                         arrival = retried[1]
-            else:  # list/delete move only metadata
+            else:  # a list moves only metadata
                 duration = profile.latency_s
             # ServiceQueue.schedule, inline.
             queue = self.queue
@@ -546,10 +546,6 @@ class ObjectStore:
         if record is not None:
             return record[0]
         return self._keys.count_range(prefix, _prefix_upper_bound(prefix))
-
-    # Test/diagnostic conveniences (no simulated time involved).
-    def peek(self, key: str) -> Any:
-        return self._do_get(key)
 
     def seed_object(self, key: str, value: Any) -> None:
         """Place an object without simulated time (e.g. pre-uploaded data).

@@ -30,7 +30,7 @@ class Kind:
 
     name: str  # for messages: "artifact", "trace", "service report"...
     error: type[Exception]  # the typed error an unusable document raises
-    schemas: tuple[int, ...]  # accepted ``schema`` versions
+    schema: int  # the one ``schema`` version a document may carry
     shape: dict[str, type]  # required keys -> types
     #: Field holding the document's own key; ``None`` for documents
     #: filed under a name they do not repeat (``put`` is told the key).
@@ -76,9 +76,9 @@ def validate(kind: Kind, document: dict, expected_hash: str | None = None) -> di
     """Check schema, shape, fingerprint and filing; raise ``kind.error``."""
     if not isinstance(document, dict):
         raise kind.error(f"{kind.name} is {type(document).__name__}, not an object")
-    if document.get("schema") not in kind.schemas:
+    if document.get("schema") != kind.schema:
         raise kind.error(
-            f"{kind.name} schema {document.get('schema')!r} not in {kind.schemas}"
+            f"{kind.name} schema {document.get('schema')!r} is not {kind.schema}"
         )
     missing = kind.shape.keys() - document.keys()
     if missing:

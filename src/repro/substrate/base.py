@@ -46,7 +46,7 @@ class Substrate(abc.ABC):
 
     def __init__(self) -> None:
         #: Host seconds spent doing statistical (numpy) work: substrate
-        #: build + every round_payload/local_loss call. Sweeps
+        #: build + every metered call of a view (TimedView). Sweeps
         #: persist this per point (``meta.compute_seconds``) so the
         #: wall-clock ledger shows where time actually goes.
         self.compute_seconds = 0.0
@@ -83,8 +83,9 @@ class TimedView:
 
     Forwards the full algorithm surface (including ``model``/``shard``
     for the asynchronous executor) and adds the elapsed host time of
-    ``round_payload``/``local_loss`` to the owning substrate's
-    ``compute_seconds``. Pure observation: values, dtypes
+    ``round_payload``/``local_loss`` — and of the asynchronous
+    executor's ``gradient``/``loss``, the model's own — to the owning
+    substrate's ``compute_seconds``. Pure observation: values, dtypes
     and call order are untouched, so a metered run is bit-identical to
     the raw algorithm.
     """
@@ -95,17 +96,23 @@ class TimedView:
         object.__setattr__(self, "_algo", algo)
         object.__setattr__(self, "_substrate", substrate)
 
-    def round_payload(self):
+    def _metered(self, fn, *args):
         t0 = time.perf_counter()
-        out = self._algo.round_payload()
+        out = fn(*args)
         self._substrate.compute_seconds += time.perf_counter() - t0
         return out
 
+    def round_payload(self):
+        return self._metered(self._algo.round_payload)
+
     def local_loss(self) -> float:
-        t0 = time.perf_counter()
-        loss = self._algo.local_loss()
-        self._substrate.compute_seconds += time.perf_counter() - t0
-        return loss
+        return self._metered(self._algo.local_loss)
+
+    def gradient(self, params, X, y):
+        return self._metered(self._algo.model.gradient, params, X, y)
+
+    def loss(self, params, X, y) -> float:
+        return self._metered(self._algo.model.loss, params, X, y)
 
     @property
     def params(self):

@@ -108,7 +108,7 @@ def _check_trace(trace: dict) -> str | None:
 TRACE = store.Kind(
     name="trace",
     error=TraceError,
-    schemas=(TRACE_SCHEMA_VERSION,),
+    schema=TRACE_SCHEMA_VERSION,
     shape={
         "stat_hash": str, "stat_fingerprint": dict, "reduce": str,
         "ranks": list, "meta": dict,

@@ -42,12 +42,11 @@ artifacts for the same point — serial or across the pool boundary,
 exact or replayed from a recorded trace — must be byte-identical after
 dropping ``meta`` (the determinism tests assert exactly that).
 
-Schema history: version 1 (PR 2) lacked ``meta.substrate`` and
-``meta.compute_seconds``; version 2 (PR 3) lacked ``result.events``
-(the fault-plane event summary — counts of *simulated* events, hence
-deterministic and part of the result, not the meta). Both still load
-(resume reuses them with a warning); everything written now is
-version 3.
+``result.events`` is the fault-plane event summary: counts of
+*simulated* events, hence deterministic and part of the result, not the
+meta. Version 3 is the only schema that loads; a file of an older one
+(no ``meta.substrate`` / ``meta.compute_seconds``, no ``result.events``)
+is corrupt, so a resumed sweep re-runs its point and overwrites it.
 
 Writing, reading, validation and the corrupt-file policy live in
 :mod:`repro.store`; this module declares the artifact :data:`ARTIFACT`
@@ -66,8 +65,6 @@ from repro.simulation.tracing import TimeBreakdown
 from repro.sweep.grid import SweepPoint, config_fingerprint, fingerprint_hash
 
 ARTIFACT_SCHEMA_VERSION = 3
-#: Older schemas `load_artifact` still accepts (resume warns on reuse).
-COMPATIBLE_SCHEMA_VERSIONS = (1, 2, ARTIFACT_SCHEMA_VERSION)
 
 
 class ArtifactError(ValueError):
@@ -77,7 +74,7 @@ class ArtifactError(ValueError):
 ARTIFACT = store.Kind(
     name="artifact",
     error=ArtifactError,
-    schemas=COMPATIBLE_SCHEMA_VERSIONS,
+    schema=ARTIFACT_SCHEMA_VERSION,
     shape={
         "experiment": str, "label": str, "config_hash": str,
         "tags": dict, "config": dict, "result": dict, "meta": dict,
@@ -161,8 +158,7 @@ def result_from_artifact(artifact: dict) -> RunResult:
         breakdown=breakdown,
         checkpoints=res["checkpoints"],
         final_accuracy=res["final_accuracy"],
-        # v1/v2 artifacts predate the fault plane: no events recorded.
-        meta={"events": dict(res.get("events", {}))},
+        meta={"events": dict(res["events"])},
     )
 
 

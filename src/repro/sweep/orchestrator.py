@@ -59,12 +59,7 @@ from repro.substrate import (
     scan_traces,
     write_trace,
 )
-from repro.sweep.artifacts import (
-    ARTIFACT_SCHEMA_VERSION,
-    artifact_from_result,
-    scan_artifacts,
-    write_artifact,
-)
+from repro.sweep.artifacts import artifact_from_result, scan_artifacts, write_artifact
 from repro.sweep.grid import SweepPoint, dedupe_with_hashes
 
 
@@ -366,13 +361,6 @@ def run_sweep(
                 say(
                     f"warning: reusing {point_hash}.json from engine "
                     f"{recorded_version or 'unknown'} (running {repro_version})"
-                )
-            if artifact["schema"] != ARTIFACT_SCHEMA_VERSION:
-                say(
-                    f"warning: reusing {point_hash}.json with artifact schema "
-                    f"{artifact['schema']} (current: {ARTIFACT_SCHEMA_VERSION}; "
-                    "older schemas lack meta.substrate/compute_seconds "
-                    "and/or result.events)"
                 )
             # Labels/tags are presentation metadata, deliberately
             # outside the hash. When a grid renames them, refresh the

@@ -17,8 +17,8 @@ from collections import defaultdict
 
 from repro.errors import DeadlockError, KeyNotFoundError, SimulationError, TransientStorageError
 from repro.simulation.commands import (
-    Collective, Compute, Delete, Get, GetEach, Join, ListKeys, Put, PutEach, Sleep, Spawn,
-    WaitKey, WaitKeyCount,
+    Collective, Compute, Get, GetEach, Join, ListKeys, Put, PutEach, Sleep, WaitKey,
+    WaitKeyCount,
 )
 
 ALIVE = ("ready", "running", "blocked")
@@ -49,8 +49,7 @@ class RefProcess:
 
 
 class RefEngine:
-    def __init__(self, on_error: str = "raise") -> None:
-        self.on_error = on_error
+    def __init__(self) -> None:
         self.now = 0.0
         self.heap: list = []
         self.seq = 0
@@ -118,11 +117,9 @@ class RefEngine:
         except StopIteration as stop:
             self._end(proc, "done", stop.value, None)
             return
-        except BaseException as exc:  # noqa: BLE001 - recorded or re-raised
+        except BaseException as exc:  # noqa: BLE001 - recorded, then re-raised
             self._end(proc, "failed", None, exc)
-            if self.on_error == "raise":
-                raise
-            return
+            raise
         proc.state = "blocked"
         proc.epoch += 1
         self._issue(proc, command)
@@ -175,17 +172,11 @@ class RefEngine:
             items = cmd.items if kind is PutEach else cmd.keys
             proc.items = (kind, cmd, iter(items), [])
             self._next_item(proc)
-        elif kind is Delete:
-            end = cmd.store.book("delete", 0, self.now, proc.trace, cmd.category)
-            self.at(end, self._delete, proc, cmd)
         elif kind is ListKeys:
             end = cmd.store.book("list", 0, self.now, proc.trace, cmd.category)
             self.at(end, self._list, proc, cmd)
         elif kind is WaitKey or kind is WaitKeyCount:
             self._wait(proc, cmd)
-        elif kind is Spawn:
-            child = self.spawn(cmd.generator, cmd.name, cmd.delay)
-            self._later(proc, self.now, child)
         elif kind is Join:
             self._join(proc, cmd)
         elif kind is Collective:
@@ -237,10 +228,6 @@ class RefEngine:
             self._later(proc, exc.failed_at, error=exc)
             return
         self._later(proc, end, value)
-
-    def _delete(self, proc, cmd) -> None:
-        cmd.store.delete(cmd.key)
-        self._later(proc, self.now)
 
     def _list(self, proc, cmd) -> None:
         self._later(proc, self.now, cmd.store.listing(cmd.prefix))

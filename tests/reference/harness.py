@@ -30,8 +30,8 @@ from repro.iaas.ps import make_parameter_server
 from repro.pricing.catalog import PriceCatalog
 from repro.pricing.meter import CostMeter
 from repro.simulation.commands import (
-    Collective, CollectiveGroup, Compute, Delete, Get, GetEach, Join, ListKeys, Put, PutEach,
-    Sleep, Spawn, WaitKey, WaitKeyCount,
+    Collective, CollectiveGroup, Compute, Get, GetEach, Join, ListKeys, Put, PutEach, Sleep,
+    WaitKey, WaitKeyCount,
 )
 from repro.simulation.engine import Engine
 from repro.storage.services import DynamoDBStore, MemcachedStore, RedisStore, S3Store, VMDiskStore
@@ -63,19 +63,19 @@ BASES = ("x/", "x/y/", "ar/00000000/part_", "ar/00000001/", "sr/00000001/for_000
 LEAVES = ("0", "1", "00")
 PREFIXES = ("x/", "", "x/y/", "ar/", "ar/00000000", "ar/00000001/", "sr/",
             "sr/00000001/for_00002/", "x/0", "0", "日/", "日/\U0010ffff")
-OPS = ("put", "get", "put_each", "get_each", "wait_count", "wait_key", "sleep", "delete",
-       "list", "compute", "spawn", "put_each", "get_each", "join", "discard_prefix", "discard",
-       "expect_readers", "discard_after_read", "advance")
-NESTED = OPS[:10]  # what a spawned child or the raiser may do
-STORAGE_OPS = ("put", "get", "put_each", "get_each", "wait_count", "wait_key", "delete", "list")
+OPS = ("put", "get", "put_each", "get_each", "wait_count", "wait_key", "sleep", "list",
+       "compute", "put_each", "get_each", "join", "discard_prefix", "discard", "expect_readers",
+       "discard_after_read", "advance")
+NESTED = OPS[:9]  # what the raiser may do
+STORAGE_OPS = ("put", "get", "put_each", "get_each", "wait_count", "wait_key", "list")
 ZERO_TIME = ("discard", "discard_prefix", "expect_readers", "discard_after_read", "advance")
 BLOCKING = ("put_each", "get_each", "wait_key", "wait_count")
 PS_PARAMS = np.zeros(4)
 
 FEATURES = set(KINDS) | set(ZERO_TIME) | {
-    "Sleep", "Compute", "Spawn", "Join", "Collective", "Put", "Get", "PutEach", "GetEach",
-    "Delete", "ListKeys", "WaitKey", "WaitKeyCount", "overwrite", "seed_object", "retention",
-    "kill_mid_sequence", "kill_mid_wait", "daemon", "on_error_record", "resume_after_raise",
+    "Sleep", "Compute", "Join", "Collective", "Put", "Get", "PutEach", "GetEach", "ListKeys",
+    "WaitKey", "WaitKeyCount", "overwrite", "seed_object", "retention", "kill_mid_sequence",
+    "kill_mid_wait", "daemon", "resume_after_raise",
     "join_failed", "flaky", "retry_exhaustion", "over_limit_put", "early_arrival",
     "shared_queue", "get_each_missing_at_k", "sliced",
 }
@@ -103,7 +103,6 @@ class World:
     stores: list
     procs: list
     seeds: list = field(default_factory=list)  # (store, key, nbytes), before the run
-    on_error: str = "record"
     catalog: str = "default"
     group: int = 0  # the first `group` processes share a collective group
     kill: tuple | None = None  # (victim, instant): a daemon kills it once it blocks after
@@ -153,7 +152,7 @@ def _op(pick, stores, others, features, menu=OPS) -> tuple:
     ps = stores[s].kind == "ps"
     if kind == "put":
         return (kind, s, _key(pick, ps), pick.choice(SIZES))
-    if kind in ("get", "delete", "discard"):
+    if kind in ("get", "discard"):
         return (kind, s, _key(pick, ps))
     if kind == "put_each":
         return (kind, s, tuple((_key(pick, ps), pick.choice(SIZES))
@@ -172,10 +171,6 @@ def _op(pick, stores, others, features, menu=OPS) -> tuple:
         return (kind, pick.choice(DURATIONS))
     if kind in ("list", "discard_prefix"):
         return (kind, s, pick.choice(PREFIXES))
-    if kind == "spawn":
-        nested = tuple(k for k in NESTED if k in menu)
-        child = tuple(_op(pick, stores, (), features, nested) for _ in range(pick.int(1, 2)))
-        return (kind, child, pick.choice(DURATIONS), pick.choice((False, True)))
     if kind == "join" and others:
         return (kind, pick.choice(others))
     if kind == "expect_readers":
@@ -188,12 +183,13 @@ def _op(pick, stores, others, features, menu=OPS) -> tuple:
 
 
 def build_world(pick, *, kinds=None, catalog=None, fault="draw", shared=None, sliced=None,
-                fragile=None, raiser=None, group=None, watch=None, kill=None, workers=(1, 5),
-                ops=(1, 10), pauses=(1, 4), menu=OPS) -> World:
+                fragile=None, raiser=None, join=None, group=None, watch=None, kill=None,
+                workers=(1, 5), ops=(1, 10), pauses=(1, 4), menu=OPS) -> World:
     """A world drawn from `pick`.
 
     A keyword left at its default is drawn; any other value pins what it
-    names (``fault=None``: fault-free). `workers`, `ops` (per worker) and
+    names (``fault=None``: fault-free; ``join=True``: worker 0's first op
+    joins the raiser). `workers`, `ops` (per worker) and
     `pauses` (slices of a sliced run) are (low, high) counts, and `menu`
     holds the ops a worker draws from.
     """
@@ -223,8 +219,8 @@ def build_world(pick, *, kinds=None, catalog=None, fault="draw", shared=None, sl
         script = [_op(pick, stores, others, features, menu) for _ in range(pick.int(*ops))]
         for _ in range(pick.int(1, 2) if i < group else 0):
             script.insert(pick.int(0, len(script)), ("collective", pick.choice(SIZES)))
-        if raiser and i == 0 and pick.choice((False, True)):
-            script.insert(pick.int(0, len(script)), ("join", "raiser"))
+        if raiser and i == 0 and (join or join is None and pick.choice((False, True))):
+            script.insert(0 if join else pick.int(0, len(script)), ("join", "raiser"))
         procs.append(ProcSpec(name, tuple(script), pick.choice(DURATIONS),
                               pick.choice((False, True)) if fragile is None else fragile))
     if raiser:
@@ -247,9 +243,8 @@ def build_world(pick, *, kinds=None, catalog=None, fault="draw", shared=None, sl
         for _ in range(pick.int(*pauses)):
             t += pick.choice((0.005, 0.01, 0.02, 0.05, 0.3))
             slices += (t,)
-    world = World(stores, procs, seeds, pick.choice(("record", "raise")),
-                  catalog or pick.choice(("default", "awkward")), group if group > 1 else 0,
-                  kill, slices, features)
+    world = World(stores, procs, seeds, catalog or pick.choice(("default", "awkward")),
+                  group if group > 1 else 0, kill, slices, features)
     _static_features(world)
     return world
 
@@ -289,9 +284,22 @@ def _static_features(world: World) -> None:
                      ("flaky", any(s.fault for s in world.stores)),
                      ("retention", any(s.retention is not None for s in world.stores)),
                      ("seed_object", world.seeds), ("daemon", world.kill),
-                     ("sliced", world.slices), ("on_error_record", world.on_error == "record")):
+                     ("sliced", world.slices)):
         if on:
             features.add(name)
+
+
+def cancelled_waiter_world() -> World:
+    """Count waiters g1, g2, g3 with targets 1, 2, 3 on one prefix; g3 killed mid-wait.
+
+    A second apart, a writer then puts two keys under the prefix. The
+    prefix's record must keep the smallest target still waited on, so
+    the first put wakes g1 and the second g2.
+    """
+    waiters = [ProcSpec(f"g{n}", (("wait_count", 0, "x/", n, 0.01),)) for n in (1, 2, 3)]
+    writer = ProcSpec("writer", (("sleep", 0.05), ("put", 0, "x/0", 8), ("sleep", 1.0),
+                                 ("put", 0, "x/1", 8)))
+    return World([StoreSpec("s3")], [*waiters, writer], kill=("g3", 0.0))
 
 
 def pattern_world(pattern: str, kind: str, workers: int, *, fault=None, kill=None,
@@ -332,7 +340,7 @@ def _payload(key: str, nbytes: int) -> SizedPayload:
 
 
 def canon(value):
-    """`value` with floats as hex and processes by name: equal iff observably equal."""
+    """`value` with floats as hex: equal iff observably equal."""
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, SizedPayload):
@@ -341,8 +349,6 @@ def canon(value):
         return ("array", [canon(float(x)) for x in value.ravel()])
     if isinstance(value, (list, tuple)):
         return [canon(v) for v in value]
-    if hasattr(value, "generator"):
-        return ("process", value.name)
     return value
 
 
@@ -366,7 +372,7 @@ class Side:
         self.current: dict[str, str] = {}  # process -> the op it is on
         self.last: dict[str, str] = {}  # process -> the last command an exchange yielded
         catalog = CATALOGS[world.catalog]
-        self.engine = (RefEngine if reference else Engine)(world.on_error)
+        self.engine = (RefEngine if reference else Engine)()
         self.stats = None if reference else self.engine.enable_stats()
         self.meter = RefMeter(catalog) if reference else CostMeter(catalog)
         if not reference:
@@ -408,17 +414,14 @@ class Side:
     def note(self, name: str, op: str, outcome) -> None:
         self.log.append((name, self.engine.now.hex(), op, outcome))
 
-    def command(self, op: tuple, name: str, children: list):
+    def command(self, op: tuple):
         kind, args = op[0], op[1:]
         if kind in ("sleep", "compute"):
             return (Sleep if kind == "sleep" else Compute)(args[0])
         if kind == "collective":
             return Collective(self.group, args[0])
-        if kind == "spawn":
-            child = ProcSpec(f"{name}.{len(children)}", args[0])
-            return Spawn(self.script(child), child.name, args[1])
         if kind == "join":
-            return Join(self.procs[args[0]] if isinstance(args[0], str) else args[0])
+            return Join(self.procs[args[0]])
         store, arg = self.stores[args[0]], args[1]
         if kind == "put":
             return Put(store, arg, _payload(arg, args[2]))
@@ -426,14 +429,11 @@ class Side:
             return PutEach(store, [(key, _payload(key, n)) for key, n in arg])
         if kind in ("wait_key", "wait_count"):
             return (WaitKey if kind == "wait_key" else WaitKeyCount)(store, *args[1:])
-        return {"get": Get, "get_each": GetEach, "delete": Delete, "list": ListKeys}[kind](
+        return {"get": Get, "get_each": GetEach, "list": ListKeys}[kind](
             store, list(arg) if kind == "get_each" else arg)
 
     def script(self, spec: ProcSpec):
-        children: list = []
-        todo = list(spec.ops)
-        while todo:
-            op = todo.pop(0)
+        for op in spec.ops:
             kind = op[0]
             self.current[spec.name] = kind
             if kind == "raise":
@@ -451,7 +451,7 @@ class Side:
                 if (yield from self.exchange(spec.name, *op[1:])):
                     return "gave up"
                 continue
-            command = self.command(op, spec.name, children)
+            command = self.command(op)
             self.features.add(type(command).__name__)
             try:
                 value = yield command
@@ -463,10 +463,6 @@ class Side:
                     raise
                 continue
             self.note(spec.name, kind, canon(value))
-            if kind == "spawn":
-                children.append(value)
-                if op[3]:
-                    todo.insert(0, ("join", value))
         return spec.name
 
     def exchange(self, name, s, pattern, rank, workers, r, nbytes):

@@ -207,7 +207,7 @@ class RefStore:
             price = catalog.s3_per_get if op == "get" else catalog.s3_per_put
             self.meter.bill("s3", price, f"s3_{op}", count)
         elif self.kind == "dynamodb":
-            if op in ("put", "delete"):
+            if op == "put":
                 unit, rate = DYNAMODB_WRITE_UNIT_BYTES, catalog.dynamodb_per_write_unit
             else:
                 unit, rate = DYNAMODB_READ_UNIT_BYTES, catalog.dynamodb_per_read_unit

@@ -13,7 +13,9 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 
-from .harness import FEATURES, SeededPick, assert_same_world, build_world, worlds
+from .harness import (
+    FEATURES, SeededPick, assert_same_world, build_world, cancelled_waiter_world, worlds,
+)
 
 HERE = Path(__file__).resolve().parent
 SEEDED = 300
@@ -36,6 +38,11 @@ def test_worlds_match_the_reference():
     for seed in range(SEEDED):
         seen.update(assert_same_world(build_world(SeededPick(f"cover:{seed}")))[1].features)
     assert FEATURES - seen == set()
+
+
+def test_a_cancelled_count_waiter_leaves_the_smallest_target():
+    """A directed world: the draws above rarely kill one of several count waiters."""
+    assert "kill_mid_wait" in assert_same_world(cancelled_waiter_world())[1].features
 
 
 CHECKED = ("repro.simulation.engine", "repro.simulation.resources", "repro.storage.base",

@@ -19,7 +19,7 @@ from reference.harness import OPS, SeededPick, assert_same_world, build_world
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.errors import SimulationError
-from repro.simulation.commands import Put, Sleep, Spawn
+from repro.simulation.commands import Put, Sleep
 from repro.simulation.engine import Engine, capture_stats
 from repro.storage.services import S3Store
 from repro.substrate import ExactSubstrate, ReplaySubstrate
@@ -35,11 +35,11 @@ LONG_RUNNING = tuple(op for op in OPS if op not in ("wait_key", "wait_count", "j
 def test_two_queue_dispatch_is_seq_order(seed):
     real, ref = assert_same_world(build_world(
         SeededPick(f"order:{seed}"), kinds=("redis", "s3"), sliced=False, workers=(4, 6),
-        ops=(30, 40), menu=LONG_RUNNING, fragile=False, raiser=True, group=3, watch=True,
-        kill=True))
+        ops=(30, 40), menu=LONG_RUNNING, fragile=False, raiser=True, join=True, group=3,
+        watch=True, kill=True))
     outcome = real.outcome
     assert len(outcome["log"]) > 40
-    assert {"Collective", "WaitKeyCount", "Spawn", "Join"} <= ref.features
+    assert {"Collective", "WaitKeyCount", "Join"} <= ref.features
     assert any(op == "kill" for _, _, op, _ in outcome["log"])
     # The raiser failed, or an over-limit put escaped run() first.
     assert any(state == "failed" for _, state, *_ in outcome["processes"]) or any(
@@ -55,7 +55,7 @@ def test_run_until_in_slices_equals_one_run(seed):
     run (``assert_same_world`` runs the world unsliced too).
     """
     world = build_world(SeededPick(f"slices:{seed}"), kinds=("redis", "s3"), sliced=True,
-                        pauses=(8, 12), workers=(3, 5), ops=(15, 25), menu=LONG_RUNNING,
+                        pauses=(8, 12), workers=(4, 6), ops=(20, 30), menu=LONG_RUNNING,
                         fragile=False)
     real, _ = assert_same_world(world)
     end = float.fromhex(real.outcome["clock"])
@@ -113,15 +113,6 @@ def test_spawn_rejects_invalid_delay(delay):
         engine.spawn(noop(), "late", delay=delay)
     assert not engine.processes and not engine._heap and not engine._fifo
 
-    def parent():
-        yield Spawn(noop(), "late", delay=delay)
-
-    engine.spawn(parent(), "parent")
-    with pytest.raises(SimulationError, match="late: invalid delay"):
-        engine.run()
-    assert not engine._heap
-    assert engine.now == 0.0
-
 
 def test_zero_delay_events_never_reach_the_heap():
     engine = Engine()
@@ -140,7 +131,7 @@ def test_zero_delay_events_never_reach_the_heap():
 
 
 def test_second_run_after_a_raise_redispatches_nothing():
-    engine = Engine()  # on_error="raise"
+    engine = Engine()
     store = S3Store()
     steps = []
 

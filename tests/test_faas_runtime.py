@@ -1,18 +1,13 @@
-"""FunctionLifetime edge cases: the knife-edge boundaries of Figure 5.
+"""FunctionLifetime edge cases: the knife-edge boundary of Figure 5.
 
-The executor consults ``needs_checkpoint`` at every round boundary and
-``ensure_alive`` models the platform's hard kill. Both comparisons are
-*inclusive*: a round whose estimate exactly equals the remaining
-margin must checkpoint (the margin exists so that knife-edge never
-runs), and a function at exactly zero remaining lifetime is already
-dead — AWS does not grant one extra instant.
+The executor consults ``needs_checkpoint`` at every round boundary.
+The comparison is *inclusive*: a round whose estimate exactly equals
+the remaining margin must checkpoint (the margin exists so that
+knife-edge never runs).
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import FunctionTimeoutError
 from repro.faas.limits import LambdaLimits
 from repro.faas.runtime import FunctionLifetime
 
@@ -42,27 +37,16 @@ class TestNeedsCheckpointBoundary:
         lt = _lifetime()
         assert not lt.needs_checkpoint(0.0)
 
-
-class TestEnsureAliveBoundary:
-    def test_alive_strictly_inside_the_lifetime(self):
-        lt = _lifetime()
-        lt.ensure_alive(899.999)
-
-    def test_dead_at_exactly_zero_remaining(self):
+    def test_a_spent_lifetime_needs_checkpoint(self):
         lt = _lifetime()
         assert lt.remaining(900.0) == 0.0
-        with pytest.raises(FunctionTimeoutError):
-            lt.ensure_alive(900.0)
-
-    def test_dead_past_the_wall(self):
-        lt = _lifetime()
-        with pytest.raises(FunctionTimeoutError):
-            lt.ensure_alive(900.001)
+        assert lt.needs_checkpoint(900.0)
+        assert lt.needs_checkpoint(900.001)
 
     def test_reincarnation_resets_the_clock(self):
         lt = _lifetime()
         lt.reincarnate(895.0)
-        lt.ensure_alive(900.0)  # 895 + 900 > 900: alive again
         assert lt.incarnations == 2
-        with pytest.raises(FunctionTimeoutError):
-            lt.ensure_alive(1795.0)  # exactly one lifetime after restart
+        assert not lt.needs_checkpoint(900.0)  # 895 + 900 - 900 > 30: a fresh lifetime
+        assert lt.remaining(1795.0) == 0.0  # exactly one lifetime after restart
+        assert lt.needs_checkpoint(1795.0 - 30.0)

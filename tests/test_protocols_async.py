@@ -44,7 +44,7 @@ class TestProtocolHelpers:
         engine.spawn(writer(1.0, 1.0), "w1")
         engine.spawn(writer(2.0, 2.0), "w2")
         engine.run()
-        final = store.peek(GLOBAL_MODEL_KEY)
+        final = store._do_get(GLOBAL_MODEL_KEY)
         np.testing.assert_allclose(final.value, np.full(2, 2.0))
 
     def test_stop_flag_roundtrip(self):
@@ -82,6 +82,6 @@ class TestStalenessEmergence:
         engine.spawn(worker(0.5), "fast")
         engine.spawn(worker(5.0), "slow")
         engine.run()
-        final = store.peek(GLOBAL_MODEL_KEY)
+        final = store._do_get(GLOBAL_MODEL_KEY)
         # Two increments happened, but the final model shows only one.
         np.testing.assert_allclose(np.asarray(final.value), [1.0])

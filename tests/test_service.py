@@ -106,6 +106,11 @@ class TestArrivals:
              "entry 1 'priority'"),
             (json.dumps([{"arrival_s": 0.0, "config": ["workers", 4]}]),
              "entry 0 'config'"),
+            (json.dumps([{"arrival_s": -50}]), "entry 0 'arrival_s'"),
+            (json.dumps([{"arrival_s": 0.0, "priority": float("nan")}]),
+             "entry 0 'priority'"),
+            (json.dumps([{"arrival_s": 0.0}, {"arrival_s": float("inf")}]),
+             "entry 1 'arrival_s'"),
         ],
     )
     def test_malformed_trace_is_a_configuration_error(

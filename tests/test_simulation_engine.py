@@ -9,13 +9,11 @@ from repro.simulation.commands import (
     Collective,
     CollectiveGroup,
     Compute,
-    Delete,
     Get,
     Join,
     ListKeys,
     Put,
     Sleep,
-    Spawn,
     WaitKey,
     WaitKeyCount,
 )
@@ -163,12 +161,11 @@ def test_spawn_and_join(engine):
         yield Sleep(2.0)
         return 42
 
-    def parent():
-        proc = yield Spawn(child(), "child")
+    def parent(proc):
         result = yield Join(proc)
         return result
 
-    p = engine.spawn(parent(), "parent")
+    p = engine.spawn(parent(engine.spawn(child(), "child")), "parent")
     engine.run()
     assert p.result == 42
     assert engine.now == pytest.approx(2.0)
@@ -179,30 +176,31 @@ def test_join_propagates_exception(engine):
         yield Sleep(1.0)
         raise ValueError("boom")
 
-    def parent():
-        proc = yield Spawn(child(), "child")
+    def parent(proc):
         try:
             yield Join(proc)
         except ValueError as exc:
             return str(exc)
 
-    local = Engine(on_error="record")
-    p = local.spawn(parent(), "parent")
-    local.run()
+    p = engine.spawn(parent(engine.spawn(child(), "child")), "parent")
+    with pytest.raises(ValueError, match="boom"):
+        engine.run()  # the child's failure escapes run() first...
+    engine.run()  # ...and the resumed run throws it into its joiner
     assert p.result == "boom"
 
 
-def test_failed_process_recorded_when_on_error_record():
-    engine = Engine(on_error="record")
-
+def test_failed_process_recorded_when_on_error_record(engine):
+    """A failed process is recorded before run() re-raises its exception."""
     def bad():
         yield Sleep(1.0)
         raise RuntimeError("nope")
 
     p = engine.spawn(bad(), "bad")
-    engine.run()
+    with pytest.raises(RuntimeError):
+        engine.run()
     assert p.state is ProcessState.FAILED
     assert isinstance(p.exception, RuntimeError)
+    assert p.finished_at == 1.0
 
 
 def test_failed_process_raises_by_default(engine):
@@ -307,20 +305,6 @@ def test_list_keys(engine, s3):
     p = engine.spawn(proc(), "worker")
     engine.run()
     assert p.result == ["a/1", "a/2"]
-
-
-def test_delete_removes_key(engine, s3):
-    def proc():
-        yield Put(s3, "k", SizedPayload(1, 8))
-        yield Delete(s3, "k")
-        try:
-            yield Get(s3, "k")
-        except KeyNotFoundError:
-            return "gone"
-
-    p = engine.spawn(proc(), "worker")
-    engine.run()
-    assert p.result == "gone"
 
 
 def test_run_until_pauses_and_resumes(engine):

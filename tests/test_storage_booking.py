@@ -24,7 +24,7 @@ from repro.simulation.resources import ServiceQueue
 from repro.simulation.tracing import TimeBreakdown
 from repro.storage.services import MemcachedStore, S3Store, VMDiskStore
 
-OPS = ("put", "get", "list", "delete")
+OPS = ("put", "get", "list")
 SERVICES = {
     "s3": ("s3",), "s3_shared": ("s3", "s3"), "memcached": ("memcached",),
     "redis_shared": ("redis", "redis"), "dynamodb": ("dynamodb",), "vmdisk": ("vmdisk",),
@@ -32,7 +32,7 @@ SERVICES = {
 }
 
 
-STORAGE = ("put", "get", "put_each", "get_each", "delete", "list", "put", "get", "sleep")
+STORAGE = ("put", "get", "put_each", "get_each", "list", "put", "get", "sleep")
 
 
 def world(service, seed, **fixed):

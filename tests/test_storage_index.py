@@ -26,6 +26,7 @@ from reference.harness import (
     World,
     assert_same_world,
     build_world,
+    cancelled_waiter_world,
 )
 from reference.store import RefQueue
 from repro.errors import SimulationError
@@ -80,7 +81,7 @@ class TestSortedIndex:
         store._do_put("k", 2)
         assert store._do_list("") == ["k"]
         assert len(store) == 1
-        assert store.peek("k") == 2
+        assert store._do_get("k") == 2
 
     def test_delete_and_discard_update_index(self):
         store = make_store()
@@ -610,6 +611,18 @@ class TestDiscardPrefix:
         assert retention.collected == removed
 
 
+class TestCancelledCountWaiter:
+    """Killing one of several count waiters on a prefix keeps the others' targets."""
+
+    def test_each_survivor_wakes_on_its_own_put(self):
+        real, _ = assert_same_world(cancelled_waiter_world())
+        states = {name: (state, end) for name, state, _, _, _, end, _ in real.outcome["processes"]}
+        assert states["g3"][0] == "killed"
+        assert states["g1"][0] == states["g2"][0] == "done"
+        # The writer's second put is issued after t = 1.05: only g2 waits for it.
+        assert float.fromhex(states["g1"][1]) < 1.05 < float.fromhex(states["g2"][1])
+
+
 class TestOnlyANewKeySatisfiesWaiters:
     """The stated property behind the single notify path."""
 
@@ -797,7 +810,7 @@ class TestBatchedPollBilling:
         rng = random.Random(13)
         batched, looped = CostMeter(), CostMeter()
         for _ in range(40):
-            op = rng.choice(("list", "put", "get", "delete"))
+            op = rng.choice(("list", "put", "get"))
             count = rng.choice((1, 2, 3, rng.randint(4, 5000)))
             entry = batched.s3_request_prices()[op]
             batched.bill_request(entry, count)

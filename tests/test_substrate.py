@@ -346,6 +346,25 @@ class TestSubstrateGuards:
         train(cfg(), substrate=substrate)
         assert substrate.compute_seconds > 0.0
 
+    def test_asp_meters_the_model_calls_it_makes(self, monkeypatch):
+        """S-ASP workers call the model's gradient themselves: it is compute."""
+        import time
+
+        from repro.models.linear import LogisticRegression
+
+        gradient = LogisticRegression.gradient
+
+        def slow_gradient(self, *args):
+            time.sleep(0.001)
+            return gradient(self, *args)
+
+        monkeypatch.setattr(LogisticRegression, "gradient", slow_gradient)
+        substrate = PerRankSubstrate()
+        result = train(cfg(algorithm="ga_sgd", protocol="asp", batch_size=1000,
+                           loss_threshold=None, max_epochs=1.0), substrate=substrate)
+        assert result.comm_rounds > 10
+        assert substrate.compute_seconds >= 0.001 * result.comm_rounds
+
     def test_views_are_read_only(self):
         from repro.core.context import JobContext
 

@@ -598,23 +598,32 @@ class TestTwoPhaseSweep:
         assert run.recorded == 1 and run.replayed == len(SMOKE_POINTS()) - 1
         assert run.traces_dir is None
 
-    def test_schema_1_artifact_still_loads_with_resume_warning(self, tmp_path):
+    def test_schema_1_and_2_artifacts_are_corrupt_and_re_run(self, tmp_path):
         points = SMOKE_POINTS()[:1]
         run_sweep(points, out_dir=tmp_path)
         path = artifact_path(tmp_path, points[0].hash())
-        artifact = json.loads(path.read_text())
-        artifact["schema"] = 1  # downgrade to the PR-2 schema...
-        del artifact["meta"]["substrate"]  # ...which lacked these keys
-        del artifact["meta"]["compute_seconds"]
-        path.write_text(json.dumps(artifact, sort_keys=True, indent=1) + "\n")
+        current = json.loads(path.read_text())
+        without_meta = {k: v for k, v in current.items() if k != "meta"}
+        for schema in (1, 2):
+            old = json.loads(path.read_text())
+            old["schema"] = schema
+            del old["result"]["events"]  # schemas 1 and 2 lacked the event summary...
+            if schema == 1:  # ...and schema 1 the substrate ledger
+                del old["meta"]["substrate"], old["meta"]["compute_seconds"]
+            path.write_text(json.dumps(old, sort_keys=True, indent=1) + "\n")
+            with pytest.raises(ArtifactError, match=f"schema {schema} is not 3"):
+                load_artifact(path)
 
-        load_artifact(path)  # backward-compatible load
-        messages = []
-        resumed = run_sweep(
-            points, out_dir=tmp_path, resume=True, progress=messages.append
-        )
-        assert resumed.skipped == 1
-        assert any("schema 1" in m for m in messages), messages
+            messages = []
+            resumed = run_sweep(
+                points, out_dir=tmp_path, resume=True, progress=messages.append
+            )
+            assert (resumed.ran, resumed.skipped) == (1, 0)
+            assert resumed.corrupt == [str(path)]
+            assert any(f"corrupt artifact {path.name}" in m for m in messages), messages
+            rewritten = load_artifact(path)
+            assert rewritten["schema"] == 3
+            assert {k: v for k, v in rewritten.items() if k != "meta"} == without_meta
 
 
 class TestPlanSweep:
