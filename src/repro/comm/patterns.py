@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.simulation.commands import Compute, Get, GetEach, Put, PutEach, WaitKey, WaitKeyCount
+from repro.simulation.commands import Compute, Get, GetEach, Put, PutEach, WaitKeyCount
 from repro.storage.base import ObjectStore
 from repro.utils.serialization import SizedPayload
 
@@ -129,7 +129,7 @@ def allreduce(
             store.expect_readers(merged_key, workers - 1)
         return
 
-    yield WaitKey(store, merged_key, poll_interval)
+    yield WaitKeyCount(store, merged_key, 1, poll_interval)
     yield Get(store, merged_key)
     store.discard_after_read((merged_key,))
 

@@ -1,9 +1,10 @@
 """Synchronization protocols (paper Section 3.2.4).
 
-*Synchronous* (BSP): realised by the patterns themselves — the merging
-phase is the WaitKeyCount on per-round part files, the updating phase
-is the WaitKey on the merged file. Executors simply run one pattern
-exchange per round.
+*Synchronous* (BSP): realised by the patterns themselves — both phases
+poll on file names with one command, WaitKeyCount: the merging phase
+waits until the round's part files are as many as the workers, the
+updating phase for a count of one on the merged file's name. Executors
+simply run one pattern exchange per round.
 
 *Asynchronous* (the paper's S-ASP, after SIREN): one global model lives
 in the storage channel; each worker independently reads it, trains

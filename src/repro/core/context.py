@@ -112,7 +112,6 @@ class JobContext:
 
         # Shared observability (pure bookkeeping, no simulated effects).
         self.history: list[LossPoint] = []
-        self.record_counts: dict[int, int] = {}  # per-rank history entries
         self.checkpoint_count = 0
         self.extra_invocations = 0
 
@@ -293,9 +292,6 @@ class JobContext:
         self.history.append(
             LossPoint(time_s=self.engine.now, epoch=epoch, loss=loss, worker=rank)
         )
-        # Per-rank counts let the fault injector roll back exactly the
-        # records a dead incarnation made past its last checkpoint.
-        self.record_counts[rank] = self.record_counts.get(rank, 0) + 1
 
     def fault_events(self) -> dict:
         """Structured reliability summary (RunResult.meta / artifacts)."""

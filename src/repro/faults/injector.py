@@ -200,7 +200,6 @@ class FaultInjector:
             # re-produces every record with fault-free values.
             ctx.mpi.reset()
             ctx.history.clear()
-            ctx.record_counts.clear()
             self._generation += 1
             generation = self._generation
             for r in range(workers):
@@ -260,19 +259,16 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def _truncate_history(self, rank: int, keep: int) -> None:
-        ctx = self._ctx
-        if ctx.record_counts.get(rank, 0) <= keep:
-            return
+        """Drop the loss records `rank` made past its first `keep`."""
         kept = []
         seen = 0
-        for point in ctx.history:
+        for point in self._ctx.history:
             if point.worker == rank:
                 seen += 1
                 if seen > keep:
                     continue
             kept.append(point)
-        ctx.history[:] = kept
-        ctx.record_counts[rank] = keep
+        self._ctx.history[:] = kept
 
     def events(self) -> dict:
         """Structured summary for ``RunResult.meta`` / sweep artifacts."""

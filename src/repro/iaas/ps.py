@@ -181,11 +181,6 @@ class ParameterServer(ObjectStore):
             return SizedPayload(self.params.copy(), self.logical_param_bytes)
         return super()._do_get(key)
 
-    def _exists(self, key: str) -> bool:
-        if key == self.MODEL_KEY:
-            return True
-        return super()._exists(key)
-
 
 def make_parameter_server(
     instance_name: str,

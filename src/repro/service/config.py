@@ -15,6 +15,7 @@ service reports resumable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_SEED
@@ -77,8 +78,10 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         check_choices(self)
-        if self.arrivals == "poisson" and self.rate <= 0:
-            raise ConfigurationError("poisson arrivals need --rate > 0")
+        if self.arrivals == "poisson" and not 0 < self.rate < math.inf:
+            raise ConfigurationError(
+                f"poisson arrivals need --rate > 0 and finite, got {self.rate}"
+            )
         if self.arrivals == "trace" and not self.trace:
             raise ConfigurationError("--arrivals trace needs --trace FILE")
         if self.tenants < 1:

@@ -158,20 +158,21 @@ class ServingConfig:
             raise ConfigurationError(
                 "need 1 <= --min-replicas <= --max-replicas"
             )
-        if self.target_concurrency <= 0:
-            raise ConfigurationError("--target-concurrency must be > 0")
+        if not 0 < self.target_concurrency < math.inf:
+            raise ConfigurationError("--target-concurrency must be > 0 and finite")
         if self.queue_threshold < 1:
             raise ConfigurationError("--queue-threshold must be >= 1")
-        if self.scale_up_cooldown_s < 0 or self.scale_down_cooldown_s < 0:
-            raise ConfigurationError("scale cooldowns must be >= 0")
+        if not (0 <= self.scale_up_cooldown_s < math.inf
+                and 0 <= self.scale_down_cooldown_s < math.inf):
+            raise ConfigurationError("scale cooldowns must be >= 0 and finite")
         if not 0 < self.idle_expiry_s < math.inf:
             raise ConfigurationError("--idle-expiry-s must be > 0 and finite")
         if not 0 < self.memory_gb <= MAX_MEMORY_GB:
             raise ConfigurationError(
                 f"--memory-gb must be in (0, {MAX_MEMORY_GB}]"
             )
-        if self.cold_jitter < 0:
-            raise ConfigurationError("--cold-jitter must be >= 0")
+        if not 0 <= self.cold_jitter < math.inf:
+            raise ConfigurationError("--cold-jitter must be >= 0 and finite")
         if not 0 <= self.request_overhead_s < math.inf:
             raise ConfigurationError("--request-overhead-s must be >= 0 and finite")
 

@@ -19,7 +19,6 @@ from repro.simulation.commands import (
     ListKeys,
     Put,
     Sleep,
-    WaitKey,
     WaitKeyCount,
 )
 from repro.simulation.engine import Engine, Process, ProcessState
@@ -38,7 +37,6 @@ __all__ = [
     "Put",
     "Get",
     "ListKeys",
-    "WaitKey",
     "WaitKeyCount",
     "Join",
     "Collective",

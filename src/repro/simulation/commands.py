@@ -84,27 +84,15 @@ class ListKeys:
 
 
 @dataclass
-class WaitKey:
-    """Block until `key` exists, polling the store every `poll_interval` s.
-
-    The process wakes one poll interval after the key becomes visible
-    (matching the polling loops of the paper's synchronous protocol),
-    and is charged one list request per simulated poll.
-    """
-
-    store: "ObjectStore"
-    key: str
-    poll_interval: float = 0.05
-    category: str = "wait"
-
-
-@dataclass
 class WaitKeyCount:
     """Block until at least `count` keys with `prefix` exist.
 
-    Implements the merging phase of the synchronous protocol: the
-    aggregator lists files named by epoch/iteration/partition and waits
-    until the number of matching files equals the number of workers.
+    Implements both phases of the synchronous protocol: the aggregator
+    lists files named by epoch/iteration/partition and waits until the
+    number of matching files equals the number of workers, and every
+    other worker waits for a count of one on the merged file's name.
+    The process wakes one poll interval after the condition becomes
+    visible and is charged one list request per simulated poll.
     """
 
     store: "ObjectStore"

@@ -19,18 +19,19 @@ bench_engine_microbench.py``):
   store is that store's business (the wait index of
   :mod:`repro.storage.base`): applying a put is one store call,
   ``_do_put``, which stores, indexes and wake-checks the key and hands
-  back exactly the waiters it satisfies — O(1) lookup for the exact
-  key plus O(distinct watched prefix lengths) dict probes, each
-  settled by one comparison with the prefix's smallest target unless
-  a waiter there is satisfied. No put ever rescans unrelated waiters
-  or stored keys.
+  back exactly the waiters it satisfies — O(distinct watched prefix
+  lengths) dict probes, each settled by one comparison with the
+  prefix's smallest target unless a waiter there is satisfied. Every
+  storage wait is a :class:`~repro.simulation.commands.WaitKeyCount`
+  (a wait for one file is a count of one on its name). No put ever
+  rescans unrelated waiters or stored keys.
 * Prefix counts come from the store's live counters (O(1) for a
   watched prefix, O(log n) bisect otherwise) and key listings from
   its sorted index (O(log n + matches)).
-* Wake-up order is the waiters' registration order — exact-key waiters
-  first, then count waiters by the store's dedicated sequence counter
-  — matching what the historical linear scan produced, so traces are
-  reproducible across engine versions.
+* Wake-up order is the waiters' registration order across prefixes,
+  by the store's dedicated sequence counter — matching what the
+  historical linear scan produced, so traces are reproducible across
+  engine versions.
 * Poll billing for a satisfied waiter is one batched
   ``record_polls(count)`` call whose cost is O(log count) — the meter
   adds the price `count` times in closed form
@@ -110,7 +111,6 @@ from repro.simulation.commands import (
     Put,
     PutEach,
     Sleep,
-    WaitKey,
     WaitKeyCount,
 )
 from repro.simulation.tracing import TimeBreakdown
@@ -222,9 +222,8 @@ class Process:
         # Token invalidating stale wake-up events after a kill.
         self._wake_token = 0
         # Storage wait this process is currently registered on, if any:
-        # ("key", store, key) or ("count", store, prefix). Lets kill()
-        # cancel it at the store so a later put neither bills polls for
-        # nor wakes a dead process.
+        # (store, prefix). Lets kill() cancel it at the store so a later
+        # put neither bills polls for nor wakes a dead process.
         self._pending_wait: tuple | None = None
 
     @property
@@ -379,9 +378,9 @@ class Engine:
         proc.finished_at = self.now
         self._retire(proc)
         if proc._pending_wait is not None:
-            kind, store, token = proc._pending_wait
+            store, prefix = proc._pending_wait
             proc._pending_wait = None
-            store.cancel_wait(kind, token, proc)
+            store.cancel_wait(prefix, proc)
         proc.generator.close()
         self._wake_joiners(proc)
 
@@ -584,7 +583,7 @@ class Engine:
 
     # -- waiting on storage state ----------------------------------------
     def _waker(
-        self, proc: Process, cmd: WaitKey | WaitKeyCount, issued: float
+        self, proc: Process, cmd: WaitKeyCount, issued: float
     ) -> Callable[[float], None]:
         """The callback that ends `cmd`'s wait once its condition is visible.
 
@@ -605,19 +604,11 @@ class Engine:
 
         return wake
 
-    def _dispatch_wait_key(self, proc: Process, cmd: WaitKey) -> None:
-        issued = self.now
-        wake = self._waker(proc, cmd, issued)
-        if cmd.store.wait_for_key(cmd.key, wake, proc):
-            proc._pending_wait = ("key", cmd.store, cmd.key)
-        else:
-            wake(issued)
-
     def _dispatch_wait_count(self, proc: Process, cmd: WaitKeyCount) -> None:
         issued = self.now
         wake = self._waker(proc, cmd, issued)
         if cmd.store.wait_for_count(cmd.prefix, cmd.count, wake, proc):
-            proc._pending_wait = ("count", cmd.store, cmd.prefix)
+            proc._pending_wait = (cmd.store, cmd.prefix)
         else:
             wake(issued)
 
@@ -670,7 +661,6 @@ _DISPATCH_TABLE: dict[type, Callable[[Engine, Process, Any], None]] = {
     PutEach: Engine._dispatch_put_each,
     GetEach: Engine._dispatch_get_each,
     ListKeys: Engine._dispatch_list,
-    WaitKey: Engine._dispatch_wait_key,
     WaitKeyCount: Engine._dispatch_wait_count,
     Join: Engine._dispatch_join,
     Collective: Engine._dispatch_collective,

@@ -18,29 +18,29 @@ hot-path queries cheap at mega-scale:
   watched prefix *length* (usually one) to update the live counters.
 
 The wait index is the only place that knows who waits on a store:
-``key -> waiters`` for :class:`~repro.simulation.commands.WaitKey` and
 one record per watched prefix, ``prefix -> [live count, waiters,
 smallest target]``, for :class:`~repro.simulation.commands.WaitKeyCount`
 — a prefix is watched exactly while it has a waiter, by construction.
+Every storage wait is such a count: waiting for one file is a count of
+one on its full name (no key of a round is a proper prefix of another).
 
 Every data-plane mutation is one store call. :meth:`ObjectStore._do_put`
 stores, indexes and wake-checks a key in one frame and hands back the
 waiters a *new* key satisfies, so a completed put wakes exactly the
-affected waiters: O(1) for the exact key, one probe per watched prefix
-length, and an O(1) comparison against the record's smallest target
-deciding that nobody on the prefix is satisfied yet (only a put that
-does satisfy someone looks at the prefix's waiters); never a scan over
-unrelated waiters or stored keys. :meth:`ObjectStore.discard_prefix`
-retires every key under a prefix — a reducer's consumed inbox, a
-leader's part files, a round below the retention floor — in one range
-delete of the key index, moving the watched counters with one probe per
-watched length up to the prefix's own. Wake order is
-exact-key waiters in registration order, then satisfied count waiters
-in registration order *across* prefixes (a dedicated sequence
-counter), which is what the historical linear scan produced, so traces
-are reproducible across engine versions. Only a new key can satisfy a
-waiter: an overwrite changes no count, and :meth:`ObjectStore.
-seed_object` (staging, before the run) is counted but wakes nobody.
+affected waiters: one probe per watched prefix length, and an O(1)
+comparison against the record's smallest target deciding that nobody
+on the prefix is satisfied yet (only a put that does satisfy someone
+looks at the prefix's waiters); never a scan over unrelated waiters or
+stored keys. :meth:`ObjectStore.discard_prefix` retires every key under
+a prefix — a reducer's consumed inbox, a leader's part files, a round
+below the retention floor — in one range delete of the key index,
+moving the watched counters with one probe per watched length up to
+the prefix's own. Wake order is registration order *across* prefixes
+(a dedicated sequence counter), which is what the historical linear
+scan produced, so traces are reproducible across engine versions. Only
+a new key can satisfy a waiter: an overwrite changes no count, and
+:meth:`ObjectStore.seed_object` (staging, before the run) is counted
+but wakes nobody.
 
 The timing plane is a :class:`StorageProfile` — latency, bandwidth,
 concurrency, startup delay and item limit — which is where the
@@ -182,12 +182,11 @@ class ObjectStore:
         # Incremental index: all stored keys in sorted order (chunked,
         # so mutations never pay an O(n) memmove).
         self._keys = OrderedKeyIndex()
-        # Wait index. key -> [(wake, process)] in registration order;
-        # prefix -> [live match count, [(needed, reg seq, wake, process)],
-        # smallest needed], one record per prefix that has a waiter.
-        self._key_waiters: dict[str, list[tuple]] = {}
+        # Wait index: prefix -> [live match count, [(needed, reg seq,
+        # wake, process)], smallest needed], one record per prefix that
+        # has a waiter.
         self._watched: dict[str, list] = {}
-        # Registration order of count waiters, across prefixes.
+        # Registration order of waiters, across prefixes.
         self._wait_seq = itertools.count()
         # Watched prefixes per length, and the distinct lengths in
         # ascending order: a key is probed once per length, not once
@@ -399,13 +398,6 @@ class ObjectStore:
             del refs[len(prefix)]
             self._prefix_lens = tuple(sorted(refs))
 
-    def wait_for_key(self, key: str, wake, proc) -> bool:
-        """Block `proc` until `key` is put; False if it is already there."""
-        if self._exists(key):
-            return False
-        self._key_waiters.setdefault(key, []).append((wake, proc))
-        return True
-
     def wait_for_count(self, prefix: str, needed: int, wake, proc) -> bool:
         """Block `proc` until `needed` keys share `prefix`; False if they do."""
         count = self._count_prefix(prefix)
@@ -423,26 +415,19 @@ class ObjectStore:
         record[1].append((needed, next(self._wait_seq), wake, proc))
         return True
 
-    def cancel_wait(self, kind: str, token: str, proc) -> None:
-        """Forget `proc`'s wait on key (kind "key") or prefix `token`.
+    def cancel_wait(self, prefix: str, proc) -> None:
+        """Forget `proc`'s wait on `prefix`.
 
         The kill path: without it, a key becoming visible after the
         waiter's death would bill polls for — and try to wake — a
         process that no longer exists.
         """
-        if kind == "key":
-            remaining = [w for w in self._key_waiters[token] if w[-1] is not proc]
-            if remaining:
-                self._key_waiters[token] = remaining
-            else:
-                del self._key_waiters[token]
+        record = self._watched[prefix]
+        record[1] = remaining = [w for w in record[1] if w[-1] is not proc]
+        if remaining:
+            record[2] = min(w[0] for w in remaining)
         else:
-            record = self._watched[token]
-            record[1] = remaining = [w for w in record[1] if w[-1] is not proc]
-            if remaining:
-                record[2] = min(w[0] for w in remaining)
-            else:
-                self._unwatch(token)
+            self._unwatch(prefix)
 
     # ------------------------------------------------------------------
     # Data plane (called by the engine at completion time)
@@ -450,12 +435,11 @@ class ObjectStore:
     def _do_put(self, key: str, value: Any) -> Sequence:
         """Store the object; returns the wake callbacks a *new* key satisfies.
 
-        Stores, indexes and wake-checks in one frame. Exact-key waiters
-        come first, in registration order, then the count waiters of
-        every watched prefix whose live count reached their target, in
-        registration (seq) order across prefixes — so wake-up sequence
-        numbers, and therefore all downstream tie-breaking, are
-        deterministic. A watched prefix is probed once per watched
+        Stores, indexes and wake-checks in one frame. The waiters of
+        every watched prefix whose live count reached their target wake
+        in registration (seq) order across prefixes — so wake-up
+        sequence numbers, and therefore all downstream tie-breaking,
+        are deterministic. A watched prefix is probed once per watched
         length, and its record's smallest target answers "nobody here
         is satisfied yet" without looking at its waiters.
         """
@@ -465,11 +449,9 @@ class ObjectStore:
             return ()
         objects[key] = value
         self._keys.add(key)
-        key_waiters = self._key_waiters
-        woken = [wake for wake, _ in key_waiters.pop(key)] if key in key_waiters else ()
         watched = self._watched
         if not watched:  # most puts land while nothing is watched
-            return woken
+            return ()
         satisfied = None
         size = len(key)
         for n in self._prefix_lens:
@@ -492,10 +474,10 @@ class ObjectStore:
             else:
                 self._unwatch(prefix)
         if satisfied is None:
-            return woken
+            return ()
         # Seqs are unique, so the wake callables are never compared.
         satisfied.sort(key=lambda entry: entry[1])
-        return [*woken, *(entry[2] for entry in satisfied)]
+        return [entry[2] for entry in satisfied]
 
     def _do_get(self, key: str) -> Any:
         try:
@@ -538,9 +520,6 @@ class ObjectStore:
     def _do_list(self, prefix: str) -> list[str]:
         return self._keys.list_range(prefix, _prefix_upper_bound(prefix))
 
-    def _exists(self, key: str) -> bool:
-        return key in self._objects
-
     def _count_prefix(self, prefix: str) -> int:
         record = self._watched.get(prefix)
         if record is not None:
@@ -552,8 +531,8 @@ class ObjectStore:
 
         A staging API for *before* the engine runs: the key is indexed
         (listings and prefix counts see it) but no waiter is notified —
-        during a run, keys only become visible to blocked WaitKey /
-        WaitKeyCount processes through a simulated Put of a new key.
+        during a run, keys only become visible to blocked WaitKeyCount
+        processes through a simulated Put of a new key.
         Like a put, `value` must be a ``SizedPayload``: its ``nbytes`` is
         what a later Get of `key` books.
         """

@@ -17,8 +17,7 @@ from collections import defaultdict
 
 from repro.errors import DeadlockError, KeyNotFoundError, SimulationError, TransientStorageError
 from repro.simulation.commands import (
-    Collective, Compute, Get, GetEach, Join, ListKeys, Put, PutEach, Sleep, WaitKey,
-    WaitKeyCount,
+    Collective, Compute, Get, GetEach, Join, ListKeys, Put, PutEach, Sleep, WaitKeyCount,
 )
 
 ALIVE = ("ready", "running", "blocked")
@@ -175,7 +174,7 @@ class RefEngine:
         elif kind is ListKeys:
             end = cmd.store.book("list", 0, self.now, proc.trace, cmd.category)
             self.at(end, self._list, proc, cmd)
-        elif kind is WaitKey or kind is WaitKeyCount:
+        elif kind is WaitKeyCount:
             self._wait(proc, cmd)
         elif kind is Join:
             self._join(proc, cmd)
@@ -243,11 +242,7 @@ class RefEngine:
             proc.trace[cmd.category] += waited
             self._later(proc, wake_at)
 
-        if type(cmd) is WaitKey:
-            ready = cmd.store.has(cmd.key)
-        else:
-            ready = cmd.store.count(cmd.prefix) >= cmd.count
-        if ready:
+        if cmd.store.count(cmd.prefix) >= cmd.count:
             wake(issued)
         else:
             cmd.store.add_waiter(cmd, wake, proc)

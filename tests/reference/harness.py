@@ -31,7 +31,7 @@ from repro.pricing.catalog import PriceCatalog
 from repro.pricing.meter import CostMeter
 from repro.simulation.commands import (
     Collective, CollectiveGroup, Compute, Get, GetEach, Join, ListKeys, Put, PutEach, Sleep,
-    WaitKey, WaitKeyCount,
+    WaitKeyCount,
 )
 from repro.simulation.engine import Engine
 from repro.storage.services import DynamoDBStore, MemcachedStore, RedisStore, S3Store, VMDiskStore
@@ -74,7 +74,7 @@ PS_PARAMS = np.zeros(4)
 
 FEATURES = set(KINDS) | set(ZERO_TIME) | {
     "Sleep", "Compute", "Join", "Collective", "Put", "Get", "PutEach", "GetEach", "ListKeys",
-    "WaitKey", "WaitKeyCount", "overwrite", "seed_object", "retention", "kill_mid_sequence",
+    "WaitKeyCount", "wait_on_a_key", "overwrite", "seed_object", "retention", "kill_mid_sequence",
     "kill_mid_wait", "daemon", "resume_after_raise",
     "join_failed", "flaky", "retry_exhaustion", "over_limit_put", "early_arrival",
     "shared_queue", "get_each_missing_at_k", "sliced",
@@ -427,8 +427,11 @@ class Side:
             return Put(store, arg, _payload(arg, args[2]))
         if kind == "put_each":
             return PutEach(store, [(key, _payload(key, n)) for key, n in arg])
-        if kind in ("wait_key", "wait_count"):
-            return (WaitKey if kind == "wait_key" else WaitKeyCount)(store, *args[1:])
+        if kind == "wait_key":  # a count of one on a full key: the AllReduce follower's wait
+            self.features.add("wait_on_a_key")
+            return WaitKeyCount(store, arg, 1, args[2])
+        if kind == "wait_count":
+            return WaitKeyCount(store, *args[1:])
         return {"get": Get, "get_each": GetEach, "list": ListKeys}[kind](
             store, list(arg) if kind == "get_each" else arg)
 

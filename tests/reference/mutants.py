@@ -55,10 +55,10 @@ MUTANTS = [
     ("overwrite_counted_as_a_new_key", "storage/base.py",
      "if key in objects:  # an overwrite changes no count", "if False:"),
     ("cancel_wait_keeps_the_largest_target", "storage/base.py",
-     "record[2] = min(w[0] for w in remaining)\n            else:\n"
-     "                self._unwatch(token)",
-     "record[2] = max(w[0] for w in remaining)\n            else:\n"
-     "                self._unwatch(token)"),
+     "record[2] = min(w[0] for w in remaining)\n        else:\n"
+     "            self._unwatch(prefix)",
+     "record[2] = max(w[0] for w in remaining)\n        else:\n"
+     "            self._unwatch(prefix)"),
     ("failed_attempt_billed_twice", "storage/base.py",
      "self._bill(op, 0)", "self._bill(op, 0)\n            self._bill(op, 0)"),
     ("remove_range_keeps_the_last_key_of_a_cut", "storage/ordered_index.py",

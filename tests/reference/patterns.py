@@ -7,7 +7,7 @@ storage-op sequences or range deletes.
 
 from __future__ import annotations
 
-from repro.simulation.commands import Compute, Get, Put, WaitKey, WaitKeyCount
+from repro.simulation.commands import Compute, Get, Put, WaitKeyCount
 from repro.utils.serialization import SizedPayload
 
 MERGE_BYTES_PER_SECOND = 2e9
@@ -30,7 +30,7 @@ def allreduce(store, rank, workers, round_id, nbytes, poll=POLL_INTERVAL_S):
         else:
             store.expect_readers(merged, workers - 1)
         return
-    yield WaitKey(store, merged, poll)
+    yield WaitKeyCount(store, merged, 1, poll)
     yield Get(store, merged)
     store.discard_after_read([merged])
 

@@ -4,8 +4,8 @@ Written from README's contract, slow on purpose:
 
 * the data plane is a dict plus one flat sorted key list;
 * who waits is one list in registration order, scanned whole on every
-  new key: exact-key waiters of the key first, then every count waiter
-  whose prefix now holds enough keys (only a new key wakes anyone);
+  new key: every waiter whose prefix now holds enough keys wakes, in
+  that order (only a new key wakes anyone);
 * a k-server queue books an op on the earliest-free server, found by a
   linear min;
 * booking is the unfused chain — item limit, start-up wait, the failed
@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.errors import ItemTooLargeError, KeyNotFoundError, TransientStorageError
 from repro.pricing.catalog import DYNAMODB_READ_UNIT_BYTES, DYNAMODB_WRITE_UNIT_BYTES
-from repro.simulation.commands import WaitKey
 from repro.utils.serialization import SizedPayload
 
 
@@ -230,17 +229,11 @@ class RefStore:
         if not new:
             return []
         insort(self.keys, key)
-        hit = [w for w in self.waiters if self.satisfied(w[0], key)]
+        hit = [w for w in self.waiters
+               if key.startswith(w[0].prefix) and self.count(w[0].prefix) >= w[0].count]
         self.waiters = [w for w in self.waiters if all(w is not h for h in hit)]
-        woken = [w for w in hit if type(w[0]) is WaitKey]
-        woken += [w for w in hit if type(w[0]) is not WaitKey]
-        self.woken += len(woken)
-        return [wake for _, wake, _ in woken]
-
-    def satisfied(self, cmd, key: str) -> bool:
-        if type(cmd) is WaitKey:
-            return cmd.key == key
-        return key.startswith(cmd.prefix) and self.count(cmd.prefix) >= cmd.count
+        self.woken += len(hit)
+        return [wake for _, wake, _ in hit]
 
     def get(self, key: str):
         if self.kind == "ps" and key == "model":
@@ -248,9 +241,6 @@ class RefStore:
         if key not in self.objects:
             raise KeyNotFoundError(f"{self.profile.name}: no such key {key!r}")
         return self.objects[key]
-
-    def has(self, key: str) -> bool:
-        return (self.kind == "ps" and key == "model") or key in self.objects
 
     def delete(self, key: str) -> None:
         if key in self.objects:

@@ -90,6 +90,40 @@ class TestPatternsCorrectness:
         assert store._do_list("") == []  # every round file retired by its last reader
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("pattern", [allreduce, scatter_reduce])
+def test_no_round_key_is_a_proper_prefix_of_another(pattern, workers):
+    """Why a count of one on ``ar/<round>/merged`` waits for that file alone.
+
+    Every storage wait is a prefix count. A wait on a key is one whose
+    target is a key the round puts: only the AllReduce follower's. No key
+    a round puts or waits on is a proper prefix of another key it puts,
+    and every wait's target covers exactly the files it counts.
+    """
+    store = S3Store()
+    puts, waits = [], []
+    put, wait = store._do_put, store.wait_for_count
+
+    def logged_put(key, value):
+        puts.append(key)
+        return put(key, value)
+
+    def logged_wait(prefix, needed, wake, proc):
+        waits.append((prefix, needed))
+        return wait(prefix, needed, wake, proc)
+
+    store._do_put, store.wait_for_count = logged_put, logged_wait
+    exchange(pattern, workers, store=store)
+    keys = sorted(set(puts))
+    assert len(keys) == len(puts)  # no key is put twice
+    waited_keys = {prefix for prefix, _ in waits if prefix in keys}
+    assert waited_keys == ({"ar/r0/merged"} if pattern is allreduce and workers > 1 else set())
+    # A key that is a proper prefix of another sorts right before one of them.
+    assert not [(a, b) for a, b in zip(keys, keys[1:]) if b.startswith(a)]
+    for prefix, needed in waits:
+        assert sum(key.startswith(prefix) for key in keys) == needed, prefix
+
+
 class TestPatternTiming:
     def test_scatter_reduce_faster_for_large_models(self):
         """Table 3: the AllReduce leader bottlenecks on ResNet50-size."""

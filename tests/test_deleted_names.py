@@ -63,6 +63,11 @@ DELETED = {
         "|import .*\\b(Spaw[n]|Delet[e])\\b",
         CODE,
     ),
+    # Every storage wait is a prefix count: the exact-key wait command,
+    # its store registry and its engine dispatcher.
+    "exact-key wait": (
+        "-nE", "\\bWaitKe[y]\\b|wait_for_ke[y]|_key_waiter[s]|_dispatch_wait_ke[y]", CODE,
+    ),
 }
 
 

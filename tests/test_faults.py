@@ -23,7 +23,7 @@ from repro.faults import (
     StorageFaultPolicy,
     unit_draw,
 )
-from repro.simulation.commands import Put, Sleep, WaitKey
+from repro.simulation.commands import Put, Sleep, WaitKeyCount
 from repro.simulation.engine import Engine, ProcessState
 from repro.simulation.tracing import TimeBreakdown
 from repro.storage.services import S3Store
@@ -240,7 +240,7 @@ class TestEngineKillSemantics:
         store = S3Store()
 
         def waiter():
-            yield WaitKey(store, "late", poll_interval=0.1)
+            yield WaitKeyCount(store, "late", 1, poll_interval=0.1)
 
         def producer():
             yield Sleep(5.0)
@@ -250,13 +250,13 @@ class TestEngineKillSemantics:
         engine.spawn(producer(), "producer")
         engine.run(until=1.0)
         assert blocked.state is ProcessState.BLOCKED
-        assert list(store._key_waiters) == ["late"]
+        assert list(store._watched) == ["late"]
         engine.kill(blocked)
-        assert not store._key_waiters and blocked._pending_wait is None
+        assert not store._watched and blocked._pending_wait is None
         counters_at_kill = dict(store.fault_events)
         engine.run()
         # The put completed; nobody polled for it from beyond the grave.
-        assert store._exists("late")
+        assert "late" in store._objects
         assert blocked.state is ProcessState.KILLED
         assert blocked.trace.get("wait") == 0.0
         assert store.fault_events == counters_at_kill

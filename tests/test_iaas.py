@@ -176,7 +176,7 @@ class TestParameterServer:
 
     def test_gradient_push_stores_no_key_and_wakes_nobody(self):
         from repro.errors import DeadlockError
-        from repro.simulation.commands import WaitKey, WaitKeyCount
+        from repro.simulation.commands import WaitKeyCount
 
         engine = Engine()
         ps = self._make(dims=4)
@@ -186,7 +186,7 @@ class TestParameterServer:
             yield Put(ps, "grad/0/0", SizedPayload(np.ones(4), 32))
 
         def key_waiter():
-            yield WaitKey(ps, "grad/0/0", poll_interval=0.01)
+            yield WaitKeyCount(ps, "grad/0/0", 1, poll_interval=0.01)
 
         def count_waiter():
             yield WaitKeyCount(ps, "grad/", 1, poll_interval=0.01)
@@ -197,23 +197,8 @@ class TestParameterServer:
         with pytest.raises(DeadlockError, match=r"2 process\(es\) blocked .*2 waiting on storage"):
             engine.run()
         assert ps.push_count == 1 and len(ps) == 0
-        assert list(ps._key_waiters) == ["grad/0/0"] and ps._watched["grad/"][0] == 0
-
-    def test_wait_on_the_model_key_returns_at_once(self):
-        from repro.simulation.commands import WaitKey
-
-        engine = Engine()
-        ps = self._make(dims=4)
-        ps.available_at = 0.0
-
-        def worker():
-            yield WaitKey(ps, ps.MODEL_KEY, poll_interval=0.25)
-            return engine.now
-
-        p = engine.spawn(worker(), "w")
-        engine.run()
-        assert p.result == 0.25  # one poll interval: the key was visible at issue
-        assert not ps._key_waiters
+        assert {prefix: record[0] for prefix, record in ps._watched.items()} == {
+            "grad/0/0": 0, "grad/": 0}
 
     def test_pull_returns_copy(self):
         engine = Engine()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -167,6 +168,9 @@ class TestServiceConfig:
             ServiceConfig(scheduler="lifo")
         with pytest.raises(ConfigurationError, match="rate"):
             ServiceConfig(rate=0.0)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="rate > 0 and finite"):
+                ServiceConfig(rate=rate)
         with pytest.raises(ConfigurationError, match="trace"):
             ServiceConfig(arrivals="trace")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -192,6 +193,13 @@ class TestServingConfig:
         dict(idle_expiry_s=0.0),
         dict(memory_gb=4.0),
         dict(cold_jitter=-0.1),
+        dict(cold_jitter=math.nan),
+        dict(cold_jitter=math.inf),
+        dict(scale_up_cooldown_s=math.nan),
+        dict(scale_down_cooldown_s=math.nan),
+        dict(scale_up_cooldown_s=math.inf),
+        dict(target_concurrency=math.nan),
+        dict(target_concurrency=math.inf),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

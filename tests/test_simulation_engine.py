@@ -14,7 +14,6 @@ from repro.simulation.commands import (
     ListKeys,
     Put,
     Sleep,
-    WaitKey,
     WaitKeyCount,
 )
 from repro.simulation.engine import Engine, ProcessState
@@ -112,7 +111,7 @@ def test_wait_key_wakes_after_put(engine, s3):
         yield Put(s3, "flag", SizedPayload(1, 8))
 
     def waiter():
-        yield WaitKey(s3, "flag", poll_interval=0.1)
+        yield WaitKeyCount(s3, "flag", 1, poll_interval=0.1)
         times["woke"] = engine.now
 
     engine.spawn(writer(), "writer")
@@ -141,7 +140,7 @@ def test_wait_key_count(engine, s3):
 
 def test_deadlock_detection(engine, s3):
     def waiter():
-        yield WaitKey(s3, "never", poll_interval=0.1)
+        yield WaitKeyCount(s3, "never", 1, poll_interval=0.1)
 
     engine.spawn(waiter(), "stuck")
     with pytest.raises(DeadlockError):
@@ -150,7 +149,7 @@ def test_deadlock_detection(engine, s3):
 
 def test_daemon_processes_do_not_deadlock(engine, s3):
     def waiter():
-        yield WaitKey(s3, "never", poll_interval=0.1)
+        yield WaitKeyCount(s3, "never", 1, poll_interval=0.1)
 
     engine.spawn(waiter(), "daemon", daemon=True)
     engine.run()  # no DeadlockError
@@ -283,10 +282,10 @@ def test_unknown_command_fails_naming_the_process(engine):
 @pytest.mark.parametrize("wait", ["key", "count"])
 def test_invalid_poll_interval_rejected(engine, s3, wait, interval):
     def proc():
-        if wait == "key":
-            yield WaitKey(s3, "k", poll_interval=interval)
-        else:
+        if wait == "key":  # one file, by its full name
             yield WaitKeyCount(s3, "k", 1, poll_interval=interval)
+        else:
+            yield WaitKeyCount(s3, "parts/", 3, poll_interval=interval)
 
     engine.spawn(proc(), "bad")
     with pytest.raises(SimulationError, match="bad: invalid poll_interval"):

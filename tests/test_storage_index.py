@@ -373,9 +373,9 @@ class TestRegisteredPrefixCounters:
         first = watch(store, "p/")
         second = watch(store, "p/")  # a second waiter shares the one record
         assert store._watched["p/"][0] == 1 and store._prefix_len_refs == {2: 1}
-        store.cancel_wait("count", "p/", first)
+        store.cancel_wait("p/", first)
         assert "p/" in store._watched  # still waited on, still watched
-        store.cancel_wait("count", "p/", second)
+        store.cancel_wait("p/", second)
         assert not store._watched and not store._prefix_len_refs
         store._do_put("p/2", 0)
         assert store._count_prefix("p/") == 2  # bisect fallback agrees
@@ -427,7 +427,7 @@ class TestRegisteredPrefixLengths:
                 blocked.append((prefix, watch(store, prefix)))
             elif op == 1 and blocked:
                 prefix, proc = blocked.pop(rng.randrange(len(blocked)))
-                store.cancel_wait("count", prefix, proc)
+                store.cancel_wait(prefix, proc)
             elif op == 2 and store._objects:
                 store._do_put(rng.choice(sorted(store._objects)), 1)  # overwrite: a no-op
             elif op == 3 and store._objects:
@@ -452,16 +452,16 @@ class TestRegisteredPrefixLengths:
         assert counts == {"": 4, "a/": 2, "a/b": 2, "a/b/": 1, "x/": 0, "日本/": 1,
                           "a/b/1/longer": 0}
         self.check(store, ["a/b/1/longer", "a/b/1/longer/still", "x/", "x"])
-        store.cancel_wait("count", "a/", procs.pop("a/"))
+        store.cancel_wait("a/", procs.pop("a/"))
         assert store._prefix_lens == (0, 2, 3, 4, 12)  # "x/" still holds length 2
         # "x/" counts zero live keys: dropping it must still release its length.
         assert store._watched["x/"][0] == 0
-        store.cancel_wait("count", "x/", procs.pop("x/"))
+        store.cancel_wait("x/", procs.pop("x/"))
         assert store._prefix_lens == (0, 3, 4, 12)
         store._do_put("a/b/2", 0)
         self.check(store, ["a/"])
         for prefix, proc in procs.items():
-            store.cancel_wait("count", prefix, proc)
+            store.cancel_wait(prefix, proc)
         assert store._prefix_lens == () and not store._prefix_len_refs
 
     def test_cost_is_one_probe_per_registered_length(self):
@@ -491,7 +491,7 @@ class TestWaitIndexAgainstOracle:
             SeededPick(f"mix:{seed}"), fault=None, workers=(30, 40), ops=(6, 10), fragile=False,
             watch=True, menu=("put", "put_each", "wait_key", "wait_count", "discard_prefix",
                               "sleep")))
-        assert {"WaitKey", "WaitKeyCount"} <= ref.features
+        assert {"wait_on_a_key", "WaitKeyCount"} <= ref.features
         assert sum(store.woken for store in ref.stores) > 15
 
     @pytest.mark.parametrize("seed", range(4))
@@ -513,7 +513,7 @@ class TestWaitIndexAgainstOracle:
                 blocked.append((prefix, proc))
             elif op == 1 and blocked:
                 prefix, victim = blocked.pop(rng.randrange(len(blocked)))
-                store.cancel_wait("count", prefix, victim)
+                store.cancel_wait(prefix, victim)
             elif op == 2 and store._objects:
                 store.discard_prefix(rng.choice(sorted(store._objects))[:2])
             else:
@@ -524,18 +524,18 @@ class TestWaitIndexAgainstOracle:
                 assert smallest == min(needed for needed, *_ in waiters), prefix
                 assert count < smallest  # nobody left waiting is satisfied
 
-    def test_wake_order_is_key_waiters_then_count_waiters_by_registration(self):
+    def test_wake_order_is_registration_order(self):
         store = make_store()
         order: list[str] = []
-        for name, prefix in (("long", "a/b/"), ("short", "a/"), ("long2", "a/b/")):
+        for name, prefix in (("long", "a/b/"), ("short", "a/"), ("key", "a/b/1"),
+                             ("long2", "a/b/")):
             store.wait_for_count(prefix, 1, lambda at, n=name: order.append(n), name)
-        store.wait_for_key("a/b/1", lambda at: order.append("key"), "key")
         store.wait_for_count("", 2, lambda at: order.append("later"), "later")
         for wake in store._do_put("a/b/1", 0):
             wake(0.0)
-        # Exact key first although registered last; then registration
-        # order across prefixes, not prefix-by-prefix.
-        assert order == ["key", "long", "short", "long2"]
+        # Registration order across prefixes, not prefix-by-prefix: the
+        # wait on the full key is no different from the others.
+        assert order == ["long", "short", "key", "long2"]
         assert list(store._watched) == [""] and store._prefix_lens == (0,)
 
 
@@ -652,19 +652,18 @@ class TestOnlyANewKeySatisfiesWaiters:
         engine.spawn(stager(), "stager")
         engine.run()
         assert seen["count"] == 2
-        assert seen["after_seed"] == seen["after_overwrite"] == ("count", store, "in/")
+        assert seen["after_seed"] == seen["after_overwrite"] == (store, "in/")
         assert proc.result > seen["put_at"] > 2.0
         assert not store._watched and not store._prefix_lens
 
     def test_seeded_key_does_not_wake_its_exact_key_waiter(self):
         from repro.errors import DeadlockError
-        from repro.simulation.commands import WaitKey
 
         engine = Engine()
         store = S3Store()
 
         def waiter():
-            yield WaitKey(store, "late", poll_interval=0.01)
+            yield WaitKeyCount(store, "late", 1, poll_interval=0.01)
 
         def stager():
             yield Sleep(1.0)
@@ -674,7 +673,7 @@ class TestOnlyANewKeySatisfiesWaiters:
         engine.spawn(stager(), "stager")
         with pytest.raises(DeadlockError, match="1 waiting on storage"):
             engine.run()
-        assert list(store._key_waiters) == ["late"]
+        assert list(store._watched) == ["late"]
 
 
 def test_no_module_keys_a_table_by_store():
@@ -726,7 +725,6 @@ class TestEngineWaitersWithDeletes:
 
     def test_exact_key_wakeups_leave_other_waiters_blocked(self):
         from repro.errors import DeadlockError
-        from repro.simulation.commands import WaitKey
 
         engine = Engine()
         store = S3Store()
@@ -735,7 +733,7 @@ class TestEngineWaitersWithDeletes:
             yield Put(store, "present", SizedPayload(1, 8))
 
         def waiter():
-            yield WaitKey(store, "never", poll_interval=0.01)
+            yield WaitKeyCount(store, "never", 1, poll_interval=0.01)
 
         engine.spawn(writer(), "writer")
         engine.spawn(waiter(), "stuck")
