@@ -20,7 +20,7 @@ from repro.data.loader import Shard
 from repro.data.synth import generate
 from repro.errors import ConfigurationError
 from repro.models.zoo import build_model
-from repro.optim.base import make_algorithm
+from repro.optim.base import initial_model, make_algorithm
 from repro.utils.rng import make_rng
 
 
@@ -75,7 +75,8 @@ class SamplingEstimator:
             batch_size=max(1, min(batch_size, take)),
             rng=make_rng(self.seed + 2),
         )
-        algo = make_algorithm(algorithm, model, shard, lr=lr, seed=self.seed)
+        init = initial_model(algorithm, model, self.seed, shard.X)
+        algo = make_algorithm(algorithm, model, shard, lr=lr, init=init)
 
         trajectory: list[tuple[float, float]] = [(0.0, algo.local_loss())]
         epochs = 0.0

@@ -19,7 +19,8 @@ def reduce_vectors(vectors: list[np.ndarray], reduce: str) -> np.ndarray:
     evaluation's losses here, in rank order, before the engine starts.
     The communication patterns and the IaaS collective move byte counts
     only, so a BSP trajectory cannot depend on the pattern, channel or
-    platform that times it.
+    platform that times it. Float32 vectors are folded as they come:
+    the float64 accumulator widens each one exactly.
     """
     if not vectors:
         raise CommunicationError("nothing to reduce")

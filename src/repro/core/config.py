@@ -320,7 +320,11 @@ class TrainingConfig:
             ("lambda_lifetime_s", "> 0", self.lambda_lifetime_s > 0),
             ("straggler_jitter", ">= 0 and finite", 0.0 <= self.straggler_jitter < math.inf),
             ("crash_rate", ">= 0 and finite", 0.0 <= self.crash_rate < math.inf),
-            ("mttf_s", "> 0", self.mttf_s is None or self.mttf_s > 0),
+            # A rate too small to invert would hand the fault monitor an
+            # infinite mean time to failure, and the run would die late.
+            ("crash_rate", "0 or have a finite 3600 / crash_rate",
+             self.crash_rate == 0 or 3600.0 / self.crash_rate < math.inf),
+            ("mttf_s", "> 0 and finite", self.mttf_s is None or 0 < self.mttf_s < math.inf),
             ("storage_retry_base_s", ">= 0", self.storage_retry_base_s >= 0),
             ("cold_start_jitter", ">= 0 and finite", 0.0 <= self.cold_start_jitter < math.inf),
         ):

@@ -103,14 +103,15 @@ class Invariant:
 
 
 class ReferenceSubstrate(ExactSubstrate):
-    """The lockstep pass with no stacking: every rank steps on its own
-    ``round_payload`` (the base class's
-    ``DistributedAlgorithm.round_payloads``). Its trace is the reference
-    the default, stacked pass is held to."""
+    """The lockstep pass with no stacking and no shared work: every rank
+    steps on its own ``round_payload`` and updates on its own ``apply``
+    (the base class's ``DistributedAlgorithm.round_payloads`` and
+    ``apply_merged``). Its trace is the reference the default, stacked
+    pass is held to."""
 
     @staticmethod
     def _lockstep(config, algorithms, shards) -> list[dict]:
-        return run_lockstep(config, algorithms, shards, DistributedAlgorithm.round_payloads)
+        return run_lockstep(config, algorithms, shards, DistributedAlgorithm)
 
 
 # ---------------------------------------------------------------------------

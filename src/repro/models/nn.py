@@ -75,12 +75,20 @@ class MLPClassifier(SupervisedModel):
         return float(-log_p[np.arange(y.shape[0]), y].mean())
 
     def loss_and_gradient(self, params: np.ndarray, X, y: np.ndarray):
-        n = y.shape[0]
         activations = self._forward(params, X)
-        logits = activations[-1]
-        log_p = self._log_softmax(logits)
-        loss = float(-log_p[np.arange(n), y].mean())
+        log_p = self._log_softmax(activations[-1])
+        loss = float(-log_p[np.arange(y.shape[0]), y].mean())
+        return loss, self._backprop(params, activations, log_p, y)
 
+    def gradient(self, params: np.ndarray, X, y: np.ndarray) -> np.ndarray:
+        # The SGD step reads no loss, so none is computed.
+        activations = self._forward(params, X)
+        return self._backprop(params, activations, self._log_softmax(activations[-1]), y)
+
+    def _backprop(self, params: np.ndarray, activations: list, log_p: np.ndarray, y):
+        """The gradient of the mean cross-entropy, from the forward pass's
+        `activations` and output log-probabilities `log_p`."""
+        n = y.shape[0]
         grad = np.zeros(self.n_params, dtype=self.dtype)
         layers = list(self._unpack(params))
         # dL/dlogits for softmax cross-entropy.
@@ -96,10 +104,7 @@ class MLPClassifier(SupervisedModel):
             if i > 0:
                 delta = delta @ W.T
                 delta[activations[i] <= 0.0] = 0.0  # ReLU mask
-        return loss, grad
-
-    def gradient(self, params: np.ndarray, X, y: np.ndarray) -> np.ndarray:
-        return self.loss_and_gradient(params, X, y)[1]
+        return grad
 
     def predict(self, params: np.ndarray, X) -> np.ndarray:
         logits = self._forward(params, X)[-1]

@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError
 from repro.models.base import SupervisedModel
 from repro.optim.base import DistributedAlgorithm, stacked
 from repro.optim.local import sgd_epoch
-from repro.utils.rng import make_rng
 
 
 class ADMM(DistributedAlgorithm):
@@ -35,7 +34,7 @@ class ADMM(DistributedAlgorithm):
         model: SupervisedModel,
         shard: Shard,
         lr: float,
-        seed: int = 0,
+        init: np.ndarray,
         rho: float = 0.05,
         scans: int = 10,
     ) -> None:
@@ -48,9 +47,9 @@ class ADMM(DistributedAlgorithm):
         self.lr = lr
         self.rho = rho
         self.scans = scans
-        self._x = model.init_params(make_rng(seed))
-        self._z = self._x.copy()
-        self._u = np.zeros_like(self._x)
+        # Both replaced, never written in place: they may share `init`.
+        self._x = self._z = init
+        self._u = np.zeros_like(init)
 
     @property
     def epochs_per_round(self) -> float:

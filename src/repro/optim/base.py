@@ -9,7 +9,9 @@ worker:
 2. has the payloads reduced across workers (element-wise mean or sum,
    per :attr:`reduce`) — for BSP, in rank order by the lockstep pass
    (:mod:`repro.substrate.lockstep`);
-3. calls :meth:`apply` with the merged vector.
+3. calls :meth:`apply` with the merged vector (the lockstep pass goes
+   through :meth:`~DistributedAlgorithm.apply_merged`, which GA-SGD
+   overrides to build its step once for all ranks).
 
 :meth:`round_work` reports how many instances/iterations the round
 processed so executors can charge simulated compute time, and
@@ -25,6 +27,7 @@ import numpy as np
 
 from repro.data.loader import Shard, Shards
 from repro.errors import ConfigurationError
+from repro.utils.rng import make_rng
 
 
 class DistributedAlgorithm(abc.ABC):
@@ -59,7 +62,7 @@ class DistributedAlgorithm(abc.ABC):
     def round_payloads(cls, algos: list, shards: Shards) -> list[np.ndarray]:
         """Every rank's :meth:`round_payload`, in rank order.
 
-        The lockstep pass's entry point (:mod:`repro.substrate.lockstep`).
+        The lockstep pass's stepping hook (:mod:`repro.substrate.lockstep`).
         Ranks run one by one here; ADMM, MA-SGD and GA-SGD override it
         with one stacked call per minibatch step when :func:`stacked`
         allows. Either way each rank ends in the state its own
@@ -70,6 +73,18 @@ class DistributedAlgorithm(abc.ABC):
     @abc.abstractmethod
     def apply(self, merged: np.ndarray) -> None:
         """Install the aggregated statistic into local state."""
+
+    @classmethod
+    def apply_merged(cls, algos: list, merged: np.ndarray) -> None:
+        """Every rank's :meth:`apply` of the round's `merged` vector.
+
+        The lockstep pass's update hook, next to :meth:`round_payloads`.
+        Ranks apply one by one here; GA-SGD overrides it to compute the
+        step, which is the same on every rank, once. Either way each
+        rank ends in the state its own ``apply(merged)`` would have left.
+        """
+        for algo in algos:
+            algo.apply(merged)
 
     @abc.abstractmethod
     def local_loss(self) -> float:
@@ -95,31 +110,47 @@ def stacked(algos: list, shards: Shards) -> bool:
     return shards.X is not None and algos[0].model.stacks
 
 
+def initial_model(name: str, model, seed: int, X) -> np.ndarray:
+    """The model every rank of a run starts from, drawn once per run.
+
+    k-means EM needs one initialisation sampled from the global training
+    rows `X` (the starter's broadcast in LambdaML); the others start
+    from the model's ``init_params``, which every worker would draw
+    alike from the shared seed. The array is read-only: ranks that never
+    update their model in place hold this one array until their first
+    round replaces it, so a stray in-place write raises instead of
+    moving every rank.
+    """
+    init = model.init_centroids(X, rng=seed) if name == "em" else model.init_params(make_rng(seed))
+    init.flags.writeable = False
+    return init
+
+
 def make_algorithm(
     name: str,
     model,
     shard: Shard,
     lr: float,
-    seed: int = 0,
+    init: np.ndarray,
     admm_rho: float = 0.05,
     admm_scans: int = 10,
     ma_sync_epochs: int = 1,
-    kmeans_init=None,
 ) -> DistributedAlgorithm:
-    """Factory resolving the paper's algorithm names."""
+    """Factory resolving the paper's algorithm names; `init` is the
+    run's :func:`initial_model`, handed to every rank."""
     from repro.optim.admm import ADMM
     from repro.optim.em import KMeansEM
     from repro.optim.gradient_averaging import GradientAveragingSGD
     from repro.optim.model_averaging import ModelAveragingSGD
 
     if name == "ga_sgd":
-        return GradientAveragingSGD(model, shard, lr=lr, seed=seed)
+        return GradientAveragingSGD(model, shard, lr=lr, init=init)
     if name == "ma_sgd":
-        return ModelAveragingSGD(model, shard, lr=lr, seed=seed, sync_epochs=ma_sync_epochs)
+        return ModelAveragingSGD(model, shard, lr=lr, init=init, sync_epochs=ma_sync_epochs)
     if name == "admm":
-        return ADMM(model, shard, lr=lr, seed=seed, rho=admm_rho, scans=admm_scans)
+        return ADMM(model, shard, lr=lr, init=init, rho=admm_rho, scans=admm_scans)
     if name == "em":
-        return KMeansEM(model, shard, seed=seed, init_centroids=kmeans_init)
+        return KMeansEM(model, shard, init=init)
     raise ConfigurationError(
         f"unknown algorithm {name!r}; expected ga_sgd|ma_sgd|admm|em"
     )

@@ -20,25 +20,15 @@ from repro.optim.base import DistributedAlgorithm
 class KMeansEM(DistributedAlgorithm):
     reduce = "sum"
 
-    def __init__(
-        self,
-        model: KMeansModel,
-        shard: Shard,
-        seed: int = 0,
-        init_centroids: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, model: KMeansModel, shard: Shard, init: np.ndarray) -> None:
         super().__init__(shard)
         self.model = model
         # EM requires every worker to start from *identical* centroids,
         # otherwise the merged sufficient statistics mix incompatible
         # assignments and the loss is no longer monotone. The driver
-        # samples one global initialisation and broadcasts it (as
-        # LambdaML's starter does); sampling from the local shard is
-        # only a fallback for single-worker use.
-        if init_centroids is not None:
-            self._centroids = np.array(init_centroids, dtype=np.float64, copy=True)
-        else:
-            self._centroids = model.init_centroids(shard.X, rng=seed)
+        # samples one global initialisation (``initial_model``) and
+        # broadcasts it, as LambdaML's starter does.
+        self._centroids = np.array(init, dtype=np.float64, copy=True)
         self._last_loss = float("inf")
 
     @property

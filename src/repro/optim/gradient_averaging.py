@@ -16,17 +16,16 @@ import numpy as np
 from repro.data.loader import Shard, Shards
 from repro.models.base import SupervisedModel
 from repro.optim.base import DistributedAlgorithm, stacked
-from repro.utils.rng import make_rng
 
 
 class GradientAveragingSGD(DistributedAlgorithm):
     reduce = "mean"
 
-    def __init__(self, model: SupervisedModel, shard: Shard, lr: float, seed: int = 0):
+    def __init__(self, model: SupervisedModel, shard: Shard, lr: float, init: np.ndarray):
         super().__init__(shard)
         self.model = model
         self.lr = lr
-        self._params = model.init_params(make_rng(seed))
+        self._params = np.array(init, copy=True)  # apply_merged writes it in place
         # The batch cursor is explicit state (permutation + offset), not
         # a live generator: the lockstep pass moves every rank's cursor
         # together (round_payloads). The RNG call sequence is identical
@@ -65,9 +64,25 @@ class GradientAveragingSGD(DistributedAlgorithm):
         params = np.stack([algo._params for algo in algos])
         return list(algos[0].model.gradient(params, X_batch, y_batch))
 
+    def _step(self, merged: np.ndarray) -> np.ndarray:
+        """``lr · merged`` in the parameters' dtype: the float64 product
+        rounded on output, as ``astype`` would, with no float64 copy."""
+        step = np.empty_like(self._params)
+        return np.multiply(merged, self.lr, out=step, casting="same_kind")
+
     def apply(self, merged: np.ndarray) -> None:
-        step = (self.lr * merged).astype(self._params.dtype, copy=False)
+        step = self._step(merged)
         self._params = np.subtract(self._params, step, out=step)
+
+    @classmethod
+    def apply_merged(cls, algos: list, merged: np.ndarray) -> None:
+        # Every rank holds the same lr and dtype, so the step is one
+        # array. Each rank owns its parameters (the constructor, the
+        # setter and apply all hand it a fresh array), so each subtracts
+        # the step in place.
+        step = algos[0]._step(merged)
+        for algo in algos:
+            np.subtract(algo._params, step, out=algo._params)
 
     def local_loss(self) -> float:
         return self.model.loss(self._params, self.shard.X_val, self.shard.y_val)

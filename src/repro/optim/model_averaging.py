@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError
 from repro.models.base import SupervisedModel
 from repro.optim.base import DistributedAlgorithm, stacked
 from repro.optim.local import sgd_epoch
-from repro.utils.rng import make_rng
 
 
 class ModelAveragingSGD(DistributedAlgorithm):
@@ -28,7 +27,7 @@ class ModelAveragingSGD(DistributedAlgorithm):
         model: SupervisedModel,
         shard: Shard,
         lr: float,
-        seed: int = 0,
+        init: np.ndarray,
         sync_epochs: int = 1,
     ) -> None:
         super().__init__(shard)
@@ -37,7 +36,7 @@ class ModelAveragingSGD(DistributedAlgorithm):
         self.model = model
         self.lr = lr
         self.sync_epochs = sync_epochs
-        self._params = model.init_params(make_rng(seed))
+        self._params = init  # replaced each round, never written in place
 
     @property
     def epochs_per_round(self) -> float:

@@ -2,10 +2,9 @@
 
 :func:`build_ranks` is what used to live inline in
 ``JobContext.__init__``: synthesize the dataset split, shard it across
-workers, and instantiate one
-:class:`~repro.optim.base.DistributedAlgorithm` per rank (plus the
-k-means global-initialisation broadcast). Both substrates here start
-from it.
+workers, draw the initial model once, and instantiate one
+:class:`~repro.optim.base.DistributedAlgorithm` per rank from it. Both
+substrates here start from it.
 
 :class:`ExactSubstrate` — the default for every BSP config — is a
 :class:`~repro.substrate.replay.ReplaySubstrate` that makes its own
@@ -28,7 +27,7 @@ import time
 from repro.data import synth
 from repro.data.loader import make_shards
 from repro.errors import SubstrateError
-from repro.optim.base import make_algorithm
+from repro.optim.base import initial_model, make_algorithm
 from repro.substrate.base import Substrate, TimedView
 from repro.substrate.lockstep import run_lockstep
 from repro.substrate.replay import ReplaySubstrate
@@ -47,23 +46,19 @@ def build_ranks(ctx) -> tuple[list, list]:
         seed=config.seed,
         min_local_batch=config.min_local_batch,
     )
-    # k-means needs one globally sampled initialisation broadcast
-    # to every worker (the starter's job in LambdaML).
-    kmeans_init = None
-    if ctx.info.kind == "kmeans":
-        probe_model = ctx.info.factory()
-        kmeans_init = probe_model.init_centroids(split.X_train, rng=config.seed)
+    # Every worker starts from the same model: it is drawn once and
+    # broadcast (the starter's job in LambdaML).
+    init = initial_model(config.algorithm, ctx.info.factory(), config.seed, split.X_train)
     algorithms = [
         make_algorithm(
             config.algorithm,
             ctx.info.factory(),
             shard,
             lr=config.lr,
-            seed=config.seed,  # same init on every worker
+            init=init,
             admm_rho=config.admm_rho,
             admm_scans=config.admm_scans,
             ma_sync_epochs=config.ma_sync_epochs,
-            kmeans_init=kmeans_init,
         )
         for shard in shards
     ]
@@ -143,6 +138,7 @@ class ExactSubstrate(ReplaySubstrate):
 
     @staticmethod
     def _lockstep(config, algorithms, shards) -> list[dict]:
-        """The lockstep pass, each algorithm stepping its ranks its own
-        way (stacked where its kernels allow)."""
-        return run_lockstep(config, algorithms, shards, type(algorithms[0]).round_payloads)
+        """The lockstep pass, each algorithm stepping and updating its
+        ranks its own way (stacked where its kernels allow, rank-invariant
+        work once)."""
+        return run_lockstep(config, algorithms, shards, type(algorithms[0]))

@@ -14,12 +14,19 @@ statistical control flow — the baseline ``local_loss``, payloads merged
 with ``reduce_vectors`` in rank order, ``apply``, the epoch-crossing
 rule, the global loss of :func:`global_loss`, and the stop test through
 ``TrainingConfig.converged`` — and returns the per-rank trace records.
-Each round's payloads come from one ``step(algorithms, shards)`` call:
-the algorithm's own ``round_payloads`` steps ADMM, MA-SGD and GA-SGD
-over dense linear models with one stacked numpy call per minibatch step
-(rank by rank otherwise: sparse data, neural networks, k-means EM);
-``DistributedAlgorithm.round_payloads`` always steps rank by rank, which
-makes it the reference the stacking is tested against.
+
+What is identical across ranks is computed once. Each round goes
+through two hooks of the class it is handed: ``round_payloads`` steps
+ADMM, MA-SGD and GA-SGD over dense linear models with one stacked numpy
+call per minibatch step (rank by rank otherwise: sparse data, neural
+networks, k-means EM), and ``apply_merged`` updates every rank — GA-SGD
+builds its step ``lr · merged`` once and subtracts it per rank. The
+payloads are folded as they come: the float64 accumulator widens a
+float32 payload exactly, so no copy is made first. (The one initial
+model every rank starts from is drawn once, in ``build_ranks``.)
+``DistributedAlgorithm``'s hooks always go rank by rank through
+``round_payload`` and ``apply``, which makes the base class the
+reference the shortcuts are tested against.
 """
 
 from __future__ import annotations
@@ -41,10 +48,12 @@ def global_loss(local_losses, reduce: str) -> float:
     return merged[0] / merged[1] if merged[1] > 0 else math.inf
 
 
-def run_lockstep(config, algorithms: list, shards, step) -> list[dict]:
+def run_lockstep(config, algorithms: list, shards, kind) -> list[dict]:
     """Train `algorithms` (one per rank, on `shards`) to the BSP stop,
-    each round's payloads from ``step(algorithms, shards)``; returns
-    each rank's trace record. The algorithms end in their final state."""
+    each round's payloads from ``kind.round_payloads(algorithms, shards)``
+    and its update through ``kind.apply_merged(algorithms, merged)``;
+    returns each rank's trace record. The algorithms end in their final
+    state."""
     # Deferred: core.bsp_loop imports core.context, which imports this
     # package.
     from repro.core.bsp_loop import crosses_epoch
@@ -55,11 +64,10 @@ def run_lockstep(config, algorithms: list, shards, step) -> list[dict]:
     global_losses = [rank_losses[0] for rank_losses in losses]
     epoch_float, rounds = 0.0, 0
     while epoch_float < config.max_epochs:
-        payloads = step(algorithms, shards)
-        merged = reduce_vectors([np.asarray(p, dtype=np.float64) for p in payloads], reduce)
-        del payloads  # each apply below can reuse the memory of a payload it replaces
-        for algo in algorithms:
-            algo.apply(merged)
+        payloads = kind.round_payloads(algorithms, shards)
+        merged = reduce_vectors(payloads, reduce)
+        del payloads  # the update below can reuse the memory of a payload it replaces
+        kind.apply_merged(algorithms, merged)
 
         next_epoch = epoch_float + epochs_per_round
         crossing = crosses_epoch(epoch_float, next_epoch)

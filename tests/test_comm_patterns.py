@@ -57,6 +57,23 @@ class TestAggregator:
         with pytest.raises(CommunicationError):
             reduce_vectors([np.zeros(2)], "max")
 
+    @pytest.mark.parametrize("reduce", ["mean", "sum"])
+    @pytest.mark.parametrize("workers", [1, 3, 12])
+    def test_float32_payloads_widen_exactly(self, workers, reduce):
+        """The lockstep pass folds float32 payloads as they come: the
+        float64 accumulator widens each one exactly, so the fold equals
+        the fold of the payloads cast to float64 first, bit for bit."""
+        rng = np.random.default_rng(workers)
+        payloads = [
+            (rng.standard_normal(257) * 10.0 ** rng.integers(-6, 6)).astype(np.float32)
+            for _ in range(workers)
+        ]
+        out = reduce_vectors(payloads, reduce)
+        assert out.dtype == np.float64
+        pre_cast = reduce_vectors([p.astype(np.float64) for p in payloads], reduce)
+        assert np.array_equal(out, pre_cast)
+        assert all(p.dtype == np.float32 for p in payloads)  # the inputs are not widened
+
 
 @pytest.mark.parametrize("pattern", [allreduce, scatter_reduce])
 class TestPatternsCorrectness:

@@ -109,6 +109,8 @@ class TestConfigValidation:
             # Infinite budgets and rates: a hang or a late, misleading failure.
             ("max_epochs", float("inf")), ("straggler_jitter", float("inf")),
             ("cold_start_jitter", float("inf")), ("crash_rate", float("inf")),
+            # An infinite mean time to failure, spelled either way.
+            ("mttf_s", float("inf")), ("crash_rate", 1e-310),
         ],
     )
     def test_out_of_range_hyper_parameters_are_refused(self, field, value):

@@ -68,6 +68,9 @@ DELETED = {
     "exact-key wait": (
         "-nE", "\\bWaitKe[y]\\b|wait_for_ke[y]|_key_waiter[s]|_dispatch_wait_ke[y]", CODE,
     ),
+    # Every rank starts from the run's one initial model (initial_model):
+    # the k-means-only broadcast argument and the per-shard fallback draw.
+    "per-rank initial draw": ("-n", "kmeans_ini[t]\\|init_centroid[s]=", CODE),
 }
 
 

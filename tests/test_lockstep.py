@@ -11,8 +11,9 @@ default run's ``RunResult``, crashes and flaky storage included (a
 replay that does not consume its trace exactly raises at finalize, which
 is what holds ``bsp_rounds`` to the pass's control flow).
 
-Part (b) checks the stacked kernels themselves against their per-rank
-spellings over W in {1, 3, 64} and b in {1, 7, 50}.
+Part (b) checks the stacked kernels and the shared update
+(``apply_merged``) against their per-rank spellings over W in
+{1, 3, 64} and b in {1, 7, 50}.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from repro.data.loader import make_shards
 from repro.data.synth import generate
 from repro.fuzz.invariants import ReferenceSubstrate
 from repro.models.linear import LinearSVM, LogisticRegression
+from repro.models.nn import MLPClassifier
 from repro.models.zoo import get_model_info
 from repro.optim.admm import ADMM
 from repro.optim.gradient_averaging import GradientAveragingSGD
 from repro.optim.model_averaging import ModelAveragingSGD
 from repro.substrate import ExactSubstrate, ReplaySubstrate
+from repro.utils.rng import make_rng
 
 
 def result_key(result):
@@ -104,6 +107,15 @@ CASES = {
                                      data_scale=1000, algorithm="ma_sgd", workers=12,
                                      batch_size=16, batch_scope="per_worker",
                                      max_epochs=1, loss_threshold=None, seed=3, **PYTORCH),
+    # GA-SGD's shared step (apply_merged) on the paths that fold past w > 8.
+    "lr-rcv1-ga-w12-redis": dict(model="lr", dataset="rcv1", data_scale=400,
+                                 algorithm="ga_sgd", workers=12, batch_size=100_000,
+                                 lr=2.0, max_epochs=2, loss_threshold=None, seed=3,
+                                 **REDIS_SCATTER),
+    "mobilenet-ga-w12-s3": dict(model="mobilenet", dataset="cifar10", data_scale=2000,
+                                algorithm="ga_sgd", workers=12, batch_size=16,
+                                batch_scope="per_worker", lr=0.01, max_epochs=2,
+                                loss_threshold=None, seed=3, **S3_ALLREDUCE),
     # The fault plane: a crashed rank resumes from its checkpointed round
     # state, and the run must still consume the trace exactly.
     "lr-ma-w4-crashes": dict(HIGGS, algorithm="ma_sgd", workers=4, batch_size=10_000,
@@ -131,12 +143,60 @@ def test_the_cases_exercise_what_they_claim():
     configs = {name: TrainingConfig(**kwargs) for name, kwargs in CASES.items()}
     assert {c.workers for c in configs.values()} >= {1, 3, 12, 30}
     assert {c.algorithm for c in configs.values()} >= {"admm", "ma_sgd", "ga_sgd", "em"}
+    assert {(c.model, c.dataset) for c in configs.values()
+            if c.algorithm == "ga_sgd" and c.workers > 8} >= {("lr", "rcv1"),
+                                                              ("mobilenet", "cifar10")}
     assert {(c.platform, c.channel, c.pattern) for c in configs.values()
             if c.platform == "faas"} == {("faas", "s3", "allreduce"),
                                          ("faas", "redis", "scatterreduce")}
     assert any(c.system == "pytorch" for c in configs.values())
     assert any(c.fault_mttf_s for c in configs.values())
     assert any(c.storage_error_rate for c in configs.values())
+
+
+def test_the_reference_steps_and_applies_rank_by_rank(monkeypatch):
+    """The reference substrate never goes through an algorithm's own
+    round_payloads or apply_merged: each rank steps on its own
+    round_payload and updates on its own apply. The default pass does
+    go through GA-SGD's overrides, so both sides are live."""
+    config = TrainingConfig(**CASES["mobilenet-ga-w12-s3"])
+    real_apply = GradientAveragingSGD.apply
+    applies = []
+
+    def override(cls, algos, *args):
+        raise AssertionError("went through an override")
+
+    def counted_apply(self, merged):
+        applies.append(self)
+        real_apply(self, merged)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GradientAveragingSGD, "round_payloads", classmethod(override))
+        patch.setattr(GradientAveragingSGD, "apply_merged", classmethod(override))
+        patch.setattr(GradientAveragingSGD, "apply", counted_apply)
+        reference = ReferenceSubstrate()
+        JobContext(config, substrate=reference)
+    rounds = reference.trace["ranks"][0]["rounds"]
+    assert rounds > 1 and len(applies) == config.workers * rounds
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GradientAveragingSGD, "apply_merged", classmethod(override))
+        with pytest.raises(AssertionError, match="went through an override"):
+            JobContext(config, substrate=ExactSubstrate())
+
+
+def test_the_initial_model_is_drawn_once_per_run(monkeypatch):
+    real_init = MLPClassifier.init_params
+    draws = []
+
+    def counted_init(self, rng):
+        draws.append(self)
+        return real_init(self, rng)
+
+    monkeypatch.setattr(MLPClassifier, "init_params", counted_init)
+    config = TrainingConfig(**CASES["mobilenet-ga-w12-s3"])
+    JobContext(config, substrate=ExactSubstrate())
+    assert config.workers == 12 and len(draws) == 1
 
 
 def test_crash_case_crashes_and_threshold_cases_stop_early():
@@ -206,7 +266,8 @@ def test_stacked_gradient_rows_are_per_rank_gradients(model_cls, workers, batch,
 
 def _algorithms(algo_cls, shards, **kwargs):
     info = get_model_info("lr", "higgs")
-    return [algo_cls(info.factory(), shard, seed=3, **kwargs) for shard in shards]
+    init = info.factory().init_params(make_rng(3))
+    return [algo_cls(info.factory(), shard, init=init, **kwargs) for shard in shards]
 
 
 ALGORITHMS = {
@@ -230,8 +291,8 @@ def test_round_payloads_are_each_ranks_round_payload(name, workers, batch):
         theirs = [algo.round_payload() for algo in per_rank]
         assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
         merged = np.mean(theirs, axis=0)  # any merged vector moves the state on
+        algo_cls.apply_merged(stacked, merged)
         for a, b in zip(stacked, per_rank):
-            a.apply(merged)
             b.apply(merged)
             assert np.array_equal(a.params, b.params)
     for a, b in zip(stacked_shards, per_rank_shards):
@@ -242,7 +303,8 @@ def test_sparse_data_runs_rank_by_rank():
     stacked_shards, per_rank_shards = _twin_shards(3, 7, dataset="rcv1")
     assert stacked_shards.X is None
     info = get_model_info("lr", "rcv1")
-    stacked = [ADMM(info.factory(), s, lr=0.3, seed=3, scans=1) for s in stacked_shards]
-    per_rank = [ADMM(info.factory(), s, lr=0.3, seed=3, scans=1) for s in per_rank_shards]
+    init = info.factory().init_params(make_rng(3))
+    stacked = [ADMM(info.factory(), s, lr=0.3, init=init, scans=1) for s in stacked_shards]
+    per_rank = [ADMM(info.factory(), s, lr=0.3, init=init, scans=1) for s in per_rank_shards]
     mine = ADMM.round_payloads(stacked, stacked_shards)
     assert all(np.array_equal(a, b.round_payload()) for a, b in zip(mine, per_rank))

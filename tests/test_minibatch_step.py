@@ -24,6 +24,7 @@ from repro.models.linear import LinearSVM, LogisticRegression, _sigmoid
 from repro.optim.admm import ADMM
 from repro.optim.local import sgd_epoch
 from repro.optim.model_averaging import ModelAveragingSGD
+from repro.utils.rng import make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,8 @@ def test_sgd_epoch_equals_out_of_place_reference(dataset, model_cls):
 def test_admm_rounds_equal_out_of_place_reference(dataset):
     shard = _shards(dataset)
     model = LogisticRegression(shard.X.shape[1])
-    algo = ADMM(model, copy.deepcopy(shard), lr=0.1, seed=3, rho=0.05, scans=2)
+    init = model.init_params(make_rng(3))
+    algo = ADMM(model, copy.deepcopy(shard), lr=0.1, init=init, rho=0.05, scans=2)
     twin = copy.deepcopy(shard)
     for _ in range(2):
         z, u = algo._z.copy(), algo._u.copy()
@@ -213,7 +215,8 @@ def test_admm_rounds_equal_out_of_place_reference(dataset):
 def test_ma_sgd_round_equals_out_of_place_reference(dataset):
     shard = _shards(dataset)
     model = LogisticRegression(shard.X.shape[1], l2=1e-4)
-    algo = ModelAveragingSGD(model, copy.deepcopy(shard), lr=0.3, seed=3)
+    init = model.init_params(make_rng(3))
+    algo = ModelAveragingSGD(model, copy.deepcopy(shard), lr=0.3, init=init)
     twin = copy.deepcopy(shard)
     want = out_of_place_epoch(model, algo.params, twin, 0.3)
     first = algo.round_payload()

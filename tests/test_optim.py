@@ -21,8 +21,11 @@ from repro.optim.em import KMeansEM
 from repro.optim.gradient_averaging import GradientAveragingSGD
 from repro.optim.local import sgd_epoch
 from repro.optim.model_averaging import ModelAveragingSGD
+from repro.utils.rng import make_rng
 
 WORKERS = 4
+#: The linear models' initial model (what ``initial_model`` draws for them).
+INIT = LogisticRegression(28).init_params(make_rng(5))
 
 
 @pytest.fixture(scope="module")
@@ -48,19 +51,19 @@ class TestFactory:
     def test_known_names(self, higgs_shards):
         model = LogisticRegression(28)
         for name in ("ga_sgd", "ma_sgd", "admm"):
-            algo = make_algorithm(name, model, higgs_shards[0], lr=0.1)
+            algo = make_algorithm(name, model, higgs_shards[0], lr=0.1, init=INIT)
             assert algo.epochs_per_round > 0
 
     def test_unknown_name_rejected(self, higgs_shards):
         for name in ("adamw", "ga", "GA-SGD", "kmeans"):
             with pytest.raises(ConfigurationError, match="unknown algorithm"):
-                make_algorithm(name, LogisticRegression(28), higgs_shards[0], lr=0.1)
+                make_algorithm(name, LogisticRegression(28), higgs_shards[0], lr=0.1, init=INIT)
 
 
 class TestGradientAveraging:
     def test_workers_stay_in_consensus(self, higgs_shards):
         algos = [
-            GradientAveragingSGD(LogisticRegression(28), s, lr=0.1, seed=5)
+            GradientAveragingSGD(LogisticRegression(28), s, lr=0.1, init=INIT)
             for s in higgs_shards
         ]
         lockstep(algos, 30)
@@ -69,7 +72,7 @@ class TestGradientAveraging:
 
     def test_loss_decreases(self, higgs_shards):
         algos = [
-            GradientAveragingSGD(LogisticRegression(28), s, lr=0.1, seed=5)
+            GradientAveragingSGD(LogisticRegression(28), s, lr=0.1, init=INIT)
             for s in higgs_shards
         ]
         before = np.mean([a.local_loss() for a in algos])
@@ -78,7 +81,7 @@ class TestGradientAveraging:
         assert after < before
 
     def test_round_structure(self, higgs_shards):
-        algo = GradientAveragingSGD(LogisticRegression(28), higgs_shards[0], lr=0.1)
+        algo = GradientAveragingSGD(LogisticRegression(28), higgs_shards[0], lr=0.1, init=INIT)
         assert algo.epochs_per_round == pytest.approx(
             1.0 / higgs_shards[0].iterations_per_epoch
         )
@@ -89,19 +92,19 @@ class TestGradientAveraging:
 
 class TestModelAveraging:
     def test_one_round_is_one_epoch(self, higgs_shards):
-        algo = ModelAveragingSGD(LogisticRegression(28), higgs_shards[0], lr=0.05)
+        algo = ModelAveragingSGD(LogisticRegression(28), higgs_shards[0], lr=0.05, init=INIT)
         assert algo.epochs_per_round == 1.0
 
     def test_sync_epochs_scale_round_work(self, higgs_shards):
         algo = ModelAveragingSGD(
-            LogisticRegression(28), higgs_shards[0], lr=0.05, sync_epochs=3
+            LogisticRegression(28), higgs_shards[0], lr=0.05, init=INIT, sync_epochs=3
         )
         instances, _ = algo.round_work()
         assert instances == higgs_shards[0].n_rows * 3
 
     def test_convergence(self, higgs_shards):
         algos = [
-            ModelAveragingSGD(LogisticRegression(28), s, lr=0.05, seed=5)
+            ModelAveragingSGD(LogisticRegression(28), s, lr=0.05, init=INIT)
             for s in higgs_shards
         ]
         lockstep(algos, 10)
@@ -109,25 +112,27 @@ class TestModelAveraging:
 
     def test_invalid_sync_epochs(self, higgs_shards):
         with pytest.raises(ConfigurationError):
-            ModelAveragingSGD(LogisticRegression(28), higgs_shards[0], lr=0.1, sync_epochs=0)
+            ModelAveragingSGD(
+                LogisticRegression(28), higgs_shards[0], lr=0.1, init=INIT, sync_epochs=0
+            )
 
 
 class TestADMM:
     def test_convergence_beats_single_round_of_ma(self, higgs_shards):
         admm = [
-            ADMM(LogisticRegression(28, l2=1e-4), s, lr=0.05, seed=5, scans=10)
+            ADMM(LogisticRegression(28, l2=1e-4), s, lr=0.05, init=INIT, scans=10)
             for s in higgs_shards
         ]
         lockstep(admm, 2)
         assert np.mean([a.local_loss() for a in admm]) < 0.68
 
     def test_epochs_per_round_equals_scans(self, higgs_shards):
-        algo = ADMM(LogisticRegression(28), higgs_shards[0], lr=0.05, scans=7)
+        algo = ADMM(LogisticRegression(28), higgs_shards[0], lr=0.05, init=INIT, scans=7)
         assert algo.epochs_per_round == 7.0
 
     def test_consensus_is_shared(self, higgs_shards):
         algos = [
-            ADMM(LogisticRegression(28), s, lr=0.05, seed=5) for s in higgs_shards
+            ADMM(LogisticRegression(28), s, lr=0.05, init=INIT) for s in higgs_shards
         ]
         lockstep(algos, 2)
         for a in algos[1:]:
@@ -135,16 +140,16 @@ class TestADMM:
 
     def test_dual_updates_nonzero(self, higgs_shards):
         algos = [
-            ADMM(LogisticRegression(28), s, lr=0.05, seed=5) for s in higgs_shards
+            ADMM(LogisticRegression(28), s, lr=0.05, init=INIT) for s in higgs_shards
         ]
         lockstep(algos, 1)
         assert any(np.linalg.norm(a._u) > 0 for a in algos)
 
     def test_invalid_hyperparams(self, higgs_shards):
         with pytest.raises(ConfigurationError):
-            ADMM(LogisticRegression(28), higgs_shards[0], lr=0.1, rho=0.0)
+            ADMM(LogisticRegression(28), higgs_shards[0], lr=0.1, init=INIT, rho=0.0)
         with pytest.raises(ConfigurationError):
-            ADMM(LogisticRegression(28), higgs_shards[0], lr=0.1, scans=0)
+            ADMM(LogisticRegression(28), higgs_shards[0], lr=0.1, init=INIT, scans=0)
 
 
 class TestKMeansEM:
@@ -153,7 +158,7 @@ class TestKMeansEM:
         model = KMeansModel(28, k=k)
         init = model.init_centroids(shards[0].X, rng=seed)
         return [
-            KMeansEM(KMeansModel(28, k=k), s, seed=seed, init_centroids=init)
+            KMeansEM(KMeansModel(28, k=k), s, init=init)
             for s in shards
         ]
 
@@ -169,7 +174,8 @@ class TestKMeansEM:
     def test_divergent_inits_break_monotonicity_guard(self, higgs_shards):
         """Without a broadcast initialisation, shards disagree — the
         exact bug the driver's shared init exists to prevent."""
-        algos = [KMeansEM(KMeansModel(28, k=8), s, seed=5) for s in higgs_shards]
+        model = KMeansModel(28, k=8)
+        algos = [KMeansEM(model, s, init=model.init_centroids(s.X, rng=5)) for s in higgs_shards]
         inits = [a.params for a in algos]
         assert any(not np.allclose(inits[0], other) for other in inits[1:])
 
