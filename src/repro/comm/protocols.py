@@ -42,9 +42,9 @@ def async_write_model(store: ObjectStore, vector: np.ndarray, logical_nbytes: in
     return None
 
 
-def async_signal_stop(store: ObjectStore, rank: int):
+def async_signal_stop(store: ObjectStore):
     """Generator: tell the other workers the loss threshold was reached."""
-    yield Put(store, STOP_KEY, SizedPayload(int(rank), 8))
+    yield Put(store, STOP_KEY, SizedPayload(None, 8))
     return None
 
 

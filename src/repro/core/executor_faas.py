@@ -182,7 +182,7 @@ def faas_async_worker(ctx: JobContext, rank: int):
         local_loss = algo.loss(params, shard.X_val, shard.y_val)
         ctx.record(rank, float(epoch), local_loss)
         if ctx.converged(local_loss):
-            yield from async_signal_stop(store, rank)
+            yield from async_signal_stop(store)
             break
         stopped = yield from async_should_stop(store)
         if stopped:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.protocols import async_should_stop, async_signal_stop
 from repro.core.bsp_loop import crosses_epoch
 from repro.core.context import JobContext, WorkerOutcome
 from repro.faas.runtime import FunctionLifetime
-from repro.simulation.commands import Compute, Get, ListKeys, Put, Sleep
+from repro.simulation.commands import Compute, Get, Put, Sleep
 from repro.utils.serialization import SizedPayload
-
-STOP_PREFIX = "stop/"
 
 
 def hybrid_worker(ctx: JobContext, rank: int):
@@ -65,9 +64,9 @@ def hybrid_worker(ctx: JobContext, rank: int):
             local_loss = algo.local_loss()
             ctx.record(rank, epoch_float, local_loss)
             if ctx.converged(local_loss):
-                yield Put(ps, f"{STOP_PREFIX}{rank:05d}", SizedPayload(int(rank), 8))
+                yield from async_signal_stop(ps)
                 break
-            stop_keys = yield ListKeys(ps, STOP_PREFIX)
-            if stop_keys:
+            stopped = yield from async_should_stop(ps)
+            if stopped:
                 break
     return WorkerOutcome(rank, epoch_float, rounds, local_loss)

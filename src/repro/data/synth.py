@@ -181,7 +181,9 @@ def _image_like(spec: DatasetSpec, n: int, rng: np.random.Generator) -> tuple:
     y = rng.integers(0, k, size=n)
     latent = prototypes[y] + rng.standard_normal((n, latent_dim)) * spec.noise
     X = latent.astype(dtype) @ projection
-    X += rng.standard_normal((n, d)).astype(dtype) * 0.25
+    # Pixel noise in ~1 MB blocks of rows: one (n, d) draw's numbers, no float64 temporary.
+    for block in np.array_split(X, max(1, X.nbytes >> 20)):
+        block += rng.standard_normal(block.shape).astype(dtype) * 0.25
     # 1% label noise sets a non-zero cross-entropy floor, so reaching
     # the paper's 0.2 threshold requires both fitting and calibration.
     flips = rng.random(n) < 0.01

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analytics.constants import TABLE6
 from repro.experiments.report import format_table
 from repro.faas.runtime import faas_startup_seconds
@@ -44,7 +42,7 @@ def _measure_bandwidth(store: ObjectStore, nbytes: int = 64 * MB) -> float:
     done = {}
 
     def proc():
-        yield Put(store, "bw", SizedPayload(np.zeros(8), nbytes))
+        yield Put(store, "bw", SizedPayload(None, nbytes))
         start = engine.now
         yield Get(store, "bw")
         done["get_seconds"] = engine.now - start
@@ -61,7 +59,7 @@ def _measure_latency(store: ObjectStore) -> float:
     done = {}
 
     def proc():
-        yield Put(store, "lat", SizedPayload(np.zeros(1), 8))
+        yield Put(store, "lat", SizedPayload(None, 8))
         start = engine.now
         yield Get(store, "lat")
         done["get_seconds"] = engine.now - start

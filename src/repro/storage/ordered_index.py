@@ -1,7 +1,7 @@
 """An ordered string-key container with O(log n)-ish mutations.
 
-:class:`OrderedKeyIndex` replaces the flat ``bisect.insort``-maintained
-sorted list the object stores used through PR 7. The flat list gives
+:class:`OrderedKeyIndex` is what the object stores index keys with
+instead of a flat ``bisect.insort``-maintained sorted list, which gives
 perfect O(log n + m) range queries, but every mutation pays an O(n)
 C-level memmove — fine below ~10^5 keys, a wall at mega-scale: one
 W=4096 ScatterReduce round keeps ~W^2 chunk keys in flight, and the

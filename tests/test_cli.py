@@ -5,6 +5,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,27 @@ from repro.cli import add_config_flags, build_parser, config_from_args, main
 from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError
 from repro.sweep import get_study, run_sweep
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ("README.md", ".claude/skills/verify/SKILL.md")
+
+
+def documented_commands() -> list[tuple[str, list[str]]]:
+    """Every ``python -m repro.cli <command> ...`` line of the docs.
+
+    A line takes its backslash continuations and ends at a pipe, a
+    redirect, a closing backtick or a ``#`` comment; a line with a ``$``
+    expansion has no fixed argv and is left out.
+    """
+    found = []
+    for doc in DOCS:
+        text = (ROOT / doc).read_text().replace("\\\n", " ")
+        for line in text.splitlines():
+            match = re.search(r"python -m repro\.cli +([a-z][^|>`#]*)", line)
+            if match and "$" not in line:
+                found.append((f"{doc}: {line.strip()}", shlex.split(match.group(1))))
+    return found
 
 
 def train_subparser() -> argparse.ArgumentParser:
@@ -36,6 +60,17 @@ class TestParser:
     def test_train_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--model", "bert", "--dataset", "higgs"])
+
+    def test_every_documented_command_parses(self):
+        commands = documented_commands()
+        assert len(commands) >= 20, commands
+        refused = []
+        for where, argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                refused.append(where)
+        assert not refused, "\n".join(refused)
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

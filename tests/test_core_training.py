@@ -298,6 +298,18 @@ class TestHybridTraining:
         )
         assert result.final_loss < 0.693
 
+    def test_hybrid_stop_flag_run_is_pinned(self):
+        # At epoch 1 workers 1 and 2 reach the threshold and raise the
+        # stop flag, worker 3 reads it and stops, and worker 0, which
+        # looked before anyone raised it, stops at epoch 2 on its own.
+        result = train(
+            _config(system="hybridps", algorithm="ga_sgd", lr=0.3, loss_threshold=0.67)
+        )
+        assert result.converged
+        assert result.duration_s.hex() == "0x1.3b65188fc2cb2p+7"
+        assert result.cost_total.hex() == "0x1.e07272d448b8cp-5"
+        assert len(result.history) == 9
+
     def test_hybrid_requires_gradient_algorithm(self):
         with pytest.raises(ConfigurationError):
             train(_config(system="hybridps", algorithm="ma_sgd"))

@@ -54,7 +54,7 @@ class TestProtocolHelpers:
 
         def proc():
             before = yield from async_should_stop(store)
-            yield from async_signal_stop(store, rank=3)
+            yield from async_signal_stop(store)
             after = yield from async_should_stop(store)
             outcome["before"], outcome["after"] = before, after
 
