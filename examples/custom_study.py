@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.api import Scenario, Session, study
-from repro.experiments.report import format_table
+from repro.api import Scenario, Session, Table, study
 
 POLL_INTERVALS = (0.01, 0.05, 0.2, 1.0)
 
@@ -38,21 +37,13 @@ class PollTradeoffStudy:
             )
         ]
 
-    @staticmethod
-    def aggregate(artifacts):
-        return [
-            (a["config"]["channel"], a["config"]["poll_interval_s"],
-             a["result"]["duration_s"], a["result"]["cost_total"])
-            for a in artifacts
-        ]
-
-    @staticmethod
-    def format_report(rows):
-        return format_table(
-            "Polling interval trade-off (LR/Higgs at 1/5000 scale)",
-            ["channel", "poll(s)", "runtime(s)", "cost($)"],
-            rows,
-        )
+    # One row per artifact: config fields, tags and result scalars by name.
+    report = (
+        Table("Polling interval trade-off (LR/Higgs at 1/5000 scale)", (
+            ("channel", "channel"), ("poll(s)", "poll_interval_s"),
+            ("runtime(s)", "duration_s"), ("cost($)", "cost_total"),
+        )),
+    )
 
 
 def main() -> None:

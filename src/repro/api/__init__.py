@@ -51,9 +51,9 @@ Three layers, smallest first:
           platform="faas", traffic="bursty", autoscaler="concurrency"))
       print(pipe.run().report())
 
-* **A new study.** Declare ``points(ctx)`` / ``aggregate`` /
-  ``format_report`` on a class, decorate it with :func:`study`, and the
-  name becomes available to ``Session.sweep`` and ``repro.cli sweep``
+* **A new study.** Declare ``points(ctx)`` and a ``report`` of
+  :class:`Table` columns on a class, decorate it with :func:`study`, and
+  the name becomes available to ``Session.sweep`` and ``repro.cli sweep``
   alike (see ``examples/custom_study.py`` — a complete new experiment
   is ~30 lines).
 
@@ -83,8 +83,10 @@ from repro.core.results import RunResult
 from repro.experiments.workloads import WORKLOADS, Workload, get_workload
 from repro.sweep.grid import SweepPoint, expand_grid
 from repro.sweep.study import (
+    Series,
     Study,
     StudyContext,
+    Table,
     all_studies,
     get_study,
     study,
@@ -104,11 +106,13 @@ __all__ = [
     "ServingConfig",
     "ServingOutcome",
     "ServingSession",
+    "Series",
     "Session",
     "Study",
     "StudyContext",
     "StudyOutcome",
     "SweepPoint",
+    "Table",
     "TrainingConfig",
     "WORKLOADS",
     "Workload",

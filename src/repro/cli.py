@@ -267,11 +267,9 @@ def _list_studies(args: argparse.Namespace) -> int:
     studies = all_studies()
     width = max(len(name) for name in studies)
     print(f"{'study':<{width}} {'kind':<6} {'points':>6} {'stat-fp':>7}  description")
+    ctx = _context(args)
     for name, entry in studies.items():
-        points = entry.points(
-            max_epochs=args.max_epochs, seed=args.seed, mega=args.mega
-        )
-        plan = plan_sweep(points)
+        plan = plan_sweep(entry.points(ctx))
         print(
             f"{name:<{width}} {entry.kind:<6} {plan['points']:>6} "
             f"{plan['unique_stat_fingerprints']:>7}  {entry.description}"
@@ -299,9 +297,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         )
 
     experiment = get_study(args.experiment)
-    points = experiment.points(
-        max_epochs=args.max_epochs, seed=args.seed, mega=args.mega
-    )
+    points = experiment.points(_context(args))
     out_dir = args.out or os.path.join("sweeps", experiment.name)
     if args.dry_run:
         return _dry_run_sweep(args, experiment, points, out_dir)
@@ -359,10 +355,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return _check_claims(args, experiment, result)
 
 
+def _context(args: argparse.Namespace) -> StudyContext:
+    return StudyContext(max_epochs=args.max_epochs, seed=args.seed, mega=args.mega)
+
+
 def _check_claims(args: argparse.Namespace, experiment, result) -> int:
     """One line per claim of the default grid; 1 when one fails outright."""
-    ctx = StudyContext(max_epochs=args.max_epochs, seed=args.seed, mega=args.mega)
-    if experiment.claims and ctx != StudyContext():
+    if experiment.claims and _context(args) != StudyContext():
         print(f"{len(experiment.claims)} claim(s) not checked: they are stated "
               "for the default grid (no --max-epochs, --seed or --mega)")
         return 0
@@ -501,7 +500,7 @@ def _run_report(args: argparse.Namespace) -> int:
         else f"{outcome.ran} {verb.unit}(s) simulated"
     )
     where = f"; report at {outcome.path}" if outcome.path is not None else ""
-    print(f"{verb.noun} {outcome.data[f'{verb.noun}_hash']}: {status}{where}")
+    _say(f"{verb.noun} {outcome.data[f'{verb.noun}_hash']}: {status}{where}")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Experiment modules: one per table/figure of the paper (plus extensions).
 
 Every module registers a :class:`~repro.sweep.study.Study` via the
-``@study`` decorator: a named grid declaration (``points(ctx)``), an
-artifact aggregator and a report renderer. The registry auto-discovers
+``@study`` decorator: a named grid declaration (``points(ctx)``), the
+report it prints and the claims it states. The registry auto-discovers
 them by importing this package's modules, so ``repro.cli sweep
 --experiment <name>`` (and ``repro.api``'s ``Session.sweep``) covers
 the whole catalog with ``--jobs/--resume``, recording one exact
@@ -21,14 +21,27 @@ commented override at the call site; no module here constructs a
 (``tests/test_study_registry.py`` enforces it, counts the departures and
 pins the digest of all 23 grids).
 
-The modules hold grids, aggregators, renderers and claims only, and
-none imports the orchestrator: running one is the protocol itself —
-hand the study's points to the sweep orchestrator and its artifacts to
-``aggregate``. ``format_report(...)`` mirrors the paper's tables, and a
-study's ``claims`` state the paper's findings on its default grid
-(``repro.cli sweep --experiment X`` checks them; a finding the simulator
-does not reproduce is a claim with a recorded ``deviation``). Analytical
-studies keep a ``run()`` that *is* their computation.
+A report has one spelling too. A grid study's result is the row frame
+(:func:`~repro.sweep.study.rows`: one flat row per artifact — config
+fields, tags, label, result scalars, breakdown phases, events, loss
+curve) and its report is declared: ``report`` holds
+:class:`~repro.sweep.study.Table` parts (a title, ``(header, row key or
+expression)`` columns, an optional ``where`` filter or ``pivot`` for
+cross-row comparisons) and :class:`~repro.sweep.study.Series` parts
+(loss-vs-time curves), printed once per value of the optional ``group``
+tag, ordered by the optional ``sort`` key. Claims read the same rows by
+tag — ``pivot(rows, "case", "protocol")`` pairs fig8's ASP run with its
+BSP run. The studies whose result is computed rather than regrouped
+(fig13, table5, figS, figV, multitenancy and the direct studies: the
+analytical models and engine probes) keep a bespoke ``aggregate`` and
+``format_report``; a direct study's ``run()`` *is* its computation.
+
+None of the modules imports the orchestrator: running one is the
+protocol itself — hand the study's points to the sweep orchestrator and
+its artifacts to ``aggregate``. A study's ``claims`` state the paper's
+findings on its default grid (``repro.cli sweep --experiment X`` checks
+them; a finding the simulator does not reproduce is a claim with a
+recorded ``deviation``).
 """
 
 from repro.experiments.workloads import WORKLOADS, Workload, get_workload

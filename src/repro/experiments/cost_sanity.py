@@ -9,19 +9,17 @@ The paper reports ~9-10x for the convex models on Higgs (10 workers)
 and ~5-7x for MobileNet, i.e. scaling is real but sublinear.
 
 Each case is three grid points (single-machine baseline, FaaS fleet,
-IaaS cluster) run by the sweep orchestrator; :func:`aggregate` derives
-the speed-up rows from the artifacts.
+IaaS cluster) run by the sweep orchestrator; the report pivots each
+case's three rows into one line of speed-ups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import DEFAULT_SEED
-from repro.experiments.report import format_table
+from repro.experiments.report import ratio
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, StudyContext, Table, pivot, study
 
 CASES = [
     ("lr", "higgs"),
@@ -29,16 +27,6 @@ CASES = [
     ("kmeans", "higgs"),
     ("mobilenet", "cifar10"),
 ]
-
-
-@dataclass
-class SanityRow:
-    workload: str
-    single_s: float
-    faas_s: float
-    iaas_s: float
-    faas_speedup: float
-    iaas_speedup: float
 
 
 def case_points(
@@ -62,57 +50,31 @@ def case_points(
     ]
 
 
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     points = []
     for model, dataset in CASES:
-        points += case_points(model, dataset, max_epochs=max_epochs, seed=seed)
+        points += case_points(model, dataset, max_epochs=ctx.max_epochs, seed=ctx.seed)
     return points
 
 
-def aggregate(artifacts: list[dict]) -> list[SanityRow]:
-    """Derive the speed-up rows from artifacts (case order preserved)."""
-    grouped: dict[str, dict[str, dict]] = {}
-    for artifact in artifacts:
-        tags = artifact["tags"]
-        grouped.setdefault(tags["case"], {})[tags["role"]] = artifact
-    rows = []
-    for case, by_role in grouped.items():
-        if {"single", "faas", "iaas"} - by_role.keys():
-            continue  # interrupted sweep directory
-        single_s = by_role["single"]["result"]["duration_s"]
-        faas_s = by_role["faas"]["result"]["duration_s"]
-        iaas_s = by_role["iaas"]["result"]["duration_s"]
-        rows.append(
-            SanityRow(
-                workload=case,
-                single_s=single_s,
-                faas_s=faas_s,
-                iaas_s=iaas_s,
-                faas_speedup=single_s / faas_s,
-                iaas_speedup=single_s / iaas_s,
-            )
-        )
-    return rows
+def _seconds(roles: dict, role: str) -> float | None:
+    return roles[role]["duration_s"] if role in roles else None
 
 
-def format_report(rows: list[SanityRow]) -> str:
-    return format_table(
-        "COST sanity check — 10 workers vs 1 machine",
-        ["workload", "1-machine(s)", "FaaS(s)", "IaaS(s)", "FaaS speedup", "IaaS speedup"],
-        [
-            [r.workload, r.single_s, r.faas_s, r.iaas_s, r.faas_speedup, r.iaas_speedup]
-            for r in rows
-        ],
-    )
+def speedup(roles: dict, platform: str) -> float | None:
+    """The 1-machine runtime over ``platform``'s (``roles``: role -> row).
+
+    ``None`` when either run is missing.
+    """
+    return ratio(_seconds(roles, "single"), _seconds(roles, platform))
 
 
-def _speedups_over(rows: list[SanityRow], platform: str, bound: float) -> str | None:
+def _speedups_over(rows: list[dict], platform: str, bound: float) -> str | None:
+    speedups = {case: speedup(roles, platform)
+                for case, roles in pivot(rows, "case", "role").items()}
     return "; ".join(
-        f"{r.workload} {platform} {getattr(r, f'{platform}_speedup'):.3g}x"
-        for r in rows
-        if not getattr(r, f"{platform}_speedup") > bound
+        f"{case} {platform} {value:.3g}x"
+        for case, value in speedups.items() if value is not None and not value > bound
     ) or None
 
 
@@ -120,12 +82,17 @@ def _speedups_over(rows: list[SanityRow], platform: str, bound: float) -> str | 
 class CostSanityStudy:
     """COST sanity check: distributed FaaS/IaaS speed-ups over a single machine"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
-
-    aggregate = staticmethod(aggregate)
-    format_report = staticmethod(format_report)
+    points = staticmethod(sweep_points)
+    report = (
+        Table("COST sanity check — 10 workers vs 1 machine", (
+            ("workload", lambda roles: next(iter(roles.values()))["case"]),
+            ("1-machine(s)", lambda roles: _seconds(roles, "single")),
+            ("FaaS(s)", lambda roles: _seconds(roles, "faas")),
+            ("IaaS(s)", lambda roles: _seconds(roles, "iaas")),
+            ("FaaS speedup", lambda roles: speedup(roles, "faas")),
+            ("IaaS speedup", lambda roles: speedup(roles, "iaas")),
+        ), pivot=("case", "role")),
+    )
     # Paper: ~9-10x on the convex Higgs workloads; scaling must be real.
     claims = (
         Claim("cost_sanity.faas_speedup_over_2x", "§5.1.1",

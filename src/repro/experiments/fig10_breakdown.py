@@ -6,23 +6,18 @@ data loading, computation, communication, the total, and the total
 excluding start-up. The paper's measured seconds are :data:`PAPER_SECONDS`.
 
 The four systems form a declarative grid (:func:`sweep_points`) run by
-the sweep orchestrator; :func:`aggregate` rebuilds the breakdown rows
-from per-point JSON artifacts (the time breakdown is persisted in
-full). Note the HybridPS point is timing-coupled, so a sweep trains
-it exact and the other three through record/replay.
+the sweep orchestrator; the report reads the breakdown off the
+artifacts' rows (the time breakdown is persisted in full). Note the
+HybridPS point is timing-coupled, so a sweep trains it exact and the
+other three through record/replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import DEFAULT_SEED
-from repro.core.results import RunResult
-from repro.experiments.report import format_table
-from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, Table, study
 
 SYSTEMS = ("pytorch", "angel", "hybridps", "lambdaml")
 DEFAULT_EPOCHS = 10.0
@@ -35,17 +30,6 @@ PAPER_SECONDS = {
     "lambdaml": (1, 9, 80, 2, 92),
 }
 PHASE_TOLERANCE = {"startup_s": 0.35, "load_s": 0.6, "compute_s": 0.4, "total_s": 0.4}
-
-
-@dataclass
-class BreakdownRow:
-    system: str
-    startup_s: float
-    load_s: float
-    compute_s: float
-    comm_s: float
-    total_s: float
-    total_without_startup_s: float
 
 
 def sweep_points(
@@ -70,57 +54,26 @@ def sweep_points(
     ]
 
 
-def aggregate(artifacts: list[dict]) -> list[BreakdownRow]:
-    """Rebuild the breakdown rows from sweep artifacts (point order)."""
-    return [
-        _to_row(artifact["tags"]["system"], result_from_artifact(artifact))
-        for artifact in artifacts
-    ]
+def _without_startup(row: dict) -> float:
+    return max(0.0, row["duration_s"] - row["startup_s"])
 
 
-def _to_row(system: str, result: RunResult) -> BreakdownRow:
-    b = result.breakdown
-    return BreakdownRow(
-        system=system,
-        startup_s=b.get("startup"),
-        load_s=b.get("load"),
-        # Pure operation time, as the paper reports it; peer-waiting and
-        # polling overhead shows up only in the total.
-        comm_s=b.get("comm"),
-        compute_s=b.get("compute"),
-        total_s=result.duration_s,
-        total_without_startup_s=result.duration_without_startup_s,
-    )
-
-
-def format_report(rows: list[BreakdownRow]) -> str:
-    return format_table(
-        "Figure 10 — time breakdown (LR, Higgs, W=10, 10 epochs)",
-        ["system", "startup", "load", "compute", "comm", "total", "total w/o startup"],
-        [
-            [r.system, r.startup_s, r.load_s, r.compute_s, r.comm_s, r.total_s,
-             r.total_without_startup_s]
-            for r in rows
-        ],
-    )
-
-
-def _phases_near_paper(rows: list[BreakdownRow]) -> str | None:
-    by_system = {r.system: r for r in rows}
+def _phases_near_paper(rows: list[dict]) -> str | None:
+    by_system = {r["system"]: dict(r, total_s=r["duration_s"]) for r in rows}
     phases = ("startup_s", "load_s", "compute_s", "comm_s", "total_s")
     return "; ".join(
-        f"{system} {phase} {getattr(by_system[system], phase):.3g} vs paper {paper}"
+        f"{system} {phase} {by_system[system][phase]:.3g} vs paper {paper}"
         for system, seconds in PAPER_SECONDS.items()
         for phase, paper in zip(phases, seconds)
         if phase in PHASE_TOLERANCE
-        and not abs(getattr(by_system[system], phase) - paper) <= PHASE_TOLERANCE[phase] * paper
+        and not abs(by_system[system][phase] - paper) <= PHASE_TOLERANCE[phase] * paper
     ) or None
 
 
-def _totals(rows: list[BreakdownRow], holds) -> str | None:
+def _totals(rows: list[dict], holds) -> str | None:
     """``None`` when ``holds(total, total_without_startup)``, each keyed by system."""
-    total = {r.system: r.total_s for r in rows}
-    rest = {r.system: r.total_without_startup_s for r in rows}
+    total = {r["system"]: r["duration_s"] for r in rows}
+    rest = {r["system"]: _without_startup(r) for r in rows}
     if holds(total, rest):
         return None
     return ", ".join(f"{s} {total[s]:.4g} s ({rest[s]:.4g} s w/o startup)" for s in SYSTEMS)
@@ -134,8 +87,15 @@ class Fig10Study:
     def points(ctx):
         return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
 
-    aggregate = staticmethod(aggregate)
-    format_report = staticmethod(format_report)
+    # Pure operation time per phase, as the paper reports it; peer-waiting
+    # and polling overhead shows up only in the total.
+    report = (
+        Table("Figure 10 — time breakdown (LR, Higgs, W=10, 10 epochs)", (
+            ("system", "system"), ("startup", "startup_s"), ("load", "load_s"),
+            ("compute", "compute_s"), ("comm", "comm_s"), ("total", "duration_s"),
+            ("total w/o startup", _without_startup),
+        )),
+    )
     claims = (
         Claim("fig10.phases_near_paper", "Fig. 10", _phases_near_paper),
         Claim("fig10.lambdaml_hybrid_angel_order", "Fig. 10, §5.2", lambda r: _totals(

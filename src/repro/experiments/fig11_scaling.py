@@ -12,21 +12,17 @@ The grids are declarative (:func:`lr_higgs_points`,
 :func:`mobilenet_points`) and run through the sweep orchestrator; the
 default FaaS grid extends to 200/300/512 workers — past the paper's
 ~300-worker ceiling — to chart where the runtime plateau turns into a
-cost cliff (the regime the SMLT / MLLess follow-ups target).
-``aggregate()`` rebuilds the profiles from per-point JSON artifacts, so
-reports can be rendered from a sweep directory without re-running
-anything.
+cost cliff (the regime the SMLT / MLLess follow-ups target). The
+report and the claims read the artifacts' rows, so a sweep directory
+renders without re-running anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.config import DEFAULT_SEED
-from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, StudyContext, Table, study
 
 # Default grids. FaaS deliberately crosses the paper's ceiling: Fig. 11
 # stops near 300 workers, our engine sweeps to 512 and beyond.
@@ -41,22 +37,6 @@ IAAS_WORKERS = (1, 2, 5, 10, 20, 30)
 IAAS_INSTANCES = ("t2.medium", "c5.4xlarge")
 MOBILENET_FAAS_WORKERS = (5, 10, 20)
 MOBILENET_GPU_WORKERS = (1, 2, 5, 10)
-
-
-@dataclass
-class ScalingPoint:
-    system: str
-    instance: str | None
-    workers: int
-    runtime_s: float
-    cost: float
-    converged: bool
-
-
-@dataclass
-class ScalingProfile:
-    workload: str
-    points: list[ScalingPoint] = field(default_factory=list)
 
 
 def lr_higgs_points(
@@ -122,9 +102,7 @@ def mobilenet_points(
     ]
 
 
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED, mega: bool = False
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     """The full Figure-11 sweep grid (what ``repro.cli sweep`` runs).
 
     LR/Higgs uses the workload's 40-epoch benchmark cap; MobileNet runs
@@ -133,71 +111,37 @@ def sweep_points(
     the W=1024/2048/4096 FaaS tail (``sweep --mega``).
     """
     return lr_higgs_points(
-        max_epochs=max_epochs or 40, seed=seed, mega=mega
-    ) + mobilenet_points(max_epochs=max_epochs or 6, seed=seed)
+        max_epochs=ctx.max_epochs or 40, seed=ctx.seed, mega=ctx.mega
+    ) + mobilenet_points(max_epochs=ctx.max_epochs or 6, seed=ctx.seed)
 
 
-def aggregate(artifacts: list[dict]) -> list[ScalingProfile]:
-    """Rebuild scaling profiles from per-point sweep artifacts."""
-    profiles: dict[str, ScalingProfile] = {}
-    for artifact in artifacts:
-        tags = artifact["tags"]
-        series = tags["series"]
-        profile = profiles.setdefault(series, ScalingProfile(workload=series))
-        res = artifact["result"]
-        profile.points.append(
-            ScalingPoint(
-                system=tags["system"],
-                instance=tags.get("instance"),
-                workers=artifact["config"]["workers"],
-                runtime_s=res["duration_s"],
-                cost=res["cost_total"],
-                converged=res["converged"],
-            )
-        )
-    return list(profiles.values())
+def _series(rows, workload: str, system: str) -> list[dict]:
+    return sorted(
+        (r for r in rows if r["series"] == workload and r["system"] == system),
+        key=lambda r: r["workers"],
+    )
 
 
-def format_report(profiles: list[ScalingProfile]) -> str:
-    blocks = []
-    for profile in profiles:
-        rows = [
-            [p.system, p.instance, p.workers, p.runtime_s, p.cost, p.converged]
-            for p in profile.points
-        ]
-        blocks.append(
-            format_table(
-                f"Figure 11 — runtime vs cost, {profile.workload}",
-                ["system", "instance", "workers", "runtime(s)", "cost($)", "converged"],
-                rows,
-            )
-        )
-    return "\n\n".join(blocks)
-
-
-def _series(profiles, workload: str, system: str) -> list[ScalingPoint]:
-    profile = next(p for p in profiles if p.workload == workload)
-    return sorted((p for p in profile.points if p.system == system), key=lambda p: p.workers)
-
-
-def _lr_higgs(profiles, holds) -> str | None:
-    """``None`` when ``holds(faas_points, iaas_points)``, each sorted by workers."""
-    faas, iaas = (_series(profiles, "lr/higgs", s) for s in ("faas", "iaas"))
+def _lr_higgs(rows, holds) -> str | None:
+    """``None`` when ``holds(faas_rows, iaas_rows)``, each sorted by workers."""
+    faas, iaas = (_series(rows, "lr/higgs", s) for s in ("faas", "iaas"))
     if holds(faas, iaas):
         return None
     return "; ".join(
-        f"{name} W={p.workers}: {p.runtime_s:.4g} s ${p.cost:.3g}"
+        f"{name} W={p['workers']}: {p['duration_s']:.4g} s ${p['cost_total']:.3g}"
         for name, pts in (("faas", faas), ("iaas", iaas)) for p in pts
     )
 
 
-def _mobilenet_gpu_dominates_faas(profiles) -> str | None:
-    best = min(_series(profiles, "mobilenet/cifar10", "iaas-gpu"), key=lambda p: p.runtime_s)
+def _mobilenet_gpu_dominates_faas(rows) -> str | None:
+    gpus = _series(rows, "mobilenet/cifar10", "iaas-gpu")
+    best = min(gpus, key=lambda r: r["duration_s"])
     return "; ".join(
-        f"GPU W={best.workers} ({best.runtime_s:.4g} s, ${best.cost:.3g}) does not "
-        f"dominate FaaS W={f.workers} ({f.runtime_s:.4g} s, ${f.cost:.3g})"
-        for f in _series(profiles, "mobilenet/cifar10", "faas")
-        if not (best.runtime_s < f.runtime_s and best.cost < f.cost)
+        f"GPU W={best['workers']} ({best['duration_s']:.4g} s, ${best['cost_total']:.3g}) "
+        f"does not dominate FaaS W={f['workers']} ({f['duration_s']:.4g} s, "
+        f"${f['cost_total']:.3g})"
+        for f in _series(rows, "mobilenet/cifar10", "faas")
+        if not (best["duration_s"] < f["duration_s"] and best["cost_total"] < f["cost_total"])
     ) or None
 
 
@@ -205,22 +149,26 @@ def _mobilenet_gpu_dominates_faas(profiles) -> str | None:
 class Fig11Study:
     """runtime/cost vs worker count; FaaS grid crosses the paper's ~300-worker ceiling up to 512 (4096 with --mega)"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed, mega=ctx.mega)
-
-    aggregate = staticmethod(aggregate)
-    format_report = staticmethod(format_report)
+    points = staticmethod(sweep_points)
+    group = "series"
+    report = (
+        Table("Figure 11 — runtime vs cost, {}", (
+            # A FaaS point carries no instance tag: it runs on none.
+            ("system", "system"), ("instance", "instance"),
+            ("workers", "workers"), ("runtime(s)", "duration_s"), ("cost($)", "cost_total"),
+            ("converged", "converged"),
+        )),
+    )
     claims = (
         Claim("fig11.lr_faas_fastest", "Fig. 11, §5.3", lambda r: _lr_higgs(
-            r, lambda faas, iaas: min(p.runtime_s for p in faas)
-            < min(p.runtime_s for p in iaas))),
+            r, lambda faas, iaas: min(p["duration_s"] for p in faas)
+            < min(p["duration_s"] for p in iaas))),
         # ...but never significantly cheaper than the cheapest IaaS.
         Claim("fig11.lr_faas_not_much_cheaper", "Fig. 11, §5.3", lambda r: _lr_higgs(
-            r, lambda faas, iaas: min(p.cost for p in faas)
-            > 0.5 * min(p.cost for p in iaas))),
+            r, lambda faas, iaas: min(p["cost_total"] for p in faas)
+            > 0.5 * min(p["cost_total"] for p in iaas))),
         Claim("fig11.lr_faas_cost_grows_with_workers", "Fig. 11", lambda r: _lr_higgs(
-            r, lambda faas, _: faas[-1].cost > faas[0].cost)),
+            r, lambda faas, _: faas[-1]["cost_total"] > faas[0]["cost_total"])),
         Claim("fig11.mobilenet_gpu_dominates_faas", "Fig. 11, §5.3",
               _mobilenet_gpu_dominates_faas),
     )

@@ -12,48 +12,21 @@ cheaper than the best FaaS in the paper; the M60 is ~15% slower and
 ~30% costlier than the T4).
 
 The per-workload configuration grid is declarative
-(:func:`workload_points`) and runs on the sweep orchestrator;
-:func:`aggregate` rebuilds the scatters from per-point JSON artifacts.
+(:func:`workload_points`) and runs on the sweep orchestrator; the report
+prints one scatter per workload from the artifacts' rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.config import DEFAULT_SEED
-from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
-
+from repro.sweep.study import Claim, StudyContext, Table, study
 
 # Each YFCC workload's base worker count is capped here (FaaS then also
 # runs 2x and 3x it). A cap of 20 leaves the W=20 FaaS points past
 # Lambda's 3 GB memory limit (~5.5 GiB of data per function).
 WORKERS_CAP = 50
-
-
-@dataclass
-class ConfigPoint:
-    platform: str  # "faas" | "iaas"
-    label: str
-    runtime_s: float
-    cost: float
-    converged: bool
-
-
-@dataclass
-class Scatter:
-    workload: str
-    points: list[ConfigPoint] = field(default_factory=list)
-
-    def best(self, platform: str, key: str = "runtime_s") -> ConfigPoint | None:
-        candidates = [p for p in self.points if p.platform == platform and p.converged]
-        if not candidates:
-            candidates = [p for p in self.points if p.platform == platform]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: getattr(p, key))
 
 
 def workload_points(
@@ -97,80 +70,54 @@ def workload_points(
     return points
 
 
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     """The full Figure-12 grid: three YFCC workloads plus MobileNet."""
     points = []
     for model in ("lr", "svm", "kmeans"):
         workers = Scenario.workload(model, "yfcc100m").kwargs["workers"]
         points += workload_points(
             model, "yfcc100m", workers=min(workers, WORKERS_CAP),
-            max_epochs=max_epochs, seed=seed,
+            max_epochs=ctx.max_epochs, seed=ctx.seed,
         )
     points += workload_points(
         "mobilenet", "cifar10", workers=10,
         gpu_instances=("g3s.xlarge", "g4dn.xlarge"),
-        max_epochs=max_epochs, seed=seed,
+        max_epochs=ctx.max_epochs, seed=ctx.seed,
     )
     return points
 
 
-def aggregate(artifacts: list[dict]) -> list[Scatter]:
-    """Rebuild the per-workload scatters from sweep artifacts."""
-    scatters: dict[str, Scatter] = {}
-    for artifact in artifacts:
-        tags = artifact["tags"]
-        scatter = scatters.setdefault(tags["workload"], Scatter(workload=tags["workload"]))
-        res = artifact["result"]
-        scatter.points.append(
-            ConfigPoint(
-                platform=tags["platform"],
-                label=tags["config"],
-                runtime_s=res["duration_s"],
-                cost=res["cost_total"],
-                converged=res["converged"],
-            )
-        )
-    return list(scatters.values())
+# Claim wording -> row field.
+_MEASURES = {"runtime_s": "duration_s", "cost": "cost_total"}
 
 
-def format_report(scatters: list[Scatter]) -> str:
-    blocks = []
-    for scatter in scatters:
-        rows = [
-            [p.platform, p.label, p.runtime_s, p.cost, p.converged]
-            for p in scatter.points
-        ]
-        blocks.append(
-            format_table(
-                f"Figure 12 — configurations, {scatter.workload}",
-                ["platform", "config", "runtime(s)", "cost($)", "converged"],
-                rows,
-            )
-        )
-    return "\n\n".join(blocks)
+def _best(rows: list[dict], platform: str, field: str) -> dict:
+    """The platform's cheapest/fastest converged row (any row if none converged)."""
+    candidates = [r for r in rows if r["platform"] == platform]
+    return min([r for r in candidates if r["converged"]] or candidates, key=lambda r: r[field])
 
 
-def _lr_yfcc(scatters, key: str, holds) -> str | None:
+def _lr_yfcc(rows, key: str, holds) -> str | None:
     """``None`` when ``holds(best_faas, best_iaas)`` on LR/YFCC100M, both by ``key``."""
-    lr = next(s for s in scatters if s.workload == "lr/yfcc100m")
-    faas, iaas = lr.best("faas", key), lr.best("iaas", key)
-    if holds(getattr(faas, key), getattr(iaas, key)):
+    field = _MEASURES[key]
+    lr = [r for r in rows if r["workload"] == "lr/yfcc100m"]
+    faas, iaas = _best(lr, "faas", field), _best(lr, "iaas", field)
+    if holds(faas[field], iaas[field]):
         return None
-    return (f"best {key}: FaaS {getattr(faas, key):.4g} ({faas.label}), "
-            f"IaaS {getattr(iaas, key):.4g} ({iaas.label})")
+    return (f"best {key}: FaaS {faas[field]:.4g} ({faas['config']}), "
+            f"IaaS {iaas[field]:.4g} ({iaas['config']})")
 
 
-def _mobilenet_gpu_dominates_faas(scatters) -> str | None:
-    mn = next(s for s in scatters if s.workload == "mobilenet/cifar10")
-    gpus = [p for p in mn.points if "g4dn" in p.label or "g3s" in p.label]
-    best = min(gpus, key=lambda p: p.runtime_s)
+def _mobilenet_gpu_dominates_faas(rows) -> str | None:
+    mn = [r for r in rows if r["workload"] == "mobilenet/cifar10"]
+    gpus = [r for r in mn if "g4dn" in r["config"] or "g3s" in r["config"]]
+    best = min(gpus, key=lambda r: r["duration_s"])
     return "; ".join(
-        f"{best.label} ({best.runtime_s:.4g} s, ${best.cost:.3g}) does not dominate "
-        f"{f.label} ({f.runtime_s:.4g} s, ${f.cost:.3g})"
-        for f in mn.points
-        if f.platform == "faas" and not (best.runtime_s < f.runtime_s and best.cost < f.cost)
+        f"{best['config']} ({best['duration_s']:.4g} s, ${best['cost_total']:.3g}) does not "
+        f"dominate {f['config']} ({f['duration_s']:.4g} s, ${f['cost_total']:.3g})"
+        for f in mn
+        if f["platform"] == "faas"
+        and not (best["duration_s"] < f["duration_s"] and best["cost_total"] < f["cost_total"])
     ) or None
 
 
@@ -178,12 +125,14 @@ def _mobilenet_gpu_dominates_faas(scatters) -> str | None:
 class Fig12Study:
     """runtime/cost scatter across instances and learning rates"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
-
-    aggregate = staticmethod(aggregate)
-    format_report = staticmethod(format_report)
+    points = staticmethod(sweep_points)
+    group = "workload"
+    report = (
+        Table("Figure 12 — configurations, {}", (
+            ("platform", "platform"), ("config", "config"), ("runtime(s)", "duration_s"),
+            ("cost($)", "cost_total"), ("converged", "converged"),
+        )),
+    )
     claims = (
         Claim("fig12.lr_faas_fastest", "Fig. 12, §5.3",
               lambda r: _lr_yfcc(r, "runtime_s", lambda faas, iaas: faas < iaas)),

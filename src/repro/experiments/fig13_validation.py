@@ -26,7 +26,7 @@ from repro.config import DEFAULT_SEED
 from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, StudyContext, study
 
 EPOCH_GRID = (1, 5, 10, 25, 50, 100)
 ESTIMATOR_CASES = (("lr", "higgs"), ("svm", "higgs"))
@@ -111,20 +111,18 @@ def estimator_points(
     return points
 
 
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     """The full Figure-13 grid (both panels' simulated actuals).
 
-    ``max_epochs`` down-scales panel (a) by dropping grid values above
+    ``ctx.max_epochs`` down-scales panel (a) by dropping grid values above
     the cap (keeping at least one point at the cap itself) and caps the
     panel (b) workload budgets.
     """
-    grid = EPOCH_GRID
+    max_epochs, grid = ctx.max_epochs, EPOCH_GRID
     if max_epochs is not None:
         grid = tuple(e for e in EPOCH_GRID if e <= max_epochs) or (max_epochs,)
-    return fixed_epoch_points(epoch_grid=grid, seed=seed) + estimator_points(
-        max_epochs=max_epochs, seed=seed
+    return fixed_epoch_points(epoch_grid=grid, seed=ctx.seed) + estimator_points(
+        max_epochs=max_epochs, seed=ctx.seed
     )
 
 
@@ -239,9 +237,7 @@ def _estimates(result: Fig13Result, holds) -> str | None:
 class Fig13Study:
     """analytical-model validation: fixed-epoch runtimes + sampling-estimator predictions"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
+    points = staticmethod(sweep_points)
 
     aggregate = staticmethod(aggregate)
 

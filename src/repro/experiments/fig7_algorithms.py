@@ -12,23 +12,19 @@ at a small and a large worker count, reporting
   while only GA-SGD converges stably on the neural model.
 
 The per-workload (algorithm x workers) grid is declarative
-(:func:`workload_points`) and runs on the sweep orchestrator;
-:func:`aggregate` rebuilds the comparisons — loss curves included —
-from per-point JSON artifacts.
+(:func:`workload_points`) and runs on the sweep orchestrator; the report
+and the claims read the artifacts' rows, loss curves included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.config import DEFAULT_SEED
-from repro.core.results import RunResult
-from repro.experiments.report import format_series, format_table
-from repro.sweep.artifacts import result_from_artifact
+from repro.experiments.report import ratio
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, Series, StudyContext, Table, pivot, study
 
 # The figure's three panels: (model, dataset, (small W, large W)).
 # MobileNet runs at (10, 50): GA-SGD is the only stable algorithm there
@@ -42,25 +38,6 @@ PANELS = [
 # is dominated by per-batch communication; a small cap keeps the sweep
 # bounded without changing its (anti-scaling) story.
 GA_SGD_STUDY_EPOCHS = 3.0
-
-
-@dataclass
-class AlgorithmComparison:
-    """Results of one workload across algorithms and worker counts."""
-
-    workload: str
-    results: dict[tuple[str, int], RunResult]  # (algorithm, workers) -> result
-
-    def speedup(self, algorithm: str, small: int, large: int) -> float | None:
-        base = self.results.get((algorithm, small))
-        scaled_run = self.results.get((algorithm, large))
-        if base is None or scaled_run is None or scaled_run.duration_s == 0:
-            return None
-        return base.duration_s / scaled_run.duration_s
-
-    def worker_counts(self) -> tuple[int, int]:
-        counts = sorted({w for _, w in self.results})
-        return (counts[0], counts[-1])
 
 
 def _algorithms_for(model: str) -> list[str]:
@@ -106,84 +83,50 @@ def workload_points(
     return points
 
 
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     """The full Figure-7 grid (all three panels)."""
     points = []
     for model, dataset, counts in PANELS:
         points += workload_points(
             model, dataset, worker_counts=counts,
-            max_epochs=max_epochs,
-            ga_max_epochs=max_epochs or GA_SGD_STUDY_EPOCHS,
-            seed=seed,
+            max_epochs=ctx.max_epochs,
+            ga_max_epochs=ctx.max_epochs or GA_SGD_STUDY_EPOCHS,
+            seed=ctx.seed,
         )
     return points
 
 
-def aggregate(artifacts: list[dict]) -> list[AlgorithmComparison]:
-    """Rebuild per-workload comparisons from sweep artifacts."""
-    comparisons: dict[str, AlgorithmComparison] = {}
-    for artifact in artifacts:
-        workload = artifact["tags"]["workload"]
-        comparison = comparisons.setdefault(
-            workload, AlgorithmComparison(workload=workload, results={})
-        )
-        config = artifact["config"]
-        key = (config["algorithm"], config["workers"])
-        comparison.results[key] = result_from_artifact(artifact)
-    return list(comparisons.values())
+def _speedup(runs: dict) -> float | None:
+    """One algorithm's small-W over large-W runtime (``runs``: workers -> row).
+
+    ``None`` when one of the two worker counts has no run.
+    """
+    if len(runs) < 2:
+        return None
+    return ratio(runs[min(runs)]["duration_s"], runs[max(runs)]["duration_s"])
 
 
-def format_report(comparison: AlgorithmComparison) -> str:
-    small, large = comparison.worker_counts()
-    rows = []
-    for (algorithm, workers), result in sorted(comparison.results.items()):
-        rows.append(
-            [
-                algorithm,
-                workers,
-                result.converged,
-                result.final_loss,
-                result.duration_s,
-                result.comm_rounds,
-                result.epochs,
-            ]
-        )
-    table = format_table(
-        f"Figure 7 — algorithms on {comparison.workload}",
-        ["algorithm", "workers", "converged", "loss", "time(s)", "comms", "epochs"],
-        rows,
-    )
-    speedups = []
-    algorithms = sorted({a for a, _ in comparison.results})
-    for algorithm in algorithms:
-        s = comparison.speedup(algorithm, small, large)
-        speedups.append([algorithm, s])
-    table2 = format_table(
-        f"Speed-up of {large} vs {small} workers",
-        ["algorithm", "speedup"],
-        speedups,
-    )
-    curves = {
-        f"{a}@{w}": r.loss_curve() for (a, w), r in sorted(comparison.results.items())
-    }
-    return "\n\n".join([table, table2, format_series("Loss vs time", curves)])
+def _speedup_title(rows: list[dict]) -> str:
+    workers = [r["workers"] for r in rows]
+    return f"Speed-up of {max(workers)} vs {min(workers)} workers"
 
 
-def _scaling(comparisons, workload: str, holds) -> str | None:
+def _scaling(rows, workload: str, holds) -> str | None:
     """``None`` when ``holds(admm_speedup, ga_sgd_speedup)`` from small to large W."""
-    comparison = next(c for c in comparisons if c.workload == workload)
-    small, large = comparison.worker_counts()
-    admm, ga = (comparison.speedup(a, small, large) for a in ("admm", "ga_sgd"))
+    cells = [r for r in rows if r["workload"] == workload]
+    runs = pivot(cells, "algorithm", "workers")
+    admm, ga = (_speedup(runs[a]) for a in ("admm", "ga_sgd"))
     if holds(admm, ga):
         return None
-    return f"{workload} W={small}->{large}: ADMM {admm:.3g}x, GA-SGD {ga:.3g}x"
+    workers = [r["workers"] for r in cells]
+    return (f"{workload} W={min(workers)}->{max(workers)}: "
+            f"ADMM {admm:.3g}x, GA-SGD {ga:.3g}x")
 
 
-def _mobilenet_ga_beats_unstable_ma(comparisons) -> str | None:
-    results = next(c for c in comparisons if c.workload == "mobilenet/cifar10").results
-    ga, ma = (results[(a, 10)].final_loss for a in ("ga_sgd", "ma_sgd"))
+def _mobilenet_ga_beats_unstable_ma(rows) -> str | None:
+    mobilenet = [r for r in rows if r["workload"] == "mobilenet/cifar10"]
+    runs = pivot(mobilenet, "algorithm", "workers")
+    ga, ma = (runs[a][10]["final_loss"] for a in ("ga_sgd", "ma_sgd"))
     # A NaN loss is MA-SGD diverging: the instability the paper reports.
     if math.isfinite(ga) and (math.isnan(ma) or ga < ma):
         return None
@@ -194,16 +137,20 @@ def _mobilenet_ga_beats_unstable_ma(comparisons) -> str | None:
 class Fig7Study:
     """algorithm comparison (GA-SGD / MA-SGD / ADMM) at small vs large worker counts"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
-
-    aggregate = staticmethod(aggregate)
-
-    @staticmethod
-    def format_report(comparisons: list[AlgorithmComparison]) -> str:
-        return "\n\n".join(format_report(c) for c in comparisons)
-
+    points = staticmethod(sweep_points)
+    group = "workload"
+    sort = staticmethod(lambda r: (r["algorithm"], r["workers"]))
+    report = (
+        Table("Figure 7 — algorithms on {}", (
+            ("algorithm", "algorithm"), ("workers", "workers"), ("converged", "converged"),
+            ("loss", "final_loss"), ("time(s)", "duration_s"), ("comms", "comm_rounds"),
+            ("epochs", "epochs"),
+        )),
+        Table(_speedup_title, (
+            ("algorithm", lambda runs: runs[min(runs)]["algorithm"]), ("speedup", _speedup),
+        ), pivot=("algorithm", "workers")),
+        Series("Loss vs time", lambda r: f"{r['algorithm']}@{r['workers']}"),
+    )
     claims = (
         Claim("fig7.lr_admm_scales_ga_anti_scales", "Fig. 7a",
               lambda r: _scaling(r, "lr/higgs", lambda admm, ga: admm > 1.0 > ga)),

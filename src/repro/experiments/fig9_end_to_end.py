@@ -12,30 +12,16 @@ small models; for MobileNet/ResNet the hybrid is serdes-bound, PyTorch
 beats LambdaML, and PyTorch-GPU wins outright.
 
 Every panel is a grid declaration (:func:`sweep_points`, one point per
-system) executed by the sweep orchestrator; :func:`aggregate` rebuilds
-the panels — loss curves included — from per-point JSON artifacts.
+system) executed by the sweep orchestrator; the report prints one table
+and one loss-vs-time block per panel from the artifacts' rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.config import DEFAULT_SEED
-from repro.core.results import RunResult
-from repro.experiments.report import format_series, format_table
-from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
-
-
-@dataclass
-class EndToEndPanel:
-    """One Figure-9 subplot: every system on one workload."""
-
-    workload: str
-    results: dict[str, RunResult] = field(default_factory=dict)
-
+from repro.sweep.study import Claim, Series, StudyContext, Table, pivot, study
 
 def _system_scenarios(base: Scenario):
     """Yield (label, scenario) pairs for one panel."""
@@ -94,61 +80,29 @@ def panel_points(
     ]
 
 
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     """One point per (panel, system) cell of Figure 9."""
     points = []
     for model, dataset in ALL_PANELS:
         w = Scenario.workload(model, dataset).kwargs["workers"]
-        points += panel_points(model, dataset, w, max_epochs=max_epochs, seed=seed)
+        points += panel_points(model, dataset, w, max_epochs=ctx.max_epochs, seed=ctx.seed)
     return points
-
-
-def aggregate(artifacts: list[dict]) -> list[EndToEndPanel]:
-    """Rebuild the per-workload panels from sweep artifacts."""
-    panels: dict[str, EndToEndPanel] = {}
-    for artifact in artifacts:
-        tags = artifact["tags"]
-        panel = panels.setdefault(tags["panel"], EndToEndPanel(workload=tags["panel"]))
-        panel.results[tags["system"]] = result_from_artifact(artifact)
-    return list(panels.values())
-
-
-def format_report(panels: list[EndToEndPanel]) -> str:
-    blocks = []
-    for panel in panels:
-        rows = [
-            [name, r.converged, r.final_loss, r.duration_s, r.cost_total, r.epochs]
-            for name, r in panel.results.items()
-        ]
-        blocks.append(
-            format_table(
-                f"Figure 9 — {panel.workload}",
-                ["system", "converged", "loss", "time(s)", "cost($)", "epochs"],
-                rows,
-            )
-        )
-        blocks.append(
-            format_series(
-                f"Loss vs time — {panel.workload}",
-                {name: r.loss_curve() for name, r in panel.results.items()},
-            )
-        )
-    return "\n\n".join(blocks)
 
 
 # The communication-efficient convex panels of §5.2's first finding.
 CONVEX_PANELS = ("lr/higgs", "svm/higgs", "lr/rcv1", "kmeans/higgs")
 
 
-def _faster(panels, workloads, fast: str, slow: str) -> str | None:
+def _faster(rows, workloads, fast: str, slow: str) -> str | None:
     """``None`` when system ``fast`` beats system ``slow`` on every named panel."""
-    t = {p.workload.split(",")[0]: p.results for p in panels}
+    t = {
+        panel.split(",")[0]: {system: r["duration_s"] for system, r in runs.items()}
+        for panel, runs in pivot(rows, "panel", "system").items()
+    }
     return "; ".join(
-        f"{w}: {fast} {t[w][fast].duration_s:.4g} s, {slow} {t[w][slow].duration_s:.4g} s"
+        f"{w}: {fast} {t[w][fast]:.4g} s, {slow} {t[w][slow]:.4g} s"
         for w in workloads
-        if not t[w][fast].duration_s < t[w][slow].duration_s
+        if not t[w][fast] < t[w][slow]
     ) or None
 
 
@@ -156,12 +110,15 @@ def _faster(panels, workloads, fast: str, slow: str) -> str | None:
 class Fig9Study:
     """end-to-end systems comparison on the Table-4 workloads"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
-
-    aggregate = staticmethod(aggregate)
-    format_report = staticmethod(format_report)
+    points = staticmethod(sweep_points)
+    group = "panel"
+    report = (
+        Table("Figure 9 — {}", (
+            ("system", "system"), ("converged", "converged"), ("loss", "final_loss"),
+            ("time(s)", "duration_s"), ("cost($)", "cost_total"), ("epochs", "epochs"),
+        )),
+        Series("Loss vs time — {}", lambda r: r["system"]),
+    )
     claims = (
         Claim("fig9.lambdaml_beats_pytorch_on_convex", "Fig. 9, §5.2",
               lambda r: _faster(r, CONVEX_PANELS, "lambdaml", "pytorch-sgd")),

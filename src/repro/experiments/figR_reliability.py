@@ -29,19 +29,16 @@ trace and replays the entire grid in milliseconds per point. Each
 artifact's ``result.events`` carries the reliability story (crashes,
 reincarnations/restarts, checkpoints, retries).
 
-``aggregate()`` reduces artifacts to per-series curves of runtime/cost
-overhead relative to that series' fault-free baseline point.
+:func:`overhead_rows` adds to each artifact's row its runtime/cost
+overhead relative to that series' fault-free baseline point; the report
+prints one curve per series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.config import DEFAULT_SEED
-from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import StudyContext, Table, rows, study
 
 # Crashes per worker per simulated hour. An LR/Higgs job at W=10 runs
 # a few simulated minutes, so the top FaaS rates put several crashes
@@ -70,28 +67,7 @@ WORKERS = 10
 EPOCH_BUDGET = 10
 
 
-@dataclass
-class ReliabilityPoint:
-    series: str
-    crash_rate: float
-    storage_error_rate: float
-    checkpoint_interval: int
-    runtime_s: float
-    cost: float
-    overhead_s: float  # vs the series' zero-fault baseline
-    overhead_cost: float
-    events: dict
-
-
-@dataclass
-class ReliabilityCurve:
-    series: str  # faas-crash | iaas-crash | faas-storage
-    points: list[ReliabilityPoint] = field(default_factory=list)
-
-
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     """Declarative grid for the cost-of-reliability curves."""
     base = Scenario.workload(
         "lr", "higgs", workers=WORKERS,
@@ -102,7 +78,7 @@ def sweep_points(
         admm_scans=2,
         # Not Table 4's stopping rule: a fixed budget, no early stop
         # (see EPOCH_BUDGET).
-        loss_threshold=None, max_epochs=max_epochs or EPOCH_BUDGET, seed=seed,
+        loss_threshold=None, max_epochs=ctx.max_epochs or EPOCH_BUDGET, seed=ctx.seed,
     )
     faas = base.vary(system="lambdaml", channel="s3")
     scenarios = [
@@ -140,90 +116,49 @@ def sweep_points(
     return [s.point("figR") for s in scenarios]
 
 
-def aggregate(artifacts: list[dict]) -> list[ReliabilityCurve]:
-    """Rebuild the reliability curves from per-point sweep artifacts."""
-    curves: dict[str, ReliabilityCurve] = {}
-    for artifact in artifacts:
-        series = artifact["tags"]["series"]
-        curve = curves.setdefault(series, ReliabilityCurve(series=series))
-        config = artifact["config"]
-        res = artifact["result"]
-        curve.points.append(
-            ReliabilityPoint(
-                series=series,
-                crash_rate=config["crash_rate"],
-                storage_error_rate=config["storage_error_rate"],
-                checkpoint_interval=config.get("checkpoint_interval", 1),
-                runtime_s=res["duration_s"],
-                cost=res["cost_total"],
-                overhead_s=0.0,
-                overhead_cost=0.0,
-                events=dict(res.get("events", {})),
-            )
-        )
-    # Overheads are relative to the series' fault-free point; the
-    # storage series borrows the faas-crash baseline (same config at
-    # zero rates).
-    baselines: dict[str, ReliabilityPoint] = {}
-    for curve in curves.values():
-        for point in curve.points:
-            if point.crash_rate == 0 and point.storage_error_rate == 0:
-                baselines[curve.series] = point
-    faas_base = baselines.get("faas-crash")
-    if faas_base is not None:
-        # Both borrowed series share the faas-crash zero-fault config.
-        baselines.setdefault("faas-storage", faas_base)
-        baselines.setdefault("faas-interval", faas_base)
-    for curve in curves.values():
-        base = baselines.get(curve.series)
-        if base is None:
-            continue
-        for point in curve.points:
-            point.overhead_s = point.runtime_s - base.runtime_s
-            point.overhead_cost = point.cost - base.cost
-    return list(curves.values())
+def overhead_rows(artifacts: list[dict]) -> list[dict]:
+    """The row frame, each row with ``overhead_s`` / ``overhead_cost``.
+
+    Overheads are relative to the series' fault-free row; the storage and
+    interval series borrow the faas-crash baseline (the same config at
+    zero rates). A series without a baseline shows no overhead.
+    """
+    frame = rows(artifacts)
+    baselines = {
+        r["series"]: r for r in frame if r["crash_rate"] == 0 and r["storage_error_rate"] == 0
+    }
+    if "faas-crash" in baselines:
+        for series in ("faas-storage", "faas-interval"):
+            baselines.setdefault(series, baselines["faas-crash"])
+    for row in frame:
+        base = baselines.get(row["series"], row)
+        row["overhead_s"] = row["duration_s"] - base["duration_s"]
+        row["overhead_cost"] = row["cost_total"] - base["cost_total"]
+    return frame
 
 
-def format_report(curves: list[ReliabilityCurve]) -> str:
-    blocks = []
-    for curve in curves:
-        rows = [
-            [
-                (
-                    f"{p.storage_error_rate:g}"
-                    if curve.series == "faas-storage"
-                    else f"every {p.checkpoint_interval} @ {p.crash_rate:g}/h"
-                    if curve.series == "faas-interval"
-                    else f"{p.crash_rate:g}/h"
-                ),
-                p.runtime_s,
-                p.cost,
-                p.overhead_s,
-                p.overhead_cost,
-                p.events.get("crashes", 0),
-                p.events.get("restarts", 0) or p.events.get("reincarnations", 0),
-                p.events.get("storage_retries", 0),
-            ]
-            for p in curve.points
-        ]
-        blocks.append(
-            format_table(
-                f"Figure R — cost of reliability, {curve.series}",
-                ["fault rate", "runtime(s)", "cost($)", "overhead(s)",
-                 "overhead($)", "crashes", "recoveries", "retries"],
-                rows,
-            )
-        )
-    return "\n\n".join(blocks)
+def _fault_rate(row: dict) -> str:
+    if row["series"] == "faas-storage":
+        return f"{row['storage_error_rate']:g}"
+    if row["series"] == "faas-interval":
+        return f"every {row['checkpoint_interval']} @ {row['crash_rate']:g}/h"
+    return f"{row['crash_rate']:g}/h"
 
 
 @study("figR")
 class FigRStudy:
     """cost of reliability: runtime/cost overhead vs crash and storage-error rates, FaaS-with-checkpoints vs IaaS-restart"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
-
-    aggregate = staticmethod(aggregate)
-    format_report = staticmethod(format_report)
+    points = staticmethod(sweep_points)
+    aggregate = staticmethod(overhead_rows)
+    group = "series"
+    report = (
+        Table("Figure R — cost of reliability, {}", (
+            ("fault rate", _fault_rate), ("runtime(s)", "duration_s"), ("cost($)", "cost_total"),
+            ("overhead(s)", "overhead_s"), ("overhead($)", "overhead_cost"),
+            ("crashes", lambda r: r["events"].get("crashes", 0)),
+            ("recoveries", lambda r: r["events"].get("restarts", 0)
+             or r["events"].get("reincarnations", 0)),
+            ("retries", lambda r: r["events"].get("storage_retries", 0)),
+        )),
+    )

@@ -11,21 +11,17 @@ sweep-smoke job run this grid.
 
 from __future__ import annotations
 
-from repro.config import DEFAULT_SEED
-from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import StudyContext, Table, study
 
 
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     """A 6-point grid that completes in seconds (heavily down-scaled)."""
     base = Scenario(
         model="lr", dataset="higgs", algorithm="admm", system="lambdaml",
         workers=4, data_scale=5000, loss_threshold=0.66,
-        max_epochs=max_epochs or 2.0, seed=seed,
+        max_epochs=ctx.max_epochs or 2.0, seed=ctx.seed,
         tags={"series": "lr/higgs@1/5000", "system": "faas"},
     )
     scenarios = [
@@ -44,31 +40,14 @@ def sweep_points(
     return [s.point("smoke") for s in scenarios]
 
 
-def format_report(artifacts: list[dict]) -> str:
-    rows = [
-        [
-            a["label"],
-            a["result"]["duration_s"],
-            a["result"]["cost_total"],
-            a["result"]["final_loss"],
-            a["result"]["converged"],
-        ]
-        for a in artifacts
-    ]
-    return format_table(
-        "Smoke sweep — LR/Higgs at 1/5000 scale",
-        ["point", "runtime(s)", "cost($)", "loss", "converged"],
-        rows,
-    )
-
-
 @study("smoke")
 class SmokeStudy:
     """seconds-scale orchestrator + fault-plane probe (down-scaled LR/Higgs)"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
-
-    aggregate = staticmethod(lambda artifacts: artifacts)
-    format_report = staticmethod(format_report)
+    points = staticmethod(sweep_points)
+    report = (
+        Table("Smoke sweep — LR/Higgs at 1/5000 scale", (
+            ("point", "label"), ("runtime(s)", "duration_s"), ("cost($)", "cost_total"),
+            ("loss", "final_loss"), ("converged", "converged"),
+        )),
+    )

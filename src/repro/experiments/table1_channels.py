@@ -14,37 +14,23 @@ wins; DynamoDB tracks S3 closely for tiny models.
 Each table row is a declarative grid (:func:`workload_points`, one
 point per feasible channel) run by the sweep orchestrator; infeasible
 DynamoDB cells are excluded at grid-declaration time (the same
-``stored_item_bytes`` arithmetic the simulated store enforces) and
-:func:`aggregate` renders them as N/A.
+``stored_item_bytes`` arithmetic the simulated store enforces) and the
+report prints them as N/A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import DEFAULT_SEED
-from repro.experiments.report import format_table, ratio
+from repro.experiments.report import ratio
 from repro.models.zoo import get_model_info
 from repro.storage.services import DYNAMODB_MAX_ITEM_BYTES, DynamoDBStore
-from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, StudyContext, Table, pivot, study
 
 CHANNELS = ("s3", "memcached", "dynamodb")
-
-
-@dataclass
-class ChannelRow:
-    """One Table-1 row: a workload across channels, relative to S3."""
-
-    workload: str
-    workers: int
-    s3_time: float
-    s3_cost: float
-    slowdown: dict[str, float | None]
-    rel_cost: dict[str, float | None]
-
+# The two relative measures of a Table-1 cell, by the row field each divides.
+MEASURES = {"rel_cost": "cost_total", "slowdown": "duration_s"}
 
 def dynamodb_feasible(model: str, dataset: str, k: int = 10) -> bool:
     """Can the model/gradient item fit DynamoDB's 400 KB limit?
@@ -90,9 +76,8 @@ def workload_points(
 
 
 # The default rows (scaled: MobileNet capped at 6 epochs, no W=50 row).
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
+    max_epochs, seed = ctx.max_epochs, ctx.seed
     w_small, w_large = (10, 50)
     points = []
     points += workload_points("lr", "higgs", w_small, max_epochs=max_epochs, seed=seed)
@@ -109,78 +94,22 @@ def sweep_points(
     return points
 
 
-def aggregate(artifacts: list[dict]) -> list[ChannelRow]:
-    """Rebuild the table rows from sweep artifacts (row order preserved)."""
-    grouped: dict[str, dict[str, dict]] = {}
-    for artifact in artifacts:
-        tags = artifact["tags"]
-        grouped.setdefault(tags["row"], {})[tags["channel"]] = artifact
-    rows = []
-    for row_label, by_channel in grouped.items():
-        if "s3" not in by_channel:
-            continue  # interrupted sweep: the baseline cell is missing
-        s3 = result_from_artifact(by_channel["s3"])
-        names = [c for c in CHANNELS if c != "s3"] + ["vm-ps"]
-        slowdown: dict[str, float | None] = {}
-        rel_cost: dict[str, float | None] = {}
-        for name in names:
-            artifact = by_channel.get(name)
-            result = result_from_artifact(artifact) if artifact else None
-            slowdown[name] = ratio(result.duration_s if result else None, s3.duration_s)
-            rel_cost[name] = ratio(result.cost_total if result else None, s3.cost_total)
-        workload_label, _, workers_label = row_label.rpartition(",W=")
-        rows.append(
-            ChannelRow(
-                workload=workload_label,
-                workers=int(workers_label),
-                s3_time=s3.duration_s,
-                s3_cost=s3.cost_total,
-                slowdown=slowdown,
-                rel_cost=rel_cost,
-            )
-        )
-    return rows
+def relative(cells: dict, channel: str, measure: str) -> float | None:
+    """``channel``'s cost or runtime over S3's in one table row (N/A: ``None``).
+
+    ``cells`` is the row's channel -> artifact row; ``measure`` a key of
+    :data:`MEASURES`. A missing run, ``channel``'s or S3's, is N/A.
+    """
+    field = MEASURES[measure]
+    measured = {name: cell[field] for name, cell in cells.items()}
+    return ratio(measured.get(channel), measured.get("s3"))
 
 
-def format_report(rows: list[ChannelRow]) -> str:
-    table_rows = []
-    for row in rows:
-        table_rows.append(
-            [
-                row.workload,
-                row.workers,
-                row.rel_cost.get("memcached"),
-                row.slowdown.get("memcached"),
-                row.rel_cost.get("dynamodb"),
-                row.slowdown.get("dynamodb"),
-                row.rel_cost.get("vm-ps"),
-                row.slowdown.get("vm-ps"),
-            ]
-        )
-    return format_table(
-        "Table 1 — channel cost/slowdown relative to S3 (>1 means S3 wins)",
-        [
-            "workload",
-            "W",
-            "memcached cost",
-            "memcached slow",
-            "dynamodb cost",
-            "dynamodb slow",
-            "vm-ps cost",
-            "vm-ps slow",
-        ],
-        table_rows,
-    )
-
-
-def _row(rows: list[ChannelRow], workload: str, workers: int) -> ChannelRow:
-    return next(r for r in rows if (r.workload, r.workers) == (workload, workers))
-
-
-def _cell(rows: list[ChannelRow], workload: str, workers: int, column: str,
+def _cell(rows: list[dict], workload: str, workers: int, column: str,
           channel: str, holds) -> str | None:
     """``None`` when ``holds`` the row's ``column`` entry (N/A never holds)."""
-    value = getattr(_row(rows, workload, workers), column)[channel]
+    cells = pivot(rows, "row", "channel")[f"{workload},W={workers}"]
+    value = relative(cells, channel, column)
     if value is not None and holds(value):
         return None
     shown = "N/A" if value is None else f"{value:.3g}"
@@ -189,7 +118,8 @@ def _cell(rows: list[ChannelRow], workload: str, workers: int, column: str,
 
 def _dynamodb_cannot_hold_mobilenet(rows) -> str | None:
     # The 12 MB model exceeds DynamoDB's 400 KB item limit: the cell is N/A.
-    value = _row(rows, "mobilenet/cifar10", 10).slowdown["dynamodb"]
+    value = relative(pivot(rows, "row", "channel")["mobilenet/cifar10,W=10"],
+                     "dynamodb", "slowdown")
     return None if value is None else f"mobilenet/cifar10,W=10 dynamodb slowdown {value:.3g}"
 
 
@@ -197,12 +127,18 @@ def _dynamodb_cannot_hold_mobilenet(rows) -> str | None:
 class Table1Study:
     """channel comparison (S3 / Memcached / DynamoDB / VM-PS) slowdown + relative cost"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
-
-    aggregate = staticmethod(aggregate)
-    format_report = staticmethod(format_report)
+    points = staticmethod(sweep_points)
+    report = (
+        Table("Table 1 — channel cost/slowdown relative to S3 (>1 means S3 wins)", (
+            ("workload", lambda cells: next(iter(cells.values()))["row"].rpartition(",W=")[0]),
+            ("W", lambda cells: next(iter(cells.values()))["workers"]),
+            *(
+                (f"{channel} {header}", lambda cells, c=channel, m=measure: relative(cells, c, m))
+                for channel in ("memcached", "dynamodb", "vm-ps")
+                for header, measure in (("cost", "rel_cost"), ("slow", "slowdown"))
+            ),
+        ), pivot=("row", "channel")),
+    )
     claims = (
         # Memcached pays its start-up on a short job (paper: cost 5x, slowdown 4.17x).
         Claim("table1.memcached_loses_short_jobs", "Table 1, §4.3", lambda rows: _cell(

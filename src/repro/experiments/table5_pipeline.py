@@ -30,7 +30,7 @@ from repro.pricing.catalog import DEFAULT_CATALOG
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, StudyContext, study
 
 WORKERS = 10
 GRID = [round(0.01 * i, 2) for i in range(1, 11)]
@@ -82,14 +82,12 @@ def case_points(
     ]
 
 
-def sweep_points(
-    max_epochs: float | None = None, seed: int = DEFAULT_SEED
-) -> list[SweepPoint]:
-    """Both pipeline cases; ``max_epochs`` overrides epochs-per-job."""
+def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
+    """Both pipeline cases; ``ctx.max_epochs`` overrides epochs-per-job."""
     points = []
     for model, dataset in CASES:
         points += case_points(
-            model, dataset, epochs_per_job=max_epochs or 10.0, seed=seed
+            model, dataset, epochs_per_job=ctx.max_epochs or 10.0, seed=ctx.seed
         )
     return points
 
@@ -174,9 +172,7 @@ def _faas_vs_iaas(rows: list[PipelineRow], workload: str, holds) -> str | None:
 class Table5Study:
     """end-to-end ML pipelines (normalise + lr grid search) on FaaS vs a reserved cluster"""
 
-    @staticmethod
-    def points(ctx):
-        return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
+    points = staticmethod(sweep_points)
 
     aggregate = staticmethod(aggregate)
     format_report = staticmethod(format_report)

@@ -6,33 +6,45 @@ benchmark harness all speak: a named experiment that can
 * declare its grid — ``points(ctx) -> list[SweepPoint]`` (possibly
   empty, for analytical/micro-probe studies whose result is computed
   rather than trained);
-* reduce per-point sweep artifacts back into the experiment's result
-  object — ``aggregate(artifacts)``;
+* reduce per-point sweep artifacts to the result its report and claims
+  read — ``aggregate(artifacts)``;
 * render that result the way the paper reports it —
   ``format_report(result)``;
 * state the paper's findings it reproduces — ``claims``, a tuple of
   :class:`Claim` checked on the aggregated result whenever the study
   runs at the default :class:`StudyContext`.
 
-Experiment modules register by decorating a small declaration class::
+Every paper figure is a table of one metric against one axis, so a grid
+study states its report as data. Its result is the row frame —
+:func:`rows`, one flat dict per artifact — and its report is a tuple of
+:class:`Table` and :class:`Series` parts, printed by :func:`render` once
+per value of the optional ``group`` tag (first-seen order), each group's
+rows ordered by the optional ``sort`` key::
 
-    from repro.sweep.study import study
+    from repro.sweep.study import Claim, Table, study
 
-    @study("fig7")
-    class Fig7Study:
-        \"\"\"Algorithms on LR/SVM/MobileNet (GA-SGD / MA-SGD / ADMM).\"\"\"
+    @study("fig10")
+    class Fig10Study:
+        \"\"\"per-phase runtime breakdown across all four systems\"\"\"
 
-        @staticmethod
-        def points(ctx):
-            return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
+        points = staticmethod(sweep_points)  # ctx -> list[SweepPoint]
+        report = (
+            Table("Figure 10 — time breakdown", (
+                ("system", "system"),                # a row key...
+                ("startup", "startup_s"),
+                ("total", "duration_s"),
+                ("w/o startup", lambda r: r["duration_s"] - r["startup_s"]),
+            )),                                      # ...or an expression
+        )
+        claims = (Claim("fig10.order", "Fig. 10", check_rows),)
 
-        aggregate = staticmethod(aggregate)
-        format_report = staticmethod(format_report)
-
-and the registry auto-discovers them by importing every module under
-:mod:`repro.experiments` on first lookup — adding a study never touches
-the registry again, and ``repro.cli sweep --experiment <name>`` gains
-``--jobs/--resume`` and the record-once/replay-the-rest sweep for free.
+A study whose result is computed rather than regrouped keeps a bespoke
+``aggregate(artifacts)`` and ``format_report(result)`` instead of
+``report``. The registry auto-discovers declarations by importing every
+module under :mod:`repro.experiments` on first lookup — adding a study
+never touches the registry again, and ``repro.cli sweep --experiment
+<name>`` gains ``--jobs/--resume`` and the record-once/replay-the-rest
+sweep for free.
 """
 
 from __future__ import annotations
@@ -41,20 +53,27 @@ import importlib
 import inspect
 import pkgutil
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.config import DEFAULT_SEED
 from repro.errors import ConfigurationError
+from repro.simulation.tracing import KNOWN_CATEGORIES
 from repro.sweep.grid import SweepPoint
 
 __all__ = [
     "Claim",
+    "Series",
     "Study",
     "StudyContext",
+    "Table",
     "all_studies",
     "discover",
     "get_study",
+    "pivot",
     "register",
+    "render",
+    "rows",
     "study",
     "study_names",
 ]
@@ -103,6 +122,120 @@ class Claim:
         return True, f"{head}: FAILED: {complaint}"
 
 
+#: What a row holds of its artifact's result, under the same names.
+_RESULT_FIELDS = (
+    "converged", "final_loss", "duration_s", "cost_total", "epochs", "comm_rounds",
+)
+
+
+def rows(artifacts: list[dict]) -> list[dict]:
+    """The row frame: one flat row per artifact, in artifact order.
+
+    A row holds the point's config fields, then its tags (a tag shadows
+    the config field of the same name: it is the study's own word for
+    the point; a tag that other artifacts of the set carry and this one
+    lacks is ``None``, never the config default), its ``label`` and
+    ``config_hash`` (the trace back to the artifact), the result scalars
+    under their artifact names, one ``<phase>_s`` entry per
+    time-breakdown phase (0.0 when the run spent none), ``events`` (the
+    reliability counters) and ``loss_curve`` — ``(time, loss)`` pairs in
+    time order.
+    """
+    untagged = dict.fromkeys(key for artifact in artifacts for key in artifact["tags"])
+    frame = []
+    for artifact in artifacts:
+        result = artifact["result"]
+        phases = result["time_breakdown"]
+        frame.append({
+            **artifact["config"],
+            **untagged,
+            **artifact["tags"],
+            "label": artifact["label"],
+            "config_hash": artifact["config_hash"],
+            **{key: result[key] for key in _RESULT_FIELDS},
+            **{f"{phase}_s": phases.get(phase, 0.0) for phase in KNOWN_CATEGORIES},
+            "events": dict(result["events"]),
+            "loss_curve": sorted((t, loss) for t, _, loss, _ in result["history"]),
+        })
+    return frame
+
+
+def pivot(frame: list[dict], index: str, by: str) -> dict[Any, dict[Any, dict]]:
+    """``index`` value -> (``by`` value -> row), both in first-seen order.
+
+    The cross-row shape of a comparison: every channel of one Table-1
+    row, every role of one COST case, every worker count of one
+    algorithm.
+    """
+    table: dict[Any, dict[Any, dict]] = {}
+    for row in frame:
+        table.setdefault(row[index], {})[row[by]] = row
+    return table
+
+
+@dataclass(frozen=True)
+class Table:
+    """One table of a declared report.
+
+    ``title`` is formatted with the group value (``"Figure 9 — {}"``), or
+    is a callable of the group's rows. Each column is ``(header, expr)``,
+    ``expr`` a row key or a callable of the row. ``where`` keeps the rows
+    whose fields equal its items; ``pivot=(index, by)`` prints one line
+    per ``index`` value, its "row" the :func:`pivot` dict of ``by`` value
+    -> row.
+    """
+
+    title: str | Callable[[list[dict]], str]
+    columns: tuple[tuple[str, str | Callable[[Any], Any]], ...]
+    where: tuple[tuple[str, Any], ...] = ()
+    pivot: tuple[str, str] | None = None
+
+
+@dataclass(frozen=True)
+class Series:
+    """A loss-vs-time block: one curve per row, named by ``name(row)``."""
+
+    title: str
+    name: Callable[[dict], str]
+
+
+def render(
+    report: tuple[Table | Series, ...],
+    frame: list[dict],
+    group: str | None = None,
+    sort: Callable[[dict], Any] | None = None,
+) -> str:
+    """Print a declared report: every part once per group, blocks apart."""
+    from repro.experiments.report import format_series, format_table
+
+    groups: dict[Any, list[dict]] = {}
+    for row in frame:
+        groups.setdefault(row[group] if group else None, []).append(row)
+    blocks = []
+    for value, members in groups.items():
+        if sort is not None:
+            members = sorted(members, key=sort)
+        for part in report:
+            title = part.title(members) if callable(part.title) else part.title.format(value)
+            if isinstance(part, Series):
+                curves = {part.name(row): row["loss_curve"] for row in members}
+                blocks.append(format_series(title, curves))
+                continue
+            lines = [r for r in members if all(r[k] == v for k, v in part.where)]
+            if part.pivot is not None:
+                lines = list(pivot(lines, *part.pivot).values())
+            blocks.append(format_table(
+                title,
+                [header for header, _ in part.columns],
+                [[_cell(expr, line) for _, expr in part.columns] for line in lines],
+            ))
+    return "\n\n".join(blocks)
+
+
+def _cell(expr, line):
+    return expr(line) if callable(expr) else line[expr]
+
+
 class Study:
     """One registered experiment: grid + aggregator + report renderer.
 
@@ -119,9 +252,10 @@ class Study:
       is just nothing to fan out.
 
     ``aggregate(artifacts)`` reduces per-point artifacts to the
-    experiment's result object; ``format_report(result)`` renders it the
-    way the paper reports it; ``claims`` are the :class:`Claim` s that
-    result must satisfy at the default context.
+    experiment's result object (a grid study's row frame, :func:`rows`);
+    ``format_report(result)`` renders it the way the paper reports it;
+    ``claims`` are the :class:`Claim` s that result must satisfy at the
+    default context.
     """
 
     def __init__(
@@ -136,19 +270,9 @@ class Study:
         self.format_report = format_report
         self.claims = tuple(claims)
 
-    def points(
-        self,
-        max_epochs: float | None = None,
-        seed: int = DEFAULT_SEED,
-        ctx: StudyContext | None = None,
-        mega: bool = False,
-    ) -> list[SweepPoint]:
+    def points(self, ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
         """The study's grid for one context (a fresh list each call)."""
-        if self._points is None:
-            return []
-        if ctx is None:
-            ctx = StudyContext(max_epochs=max_epochs, seed=seed, mega=mega)
-        return list(self._points(ctx))
+        return [] if self._points is None else list(self._points(ctx))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Study({self.name!r}, kind={self.kind!r})"
@@ -173,10 +297,14 @@ def study(name: str, *, description: str | None = None):
     """Class decorator registering a study declaration.
 
     The class provides ``points(ctx)`` (leave it out for a direct study
-    — the grid is then empty), ``aggregate(artifacts)`` and
-    ``format_report(result)`` as static/plain callables, and optionally
-    ``claims``; the description defaults to the first line of the class
-    docstring.
+    — the grid is then empty) and either a declared ``report`` (a tuple
+    of :class:`Table` / :class:`Series`, with optional ``group`` tag and
+    ``sort`` key: the result is the row frame and :func:`render` prints
+    it) or a bespoke ``aggregate(artifacts)`` and
+    ``format_report(result)``, as static/plain callables. A declared
+    report may still name an ``aggregate`` that derives fields onto the
+    rows. ``claims`` is optional; the description defaults to the first
+    line of the class docstring.
     """
 
     def decorate(cls):
@@ -185,13 +313,17 @@ def study(name: str, *, description: str | None = None):
             raise ConfigurationError(
                 f"study {name!r} needs a description (docstring or keyword)"
             )
+        report = getattr(cls, "report", None)
         register(
             Study(
                 name,
                 doc.splitlines()[0],
                 points=getattr(cls, "points", None),
-                aggregate=cls.aggregate,
-                format_report=cls.format_report,
+                aggregate=getattr(cls, "aggregate", rows),
+                format_report=cls.format_report if report is None else partial(
+                    render, report, group=getattr(cls, "group", None),
+                    sort=getattr(cls, "sort", None),
+                ),
                 claims=getattr(cls, "claims", ()),
             )
         )

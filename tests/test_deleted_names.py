@@ -71,6 +71,15 @@ DELETED = {
     # Every rank starts from the run's one initial model (initial_model):
     # the k-means-only broadcast argument and the per-shard fallback draw.
     "per-rank initial draw": ("-n", "kmeans_ini[t]\\|init_centroid[s]=", CODE),
+    # A grid study's result is its row frame and its report a declaration:
+    # the per-study result classes the regrouping aggregates built.
+    "study result classes": (
+        "-nE",
+        "\\b(AlgorithmCompariso[n]|SyncCompariso[n]|EndToEndPane[l]|BreakdownRo[w]"
+        "|ScalingPoin[t]|ScalingProfil[e]|ConfigPoin[t]|ReliabilityPoin[t]"
+        "|ReliabilityCurv[e]|SanityRo[w]|ChannelRo[w])\\b",
+        CODE,
+    ),
     # README, the verify recipe, CI and the code state what holds now;
     # CHANGES.md is the one log of how it came to hold.
     "PR log": (

@@ -14,6 +14,7 @@ from repro.experiments import table3_patterns, table6_constants
 from repro.experiments.report import format_table, ratio
 from repro.experiments.workloads import WORKLOADS, get_workload, scaled
 from repro.sweep.orchestrator import run_sweep
+from repro.sweep.study import pivot, rows
 
 
 class TestWorkloadRegistry:
@@ -95,20 +96,18 @@ class TestTable6:
 class TestFig10:
     def test_breakdown_shape(self):
         points = fig10_breakdown.sweep_points(max_epochs=3.0, workers=4)
-        rows = {
-            r.system: r
-            for r in fig10_breakdown.aggregate(run_sweep(points).artifacts)
-        }
-        assert rows["lambdaml"].startup_s < 5
-        assert rows["pytorch"].startup_s > 100
-        assert rows["angel"].startup_s > rows["pytorch"].startup_s
-        assert rows["angel"].load_s > rows["pytorch"].load_s * 2
-        assert rows["angel"].compute_s > rows["pytorch"].compute_s
+        by_system = {r["system"]: r for r in rows(run_sweep(points).artifacts)}
+        lambdaml, pytorch, angel = (by_system[s] for s in ("lambdaml", "pytorch", "angel"))
+        assert lambdaml["startup_s"] < 5
+        assert pytorch["startup_s"] > 100
+        assert angel["startup_s"] > pytorch["startup_s"]
+        assert angel["load_s"] > pytorch["load_s"] * 2
+        assert angel["compute_s"] > pytorch["compute_s"]
         # LambdaML wins end-to-end but not without startup.
-        assert rows["lambdaml"].total_s < rows["pytorch"].total_s
+        assert lambdaml["duration_s"] < pytorch["duration_s"]
         assert (
-            rows["lambdaml"].total_without_startup_s
-            >= rows["pytorch"].total_without_startup_s * 0.8
+            fig10_breakdown._without_startup(lambdaml)
+            >= fig10_breakdown._without_startup(pytorch) * 0.8
         )
 
 
@@ -116,9 +115,9 @@ class TestCostSanity:
     @pytest.mark.slow
     def test_distributed_beats_single_machine(self):
         points = cost_sanity.case_points("lr", "higgs", workers=10, max_epochs=20)
-        (row,) = cost_sanity.aggregate(run_sweep(points).artifacts)
-        assert row.faas_speedup > 2.0
-        assert row.iaas_speedup > 1.0
+        (roles,) = pivot(rows(run_sweep(points).artifacts), "case", "role").values()
+        assert cost_sanity.speedup(roles, "faas") > 2.0
+        assert cost_sanity.speedup(roles, "iaas") > 1.0
 
 
 class TestReportHelpers:

@@ -277,22 +277,23 @@ class TestFaultSweeps:
         assert len(run.artifacts) == 18
         assert (run.stat_groups, run.recorded) == (1, 1)
         assert len({a["result"]["final_loss"] for a in run.artifacts}) == 1
-        for curve in figR_reliability.aggregate(run.artifacts):
+        frame = figR_reliability.overhead_rows(run.artifacts)
+        for series in {r["series"] for r in frame}:
             ordered = sorted(
-                curve.points,
-                key=lambda p: (p.crash_rate, p.storage_error_rate,
-                               p.checkpoint_interval),
+                (r for r in frame if r["series"] == series),
+                key=lambda r: (r["crash_rate"], r["storage_error_rate"],
+                               r["checkpoint_interval"]),
             )
-            overheads = [p.overhead_s for p in ordered]
-            for p in ordered:
-                if p.crash_rate == 0 and p.storage_error_rate == 0:
-                    assert p.overhead_s == 0.0, curve.series
-            assert min(overheads) >= 0, (curve.series, overheads)
+            overheads = [r["overhead_s"] for r in ordered]
+            for r in ordered:
+                if r["crash_rate"] == 0 and r["storage_error_rate"] == 0:
+                    assert r["overhead_s"] == 0.0, series
+            assert min(overheads) >= 0, (series, overheads)
             # The rate-swept series peak at the top rate. The interval
             # series sweeps cadence at a FIXED rate, where which crash
             # lands where dominates: only non-negativity is a theorem.
-            if curve.series != "faas-interval":
-                assert overheads[-1] == max(overheads), (curve.series, overheads)
+            if series != "faas-interval":
+                assert overheads[-1] == max(overheads), (series, overheads)
 
     @pytest.mark.slow
     def test_replayed_fault_artifacts_are_bit_identical_to_exact(self, tmp_path):

@@ -101,7 +101,7 @@ CASES = {
                                  max_epochs=2, loss_threshold=None, **PYTORCH),
     "mobilenet-ga-w3-s3": dict(model="mobilenet", dataset="cifar10", data_scale=400,
                                algorithm="ga_sgd", workers=3, batch_size=16,
-                               batch_scope="per_worker", max_epochs=0.5,
+                               batch_scope="per_worker", max_epochs=1.5, lr=0.01,
                                loss_threshold=None, seed=3, **S3_ALLREDUCE),
     "mobilenet-ma-w12-pytorch": dict(model="mobilenet", dataset="cifar10",
                                      data_scale=1000, algorithm="ma_sgd", workers=12,

@@ -451,24 +451,23 @@ class TestServeCli:
 
     def test_serve_runs_and_reports(self, capsys):
         assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "Service report" in out
-        assert "p99" in out
-        assert "2 job(s) simulated" in out
+        captured = capsys.readouterr()
+        assert "Service report" in captured.out
+        assert "p99" in captured.out
+        assert "2 job(s) simulated" in captured.err
 
     def test_serve_resumes_from_the_report(self, tmp_path, capsys):
         args = self.ARGS + ["--out", str(tmp_path)]
         assert main(args) == 0
-        first = capsys.readouterr().out
+        first = capsys.readouterr().err
         assert "2 job(s) simulated" in first
         assert main(args) == 0
-        second = capsys.readouterr().out
+        second = capsys.readouterr().err
         assert "report resumed, 0 job(s) re-run" in second
 
     def test_serve_json_document_validates(self, capsys):
         assert main(self.ARGS + ["--json"]) == 0
-        out = capsys.readouterr().out
-        document = json.loads(out[: out.rindex("}") + 1])
+        document = json.loads(capsys.readouterr().out)  # all of stdout
         validate_report(document)
         assert document["service"]["service"]["scheduler"] == "fifo"
 

@@ -483,7 +483,7 @@ class TestInferCli:
         first = capsys.readouterr().out
         assert "end-to-end" in first
         assert main(argv) == 0
-        second = capsys.readouterr().out
+        second = capsys.readouterr().err
         assert "report resumed, 0 request(s) re-simulated" in second
 
     def test_infer_json_output(self, capsys, small_pipeline_root):
@@ -496,8 +496,7 @@ class TestInferCli:
             "--autoscaler", "concurrency",
             "--out", str(small_pipeline_root), "--json",
         ]) == 0
-        out = capsys.readouterr().out
-        document = json.loads(out[: out.rindex("}") + 1])
+        document = json.loads(capsys.readouterr().out)  # all of stdout
         assert document["kind"] == "serving_report"
         assert document["metrics"]["requests"] == 60
 

@@ -3,13 +3,16 @@
 Each experiment module is a grid function plus an ``aggregate`` run by
 the sweep orchestrator. These tests re-implement the *old* hand-rolled
 loops (direct ``train()`` calls, copied verbatim from the pre-ISSUE-5
-modules) at scaled-down settings and assert that
-``aggregate(run_sweep(<grid>).artifacts)`` is bit-identical — loss
-histories through the artifact JSON roundtrip included. (Test ids keep
-the names of the ``run*`` helpers they were first written against.)
+modules) at scaled-down settings and assert that what the study reads
+of ``run_sweep(<grid>).artifacts`` is bit-identical — loss histories
+through the artifact JSON roundtrip included. (Test ids keep the names
+of the ``run*`` helpers they were first written against.)
 ``result_from_artifact`` does not reconstruct ``per_worker`` traces, so
-equality is asserted field by field over everything the aggregators and
-reports consume.
+equality is asserted field by field over everything that survives the
+roundtrip. A grid study's result is the row frame
+(``repro.sweep.study.rows``), so its oracle checks both: each point's
+artifact against the direct run, and the row built from it against the
+same run.
 """
 
 from __future__ import annotations
@@ -30,7 +33,11 @@ from repro.experiments import (
 )
 from repro.experiments.report import ratio
 from repro.experiments.workloads import get_workload
+from repro.simulation.tracing import KNOWN_CATEGORIES
+from repro.sweep.grid import config_hash
+from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.orchestrator import run_sweep
+from repro.sweep.study import pivot, rows
 
 SEED = 20210620
 
@@ -52,10 +59,30 @@ def assert_result_equal(shim: RunResult, old: RunResult) -> None:
     assert shim.events == old.events
 
 
+def assert_row_equal(row: dict, artifacts: dict[str, dict], old: RunResult) -> None:
+    """The row's artifact round-trips to the direct run, and the row reads it."""
+    assert row["config_hash"] == config_hash(old.config)
+    assert_result_equal(result_from_artifact(artifacts[row["config_hash"]]), old)
+    for key in ("converged", "final_loss", "duration_s", "cost_total", "epochs",
+                "comm_rounds"):
+        assert row[key] == getattr(old, key), key
+    assert set(old.breakdown.as_dict()) <= set(KNOWN_CATEGORIES)
+    for phase in KNOWN_CATEGORIES:
+        assert row[f"{phase}_s"] == old.breakdown.get(phase), phase
+    assert row["loss_curve"] == old.loss_curve()
+    assert row["events"] == old.events
+
+
+def sweep_rows(points) -> tuple[list[dict], dict[str, dict]]:
+    """The grid's row frame, and its artifacts by config hash."""
+    artifacts = run_sweep(points).artifacts
+    return rows(artifacts), {a["config_hash"]: a for a in artifacts}
+
+
 class TestFig10Golden:
     def test_run_matches_old_loop(self):
         epochs, workers = 1.0, 4
-        old_rows = []
+        old_runs = {}
         for system in fig10_breakdown.SYSTEMS:
             config = TrainingConfig(
                 model="lr", dataset="higgs",
@@ -64,9 +91,14 @@ class TestFig10Golden:
                 batch_size=10_000, lr=0.05, loss_threshold=None,
                 max_epochs=epochs, seed=SEED,
             )
-            old_rows.append(fig10_breakdown._to_row(system, train(config)))
+            old_runs[system] = train(config)
         points = fig10_breakdown.sweep_points(max_epochs=epochs, workers=workers)
-        assert fig10_breakdown.aggregate(run_sweep(points).artifacts) == old_rows
+        frame, artifacts = sweep_rows(points)
+        assert [r["system"] for r in frame] == list(fig10_breakdown.SYSTEMS)
+        for row in frame:
+            old = old_runs[row["system"]]
+            assert_row_equal(row, artifacts, old)
+            assert fig10_breakdown._without_startup(row) == old.duration_without_startup_s
 
 
 class TestFig13Golden:
@@ -179,11 +211,12 @@ class TestFig7Golden:
             model, dataset, worker_counts=worker_counts,
             max_epochs=max_epochs, ga_max_epochs=ga_max_epochs,
         )
-        (comparison,) = fig7_algorithms.aggregate(run_sweep(points).artifacts)
-        assert comparison.workload == f"{model}/{dataset}"
-        assert comparison.results.keys() == old_results.keys()
+        frame, artifacts = sweep_rows(points)
+        assert {r["workload"] for r in frame} == {f"{model}/{dataset}"}
+        by_cell = {(r["algorithm"], r["workers"]): r for r in frame}
+        assert by_cell.keys() == old_results.keys()
         for key, old in old_results.items():
-            assert_result_equal(comparison.results[key], old)
+            assert_row_equal(by_cell[key], artifacts, old)
 
 
 @pytest.mark.slow
@@ -211,25 +244,28 @@ class TestTable1Golden:
                 results[channel] = None
         results["vm-ps"] = train(make_config(system="hybridps", algorithm="ga_sgd"))
         s3 = results["s3"]
-        old_row = table1_channels.ChannelRow(
-            workload=f"{model}/{dataset}",
-            workers=workers,
-            s3_time=s3.duration_s,
-            s3_cost=s3.cost_total,
-            slowdown={
-                name: ratio(r.duration_s if r else None, s3.duration_s)
-                for name, r in results.items() if name != "s3"
-            },
-            rel_cost={
-                name: ratio(r.cost_total if r else None, s3.cost_total)
-                for name, r in results.items() if name != "s3"
-            },
-        )
+        old_slowdown = {
+            name: ratio(r.duration_s if r else None, s3.duration_s)
+            for name, r in results.items() if name != "s3"
+        }
+        old_rel_cost = {
+            name: ratio(r.cost_total if r else None, s3.cost_total)
+            for name, r in results.items() if name != "s3"
+        }
         points = table1_channels.workload_points(
             model, dataset, workers, max_epochs=max_epochs
         )
-        (shim,) = table1_channels.aggregate(run_sweep(points).artifacts)
-        assert shim == old_row
+        frame, artifacts = sweep_rows(points)
+        (cells,) = pivot(frame, "row", "channel").values()
+        assert cells["s3"]["row"] == f"{model}/{dataset},W={workers}"
+        for name, old in results.items():
+            if old is None:
+                assert name not in cells
+            else:
+                assert_row_equal(cells[name], artifacts, old)
+        for name in old_slowdown:
+            assert table1_channels.relative(cells, name, "slowdown") == old_slowdown[name]
+            assert table1_channels.relative(cells, name, "rel_cost") == old_rel_cost[name]
 
     def test_dynamodb_feasibility_matches_the_store(self):
         # The grid-time exclusion must mirror the simulated store: the
@@ -334,19 +370,21 @@ class TestCostSanityGolden:
                 seed=SEED,
             )
 
-        single = train(config("pytorch", 1))
-        faas = train(config("lambdaml", workers))
-        iaas = train(config("pytorch", workers))
-        old_row = cost_sanity.SanityRow(
-            workload=f"{model}/{dataset}",
-            single_s=single.duration_s,
-            faas_s=faas.duration_s,
-            iaas_s=iaas.duration_s,
-            faas_speedup=single.duration_s / faas.duration_s,
-            iaas_speedup=single.duration_s / iaas.duration_s,
-        )
+        old = {
+            "single": train(config("pytorch", 1)),
+            "faas": train(config("lambdaml", workers)),
+            "iaas": train(config("pytorch", workers)),
+        }
         points = cost_sanity.case_points(
             model, dataset, workers=workers, max_epochs=max_epochs
         )
-        (shim,) = cost_sanity.aggregate(run_sweep(points).artifacts)
-        assert shim == old_row
+        frame, artifacts = sweep_rows(points)
+        (roles,) = pivot(frame, "case", "role").values()
+        assert roles.keys() == old.keys()
+        for role, run in old.items():
+            assert roles[role]["case"] == f"{model}/{dataset}"
+            assert_row_equal(roles[role], artifacts, run)
+        for platform in ("faas", "iaas"):
+            assert cost_sanity.speedup(roles, platform) == (
+                old["single"].duration_s / old[platform].duration_s
+            )

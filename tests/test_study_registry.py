@@ -34,7 +34,7 @@ from repro.sweep.study import (
 # The full catalog an ISSUE-5 registry must expose.
 EXPECTED_STUDIES = {
     "ablations", "cost_sanity", "datasets", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "fig12", "fig13", "fig14", "fig15", "figR", "figS", "multitenancy",
+    "fig12", "fig13", "fig14", "fig15", "figR", "figS", "figV", "multitenancy",
     "multitenancy_analytical", "smoke",
     "table1", "table2", "table3", "table5", "table6",
 }
@@ -75,7 +75,7 @@ class TestRegistry:
 
     def test_grid_studies_build_valid_unique_configs(self):
         for name, entry in all_studies().items():
-            points = entry.points(max_epochs=1.0)
+            points = entry.points(StudyContext(max_epochs=1.0))
             if entry.kind == "direct":
                 assert points == []
                 continue
@@ -202,7 +202,7 @@ class TestStudyDecorator:
             format_report = staticmethod(str)
             claims = (claim,)
 
-        assert probe[0].points(max_epochs=1.0) == []
+        assert probe[0].points(StudyContext(max_epochs=1.0)) == []
         assert probe[0].claims == (claim,)
         # kind follows from the declaration: no points -> direct.
         assert probe[0].kind == "direct"

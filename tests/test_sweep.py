@@ -38,7 +38,7 @@ from repro.sweep.artifacts import (
 )
 from repro.sweep.grid import SweepPoint, config_hash, dedupe_points, expand_grid
 from repro.sweep.orchestrator import plan_sweep, run_sweep
-from repro.sweep.study import get_study
+from repro.sweep.study import StudyContext, get_study
 
 SMOKE_POINTS = get_study("smoke").points
 
@@ -442,7 +442,7 @@ class TestSweepCli:
 
     def test_registry_grids_are_well_formed(self):
         for name in ("fig8", "fig9", "fig11", "fig12", "smoke"):
-            points = get_study(name).points(max_epochs=1.0)
+            points = get_study(name).points(StudyContext(max_epochs=1.0))
             assert points, name
             for point in points:
                 assert point.experiment == name
