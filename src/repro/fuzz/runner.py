@@ -23,6 +23,7 @@ from repro.fuzz.corpus import CorpusEntry, save_entry
 from repro.fuzz.invariants import INVARIANTS
 from repro.fuzz.shrink import MAX_EVALS, ShrinkResult, shrink
 from repro.fuzz.space import ScenarioSpace
+from repro.utils.stats import tally
 
 #: Synthetic invariant name for "the worker process itself survived".
 PROCESS_SURVIVES = "process_survives"
@@ -72,7 +73,7 @@ class CampaignResult:
         return not self.findings
 
     def summary(self) -> str:
-        checked = sum(self.checks.values())
+        checked = tally(self.checks.values())
         verdict = (
             "no invariant violations"
             if self.ok

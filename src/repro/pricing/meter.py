@@ -18,6 +18,7 @@ from repro.pricing.catalog import (
     DEFAULT_CATALOG,
     PriceCatalog,
 )
+from repro.utils.stats import fold
 
 
 _INF = math.inf
@@ -107,7 +108,7 @@ class CostMeter:
 
     @property
     def total(self) -> float:
-        return sum(self.dollars.values())
+        return fold(self.dollars.values())
 
     def breakdown(self) -> dict[str, float]:
         return dict(self.dollars)

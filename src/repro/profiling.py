@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.simulation.engine import EngineStats, capture_stats
+from repro.utils.stats import tally
 
 __all__ = ["profile_call"]
 
@@ -40,8 +41,8 @@ def _combined(collected: list[EngineStats]) -> dict:
     for stats in collected:
         for name, count in stats.by_callsite.items():
             by_callsite[name] = by_callsite.get(name, 0) + count
-    events = sum(s.events for s in collected)
-    batches = sum(s.batches for s in collected)
+    events = tally(s.events for s in collected)
+    batches = tally(s.batches for s in collected)
     ranked = sorted(by_callsite.items(), key=lambda kv: (-kv[1], kv[0]))
     return {
         "engines": len(collected),

@@ -11,7 +11,7 @@ from functools import partial
 
 from repro import store
 from repro.errors import SimulationError
-from repro.utils.stats import jain_fairness, percentile
+from repro.utils.stats import fold, jain_fairness, percentile, tally
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -29,23 +29,23 @@ def service_metrics(records: list[dict]) -> dict:
     """Aggregate per-job records into the service-level scorecard."""
     completions = [r["completion_s"] for r in records]
     slowdowns = [r["slowdown"] for r in records]
-    total_cost = sum(r["cost_dollars"] for r in records)
+    total_cost = fold(r["cost_dollars"] for r in records)
     jobs = len(records)
     return {
         "jobs": jobs,
         "p50_completion_s": percentile(completions, 50.0),
         "p99_completion_s": percentile(completions, 99.0),
-        "mean_completion_s": sum(completions) / jobs,
-        "mean_queue_s": sum(r["queue_s"] for r in records) / jobs,
+        "mean_completion_s": fold(completions) / jobs,
+        "mean_queue_s": fold(r["queue_s"] for r in records) / jobs,
         "total_cost": total_cost,
         "cost_per_job": total_cost / jobs,
-        "mean_slowdown": sum(slowdowns) / jobs,
+        "mean_slowdown": fold(slowdowns) / jobs,
         "max_slowdown": max(slowdowns),
         # How evenly the schedulers spread contention: Jain's index over
         # per-tenant mean slowdowns (1 = every tenant slowed equally).
         "fairness_jain": jain_fairness(_tenant_mean_slowdowns(records)),
         "makespan_s": max(r["completed_s"] for r in records),
-        "converged_jobs": sum(1 for r in records if r["converged"]),
+        "converged_jobs": tally(1 for r in records if r["converged"]),
     }
 
 

@@ -11,7 +11,7 @@ from functools import partial
 
 from repro import store
 from repro.errors import SimulationError
-from repro.utils.stats import percentile
+from repro.utils.stats import fold, percentile, tally
 
 SERVING_SCHEMA_VERSION = 1
 
@@ -22,14 +22,14 @@ def serving_metrics(records: list[dict], pool: dict) -> dict:
         raise SimulationError("serving run produced no request records")
     latencies = [r["latency_s"] for r in records]
     n = len(records)
-    cold = sum(1 for r in records if r["cold"])
+    cold = tally(1 for r in records if r["cold"])
     alive_s = pool["alive_s"]
     return {
         "requests": n,
         "p50_latency_s": percentile(latencies, 50.0),
         "p99_latency_s": percentile(latencies, 99.0),
         "p999_latency_s": percentile(latencies, 99.9),
-        "mean_latency_s": sum(latencies) / n,
+        "mean_latency_s": fold(latencies) / n,
         "max_latency_s": max(latencies),
         "cold_starts": pool["cold_starts"],
         "cold_start_fraction": cold / n,

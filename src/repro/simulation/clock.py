@@ -16,6 +16,9 @@ class SimClock:
     `now` is a plain public attribute (read several times per event on
     the engine's hot path — a property descriptor would double the
     cost); treat it as read-only and advance via :meth:`advance_to`.
+    The engine's run loop alone stores a popped queued instant into it
+    directly: every queued instant is later than `now`, so that store is
+    exactly what :meth:`advance_to` would do.
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -1,15 +1,15 @@
 """The discrete-event engine.
 
 Processes are Python generators yielding :mod:`repro.simulation.commands`.
-The engine keeps a single priority queue of `(time, seq, fn, args)`
-events — bound methods and their arguments, no per-operation closures —
-plus a same-instant FIFO of `(fn, args)` for events scheduled at the
-current instant, which never touch the heap. Data effects (storage
-writes, collective completions) are applied at the simulated
-*completion* time of their operation, so reads that complete earlier
-never observe later writes. All scheduling is deterministic: ties are
-broken by a monotonically increasing sequence number, and the FIFO
-preserves exactly that order (see :meth:`Engine.run`).
+An event is `(fn, args)`: a bound method and its arguments, no
+per-operation closures. Events at a future instant are queued on that
+instant's list (a map from instant to list, beside a heap of the
+distinct instants as bare floats); events at the current instant go
+straight onto a same-instant FIFO. Data effects (storage writes,
+collective completions) are applied at the simulated *completion* time
+of their operation, so reads that complete earlier never observe later
+writes. All scheduling is deterministic: events at one instant run in
+the order they were scheduled (see :meth:`Engine.run`).
 
 Complexity guarantees (the engine must scale to runs with hundreds of
 workers, so these are load-bearing — see ``benchmarks/
@@ -49,23 +49,26 @@ bench_engine_microbench.py``):
   process and the key, a get books the stored payload's ``nbytes`` and
   a collective round the largest member's ``Collective.nbytes``. The
   completion is scheduled inline.
-* Event dispatch is batched per timestamp: the run loop advances the
-  clock once per distinct simulated instant, then drains every event
-  stamped with that instant in a tight inner loop (synchronized
-  phases — a W-worker barrier release, W² same-instant chunk
-  completions — pay one clock advance, not W²). Dispatch order within
-  a batch is still exactly seq order (the heap's events stamped with
-  the instant, then the FIFO), so batching is invisible to traces.
+* Event dispatch is batched per timestamp: the run loop pops the
+  earliest instant off the heap once, advances the clock and moves the
+  instant's whole list onto the FIFO, then drains the FIFO in a tight
+  inner loop (synchronized phases — a W-worker barrier release, W²
+  same-instant chunk completions — pay one heap pop and one clock
+  advance, not W²). Queuing an event at an instant already queued is a
+  dict probe and a list append, with no heap operation at all.
+  Dispatch order within a batch is exactly scheduling order, so
+  batching is invisible to traces.
 * A storage-op sequence resumes its generator once; each op keeps its
-  own events: after each item ``_next_put`` / ``_next_get`` take the slot
-  a ``_fire`` held (same seq, same instant) and issue the next item or,
-  after the last, resume. A single Put/Get has ``rest`` / ``done`` None.
+  own events: after each item ``_next_put`` / ``_next_get`` take the
+  slot a ``_fire`` held (same instant, same place in its order) and
+  issue the next item or, after the last, resume. A single Put/Get has
+  ``rest`` / ``done`` None.
 
 Profiling: :meth:`Engine.enable_stats` attaches an
-:class:`EngineStats` that counts dispatched events per callsite
-(the dispatched method's ``__qualname__``), batches and peak queue size — the
-event-count profile ``repro.cli train --profile`` dumps next to the
-cProfile table. Disabled (the default) it costs one identity check
+:class:`EngineStats` that counts dispatched events per callsite (the
+dispatched method's ``__qualname__``), batches and peak pending events
+— the event-count profile ``repro.cli train --profile`` dumps next to
+the cProfile table. Disabled (the default) it costs one identity check
 per event. :func:`capture_stats` auto-enables it on every engine
 constructed inside a ``with`` block and collects the stats objects,
 which is how the CLI profiles runs whose engines are built deep
@@ -87,11 +90,10 @@ not the enum's attributes.
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
 import math
 from collections import deque
 from contextlib import contextmanager
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
 from repro.errors import (
@@ -115,6 +117,7 @@ from repro.simulation.commands import (
 )
 from repro.simulation.tracing import TimeBreakdown
 from repro.utils.serialization import SizedPayload
+from repro.utils.stats import tally
 
 Command = Any
 ProcessGenerator = Generator[Command, Any, Any]
@@ -148,22 +151,22 @@ class EngineStats:
     (``Engine._fire``, ``Engine._apply_put``, ``Engine._apply_get``,
     ``Engine._first_step``, ...), which names the engine seam the event
     runs — enough to see *which* hot path a regression lives in
-    without a full cProfile run. ``peak_heap`` counts every pending
-    event at a batch start, heap and same-instant FIFO together.
+    without a full cProfile run; the run loop counts them, and
+    ``events`` is their total. ``peak_heap`` (a historical name) counts
+    every pending event at a batch start, queued and same-instant FIFO
+    together.
     """
 
-    __slots__ = ("events", "batches", "peak_heap", "by_callsite")
+    __slots__ = ("batches", "peak_heap", "by_callsite")
 
     def __init__(self) -> None:
-        self.events = 0
         self.batches = 0
         self.peak_heap = 0
         self.by_callsite: dict[str, int] = {}
 
-    def record(self, fn: Callable[..., None]) -> None:
-        self.events += 1
-        name = getattr(fn, "__qualname__", None) or repr(fn)
-        self.by_callsite[name] = self.by_callsite.get(name, 0) + 1
+    @property
+    def events(self) -> int:
+        return tally(self.by_callsite.values())
 
     def top_callsites(self, n: int = 10) -> list[tuple[str, int]]:
         ranked = sorted(self.by_callsite.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -240,16 +243,17 @@ class Engine:
     def __init__(self) -> None:
         self.clock = SimClock()
         self.processes: list[Process] = []
-        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
-        # Events scheduled at the current instant, in scheduling (= seq)
-        # order; run() drains them after the heap's events stamped now.
+        # The future: a heap of the distinct queued instants, and each
+        # instant's events in scheduling order. Every queued instant is
+        # later than now, and is on the heap iff it has a list. `_queued`
+        # counts the events on all the lists, so a batch reads the
+        # pending count for EngineStats in O(1).
+        self._times: list[float] = []
+        self._at: dict[float, list[tuple[Callable[..., None], tuple]]] = {}
+        self._queued = 0
+        # Events at the current instant, in scheduling order: the one
+        # queue run() dispatches from.
         self._fifo: deque[tuple[Callable[..., None], tuple]] = deque()
-        self._seq = itertools.count()
-        # Pre-bound hot callables: _schedule runs once per event for the
-        # whole simulation, so the attribute/global lookups it would
-        # otherwise repeat are measurable at mega-scale.
-        self._seq_next = self._seq.__next__
-        self._heappush = heapq.heappush
         # Optional event-count profile (enable_stats); None = disabled.
         self.stats: EngineStats | None = None
         if _STATS_SINK is not None:
@@ -300,18 +304,19 @@ class Engine:
         Raises :class:`DeadlockError` if non-daemon processes remain
         blocked with no event that could ever wake them.
 
-        Dispatch is batched per simulated instant: the earliest pending
-        timestamp t decides the batch and advances the clock; the
-        heap's events stamped exactly t are drained first, then the
-        same-instant FIFO — the events the batch itself schedules at t
-        (zero-delay resumes, same-instant lookups), which never reach
-        the heap. That is seq order: an event scheduled at `now` during
-        the batch would draw a seq above everything already in the
-        heap, nothing can be pushed onto the heap at exactly t from
-        inside the batch (`_schedule` sends it to the FIFO), and FIFO
-        order among zero-delay events is their scheduling order. Every
-        event is removed from its queue before it runs, so an exception
-        leaving run() leaves no dispatched event behind.
+        Dispatch is batched per simulated instant. When the FIFO is
+        empty, the earliest queued instant t is popped, the clock
+        advances to t and t's list moves onto the FIFO; the FIFO is
+        then drained, including the events the batch itself schedules
+        at t (zero-delay resumes, same-instant lookups), which are
+        appended behind. That is scheduling order: t's list holds its
+        events in the order they were queued, all of them before the
+        batch began, and nothing is queued at t once the clock reads t
+        (`_schedule` sends it to the FIFO). The FIFO is non-empty only
+        at the current instant, which never has a queued list, so the
+        FIFO is the only drain loop. Every event is removed from its
+        queue before it runs, so an exception leaving run() leaves no
+        dispatched event behind.
 
         `until` is None (run to the end), a finite instant at or after
         ``now``, or ``inf``; NaN or an instant in the past is a
@@ -322,45 +327,45 @@ class Engine:
                 f"run(until={until!r}): must be at or after now ({self.clock.now!r})"
             )
         # Bind the hot callables once instead of per event.
-        heap = self._heap
+        times = self._times
+        at = self._at
         fifo = self._fifo
-        heappop = heapq.heappop
         popleft = fifo.popleft
         clock = self.clock
         stats = self.stats
-        while heap or fifo:
+        calls = None if stats is None else stats.by_callsite
+        while fifo or times:
             if self._over:
                 # Only daemon events remain; the job itself is over.
                 break
             # A non-empty FIFO here (spawns made outside run(), a run()
             # resumed after an exception) is a batch at the current time.
-            t = clock.now if fifo else heap[0][0]
-            if until is not None and t > until:
-                # The event stays queued, seq and all, for a resumed run().
-                clock.advance_to(until)
-                return
-            clock.advance_to(t)
+            if not fifo:
+                t = times[0]
+                if until is not None and t > until:
+                    # The instant stays queued, list and all, for a resumed run().
+                    clock.advance_to(until)
+                    return
+                heappop(times)
+                clock.now = t  # advance_to(t): a queued instant is later than now
+                bucket = at.pop(t)
+                self._queued -= len(bucket)
+                fifo.extend(bucket)
             if stats is not None:
                 stats.batches += 1
-                stats.peak_heap = max(stats.peak_heap, len(heap) + len(fifo))
-            while heap and heap[0][0] == t:
-                if self._over:
-                    break
-                _, _, fn, args = heappop(heap)
-                if stats is not None:
-                    stats.record(fn)
-                fn(*args)
+                stats.peak_heap = max(stats.peak_heap, self._queued + len(fifo))
             while fifo:
                 if self._over:
                     break
                 fn, args = popleft()
-                if stats is not None:
-                    stats.record(fn)
+                if calls is not None:
+                    name = fn.__qualname__  # every event is a bound method
+                    calls[name] = calls.get(name, 0) + 1
                 fn(*args)
         stuck = [p for p in self.processes if p.state == ProcessState.BLOCKED and not p.daemon]
         if stuck:
             names = ", ".join(p.name for p in stuck[:8])
-            on_store = sum(p._pending_wait is not None for p in self.processes)
+            on_store = tally(p._pending_wait is not None for p in self.processes)
             raise DeadlockError(
                 f"{len(stuck)} process(es) blocked with no pending events "
                 f"({on_store} waiting on storage): {names}"
@@ -394,7 +399,13 @@ class Engine:
                 raise SimulationError(f"cannot schedule event in the past: {at} < {now}")
             self._fifo.append((fn, args))
         else:
-            self._heappush(self._heap, (at, self._seq_next(), fn, args))
+            bucket = self._at.get(at)
+            if bucket is None:
+                self._at[at] = [(fn, args)]
+                heappush(self._times, at)
+            else:
+                bucket.append((fn, args))
+            self._queued += 1
 
     def _first_step(self, proc: Process) -> None:
         if proc.state is not _READY:
@@ -499,7 +510,13 @@ class Engine:
         # _schedule, inline: a booked op never completes before it was issued.
         args = (proc, cmd, key, value, nbytes, rest, done)
         if end > now:
-            self._heappush(self._heap, (end, self._seq_next(), self._apply_put, args))
+            bucket = self._at.get(end)
+            if bucket is None:
+                self._at[end] = [(self._apply_put, args)]
+                heappush(self._times, end)
+            else:
+                bucket.append((self._apply_put, args))
+            self._queued += 1
         else:
             self._fifo.append((self._apply_put, args))
 
@@ -559,7 +576,13 @@ class Engine:
             # _schedule(max(end, now), ...), inline.
             args = (proc, proc._wake_token, cmd, rest, done)
             if end > now:
-                self._heappush(self._heap, (end, self._seq_next(), self._next_get, args))
+                bucket = self._at.get(end)
+                if bucket is None:
+                    self._at[end] = [(self._next_get, args)]
+                    heappush(self._times, end)
+                else:
+                    bucket.append((self._next_get, args))
+                self._queued += 1
             else:
                 self._fifo.append((self._next_get, args))
 

@@ -12,6 +12,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from repro.utils.stats import fold
+
 _INF = math.inf
 
 KNOWN_CATEGORIES = (
@@ -42,7 +44,7 @@ class TimeBreakdown:
 
     @property
     def total(self) -> float:
-        return sum(self.seconds.values())
+        return fold(self.seconds.values())
 
     @property
     def communication(self) -> float:

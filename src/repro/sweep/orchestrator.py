@@ -61,6 +61,7 @@ from repro.substrate import (
 )
 from repro.sweep.artifacts import artifact_from_result, scan_artifacts, write_artifact
 from repro.sweep.grid import SweepPoint, dedupe_with_hashes
+from repro.utils.stats import tally
 
 
 @dataclass
@@ -265,19 +266,19 @@ def plan_sweep(
     coupled, replayable = _classify(points, hashes, configs, {})
     reused, usable_traces = (completed, traces) if resume else ({}, {})
     exact_tasks, stat_groups = _classify(points, hashes, configs, reused)
-    exact_needed = len(exact_tasks) + sum(
+    exact_needed = len(exact_tasks) + tally(
         1 for stat_hash in stat_groups if stat_hash not in usable_traces
     )
-    pending = len(exact_tasks) + sum(len(tasks) for tasks in stat_groups.values())
+    pending = len(exact_tasks) + tally(len(tasks) for tasks in stat_groups.values())
     return {
         "points": len(points),
         "unique_stat_fingerprints": len(
             {configs[task.index].stat_hash() for task in coupled} | set(replayable)
         ),
         "timing_coupled_points": len(coupled),
-        "artifacts_present": sum(1 for h in hashes if h in completed),
+        "artifacts_present": tally(1 for h in hashes if h in completed),
         "artifacts_corrupt": len(corrupt),
-        "traces_present": sum(1 for h in replayable if h in traces),
+        "traces_present": tally(1 for h in replayable if h in traces),
         "traces_corrupt": len(corrupt_traces),
         "pending_points": pending,
         "exact_trainings_needed": exact_needed,

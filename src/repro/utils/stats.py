@@ -1,8 +1,32 @@
-"""Small statistics helpers used by the service and serving scorecards."""
+"""The program's reductions, and the scorecards' statistics helpers."""
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+from typing import Iterable
+
 from repro.errors import SimulationError
+
+
+def fold(values: Iterable[float]) -> float:
+    """Add floats left to right from ``0``: every float total goes here.
+
+    This is exactly Python 3.11's builtin ``sum()``. From 3.12 on,
+    ``sum()`` compensates float rounding (Neumaier), so the same values
+    can total to different bits on different interpreters, and one
+    config hash would name two results. ``math.fsum`` would move every
+    recorded total; this keeps them.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def tally(counts: Iterable[int]) -> int:
+    """Add integer counts (a ``bool`` counts one): exact in any order."""
+    return reduce(add, counts, 0)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -23,8 +47,8 @@ def jain_fairness(values: list[float]) -> float:
     """Jain's fairness index: (Σx)² / (n·Σx²), in (0, 1]; 1 = equal."""
     if not values:
         raise SimulationError("fairness of an empty series")
-    square_of_sum = sum(values) ** 2
-    sum_of_squares = sum(v * v for v in values)
+    square_of_sum = fold(values) ** 2
+    sum_of_squares = fold(v * v for v in values)
     if sum_of_squares == 0.0:
         return 1.0  # all-zero allocations are (vacuously) equal
     return square_of_sum / (len(values) * sum_of_squares)

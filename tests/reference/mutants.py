@@ -47,8 +47,10 @@ MUTANTS = [
      "start = retried[0]  # the op began", "pass  # the op began"),
     ("count_waiters_woken_in_prefix_order", "storage/base.py",
      "satisfied.sort(key=lambda entry: entry[1])", "pass"),
-    ("fifo_drained_before_the_heap", "simulation/engine.py",
-     "while heap and heap[0][0] == t:", "while heap and heap[0][0] == t and not fifo:"),
+    ("instant_list_drained_reversed", "simulation/engine.py",
+     "fifo.extend(bucket)", "fifo.extend(reversed(bucket))"),
+    ("second_event_at_an_instant_starts_a_new_list", "simulation/engine.py",
+     "bucket.append((fn, args))", "self._at[at] = [(fn, args)]"),
     ("next_put_ignores_a_kill", "simulation/engine.py",
      "return  # stale, like _fire's: killed mid-sequence\n        item = next(rest, None)",
      "pass\n        item = next(rest, None)"),

@@ -8,6 +8,7 @@ needs a git checkout to search; outside one there is nothing to grep.
 
 from __future__ import annotations
 
+import ast
 import subprocess
 from pathlib import Path
 
@@ -80,6 +81,9 @@ DELETED = {
         "|ReliabilityCurv[e]|SanityRo[w]|ChannelRo[w])\\b",
         CODE,
     ),
+    # The event queue is a heap of instants and one list per instant: the
+    # heap of (time, seq, fn, args) events and its sequence counter.
+    "event heap": ("-nE", "self\\._hea[p]\\b|self\\._heappus[h]|_seq_nex[t]|\\._se[q]\\b", CODE),
     # README, the verify recipe, CI and the code state what holds now;
     # CHANGES.md is the one log of how it came to hold.
     "PR log": (
@@ -99,3 +103,16 @@ def test_nothing_names_the_deleted(deleted):
         cwd=ROOT, capture_output=True, text=True,
     )
     assert found.returncode == 1, found.stdout or found.stderr  # 1: no line matched
+
+
+def test_no_builtin_sum_in_the_program():
+    """Every reduction under src/repro is ``fold`` (floats) or ``tally``
+    (integer counts): builtin ``sum()`` over floats is compensated from
+    Python 3.12 on, so its bits depend on the interpreter."""
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id == "sum"
+    ]
+    assert not found, found

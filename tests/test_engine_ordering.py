@@ -1,12 +1,12 @@
 """Dispatch order of the engine's two queues, and the run loop's contracts.
 
-The engine keeps future events in a ``(time, seq, fn, args)`` heap and
-events scheduled at the current instant in a FIFO that never touches
-the heap. The claim is that this is *exactly* seq order: the seeded
-worlds below run on the real engine and on the reference engine
-(``tests/reference``), where every event draws a seq and rides one heap,
-and everything observable must agree — also when the real side pauses
-with ``run(until=...)`` at arbitrary instants.
+The engine keeps future events on one list per instant, beside a heap of
+the distinct instants, and events scheduled at the current instant in a
+FIFO that queues no instant. The claim is that this is *exactly* seq
+order: the seeded worlds below run on the real engine and on the
+reference engine (``tests/reference``), where every event draws a seq
+and rides one heap, and everything observable must agree — also when
+the real side pauses with ``run(until=...)`` at arbitrary instants.
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ def test_spawn_rejects_invalid_delay(delay):
 
     with pytest.raises(SimulationError, match="late: invalid delay"):
         engine.spawn(noop(), "late", delay=delay)
-    assert not engine.processes and not engine._heap and not engine._fifo
+    # Nothing is queued: no instant, no event on any list, none on the FIFO.
+    assert not engine.processes and not engine._fifo
+    assert not engine._times and not engine._at and engine._queued == 0
 
 
 def test_zero_delay_events_never_reach_the_heap():
@@ -127,7 +129,8 @@ def test_zero_delay_events_never_reach_the_heap():
     assert stats.events == 1001  # the first step + one resume per Sleep(0)
     assert stats.batches == 1
     assert stats.peak_heap == 1
-    assert next(engine._seq) == 0  # no seq was ever drawn
+    # No instant was ever queued: every event went straight to the FIFO.
+    assert not engine._times and not engine._at and engine._queued == 0
 
 
 def test_second_run_after_a_raise_redispatches_nothing():

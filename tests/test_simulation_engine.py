@@ -347,11 +347,16 @@ class TestJobEnd:
         engine, stats, log, daemons = self.job()
         engine.run()
         # At t=1 "a" ran and queued its zero-delay resume, then the worker
-        # finished: b's t=1 wake-up (heap) and a's resume (FIFO) never run.
+        # finished: b's t=1 wake-up (queued at t=0) and a's resume (queued
+        # at t=1) never run. Both stay on the FIFO, in scheduling order.
         assert log == [("a", 1.0), ("worker", 1.0)]
         assert stats.events == 5 and stats.batches == 2
         assert engine.now == 1.0
-        assert len(engine._heap) == 1 and len(engine._fifo) == 1
+        assert not engine._times and not engine._at and engine._queued == 0
+        a, b = daemons
+        assert [(fn.__qualname__, args[0]) for fn, args in engine._fifo] == [
+            ("Engine._fire", b), ("Engine._fire", a)
+        ]
         assert all(d.state is ProcessState.KILLED for d in daemons)
 
     def test_a_process_spawned_after_the_job_ended_re_arms_the_loop(self):

@@ -9,11 +9,15 @@ import pytest
 from scipy import sparse
 
 from repro.errors import SimulationError
+from repro.pricing.meter import CostMeter
+from repro.service import service_metrics
 from repro.simulation.commands import Put
 from repro.simulation.engine import Engine
+from repro.simulation.tracing import TimeBreakdown
 from repro.storage.services import S3Store
 from repro.utils.rng import make_rng, spawn
 from repro.utils.serialization import SizedPayload
+from repro.utils.stats import fold, jain_fairness, tally
 
 
 class TestRng:
@@ -123,3 +127,38 @@ class TestPayloadSizing:
         arr = np.zeros(2)
         assert SizedPayload(arr, 10).value is arr
         refused_put(arr)
+
+
+class TestFold:
+    """Every float total is one left-to-right add from 0 (Python 3.11's
+    ``sum()``), on any interpreter. From 3.12 builtin ``sum()`` is
+    compensated and gives 1.0 and 1.0000000000000002 below, so these
+    fail on a 3.12+ interpreter if a total goes back to it."""
+
+    def test_adversarial_vector(self):
+        assert fold([1e16, 1.0, -1e16]) == 0.0
+        assert fold([0.1] * 10) == 0.9999999999999999
+        assert fold([]) == 0 and tally([]) == 0
+
+    def test_the_totals_fold(self):
+        meter, breakdown = CostMeter(), TimeBreakdown()
+        for component, dollars in (("a", 1.0), ("b", 1e-16), ("c", 1e-16)):
+            meter.add(component, dollars)
+            breakdown.add(component, dollars)
+        assert meter.total == 1.0 and breakdown.total == 1.0
+        # 3.12's compensated sum() gives 0.3333333466666668 here.
+        assert jain_fairness([1.0, 1e-8, 1e-8]) == 0.33333334666666675
+
+    def test_service_scorecard_folds(self):
+        records = [
+            dict(tenant="t", completion_s=c, completed_s=c, queue_s=c, slowdown=1.0 + c,
+                 cost_dollars=c, converged=True)
+            for c in (1.0, 1e-16, 1e-16)
+        ]
+        card = service_metrics(records)
+        assert card["total_cost"] == 1.0 and card["mean_queue_s"] == 1.0 / 3
+        assert card["converged_jobs"] == 3
+
+    def test_tally_counts_flags_and_ints(self):
+        assert tally([True, False, True]) == 2
+        assert tally(len(s) for s in ("ab", "", "c")) == 3
