@@ -18,8 +18,7 @@ seeded simulation, which is what keeps serving reports byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -27,9 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.config import ServingConfig
 
 
-@dataclass(frozen=True)
-class PoolState:
-    """What a policy may base its decision on."""
+class PoolState(NamedTuple):
+    """What a policy may base its decision on.
+
+    A tuple, built positionally once per pump: a frozen dataclass pays
+    an ``object.__setattr__`` per field on every construction.
+    """
 
     queued: int  # requests waiting for a replica
     in_flight: int  # requests currently being served

@@ -163,11 +163,9 @@ class ServingRuntime:
             self._live_count -= 1
 
     def _state(self) -> PoolState:
+        # queued, in_flight, live, idle
         return PoolState(
-            queued=len(self._queue),
-            in_flight=self._busy_count,
-            live=self._live_count,
-            idle=len(self._idle_index),
+            len(self._queue), self._busy_count, self._live_count, len(self._idle_index)
         )
 
     # -- provisioning --------------------------------------------------

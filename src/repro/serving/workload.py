@@ -40,20 +40,21 @@ def _diurnal_advance(
 ) -> float:
     """Next arrival instant after `t` for the sinusoid-modulated rate."""
     two_pi = 2.0 * math.pi
-    # Only what is bit-safe is hoisted: `amplitude * period / two_pi` is
-    # left-associated and constant, while `two_pi * x / period` must stay
-    # spelled as is (`x * (two_pi / period)` rounds differently).
+    cos = math.cos
+    # Λ(x) = ∫₀ˣ rate·(1 + A·sin(2πs/P)) ds, increasing since A < 1, is
+    # spelled out at each of its three sites below: the bisection
+    # evaluates it ~46 times per arrival, and a helper call per step
+    # costs more than the expression. Keep the three spellings equal and
+    # their operands in this order. Only what is bit-safe is hoisted:
+    # `amplitude * period / two_pi` is left-associated and constant,
+    # while `two_pi * x / period` must stay spelled as is
+    # (`x * (two_pi / period)` rounds differently).
     scale = amplitude * period / two_pi
-
-    def integrated(x: float) -> float:
-        # Λ(x) = ∫₀ˣ rate·(1 + A·sin(2πs/P)) ds, increasing since A < 1.
-        return rate * (x + scale * (1.0 - math.cos(two_pi * x / period)))
-
-    target = integrated(t) + increment
+    target = rate * (t + scale * (1.0 - cos(two_pi * t / period))) + increment
     lo = t
     # λ(t) >= rate·(1 - A) bounds how far the next arrival can be.
     hi = t + increment / (rate * (1.0 - amplitude)) + 1e-12
-    while integrated(hi) < target:  # pragma: no cover - defensive
+    while rate * (hi + scale * (1.0 - cos(two_pi * hi / period))) < target:  # pragma: no cover
         hi += hi - t
     # Bisect until the interval cannot shrink: deterministic and exact
     # to float resolution, no tolerance constant to tune.
@@ -61,7 +62,7 @@ def _diurnal_advance(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return hi
-        if integrated(mid) < target:
+        if rate * (mid + scale * (1.0 - cos(two_pi * mid / period))) < target:
             lo = mid
         else:
             hi = mid

@@ -10,7 +10,6 @@ time breakdown (startup / load / compute / communication / wait) that
 backs Figure 10 of the paper.
 """
 
-from repro.simulation.clock import SimClock
 from repro.simulation.commands import (
     Collective,
     Compute,
@@ -26,7 +25,6 @@ from repro.simulation.resources import ServiceQueue
 from repro.simulation.tracing import TimeBreakdown
 
 __all__ = [
-    "SimClock",
     "Engine",
     "Process",
     "ProcessState",

@@ -64,6 +64,15 @@ bench_engine_microbench.py``):
   issue the next item or, after the last, resume. A single Put/Get has
   ``rest`` / ``done`` None.
 
+Clock and process lifetime: the clock is ``Engine.now``, a plain float
+attribute that only the run loop stores into (each popped instant, or
+``until``), so a read costs no call. The engine holds live processes
+only: ``_alive`` is an insertion-ordered dict that ``spawn`` inserts
+into and ``_retire`` deletes from, so a finished process nothing else
+holds (a caller's handle, a ``Join``) is freed by refcount at once,
+and the deadlock report and the daemon sweep walk live processes in
+spawn order.
+
 Profiling: :meth:`Engine.enable_stats` attaches an
 :class:`EngineStats` that counts dispatched events per callsite (the
 dispatched method's ``__qualname__``), batches and peak pending events
@@ -102,7 +111,6 @@ from repro.errors import (
     SimulationError,
     TransientStorageError,
 )
-from repro.simulation.clock import SimClock
 from repro.simulation.commands import (
     Collective,
     Compute,
@@ -241,8 +249,8 @@ class Engine:
     """Deterministic discrete-event scheduler."""
 
     def __init__(self) -> None:
-        self.clock = SimClock()
-        self.processes: list[Process] = []
+        self.now = 0.0  # the simulated clock (s): only run() stores into it
+        self._alive: dict[Process, None] = {}  # live processes, in spawn order
         # The future: a heap of the distinct queued instants, and each
         # instant's events in scheduling order. Every queued instant is
         # later than now, and is on the heap iff it has a list. `_queued`
@@ -270,10 +278,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
     def spawn(
         self,
         generator: ProcessGenerator,
@@ -285,7 +289,7 @@ class Engine:
         if delay < 0 or not math.isfinite(delay):
             raise SimulationError(f"{name}: invalid delay {delay!r}")
         proc = Process(generator, name, daemon=daemon)
-        self.processes.append(proc)
+        self._alive[proc] = None
         if not daemon:
             self._nondaemon_alive += 1
             self._over = False  # a process spawned after the job ended re-arms the loop
@@ -322,16 +326,15 @@ class Engine:
         ``now``, or ``inf``; NaN or an instant in the past is a
         :class:`SimulationError` before anything is dispatched.
         """
-        if until is not None and not until >= self.clock.now:  # also rejects NaN
+        if until is not None and not until >= self.now:  # also rejects NaN
             raise SimulationError(
-                f"run(until={until!r}): must be at or after now ({self.clock.now!r})"
+                f"run(until={until!r}): must be at or after now ({self.now!r})"
             )
         # Bind the hot callables once instead of per event.
         times = self._times
         at = self._at
         fifo = self._fifo
         popleft = fifo.popleft
-        clock = self.clock
         stats = self.stats
         calls = None if stats is None else stats.by_callsite
         while fifo or times:
@@ -344,10 +347,11 @@ class Engine:
                 t = times[0]
                 if until is not None and t > until:
                     # The instant stays queued, list and all, for a resumed run().
-                    clock.advance_to(until)
+                    # `until` is at or after now, checked on entry.
+                    self.now = until
                     return
                 heappop(times)
-                clock.now = t  # advance_to(t): a queued instant is later than now
+                self.now = t  # a queued instant is later than now
                 bucket = at.pop(t)
                 self._queued -= len(bucket)
                 fifo.extend(bucket)
@@ -362,17 +366,19 @@ class Engine:
                     name = fn.__qualname__  # every event is a bound method
                     calls[name] = calls.get(name, 0) + 1
                 fn(*args)
-        stuck = [p for p in self.processes if p.state == ProcessState.BLOCKED and not p.daemon]
+        alive = self._alive
+        stuck = [p for p in alive if p.state is _BLOCKED and not p.daemon]
         if stuck:
             names = ", ".join(p.name for p in stuck[:8])
-            on_store = tally(p._pending_wait is not None for p in self.processes)
+            # Only a live process holds a storage wait: kill clears it.
+            on_store = tally(p._pending_wait is not None for p in alive)
             raise DeadlockError(
                 f"{len(stuck)} process(es) blocked with no pending events "
                 f"({on_store} waiting on storage): {names}"
             )
-        for proc in self.processes:
-            if proc.daemon and proc.alive:
-                self.kill(proc)
+        # Over a snapshot: kill retires, which deletes from `_alive`.
+        for proc in [p for p in alive if p.daemon]:
+            self.kill(proc)
 
     def kill(self, proc: Process) -> None:
         """Terminate a process immediately (fault injection, daemons)."""
@@ -393,7 +399,7 @@ class Engine:
     # Scheduling internals
     # ------------------------------------------------------------------
     def _schedule(self, at: float, fn: Callable[..., None], *args: Any) -> None:
-        now = self.clock.now
+        now = self.now
         if at <= now:
             if at < now - 1e-12:
                 raise SimulationError(f"cannot schedule event in the past: {at} < {now}")
@@ -459,6 +465,7 @@ class Engine:
 
     def _retire(self, proc: Process) -> None:
         """Account one alive->terminal transition (DONE/FAILED/KILLED)."""
+        del self._alive[proc]
         if not proc.daemon:
             self._nondaemon_alive -= 1
             self._over = not self._nondaemon_alive
@@ -485,7 +492,7 @@ class Engine:
                 f"{proc.name}: invalid duration {command.duration!r}"
             )
         proc.trace.add(command.category, command.duration)
-        self._resume_later(proc, self.clock.now + command.duration)
+        self._resume_later(proc, self.now + command.duration)
 
     # -- storage ---------------------------------------------------------
     def _dispatch_put(self, proc: Process, cmd: Put) -> None:
@@ -501,7 +508,7 @@ class Engine:
                 f"send SizedPayload(value, nbytes), got {type(value).__name__}"
             )
         nbytes = value.nbytes
-        now = self.clock.now
+        now = self.now
         try:
             end = cmd.store.book("put", nbytes, now, proc.trace, cmd.category)
         except TransientStorageError as exc:
@@ -521,7 +528,7 @@ class Engine:
             self._fifo.append((self._apply_put, args))
 
     def _apply_put(self, proc: Process, cmd, key: str, value: Any, nbytes: int, rest, done):
-        now = self.clock.now
+        now = self.now
         for wake in cmd.store._do_put(key, value):
             wake(now)
         if done is None:
@@ -547,7 +554,7 @@ class Engine:
         # then the transfer of the actual object found at completion. The
         # lookup is a same-instant event of its own: it sees every write
         # already queued for this instant.
-        self._fifo.append((self._apply_get, (proc, cmd, cmd.key, self.clock.now, None, None)))
+        self._fifo.append((self._apply_get, (proc, cmd, cmd.key, self.now, None, None)))
 
     def _dispatch_get_each(self, proc: Process, cmd: GetEach) -> None:
         self._next_get(proc, proc._wake_token, cmd, iter(cmd.keys), [])
@@ -568,7 +575,7 @@ class Engine:
         except TransientStorageError as exc:
             self._resume_later(proc, exc.failed_at, throw=exc)
             return
-        now = self.clock.now
+        now = self.now
         if done is None:
             self._resume_later(proc, max(end, now), value=value)
         else:
@@ -591,14 +598,14 @@ class Engine:
             return  # stale, like _fire's: killed mid-sequence
         key = next(rest, None)
         if key is not None:
-            self._fifo.append((self._apply_get, (proc, cmd, key, self.clock.now, rest, done)))
+            self._fifo.append((self._apply_get, (proc, cmd, key, self.now, rest, done)))
         elif done:
             self._step(proc, done)
         else:
             raise SimulationError(f"{proc.name}: empty GetEach")
 
     def _dispatch_list(self, proc: Process, cmd: ListKeys) -> None:
-        end = cmd.store.book("list", 0, self.clock.now, proc.trace, cmd.category)
+        end = cmd.store.book("list", 0, self.now, proc.trace, cmd.category)
         self._schedule(end, self._apply_list, proc, cmd)
 
     def _apply_list(self, proc: Process, cmd: ListKeys) -> None:

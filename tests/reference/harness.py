@@ -405,11 +405,14 @@ class Side:
         for s, key, nbytes in world.seeds:
             self.stores[s].seed_object(key, _payload(key, nbytes))
         self.group = CollectiveGroup("g", world.group, _collective_seconds)
+        # Every process either engine runs is spawned here, in this order:
+        # `spawned` is what `observe` reads.
         self.procs = {}
         for spec in world.procs:
             self.procs[spec.name] = self.engine.spawn(self.script(spec), spec.name, spec.delay)
+        self.spawned = list(self.procs.values())
         if world.kill:
-            self.engine.spawn(self.reaper(*world.kill), "reaper", daemon=True)
+            self.spawned.append(self.engine.spawn(self.reaper(*world.kill), "reaper", daemon=True))
 
     def note(self, name: str, op: str, outcome) -> None:
         self.log.append((name, self.engine.now.hex(), op, outcome))
@@ -526,7 +529,7 @@ class Side:
             (p.name, p.state if ref else p.state.value, canon(p.result), describe(p.exception),
              canon(p.started_at), canon(p.finished_at),
              {k: v.hex() for k, v in sorted((p.trace if ref else p.trace.seconds).items()) if v})
-            for p in self.engine.processes
+            for p in self.spawned
         ]
         stores = [
             ({key: canon(v) for key, v in sorted((s.objects if ref else s._objects).items())},

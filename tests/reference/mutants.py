@@ -17,7 +17,12 @@ Left out as equivalent (no run can tell them apart):
   its issue instant, so a booked get never completes before ``now``;
 * ``n <= size`` -> ``n < size`` in ``ObjectStore._do_delete_prefix``: the
   prefix's own length then takes the per-key path, which moves that
-  counter by the same amount.
+  counter by the same amount;
+* ``del self._alive[proc]`` dropped from ``Engine._retire``: a finished
+  process then stays registered, which costs only memory — it is never
+  blocked, so no deadlock report or daemon sweep sees it.
+  ``tests/test_simulation_engine.py::TestProcessLifetime`` guards it by
+  watching a finished process's weakref.
 """
 
 from __future__ import annotations

@@ -84,6 +84,13 @@ DELETED = {
     # The event queue is a heap of instants and one list per instant: the
     # heap of (time, seq, fn, args) events and its sequence counter.
     "event heap": ("-nE", "self\\._hea[p]\\b|self\\._heappus[h]|_seq_nex[t]|\\._se[q]\\b", CODE),
+    # The engine's `now` is the clock, and it holds live processes only:
+    # the clock class, its module and the all-time process list.
+    "process registry": (
+        "-nE",
+        "SimCloc[k]|simulation[/.]cloc[k]\\b|self\\.cloc[k]\\b|self\\.processe[s]\\b",
+        ("src/repro",),
+    ),
     # README, the verify recipe, CI and the code state what holds now;
     # CHANGES.md is the one log of how it came to hold.
     "PR log": (

@@ -11,7 +11,10 @@ run's simulated duration and dollars:
 * AllReduce at W=64 (O(W) keys, leader fan-in);
 * one sweep point with crashes and transient storage errors (the fault
   plane's monitors are daemons);
-* one FaaS bursty serving cell and one always-on IaaS cell;
+* one FaaS bursty serving cell and one always-on IaaS cell, and two
+  FaaS diurnal cells, one per scaler that reads the pool's state
+  (``concurrency``, ``queue_depth``): the diurnal inversion and the
+  autoscalers' decisions, pinned at engine level;
 * a two-class service panel (isolated baselines, then one shared engine).
 
 A change to the event queue must leave every number here unchanged: the
@@ -111,6 +114,14 @@ def serving_iaas_poisson():
     return _serving("iaas", "poisson", "fixed", 4)
 
 
+def serving_faas_diurnal_concurrency():
+    return _serving("faas", "diurnal", "concurrency", 1)
+
+
+def serving_faas_diurnal_queue_depth():
+    return _serving("faas", "diurnal", "queue_depth", 1)
+
+
 def service_two_classes():
     arrivals = poisson_arrivals(20210620, 3600.0, 6)
     requests = [
@@ -132,6 +143,8 @@ REGIMES = {
     "serving_faas_bursty": serving_faas_bursty,
     "serving_iaas_poisson": serving_iaas_poisson,
     "service_two_classes": service_two_classes,
+    "serving_faas_diurnal_concurrency": serving_faas_diurnal_concurrency,
+    "serving_faas_diurnal_queue_depth": serving_faas_diurnal_queue_depth,
 }
 
 

@@ -111,8 +111,8 @@ def test_spawn_rejects_invalid_delay(delay):
 
     with pytest.raises(SimulationError, match="late: invalid delay"):
         engine.spawn(noop(), "late", delay=delay)
-    # Nothing is queued: no instant, no event on any list, none on the FIFO.
-    assert not engine.processes and not engine._fifo
+    # Nothing is alive or queued: no instant, no event on any list, none on the FIFO.
+    assert not engine._alive and not engine._fifo
     assert not engine._times and not engine._at and engine._queued == 0
 
 

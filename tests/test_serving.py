@@ -57,6 +57,16 @@ PINNED_TRACE_DIGESTS = {
     "bursty": "d305a4b5cab02ffee492d0579e319e68e9a3b710766a8026112f2177489a505d",
 }
 
+#: The same digest for the ledger's own traffic: ServingConfig(traffic=shape,
+#: rate_rps=200.0, requests=4000, seed=20210620), plus one diurnal trace
+#: whose trough rate is 1 % of the mean (`diurnal_amplitude=0.99`).
+PINNED_LEDGER_TRACE_DIGESTS = {
+    ("poisson", 0.8): "d81bf23bbc5a6afb40442368ef93156ef947ed8011f611f9b2b31a5f5d74f609",
+    ("diurnal", 0.8): "f6f443d8eb6150f1759fe09159f092b68a3a3b8a42fc32fd0d0154c5250b7665",
+    ("bursty", 0.8): "d5d8dd69c6feffec6ea042c83d885b8411b958eb78d5f7f0bf4be218961297e6",
+    ("diurnal", 0.99): "b481a7c443e9a873cc7d3265301c6dd6e3d6df39244ef0d2478e06499ca34237",
+}
+
 
 def nn_entry(**overrides) -> ServedModel:
     """A 12 MB MobileNet entry without paying for a training run."""
@@ -160,6 +170,15 @@ class TestTraffic:
         for shape, pinned in PINNED_TRACE_DIGESTS.items():
             config = ServingConfig(traffic=shape, rate_rps=35.0, requests=700)
             assert _digest(traffic_trace(config)) == pinned, shape
+
+    @pytest.mark.parametrize("shape,amplitude", sorted(PINNED_LEDGER_TRACE_DIGESTS))
+    def test_ledger_trace_json_bytes_are_pinned(self, shape, amplitude):
+        config = ServingConfig(
+            traffic=shape, rate_rps=200.0, requests=4000, seed=20210620,
+            diurnal_amplitude=amplitude,
+        )
+        pinned = PINNED_LEDGER_TRACE_DIGESTS[shape, amplitude]
+        assert _digest(traffic_trace(config)) == pinned
 
 
 class TestServingConfig:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import DeadlockError, KeyNotFoundError, SimulationError
@@ -386,3 +389,55 @@ class TestJobEnd:
         engine.run(until=6.0)
         assert engine.now == 1.0 and stats.events == 5
         assert log == [("a", 1.0), ("worker", 1.0)]
+
+
+class TestProcessLifetime:
+    """The engine holds live processes only."""
+
+    def test_a_finished_process_is_freed_while_the_run_continues(self):
+        engine, seen = Engine(), []
+
+        def short():
+            yield Sleep(1.0)
+
+        ref = weakref.ref(engine.spawn(short(), "short"))
+
+        def longer():
+            yield Sleep(2.0)
+            seen.append(ref() is None)
+
+        engine.spawn(longer(), "longer")
+        enabled = gc.isenabled()
+        gc.disable()  # refcount alone must free it, not a collection
+        try:
+            engine.run()
+        finally:
+            if enabled:
+                gc.enable()
+        assert seen == [True]
+
+    def test_a_deadlock_after_some_finished_names_only_the_blocked(self, s3):
+        engine = Engine()
+
+        def done(delay):
+            yield Sleep(delay)
+
+        def waits(prefix):
+            yield WaitKeyCount(s3, prefix, 1, poll_interval=0.1)
+
+        engine.spawn(done(1.0), "done-1")
+        stuck_b = engine.spawn(waits("b/"), "stuck-b")
+        engine.spawn(done(2.0), "done-2")
+        engine.spawn(waits("a/"), "stuck-a")
+
+        def joiner():
+            yield Join(stuck_b)
+
+        engine.spawn(joiner(), "joiner")
+        engine.spawn(waits("d/"), "daemon", daemon=True)
+        with pytest.raises(DeadlockError) as raised:
+            engine.run()
+        assert str(raised.value) == (
+            "3 process(es) blocked with no pending events "
+            "(3 waiting on storage): stuck-b, stuck-a, joiner"
+        )
