@@ -102,6 +102,17 @@ class RetentionWindow:
         return removed
 
 
+@lru_cache(maxsize=64)
+def _rank_labels(workers: int) -> tuple[str, ...]:
+    """Zero-padded rank labels, built once per worker count.
+
+    ScatterReduce reuses each label w-1 times per worker per round, and the
+    AllReduce leader all w of them; formatting them once keeps string work
+    off the hot path of large rounds.
+    """
+    return tuple(f"{peer:05d}" for peer in range(workers))
+
+
 def allreduce(
     store: ObjectStore,
     rank: int,
@@ -114,11 +125,12 @@ def allreduce(
     prefix = f"ar/{round_id}/part_"
     merged_key = f"ar/{round_id}/merged"
     payload = SizedPayload(None, logical_nbytes)
-    yield Put(store, f"{prefix}{rank:05d}", payload)
+    labels = _rank_labels(workers)
+    yield Put(store, prefix + labels[rank], payload)
 
     if rank == 0:
         yield WaitKeyCount(store, prefix, workers, poll_interval, category="merge")
-        yield GetEach(store, (f"{prefix}{peer:05d}" for peer in range(workers)))
+        yield GetEach(store, (prefix + label for label in labels))
         yield Compute(_merge_seconds(logical_nbytes * workers), category="merge")
         yield Put(store, merged_key, payload)
         store.discard_prefix(prefix)
@@ -132,16 +144,6 @@ def allreduce(
     yield WaitKeyCount(store, merged_key, 1, poll_interval)
     yield Get(store, merged_key)
     store.discard_after_read((merged_key,))
-
-
-@lru_cache(maxsize=64)
-def _rank_labels(workers: int) -> tuple[str, ...]:
-    """Zero-padded rank labels, built once per worker count.
-
-    Each label is reused w-1 times per worker per round; formatting them
-    once keeps string work off the w^2-put hot path of large rounds.
-    """
-    return tuple(f"{peer:05d}" for peer in range(workers))
 
 
 def scatter_reduce(

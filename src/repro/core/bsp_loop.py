@@ -23,12 +23,27 @@ The loss exchange costs one extra metadata-sized round per epoch
 between reaching the threshold and stopping — important for ADMM,
 whose rounds span ten epochs.
 
-Fault recovery enters through two seams. The ``pre_round`` hook runs
-at every round boundary with the loop's full :class:`RoundState` —
-atomically with the loss record that may precede the boundary, since
-no command is yielded in between — which is where the FaaS executor
-persists its recovery checkpoint. A respawned incarnation then passes
-that state back via ``resume``: the loop skips the baseline
+A rank's round structure is constant: every BSP view answers
+``round_work()``, ``eval_work()`` and ``epochs_per_round`` with one
+value per rank — a replay view reads the one its trace record holds, and
+every :class:`~repro.optim.base.DistributedAlgorithm` derives them from
+its shard and config, never from its training state
+(``tests/test_lockstep.py`` checks both after rounds have run). So the
+loop reads the rank's round and evaluation seconds, its wire bytes and
+its epochs per round once per worker incarnation, before its first
+round, and each round then costs only the commands it yields.
+
+Fault recovery enters through two seams. The ``pre_round`` hook is
+called at every round boundary with the loop's position — epoch,
+rounds, evaluations read and last global loss, the fields of
+:class:`RoundState` — atomically with the loss record that may precede
+the boundary, since no command is yielded in between. It is a plain
+call: it returns ``None`` when the boundary has no I/O to do, or a
+generator that the loop runs to completion before the round starts;
+it may raise. The FaaS executor returns one when its recovery
+checkpoint or a Figure-5 re-invocation is due, and builds the
+:class:`RoundState` it persists only then. A respawned incarnation then
+passes that state back via ``resume``: the loop skips the baseline
 evaluation (its record survived the crash) and continues from the
 checkpointed round and evaluation index, so the re-executed rounds
 read exactly the statistics the dead incarnation read — the view is
@@ -78,9 +93,11 @@ class RoundState:
 # An exchange callback receives (round_id, logical_nbytes) and returns a
 # generator yielding the round's simulation commands.
 ExchangeFn = Callable[[str, int], Generator]
-# Optional hook run before each round with the loop's RoundState (FaaS
-# uses it for the Figure-5 lifetime check and recovery checkpoints).
-PreRoundHook = Callable[[RoundState], Generator]
+# Optional hook called before each round with the RoundState fields
+# (epoch_float, rounds, evaluations, global_loss); it returns None or
+# a generator of the boundary's I/O (FaaS: recovery checkpoints and the
+# Figure-5 lifetime check).
+PreRoundHook = Callable[[float, int, int, float], "Generator | None"]
 
 
 def bsp_rounds(
@@ -91,12 +108,17 @@ def bsp_rounds(
     resume: RoundState | None = None,
 ):
     """Generator running BSP rounds to convergence; returns WorkerOutcome."""
-    cfg = ctx.config
     algo = ctx.stats(rank)  # substrate view over the run's trace
+    # Constant per rank (module docstring): read once per incarnation.
+    max_epochs = ctx.config.max_epochs
+    round_s = ctx.round_seconds(rank)
+    eval_s = ctx.eval_seconds(rank)
+    wire_bytes = ctx.wire_bytes
+    epochs_per_round = algo.epochs_per_round
 
     if resume is None:
         # Baseline evaluation (loss at initialisation).
-        yield Compute(ctx.eval_seconds(rank), "compute")
+        yield Compute(eval_s, "compute")
         global_loss = algo.local_loss(0)
         ctx.record(rank, 0.0, global_loss)
         epoch_float, rounds, evaluations = 0.0, 0, 1
@@ -106,22 +128,22 @@ def bsp_rounds(
         epoch_float, rounds = resume.epoch_float, resume.rounds
         evaluations, global_loss = resume.evaluations, resume.global_loss
 
-    while epoch_float < cfg.max_epochs:
+    while epoch_float < max_epochs:
         if pre_round is not None:
-            yield from pre_round(
-                RoundState(epoch_float, rounds, evaluations, global_loss)
-            )
+            boundary_io = pre_round(epoch_float, rounds, evaluations, global_loss)
+            if boundary_io is not None:
+                yield from boundary_io
 
-        yield Compute(ctx.round_seconds(rank), "compute")
-        yield from exchange(f"{rounds:08d}", ctx.wire_bytes)
+        yield Compute(round_s, "compute")
+        yield from exchange(f"{rounds:08d}", wire_bytes)
 
-        next_epoch = epoch_float + algo.epochs_per_round
+        next_epoch = epoch_float + epochs_per_round
         crossing = crosses_epoch(epoch_float, next_epoch)
         rounds += 1
         epoch_float = next_epoch
 
         if crossing:
-            yield Compute(ctx.eval_seconds(rank), "compute")
+            yield Compute(eval_s, "compute")
             local_loss = algo.local_loss(evaluations)
             yield from exchange(f"{rounds:08d}-loss", LOSS_WIRE_BYTES)
             global_loss = algo.global_loss(evaluations)

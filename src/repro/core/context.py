@@ -15,9 +15,10 @@ context helpers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -266,17 +267,14 @@ class JobContext:
             return self.info.k * (self.spec.n_features + 1) * 8
         return self.info.param_bytes
 
-    def exchange(self, rank: int, round_id: str, nbytes: int) -> Iterator:
-        """Generator: one synchronous FaaS exchange of `nbytes` via the channel."""
+    def bind_exchange(self, rank: int) -> Callable[[str, int], Iterator]:
+        """`rank`'s FaaS exchange, bound once: ``(round_id, nbytes)`` -> the
+        channel pattern's generator for one synchronous round."""
         if self.channel is None:
             raise ConfigurationError("FaaS exchange requires a channel")
         pattern = allreduce if self.config.pattern == "allreduce" else scatter_reduce
-        return pattern(
-            self.channel.store,
-            rank,
-            self.config.workers,
-            round_id,
-            nbytes,
+        return functools.partial(
+            pattern, self.channel.store, rank, self.config.workers,
             poll_interval=self.config.poll_interval_s,
         )
 

@@ -23,7 +23,6 @@ iteration with no coordination, decaying the learning rate 1/sqrt(T).
 
 from __future__ import annotations
 
-import functools
 import math
 
 from repro.comm.protocols import (
@@ -37,7 +36,7 @@ from repro.core.context import JobContext, WorkerOutcome
 from repro.errors import FunctionTimeoutError, TransientStorageError
 from repro.faas.checkpoint import checkpoint_bytes, checkpoint_key
 from repro.faas.runtime import REINVOKE_OVERHEAD_S, FunctionLifetime
-from repro.faults.injector import WorkerResume
+from repro.faults.injector import FaultInjector, WorkerResume
 from repro.simulation.commands import Compute, Get, Put, Sleep
 from repro.utils.serialization import SizedPayload
 
@@ -69,32 +68,12 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
             yield Get(ctx.data_store, checkpoint_key(rank), category="checkpoint")
             round_state = resume.round_state
 
-        def pre_round(state: RoundState):
-            """Round-boundary bookkeeping: recovery checkpoint + Figure 5."""
-            if injector is not None and injector.should_checkpoint(rank, state.rounds):
-                # Persist a recovery checkpoint *before* the round so a
-                # crash anywhere inside it resumes from this boundary. The
-                # state is saved only after the Put completes: a
-                # checkpoint is recoverable once durable, not before.
-                yield from write_checkpoint(ctx, rank)
-                ctx.checkpoint_count += 1
-                injector.save_recovery(rank, state)
-            round_estimate = ctx.round_seconds(rank)
-            if round_estimate > ctx.limits.lifetime_s - ctx.limits.checkpoint_margin_s:
-                raise FunctionTimeoutError(
-                    f"a single round needs {round_estimate:.0f}s, which cannot fit in "
-                    f"one {ctx.limits.lifetime_s:.0f}s function lifetime "
-                    "(the paper's unsupported >15-minute-iteration case)"
-                )
-            if lifetime.needs_checkpoint(ctx.engine.now, round_estimate):
-                yield from checkpoint_and_reinvoke(ctx, rank)
-                lifetime.reincarnate(ctx.engine.now)
-
-        # ctx.exchange returns the pattern's generator itself, so a resume
-        # walks worker -> bsp_rounds -> pattern, with no pass-through frame.
+        # The exchange is bound once: its pattern generator is the round's
+        # frame, so a resume walks worker -> bsp_rounds -> pattern, with no
+        # pass-through frame.
         outcome = yield from bsp_rounds(
-            ctx, rank, functools.partial(ctx.exchange, rank),
-            pre_round=pre_round, resume=round_state,
+            ctx, rank, ctx.bind_exchange(rank),
+            pre_round=RoundBoundary(ctx, rank, injector, lifetime).at, resume=round_state,
         )
     except TransientStorageError:
         if injector is None or not injector.crashes_enabled:
@@ -107,6 +86,64 @@ def faas_bsp_worker(ctx: JobContext, rank: int, resume: WorkerResume | None = No
         injector.recover_from_storage_exhaustion(rank)
         return None
     return outcome
+
+
+class RoundBoundary:
+    """One incarnation's round-boundary hook: recovery checkpoint + Figure 5.
+
+    The Figure-5 estimate of a round, and whether a round fits in one
+    function lifetime at all, are constant per incarnation and computed
+    here once. :meth:`at` is the loop's plain ``pre_round`` call (see
+    :mod:`repro.core.bsp_loop`): it returns a generator only when the
+    boundary has I/O to do. Either way the order is the recovery
+    checkpoint, then the fit check, then the lifetime check, each at the
+    instant the previous one ends.
+    """
+
+    __slots__ = ("ctx", "rank", "injector", "lifetime", "estimate", "fits")
+
+    def __init__(
+        self, ctx: JobContext, rank: int, injector: FaultInjector | None,
+        lifetime: FunctionLifetime,
+    ) -> None:
+        self.ctx, self.rank, self.injector, self.lifetime = ctx, rank, injector, lifetime
+        self.estimate = ctx.round_seconds(rank)
+        self.fits = self.estimate <= ctx.limits.lifetime_s - ctx.limits.checkpoint_margin_s
+
+    def at(self, epoch_float: float, rounds: int, evaluations: int, global_loss: float):
+        injector = self.injector
+        if injector is not None and injector.should_checkpoint(self.rank, rounds):
+            state = RoundState(epoch_float, rounds, evaluations, global_loss)
+            return self._recover_then_check(state)
+        return self._check()
+
+    def _check(self):
+        """Raise if no round fits; the re-invocation generator if one is due."""
+        if not self.fits:
+            raise FunctionTimeoutError(
+                f"a single round needs {self.estimate:.0f}s, which cannot fit in "
+                f"one {self.ctx.limits.lifetime_s:.0f}s function lifetime "
+                "(the paper's unsupported >15-minute-iteration case)"
+            )
+        if self.lifetime.needs_checkpoint(self.ctx.engine.now, self.estimate):
+            return self._reinvoke()
+        return None
+
+    def _recover_then_check(self, state: RoundState):
+        # Persist a recovery checkpoint *before* the round so a crash
+        # anywhere inside it resumes from this boundary. The state is
+        # saved only after the Put completes: a checkpoint is
+        # recoverable once durable, not before.
+        yield from write_checkpoint(self.ctx, self.rank)
+        self.ctx.checkpoint_count += 1
+        self.injector.save_recovery(self.rank, state)
+        reinvocation = self._check()
+        if reinvocation is not None:
+            yield from reinvocation
+
+    def _reinvoke(self):
+        yield from checkpoint_and_reinvoke(self.ctx, self.rank)
+        self.lifetime.reincarnate(self.ctx.engine.now)
 
 
 def write_checkpoint(ctx: JobContext, rank: int):

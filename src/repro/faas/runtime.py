@@ -47,6 +47,8 @@ def faas_startup_seconds(workers: int) -> float:
 class FunctionLifetime:
     """Tracks one worker's current function instance against the timeout."""
 
+    __slots__ = ("limits", "started_at", "incarnations")  # one per rank
+
     def __init__(self, limits: LambdaLimits, started_at: float) -> None:
         self.limits = limits
         self.started_at = started_at

@@ -92,9 +92,9 @@ class TestBSPLoop:
         ctx = _context(loss_threshold=None, max_epochs=2)
         calls = []
 
-        def pre_round(state):
-            calls.append((state.epoch_float, state.rounds))
-            yield Sleep(0.0)
+        def pre_round(epoch_float, rounds, evaluations, global_loss):
+            calls.append((epoch_float, rounds))
+            return None  # no I/O at this boundary: the round starts at once
 
         exchange = _barrier(ctx.config.workers)
         procs = [
@@ -105,3 +105,28 @@ class TestBSPLoop:
         ]
         ctx.engine.run()
         assert len(calls) == 2 * ctx.config.workers  # one per round per worker
+        assert sorted(set(calls)) == [(0.0, 0), (1.0, 1)]
+        assert all(p.result.rounds == 2 for p in procs)
+
+    def test_pre_round_io_runs_before_the_round(self):
+        """A hook's generator is the boundary's I/O: the round's compute
+        starts only when it ends, and a plain ``None`` costs no time."""
+        quiet = _context(loss_threshold=None, max_epochs=2)
+        busy = _context(loss_threshold=None, max_epochs=2)
+
+        def boundary_io():
+            yield Sleep(5.0, "checkpoint")
+
+        def pre_round(epoch_float, rounds, evaluations, global_loss):
+            return boundary_io() if rounds == 1 else None
+
+        finished = []
+        for ctx, hook in ((quiet, None), (busy, pre_round)):
+            exchange = _barrier(ctx.config.workers)
+            for rank in range(ctx.config.workers):
+                ctx.engine.spawn(
+                    bsp_rounds(ctx, rank, exchange, pre_round=hook), name=f"w{rank}"
+                )
+            ctx.engine.run()
+            finished.append(ctx.engine.now)
+        assert finished[1] == pytest.approx(finished[0] + 5.0)

@@ -15,7 +15,11 @@ run's simulated duration and dollars:
   FaaS diurnal cells, one per scaler that reads the pool's state
   (``concurrency``, ``queue_depth``): the diurnal inversion and the
   autoscalers' decisions, pinned at engine level;
-* a two-class service panel (isolated baselines, then one shared engine).
+* a two-class service panel (isolated baselines, then one shared engine);
+* a FaaS run whose 60 s function lifetime forces Figure-5 checkpoint and
+  re-invocations, alone and under crash injection (the round boundary's
+  order: recovery checkpoint, then the lifetime check);
+* an IaaS ``system="pytorch"`` BSP run (MPI ring exchange, no channel).
 
 A change to the event queue must leave every number here unchanged: the
 same events, in the same order. Regenerate only after an *intentional*
@@ -94,6 +98,32 @@ def faulted_sweep_point():
     return stats, result.duration_s, result.cost_total
 
 
+def _faas_lifetime(mttf_s):
+    config = TrainingConfig(**REPLAY, workers=8, max_epochs=1.0,
+                            lambda_lifetime_s=60.0, mttf_s=mttf_s)
+    with capture_stats() as stats:
+        result = train(config)
+    events = result.meta["events"]
+    assert events["lifetime_reinvocations"] > 0, events
+    assert (events["crashes"] > 0) == (mttf_s is not None), events
+    return stats, result.duration_s, result.cost_total
+
+
+def faas_lifetime_reinvoked():
+    return _faas_lifetime(None)
+
+
+def faas_lifetime_crashes():
+    return _faas_lifetime(300.0)
+
+
+def iaas_pytorch_bsp():
+    config = TrainingConfig(**{**REPLAY, "system": "pytorch"}, workers=8, max_epochs=1.0)
+    with capture_stats() as stats:
+        result = train(config)
+    return stats, result.duration_s, result.cost_total
+
+
 def _serving(platform, traffic, autoscaler, min_replicas):
     config = ServingConfig(
         model="lr", dataset="higgs", platform=platform, traffic=traffic,
@@ -145,6 +175,9 @@ REGIMES = {
     "service_two_classes": service_two_classes,
     "serving_faas_diurnal_concurrency": serving_faas_diurnal_concurrency,
     "serving_faas_diurnal_queue_depth": serving_faas_diurnal_queue_depth,
+    "faas_lifetime_reinvoked": faas_lifetime_reinvoked,
+    "faas_lifetime_crashes": faas_lifetime_crashes,
+    "iaas_pytorch_bsp": iaas_pytorch_bsp,
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import cost_sanity, fig10_breakdown, table2_hybrid_rpc
 from repro.experiments import table3_patterns, table6_constants
+from repro.experiments.fig7_algorithms import _scaling
 from repro.experiments.report import format_table, ratio
 from repro.experiments.workloads import WORKLOADS, get_workload, scaled
 from repro.sweep.orchestrator import run_sweep
@@ -133,3 +134,28 @@ class TestReportHelpers:
         assert ratio(1.0, None) is None
         assert ratio(1.0, 0) is None
         assert ratio(4.0, 2.0) == 2.0
+
+
+class TestFig7Scaling:
+    """A run that ends worse than it started has not scaled."""
+
+    @staticmethod
+    def _rows(admm_300_loss: float) -> list[dict]:
+        cells = {("admm", 10): (90.0, 0.43), ("admm", 300): (60.0, admm_300_loss),
+                 ("ga_sgd", 10): (40.0, 0.5), ("ga_sgd", 300): (200.0, 0.5)}
+        return [
+            dict(workload="svm/higgs", algorithm=algorithm, workers=workers,
+                 duration_s=duration, final_loss=loss,
+                 loss_curve=[(10.0, 0.5)] * workers + [(duration, loss)])
+            for (algorithm, workers), (duration, loss) in cells.items()
+        ]
+
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf"), 6.26e160, 0.5000001])
+    def test_a_diverged_run_is_named(self, loss):
+        complaint = _scaling(self._rows(loss), "svm/higgs", lambda admm, ga: admm > ga)
+        assert complaint is not None and "diverged: admm@300" in complaint
+        assert "ga_sgd@" not in complaint
+
+    def test_a_run_at_its_baseline_or_below_scales(self):
+        for loss in (0.5, 0.42):
+            assert _scaling(self._rows(loss), "svm/higgs", lambda a, g: a > g) is None

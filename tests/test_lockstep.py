@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.aggregator import reduce_vectors
 from repro.core.config import TrainingConfig
 from repro.core.context import JobContext
 from repro.core.driver import train
@@ -34,6 +35,7 @@ from repro.optim.admm import ADMM
 from repro.optim.gradient_averaging import GradientAveragingSGD
 from repro.optim.model_averaging import ModelAveragingSGD
 from repro.substrate import ExactSubstrate, ReplaySubstrate
+from repro.substrate.exact import build_ranks
 from repro.utils.rng import make_rng
 
 
@@ -308,3 +310,49 @@ def test_sparse_data_runs_rank_by_rank():
     per_rank = [ADMM(info.factory(), s, lr=0.3, init=init, scans=1) for s in per_rank_shards]
     mine = ADMM.round_payloads(stacked, stacked_shards)
     assert all(np.array_equal(a, b.round_payload()) for a, b in zip(mine, per_rank))
+
+
+# ---------------------------------------------------------------------------
+# (c) the round structure bsp_rounds reads once per worker incarnation
+# ---------------------------------------------------------------------------
+RCV1 = dict(dataset="rcv1", data_scale=400, seed=3)
+STRUCTURE_CASES = {
+    "lr-higgs-ga": dict(HIGGS, algorithm="ga_sgd", batch_size=250_000),
+    "lr-higgs-ma": dict(HIGGS, algorithm="ma_sgd", ma_sync_epochs=2),
+    "svm-higgs-admm": dict(HIGGS, model="svm", algorithm="admm", admm_scans=2),
+    "kmeans-higgs-em": dict(HIGGS, model="kmeans", algorithm="em", k=3),
+    "lr-rcv1-ga": dict(RCV1, model="lr", algorithm="ga_sgd", batch_size=100_000),
+    "svm-rcv1-ma": dict(RCV1, model="svm", algorithm="ma_sgd"),
+    "lr-rcv1-admm": dict(RCV1, model="lr", algorithm="admm", admm_scans=1),
+    "kmeans-rcv1-em": dict(RCV1, model="kmeans", algorithm="em", k=3),
+}
+STRUCTURE_ROUNDS = 3
+
+
+def _structure(stats) -> tuple:
+    return (stats.round_work(), stats.eval_work(), stats.epochs_per_round)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_CASES))
+def test_round_structure_is_constant_across_rounds(name):
+    """`bsp_rounds` reads each rank's round and evaluation seconds and its
+    epochs per round once per incarnation, before its first round. That is
+    sound only while every algorithm and every replay view answers the same
+    values after rounds have run as the algorithm did before round one."""
+    config = TrainingConfig(**STRUCTURE_CASES[name], workers=3, system="pytorch",
+                            max_epochs=4, loss_threshold=None)
+    exact = ExactSubstrate()
+    ctx = JobContext(config, substrate=exact)
+
+    shards, algorithms = build_ranks(ctx)
+    kind = type(algorithms[0])
+    before = [_structure(algo) for algo in algorithms]
+    assert all(work[0] > 0 for work, _, _ in before)
+    for _ in range(STRUCTURE_ROUNDS):
+        merged = reduce_vectors(kind.round_payloads(algorithms, shards), kind.reduce)
+        kind.apply_merged(algorithms, merged)
+        assert [_structure(algo) for algo in algorithms] == before
+
+    replay = ReplaySubstrate(exact.trace)
+    assert train(config, substrate=replay).comm_rounds >= 2
+    assert [_structure(replay.stats(rank)) for rank in range(config.workers)] == before
