@@ -58,6 +58,10 @@ bench_engine_microbench.py``):
   dict probe and a list append, with no heap operation at all.
   Dispatch order within a batch is exactly scheduling order, so
   batching is invisible to traces.
+* A process step costs one handler frame per yielded command: ``_step``
+  looks the handler up in ``_DISPATCH_TABLE`` itself, and a timed
+  command (``Sleep`` / ``Compute``) is checked once, charged in its
+  handler and queued through ``_schedule``.
 * A storage-op sequence resumes its generator once; each op keeps its
   own events: after each item ``_next_put`` / ``_next_get`` take the
   slot a ``_fire`` held (same instant, same place in its order) and
@@ -141,15 +145,15 @@ class ProcessState(enum.Enum):
 
 # Module-level aliases of the states the hot paths (_first_step, _step,
 # _fire, _next_put, _next_get, _apply_get) read on every event: a global
-# read costs a fraction of an enum attribute read. _ALIVE_STATES is what they test
-# membership in instead of going through the Process.alive property
-# descriptor — same predicate, no call.
+# read costs a fraction of an enum attribute read. _ALIVE_STATES is the
+# Process.alive predicate.
 _READY = ProcessState.READY
 _RUNNING = ProcessState.RUNNING
 _BLOCKED = ProcessState.BLOCKED
 _DONE = ProcessState.DONE
 _FAILED = ProcessState.FAILED
 _ALIVE_STATES = (_READY, _RUNNING, _BLOCKED)
+_INF = math.inf
 
 
 class EngineStats:
@@ -223,7 +227,7 @@ class Process:
         self.generator = generator
         self.name = name
         self.daemon = daemon
-        self.state = ProcessState.READY
+        self.state = _READY
         self.result: Any = None
         self.exception: BaseException | None = None
         self.trace = TimeBreakdown()
@@ -286,14 +290,17 @@ class Engine:
         daemon: bool = False,
     ) -> Process:
         """Register a new process; its first step runs `delay` s from now."""
-        if delay < 0 or not math.isfinite(delay):
+        if not 0.0 <= delay < _INF:  # also rejects NaN
             raise SimulationError(f"{name}: invalid delay {delay!r}")
         proc = Process(generator, name, daemon=daemon)
         self._alive[proc] = None
         if not daemon:
             self._nondaemon_alive += 1
             self._over = False  # a process spawned after the job ended re-arms the loop
-        self._schedule(self.now + delay, self._first_step, proc)
+        if delay:
+            self._schedule(self.now + delay, self._first_step, proc)
+        else:  # _schedule's same-instant path, inline
+            self._fifo.append((self._first_step, (proc,)))
         return proc
 
     def enable_stats(self) -> EngineStats:
@@ -417,12 +424,14 @@ class Engine:
         if proc.state is not _READY:
             return
         proc.started_at = self.now
-        self._step(proc, send_value=None)
+        self._step(proc, None, None)
 
-    def _step(self, proc: Process, send_value: Any = None, throw: BaseException | None = None):
-        """Advance the generator one command and dispatch it."""
-        if proc.state not in _ALIVE_STATES:
-            return
+    def _step(self, proc: Process, send_value: Any, throw: BaseException | None) -> None:
+        """Advance the generator one command and run its handler.
+
+        The caller has made the alive check: ``_first_step`` (READY),
+        ``_fire``, ``_next_put`` and ``_next_get`` (token and BLOCKED).
+        """
         proc.state = _RUNNING
         try:
             if throw is not None:
@@ -445,7 +454,12 @@ class Engine:
             raise
         proc.state = _BLOCKED
         proc._wake_token += 1
-        self._dispatch(proc, command)
+        # Exact-type table lookup: one dict probe per yielded command
+        # instead of walking an isinstance chain.
+        handler = _DISPATCH_TABLE.get(type(command))
+        if handler is None:
+            raise SimulationError(f"{proc.name}: unknown command {command!r}")
+        handler(self, proc, command)
 
     def _resume_later(
         self, proc: Process, at: float, value: Any = None, throw: BaseException | None = None
@@ -461,7 +475,7 @@ class Engine:
     def _fire(self, proc: Process, token: int, value: Any, throw: BaseException | None) -> None:
         if proc._wake_token != token or proc.state is not _BLOCKED:
             return  # stale wake-up: the process was killed or already resumed
-        self._step(proc, send_value=value, throw=throw)
+        self._step(proc, value, throw)
 
     def _retire(self, proc: Process) -> None:
         """Account one alive->terminal transition (DONE/FAILED/KILLED)."""
@@ -471,6 +485,8 @@ class Engine:
             self._over = not self._nondaemon_alive
 
     def _wake_joiners(self, proc: Process) -> None:
+        if not proc.joiners:
+            return
         joiners, proc.joiners = proc.joiners, []
         for wake in joiners:
             wake()
@@ -478,21 +494,14 @@ class Engine:
     # ------------------------------------------------------------------
     # Command dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, proc: Process, command: Command) -> None:
-        # Exact-type table lookup: one dict probe per yielded command
-        # instead of walking an isinstance chain.
-        handler = _DISPATCH_TABLE.get(type(command))
-        if handler is None:
-            raise SimulationError(f"{proc.name}: unknown command {command!r}")
-        handler(self, proc, command)
-
     def _dispatch_timed(self, proc: Process, command: Sleep | Compute) -> None:
-        if command.duration < 0 or not math.isfinite(command.duration):
-            raise SimulationError(
-                f"{proc.name}: invalid duration {command.duration!r}"
-            )
-        proc.trace.add(command.category, command.duration)
-        self._resume_later(proc, self.now + command.duration)
+        # The one check of a timed command's duration (NaN fails it), so
+        # its charge skips TimeBreakdown.add's.
+        duration = command.duration
+        if not 0.0 <= duration < _INF:
+            raise SimulationError(f"{proc.name}: invalid duration {duration!r}")
+        proc.trace.seconds[command.category] += duration
+        self._schedule(self.now + duration, self._fire, proc, proc._wake_token, None, None)
 
     # -- storage ---------------------------------------------------------
     def _dispatch_put(self, proc: Process, cmd: Put) -> None:
@@ -545,7 +554,7 @@ class Engine:
             key, value = item
             self._put(proc, cmd, key, value, rest, done)
         elif done:
-            self._step(proc, done)
+            self._step(proc, done, None)
         else:
             raise SimulationError(f"{proc.name}: empty PutEach")
 
@@ -600,7 +609,7 @@ class Engine:
         if key is not None:
             self._fifo.append((self._apply_get, (proc, cmd, key, self.now, rest, done)))
         elif done:
-            self._step(proc, done)
+            self._step(proc, done, None)
         else:
             raise SimulationError(f"{proc.name}: empty GetEach")
 
@@ -682,7 +691,7 @@ class Engine:
             self._resume_later(member, completion)
 
 
-# Unbound handlers keyed by exact command type (see Engine._dispatch).
+# Unbound handlers keyed by exact command type (see Engine._step).
 _DISPATCH_TABLE: dict[type, Callable[[Engine, Process, Any], None]] = {
     Sleep: Engine._dispatch_timed,
     Compute: Engine._dispatch_timed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.utils.stats import fold
 
@@ -32,7 +33,7 @@ KNOWN_CATEGORIES = (
 class TimeBreakdown:
     """Simulated seconds spent per activity category."""
 
-    seconds: dict[str, float] = field(default_factory=lambda: defaultdict(float))
+    seconds: dict[str, float] = field(default_factory=partial(defaultdict, float))
 
     def add(self, category: str, duration: float) -> None:
         if not 0.0 <= duration < _INF:  # also rejects NaN

@@ -56,6 +56,8 @@ MUTANTS = [
      "fifo.extend(bucket)", "fifo.extend(reversed(bucket))"),
     ("second_event_at_an_instant_starts_a_new_list", "simulation/engine.py",
      "bucket.append((fn, args))", "self._at[at] = [(fn, args)]"),
+    ("timed_command_not_charged", "simulation/engine.py",
+     "proc.trace.seconds[command.category] += duration", "pass"),
     ("next_put_ignores_a_kill", "simulation/engine.py",
      "return  # stale, like _fire's: killed mid-sequence\n        item = next(rest, None)",
      "pass\n        item = next(rest, None)"),

@@ -95,6 +95,9 @@ DELETED = {
     # its round-boundary hook is a plain call: the per-round context
     # exchange, which re-picked the pattern every call.
     "per-round exchange": ("-nE", "ctx\\.exchang[e]\\b|def exchange\\(self, ran[k]", CODE),
+    # A yielded command costs one handler frame: the handler-table
+    # lookup lives in Engine._step, not in a dispatch method of its own.
+    "dispatch frame": ("-n", "def _dispatc[h](self\\|self\\._dispatc[h](", ("src/repro",)),
     # README, the verify recipe, CI and the code state what holds now;
     # CHANGES.md is the one log of how it came to hold.
     "PR log": (

@@ -263,13 +263,41 @@ def test_collective_multiple_rounds(engine):
     ]
 
 
-def test_negative_sleep_rejected(engine):
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+@pytest.mark.parametrize("command", [Sleep, Compute])
+def test_invalid_timed_command_charges_and_queues_nothing(engine, command, duration):
+    # The engine's check is the only guard on this path: a refused
+    # duration reaches neither the process's trace nor the queue.
     def proc():
-        yield Sleep(-1.0)
+        yield command(duration)
 
-    engine.spawn(proc(), "bad")
-    with pytest.raises(SimulationError):
+    p = engine.spawn(proc(), "bad")
+    with pytest.raises(SimulationError, match="bad: invalid duration"):
         engine.run()
+    assert p.trace.as_dict() == {}
+    assert not engine._fifo and not engine._times and not engine._at
+
+
+def test_zero_sleep_resumes_behind_the_same_instant_events(engine):
+    log = []
+
+    def first():
+        yield Sleep(1.0)
+        log.append(("first", engine.now))
+        yield Sleep(0.0)
+        log.append(("first resumed", engine.now))
+
+    def second():
+        yield Sleep(1.0)
+        log.append(("second", engine.now))
+
+    p = engine.spawn(first(), "first")
+    engine.spawn(second(), "second")
+    engine.run()
+    # The zero-duration resume joins the instant's FIFO behind the
+    # second process's wake-up, queued before it.
+    assert log == [("first", 1.0), ("second", 1.0), ("first resumed", 1.0)]
+    assert p.trace.as_dict() == {"idle": 1.0}
 
 
 def test_unknown_command_fails_naming_the_process(engine):
