@@ -21,20 +21,22 @@ commented override at the call site; no module here constructs a
 (``tests/test_study_registry.py`` enforces it, counts the departures and
 pins the digest of all 23 grids).
 
-A report has one spelling too. A grid study's result is the row frame
-(:func:`~repro.sweep.study.rows`: one flat row per artifact — config
-fields, tags, label, result scalars, breakdown phases, events, loss
-curve) and its report is declared: ``report`` holds
-:class:`~repro.sweep.study.Table` parts (a title, ``(header, row key or
-expression)`` columns, an optional ``where`` filter or ``pivot`` for
-cross-row comparisons) and :class:`~repro.sweep.study.Series` parts
-(loss-vs-time curves), printed once per value of the optional ``group``
-tag, ordered by the optional ``sort`` key. Claims read the same rows by
-tag — ``pivot(rows, "case", "protocol")`` pairs fig8's ASP run with its
-BSP run. The studies whose result is computed rather than regrouped
+A report has one spelling too: every study's result is a list of flat
+rows and its report is declared. A grid study's rows default to the row
+frame (:func:`~repro.sweep.study.rows`: one flat row per artifact —
+config fields, tags, label, result scalars, breakdown phases, events,
+loss curve); a study whose result is computed rather than regrouped
 (fig13, table5, figS, figV, multitenancy and the direct studies: the
-analytical models and engine probes) keep a bespoke ``aggregate`` and
-``format_report``; a direct study's ``run()`` *is* its computation.
+analytical models and engine probes) names an ``aggregate`` that
+returns its own rows, and a direct study's ``run()`` *is* its
+computation. ``report`` holds :class:`~repro.sweep.study.Table` parts (a
+title, ``(header, row key or expression)`` columns, an optional
+``where`` filter — fig13's two panels are one frame split by ``part`` —
+or ``pivot`` for cross-row comparisons) and
+:class:`~repro.sweep.study.Series` parts (loss-vs-time curves), printed
+once per value of the optional ``group`` tag, ordered by the optional
+``sort`` key. Claims read the same rows by key — ``pivot(rows, "case",
+"protocol")`` pairs fig8's ASP run with its BSP run.
 
 None of the modules imports the orchestrator: running one is the
 protocol itself — hand the study's points to the sweep orchestrator and

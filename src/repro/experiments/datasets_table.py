@@ -4,33 +4,22 @@ from __future__ import annotations
 
 from repro.data.datasets import DATASETS
 from repro.data.synth import generate
-from repro.experiments.report import format_table
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, Table, study
 
 
-def run():
+def run() -> list[dict]:
     rows = []
     for name, spec in DATASETS.items():
         split = generate(name, seed=0)
-        rows.append(
-            [
-                name,
-                f"{spec.size_mb:.0f} MB",
-                spec.n_instances,
-                spec.n_features,
-                spec.sparse,
-                split.n_train + split.y_val.shape[0],
-            ]
-        )
+        rows.append({
+            "dataset": name,
+            "size_mb": spec.size_mb,
+            "instances": spec.n_instances,
+            "features": spec.n_features,
+            "sparse": spec.sparse,
+            "physical_rows": split.n_train + split.y_val.shape[0],
+        })
     return rows
-
-
-def format_report(rows) -> str:
-    return format_table(
-        "Figure 6 — datasets (logical spec / physical stand-in)",
-        ["dataset", "size", "#instances", "#features", "sparse", "physical rows"],
-        rows,
-    )
 
 
 @study("datasets")
@@ -38,7 +27,16 @@ class DatasetsStudy:
     """Figure 6 dataset table: logical specs next to the physical stand-ins"""
 
     aggregate = staticmethod(lambda artifacts: run())
-    format_report = staticmethod(format_report)
+    report = (
+        Table("Figure 6 — datasets (logical spec / physical stand-in)", (
+            ("dataset", "dataset"),
+            ("size", lambda r: f"{r['size_mb']:.0f} MB"),
+            ("#instances", "instances"),
+            ("#features", "features"),
+            ("sparse", "sparse"),
+            ("physical rows", "physical_rows"),
+        )),
+    )
     claims = (
         Claim("datasets.five_datasets", "Fig. 6",
               lambda rows: None if len(rows) == 5 else f"{len(rows)} datasets"),

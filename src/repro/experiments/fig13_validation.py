@@ -18,47 +18,17 @@ of each point's config, so the artifacts stay pure simulation results).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.analytics.estimator import SamplingEstimator
 from repro.analytics.model import AnalyticalModel, WorkloadParams
 from repro.config import DEFAULT_SEED
-from repro.experiments.report import format_table
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, StudyContext, study
+from repro.sweep.study import Claim, StudyContext, Table, study
 
 EPOCH_GRID = (1, 5, 10, 25, 50, 100)
 ESTIMATOR_CASES = (("lr", "higgs"), ("svm", "higgs"))
 ESTIMATOR_ALGORITHMS = ("ma_sgd", "admm")
 WORKERS = 10
-
-
-@dataclass
-class ValidationPoint:
-    epochs: float
-    faas_actual_s: float
-    faas_predicted_s: float
-    iaas_actual_s: float
-    iaas_predicted_s: float
-
-
-@dataclass
-class EstimatorPoint:
-    workload: str
-    algorithm: str
-    estimated_epochs: float
-    actual_epochs: float
-    predicted_runtime_s: float
-    actual_runtime_s: float
-
-
-@dataclass
-class Fig13Result:
-    """Both panels: fixed-epoch validation + estimator validation."""
-
-    fixed: list[ValidationPoint] = field(default_factory=list)
-    estimator: list[EstimatorPoint] = field(default_factory=list)
 
 
 def fixed_epoch_points(
@@ -126,9 +96,14 @@ def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     )
 
 
-def aggregate(artifacts: list[dict]) -> Fig13Result:
-    """Rebuild both panels, recomputing predictions next to the actuals."""
-    result = Fig13Result()
+def aggregate(artifacts: list[dict]) -> list[dict]:
+    """Rebuild both panels, recomputing predictions next to the actuals.
+
+    One row per panel line, its ``part`` the panel: ``"13a"`` rows pair
+    an epoch count's FaaS and IaaS runs, ``"13b"`` rows hold one
+    estimator pass each.
+    """
+    frame = []
 
     # Panel (a): pair faas/iaas actuals per epoch count, in point order.
     pairs: dict[float, dict[str, dict]] = {}
@@ -145,15 +120,14 @@ def aggregate(artifacts: list[dict]) -> Fig13Result:
         scaled_model = AnalyticalModel(
             WorkloadParams.from_zoo("lr", "higgs", float(epochs), rounds_per_epoch=1.0)
         )
-        result.fixed.append(
-            ValidationPoint(
-                epochs=float(epochs),
-                faas_actual_s=sides["faas"]["result"]["duration_s"],
-                faas_predicted_s=scaled_model.faas_seconds(workers),
-                iaas_actual_s=sides["iaas"]["result"]["duration_s"],
-                iaas_predicted_s=scaled_model.iaas_seconds(workers),
-            )
-        )
+        frame.append({
+            "part": "13a",
+            "epochs": float(epochs),
+            "faas_actual_s": sides["faas"]["result"]["duration_s"],
+            "faas_predicted_s": scaled_model.faas_seconds(workers),
+            "iaas_actual_s": sides["iaas"]["result"]["duration_s"],
+            "iaas_predicted_s": scaled_model.iaas_seconds(workers),
+        })
 
     # Panel (b): one estimator pass per actual run. The estimator is
     # seeded from the point's config, so this is deterministic — but it
@@ -176,59 +150,37 @@ def aggregate(artifacts: list[dict]) -> Fig13Result:
             rounds_per_epoch=0.1 if config["algorithm"] == "admm" else 1.0,
         )
         predicted = AnalyticalModel(params).faas_seconds(config["workers"])
-        result.estimator.append(
-            EstimatorPoint(
-                workload=f"{model_name}/{dataset}",
-                algorithm=config["algorithm"],
-                estimated_epochs=estimate.epochs,
-                actual_epochs=artifact["result"]["epochs"],
-                predicted_runtime_s=predicted,
-                actual_runtime_s=artifact["result"]["duration_s"],
-            )
-        )
-    return result
+        frame.append({
+            "part": "13b",
+            "workload": f"{model_name}/{dataset}",
+            "algorithm": config["algorithm"],
+            "estimated_epochs": estimate.epochs,
+            "actual_epochs": artifact["result"]["epochs"],
+            "predicted_runtime_s": predicted,
+            "actual_runtime_s": artifact["result"]["duration_s"],
+        })
+    return frame
 
 
-def format_report(points: list[ValidationPoint], est: list[EstimatorPoint]) -> str:
-    a = format_table(
-        "Figure 13a — analytical model vs simulated runtime (LR, Higgs, W=10)",
-        ["epochs", "FaaS actual", "FaaS predicted", "IaaS actual", "IaaS predicted"],
-        [
-            [p.epochs, p.faas_actual_s, p.faas_predicted_s, p.iaas_actual_s, p.iaas_predicted_s]
-            for p in points
-        ],
-    )
-    b = format_table(
-        "Figure 13b — sampling estimator + analytical model",
-        ["workload", "algorithm", "est epochs", "actual epochs", "predicted(s)", "actual(s)"],
-        [
-            [p.workload, p.algorithm, p.estimated_epochs, p.actual_epochs,
-             p.predicted_runtime_s, p.actual_runtime_s]
-            for p in est
-        ],
-    )
-    return a + "\n\n" + b
-
-
-def _model_tracks_simulation(result: Fig13Result) -> str | None:
+def _model_tracks_simulation(rows: list[dict]) -> str | None:
     return "; ".join(
-        f"{p.epochs:g} epochs {side}: predicted {pred:.4g} s, simulated {actual:.4g} s"
-        for p in result.fixed
+        f"{p['epochs']:g} epochs {side}: predicted {pred:.4g} s, simulated {actual:.4g} s"
+        for p in rows if p["part"] == "13a"
         for side, pred, actual in (
-            ("FaaS", p.faas_predicted_s, p.faas_actual_s),
-            ("IaaS", p.iaas_predicted_s, p.iaas_actual_s),
+            ("FaaS", p["faas_predicted_s"], p["faas_actual_s"]),
+            ("IaaS", p["iaas_predicted_s"], p["iaas_actual_s"]),
         )
         if not abs(pred - actual) / actual < 0.35
     ) or None
 
 
-def _estimates(result: Fig13Result, holds) -> str | None:
-    """``None`` when ``holds(estimate)`` for every estimator point."""
+def _estimates(rows: list[dict], holds) -> str | None:
+    """``None`` when ``holds(estimate)`` for every estimator row."""
     return "; ".join(
-        f"{e.workload} {e.algorithm}: estimated {e.estimated_epochs:.3g} epochs, "
-        f"{e.predicted_runtime_s:.4g} s; simulated {e.actual_epochs:.3g}, "
-        f"{e.actual_runtime_s:.4g} s"
-        for e in result.estimator
+        f"{e['workload']} {e['algorithm']}: estimated {e['estimated_epochs']:.3g} epochs, "
+        f"{e['predicted_runtime_s']:.4g} s; simulated {e['actual_epochs']:.3g}, "
+        f"{e['actual_runtime_s']:.4g} s"
+        for e in rows if e["part"] == "13b"
         if not holds(e)
     ) or None
 
@@ -240,20 +192,32 @@ class Fig13Study:
     points = staticmethod(sweep_points)
 
     aggregate = staticmethod(aggregate)
-
-    @staticmethod
-    def format_report(result: Fig13Result) -> str:
-        return format_report(result.fixed, result.estimator)
-
+    report = (
+        Table("Figure 13a — analytical model vs simulated runtime (LR, Higgs, W=10)", (
+            ("epochs", "epochs"),
+            ("FaaS actual", "faas_actual_s"),
+            ("FaaS predicted", "faas_predicted_s"),
+            ("IaaS actual", "iaas_actual_s"),
+            ("IaaS predicted", "iaas_predicted_s"),
+        ), where=(("part", "13a"),)),
+        Table("Figure 13b — sampling estimator + analytical model", (
+            ("workload", "workload"),
+            ("algorithm", "algorithm"),
+            ("est epochs", "estimated_epochs"),
+            ("actual epochs", "actual_epochs"),
+            ("predicted(s)", "predicted_runtime_s"),
+            ("actual(s)", "actual_runtime_s"),
+        ), where=(("part", "13b"),)),
+    )
     claims = (
         # Within 35 % of the simulated runtime, on both platforms.
         Claim("fig13.model_tracks_simulation", "Fig. 13a, §5.4",
               _model_tracks_simulation),
         # The 10 % sample lands in the right epoch ballpark...
         Claim("fig13.estimator_epochs_ballpark", "Fig. 13b, §5.4", lambda r: _estimates(
-            r, lambda e: e.estimated_epochs <= 3 * max(e.actual_epochs, 1.0) + 10)),
+            r, lambda e: e["estimated_epochs"] <= 3 * max(e["actual_epochs"], 1.0) + 10)),
         # ...and its runtime prediction has the right magnitude.
         Claim("fig13.estimator_runtime_magnitude", "Fig. 13b, §5.4", lambda r: _estimates(
-            r, lambda e: e.actual_runtime_s / 10 < e.predicted_runtime_s
-            < 10 * e.actual_runtime_s)),
+            r, lambda e: e["actual_runtime_s"] / 10 < e["predicted_runtime_s"]
+            < 10 * e["actual_runtime_s"])),
     )

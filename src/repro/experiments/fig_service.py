@@ -12,8 +12,9 @@ registered scheduler. The grid points are the two class configs (their
 isolated runs are the slowdown/cost denominators and the replay-trace
 sources); ``aggregate`` then simulates one service run per scheduler on
 the shared engine and reports p50/p99 completion, $/job and contention
-slowdown — including the measured p99-vs-cost trade-off between
-``fifo`` and ``adaptive`` worker scaling.
+slowdown, one row per scheduler. The claim
+``figS.adaptive_trades_tail_for_cost`` states the measured p99-vs-cost
+trade-off between ``fifo`` and ``adaptive`` worker scaling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from repro.config import DEFAULT_SEED
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import Claim, Table, study
 
 JOBS = 12
 RATE_PER_HOUR = 3600.0  # one arrival a second: faster than service
@@ -102,33 +103,24 @@ def simulate_schedulers(artifacts: list[dict]) -> dict:
     }
 
 
-def format_report(result: dict) -> str:
-    from repro.experiments.report import format_table
+def scheduler_rows(artifacts: list[dict]) -> list[dict]:
+    """One row per scheduler: its name and its service scorecard."""
+    return [
+        {"scheduler": name, **card}
+        for name, card in simulate_schedulers(artifacts)["schedulers"].items()
+    ]
 
-    schedulers = result["schedulers"]
-    table = format_table(
-        f"figS — service schedulers ({result['tenants']} Poisson jobs @ "
-        f"{result['rate_per_hour']:g}/h, limit {result['max_concurrent']})",
-        ["scheduler", "p50 (s)", "p99 (s)", "$/job", "mean slowdown",
-         "max slowdown", "fairness", "makespan (s)"],
-        [
-            [name, m["p50_completion_s"], m["p99_completion_s"],
-             m["cost_per_job"], m["mean_slowdown"], m["max_slowdown"],
-             m.get("fairness_jain", 1.0), m["makespan_s"]]
-            for name, m in schedulers.items()
-        ],
-    )
-    lines = [table]
-    fifo, adaptive = schedulers.get("fifo"), schedulers.get("adaptive")
-    if fifo and adaptive:
-        lines.append(
-            "fifo vs adaptive: "
-            f"$/job {fifo['cost_per_job']:.4g} -> {adaptive['cost_per_job']:.4g}, "
-            f"p99 {fifo['p99_completion_s']:.4g} s -> "
-            f"{adaptive['p99_completion_s']:.4g} s "
-            "(adaptive trades tail latency for cost)"
-        )
-    return "\n".join(lines)
+
+def _adaptive_trades_tail_for_cost(rows: list[dict]) -> str | None:
+    """Adaptive worker scaling buys a lower $/job with a longer p99."""
+    cards = {r["scheduler"]: r for r in rows}
+    fifo, adaptive = cards["fifo"], cards["adaptive"]
+    if (adaptive["cost_per_job"] < fifo["cost_per_job"]
+            and adaptive["p99_completion_s"] > fifo["p99_completion_s"]):
+        return None
+    return (f"fifo -> adaptive: $/job {fifo['cost_per_job']:.4g} -> "
+            f"{adaptive['cost_per_job']:.4g}, p99 {fifo['p99_completion_s']:.4g} s -> "
+            f"{adaptive['p99_completion_s']:.4g} s")
 
 
 @study("figS")
@@ -139,5 +131,21 @@ class ServiceSchedulerStudy:
     def points(ctx):
         return sweep_points(max_epochs=ctx.max_epochs, seed=ctx.seed)
 
-    aggregate = staticmethod(simulate_schedulers)
-    format_report = staticmethod(format_report)
+    aggregate = staticmethod(scheduler_rows)
+    report = (
+        Table(f"figS — service schedulers ({JOBS} Poisson jobs @ "
+              f"{RATE_PER_HOUR:g}/h, limit {MAX_CONCURRENT})", (
+            ("scheduler", "scheduler"),
+            ("p50 (s)", "p50_completion_s"),
+            ("p99 (s)", "p99_completion_s"),
+            ("$/job", "cost_per_job"),
+            ("mean slowdown", "mean_slowdown"),
+            ("max slowdown", "max_slowdown"),
+            ("fairness", "fairness_jain"),
+            ("makespan (s)", "makespan_s"),
+        )),
+    )
+    claims = (
+        Claim("figS.adaptive_trades_tail_for_cost", "figS (service extension)",
+              _adaptive_trades_tail_for_cost),
+    )

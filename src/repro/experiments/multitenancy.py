@@ -29,7 +29,7 @@ from repro.analytics.model import AnalyticalModel, WorkloadParams
 from repro.config import DEFAULT_SEED
 from repro.pricing.catalog import DEFAULT_CATALOG
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import study
+from repro.sweep.study import Table, study
 
 HORIZON_S = 24 * 3600.0
 
@@ -57,30 +57,20 @@ class ArrivalPattern:
         return times
 
 
-@dataclass
-class TenancyOutcome:
-    platform: str
-    mean_latency_s: float
-    total_cost: float
-    jobs: int
-
-
 def run(
     params: WorkloadParams,
     workers: int = 10,
     pattern: ArrivalPattern = ArrivalPattern(),
     lambda_memory_gb: float = 3.0,
     instance: str = "t2.medium",
-) -> list[TenancyOutcome]:
+) -> list[dict]:
     model = AnalyticalModel(params)
     arrivals = pattern.arrivals()
     n_jobs = len(arrivals)
 
     faas_latency = model.faas_seconds(workers)
     faas_cost_per_job = model.faas_cost(workers, lambda_memory_gb)
-    outcomes = [
-        TenancyOutcome("faas", faas_latency, n_jobs * faas_cost_per_job, n_jobs)
-    ]
+    outcomes = [_outcome("faas", faas_latency, n_jobs * faas_cost_per_job, n_jobs)]
 
     # Reserved cluster: no start-up per job (paid once, before the
     # horizon), but one job at a time — bursts queue.
@@ -94,28 +84,19 @@ def run(
         total_latency += finish - arrival
         free_at = finish
     reserved_cost = workers * hourly * max(HORIZON_S, free_at) / 3600.0
-    outcomes.append(
-        TenancyOutcome("iaas-reserved", total_latency / n_jobs, reserved_cost, n_jobs)
-    )
+    outcomes.append(_outcome("iaas-reserved", total_latency / n_jobs, reserved_cost, n_jobs))
 
     # On-demand VMs: each job boots its own cluster; jobs run in
     # parallel but every one eats t_I(w) of latency and billed time.
     ondemand_latency = model.iaas_seconds(workers)
     ondemand_cost = n_jobs * workers * hourly * ondemand_latency / 3600.0
-    outcomes.append(
-        TenancyOutcome("iaas-ondemand", ondemand_latency, ondemand_cost, n_jobs)
-    )
+    outcomes.append(_outcome("iaas-ondemand", ondemand_latency, ondemand_cost, n_jobs))
     return outcomes
 
 
-def format_report(outcomes: list[TenancyOutcome]) -> str:
-    from repro.experiments.report import format_table
-
-    return format_table(
-        "Q3 extension — multi-tenant peaky workload (analytical)",
-        ["platform", "mean latency (s)", "total cost ($)", "jobs"],
-        [[o.platform, o.mean_latency_s, o.total_cost, o.jobs] for o in outcomes],
-    )
+def _outcome(platform: str, mean_latency_s: float, total_cost: float, jobs: int) -> dict:
+    return {"platform": platform, "mean_latency_s": mean_latency_s,
+            "total_cost": total_cost, "jobs": jobs}
 
 
 @study("multitenancy_analytical")
@@ -123,7 +104,14 @@ class MultitenancyAnalyticalStudy:
     """Q3 extension (closed form): peaky multi-tenant arrivals on FaaS vs reserved/on-demand IaaS"""
 
     aggregate = staticmethod(lambda artifacts: run(default_params()))
-    format_report = staticmethod(format_report)
+    report = (
+        Table("Q3 extension — multi-tenant peaky workload (analytical)", (
+            ("platform", "platform"),
+            ("mean latency (s)", "mean_latency_s"),
+            ("total cost ($)", "total_cost"),
+            ("jobs", "jobs"),
+        )),
+    )
 
 
 # -- the simulated counterpart -------------------------------------------
@@ -154,7 +142,13 @@ def burst_config_kwargs(
 
 
 def simulate_bursts(artifacts: list[dict]) -> list[dict]:
-    """One burst of identical jobs per admission limit, via the service."""
+    """One burst of identical jobs per admission limit, via the service.
+
+    Without the isolated baseline (an interrupted sweep) there is no
+    job to replay: no rows.
+    """
+    if not artifacts:
+        return []
     from repro.service import (
         BaselineProvider,
         JobRequest,
@@ -184,22 +178,6 @@ def simulate_bursts(artifacts: list[dict]) -> list[dict]:
     return rows
 
 
-def format_burst_report(rows: list[dict]) -> str:
-    from repro.experiments.report import format_table
-
-    return format_table(
-        f"Multi-tenancy (simulated) — burst of {BURST_JOBS} jobs, "
-        "queueing vs contention",
-        ["max_concurrent", "p50 completion (s)", "p99 completion (s)",
-         "mean slowdown", "$/job", "makespan (s)"],
-        [
-            [r["max_concurrent"], r["p50_completion_s"], r["p99_completion_s"],
-             r["mean_slowdown"], r["cost_per_job"], r["makespan_s"]]
-            for r in rows
-        ],
-    )
-
-
 @study("multitenancy")
 class MultitenancyStudy:
     """Q3 extension (simulated): a burst of tenants on one shared engine, swept over the admission limit"""
@@ -216,4 +194,13 @@ class MultitenancyStudy:
         ]
 
     aggregate = staticmethod(simulate_bursts)
-    format_report = staticmethod(format_burst_report)
+    report = (
+        Table(f"Multi-tenancy (simulated) — burst of {BURST_JOBS} jobs, queueing vs contention", (
+            ("max_concurrent", "max_concurrent"),
+            ("p50 completion (s)", "p50_completion_s"),
+            ("p99 completion (s)", "p99_completion_s"),
+            ("mean slowdown", "mean_slowdown"),
+            ("$/job", "cost_per_job"),
+            ("makespan (s)", "makespan_s"),
+        )),
+    )

@@ -10,12 +10,9 @@ consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.report import format_table
 from repro.iaas.ps import PSTimingModel
 from repro.iaas.vm import get_instance
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, Table, study
 
 MB = 1024 * 1024
 PAYLOAD_BYTES = 75 * MB
@@ -44,20 +41,7 @@ PAPER_GRPC_TRANSFER_S = {
 }
 
 
-@dataclass
-class RPCRow:
-    """One Table-2 row."""
-
-    n_lambdas: int
-    lambda_memory_gb: float
-    ps_instance: str
-    grpc_transfer_s: float
-    thrift_transfer_s: float
-    grpc_update_s: float
-    thrift_update_s: float
-
-
-def run() -> list[RPCRow]:
+def run() -> list[dict]:
     rows = []
     for n, mem, instance in CONFIGS:
         timings = {}
@@ -69,58 +53,38 @@ def run() -> list[RPCRow]:
                 model.data_transmission_s(PAYLOAD_BYTES, n),
                 model.model_update_s(PAYLOAD_BYTES, n),
             )
-        rows.append(
-            RPCRow(
-                n_lambdas=n,
-                lambda_memory_gb=mem,
-                ps_instance=instance,
-                grpc_transfer_s=timings["grpc"][0],
-                thrift_transfer_s=timings["thrift"][0],
-                grpc_update_s=timings["grpc"][1],
-                thrift_update_s=timings["thrift"][1],
-            )
-        )
+        rows.append({
+            "n_lambdas": n,
+            "lambda_memory_gb": mem,
+            "ps_instance": instance,
+            "grpc_transfer_s": timings["grpc"][0],
+            "thrift_transfer_s": timings["thrift"][0],
+            "grpc_update_s": timings["grpc"][1],
+            "thrift_update_s": timings["thrift"][1],
+        })
     return rows
 
 
-def format_report(rows: list[RPCRow]) -> str:
-    return format_table(
-        "Table 2 — Lambda<->PS communication, 75 MB (gRPC / Thrift)",
-        ["lambdas", "mem(GB)", "EC2", "xfer gRPC(s)", "xfer Thrift(s)", "upd gRPC(s)", "upd Thrift(s)"],
-        [
-            [
-                r.n_lambdas,
-                r.lambda_memory_gb,
-                r.ps_instance,
-                r.grpc_transfer_s,
-                r.thrift_transfer_s,
-                r.grpc_update_s,
-                r.thrift_update_s,
-            ]
-            for r in rows
-        ],
-    )
+def _by_config(rows: list[dict]) -> dict[tuple, dict]:
+    return {(r["n_lambdas"], r["lambda_memory_gb"], r["ps_instance"]): r for r in rows}
 
 
-def _by_config(rows: list[RPCRow]) -> dict[tuple, RPCRow]:
-    return {(r.n_lambdas, r.lambda_memory_gb, r.ps_instance): r for r in rows}
-
-
-def _grpc_transfer_near_paper(rows: list[RPCRow]) -> str | None:
+def _grpc_transfer_near_paper(rows: list[dict]) -> str | None:
     by_config = _by_config(rows)
     return "; ".join(
-        f"{config}: {by_config[config].grpc_transfer_s:.3g} s vs paper {paper} s"
+        f"{config}: {by_config[config]['grpc_transfer_s']:.3g} s vs paper {paper} s"
         for config, paper in PAPER_GRPC_TRANSFER_S.items()
-        if not abs(by_config[config].grpc_transfer_s - paper) <= 0.45 * paper
+        if not abs(by_config[config]["grpc_transfer_s"] - paper) <= 0.45 * paper
     ) or None
 
 
-def _thrift_slow_transfer_fast_update(rows: list[RPCRow]) -> str | None:
+def _thrift_slow_transfer_fast_update(rows: list[dict]) -> str | None:
     one = _by_config(rows)[(1, 3.0, "c5.4xlarge")]
-    if one.thrift_transfer_s > 8 * one.grpc_transfer_s and one.grpc_update_s > one.thrift_update_s:
+    grpc, thrift = one["grpc_transfer_s"], one["thrift_transfer_s"]
+    if thrift > 8 * grpc and one["grpc_update_s"] > one["thrift_update_s"]:
         return None
-    return (f"transfer Thrift {one.thrift_transfer_s:.3g} s / gRPC {one.grpc_transfer_s:.3g} s, "
-            f"update gRPC {one.grpc_update_s:.3g} s / Thrift {one.thrift_update_s:.3g} s")
+    return (f"transfer Thrift {thrift:.3g} s / gRPC {grpc:.3g} s, "
+            f"update gRPC {one['grpc_update_s']:.3g} s / Thrift {one['thrift_update_s']:.3g} s")
 
 
 @study("table2")
@@ -128,7 +92,17 @@ class Table2Study:
     """Lambda<->VM parameter-server RPC micro-benchmark (gRPC vs Thrift, 75 MB)"""
 
     aggregate = staticmethod(lambda artifacts: run())
-    format_report = staticmethod(format_report)
+    report = (
+        Table("Table 2 — Lambda<->PS communication, 75 MB (gRPC / Thrift)", (
+            ("lambdas", "n_lambdas"),
+            ("mem(GB)", "lambda_memory_gb"),
+            ("EC2", "ps_instance"),
+            ("xfer gRPC(s)", "grpc_transfer_s"),
+            ("xfer Thrift(s)", "thrift_transfer_s"),
+            ("upd gRPC(s)", "grpc_update_s"),
+            ("upd Thrift(s)", "thrift_update_s"),
+        )),
+    )
     claims = (
         Claim("table2.grpc_transfer_near_paper", "Table 2, §4.4",
               _grpc_transfer_near_paper),

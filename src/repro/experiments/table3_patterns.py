@@ -12,13 +12,11 @@ ScatterReduce is about twice as fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.comm.patterns import allreduce, scatter_reduce
 from repro.models.zoo import get_model_info
 from repro.simulation.engine import Engine
 from repro.storage.services import make_channel
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, Table, study
 
 CASES = [
     # (label, model, dataset, workers)
@@ -26,14 +24,6 @@ CASES = [
     ("MobileNet,Cifar10,W=10", "mobilenet", "cifar10", 10),
     ("ResNet,Cifar10,W=10", "resnet50", "cifar10", 10),
 ]
-
-
-@dataclass
-class PatternRow:
-    label: str
-    model_bytes: int
-    allreduce_s: float
-    scatter_reduce_s: float
 
 
 def measure_exchange(pattern_name: str, workers: int, logical_nbytes: int) -> float:
@@ -49,37 +39,26 @@ def measure_exchange(pattern_name: str, workers: int, logical_nbytes: int) -> fl
     return engine.now
 
 
-def run() -> list[PatternRow]:
+def run() -> list[dict]:
     rows = []
     for label, model, dataset, workers in CASES:
-        info = get_model_info(model, dataset)
-        rows.append(
-            PatternRow(
-                label=label,
-                model_bytes=info.param_bytes,
-                allreduce_s=measure_exchange("allreduce", workers, info.param_bytes),
-                scatter_reduce_s=measure_exchange("scatterreduce", workers, info.param_bytes),
-            )
-        )
+        nbytes = get_model_info(model, dataset).param_bytes
+        rows.append({
+            "label": label,
+            "model_bytes": nbytes,
+            "allreduce_s": measure_exchange("allreduce", workers, nbytes),
+            "scatter_reduce_s": measure_exchange("scatterreduce", workers, nbytes),
+        })
     return rows
 
 
-def format_report(rows: list[PatternRow]) -> str:
-    from repro.experiments.report import format_table
-
-    return format_table(
-        "Table 3 — communication patterns over S3 (one exchange)",
-        ["workload", "model size (B)", "AllReduce (s)", "ScatterReduce (s)"],
-        [[r.label, r.model_bytes, r.allreduce_s, r.scatter_reduce_s] for r in rows],
-    )
-
-
-def _times(rows: list[PatternRow], label: str, holds) -> str | None:
+def _times(rows: list[dict], label: str, holds) -> str | None:
     """``None`` when ``holds(allreduce_s, scatter_reduce_s)`` for ``label``."""
-    row = next(r for r in rows if r.label == label)
-    if holds(row.allreduce_s, row.scatter_reduce_s):
+    row = next(r for r in rows if r["label"] == label)
+    ar, sr = row["allreduce_s"], row["scatter_reduce_s"]
+    if holds(ar, sr):
         return None
-    return f"{label}: AllReduce {row.allreduce_s:.3g} s, ScatterReduce {row.scatter_reduce_s:.3g} s"
+    return f"{label}: AllReduce {ar:.3g} s, ScatterReduce {sr:.3g} s"
 
 
 @study("table3")
@@ -87,7 +66,14 @@ class Table3Study:
     """AllReduce vs ScatterReduce single-exchange timing over S3 (engine micro-probe)"""
 
     aggregate = staticmethod(lambda artifacts: run())
-    format_report = staticmethod(format_report)
+    report = (
+        Table("Table 3 — communication patterns over S3 (one exchange)", (
+            ("workload", "label"),
+            ("model size (B)", "model_bytes"),
+            ("AllReduce (s)", "allreduce_s"),
+            ("ScatterReduce (s)", "scatter_reduce_s"),
+        )),
+    )
     # Paper: 9.2 s vs 9.8 s (LR), 3.3 s vs 3.1 s (MobileNet), 17.3 s vs 8.5 s (ResNet).
     claims = (
         Claim("table3.scatter_reduce_no_better_on_tiny_models", "Table 3, §4.3",

@@ -20,30 +20,18 @@ sequential loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
-from repro.experiments.report import format_table
 from repro.iaas.cluster import iaas_startup_seconds
 from repro.pricing.catalog import DEFAULT_CATALOG
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
-from repro.sweep.study import Claim, StudyContext, study
+from repro.sweep.study import Claim, StudyContext, Table, study
 
 WORKERS = 10
 GRID = [round(0.01 * i, 2) for i in range(1, 11)]
 CASES = (("lr", "higgs"), ("mobilenet", "cifar10"))
-
-
-@dataclass
-class PipelineRow:
-    workload: str
-    platform: str
-    runtime_s: float
-    accuracy: float | None
-    cost: float
 
 
 def _preprocess_seconds(dataset_bytes: float, workers: int) -> float:
@@ -92,7 +80,7 @@ def sweep_points(ctx: StudyContext = StudyContext()) -> list[SweepPoint]:
     return points
 
 
-def aggregate(artifacts: list[dict]) -> list[PipelineRow]:
+def aggregate(artifacts: list[dict]) -> list[dict]:
     """Replay the pipeline arithmetic over the per-job artifacts.
 
     Jobs are consumed in artifact (grid) order per (case, platform), so
@@ -136,36 +124,26 @@ def aggregate(artifacts: list[dict]) -> list[PipelineRow]:
                 WORKERS * DEFAULT_CATALOG.ec2_price(instance) * runtime / 3600.0
             )
         best = max((a for a in accuracies if a is not None), default=None)
-        rows.append(
-            PipelineRow(
-                workload=case,
-                platform=platform,
-                runtime_s=runtime,
-                accuracy=best,
-                cost=total_cost,
-            )
-        )
+        rows.append({
+            "workload": case,
+            "platform": platform,
+            "runtime_s": runtime,
+            "accuracy": best,
+            "cost": total_cost,
+        })
     return rows
 
 
-def format_report(rows: list[PipelineRow]) -> str:
-    return format_table(
-        "Table 5 — ML pipeline (normalise + lr grid search)",
-        ["workload", "platform", "runtime(s)", "best val acc", "cost($)"],
-        [[r.workload, r.platform, r.runtime_s, r.accuracy, r.cost] for r in rows],
-    )
-
-
-def _faas_vs_iaas(rows: list[PipelineRow], workload: str, holds) -> str | None:
+def _faas_vs_iaas(rows: list[dict], workload: str, holds) -> str | None:
     """``None`` when ``holds(faas_row, iaas_row)`` for ``workload``."""
     faas, iaas = (
-        next(r for r in rows if (r.workload, r.platform) == (workload, platform))
+        next(r for r in rows if (r["workload"], r["platform"]) == (workload, platform))
         for platform in ("faas", "iaas")
     )
     if holds(faas, iaas):
         return None
-    return (f"{workload}: FaaS {faas.runtime_s:.4g} s ${faas.cost:.3g}, "
-            f"IaaS {iaas.runtime_s:.4g} s ${iaas.cost:.3g}")
+    return (f"{workload}: FaaS {faas['runtime_s']:.4g} s ${faas['cost']:.3g}, "
+            f"IaaS {iaas['runtime_s']:.4g} s ${iaas['cost']:.3g}")
 
 
 @study("table5")
@@ -175,14 +153,22 @@ class Table5Study:
     points = staticmethod(sweep_points)
 
     aggregate = staticmethod(aggregate)
-    format_report = staticmethod(format_report)
+    report = (
+        Table("Table 5 — ML pipeline (normalise + lr grid search)", (
+            ("workload", "workload"),
+            ("platform", "platform"),
+            ("runtime(s)", "runtime_s"),
+            ("best val acc", "accuracy"),
+            ("cost($)", "cost"),
+        )),
+    )
     claims = (
         # Paper: FaaS 96 s / $0.47 vs IaaS 233 s / $0.31.
         Claim("table5.lr_faas_faster_not_cheaper", "Table 5, §5.4",
               lambda rows: _faas_vs_iaas(rows, "lr/higgs", lambda f, i: (
-                  f.runtime_s < i.runtime_s and f.cost > i.cost))),
+                  f["runtime_s"] < i["runtime_s"] and f["cost"] > i["cost"]))),
         # IaaS runs on GPUs here.
         Claim("table5.mobilenet_iaas_faster_and_cheaper", "Table 5, §5.4",
               lambda rows: _faas_vs_iaas(rows, "mobilenet/cifar10", lambda f, i: (
-                  i.runtime_s < f.runtime_s and i.cost < f.cost))),
+                  i["runtime_s"] < f["runtime_s"] and i["cost"] < f["cost"]))),
     )

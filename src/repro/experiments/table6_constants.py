@@ -11,29 +11,17 @@ self-consistency check between `repro.analytics.constants` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analytics.constants import TABLE6
-from repro.experiments.report import format_table
 from repro.faas.runtime import faas_startup_seconds
 from repro.iaas.cluster import iaas_startup_seconds
 from repro.simulation.commands import Get, Put
 from repro.simulation.engine import Engine
 from repro.storage.base import ObjectStore
 from repro.storage.services import MemcachedStore, S3Store, VMDiskStore
-from repro.sweep.study import Claim, study
+from repro.sweep.study import Claim, Table, study
 from repro.utils.serialization import SizedPayload
 
 MB = 1024 * 1024
-
-
-@dataclass
-class ConstantRow:
-    symbol: str
-    configuration: str
-    paper_value: float
-    measured_value: float
-    unit: str
 
 
 def _measure_bandwidth(store: ObjectStore, nbytes: int = 64 * MB) -> float:
@@ -69,54 +57,50 @@ def _measure_latency(store: ObjectStore) -> float:
     return done["get_seconds"]
 
 
-def run() -> list[ConstantRow]:
+def _row(symbol: str, configuration: str, paper: float, measured: float, unit: str) -> dict:
+    return {"symbol": symbol, "configuration": configuration, "paper_value": paper,
+            "measured_value": measured, "unit": unit}
+
+
+def run() -> list[dict]:
     rows = []
     for w, paper in sorted(TABLE6.t_faas.items()):
-        rows.append(ConstantRow("t_F(w)", f"w={w}", paper, faas_startup_seconds(w), "s"))
+        rows.append(_row("t_F(w)", f"w={w}", paper, faas_startup_seconds(w), "s"))
     for w, paper in sorted(TABLE6.t_iaas.items()):
-        rows.append(ConstantRow("t_I(w)", f"w={w}", paper, iaas_startup_seconds(w), "s"))
+        rows.append(_row("t_I(w)", f"w={w}", paper, iaas_startup_seconds(w), "s"))
 
     s3 = S3Store()
     rows.append(
-        ConstantRow("B_S3", "Amazon S3", TABLE6.bandwidth_s3 / MB, _measure_bandwidth(s3) / MB, "MB/s")
+        _row("B_S3", "Amazon S3", TABLE6.bandwidth_s3 / MB, _measure_bandwidth(s3) / MB, "MB/s")
     )
-    rows.append(ConstantRow("L_S3", "Amazon S3", TABLE6.latency_s3, _measure_latency(S3Store()), "s"))
+    rows.append(_row("L_S3", "Amazon S3", TABLE6.latency_s3, _measure_latency(S3Store()), "s"))
 
     ebs = VMDiskStore()
     rows.append(
-        ConstantRow("B_EBS", "gp2", TABLE6.bandwidth_ebs / MB, _measure_bandwidth(ebs) / MB, "MB/s")
+        _row("B_EBS", "gp2", TABLE6.bandwidth_ebs / MB, _measure_bandwidth(ebs) / MB, "MB/s")
     )
 
     mc = MemcachedStore(node="cache.t3.medium")
     mc.available_at = 0.0  # skip the startup wait for the micro-probe
     rows.append(
-        ConstantRow(
+        _row(
             "B_EC", "cache.t3.medium", TABLE6.bandwidth_ec_t3 / MB, _measure_bandwidth(mc) / MB, "MB/s"
         )
     )
     mc2 = MemcachedStore(node="cache.t3.medium")
     mc2.available_at = 0.0
     rows.append(
-        ConstantRow("L_EC", "cache.t3.medium", TABLE6.latency_ec_t3, _measure_latency(mc2), "s")
+        _row("L_EC", "cache.t3.medium", TABLE6.latency_ec_t3, _measure_latency(mc2), "s")
     )
     return rows
 
 
-def format_report(rows: list[ConstantRow]) -> str:
-    return format_table(
-        "Table 6 — constants: paper vs measured-from-substrate",
-        ["symbol", "configuration", "paper", "measured", "unit"],
-        [[r.symbol, r.configuration, r.paper_value, r.measured_value, r.unit] for r in rows],
-        floatfmt="{:.4g}",
-    )
-
-
-def _constants_near_paper(rows: list[ConstantRow]) -> str | None:
+def _constants_near_paper(rows: list[dict]) -> str | None:
     return "; ".join(
-        f"{r.symbol} ({r.configuration}): {r.measured_value:.4g} "
-        f"vs paper {r.paper_value:.4g} {r.unit}"
+        f"{r['symbol']} ({r['configuration']}): {r['measured_value']:.4g} "
+        f"vs paper {r['paper_value']:.4g} {r['unit']}"
         for r in rows
-        if not abs(r.measured_value - r.paper_value) <= 0.25 * abs(r.paper_value)
+        if not abs(r["measured_value"] - r["paper_value"]) <= 0.25 * abs(r["paper_value"])
     ) or None
 
 
@@ -125,5 +109,14 @@ class Table6Study:
     """self-consistency check: analytical constants re-measured from the substrate"""
 
     aggregate = staticmethod(lambda artifacts: run())
-    format_report = staticmethod(format_report)
+    report = (
+        Table("Table 6 — constants: paper vs measured-from-substrate", (
+            ("symbol", "symbol"),
+            ("configuration", "configuration"),
+            # Four significant figures: a constant is read against the paper's.
+            ("paper", lambda r: f"{r['paper_value']:.4g}"),
+            ("measured", lambda r: f"{r['measured_value']:.4g}"),
+            ("unit", "unit"),
+        )),
+    )
     claims = (Claim("table6.constants_near_paper", "Table 6, §5.4", _constants_near_paper),)

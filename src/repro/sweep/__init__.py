@@ -21,11 +21,11 @@ Layout:
   statistical fingerprint, replays for the rest (see
   :mod:`repro.substrate`).
 * :mod:`repro.sweep.study` — the Study protocol (``points(ctx)`` /
-  ``aggregate`` / ``format_report``), the row frame and the declared
-  report every grid study prints through, the ``@study`` registration
-  decorator and auto-discovery over :mod:`repro.experiments`; every
-  figure/table/extension is a registered study the CLI and
-  :mod:`repro.api` run by name.
+  ``aggregate`` to rows / a declared ``report`` / ``claims``), the row
+  frame, the ``Table``/``Series`` parts every study prints through, the
+  ``@study`` registration decorator and auto-discovery over
+  :mod:`repro.experiments`; every figure/table/extension is a
+  registered study the CLI and :mod:`repro.api` run by name.
 """
 
 from repro.sweep.artifacts import (

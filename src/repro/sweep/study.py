@@ -6,20 +6,23 @@ benchmark harness all speak: a named experiment that can
 * declare its grid — ``points(ctx) -> list[SweepPoint]`` (possibly
   empty, for analytical/micro-probe studies whose result is computed
   rather than trained);
-* reduce per-point sweep artifacts to the result its report and claims
-  read — ``aggregate(artifacts)``;
-* render that result the way the paper reports it —
-  ``format_report(result)``;
+* reduce per-point sweep artifacts to rows — ``aggregate(artifacts)``,
+  one flat dict per table line;
+* declare the report the paper prints — ``report``, a tuple of
+  :class:`Table` and :class:`Series` parts over those rows;
 * state the paper's findings it reproduces — ``claims``, a tuple of
-  :class:`Claim` checked on the aggregated result whenever the study
-  runs at the default :class:`StudyContext`.
+  :class:`Claim` checked on the same rows whenever the study runs at
+  the default :class:`StudyContext`.
 
-Every paper figure is a table of one metric against one axis, so a grid
-study states its report as data. Its result is the row frame —
-:func:`rows`, one flat dict per artifact — and its report is a tuple of
-:class:`Table` and :class:`Series` parts, printed by :func:`render` once
-per value of the optional ``group`` tag (first-seen order), each group's
-rows ordered by the optional ``sort`` key::
+Every paper figure is a table of one metric against one axis, so every
+study states its report as data. A grid study's rows default to the row
+frame — :func:`rows`, one flat dict per artifact; a study whose result
+is computed (an analytical model, an engine probe, a service or serving
+simulation over the artifacts) names an ``aggregate`` that returns its
+own rows. :func:`render` prints the parts once per value of the optional
+``group`` tag (first-seen order), each group's rows ordered by the
+optional ``sort`` key; a ``where`` filter splits one frame into several
+tables::
 
     from repro.sweep.study import Claim, Table, study
 
@@ -38,13 +41,11 @@ rows ordered by the optional ``sort`` key::
         )
         claims = (Claim("fig10.order", "Fig. 10", check_rows),)
 
-A study whose result is computed rather than regrouped keeps a bespoke
-``aggregate(artifacts)`` and ``format_report(result)`` instead of
-``report``. The registry auto-discovers declarations by importing every
-module under :mod:`repro.experiments` on first lookup — adding a study
-never touches the registry again, and ``repro.cli sweep --experiment
-<name>`` gains ``--jobs/--resume`` and the record-once/replay-the-rest
-sweep for free.
+A class without a ``report`` is refused. The registry auto-discovers
+declarations by importing every module under :mod:`repro.experiments`
+on first lookup — adding a study never touches the registry again, and
+``repro.cli sweep --experiment <name>`` gains ``--jobs/--resume`` and
+the record-once/replay-the-rest sweep for free.
 """
 
 from __future__ import annotations
@@ -205,10 +206,13 @@ def render(
     group: str | None = None,
     sort: Callable[[dict], Any] | None = None,
 ) -> str:
-    """Print a declared report: every part once per group, blocks apart."""
+    """Print a declared report: every part once per group, blocks apart.
+
+    An ungrouped report prints every part even over no rows.
+    """
     from repro.experiments.report import format_series, format_table
 
-    groups: dict[Any, list[dict]] = {}
+    groups: dict[Any, list[dict]] = {} if group else {None: []}
     for row in frame:
         groups.setdefault(row[group] if group else None, []).append(row)
     blocks = []
@@ -237,7 +241,7 @@ def _cell(expr, line):
 
 
 class Study:
-    """One registered experiment: grid + aggregator + report renderer.
+    """One registered experiment: grid + aggregator + report.
 
     ``kind`` says how the result is produced, and follows from the
     declaration:
@@ -252,10 +256,10 @@ class Study:
       is just nothing to fan out.
 
     ``aggregate(artifacts)`` reduces per-point artifacts to the
-    experiment's result object (a grid study's row frame, :func:`rows`);
-    ``format_report(result)`` renders it the way the paper reports it;
-    ``claims`` are the :class:`Claim` s that result must satisfy at the
-    default context.
+    study's rows (by default the row frame, :func:`rows`);
+    ``format_report(rows)`` prints them the way the paper reports them
+    (the declared report, bound to :func:`render`); ``claims`` are the
+    :class:`Claim` s those rows must satisfy at the default context.
     """
 
     def __init__(
@@ -297,14 +301,14 @@ def study(name: str, *, description: str | None = None):
     """Class decorator registering a study declaration.
 
     The class provides ``points(ctx)`` (leave it out for a direct study
-    — the grid is then empty) and either a declared ``report`` (a tuple
-    of :class:`Table` / :class:`Series`, with optional ``group`` tag and
-    ``sort`` key: the result is the row frame and :func:`render` prints
-    it) or a bespoke ``aggregate(artifacts)`` and
-    ``format_report(result)``, as static/plain callables. A declared
-    report may still name an ``aggregate`` that derives fields onto the
-    rows. ``claims`` is optional; the description defaults to the first
-    line of the class docstring.
+    — the grid is then empty), ``report`` (a tuple of :class:`Table` /
+    :class:`Series`, with optional ``group`` tag and ``sort`` key,
+    printed by :func:`render`) and optionally ``aggregate(artifacts)``
+    returning the rows the report reads (the row frame, :func:`rows`,
+    when left out), as static/plain callables. ``claims`` is optional;
+    the description defaults to the first line of the class docstring.
+    A class without ``report``, or with a ``format_report`` of its own,
+    is a :class:`ConfigurationError`: a report has one spelling.
     """
 
     def decorate(cls):
@@ -313,15 +317,24 @@ def study(name: str, *, description: str | None = None):
             raise ConfigurationError(
                 f"study {name!r} needs a description (docstring or keyword)"
             )
-        report = getattr(cls, "report", None)
+        if hasattr(cls, "format_report"):
+            raise ConfigurationError(
+                f"study {name!r} defines format_report; declare its report as "
+                "`report = (Table(...), ...)` instead"
+            )
+        if not hasattr(cls, "report"):
+            raise ConfigurationError(
+                f"study {name!r} declares no report: give it "
+                "`report = (Table(...), ...)`"
+            )
         register(
             Study(
                 name,
                 doc.splitlines()[0],
                 points=getattr(cls, "points", None),
                 aggregate=getattr(cls, "aggregate", rows),
-                format_report=cls.format_report if report is None else partial(
-                    render, report, group=getattr(cls, "group", None),
+                format_report=partial(
+                    render, cls.report, group=getattr(cls, "group", None),
                     sort=getattr(cls, "sort", None),
                 ),
                 claims=getattr(cls, "claims", ()),

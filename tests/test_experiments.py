@@ -15,7 +15,7 @@ from repro.experiments.fig7_algorithms import _scaling
 from repro.experiments.report import format_table, ratio
 from repro.experiments.workloads import WORKLOADS, get_workload, scaled
 from repro.sweep.orchestrator import run_sweep
-from repro.sweep.study import pivot, rows
+from repro.sweep.study import get_study, pivot, rows
 
 
 class TestWorkloadRegistry:
@@ -47,51 +47,51 @@ class TestTable2:
 
     def test_thrift_transfer_slower_than_grpc(self):
         for row in table2_hybrid_rpc.run():
-            assert row.thrift_transfer_s > row.grpc_transfer_s
+            assert row["thrift_transfer_s"] > row["grpc_transfer_s"]
 
     def test_ten_lambdas_slower_than_one(self):
-        rows = {(r.n_lambdas, r.lambda_memory_gb, r.ps_instance): r
+        rows = {(r["n_lambdas"], r["lambda_memory_gb"], r["ps_instance"]): r
                 for r in table2_hybrid_rpc.run()}
         one = rows[(1, 3.0, "c5.4xlarge")]
         ten = rows[(10, 3.0, "c5.4xlarge")]
-        assert ten.grpc_transfer_s > one.grpc_transfer_s
-        assert ten.grpc_update_s > one.grpc_update_s
+        assert ten["grpc_transfer_s"] > one["grpc_transfer_s"]
+        assert ten["grpc_update_s"] > one["grpc_update_s"]
 
     def test_paper_magnitudes(self):
-        rows = {(r.n_lambdas, r.lambda_memory_gb, r.ps_instance): r
+        rows = {(r["n_lambdas"], r["lambda_memory_gb"], r["ps_instance"]): r
                 for r in table2_hybrid_rpc.run()}
         # 1x Lambda-3GB -> c5.4xlarge: paper measures 1.85 s.
-        assert rows[(1, 3.0, "c5.4xlarge")].grpc_transfer_s == pytest.approx(1.85, rel=0.2)
+        assert rows[(1, 3.0, "c5.4xlarge")]["grpc_transfer_s"] == pytest.approx(1.85, rel=0.2)
         # 1x Lambda-3GB -> t2.2xlarge: paper measures 2.62 s.
-        assert rows[(1, 3.0, "t2.2xlarge")].grpc_transfer_s == pytest.approx(2.62, rel=0.2)
+        assert rows[(1, 3.0, "t2.2xlarge")]["grpc_transfer_s"] == pytest.approx(2.62, rel=0.2)
 
     def test_report_renders(self):
-        text = table2_hybrid_rpc.format_report(table2_hybrid_rpc.run())
+        text = get_study("table2").format_report(table2_hybrid_rpc.run())
         assert "Table 2" in text
 
 
 class TestTable3:
     def test_scatter_reduce_wins_on_resnet(self):
-        rows = {r.label: r for r in table3_patterns.run()}
+        rows = {r["label"]: r for r in table3_patterns.run()}
         rn = rows["ResNet,Cifar10,W=10"]
-        assert rn.allreduce_s / rn.scatter_reduce_s > 1.5
+        assert rn["allreduce_s"] / rn["scatter_reduce_s"] > 1.5
 
     def test_allreduce_fine_for_lr(self):
-        rows = {r.label: r for r in table3_patterns.run()}
+        rows = {r["label"]: r for r in table3_patterns.run()}
         lr = rows["LR,Higgs,W=50"]
-        assert lr.scatter_reduce_s >= lr.allreduce_s * 0.8
+        assert lr["scatter_reduce_s"] >= lr["allreduce_s"] * 0.8
 
     def test_model_sizes_match_table(self):
-        rows = {r.label: r for r in table3_patterns.run()}
-        assert rows["LR,Higgs,W=50"].model_bytes == 224
-        assert rows["MobileNet,Cifar10,W=10"].model_bytes == 12 * 1024 * 1024
-        assert rows["ResNet,Cifar10,W=10"].model_bytes == 89 * 1024 * 1024
+        rows = {r["label"]: r for r in table3_patterns.run()}
+        assert rows["LR,Higgs,W=50"]["model_bytes"] == 224
+        assert rows["MobileNet,Cifar10,W=10"]["model_bytes"] == 12 * 1024 * 1024
+        assert rows["ResNet,Cifar10,W=10"]["model_bytes"] == 89 * 1024 * 1024
 
 
 class TestTable6:
     def test_measured_constants_match_paper(self):
         for row in table6_constants.run():
-            assert row.measured_value == pytest.approx(row.paper_value, rel=0.25), row
+            assert row["measured_value"] == pytest.approx(row["paper_value"], rel=0.25), row
 
 
 class TestFig10:

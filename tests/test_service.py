@@ -18,6 +18,7 @@ import pytest
 from repro.api import Scenario, Service, ServiceConfig, Session
 from repro.cli import main
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments import fig_service
 from repro.service import (
     BaselineProvider,
     JobRequest,
@@ -232,11 +233,11 @@ class TestSchedulers:
         # The figS panel at its default scale: every scheduler's
         # scorecard is possible, and the headline finding holds.
         study = get_study("figS")
-        result = study.aggregate(run_sweep(study.points()).artifacts)
-        cards = result["schedulers"]
+        rows = study.aggregate(run_sweep(study.points()).artifacts)
+        cards = {row["scheduler"]: row for row in rows}
         assert set(cards) == {"fifo", "fair_share", "cost_aware", "adaptive"}
         for name, card in cards.items():
-            assert card["jobs"] == result["tenants"] == 12, name
+            assert card["jobs"] == fig_service.JOBS == 12, name
             # Contention cannot speed a job up; simulated jobs are never free.
             assert card["mean_slowdown"] >= 1.0, name
             assert card["cost_per_job"] > 0, name
@@ -244,6 +245,10 @@ class TestSchedulers:
         fifo, adaptive = cards["fifo"], cards["adaptive"]
         assert adaptive["cost_per_job"] < fifo["cost_per_job"]
         assert adaptive["p99_completion_s"] > fifo["p99_completion_s"]
+        # ...and the study states it as its claim.
+        (claim,) = study.claims
+        assert claim.id == "figS.adaptive_trades_tail_for_cost"
+        assert claim.check(rows) is None
 
 
 class TestMetrics:

@@ -550,11 +550,12 @@ class TestFigVStudy:
         r1 = serve_pipeline(artifacts)
         r2 = serve_pipeline(artifacts)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
-        assert len(r1["panel"]) == 28  # 3 platforms x 3 traffic x 3 scalers + 1
-        cold_free = [c for c in r1["panel"]
+        panel = [r for r in r1 if r["part"] == "panel"]
+        assert len(panel) == 28  # 3 platforms x 3 traffic x 3 scalers + 1
+        cold_free = [c for c in panel
                      if c["platform"] != "faas" and c["autoscaler"] == "fixed"]
         assert all(c["cold_start_fraction"] == 0.0 for c in cold_free)
-        for c in r1["panel"]:
+        for c in panel:
             assert c["platform"] in {"faas", "iaas", "gpu_iaas"}
             assert c["p50_latency_s"] <= c["p99_latency_s"] <= c["p999_latency_s"]
             assert 0.0 <= c["cold_start_fraction"] <= 1.0
@@ -587,7 +588,8 @@ class TestFigVStudy:
             ), name
 
     def test_format_report_headline(self):
-        from repro.experiments.fig_serving import format_report, serve_pipeline
+        from repro.api import get_study
+        from repro.experiments.fig_serving import serve_pipeline
 
         artifacts = [
             {
@@ -606,15 +608,18 @@ class TestFigVStudy:
                 "config_hash": "smallhash",
             },
         ]
-        result = serve_pipeline(artifacts)
-        text = format_report(result)
-        assert "bursty tail" in text
+        rows = serve_pipeline(artifacts)
+        study = get_study("figV")
+        text = study.format_report(rows)
+        (claim,) = study.claims
+        assert claim.id == "figV.faas_bursty_cold_tail"
+        assert claim.verdict(rows) == (False, f"claim {claim.id} [{claim.cite}]: holds")
         assert "end-to-end" in text
-        # The finding behind that line: bursty traffic on FaaS shows a
+        # The finding behind that claim: bursty traffic on FaaS shows a
         # cold-start tail the always-on fleet does not have.
         cells = {
-            (c["platform"], c["autoscaler"]): c for c in result["panel"]
-            if c["model"] == "nn" and c["traffic"] == "bursty"
+            (c["platform"], c["autoscaler"]): c for c in rows
+            if c["part"] == "panel" and c["model"] == "nn" and c["traffic"] == "bursty"
         }
         faas, iaas = cells[("faas", "concurrency")], cells[("iaas", "fixed")]
         assert faas["p999_latency_s"] > iaas["p999_latency_s"]

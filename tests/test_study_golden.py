@@ -127,7 +127,8 @@ class TestFig13Golden:
                 "epochs_faas": float(epochs), "epochs_iaas": float(epochs),
             })
             model = AnalyticalModel(scaled)
-            old_points.append(fig13_validation.ValidationPoint(
+            old_points.append(dict(
+                part="13a",
                 epochs=float(epochs),
                 faas_actual_s=faas.duration_s,
                 faas_predicted_s=model.faas_seconds(workers),
@@ -137,7 +138,7 @@ class TestFig13Golden:
         points = fig13_validation.fixed_epoch_points(
             epoch_grid=epoch_grid, workers=workers
         )
-        shim = fig13_validation.aggregate(run_sweep(points).artifacts).fixed
+        shim = fig13_validation.aggregate(run_sweep(points).artifacts)
         assert shim == old_points
 
     @pytest.mark.slow
@@ -171,7 +172,8 @@ class TestFig13Golden:
                     **params.__dict__,
                     "epochs_faas": estimate.epochs, "epochs_iaas": estimate.epochs,
                 })
-                old_points.append(fig13_validation.EstimatorPoint(
+                old_points.append(dict(
+                    part="13b",
                     workload=f"{model_name}/{dataset}",
                     algorithm=algorithm,
                     estimated_epochs=estimate.epochs,
@@ -182,7 +184,7 @@ class TestFig13Golden:
         points = fig13_validation.estimator_points(
             cases=cases, algorithms=algorithms, workers=workers
         )
-        shim = fig13_validation.aggregate(run_sweep(points).artifacts).estimator
+        shim = fig13_validation.aggregate(run_sweep(points).artifacts)
         assert shim == old_points
 
 
@@ -343,7 +345,7 @@ class TestTable5Golden:
                     * runtime / 3600.0
                 )
             best = max((a for a in accuracies if a is not None), default=None)
-            old_rows.append(table5_pipeline.PipelineRow(
+            old_rows.append(dict(
                 workload=f"{model}/{dataset}", platform=platform,
                 runtime_s=runtime, accuracy=best, cost=total_cost,
             ))

@@ -43,7 +43,7 @@ EXPECTED_STUDIES = {
 # paper-claims job sweeps each one).
 CLAIMED_STUDIES = {
     "ablations", "cost_sanity", "datasets", "fig7", "fig8", "fig9", "fig10",
-    "fig11", "fig12", "fig13", "fig14", "fig15",
+    "fig11", "fig12", "fig13", "fig14", "fig15", "figS", "figV",
     "table1", "table2", "table3", "table5", "table6",
 }
 
@@ -71,7 +71,7 @@ class TestRegistry:
 
                 points = staticmethod(lambda ctx: [])
                 aggregate = staticmethod(lambda a: a)
-                format_report = staticmethod(str)
+                report = ()
 
     def test_grid_studies_build_valid_unique_configs(self):
         for name, entry in all_studies().items():
@@ -188,7 +188,7 @@ class TestStudyDecorator:
 
             points = staticmethod(lambda ctx: [])
             aggregate = staticmethod(lambda a: a)
-            format_report = staticmethod(str)
+            report = ()
 
         assert probe[0].description == "first line wins"
         assert probe[0].claims == ()
@@ -199,7 +199,7 @@ class TestStudyDecorator:
         @study("directless", description="computed")
         class Directless:
             aggregate = staticmethod(lambda a: "result")
-            format_report = staticmethod(str)
+            report = ()
             claims = (claim,)
 
         assert probe[0].points(StudyContext(max_epochs=1.0)) == []
@@ -207,6 +207,25 @@ class TestStudyDecorator:
         # kind follows from the declaration: no points -> direct.
         assert probe[0].kind == "direct"
         assert Study("x", "d", lambda ctx: [], lambda a: a, str).kind == "grid"
+
+    def test_a_report_has_one_spelling(self, probe):
+        # A study states its report as Table/Series parts; a class that
+        # declares none, or renders its own, is refused by name.
+        with pytest.raises(ConfigurationError, match="study 'reportless' declares no report"):
+
+            @study("reportless", description="no report")
+            class Reportless:
+                aggregate = staticmethod(lambda a: [])
+
+        with pytest.raises(ConfigurationError, match="study 'bespoke' defines format_report"):
+
+            @study("bespoke", description="its own renderer")
+            class Bespoke:
+                aggregate = staticmethod(lambda a: [])
+                report = ()
+                format_report = staticmethod(str)
+
+        assert probe == []
 
     def test_register_is_importable_and_guarded(self):
         with pytest.raises(ConfigurationError, match="already registered"):

@@ -42,9 +42,6 @@ STUDIES = (
 )
 SLOW = {"fig9", "fig12"}
 PARAMS = [pytest.param(n, marks=pytest.mark.slow) if n in SLOW else n for n in STUDIES]
-# A missing artifact still breaks these two: figV serves a model it has
-# not trained, multitenancy reads a baseline it does not have.
-NO_PARTIAL = {"figV", "multitenancy"}
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +63,7 @@ def test_report_matches_the_golden(name):
     assert render(name) == (GOLDEN_DIR / f"{name}.txt").read_text()
 
 
-@pytest.mark.parametrize("name", [p for n, p in zip(STUDIES, PARAMS) if n not in NO_PARTIAL])
+@pytest.mark.parametrize("name", PARAMS)
 def test_report_renders_without_any_one_artifact(name):
     entry, full = get_study(name), list(artifacts(name))
     for i in range(len(full)):
