@@ -446,20 +446,21 @@ class Engine:
             self._wake_joiners(proc)
             return
         except BaseException as exc:  # noqa: BLE001 - recorded, then re-raised
-            proc.state = _FAILED
-            proc.exception = exc
-            proc.finished_at = self.now
-            self._retire(proc)
-            self._wake_joiners(proc)
+            self._fail(proc, exc)
             raise
         proc.state = _BLOCKED
         proc._wake_token += 1
         # Exact-type table lookup: one dict probe per yielded command
         # instead of walking an isinstance chain.
         handler = _DISPATCH_TABLE.get(type(command))
-        if handler is None:
-            raise SimulationError(f"{proc.name}: unknown command {command!r}")
-        handler(self, proc, command)
+        try:
+            if handler is None:
+                raise SimulationError(f"{proc.name}: unknown command {command!r}")
+            handler(self, proc, command)
+        except BaseException as exc:  # noqa: BLE001 - a refused command
+            if proc.alive:  # a PutEach's first put fails it in _next_put
+                self._fail(proc, exc)
+            raise
 
     def _resume_later(
         self, proc: Process, at: float, value: Any = None, throw: BaseException | None = None
@@ -476,6 +477,18 @@ class Engine:
         if proc._wake_token != token or proc.state is not _BLOCKED:
             return  # stale wake-up: the process was killed or already resumed
         self._step(proc, value, throw)
+
+    def _fail(self, proc: Process, exc: BaseException) -> None:
+        """End `proc` as FAILED with `exc`: its generator raised, or the
+        engine refused the command it yielded. The generator is closed
+        and its joiners are thrown `exc`, so the process neither stays
+        blocked nor reads as a deadlock on a resumed run()."""
+        proc.state = _FAILED
+        proc.exception = exc
+        proc.finished_at = self.now
+        self._retire(proc)
+        proc.generator.close()
+        self._wake_joiners(proc)
 
     def _retire(self, proc: Process) -> None:
         """Account one alive->terminal transition (DONE/FAILED/KILLED)."""
@@ -552,7 +565,11 @@ class Engine:
         item = next(rest, None)
         if item is not None:
             key, value = item
-            self._put(proc, cmd, key, value, rest, done)
+            try:
+                self._put(proc, cmd, key, value, rest, done)
+            except BaseException as exc:  # noqa: BLE001 - a refused put
+                self._fail(proc, exc)
+                raise
         elif done:
             self._step(proc, done, None)
         else:

@@ -121,7 +121,17 @@ class RefEngine:
             raise
         proc.state = "blocked"
         proc.epoch += 1
-        self._issue(proc, command)
+        self._refusable(proc, self._issue, command)
+
+    def _refusable(self, proc: RefProcess, issue, *args) -> None:
+        """Run `issue`; a command it refuses ends `proc` failed, then escapes."""
+        try:
+            issue(proc, *args)
+        except BaseException as exc:  # noqa: BLE001 - recorded, then re-raised
+            if proc.alive:
+                self._end(proc, "failed", None, exc)
+                proc.generator.close()
+            raise
 
     def _end(self, proc: RefProcess, state: str, result, exception) -> None:
         proc.state = state
@@ -150,7 +160,7 @@ class RefEngine:
             self._step(proc, error=error)
         else:
             proc.items[3].append(value)
-            self._next_item(proc)
+            self._refusable(proc, self._next_item)
 
     def _later(self, proc: RefProcess, t: float, value=None, error=None) -> None:
         self.at(t, self._resume, proc, proc.epoch, value, error)

@@ -58,6 +58,17 @@ MUTANTS = [
      "bucket.append((fn, args))", "self._at[at] = [(fn, args)]"),
     ("timed_command_not_charged", "simulation/engine.py",
      "proc.trace.seconds[command.category] += duration", "pass"),
+    ("refusal_not_retired", "simulation/engine.py",
+     "self._retire(proc)\n        proc.generator.close()\n        self._wake_joiners(proc)",
+     "proc.generator.close()\n        self._wake_joiners(proc)"),
+    ("refusal_not_marked_failed", "simulation/engine.py",
+     "proc.state = _FAILED\n        proc.exception = exc", "proc.exception = exc"),
+    ("refused_command_left_blocked", "simulation/engine.py",
+     "# a PutEach's first put fails it in _next_put\n                self._fail(proc, exc)",
+     "# a PutEach's first put fails it in _next_put\n                pass"),
+    ("refused_put_in_a_sequence_left_blocked", "simulation/engine.py",
+     "# noqa: BLE001 - a refused put\n                self._fail(proc, exc)",
+     "# noqa: BLE001 - a refused put\n                pass"),
     ("next_put_ignores_a_kill", "simulation/engine.py",
      "return  # stale, like _fire's: killed mid-sequence\n        item = next(rest, None)",
      "pass\n        item = next(rest, None)"),

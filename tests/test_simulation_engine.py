@@ -7,7 +7,12 @@ import weakref
 
 import pytest
 
-from repro.errors import DeadlockError, KeyNotFoundError, SimulationError
+from repro.errors import (
+    DeadlockError,
+    ItemTooLargeError,
+    KeyNotFoundError,
+    SimulationError,
+)
 from repro.simulation.commands import (
     Collective,
     CollectiveGroup,
@@ -16,11 +21,12 @@ from repro.simulation.commands import (
     Join,
     ListKeys,
     Put,
+    PutEach,
     Sleep,
     WaitKeyCount,
 )
 from repro.simulation.engine import Engine, ProcessState
-from repro.storage.services import S3Store
+from repro.storage.services import DynamoDBStore, S3Store
 from repro.utils.serialization import SizedPayload
 
 
@@ -307,6 +313,51 @@ def test_unknown_command_fails_naming_the_process(engine):
     engine.spawn(proc(), "confused")
     with pytest.raises(SimulationError, match="confused: unknown command 'not a command'"):
         engine.run()
+
+
+SMALL = SizedPayload(None, 8)
+TOO_LARGE = SizedPayload(None, 1024 * 1024)  # over DynamoDB's 400 KB item limit
+REFUSED = {
+    "nan sleep": (lambda store: Sleep(float("nan")), SimulationError),
+    "raw bytes put": (lambda store: Put(store, "k", b"raw"), SimulationError),
+    "raw bytes in a PutEach": (
+        lambda store: PutEach(store, [("a", SMALL), ("b", b"raw")]), SimulationError,
+    ),
+    "item too large": (lambda store: Put(store, "k", TOO_LARGE), ItemTooLargeError),
+    "item too large in a PutEach": (
+        lambda store: PutEach(store, [("a", SMALL), ("b", TOO_LARGE)]), ItemTooLargeError,
+    ),
+}
+
+
+@pytest.mark.parametrize("refused", REFUSED.values(), ids=REFUSED)
+def test_a_refused_command_fails_its_process(refused):
+    # The refusal escapes run(), and the process that yielded it is over:
+    # FAILED with the error, retired, and its joiner is thrown the error
+    # on the resumed run instead of both reading as a deadlock.
+    engine, store = Engine(), DynamoDBStore()
+    command, error = refused
+    thrown = []
+
+    def bad():
+        yield Sleep(1.0)
+        yield command(store)
+
+    def joiner(target):
+        try:
+            yield Join(target)
+        except error as exc:
+            thrown.append(exc)
+
+    p = engine.spawn(bad(), "bad")
+    engine.spawn(joiner(p), "joiner")
+    with pytest.raises(error):
+        engine.run()
+    assert p.state is ProcessState.FAILED and isinstance(p.exception, error)
+    assert p.finished_at == engine.now >= 1.0
+    assert p not in engine._alive
+    engine.run()
+    assert thrown == [p.exception]
 
 
 @pytest.mark.parametrize("interval", [0.0, -1.0, float("inf"), float("nan")])
