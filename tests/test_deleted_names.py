@@ -81,6 +81,15 @@ DELETED = {
         "|ReliabilityCurv[e]|SanityRo[w]|ChannelRo[w])\\b",
         CODE,
     ),
+    # Every study states its report as Table/Series parts over its rows:
+    # the hand-written renderers and the one-use row classes they read.
+    "study renderers": (
+        "-nE",
+        "def format_repor[t]|format_burst_repor[t]|\\b(PatternRo[w]|RPCRo[w]|ConstantRo[w]"
+        "|CaseStudyRo[w]|HotDataRo[w]|TenancyOutcom[e]|PipelineRo[w]|ValidationPoin[t]"
+        "|EstimatorPoin[t]|Fig13Resul[t])\\b",
+        ("src/repro",),
+    ),
     # The event queue is a heap of instants and one list per instant: the
     # heap of (time, seq, fn, args) events and its sequence counter.
     "event heap": ("-nE", "self\\._hea[p]\\b|self\\._heappus[h]|_seq_nex[t]|\\._se[q]\\b", CODE),
