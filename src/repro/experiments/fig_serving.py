@@ -84,6 +84,8 @@ def serve_pipeline(artifacts: list[dict]) -> list[dict]:
     artifact is missing (an interrupted sweep) is neither registered nor
     served.
     """
+    if not artifacts:
+        return []
     from repro.serving import (
         ModelRegistry,
         ServingConfig,
@@ -92,14 +94,13 @@ def serve_pipeline(artifacts: list[dict]) -> list[dict]:
     )
 
     registry = ModelRegistry()
-    trained = {
-        artifact["tags"]["class"]: registry.register_artifact(artifact["tags"]["class"], artifact)
-        for artifact in sorted(artifacts, key=lambda a: a["tags"]["class"])
-    }
-    seed = int(artifacts[0]["config"]["seed"]) if artifacts else DEFAULT_SEED
+    for artifact in sorted(artifacts, key=lambda a: a["tags"]["class"]):
+        registry.register_artifact(artifact["tags"]["class"], artifact)
+    trained = registry.names()
+    seed = int(artifacts[0]["config"]["seed"])
 
     def cell(model_label, platform, traffic, autoscaler) -> dict:
-        entry = trained[model_label]
+        entry = registry.get(model_label)
         config = ServingConfig(
             model=entry.model,
             dataset=entry.dataset,
@@ -125,12 +126,14 @@ def serve_pipeline(artifacts: list[dict]) -> list[dict]:
             + metrics["cost_per_1m_requests"],
         }
 
-    panel = [
-        cell("nn", platform, traffic, autoscaler)
-        for platform in PANEL_PLATFORMS
-        for traffic in PANEL_TRAFFIC
-        for autoscaler in PANEL_AUTOSCALERS
-    ] if "nn" in trained else []
+    panel = []
+    if "nn" in trained:
+        panel += [
+            cell("nn", platform, traffic, autoscaler)
+            for platform in PANEL_PLATFORMS
+            for traffic in PANEL_TRAFFIC
+            for autoscaler in PANEL_AUTOSCALERS
+        ]
     # One contrast cell: the tiny model on the FaaS sweet spot shows
     # the platform axes collapsing when the model is 224 bytes.
     if "small" in trained:

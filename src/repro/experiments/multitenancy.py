@@ -195,7 +195,8 @@ class MultitenancyStudy:
 
     aggregate = staticmethod(simulate_bursts)
     report = (
-        Table(f"Multi-tenancy (simulated) — burst of {BURST_JOBS} jobs, queueing vs contention", (
+        Table(f"Multi-tenancy (simulated) — burst of {BURST_JOBS} jobs, "
+              "queueing vs contention", (
             ("max_concurrent", "max_concurrent"),
             ("p50 completion (s)", "p50_completion_s"),
             ("p99 completion (s)", "p99_completion_s"),

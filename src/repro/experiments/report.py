@@ -11,14 +11,13 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 
-def format_table(
-    title: str,
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    floatfmt: str = "{:.3g}",
-) -> str:
-    """Render an aligned monospace table with a title line."""
-    rendered_rows = [[_render(cell, floatfmt) for cell in row] for row in rows]
+def format_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Render an aligned monospace table with a title line.
+
+    A float prints to three significant figures; a column that needs
+    another precision is a string expression (``f"{x:.4g}"``).
+    """
+    rendered_rows = [[_render(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rendered_rows:
         for i, cell in enumerate(row):
@@ -43,13 +42,13 @@ def format_series(title: str, series: dict[str, list[tuple[float, float]]]) -> s
     return "\n".join(lines)
 
 
-def _render(cell: Any, floatfmt: str) -> str:
+def _render(cell: Any) -> str:
     if cell is None:
         return "N/A"
     if isinstance(cell, bool):
         return "yes" if cell else "no"
     if isinstance(cell, float):
-        return floatfmt.format(cell)
+        return f"{cell:.3g}"
     return str(cell)
 
 
