@@ -6,7 +6,12 @@ reference, but both run through the same ``run_lockstep`` and
 that test stays green. This file pins what the pass computed when the
 golden was recorded, for small twins of the ledger's ``train_exact``
 trainings (dense higgs ADMM, sparse rcv1 ADMM, the float32 network on
-GA-SGD, also past ``reduce_vectors``' w > 8 boundary):
+GA-SGD, also past ``reduce_vectors``' w > 8 boundary) and of the
+service tier's jobs. The sparse runs pin both regimes of the linear
+step: ``rcv1-admm-w5`` takes each shard as one batch, while
+``rcv1-ma-w8-figS`` (figS's small class: one-row batches) and
+``svm-rcv1-admm-w5-b5`` (five-row batches, ADMM's proximal term) take
+batches that store few entries against the feature count. It pins:
 
 * every rank's local loss at every evaluation,
 * the run's ``final_loss``,
@@ -47,6 +52,12 @@ CONFIGS = {
                            max_epochs=30),
     "rcv1-admm-w5": dict(FAAS, model="lr", dataset="rcv1", algorithm="admm", workers=5,
                          batch_size=80_000, lr=2.0, data_scale=80, max_epochs=20),
+    "rcv1-ma-w8-figS": dict(FAAS, model="lr", dataset="rcv1", algorithm="ma_sgd",
+                            workers=8, batch_size=10_000, lr=0.1, data_scale=2000,
+                            max_epochs=3),
+    "svm-rcv1-admm-w5-b5": dict(FAAS, model="svm", dataset="rcv1", algorithm="admm",
+                                workers=5, batch_size=10_000, lr=3.0, data_scale=400,
+                                max_epochs=20),
     "mobilenet-ga-w4": dict(NN, workers=4, data_scale=80),
     "mobilenet-ga-w12": dict(NN, workers=12, data_scale=200),
 }
