@@ -46,16 +46,43 @@ class CsrRows:
         )
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.data.dtype, v.dtype))
+        return self.accumulate(v, out)
+
+    def accumulate(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out += self @ v`` in the kernel's order, in place: from a zero
+        ``out``, the bits of ``self @ v``."""
         rows, cols = self.shape
         if v.shape != (cols,):  # the compiled kernels index `v` unchecked
             raise ValueError(f"cannot multiply {self.shape} rows by a vector of shape {v.shape}")
         # Bound here, not at module level: a dense run never loads scipy.
         from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-        out = np.zeros(rows, dtype=np.result_type(self.data.dtype, v.dtype))
         kernel = csc_matvec if self.transposed else csr_matvec
         kernel(rows, cols, self.indptr, self.indices, self.data, v, out)
         return out
+
+
+def _gather_rows(X, order: np.ndarray):
+    """The raw arrays of ``X[order]`` for a CSR matrix `X`: scipy's own
+    row gather, ``csr_row_index``, without the validated indexing around
+    it (a fixed cost larger than a small shard's gather). The index
+    arrays get the dtype ``X[order]`` would give them."""
+    from scipy.sparse._sparsetools import csr_row_index
+
+    # scipy gathers in int32 unless a source index array is wider ...
+    wide = not (np.can_cast(X.indptr.dtype, np.int32) and np.can_cast(X.indices.dtype, np.int32))
+    work = np.int64 if wide else np.int32
+    rows, src_indptr = order.astype(work), X.indptr.astype(work, copy=False)
+    indptr = np.zeros(len(rows) + 1, dtype=work)
+    np.cumsum(src_indptr[rows + 1] - src_indptr[rows], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices, data = np.empty(nnz, dtype=work), np.empty(nnz, dtype=X.data.dtype)
+    csr_row_index(len(rows), rows, src_indptr, X.indices.astype(work, copy=False), X.data,
+                  indices, data)
+    # ... then the matrix narrows to int32 whatever fits.
+    index = np.int64 if max(len(rows), X.shape[1], nnz) > np.iinfo(np.int32).max else np.int32
+    return indptr.astype(index, copy=False), indices.astype(index, copy=False), data
 
 
 @dataclass
@@ -94,12 +121,14 @@ class Shard:
         """
         n_rows, step = self.n_rows, self.batch_size
         order = self.rng.permutation(n_rows)
-        X, y = self.X[order], self.y[order]
-        if isinstance(X, np.ndarray):
+        y = self.y[order]
+        if isinstance(self.X, np.ndarray):
+            X = self.X[order]
             for a in range(0, n_rows, step):
                 yield X[a : a + step], y[a : a + step]
             return
-        indptr, indices, data, n_cols = X.indptr, X.indices, X.data, X.shape[1]
+        indptr, indices, data = _gather_rows(self.X, order)
+        n_cols = self.X.shape[1]
         for a in range(0, n_rows, step):
             b = min(a + step, n_rows)
             lo, hi = indptr[a], indptr[b]

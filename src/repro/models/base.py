@@ -25,6 +25,10 @@ class SupervisedModel(abc.ABC):
     #: dense X ``(W, b, d)``, y ``(W, b)`` — and return each rank's
     #: gradient bit for bit, as row ``r`` of a ``(W, d)`` array?
     stacks: bool = False
+    #: ``sparse_step(params, X, y, lr, extra_grad)``, or None: the SGD step
+    #: in place on a CSR minibatch that stores few entries, bit for bit the
+    #: one built from :meth:`gradient` (``optim.local.sgd_epoch`` picks it).
+    sparse_step = None
 
     @abc.abstractmethod
     def init_params(self, rng: np.random.Generator) -> np.ndarray:

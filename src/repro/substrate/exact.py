@@ -47,12 +47,14 @@ def build_ranks(ctx) -> tuple[list, list]:
         min_local_batch=config.min_local_batch,
     )
     # Every worker starts from the same model: it is drawn once and
-    # broadcast (the starter's job in LambdaML).
-    init = initial_model(config.algorithm, ctx.info.factory(), config.seed, split.X_train)
+    # broadcast (the starter's job in LambdaML). The ranks step in turn,
+    # so they share one model object and the step scratch it keeps.
+    model = ctx.info.factory()
+    init = initial_model(config.algorithm, model, config.seed, split.X_train)
     algorithms = [
         make_algorithm(
             config.algorithm,
-            ctx.info.factory(),
+            model,
             shard,
             lr=config.lr,
             init=init,

@@ -1,11 +1,13 @@
 """The minibatch step yields the parent's bits from cheaper spellings.
 
-``Shard.epoch_batches`` gathers the shuffled shard once and cuts raw-CSR
-row runs (``CsrRows``) or dense views from it, ``_sigmoid`` selects
-between its two branches instead of gathering and scattering, and the
-SGD / ADMM updates work in place on arrays they own. Each spelling is
-checked here, bit for bit, against the straightforward one it replaced,
-which lives on in this file as the oracle.
+``Shard.epoch_batches`` gathers the shuffled shard once (scipy's row
+gather on raw arrays) and cuts raw-CSR row runs (``CsrRows``) or dense
+views from it, ``_sigmoid`` selects between its two branches instead of
+gathering and scattering, the SGD / ADMM updates work in place on arrays
+they own, and a CSR batch that stores few entries takes the linear
+models' O(nnz) ``sparse_step``. Each spelling is checked here, bit for
+bit, against the straightforward one it replaced, which lives on in this
+file as the oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.data.loader import CsrRows, Shard, make_shards
 from repro.data.synth import generate
 from repro.models.linear import LinearSVM, LogisticRegression, _sigmoid
 from repro.optim.admm import ADMM
-from repro.optim.local import sgd_epoch
+from repro.optim.local import SPARSE_STEP_RATIO, sgd_epoch
 from repro.optim.model_averaging import ModelAveragingSGD
 from repro.utils.rng import make_rng
 
@@ -71,7 +73,9 @@ def out_of_place_admm_round(algo: ADMM, shard: Shard) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # (a) kernel identity
 # ---------------------------------------------------------------------------
-def _csr_shard(n_rows, n_cols, batch_size, seed):
+def _csr_shard(n_rows, n_cols, batch_size, seed, source="int32"):
+    """A CSR shard with empty rows; `source` picks the index arrays' dtype
+    (``mixed``: int64 indptr, int32 indices)."""
     rng = np.random.default_rng(seed)
     X = sparse.random(n_rows, n_cols, density=0.15, format="csr", random_state=rng)
     keep = np.ones(n_rows)
@@ -79,17 +83,26 @@ def _csr_shard(n_rows, n_cols, batch_size, seed):
     X = (sparse.diags(keep) @ X).tocsr()
     X.eliminate_zeros()
     assert (np.diff(X.indptr) == 0).any()
+    if source != "int32":
+        X.indptr = X.indptr.astype(np.int64)
+        X.indices = X.indices.astype(np.int64 if source == "int64" else np.int32)
     y = rng.choice(np.array([-1, 1], dtype=np.int8), size=n_rows)
     return Shard(0, X, y, X[:1], y[:1], batch_size, rng=np.random.default_rng(seed + 1))
 
 
-@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("n_rows,batch_size", [(37, 8), (40, 8), (5, 64), (9, 1)])
-def test_csr_batches_equal_scipy_batches(n_rows, batch_size, index_dtype):
+@pytest.mark.parametrize("n_rows,batch_size,index_dtype,source", [
+    pytest.param(n_rows, batch_size, index_dtype, source, id=f"{n_rows}-{batch_size}-"
+                 f"{index_dtype.__name__}" + ("" if source == "int32" else f"-{source}-source"))
+    for source in ("int32", "int64", "mixed")
+    for index_dtype in (np.int32, np.int64)
+    for n_rows, batch_size in ((37, 8), (40, 8), (5, 64), (9, 1))
+])
+def test_csr_batches_equal_scipy_batches(n_rows, batch_size, index_dtype, source):
     """Short last batch, exact division, batch > rows, one-row batches."""
-    shard = _csr_shard(n_rows, 23, batch_size, seed=n_rows)
+    shard = _csr_shard(n_rows, 23, batch_size, seed=n_rows, source=source)
     twin = copy.deepcopy(shard)
     order = copy.deepcopy(shard.rng).permutation(n_rows)
+    gathered = shard.X[order]
     rng = np.random.default_rng(7)
     p = rng.standard_normal(23)
 
@@ -99,7 +112,10 @@ def test_csr_batches_equal_scipy_batches(n_rows, batch_size, index_dtype):
     assert shard.rng.bit_generator.state == twin.rng.bit_generator.state
     for (rows, y), (X_batch, y_batch) in zip(ours, theirs):
         assert isinstance(rows, CsrRows) and rows.shape == X_batch.shape
-        # scipy picks the gathered copy's index width; the kernels take both.
+        # The gather keeps the index widths scipy's X[order] would have.
+        assert rows.indptr.dtype == gathered.indptr.dtype
+        assert rows.indices.dtype == gathered.indices.dtype
+        # The kernels take either width.
         rows = CsrRows(rows.indptr.astype(index_dtype), rows.indices.astype(index_dtype),
                        rows.data, rows.shape)
         v = rng.standard_normal(rows.shape[0])
@@ -113,7 +129,7 @@ def test_csr_batches_equal_scipy_batches(n_rows, batch_size, index_dtype):
         sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
         for rows, _ in ours
     ])
-    assert np.array_equal(stacked.toarray(), shard.X[order].toarray())
+    assert np.array_equal(stacked.toarray(), gathered.toarray())
     assert np.array_equal(np.concatenate([y for _, y in ours]), shard.y[order])
 
 
@@ -229,7 +245,105 @@ def test_ma_sgd_round_equals_out_of_place_reference(dataset):
 
 
 # ---------------------------------------------------------------------------
-# (d) a generator held across engine yields: the ASP executor
+# (d) the sparse step: CSR batches that store few entries against d
+# ---------------------------------------------------------------------------
+PER_ROW = 4
+#: A ten-row batch of PER_ROW-entry rows sits exactly at the regime switch.
+D = 10 * PER_ROW * SPARSE_STEP_RATIO
+REGIMES = {"below": 9, "at": 10, "above": 12}  # batch sizes over 60 full rows
+
+
+def _fill_shard(batch_size: int) -> Shard:
+    """60 rows of exactly PER_ROW entries each."""
+    rng = np.random.default_rng(4)
+    indices = np.concatenate([np.sort(rng.choice(D, PER_ROW, replace=False)) for _ in range(60)])
+    X = sparse.csr_matrix(
+        (rng.uniform(0.5, 1.5, indices.size), indices, np.arange(0, indices.size + 1, PER_ROW)),
+        shape=(60, D),
+    )
+    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=60)
+    return Shard(0, X, y, X[:1], y[:1], batch_size, rng=np.random.default_rng(5))
+
+
+def _edge_shard() -> Shard:
+    """Three-row batches over empty rows and a column (7) that every other
+    row stores, with positive data, so ``p[7] = 3`` zeroes the SVM
+    coefficient of the rows labelled +1."""
+    rng = np.random.default_rng(6)
+    rows = []
+    for i in range(40):
+        cols = [] if i % 4 == 3 else sorted({7, *rng.choice(D, 3, replace=False).tolist()})
+        rows.append(cols)
+    indptr = np.cumsum([0] + [len(cols) for cols in rows])
+    indices = np.array([c for cols in rows for c in cols], dtype=np.int32)
+    X = sparse.csr_matrix((rng.uniform(0.5, 1.5, indices.size), indices, indptr), shape=(40, D))
+    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=40)
+    return Shard(0, X, y, X[:1], y[:1], 3, rng=np.random.default_rng(7))
+
+
+def _seeded(kind: str) -> np.ndarray:
+    p = np.random.default_rng(9).standard_normal(D) * 0.1
+    p[7] = 3.0
+    if kind == "negative zero":
+        p[::7] = -0.0
+    elif kind == "subnormal":  # l2 * -5e-324 is -0.0: a step must not lose that sign
+        p[::5], p[1::5], p[2::5] = 5e-324, -5e-324, -1e-310
+    elif kind == "inf":
+        p[3::11], p[4::11] = np.inf, -np.inf
+    elif kind == "nan":
+        p[2::13] = np.nan
+    return p
+
+
+@pytest.mark.parametrize("seeding", ["finite", "negative zero", "subnormal", "inf", "nan"])
+@pytest.mark.parametrize("extra", [False, True], ids=["plain", "extra"])
+@pytest.mark.parametrize("model_cls", [LogisticRegression, LinearSVM])
+@pytest.mark.parametrize("regime", [*REGIMES, "edge"])
+def test_sparse_step_equals_out_of_place_reference(regime, model_cls, extra, seeding):
+    shard = _edge_shard() if regime == "edge" else _fill_shard(REGIMES[regime])
+    twin = copy.deepcopy(shard)
+    model = model_cls(D, l2=1e-3)
+    real, sizes = model.sparse_step, []
+
+    def spy(params, X, y, lr, extra_grad):
+        sizes.append(X.indices.size)
+        real(params, X, y, lr, extra_grad)
+
+    model.sparse_step = spy
+    anchor = np.random.default_rng(10).standard_normal(D)
+    extra_grad = (lambda x: 0.3 * (x - anchor)) if extra else None
+    params, per_epoch = _seeded(seeding), []
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            kept = params.tobytes()
+            got = sgd_epoch(model, params, shard, 0.2, extra_grad)
+            want = out_of_place_epoch(model, params, twin, 0.2, extra_grad)
+            assert got.tobytes() == want.tobytes()
+            assert params.tobytes() == kept  # the argument is unwritten
+            if model._scratch is not None:  # the step's X^T coef scratch is all +0.0 again
+                assert not model._scratch[0].view(np.int64).any()
+            params = got
+            per_epoch.append(len(sizes))
+    steps = 3 * shard.iterations_per_epoch
+    if seeding == "negative zero":  # the step may not see -0.0: the epoch goes dense
+        assert per_epoch[0] == 0
+    elif regime == "below" or regime == "edge":
+        assert len(sizes) == steps and all(n * SPARSE_STEP_RATIO < D for n in sizes)
+    else:
+        assert sizes == []
+
+
+def test_the_edge_shard_zeroes_svm_coefficients():
+    """The case the edge shard exists for: stored columns whose X^T coef is
+    exactly +0.0 (the SVM rows past the margin), beside empty rows."""
+    shard, model, p = _edge_shard(), LinearSVM(D), _seeded("finite")
+    coef = np.concatenate([model._coef(y * (rows @ p), y) for rows, y in shard.epoch_batches()])
+    assert (coef == 0).any() and (coef != 0).any()
+    assert (np.diff(shard.X.indptr) == 0).any()
+
+
+# ---------------------------------------------------------------------------
+# (e) a generator held across engine yields: the ASP executor
 # ---------------------------------------------------------------------------
 def test_asp_lr_rcv1_history_is_the_parent_commits():
     """Four S-ASP workers each keep one ``epoch_batches()`` generator
