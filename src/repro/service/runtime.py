@@ -156,15 +156,11 @@ class BaselineProvider:
         # the fault plane is genuinely exercised.
         return not config.timing_coupled and not config.faults_enabled
 
-    def _run_isolated(self, config: TrainingConfig) -> RunResult:
-        record = (
-            self._replay_eligible(config)
-            and config.stat_hash not in self._traces
-        )
+    def _run_isolated(self, config: TrainingConfig) -> tuple[RunResult, dict | None]:
+        """The config's isolated run, and its trace when it is replayable."""
+        record = self._replay_eligible(config)
         substrate = ExactSubstrate() if record else None
         result = train(config, substrate)
-        if record:
-            self._traces[config.stat_hash] = substrate.trace
         if self.artifacts_dir is not None:
             write_artifact(
                 self.artifacts_dir,
@@ -174,7 +170,7 @@ class BaselineProvider:
                     substrate="record" if record else "exact",
                 ),
             )
-        return result
+        return result, substrate.trace if record else None
 
     # -- interface used by the runtime ------------------------------------
     def result(self, config: TrainingConfig) -> RunResult:
@@ -182,22 +178,22 @@ class BaselineProvider:
         key = config_hash(config)
         cached = self._results.get(key)
         if cached is None:
-            cached = self._run_isolated(config)
-            self._results[key] = cached
+            cached = self._results[key] = self._run_isolated(config)[0]
         return cached
 
     def substrate_for(self, config: TrainingConfig):
         """A fresh substrate for one service job of this config."""
         if not self._replay_eligible(config):
             return None
-        trace = self._traces.get(config.stat_hash)
+        trace = self._traces.get(config.stat_hash())
         if trace is None:
-            # Record even when the result was primed from an artifact:
-            # one exact training buys replay for every service job of
-            # this statistical fingerprint.
-            self._results[config_hash(config)] = self._run_isolated(config)
-            trace = self._traces.get(config.stat_hash)
-        return None if trace is None else ReplaySubstrate(trace)
+            # Record even when the result was primed from an artifact.
+            # The trace replays this job only: memoizing it would spare
+            # the isolated training of every later job of the
+            # fingerprint, which moves the engine counts the ledger pins
+            # for service_panel (ROADMAP item 3).
+            self._results[config_hash(config)], trace = self._run_isolated(config)
+        return ReplaySubstrate(trace)
 
 
 def _feasible_workers(kwargs: dict, granted: int, submitted: int) -> int:

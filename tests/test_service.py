@@ -374,6 +374,29 @@ class TestServiceRuntime:
         assert sum(r["queue_s"] > 0 for r in records) == 2
 
 
+class TestBaselineProvider:
+    def test_a_primed_trace_replays_without_training(self, monkeypatch):
+        """A rooted service primes the traces on disk by stat hash; a job
+        of that fingerprint must replay one, not train again."""
+        import repro.service.runtime as runtime_module
+        from repro.core.config import TrainingConfig
+        from repro.core.driver import train
+        from repro.substrate import ExactSubstrate, ReplaySubstrate
+
+        recorder = ExactSubstrate()
+        train(TrainingConfig(**FAST_JOB), recorder)
+        provider = BaselineProvider()
+        provider.prime_traces({TrainingConfig(**FAST_JOB).stat_hash(): recorder.trace})
+
+        def refuse(config, substrate=None):
+            raise AssertionError(f"trained {config.describe()} despite a primed trace")
+
+        monkeypatch.setattr(runtime_module, "train", refuse)
+        # A fresh config object, as the runtime builds one per admission.
+        substrate = provider.substrate_for(TrainingConfig(**FAST_JOB))
+        assert isinstance(substrate, ReplaySubstrate)
+
+
 class TestServiceFacade:
     def test_submit_pulls_tenant_identity_from_scenario_tags(self):
         service = Service(arrivals=None, scheduler="fifo")
