@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from pins import pinned, register
 from repro.core.config import TrainingConfig, config_validity_error
 from repro.core.context import JobContext
 from repro.core.driver import finalize_job, launch_job, train
@@ -202,38 +203,41 @@ def _fanin_config(**overrides) -> TrainingConfig:
     return TrainingConfig(**base)
 
 
+def _hexes(result) -> dict:
+    return {"duration_hex": result.duration_s.hex(), "cost_hex": result.cost_total.hex()}
+
+
+# Recorded at commit 8149d95, where every poll was one `+=` in a loop.
+@register("training.poll-billing", keys=("s3", "dynamodb"))
+def _poll_billing(channel: str) -> dict:
+    result = train(_fanin_config(channel=channel))
+    return {**_hexes(result), "component_hex": result.cost_breakdown[channel].hex()}
+
+
+def _polled_every(interval: float):
+    ctx = JobContext(_fanin_config(poll_interval_s=interval))
+    launch_job(ctx)
+    ctx.engine.run()
+    return finalize_job(ctx, 0.0, ctx.engine.now), ctx.meter
+
+
+register("training.poll-billing.fine-interval")(lambda: _polled_every(1e-6)[0].cost_total.hex())
+
+
 class TestPollBilling:
-    # Recorded at commit 8149d95, where every poll was one `+=` in a loop.
-    @pytest.mark.parametrize(
-        "channel,duration,cost,component",
-        [
-            ("s3", "0x1.9c11bfae3986bp+6", "0x1.c0261e6eff3d4p-1", "0x1.175c9b0b88382p-1"),
-            ("dynamodb", "0x1.4dbaf7b5bd717p+6", "0x1.283c8afeb8417p-2", "0x1.6e9680e06657ap-6"),
-        ],
-    )
-    def test_large_poll_batches_bill_the_per_poll_dollars(
-        self, channel, duration, cost, component
-    ):
-        result = train(_fanin_config(channel=channel))
-        assert result.duration_s.hex() == duration
-        assert result.cost_total.hex() == cost
-        assert result.cost_breakdown[channel].hex() == component
+    @pytest.mark.parametrize("channel", ["s3", "dynamodb"])
+    def test_large_poll_batches_bill_the_per_poll_dollars(self, channel):
+        assert _poll_billing(channel) == pinned(f"training.poll-billing.{channel}")
 
     def test_host_time_independent_of_the_simulated_poll_interval(self):
         # ~10^7 polls per wait: minutes if each one is a Python-level
         # add, so the per-test timeout is the assertion on host time.
-        def run(interval):
-            ctx = JobContext(_fanin_config(poll_interval_s=interval))
-            launch_job(ctx)
-            ctx.engine.run()
-            return finalize_job(ctx, 0.0, ctx.engine.now), ctx.meter
-
-        coarse, _ = run(0.05)
-        fine, meter = run(1e-6)
+        coarse, _ = _polled_every(0.05)
+        fine, meter = _polled_every(1e-6)
         assert meter.counters["s3_list"] > 10**8
         # What the per-poll loop billed for these 5,243,195,004 polls
         # at commit 8149d95 (151 s of host time there).
-        assert fine.cost_total.hex() == "0x1.99a13bfe8be0fp+14"
+        assert fine.cost_total.hex() == pinned("training.poll-billing.fine-interval")
         assert fine.cost_total > coarse.cost_total
         assert fine.comm_rounds == coarse.comm_rounds
 
@@ -291,6 +295,13 @@ class TestIaaSTraining:
         assert result.cost_breakdown["ec2"] == pytest.approx(expected)
 
 
+def _hybrid_stop_flag_run():
+    return train(_config(system="hybridps", algorithm="ga_sgd", lr=0.3, loss_threshold=0.67))
+
+
+register("training.hybrid-stop-flag")(lambda: _hexes(_hybrid_stop_flag_run()))
+
+
 class TestHybridTraining:
     def test_hybrid_trains_lr(self):
         result = train(
@@ -302,12 +313,9 @@ class TestHybridTraining:
         # At epoch 1 workers 1 and 2 reach the threshold and raise the
         # stop flag, worker 3 reads it and stops, and worker 0, which
         # looked before anyone raised it, stops at epoch 2 on its own.
-        result = train(
-            _config(system="hybridps", algorithm="ga_sgd", lr=0.3, loss_threshold=0.67)
-        )
+        result = _hybrid_stop_flag_run()
         assert result.converged
-        assert result.duration_s.hex() == "0x1.3b65188fc2cb2p+7"
-        assert result.cost_total.hex() == "0x1.e07272d448b8cp-5"
+        assert _hexes(result) == pinned("training.hybrid-stop-flag")
         assert len(result.history) == 9
 
     def test_hybrid_requires_gradient_algorithm(self):

@@ -107,6 +107,14 @@ DELETED = {
     # A yielded command costs one handler frame: the handler-table
     # lookup lives in Engine._step, not in a dispatch method of its own.
     "dispatch frame": ("-n", "def _dispatc[h](self\\|self\\._dispatc[h](", ("src/repro",)),
+    # tests/pins.py holds every pinned value and re-records all of them:
+    # the per-file record recipes, the golden files and the digest tables.
+    "per-file pins": (
+        "-nE",
+        "golden_(engin[e]|dispatc[h]|lockste[p])\\b|study_report[s]/|PINNED_[A-Z_]*DIGEST[S]"
+        "|--recor[d]\\b",
+        (*CODE, "README.md", ".claude/skills/verify/SKILL.md"),
+    ),
     # README, the verify recipe, CI and the code state what holds now;
     # CHANGES.md is the one log of how it came to hold.
     "PR log": (

@@ -21,21 +21,15 @@ run's simulated duration and dollars:
   order: recovery checkpoint, then the lifetime check);
 * an IaaS ``system="pytorch"`` BSP run (MPI ring exchange, no channel).
 
-A change to the event queue must leave every number here unchanged: the
-same events, in the same order. Regenerate only after an *intentional*
-change to what the engine runs, never to paper over a diff:
-
-    PYTHONPATH=src python tests/test_engine_dispatch_golden.py --record
+A change to the event queue must leave every number here (the pins
+``dispatch.<regime>``) unchanged: the same events, in the same order.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
-
 import pytest
 
+from pins import pinned, register
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.service import (
@@ -49,8 +43,6 @@ from repro.service import (
 from repro.serving import ServedModel, ServingConfig, ServingRuntime, serving_metrics
 from repro.simulation.engine import capture_stats
 from repro.substrate import ExactSubstrate, ReplaySubstrate
-
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_dispatch.json"
 
 REPLAY = dict(model="lr", dataset="higgs", algorithm="ga_sgd", system="lambdaml",
               channel="s3", data_scale=2000, batch_size=10000, lr=0.05,
@@ -181,6 +173,7 @@ REGIMES = {
 }
 
 
+@register("dispatch", keys=REGIMES)
 def _snapshot(name: str) -> dict:
     stats, duration, dollars = REGIMES[name]()
     return {
@@ -196,13 +189,11 @@ def _snapshot(name: str) -> dict:
 
 @pytest.mark.parametrize("name", sorted(REGIMES))
 def test_dispatch_matches_the_golden(name):
-    golden = json.loads(GOLDEN_PATH.read_text())[name]
-    assert _snapshot(name) == golden
+    assert _snapshot(name) == pinned(f"dispatch.{name}")
 
 
 def test_the_golden_runs_are_not_trivial():
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert set(golden) == set(REGIMES)
+    golden = {name: pinned(f"dispatch.{name}") for name in REGIMES}
     for name, entry in golden.items():
         assert entry["engines"], name
         for engine in entry["engines"]:
@@ -211,16 +202,3 @@ def test_the_golden_runs_are_not_trivial():
         assert max(e["events"] - e["batches"] for e in entry["engines"]) > 0, name
     busiest = max(golden["scatter_w16_replayed"]["engines"], key=lambda e: e["events"])
     assert busiest["peak_heap"] >= 16
-
-
-def _record() -> None:
-    golden = {name: _snapshot(name) for name in REGIMES}
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
-    print(f"recorded {len(golden)} dispatch profiles to {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    if "--record" in sys.argv:
-        _record()
-    else:
-        print(__doc__)

@@ -6,27 +6,17 @@ move a single simulated clock tick, trace second, or billed dollar.
 This test replays small reference jobs and compares `engine.now`,
 per-process :class:`TimeBreakdown` totals, and :class:`CostMeter`
 totals against values recorded on the pre-refactor seed engine
-(commit ea1bc81). Each job is also run twice in-process to catch
-run-to-run nondeterminism.
-
-Regenerate the golden file (only after an *intentional* semantic
-change, never to paper over a diff you can't explain):
-
-    PYTHONPATH=src python tests/test_golden_determinism.py --record
+(commit ea1bc81), the pins ``engine.<job>``. Each job is also run twice
+in-process to catch run-to-run nondeterminism.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
-
 import pytest
 
+from pins import pinned, register
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
-
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_engine.json"
 
 
 def _reference_configs() -> dict[str, TrainingConfig]:
@@ -54,9 +44,10 @@ def _reference_configs() -> dict[str, TrainingConfig]:
     }
 
 
-def _snapshot(config: TrainingConfig) -> dict:
+@register("engine", keys=_reference_configs())
+def _snapshot(name: str) -> dict:
     """Run one reference job; extract every value that must not move."""
-    result = train(config)
+    result = train(_reference_configs()[name])
     return {
         "duration_s": result.duration_s,
         "cost_total": result.cost_total,
@@ -75,35 +66,9 @@ def _snapshot(config: TrainingConfig) -> dict:
     }
 
 
-def _assert_identical(actual: dict, expected: dict, label: str) -> None:
-    assert actual["duration_s"] == expected["duration_s"], label
-    assert actual["cost_total"] == expected["cost_total"], label
-    assert actual["cost_breakdown"] == expected["cost_breakdown"], label
-    assert actual["comm_rounds"] == expected["comm_rounds"], label
-    assert actual["epochs"] == expected["epochs"], label
-    assert actual["per_worker_traces"] == expected["per_worker_traces"], label
-    assert actual["final_loss"] == expected["final_loss"], label
-
-
 @pytest.mark.parametrize("name", sorted(_reference_configs()))
 def test_golden_engine_values(name: str) -> None:
-    golden = json.loads(GOLDEN_PATH.read_text())
-    config = _reference_configs()[name]
-    first = _snapshot(config)
-    _assert_identical(first, golden[name], f"{name}: drifted from seed engine")
-    second = _snapshot(config)
-    _assert_identical(second, first, f"{name}: run-to-run nondeterminism")
-
-
-def _record() -> None:
-    GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    golden = {name: _snapshot(cfg) for name, cfg in _reference_configs().items()}
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
-    print(f"recorded {len(golden)} reference jobs to {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    if "--record" in sys.argv:
-        _record()
-    else:
-        print(__doc__)
+    first = _snapshot(name)
+    assert first == pinned(f"engine.{name}"), f"{name}: drifted from seed engine"
+    second = _snapshot(name)
+    assert second == first, f"{name}: run-to-run nondeterminism"

@@ -19,27 +19,18 @@ batches that store few entries against the feature count. It pins:
   hands the engine: round structure, rounds, epochs, final accuracy).
 
 Both the default (stacked) substrate and the rank-by-rank reference
-must reproduce it. Regenerate only after an *intentional* change to
-the statistics, never to paper over a diff you cannot explain:
-
-    PYTHONPATH=src python tests/test_lockstep_golden.py --record
+must reproduce the one pin ``lockstep.<run>``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import sys
-from pathlib import Path
-
 import pytest
 
+from pins import digest, pinned, register
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.fuzz.invariants import ReferenceSubstrate
 from repro.substrate import ExactSubstrate
-
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_lockstep.json"
 
 FAAS = dict(system="lambdaml", channel="s3", pattern="allreduce", seed=20210620,
             loss_threshold=None)
@@ -73,37 +64,23 @@ def _snapshot(kwargs: dict, substrate) -> dict:
         # losses[e][r]: rank r's local loss at evaluation e.
         "losses": [list(evaluation) for evaluation in zip(*(r["losses"] for r in ranks))],
         "final_loss": result.final_loss,
-        "trace_sha256": hashlib.sha256(
-            json.dumps(body, sort_keys=True).encode()
-        ).hexdigest(),
+        "trace_sha256": digest(body),
     }
+
+
+register("lockstep", keys=CONFIGS)(lambda name: _snapshot(CONFIGS[name], ExactSubstrate()))
 
 
 @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_lockstep_numerics_match_the_golden(name, substrate):
-    golden = json.loads(GOLDEN_PATH.read_text())[name]
-    assert _snapshot(CONFIGS[name], SUBSTRATES[substrate]()) == golden
+    assert _snapshot(CONFIGS[name], SUBSTRATES[substrate]()) == pinned(f"lockstep.{name}")
 
 
 def test_the_golden_runs_are_not_trivial():
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert set(golden) == set(CONFIGS)
-    for name, entry in golden.items():
+    for name in CONFIGS:
+        entry = pinned(f"lockstep.{name}")
         workers = CONFIGS[name]["workers"]
         assert len(entry["losses"]) >= 2, name  # the initial loss and at least one more
         assert all(len(evaluation) == workers for evaluation in entry["losses"]), name
         assert entry["losses"][-1] != entry["losses"][0], name
-
-
-def _record() -> None:
-    golden = {name: _snapshot(kwargs, ExactSubstrate()) for name, kwargs in CONFIGS.items()}
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
-    print(f"recorded {len(golden)} lockstep runs to {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    if "--record" in sys.argv:
-        _record()
-    else:
-        print(__doc__)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from pins import pinned, register
 from repro.core.config import TrainingConfig
 from repro.core.driver import train
 from repro.experiments.fig11_scaling import lr_higgs_points
@@ -48,7 +49,8 @@ def test_w1024_fig11_point_completes(tmp_path):
     assert len(result["history"]) > 0
 
 
-def test_w256_scatterreduce_training_is_pinned():
+@register("mega.w256-scatterreduce")
+def w256_scatterreduce() -> dict:
     config = TrainingConfig(
         model="lr", dataset="higgs", algorithm="ga_sgd", system="lambdaml",
         channel="s3", pattern="scatterreduce", workers=256, data_scale=500,
@@ -59,7 +61,9 @@ def test_w256_scatterreduce_training_is_pinned():
         result = train(config, ExactSubstrate())
     # Pinned from the per-op engine (one generator resume per storage
     # op): storage-op sequences keep every event, instant and dollar.
-    assert result.comm_rounds == 3
-    assert [stats.events for stats in sink] == [1_180_928]
-    assert result.duration_s.hex() == "0x1.8672ce40adf49p+9"
-    assert result.cost_total.hex() == "0x1.659fbeca07ba6p+3"
+    return {"comm_rounds": result.comm_rounds, "events": [stats.events for stats in sink],
+            "duration_hex": result.duration_s.hex(), "cost_hex": result.cost_total.hex()}
+
+
+def test_w256_scatterreduce_training_is_pinned():
+    assert w256_scatterreduce() == pinned("mega.w256-scatterreduce")

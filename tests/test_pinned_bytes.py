@@ -6,15 +6,18 @@ and one serving report, recorded at commit 6c7996b — before
 ``repro.store`` took over every writer — through public entry points
 that exist on both sides of that change. They hold the on-disk format
 (``json.dumps(sort_keys=True, indent=1)`` + newline, ``<key>.json``
-names, schema numbers, key names) and the simulated numbers inside it.
+names, schema numbers, key names) and the simulated numbers inside it:
+the pins ``bytes.<document>``, each file's name and digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
+from pins import pinned, register
 from repro.api import Service, ServiceConfig, ServingSession
 from repro.serving.config import ServingConfig
 from repro.sweep.orchestrator import run_sweep
@@ -41,37 +44,45 @@ def _sha_minus_meta(path: Path) -> str:
     return _sha((json.dumps(document, sort_keys=True, indent=1) + "\n").encode())
 
 
+def smoke_documents(out: Path) -> dict:
+    run_sweep([get_study("smoke").points()[0]], out_dir=out)
+    (artifact,), (trace,) = out.glob("*.json"), out.glob("traces/*.json")
+    return {kind: {"file": path.name, "sha256": _sha_minus_meta(path)}
+            for kind, path in (("artifact", artifact), ("trace", trace))}
+
+
+def service_report(out: Path) -> dict:
+    path = Service(out, arrivals=ServiceConfig(**FAST_SERVICE)).run().path
+    return {"file": path.name, "sha256": _sha(path.read_bytes())}
+
+
+def serving_report(out: Path) -> dict:
+    path = ServingSession(out, config=ServingConfig(**SMALL_SERVING)).run().path
+    return {"file": path.name, "sha256": _sha(path.read_bytes())}
+
+
+DOCUMENTS = {"smoke": smoke_documents, "service-report": service_report,
+             "serving-report": serving_report}
+
+
+@register("bytes", keys=DOCUMENTS)
+def _written_in_a_temporary_directory(name: str) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        return DOCUMENTS[name](Path(out))
+
+
 class TestPinnedBytes:
     def test_smoke_artifact_and_trace(self, tmp_path):
-        point = get_study("smoke").points()[0]
-        run_sweep([point], out_dir=tmp_path, substrate="auto")
-        artifact = tmp_path / "2f472ad0bd524dda.json"
-        trace = tmp_path / "traces" / "aa30338850a234cc.json"
-        assert _sha_minus_meta(artifact) == (
-            "1509230713459fe589a926ba7047716a062d4788c1daab3681d718fd3a3c95b6"
-        )
-        assert _sha_minus_meta(trace) == (
-            "527ce879c12b231f0948fa71537273fd7a8fec7a0e545dfcd75557eaf12f82e7"
-        )
+        assert smoke_documents(tmp_path) == pinned("bytes.smoke")
         # ...and `meta` aside, the files are in the one format already.
-        for path in (artifact, trace):
+        for path in (*tmp_path.glob("*.json"), *tmp_path.glob("traces/*.json")):
             document = json.loads(path.read_text())
             assert path.read_text() == (
                 json.dumps(document, sort_keys=True, indent=1) + "\n"
             )
 
     def test_service_report(self, tmp_path):
-        outcome = Service(tmp_path, arrivals=ServiceConfig(**FAST_SERVICE)).run()
-        assert outcome.path.name == "bce65724a043f299.json"
-        assert _sha(outcome.path.read_bytes()) == (
-            "2a4e0960a932adec884f23b07bd59162f6a1d8ef499cf2ad1b1b9e64afd6a2a2"
-        )
+        assert service_report(tmp_path) == pinned("bytes.service-report")
 
     def test_serving_report(self, tmp_path):
-        outcome = ServingSession(
-            tmp_path, config=ServingConfig(**SMALL_SERVING)
-        ).run()
-        assert outcome.path.name == "3508823461d32525.json"
-        assert _sha(outcome.path.read_bytes()) == (
-            "4b274c409e76c7eb792a463931777b2290ec6a78c11a08911619b12ac45bd410"
-        )
+        assert serving_report(tmp_path) == pinned("bytes.serving-report")

@@ -11,14 +11,15 @@ sweeps.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from pins import digest, pinned, register
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.fig_serving import SERVE_MIN_REPLICAS
 from repro.serving import (
@@ -43,29 +44,23 @@ from repro.serving import (
 MB = 1024 * 1024
 
 
-def _digest(document) -> str:
-    """sha256 of a document's canonical JSON (what the pins below hold)."""
-    blob = json.dumps(document, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+@register("serving.small-trace", keys=("poisson", "diurnal", "bursty"))
+def small_trace(shape: str) -> str:
+    return digest(traffic_trace(ServingConfig(traffic=shape, rate_rps=35.0, requests=700)))
 
 
-#: sha256 of json.dumps(traffic_trace(config), sort_keys=True) for
-#: ServingConfig(traffic=shape, rate_rps=35.0, requests=700).
-PINNED_TRACE_DIGESTS = {
-    "poisson": "aecba4bf133231b9b679eaa51d4eabcd915e24492cbe5759ddcbe142e60e5a53",
-    "diurnal": "83973665018e185b12ee4a89345376366a16f0172865331ccff6396998c4f3ee",
-    "bursty": "d305a4b5cab02ffee492d0579e319e68e9a3b710766a8026112f2177489a505d",
-}
+#: The ledger's own traffic, plus one diurnal trace whose trough rate is
+#: 1 % of the mean: <shape>-<diurnal_amplitude>.
+LEDGER_TRACES = ("bursty-0.8", "diurnal-0.8", "diurnal-0.99", "poisson-0.8")
 
-#: The same digest for the ledger's own traffic: ServingConfig(traffic=shape,
-#: rate_rps=200.0, requests=4000, seed=20210620), plus one diurnal trace
-#: whose trough rate is 1 % of the mean (`diurnal_amplitude=0.99`).
-PINNED_LEDGER_TRACE_DIGESTS = {
-    ("poisson", 0.8): "d81bf23bbc5a6afb40442368ef93156ef947ed8011f611f9b2b31a5f5d74f609",
-    ("diurnal", 0.8): "f6f443d8eb6150f1759fe09159f092b68a3a3b8a42fc32fd0d0154c5250b7665",
-    ("bursty", 0.8): "d5d8dd69c6feffec6ea042c83d885b8411b958eb78d5f7f0bf4be218961297e6",
-    ("diurnal", 0.99): "b481a7c443e9a873cc7d3265301c6dd6e3d6df39244ef0d2478e06499ca34237",
-}
+
+@register("serving.trace", keys=LEDGER_TRACES)
+def ledger_trace(key: str) -> str:
+    shape, amplitude = key.split("-")
+    return digest(traffic_trace(ServingConfig(
+        traffic=shape, rate_rps=200.0, requests=4000, seed=20210620,
+        diurnal_amplitude=float(amplitude),
+    )))
 
 
 def nn_entry(**overrides) -> ServedModel:
@@ -167,18 +162,12 @@ class TestTraffic:
     def test_trace_json_bytes_are_pinned(self):
         # Pinned on the commit before the hoisted constant in
         # `_diurnal_advance`: the trace document is byte-identical.
-        for shape, pinned in PINNED_TRACE_DIGESTS.items():
-            config = ServingConfig(traffic=shape, rate_rps=35.0, requests=700)
-            assert _digest(traffic_trace(config)) == pinned, shape
+        for shape in ("poisson", "diurnal", "bursty"):
+            assert small_trace(shape) == pinned(f"serving.small-trace.{shape}"), shape
 
-    @pytest.mark.parametrize("shape,amplitude", sorted(PINNED_LEDGER_TRACE_DIGESTS))
-    def test_ledger_trace_json_bytes_are_pinned(self, shape, amplitude):
-        config = ServingConfig(
-            traffic=shape, rate_rps=200.0, requests=4000, seed=20210620,
-            diurnal_amplitude=amplitude,
-        )
-        pinned = PINNED_LEDGER_TRACE_DIGESTS[shape, amplitude]
-        assert _digest(traffic_trace(config)) == pinned
+    @pytest.mark.parametrize("key", LEDGER_TRACES)
+    def test_ledger_trace_json_bytes_are_pinned(self, key):
+        assert ledger_trace(key) == pinned(f"serving.trace.{key}")
 
 
 class TestServingConfig:
@@ -751,16 +740,6 @@ ADVERSARIAL_CELLS = {
     ),
 }
 
-#: sha256 of json.dumps([records, pool], sort_keys=True), computed on the
-#: commit before the pool index existed (whole-pool scans).
-PINNED_DIGESTS = {
-    "faas_churn": "50f966d89687cf5594c9c051d0a3aff60a3487f77581da12a81e2ae2eec2b720",
-    "iaas_scale_down": "7d3bd36cca0d3a135cce01dd1ad2307b456c396de8277819a8d6ecfb21035856",
-    "same_instant": "bb397c256bccac4e0dc5c3de9d4646ba52d2ae63a59b21e6b46ca7b808aa1ffd",
-    "panel_iaas_bursty_concurrency": "b9f472c93cd4cf6bd70ed5a0516d5f1e05b313dae89e9f8e734f729e848057fb",
-}
-
-
 def panel_config(platform, traffic, autoscaler, seed) -> ServingConfig:
     return ServingConfig(
         platform=platform, traffic=traffic, autoscaler=autoscaler, seed=seed,
@@ -773,6 +752,18 @@ def pinned_config(name: str) -> ServingConfig:
     if name in ADVERSARIAL_CELLS:
         return ServingConfig(**ADVERSARIAL_CELLS[name])
     return panel_config("iaas", "bursty", "concurrency", seed=7)
+
+
+def pool_digest(runtime_class, name: str) -> str:
+    """Pin ``serving.pool.<name>``: sha256 of json.dumps([records, pool],
+    sort_keys=True), computed on the commit before the pool index existed
+    (whole-pool scans)."""
+    return digest(list(runtime_class(pinned_config(name), nn_entry()).run()))
+
+
+register("serving.pool", keys=ADVERSARIAL_CELLS)(partial(pool_digest, CheckedRuntime))
+register("serving.pool", keys=["panel_iaas_bursty_concurrency"])(
+    partial(pool_digest, ServingRuntime))
 
 
 class TestPoolIndex:
@@ -795,14 +786,14 @@ class TestPoolIndex:
         # capacity was provisioned again.
         assert pool["peak_replicas"] == 256
         assert pool["replicas_provisioned"] > 256 and retired > 100
-        assert _digest([records, pool]) == PINNED_DIGESTS["faas_churn"]
+        assert digest([records, pool]) == pinned("serving.pool.faas_churn")
 
     def test_iaas_scale_down_retires_longest_idle(self):
         runtime = CheckedRuntime(pinned_config("iaas_scale_down"), nn_entry())
         records, pool = runtime.run()
         assert runtime.scale_downs > 20  # the branch really ran
         assert pool["replicas_provisioned"] > 16
-        assert _digest([records, pool]) == PINNED_DIGESTS["iaas_scale_down"]
+        assert digest([records, pool]) == pinned("serving.pool.iaas_scale_down")
 
     def test_same_instant_completions_tie_on_idle_since(self):
         runtime = CheckedRuntime(pinned_config("same_instant"), nn_entry())
@@ -810,7 +801,7 @@ class TestPoolIndex:
         completions = [r["completion_s"] for r in records]
         assert len(completions) - len(set(completions)) > 100
         assert runtime.widest_tie >= 2  # ties reached the idle index
-        assert _digest([records, pool]) == PINNED_DIGESTS["same_instant"]
+        assert digest([records, pool]) == pinned("serving.pool.same_instant")
 
     def test_transition_keeps_index_sorted_whatever_the_order(self):
         # No run idles a higher id before a lower one at one instant, so
@@ -834,12 +825,9 @@ class TestPoolIndex:
         assert runtime._state() == PoolState(queued=0, in_flight=1, live=3, idle=2)
 
     def test_pinned_panel_cell(self):
-        records, pool = ServingRuntime(
-            pinned_config("panel_iaas_bursty_concurrency"), nn_entry()
-        ).run()
-        assert _digest([records, pool]) == PINNED_DIGESTS[
-            "panel_iaas_bursty_concurrency"
-        ]
+        assert pool_digest(ServingRuntime, "panel_iaas_bursty_concurrency") == pinned(
+            "serving.pool.panel_iaas_bursty_concurrency"
+        )
 
     def test_pool_is_never_rescanned(self):
         """The complexity guard reads no clock: it counts whole-pool walks."""

@@ -9,13 +9,12 @@ catalog with grid/fingerprint accounting.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import pins
 import repro.experiments
 from repro.cli import main
 from repro.core.config import TrainingConfig, config_validity_error
@@ -49,6 +48,19 @@ CLAIMED_STUDIES = {
 
 # The contexts a grid may depend on.
 CONTEXTS = (StudyContext(), StudyContext(mega=True), StudyContext(max_epochs=1.0))
+
+
+@pins.register("registry.grid")
+def grid_digest() -> dict:
+    rows = [
+        [name, ctx.mega, ctx.max_epochs,
+         [(p.experiment, p.label, p.hash(), sorted(p.tags.items()))
+          for p in entry.points(ctx=ctx)]]
+        for name, entry in all_studies().items()
+        for ctx in CONTEXTS
+    ]
+    return {"rows": len(rows), "points": sum(len(row[3]) for row in rows),
+            "sha256_16": pins.digest(rows)[:16]}
 
 
 class TestRegistry:
@@ -97,17 +109,7 @@ class TestRegistry:
         # under the three contexts a grid may depend on. A refactor of
         # how grids are spelled must leave this digest alone; a change
         # that moves it on purpose re-pins it and says which points moved.
-        rows = [
-            [name, ctx.mega, ctx.max_epochs,
-             [(p.experiment, p.label, p.hash(), sorted(p.tags.items()))
-              for p in entry.points(ctx=ctx)]]
-            for name, entry in all_studies().items()
-            for ctx in CONTEXTS
-        ]
-        assert len(rows) == 69
-        assert sum(len(row[3]) for row in rows) == 875
-        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-        assert digest[:16] == "533741d6380f2874"
+        assert grid_digest() == pins.pinned("registry.grid")
 
     def test_table4_fields_match_the_registry(self):
         # Scenario.workload is the one Table-4 -> kwargs mapping; a point
