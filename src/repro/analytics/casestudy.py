@@ -16,22 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.analytics.constants import TABLE6, AnalyticalConstants
-from repro.analytics.model import MB, AnalyticalModel, WorkloadParams
-from repro.pricing.catalog import DEFAULT_CATALOG, PriceCatalog
+from repro.analytics.model import AnalyticalModel, WorkloadParams
+from repro.iaas.cluster import iaas_startup_seconds
+from repro.iaas.ps import FAAS_VM_BANDWIDTH, LAMBDA_SERDES_RATE, MB
+from repro.iaas.vm import INSTANCES
 
-# Effective FaaS<->VM bandwidth today (per function) and in the Q1 what-if.
-FAAS_VM_BANDWIDTH_TODAY = 70 * MB
+# The Q1 what-if's FaaS<->VM link, for transfer and serdes alike.
 FAAS_VM_BANDWIDTH_10G = 1250 * MB
 
-# Q2: hot data served from an m5a.12xlarge. IaaS peers saturate the
+# Q2: hot data served from an m5a.12xlarge. IaaS peers saturate its
 # 10 Gbps egress; Lambda readers are bound by the VM's RPC serving
 # path (serialization per request), well below line rate.
-HOT_VM_EGRESS_IAAS = 1250 * MB
+HOT_VM_EGRESS_IAAS = INSTANCES["m5a.12xlarge"].network_bps
 HOT_VM_EGRESS_FAAS = 150 * MB
-
-# Q1 GPU what-if: hypothetical FaaS GPU priced like g3s.xlarge.
-GPU_FAAS_HOURLY = 0.75
 
 
 @dataclass(frozen=True)
@@ -40,12 +37,10 @@ class HybridModel:
 
     params: WorkloadParams
     ps_instance: str = "c5.4xlarge"
-    faas_vm_bandwidth: float = FAAS_VM_BANDWIDTH_TODAY
+    faas_vm_bandwidth: float = FAAS_VM_BANDWIDTH
     # Lambda-side serialization rate (gRPC at 1.8 vCPU); the hybrid's
     # bottleneck today (Section 4.3).
-    serdes_bandwidth: float = 100 * MB
-    constants: AnalyticalConstants = TABLE6
-    catalog: PriceCatalog = DEFAULT_CATALOG
+    serdes_bandwidth: float = LAMBDA_SERDES_RATE["grpc"]
 
     def comm_seconds(self, workers: int) -> float:
         """Per-epoch PS round trips: push m, update, pull m."""
@@ -58,15 +53,18 @@ class HybridModel:
         p = self.params
         epochs = p.epochs_faas * p.scaling_faas(workers)
         per_epoch = self.comm_seconds(workers) + p.compute_faas_s / workers
-        startup = self.constants.startup_iaas(1)  # one PS VM gates the job
-        load = p.dataset_bytes / (workers * self.constants.bandwidth_s3)
+        startup = iaas_startup_seconds(1)  # one PS VM gates the job
+        load = AnalyticalModel(p).load_seconds(workers)
         return startup + load + epochs * per_epoch
 
-    def cost(self, workers: int, lambda_memory_gb: float = 3.0) -> float:
-        seconds = self.seconds(workers)
-        lam = workers * lambda_memory_gb * seconds * self.catalog.lambda_per_gb_second
-        ps = self.catalog.ec2_price(self.ps_instance) * seconds / 3600.0
+    def price(self, workers: int, seconds: float, lambda_memory_gb: float = 3.0) -> float:
+        """Dollars for ``workers`` functions plus the PS VM held ``seconds``."""
+        lam = AnalyticalModel.faas_price(workers, seconds, lambda_memory_gb)
+        ps = AnalyticalModel.iaas_price(1, seconds, self.ps_instance)
         return lam + ps
+
+    def cost(self, workers: int, lambda_memory_gb: float = 3.0) -> float:
+        return self.price(workers, self.seconds(workers), lambda_memory_gb)
 
 
 def q1_fast_hybrid(params: WorkloadParams, workers: int) -> dict[str, tuple[float, float]]:
@@ -86,11 +84,6 @@ def q1_fast_hybrid(params: WorkloadParams, workers: int) -> dict[str, tuple[floa
     }
 
 
-def q1_gpu_faas_cost(runtime_s: float, workers: int) -> float:
-    """Cost of the hypothetical GPU-FaaS at g3s.xlarge-like pricing."""
-    return workers * GPU_FAAS_HOURLY * runtime_s / 3600.0
-
-
 def q2_hot_data(
     params: WorkloadParams, workers: int
 ) -> dict[str, tuple[float, float]]:
@@ -101,19 +94,15 @@ def q2_hot_data(
     base = AnalyticalModel(no_load)
     hybrid = HybridModel(no_load)
 
-    iaas_load = s / min(workers * TABLE6.bandwidth_net_t2, HOT_VM_EGRESS_IAAS)
-    faas_load = s / min(workers * FAAS_VM_BANDWIDTH_TODAY, HOT_VM_EGRESS_FAAS)
+    # IaaS peers are the model's default t2.medium workers.
+    iaas_load = s / min(workers * INSTANCES["t2.medium"].network_bps, HOT_VM_EGRESS_IAAS)
+    faas_load = s / min(workers * FAAS_VM_BANDWIDTH, HOT_VM_EGRESS_FAAS)
 
     iaas_s = base.iaas_seconds(workers) + iaas_load
     faas_s = base.faas_seconds(workers) + faas_load
     hybrid_s = hybrid.seconds(workers) + faas_load
-    catalog = DEFAULT_CATALOG
     return {
-        "iaas": (iaas_s, workers * catalog.ec2_price("t2.medium") * iaas_s / 3600.0),
-        "faas": (faas_s, workers * 3.0 * faas_s * catalog.lambda_per_gb_second),
-        "hybrid": (
-            hybrid_s,
-            workers * 3.0 * hybrid_s * catalog.lambda_per_gb_second
-            + catalog.ec2_price("c5.4xlarge") * hybrid_s / 3600.0,
-        ),
+        "iaas": (iaas_s, base.iaas_price(workers, iaas_s)),
+        "faas": (faas_s, base.faas_price(workers, faas_s)),
+        "hybrid": (hybrid_s, hybrid.price(workers, hybrid_s)),
     }

@@ -14,19 +14,29 @@ resources held: w Lambda functions (GB-seconds) for FaaS, w VMs for
 IaaS, plus a parameter-server VM for the hybrid architecture
 (Section 5.3.1's Q1 what-ifs plug a 10 Gbps FaaS-IaaS link into the
 same expressions).
+
+The model's inputs are the simulator's own Table-6 envelopes, read by
+name: S3 from ``repro.storage.services.S3_PROFILE``, ElastiCache from
+its cache.t3.medium node, the t2/c5 networks from the t2.medium and
+c5.large instances, and t_F(w) / t_I(w) from the FaaS and IaaS start-up
+functions. Figure 13 validates one view against the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.analytics.constants import TABLE6, AnalyticalConstants
 from repro.data.datasets import get_spec
+from repro.faas.runtime import faas_startup_seconds
+from repro.iaas.cluster import iaas_startup_seconds
+from repro.iaas.vm import INSTANCES
 from repro.models.zoo import get_model_info
-from repro.pricing.catalog import DEFAULT_CATALOG, PriceCatalog
+from repro.pricing.catalog import DEFAULT_CATALOG
+from repro.storage.services import ELASTICACHE_NODES, S3_PROFILE
 
-MB = 1024 * 1024
+# The IaaS side's network choices: the instance whose link each names.
+_NETWORK_INSTANCES = {"t2": "t2.medium", "c5": "c5.large"}
 
 ScalingFn = Callable[[int], float]
 
@@ -84,26 +94,24 @@ class AnalyticalModel:
     """Evaluate FaaS(w) / IaaS(w) and their dollar costs."""
 
     params: WorkloadParams
-    constants: AnalyticalConstants = TABLE6
-    catalog: PriceCatalog = field(default_factory=lambda: DEFAULT_CATALOG)
 
     # -- building blocks ----------------------------------------------------
     def load_seconds(self, workers: int) -> float:
-        return self.params.dataset_bytes / (workers * self.constants.bandwidth_s3)
+        return self.params.dataset_bytes / (workers * S3_PROFILE.bandwidth_bps)
 
     def _channel(self) -> tuple[float, float]:
         if self.params.channel == "s3":
-            return self.constants.bandwidth_s3, self.constants.latency_s3
+            return S3_PROFILE.bandwidth_bps, S3_PROFILE.latency_s
         if self.params.channel == "elasticache":
-            return self.constants.bandwidth_ec_t3, self.constants.latency_ec_t3
+            node = ELASTICACHE_NODES["cache.t3.medium"]
+            return node["bandwidth_bps"], node["latency_s"]
         raise ValueError(f"unknown channel {self.params.channel!r}")
 
     def _network(self) -> tuple[float, float]:
-        if self.params.network == "t2":
-            return self.constants.bandwidth_net_t2, self.constants.latency_net_t2
-        if self.params.network == "c5":
-            return self.constants.bandwidth_net_c5, self.constants.latency_net_c5
-        raise ValueError(f"unknown network {self.params.network!r}")
+        if self.params.network not in _NETWORK_INSTANCES:
+            raise ValueError(f"unknown network {self.params.network!r}")
+        vm = INSTANCES[_NETWORK_INSTANCES[self.params.network]]
+        return vm.network_bps, vm.network_latency_s
 
     def faas_comm_seconds(self, workers: int) -> float:
         bandwidth, latency = self._channel()
@@ -122,19 +130,27 @@ class AnalyticalModel:
         p = self.params
         epochs = p.epochs_faas * p.scaling_faas(workers)
         per_epoch = self.faas_comm_seconds(workers) + p.compute_faas_s / workers
-        return self.constants.startup_faas(workers) + self.load_seconds(workers) + epochs * per_epoch
+        return faas_startup_seconds(workers) + self.load_seconds(workers) + epochs * per_epoch
 
     def iaas_seconds(self, workers: int) -> float:
         p = self.params
         epochs = p.epochs_iaas * p.scaling_iaas(workers)
         per_epoch = self.iaas_comm_seconds(workers) + p.compute_iaas_s / workers
-        return self.constants.startup_iaas(workers) + self.load_seconds(workers) + epochs * per_epoch
+        return iaas_startup_seconds(workers) + self.load_seconds(workers) + epochs * per_epoch
 
     # -- costs --------------------------------------------------------------
+    @staticmethod
+    def faas_price(workers: int, seconds: float, lambda_memory_gb: float = 3.0) -> float:
+        """Dollars for ``workers`` Lambda functions held ``seconds``."""
+        return workers * lambda_memory_gb * seconds * DEFAULT_CATALOG.lambda_per_gb_second
+
+    @staticmethod
+    def iaas_price(workers: int, seconds: float, instance: str = "t2.medium") -> float:
+        """Dollars for ``workers`` VMs of type ``instance`` held ``seconds``."""
+        return workers * DEFAULT_CATALOG.ec2_price(instance) * seconds / 3600.0
+
     def faas_cost(self, workers: int, lambda_memory_gb: float = 3.0) -> float:
-        seconds = self.faas_seconds(workers)
-        return workers * lambda_memory_gb * seconds * self.catalog.lambda_per_gb_second
+        return self.faas_price(workers, self.faas_seconds(workers), lambda_memory_gb)
 
     def iaas_cost(self, workers: int, instance: str = "t2.medium") -> float:
-        seconds = self.iaas_seconds(workers)
-        return workers * self.catalog.ec2_price(instance) * seconds / 3600.0
+        return self.iaas_price(workers, self.iaas_seconds(workers), instance)

@@ -2,7 +2,7 @@
 
 The values here are deliberately small and boring: anything with
 scientific meaning (bandwidths, prices, model sizes) lives next to the
-subsystem that owns it (`analytics.constants`, `pricing.catalog`,
+subsystem that owns it (`storage.services`, `iaas.vm`, `pricing.catalog`,
 `models.zoo`). This module only pins down reproducibility knobs and
 scaling factors used when shrinking the paper's datasets to
 laptop-scale physical arrays.

@@ -16,14 +16,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analytics.casestudy import (
-    HybridModel,
-    q1_fast_hybrid,
-    q1_gpu_faas_cost,
-)
+from repro.analytics.casestudy import q1_fast_hybrid
 from repro.analytics.model import AnalyticalModel, WorkloadParams
 from repro.models.zoo import get_model_info
-from repro.pricing.catalog import DEFAULT_CATALOG
 from repro.sweep.study import Claim, Table, study
 
 
@@ -68,30 +63,20 @@ def run() -> list[dict]:
 
     # MobileNet on Cifar10: GA-SGD syncs every batch (~47 rounds/epoch).
     mn_params = _workload_params("mobilenet", "cifar10", epochs=30.0, rounds_per_epoch=47.0)
-    for system, (runtime, cost) in q1_fast_hybrid(mn_params, WORKERS_MN).items():
+    mn_points = q1_fast_hybrid(mn_params, WORKERS_MN)
+    for system, (runtime, cost) in mn_points.items():
         rows.append(_row("mobilenet/cifar10", system, runtime, cost))
 
-    # IaaS on GPU for MobileNet, and the hypothetical GPU-FaaS pricing.
+    # IaaS on GPU for MobileNet, and a hypothetical GPU-FaaS: the 10 Gbps
+    # hybrid at the GPU's speed-up, priced like g3s.xlarge.
     mn_gpu = _workload_params("mobilenet", "cifar10", epochs=30.0, rounds_per_epoch=47.0, gpu=True)
     gpu_model = AnalyticalModel(mn_gpu)
-    gpu_runtime = gpu_model.iaas_seconds(WORKERS_MN)
-    gpu_cost = WORKERS_MN * DEFAULT_CATALOG.ec2_price("g3s.xlarge") * gpu_runtime / 3600.0
-    rows.append(_row("mobilenet/cifar10", "iaas-gpu", gpu_runtime, gpu_cost))
-
-    hybrid_10g = HybridModel(
-        mn_params, faas_vm_bandwidth=1250 * 1024 * 1024, serdes_bandwidth=1250 * 1024 * 1024
-    )
-    runtime_10g = hybrid_10g.seconds(WORKERS_MN)
-    rows.append(
-        _row(
-            "mobilenet/cifar10", "gpu-faas (hypothetical)",
-            runtime_10g / get_model_info("mobilenet", "cifar10").compute.gpu_speedup_m60,
-            q1_gpu_faas_cost(
-                runtime_10g / get_model_info("mobilenet", "cifar10").compute.gpu_speedup_m60,
-                WORKERS_MN,
-            ),
-        )
-    )
+    rows.append(_row("mobilenet/cifar10", "iaas-gpu", gpu_model.iaas_seconds(WORKERS_MN),
+                     gpu_model.iaas_cost(WORKERS_MN, "g3s.xlarge")))
+    speedup = get_model_info("mobilenet", "cifar10").compute.gpu_speedup_m60
+    gpu_faas_runtime = mn_points["hybrid-10g"][0] / speedup
+    rows.append(_row("mobilenet/cifar10", "gpu-faas (hypothetical)", gpu_faas_runtime,
+                     AnalyticalModel.iaas_price(WORKERS_MN, gpu_faas_runtime, "g3s.xlarge")))
     return rows
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.analytics.model import AnalyticalModel, WorkloadParams
 from repro.config import DEFAULT_SEED
+from repro.iaas.cluster import iaas_startup_seconds
 from repro.pricing.catalog import DEFAULT_CATALOG
 from repro.sweep.scenario import Scenario
 from repro.sweep.study import Table, study
@@ -74,7 +75,7 @@ def run(
 
     # Reserved cluster: no start-up per job (paid once, before the
     # horizon), but one job at a time — bursts queue.
-    run_seconds = model.iaas_seconds(workers) - model.constants.startup_iaas(workers)
+    run_seconds = model.iaas_seconds(workers) - iaas_startup_seconds(workers)
     hourly = DEFAULT_CATALOG.ec2_price(instance)
     free_at = 0.0
     total_latency = 0.0

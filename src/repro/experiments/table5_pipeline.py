@@ -24,6 +24,7 @@ from repro.config import DEFAULT_SEED
 from repro.data.datasets import get_spec
 from repro.iaas.cluster import iaas_startup_seconds
 from repro.pricing.catalog import DEFAULT_CATALOG
+from repro.storage.services import S3_PROFILE
 from repro.sweep.artifacts import result_from_artifact
 from repro.sweep.grid import SweepPoint
 from repro.sweep.scenario import Scenario
@@ -36,9 +37,8 @@ CASES = (("lr", "higgs"), ("mobilenet", "cifar10"))
 
 def _preprocess_seconds(dataset_bytes: float, workers: int) -> float:
     """Normalisation pass: read from S3, scale, write back."""
-    bandwidth = 65 * 1024 * 1024
     per_worker = dataset_bytes / workers
-    return 2 * per_worker / bandwidth  # read + write
+    return 2 * per_worker / S3_PROFILE.bandwidth_bps  # read + write
 
 
 def case_points(

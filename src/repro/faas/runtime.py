@@ -14,13 +14,11 @@ reload).
 
 from __future__ import annotations
 
-import math
-
-from repro.errors import ConfigurationError
 from repro.faas.limits import LambdaLimits
+from repro.utils.stats import log_interp
 
 # (workers, seconds) anchors from Table 6.
-_STARTUP_ANCHORS = [(1, 1.0), (10, 1.2), (50, 11.0), (100, 18.0), (200, 35.0)]
+STARTUP_ANCHORS = [(1, 1.0), (10, 1.2), (50, 11.0), (100, 18.0), (200, 35.0)]
 
 # Cold start + handler init of a single re-invoked worker (Figure 5's
 # self-trigger); matches the ~1 s single-function start-up.
@@ -29,19 +27,7 @@ REINVOKE_OVERHEAD_S = 1.0
 
 def faas_startup_seconds(workers: int) -> float:
     """Time until all `workers` Lambda functions are up (t_F(w))."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    anchors = _STARTUP_ANCHORS
-    if workers <= anchors[0][0]:
-        return anchors[0][1]
-    for (w0, t0), (w1, t1) in zip(anchors, anchors[1:]):
-        if w0 <= workers <= w1:
-            # Log-linear interpolation between anchors.
-            frac = (math.log(workers) - math.log(w0)) / (math.log(w1) - math.log(w0))
-            return t0 + frac * (t1 - t0)
-    # Extrapolate beyond 200 workers linearly in w (invocation batches).
-    w_last, t_last = anchors[-1]
-    return t_last * (workers / w_last)
+    return log_interp(STARTUP_ANCHORS, workers)
 
 
 class FunctionLifetime:

@@ -10,29 +10,18 @@ skips job dispatch).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.iaas.vm import InstanceSpec, get_instance
+from repro.utils.stats import log_interp
 
-_STARTUP_ANCHORS = [(1, 120.0), (10, 132.0), (50, 160.0), (100, 292.0), (200, 606.0)]
+STARTUP_ANCHORS = [(1, 120.0), (10, 132.0), (50, 160.0), (100, 292.0), (200, 606.0)]
 
 
 def iaas_startup_seconds(workers: int) -> float:
     """t_I(w): time until a w-VM training cluster is ready."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    anchors = _STARTUP_ANCHORS
-    if workers <= anchors[0][0]:
-        return anchors[0][1]
-    for (w0, t0), (w1, t1) in zip(anchors, anchors[1:]):
-        if w0 <= workers <= w1:
-            frac = (math.log(workers) - math.log(w0)) / (math.log(w1) - math.log(w0))
-            return t0 + frac * (t1 - t0)
-    # Beyond 200 nodes: dispatch grows roughly linearly with w.
-    w_last, t_last = anchors[-1]
-    return t_last * (workers / w_last)
+    return log_interp(STARTUP_ANCHORS, workers)
 
 
 @dataclass

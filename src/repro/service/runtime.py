@@ -116,15 +116,10 @@ class BaselineProvider:
     re-training.
     """
 
-    def __init__(
-        self,
-        artifacts_dir=None,
-        results: dict[str, RunResult] | None = None,
-        traces: dict[str, dict] | None = None,
-    ) -> None:
+    def __init__(self, artifacts_dir=None) -> None:
         self.artifacts_dir = artifacts_dir
-        self._results = dict(results or {})
-        self._traces = dict(traces or {})
+        self._results: dict[str, RunResult] = {}
+        self._traces: dict[str, dict] = {}
 
     @staticmethod
     def baseline_point(config: TrainingConfig) -> SweepPoint:

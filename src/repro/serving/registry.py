@@ -18,19 +18,14 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.models.zoo import get_model_info
-
-# The S3 envelope a cold replica loads its model through (Table 6:
-# ~80 ms request latency, ~65 MB/s per connection — same numbers as
-# repro.storage.services.S3Store).
-S3_LATENCY_S = 8e-2
-S3_BANDWIDTH_BPS = 65 * 1024 * 1024
+from repro.storage.services import S3_PROFILE
 
 
 def model_load_seconds(param_bytes: int) -> float:
-    """Time for one cold replica to pull its model out of S3."""
+    """Time for one cold replica to pull its model out of S3 (one GET)."""
     if param_bytes < 0:
         raise ConfigurationError(f"param_bytes must be >= 0, got {param_bytes}")
-    return S3_LATENCY_S + param_bytes / S3_BANDWIDTH_BPS
+    return S3_PROFILE.latency_s + param_bytes / S3_PROFILE.bandwidth_bps
 
 
 @dataclass(frozen=True)

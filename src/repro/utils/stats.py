@@ -1,12 +1,14 @@
-"""The program's reductions, and the scorecards' statistics helpers."""
+"""The program's reductions, the scorecards' statistics helpers, and the
+start-up curve's interpolation between measured anchors."""
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from operator import add
 from typing import Iterable
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 def fold(values: Iterable[float]) -> float:
@@ -52,3 +54,22 @@ def jain_fairness(values: list[float]) -> float:
     if sum_of_squares == 0.0:
         return 1.0  # all-zero allocations are (vacuously) equal
     return square_of_sum / (len(values) * sum_of_squares)
+
+
+def log_interp(anchors: list[tuple[int, float]], workers: int) -> float:
+    """Seconds to start ``workers`` from sorted ``(workers, seconds)`` anchors.
+
+    Log-linear in w between neighbouring anchors, the first anchor's
+    value at or below it, and linear in w past the last one (invocation
+    and dispatch grow in batches). Serves both t_F(w) and t_I(w).
+    """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if workers <= anchors[0][0]:
+        return anchors[0][1]
+    for (w0, t0), (w1, t1) in zip(anchors, anchors[1:]):
+        if w0 <= workers <= w1:
+            frac = (math.log(workers) - math.log(w0)) / (math.log(w1) - math.log(w0))
+            return t0 + frac * (t1 - t0)
+    w_last, t_last = anchors[-1]
+    return t_last * (workers / w_last)

@@ -1,13 +1,15 @@
-"""Unit tests for the analytical model, constants and estimator."""
+"""Unit tests for the analytical model and estimator."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analytics.casestudy import HybridModel, q1_fast_hybrid, q2_hot_data
-from repro.analytics.constants import TABLE6
 from repro.analytics.estimator import SamplingEstimator, _first_crossing
 from repro.analytics.model import AnalyticalModel, WorkloadParams
+from repro.iaas.cluster import iaas_startup_seconds
+from repro.iaas.vm import INSTANCES
+from repro.storage.services import S3_PROFILE
 
 MB = 1024 * 1024
 
@@ -26,29 +28,20 @@ def _params(**overrides) -> WorkloadParams:
     return WorkloadParams(**base)
 
 
-class TestConstants:
-    def test_startup_anchor_values(self):
-        assert TABLE6.startup_faas(10) == pytest.approx(1.2)
-        assert TABLE6.startup_iaas(200) == pytest.approx(606.0)
-
-    def test_startup_interpolation_between_anchors(self):
-        mid = TABLE6.startup_iaas(75)
-        assert 160.0 < mid < 292.0
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            TABLE6.startup_faas(0)
-
-
 class TestAnalyticalModel:
     def test_faas_has_extra_communication_leg(self):
-        model = AnalyticalModel(_params())
-        w = 10
-        faas = model.faas_comm_seconds(w)
-        # Same channel constants would give (3w-2)/(2w-2) ratio.
-        params_same = _params(channel="s3")
-        per_leg = faas / (3 * w - 2)
-        assert faas == pytest.approx((3 * w - 2) * per_leg)
+        # The paper's legs, exactly: FaaS bounces every aggregate off S3
+        # (3w-2 legs), IaaS rings over t2.medium's link (2w-2 legs).
+        m = 12 * MB
+        model = AnalyticalModel(_params(model_bytes=m))
+        t2 = INSTANCES["t2.medium"]
+        for w in (1, 2, 10, 100):
+            assert model.faas_comm_seconds(w) == (3 * w - 2) * (
+                (m / w) / S3_PROFILE.bandwidth_bps + S3_PROFILE.latency_s
+            )
+            assert model.iaas_comm_seconds(w) == (2 * w - 2) * (
+                (m / w) / t2.network_bps + t2.network_latency_s
+            )
 
     def test_startup_dominates_faas_advantage(self):
         model = AnalyticalModel(_params())
@@ -92,7 +85,7 @@ class TestAnalyticalModel:
 class TestHybridModel:
     def test_hybrid_gated_by_ps_startup(self):
         hybrid = HybridModel(_params())
-        assert hybrid.seconds(10) >= TABLE6.startup_iaas(1)
+        assert hybrid.seconds(10) >= iaas_startup_seconds(1)
 
     def test_10g_link_reduces_comm(self):
         now = HybridModel(_params(model_bytes=12 * MB))

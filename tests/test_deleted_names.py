@@ -115,6 +115,16 @@ DELETED = {
         "|--recor[d]\\b",
         (*CODE, "README.md", ".claude/skills/verify/SKILL.md"),
     ),
+    # The analytical model reads the simulator's Table-6 envelopes by name:
+    # its own constants table and interpolation, and the hand copies of
+    # the S3 envelope, the FaaS<->VM link and the g3s.xlarge price.
+    "analytical constants": (
+        "-n",
+        "AnalyticalConstant[s]\\|TABLE[6]\\|_interp_anchor[s]\\|S3_LATENCY_[S]"
+        "\\|S3_BANDWIDTH_BP[S]\\|FAAS_VM_BANDWIDTH_TODA[Y]\\|GPU_FAAS_HOURL[Y]"
+        "\\|q1_gpu_faas_cos[t]",
+        (*CODE, "README.md"),
+    ),
     # README, the verify recipe, CI and the code state what holds now;
     # CHANGES.md is the one log of how it came to hold.
     "PR log": (

@@ -18,20 +18,11 @@ import tempfile
 from pathlib import Path
 
 from pins import pinned, register
-from repro.api import Service, ServiceConfig, ServingSession
-from repro.serving.config import ServingConfig
+from repro.api import Service, ServingSession
 from repro.sweep.orchestrator import run_sweep
 from repro.sweep.study import get_study
-
-FAST_SERVICE = dict(
-    rate=3600.0, tenants=3, accounts=2, max_concurrent=2,
-    model="lr", dataset="higgs", workers=4, max_epochs=1.0,
-    data_scale=1000, channel="s3", seed=11,
-)  # tests/test_service.py::fast_service()
-SMALL_SERVING = dict(
-    model="lr", dataset="higgs", data_scale=2000, requests=60,
-    traffic="bursty", platform="faas", autoscaler="concurrency",
-)  # tests/test_serving.py::small_config()
+from test_service import fast_service
+from test_serving import small_config
 
 
 def _sha(data: bytes) -> str:
@@ -52,12 +43,12 @@ def smoke_documents(out: Path) -> dict:
 
 
 def service_report(out: Path) -> dict:
-    path = Service(out, arrivals=ServiceConfig(**FAST_SERVICE)).run().path
+    path = Service(out, arrivals=fast_service()).run().path
     return {"file": path.name, "sha256": _sha(path.read_bytes())}
 
 
 def serving_report(out: Path) -> dict:
-    path = ServingSession(out, config=ServingConfig(**SMALL_SERVING)).run().path
+    path = ServingSession(out, config=small_config()).run().path
     return {"file": path.name, "sha256": _sha(path.read_bytes())}
 
 

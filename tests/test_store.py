@@ -27,29 +27,20 @@ from pathlib import Path
 import pytest
 
 from repro import store
-from repro.api import Service, ServiceConfig, ServingSession
+from repro.api import Service, ServingSession
 from repro.errors import FuzzError, SimulationError
 from repro.fuzz.corpus import CORPUS_ENTRY
 from repro.service.metrics import SERVICE_REPORT
-from repro.serving.config import ServingConfig
 from repro.serving.metrics import SERVING_REPORT
 from repro.substrate import TraceError
 from repro.substrate.traces import TRACE
 from repro.sweep.artifacts import ARTIFACT, ArtifactError
 from repro.sweep.orchestrator import _Task, run_task
 from repro.sweep.study import get_study
+from test_service import fast_service
+from test_serving import small_config
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-
-FAST_SERVICE = dict(
-    rate=3600.0, tenants=3, accounts=2, max_concurrent=2,
-    model="lr", dataset="higgs", workers=4, max_epochs=1.0,
-    data_scale=1000, channel="s3", seed=11,
-)  # tests/test_service.py::fast_service()
-SMALL_SERVING = dict(
-    model="lr", dataset="higgs", data_scale=2000, requests=60,
-    traffic="bursty", platform="faas", autoscaler="concurrency",
-)  # tests/test_serving.py::small_config()
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +51,8 @@ def documents() -> dict[str, dict]:
     return {
         "artifact": artifact,
         "trace": trace,
-        "service report": Service(None, arrivals=ServiceConfig(**FAST_SERVICE)).run().data,
-        "serving report": ServingSession(None, config=ServingConfig(**SMALL_SERVING)).run().data,
+        "service report": Service(None, arrivals=fast_service()).run().data,
+        "serving report": ServingSession(None, config=small_config()).run().data,
         "corpus entry": {
             "schema": 1, "invariant": "completes", "scenario_id": "0:5",
             "config_kwargs": {"model": "lr", "workers": 2},
