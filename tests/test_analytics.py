@@ -7,9 +7,11 @@ import pytest
 from repro.analytics.casestudy import HybridModel, q1_fast_hybrid, q2_hot_data
 from repro.analytics.estimator import SamplingEstimator, _first_crossing
 from repro.analytics.model import AnalyticalModel, WorkloadParams
+from repro.errors import ConfigurationError
 from repro.iaas.cluster import iaas_startup_seconds
 from repro.iaas.vm import INSTANCES
 from repro.storage.services import S3_PROFILE
+from repro.utils.stats import log_interp
 
 MB = 1024 * 1024
 
@@ -26,6 +28,28 @@ def _params(**overrides) -> WorkloadParams:
     )
     base.update(overrides)
     return WorkloadParams(**base)
+
+
+class TestConstants:
+    """The model's t_F(w) and t_I(w) are the simulator's start-up curves."""
+
+    def _startup_only(self) -> AnalyticalModel:
+        # No data, no epochs: a runtime is its start-up term alone.
+        return AnalyticalModel(_params(dataset_bytes=0, epochs_faas=0.0, epochs_iaas=0.0))
+
+    def test_startup_anchor_values(self):
+        model = self._startup_only()
+        assert model.faas_seconds(10) == pytest.approx(1.2)
+        assert model.iaas_seconds(200) == pytest.approx(606.0)
+
+    def test_startup_interpolation_between_anchors(self):
+        mid = self._startup_only().iaas_seconds(75)
+        assert 160.0 < mid < 292.0
+        assert mid == iaas_startup_seconds(75)
+
+    def test_invalid_workers(self):
+        with pytest.raises(ConfigurationError, match="workers must be >= 1, got 0"):
+            log_interp([(1, 1.0), (10, 2.0)], 0)
 
 
 class TestAnalyticalModel:
